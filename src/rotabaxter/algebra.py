@@ -476,12 +476,13 @@ def hochschild_differential(mod, k, cochain):
 
 def hochschild_cohomology_dim(mod, k):
     """dim H^k(A, M), with C^0 = M and the standard differentials."""
-    assert k >= 0
-    d_out = hochschild_matrix(mod, k).to_matrix()
+    if k < 0:
+        raise ShapeError(f"Hochschild cohomology starts in degree 0, got {k}")
+    d_out = hochschild_matrix(mod, k)
     if k == 0:
-        d_in = Matrix.zero(mod.dim * (mod.over.dim ** 0), 0)
+        d_in = SparseBuilder(d_out.cols, 0)
     else:
-        d_in = hochschild_matrix(mod, k - 1).to_matrix()
+        d_in = hochschild_matrix(mod, k - 1)
     return homology_dim(d_out, d_in)
 
 

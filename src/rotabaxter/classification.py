@@ -435,7 +435,7 @@ def cobounding_cochain(x, b, c1, c2):
     """
     if c1.degree != c2.degree or c1.degree < 2:
         raise ShapeError("cobounding needs two cochains of equal degree >= 2")
-    mat = rrb_differential_matrix(x, b, c1.degree - 1).to_matrix()
+    mat = rrb_differential_matrix(x, b, c1.degree - 1)
     diff = tuple(p - q for p, q in zip(c1.vector(), c2.vector()))
     sol = solve(mat, diff)
     if sol is None:

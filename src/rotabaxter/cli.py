@@ -34,7 +34,7 @@ from .cohomology import (
     rrb_differential,
 )
 from .fileformat import ParseError
-from .linalg import Q, format_rational
+from .linalg import Q, format_matrix, format_rational
 from .rrb import (
     RBBimodulePair, RelativeRBAlgebra, aybe_check, check_rb_bimodule,
     check_relative_rb, induced_dendriform, lift_to_rb,
@@ -93,10 +93,6 @@ def _matrix_text(m):
     rows = ["[" + ", ".join(format_rational(v) for v in m.row(i)) + "]"
             for i in range(m.rows)]
     return "[" + ", ".join(rows) + "]"
-
-
-def _matrix_json(m):
-    return [[format_rational(v) for v in m.row(i)] for i in range(m.rows)]
 
 
 def _emit(args, payload, lines):
@@ -292,8 +288,8 @@ def cmd_derivations(args):
         lines.append(f"derivation {n + 1}:")
         lines.append(f"  alpha = {_matrix_text(c.alpha.matrix)}")
         lines.append(f"  beta = {_matrix_text(c.beta[0].matrix)}")
-        elems.append({"alpha": _matrix_json(c.alpha.matrix),
-                      "beta": _matrix_json(c.beta[0].matrix)})
+        elems.append({"alpha": format_matrix(c.alpha.matrix),
+                      "beta": format_matrix(c.beta[0].matrix)})
     _emit(args, {"command": "derivations", "ok": True, "over": xname,
                  "coefficients": bname, "dimension": len(basis),
                  "basis": elems}, lines)
@@ -497,9 +493,9 @@ def cmd_extract_cocycle(args):
     if not crep.ok:
         return _fail(args, [("extracted cochain", crep)])
     blob = {"degree": c.degree,
-            "alpha": _matrix_json(c.alpha.matrix),
-            "beta": [_matrix_json(s.matrix) for s in c.beta],
-            "gamma": _matrix_json(c.gamma.matrix)}
+            "alpha": format_matrix(c.alpha.matrix),
+            "beta": [format_matrix(s.matrix) for s in c.beta],
+            "gamma": format_matrix(c.gamma.matrix)}
     lines = [f"degree 2 cocycle extracted with section '{sec_name}'",
              f"alpha = {_matrix_text(c.alpha.matrix)}"]
     for s, slot in enumerate(c.beta):
@@ -636,6 +632,12 @@ def build_parser():
                     "files")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def degree(text):
+        k = int(text)
+        if k < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
+        return k
+
     def add(name, func, help_text, output=False):
         sp = sub.add_parser(name, parents=[common], help=help_text)
         sp.add_argument("file", help="structure file to read")
@@ -649,10 +651,10 @@ def build_parser():
         "check every declared structure against its axioms")
     sp = add("cohomology", cmd_cohomology,
              "cohomology dimensions of the first declared operator algebra")
-    sp.add_argument("--max-degree", type=int, default=3)
+    sp.add_argument("--max-degree", type=degree, default=3)
     sp = add("hochschild", cmd_hochschild,
              "Hochschild cohomology dimensions of the declared bimodules")
-    sp.add_argument("--max-degree", type=int, default=3)
+    sp.add_argument("--max-degree", type=degree, default=3)
     add("derivations", cmd_derivations,
         "basis of the degree-1 cocycles (derivation pairs)")
     add("semidirect", cmd_semidirect,

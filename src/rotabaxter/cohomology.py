@@ -34,7 +34,7 @@ from .algebra import (
     StructuralError, basis_vec, hochschild_differential, hochschild_matrix,
 )
 from .linalg import (
-    Matrix, Q, SparseBuilder, TensorIndex, format_rational, homology_dim,
+    Matrix, Q, SparseBuilder, TensorIndex, format_matrix, homology_dim,
     kernel_basis, parse_rational,
 )
 from .rrb import RelativeRBAlgebra
@@ -173,10 +173,10 @@ class RRBCochain:
     def to_json(self):
         """Plain dict with rationals rendered as strings."""
         return {"degree": self.degree,
-                "alpha": _matrix_to_strings(self.alpha.matrix),
-                "beta": [_matrix_to_strings(bs.matrix) for bs in self.beta],
+                "alpha": format_matrix(self.alpha.matrix),
+                "beta": [format_matrix(bs.matrix) for bs in self.beta],
                 "gamma": (None if self.gamma is None
-                          else _matrix_to_strings(self.gamma.matrix))}
+                          else format_matrix(self.gamma.matrix))}
 
     @staticmethod
     def from_json(x, b, data):
@@ -191,11 +191,6 @@ class RRBCochain:
         gamma = None if k == 1 else _map_from_strings(shapes.gamma,
                                                       data["gamma"])
         return RRBCochain(k, alpha, beta, gamma).validate(x, b)
-
-
-def _matrix_to_strings(m):
-    return [[format_rational(m.at(i, j)) for j in range(m.cols)]
-            for i in range(m.rows)]
 
 
 def _map_from_strings(shape, rows):
@@ -520,12 +515,13 @@ def rrb_differential(x, b, k, c):
 def rrb_cohomology_dim(x, b, k):
     """dim H^k for k >= 1; the degree-0 space is zero, so at k = 1 the
     incoming differential is the zero map."""
-    assert k >= 1
-    d_out = rrb_differential_matrix(x, b, k).to_matrix()
+    if k < 1:
+        raise ShapeError(f"RRB cohomology starts in degree 1, got {k}")
+    d_out = rrb_differential_matrix(x, b, k)
     if k == 1:
-        d_in = Matrix.zero(d_out.cols, 0)
+        d_in = SparseBuilder(d_out.cols, 0)
     else:
-        d_in = rrb_differential_matrix(x, b, k - 1).to_matrix()
+        d_in = rrb_differential_matrix(x, b, k - 1)
     return homology_dim(d_out, d_in)
 
 
@@ -573,7 +569,7 @@ def check_derivation(x, b, alpha, beta):
 
 def derivation_basis(x, b):
     """Basis of the degree-1 cocycles as (alpha, beta) cochains."""
-    mat = rrb_differential_matrix(x, b, 1).to_matrix()
+    mat = rrb_differential_matrix(x, b, 1)
     return [RRBCochain.from_vector(x, b, 1, v) for v in kernel_basis(mat)]
 
 

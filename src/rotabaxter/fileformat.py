@@ -35,7 +35,7 @@ from .classification import (
     TwoTermAInfty,
 )
 from .cohomology import RRBCochain
-from .linalg import Matrix, format_rational, parse_rational
+from .linalg import Matrix, format_matrix, format_rational, parse_rational
 from .rrb import RelativeRBAlgebra, RMatrix, TwoTermComplex
 from .rrb_modules import RRBBimodule
 
@@ -485,10 +485,6 @@ def _sc_json(sc):
             for plane in sc.data]
 
 
-def _matrix_json(m):
-    return [[format_rational(v) for v in m.row(i)] for i in range(m.rows)]
-
-
 def new_document():
     return {"field": "Q", "spaces": {}, "bilinear": {}, "linear": {},
             "declare": []}
@@ -510,7 +506,7 @@ def add_bilinear(doc, name, frm, to, sc):
 
 def add_linear(doc, name, frm, to, lin):
     doc["linear"][name] = {"from": frm if isinstance(frm, str) else list(frm),
-                           "to": to, "matrix": _matrix_json(lin.matrix)}
+                           "to": to, "matrix": format_matrix(lin.matrix)}
     return name
 
 

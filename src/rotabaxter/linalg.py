@@ -2,20 +2,24 @@
 
 Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
-type, a dense row-major matrix, multi-index flattening for tensor powers, and
-the four workhorses rank / kernel_basis / solve / homology_dim.
+type, a dense row-major matrix, a column-sparse matrix for big differentials,
+multi-index flattening for tensor powers, and the workhorses rank /
+kernel_basis / solve / inverse / homology_dim.  These run one elimination
+kernel on sparse rows and take either matrix type.
 
 Conventions fixed here and relied on by every other module:
 
 * scalars are reduced rationals with positive denominator (gmpy2.mpq when
   available, fractions.Fraction otherwise -- same interface, same semantics);
-* matrices are dense, row-major; a linear map's matrix has codomain-dim rows
-  and domain-dim columns, and acts on column vectors;
+* a linear map's matrix has codomain-dim rows and domain-dim columns, and
+  acts on column vectors;
 * tensor products flatten big-endian: the FIRST factor varies slowest.  So for
   factor dims (d1, d2) the pair (i1, i2) flattens to i1*d2 + i2.
 """
 
 from __future__ import annotations
+
+import re
 
 try:
     from gmpy2 import mpq as Q
@@ -42,19 +46,20 @@ def rational(value, den=None):
     return Q(value)
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+
+
 def parse_rational(text):
-    """Parse 'p' or 'p/q' (q > 0 after reduction is automatic).  Strict."""
+    """Parse 'p' or 'p/q' (q > 0 after reduction is automatic).  Strict:
+    ASCII digits only, no whitespace or underscores; bools are rejected."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Q(text)
     if not isinstance(text, str):
-        if isinstance(text, int):
-            return Q(text)
         raise ValueError(f"rational must be a string or int, got {text!r}")
-    s = text.strip()
-    num, sep, den = s.partition("/")
-    try:
-        n = int(num)
-        d = int(den) if sep else 1
-    except ValueError:
-        raise ValueError(f"malformed rational {text!r}") from None
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed rational {text!r}")
+    n, d = int(match[1]), int(match[2] or 1)
     if d == 0:
         raise ValueError(f"malformed rational {text!r}: zero denominator")
     return Q(n, d)
@@ -68,6 +73,11 @@ def format_rational(q):
     return f"{q.numerator}/{q.denominator}"
 
 
+def format_matrix(m):
+    """A Matrix as a list of rows of format_rational strings."""
+    return [[format_rational(v) for v in m.row(i)] for i in range(m.rows)]
+
+
 class Matrix:
     """Dense row-major matrix of Rationals.  Immutable once built."""
 
@@ -75,7 +85,8 @@ class Matrix:
 
     def __init__(self, rows, cols, entries):
         entries = tuple(Q(e) for e in entries)
-        assert len(entries) == rows * cols, "entry count must be rows*cols"
+        if len(entries) != rows * cols:
+            raise ValueError("entry count must be rows*cols")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -89,7 +100,8 @@ class Matrix:
         cols = len(rows_list[0]) if rows else 0
         flat = []
         for r in rows_list:
-            assert len(r) == cols, "ragged rows"
+            if len(r) != cols:
+                raise ValueError("ragged rows")
             flat.extend(r)
         return Matrix(rows, cols, flat)
 
@@ -114,6 +126,11 @@ class Matrix:
     def row_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def row_dicts(self):
+        """Fresh col -> value dicts of the nonzeros, one per row."""
+        return [{j: v for j, v in enumerate(self.row(i)) if v}
+                for i in range(self.rows)]
+
     def is_zero(self):
         return all(e == 0 for e in self.entries)
 
@@ -130,12 +147,14 @@ class Matrix:
         return hash((self.rows, self.cols, self.entries))
 
     def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shapes must agree")
         return Matrix(self.rows, self.cols,
                       [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shapes must agree")
         return Matrix(self.rows, self.cols,
                       [a - b for a, b in zip(self.entries, other.entries)])
 
@@ -148,8 +167,10 @@ class Matrix:
 
     def __mul__(self, other):
         """Matrix product, skipping zero entries of the right factor."""
-        assert isinstance(other, Matrix)
-        assert self.cols == other.rows, "inner dimensions must agree"
+        if not isinstance(other, Matrix):
+            raise TypeError("can only multiply a Matrix by a Matrix")
+        if self.cols != other.rows:
+            raise ValueError("inner dimensions must agree")
         # column-sparse view of self: for each k, the nonzeros of column k
         left_cols = [[] for _ in range(self.cols)]
         for i in range(self.rows):
@@ -170,7 +191,8 @@ class Matrix:
 
     def apply(self, vec):
         """Apply to a column vector (any sequence of scalars)."""
-        assert len(vec) == self.cols, "vector length must equal cols"
+        if len(vec) != self.cols:
+            raise ValueError("vector length must equal cols")
         vec = [Q(v) for v in vec]
         out = []
         for i in range(self.rows):
@@ -201,7 +223,8 @@ class TensorIndex:
 
     def __init__(self, factor_dims):
         factor_dims = tuple(int(d) for d in factor_dims)
-        assert all(d >= 0 for d in factor_dims)
+        if any(d < 0 for d in factor_dims):
+            raise ValueError("factor dimensions must be >= 0")
         object.__setattr__(self, "factor_dims", factor_dims)
         n = 1
         for d in factor_dims:
@@ -212,15 +235,18 @@ class TensorIndex:
         raise AttributeError("TensorIndex is immutable")
 
     def flatten(self, multi):
-        assert len(multi) == len(self.factor_dims)
+        if len(multi) != len(self.factor_dims):
+            raise ValueError("multi-index length must equal factor count")
         flat = 0
         for i, d in zip(multi, self.factor_dims):
-            assert 0 <= i < d, "index out of range"
+            if not 0 <= i < d:
+                raise ValueError("index out of range")
             flat = flat * d + i
         return flat
 
     def unflatten(self, flat):
-        assert 0 <= flat < self.size, "flat index out of range"
+        if not 0 <= flat < self.size:
+            raise ValueError("flat index out of range")
         multi = []
         for d in reversed(self.factor_dims):
             multi.append(flat % d)
@@ -272,22 +298,9 @@ def _echelon(rows_as_dicts, ncols):
     return pivots, pivot_cols
 
 
-def _to_row_dicts(m):
-    out = []
-    for i in range(m.rows):
-        base = i * m.cols
-        row = {}
-        for j in range(m.cols):
-            v = m.entries[base + j]
-            if v:
-                row[j] = v
-        out.append(row)
-    return out
-
-
 def rank(m):
     """Exact row rank over the rationals."""
-    pivots, _ = _echelon(_to_row_dicts(m), m.cols)
+    pivots, _ = _echelon(m.row_dicts(), m.cols)
     return len(pivots)
 
 
@@ -311,7 +324,7 @@ def kernel_basis(m):
     One basis vector per non-pivot column, ascending; the vector carries 1 at
     its free column and 0 at the other free columns.
     """
-    pivots, pivot_cols = _echelon(_to_row_dicts(m), m.cols)
+    pivots, pivot_cols = _echelon(m.row_dicts(), m.cols)
     pivot_set = set(pivot_cols)
     basis = []
     for j in range(m.cols):
@@ -328,24 +341,17 @@ def solve(m, rhs):
     """
     if len(rhs) != m.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {m.rows}")
-    rows = _to_row_dicts(m)
+    rows = m.row_dicts()
     aug = m.cols  # rhs lives in an extra column
     for row, b in zip(rows, rhs):
         b = Q(b)
         if b:
             row[aug] = b
-    pivots, pivot_cols = _echelon(rows, m.cols + 1)
+    pivots, pivot_cols = _echelon(rows, aug + 1)
     if aug in pivot_cols:
         return None  # a row reduced to 0 = nonzero
-    vec = [ZERO] * (m.cols + 1)
-    vec[aug] = -ONE  # so back substitution moves rhs to the other side
-    for row, pc in zip(reversed(pivots), reversed(pivot_cols)):
-        s = ZERO
-        for c, v in row.items():
-            if c != pc and vec[c]:
-                s += v * vec[c]
-        vec[pc] = -s
-    return tuple(vec[:m.cols])
+    # -1 at the rhs column moves it to the other side of m x = rhs
+    return _back_substitute(pivots, pivot_cols, {aug: -ONE}, aug + 1)[:aug]
 
 
 def inverse(m):
@@ -353,20 +359,16 @@ def inverse(m):
     if m.rows != m.cols:
         raise ValueError(f"inverse needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    aug = [list(m.row(i)) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = ONE / aug[col][col]
-        aug[col] = [x * scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return Matrix.from_rows([row[n:] for row in aug])
+    rows = m.row_dicts()
+    for i, row in enumerate(rows):
+        row[n + i] = ONE  # [m | I], pivots only among the first n columns
+    pivots, pivot_cols = _echelon(rows, n)
+    if len(pivots) < n:
+        return None
+    # column j of the inverse solves m x = e_j
+    cols = [_back_substitute(pivots, pivot_cols, {n + j: -ONE}, 2 * n)
+            for j in range(n)]
+    return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
 
 
 def homology_dim(d_out, d_in):
@@ -379,16 +381,23 @@ def homology_dim(d_out, d_in):
         raise ValueError(
             f"not composable: d_out has {d_out.cols} cols, "
             f"d_in has {d_in.rows} rows")
-    if not (d_out * d_in).is_zero():
-        raise ValueError("d_out . d_in != 0: not a complex")
+    inner = d_in.row_dicts()
+    for row in d_out.row_dicts():
+        acc = {}
+        for k, v in row.items():
+            for j, w in inner[k].items():
+                acc[j] = acc.get(j, ZERO) + v * w
+        if any(acc.values()):
+            raise ValueError("d_out . d_in != 0: not a complex")
     return (d_out.cols - rank(d_out)) - rank(d_in)
 
 
 class SparseBuilder:
     """Column-sparse accumulator for big differential matrices.
 
-    Internal plumbing: large coboundary matrices are built entry by entry and
-    composed here, and only converted to dense Matrix when a caller needs one.
+    Large coboundary matrices are built here entry by entry.  rank,
+    kernel_basis, solve, inverse and homology_dim take it as they take a
+    Matrix; to_matrix gives the dense form.
     """
 
     __slots__ = ("rows", "cols", "cols_data")
@@ -410,7 +419,8 @@ class SparseBuilder:
 
     def compose(self, other):
         """self . other as SparseBuilder."""
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError("inner dimensions must agree")
         out = SparseBuilder(self.rows, other.cols)
         for j, col in enumerate(other.cols_data):
             acc = out.cols_data[j]
@@ -431,6 +441,14 @@ class SparseBuilder:
             for i, v in col.items():
                 yield i, j, v
 
+    def row_dicts(self):
+        """Fresh col -> value dicts of the nonzeros, one per row."""
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.cols_data):
+            for i, v in col.items():
+                out[i][j] = v
+        return out
+
     def to_matrix(self):
         flat = [ZERO] * (self.rows * self.cols)
         for j, col in enumerate(self.cols_data):
@@ -439,7 +457,8 @@ class SparseBuilder:
         return Matrix(self.rows, self.cols, flat)
 
     def apply(self, vec):
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ValueError("vector length must equal cols")
         out = [ZERO] * self.rows
         for j, v in enumerate(vec):
             if v:

@@ -146,13 +146,6 @@ def transport_bimodule(b, x_new, p, q, u, v):
                        transport_bilinear(b.right_pair, u, q, v_inv))
 
 
-def random_transport_rrb(rng, x):
-    rng = _rng(rng)
-    p = random_invertible(rng, x.algebra.dim)
-    q = random_invertible(rng, x.module.dim)
-    return transport_rrb(x, p, q)
-
-
 def random_transport_pair(rng, x, b):
     rng = _rng(rng)
     p = random_invertible(rng, x.algebra.dim)
@@ -276,13 +269,6 @@ def catalog_bimodules(rng, x):
     return out
 
 
-def random_rrb(seed=0, transport=True):
-    """A structure passing the defining identity, dims at most 3."""
-    rng = _rng(seed)
-    x = rng.choice(catalog_rrb(rng))
-    return random_transport_rrb(rng, x) if transport else x
-
-
 def random_rrb_pair(seed=0, transport=True):
     """A structure plus a bimodule over it, both passing their checks."""
     rng = _rng(seed)
@@ -355,7 +341,7 @@ def random_rrb_cochain(seed, x, b, k, density=0.7, span=3):
 def random_rrb_cocycle(seed, x, b, k):
     """Random kernel element of the degree-k differential, or None."""
     rng = _rng(seed)
-    basis = kernel_basis(rrb_differential_matrix(x, b, k).to_matrix())
+    basis = kernel_basis(rrb_differential_matrix(x, b, k))
     if not basis:
         return None
     coeffs = [random_rational(rng, 3) for _ in basis]

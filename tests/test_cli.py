@@ -294,6 +294,18 @@ def test_missing_required_declaration(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["cohomology", "hochschild"])
+def test_negative_max_degree(tmp_path, capsys, command):
+    path = tmp_path / "zero.json"
+    write_zero_fixture(path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(path), "--max-degree", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree: must be >= 0, got -3" in captured.err
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "zero.json"
     write_zero_fixture(path)

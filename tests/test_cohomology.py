@@ -9,7 +9,7 @@ import pytest
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
     HochschildCochain, LinearMap, ShapeError, basis_vec,
-    hochschild_differential,
+    hochschild_cohomology_dim, hochschild_differential,
 )
 from rotabaxter.cohomology import (
     DendriformCochain, MixedTensorSpace, RBCochain, RRBCochain,
@@ -18,7 +18,9 @@ from rotabaxter.cohomology import (
     rb_restrict, rrb_cohomology_dim, rrb_differential,
     rrb_differential_matrix, semidirect_complex, semidirect_inclusion_matrix,
 )
-from rotabaxter.linalg import Matrix, Q, homology_dim, kernel_basis
+from rotabaxter.linalg import (
+    Matrix, Q, homology_dim, kernel_basis, rank, solve,
+)
 from rotabaxter.rrb import (
     RBBimodulePair, RMatrix, RelativeRBAlgebra, check_rb_bimodule,
     check_relative_rb, induced_dendriform, rb_bimodule_from_r_matrix,
@@ -472,6 +474,31 @@ def test_cohomology_of_inert_ones_fixture():
     x, b = ones_pair()
     assert rrb_cohomology_dim(x, b, 1) == 2
     assert rrb_cohomology_dim(x, b, 2) == 4
+
+
+def test_cohomology_degree_out_of_range():
+    x = field_adjoint_rrb()
+    b = adjoint_bimodule(x)
+    with pytest.raises(ShapeError):
+        rrb_cohomology_dim(x, b, 0)
+    with pytest.raises(ShapeError):
+        hochschild_cohomology_dim(b.base, -1)
+
+
+def test_sparse_kernels_match_dense():
+    """rank, kernel_basis and solve give the same answer on a differential
+    and on its dense to_matrix() copy."""
+    for seed in range(100):
+        x, b = random_rrb_pair(seed)
+        for k in (1, 2):
+            d = rrb_differential_matrix(x, b, k)
+            dense = d.to_matrix()
+            assert d.row_dicts() == dense.row_dicts(), (seed, k)
+            assert rank(d) == rank(dense), (seed, k)
+            assert kernel_basis(d) == kernel_basis(dense), (seed, k)
+            rhs = d.apply([Q(j % 3 - 1) for j in range(d.cols)])
+            sol = solve(d, rhs)
+            assert sol is not None and sol == solve(dense, rhs), (seed, k)
 
 
 def test_cohomology_vanishes_with_empty_coefficients():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rotabaxter import fileformat as ff
+from rotabaxter import cli, fileformat as ff
 from rotabaxter.classification import (
     build_extension, canonical_section, check_abelian_extension,
     check_ainfty_bimodule, check_homotopy_rrb_operator,
@@ -160,6 +160,17 @@ def test_malformed_rational():
     doc = json.loads(ff.dump_document(doc))
     doc["linear"]["X.R"]["matrix"][0][0] = "2/4x"
     reject(doc, "malformed rational '2/4x'")
+
+
+def test_bool_scalar_rejected(tmp_path, capsys):
+    doc, _, _, _ = rrb_document()
+    doc = json.loads(ff.dump_document(doc))
+    doc["linear"]["X.R"]["matrix"][0][0] = True
+    reject(doc, "rational must be a string or int, got True")
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    assert "error: linear.X.R" in capsys.readouterr().err
 
 
 def test_zero_denominator():

@@ -21,7 +21,8 @@ class TestRational:
         assert parse_rational("4/6") == Q(2, 3)
 
     def test_parse_rejects_garbage(self):
-        for bad in ["1/0", "x", "1.5", "1/ 2 /3", ""]:
+        for bad in ["1/0", "x", "1.5", "1/ 2 /3", "", "1_0", " 0 ", "1/2\n",
+                    "\u0663", True, False]:
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
@@ -95,6 +96,17 @@ class TestHomologyDim:
         with pytest.raises(ValueError):
             homology_dim(Matrix.zero(1, 2), Matrix.zero(3, 1))
 
+    def test_rejects_sparse_noncomplex(self):
+        d_out, d_in = SparseBuilder(1, 2), SparseBuilder(2, 1)
+        d_out.add(0, 0, 1)
+        d_out.add(0, 1, 1)
+        d_in.add(0, 0, 1)
+        d_in.add(1, 0, 2)
+        with pytest.raises(ValueError, match="not a complex"):
+            homology_dim(d_out, d_in)
+        d_in.add(1, 0, -3)  # now d_in = (1, -1)^T and d_out . d_in = 0
+        assert homology_dim(d_out, d_in) == 0
+
 
 class TestTensorIndex:
     def test_big_endian_order(self):
@@ -111,6 +123,34 @@ class TestTensorIndex:
         ti = TensorIndex(())
         assert ti.size == 1
         assert ti.flatten(()) == 0
+
+
+# Each of these would pass malformed data on if the check were an assert
+# and the suite ran under python -O.
+@pytest.mark.parametrize("call", [
+    lambda: Matrix(2, 2, [1]),
+    lambda: Matrix.from_rows([[1, 2], [3]]),
+    lambda: Matrix.identity(2) + Matrix.identity(3),
+    lambda: Matrix.identity(2) - Matrix.identity(3),
+    lambda: Matrix.identity(2) * Matrix.identity(3),
+    lambda: Matrix.identity(2).apply([1]),
+    lambda: TensorIndex((2, -1)),
+    lambda: TensorIndex((2,)).flatten((2,)),
+    lambda: TensorIndex((2,)).flatten((0, 0)),
+    lambda: TensorIndex((2,)).unflatten(2),
+    lambda: SparseBuilder(2, 2).compose(SparseBuilder(3, 1)),
+    lambda: SparseBuilder(2, 2).apply([1]),
+], ids=["entry-count", "ragged", "add", "sub", "mul", "apply",
+        "negative-dim", "index-range", "index-length", "flat-range",
+        "sparse-compose", "sparse-apply"])
+def test_validation_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_product_needs_a_matrix():
+    with pytest.raises(TypeError):
+        Matrix.identity(2) * 2
 
 
 def random_matrix(rng, rows, cols, density=0.7):
