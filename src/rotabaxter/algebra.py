@@ -13,7 +13,8 @@ elements of M, i.e. maps from the empty tensor product (the base field).
 from __future__ import annotations
 
 from .linalg import (
-    Matrix, Q, SparseBuilder, TensorIndex, ZERO, homology_dim,
+    Matrix, Q, SparseBuilder, TensorIndex, ZERO, format_rational,
+    homology_dims,
 )
 
 
@@ -38,19 +39,35 @@ def scale_vec(c, u):
 
 
 class Violation:
-    """One failed axiom instance: which law, at which basis tuple, both sides."""
+    """One failed axiom instance: which law, at which basis tuple, both sides.
+
+    A side is a tuple of scalars, or a str for a law whose sides are
+    descriptions rather than vectors.
+    """
 
     __slots__ = ("law", "args", "lhs", "rhs")
 
     def __init__(self, law, args, lhs, rhs):
         self.law = law
         self.args = tuple(args)
-        self.lhs = tuple(lhs)
-        self.rhs = tuple(rhs)
+        self.lhs = lhs if isinstance(lhs, str) else tuple(lhs)
+        self.rhs = rhs if isinstance(rhs, str) else tuple(rhs)
 
     def __repr__(self):
         return (f"Violation({self.law} at {self.args}: "
                 f"lhs={self.lhs} rhs={self.rhs})")
+
+
+def _side_text(side):
+    if isinstance(side, str):
+        return side
+    return "(" + ", ".join(format_rational(v) for v in side) + ")"
+
+
+def _side_json(side):
+    if isinstance(side, str):
+        return side
+    return [format_rational(v) for v in side]
 
 
 class Report:
@@ -75,13 +92,24 @@ class Report:
         self.violations.extend(other.violations)
         return self
 
-    def describe(self):
+    def describe(self, label=None):
+        """Text form, headed by label (default: the subject)."""
+        label = self.subject if label is None else label
         if self.ok:
-            return f"{self.subject}: pass"
-        lines = [f"{self.subject}: FAIL ({len(self.violations)} violations)"]
-        for v in self.violations:
-            lines.append(f"  {v.law} at {v.args}: lhs={v.lhs} rhs={v.rhs}")
+            return f"{label}: pass"
+        lines = [f"{label}: FAIL ({len(self.violations)} violations)"]
+        lines.extend(f"  {v.law} at {v.args}: lhs={_side_text(v.lhs)} "
+                     f"rhs={_side_text(v.rhs)}" for v in self.violations)
         return "\n".join(lines)
+
+    def to_json(self, label=None):
+        """JSON form, named by label (default: the subject)."""
+        return {"name": self.subject if label is None else label,
+                "ok": self.ok,
+                "violations": [
+                    {"law": v.law, "args": list(v.args),
+                     "lhs": _side_json(v.lhs), "rhs": _side_json(v.rhs)}
+                    for v in self.violations]}
 
 
 class ShapeError(ValueError):
@@ -474,16 +502,14 @@ def hochschild_differential(mod, k, cochain):
         k + 1, alg.dim ** (k + 1), mod.dim, vec)
 
 
-def hochschild_cohomology_dim(mod, k):
-    """dim H^k(A, M), with C^0 = M and the standard differentials."""
-    if k < 0:
-        raise ShapeError(f"Hochschild cohomology starts in degree 0, got {k}")
-    d_out = hochschild_matrix(mod, k)
-    if k == 0:
-        d_in = SparseBuilder(d_out.cols, 0)
-    else:
-        d_in = hochschild_matrix(mod, k - 1)
-    return homology_dim(d_out, d_in)
+def hochschild_cohomology_dims(mod, max_degree):
+    """[dim H^0(A, M), ..., dim H^K(A, M)], with C^0 = M and the standard
+    differentials."""
+    if max_degree < 0:
+        raise ShapeError(
+            f"Hochschild cohomology starts in degree 0, got {max_degree}")
+    return homology_dims(hochschild_matrix(mod, k)
+                         for k in range(max_degree + 1))
 
 
 class DendriformAlgebra:

@@ -20,7 +20,7 @@ from . import fileformat as ff
 from .algebra import (
     Bimodule, Report, ShapeError, StructuralError, Violation,
     check_associativity, check_bimodule, check_dendriform,
-    check_dendriform_representation, hochschild_cohomology_dim,
+    check_dendriform_representation, hochschild_cohomology_dims,
     hochschild_differential,
 )
 from .classification import (
@@ -30,7 +30,7 @@ from .classification import (
     skeletal_to_triple, triple_to_skeletal,
 )
 from .cohomology import (
-    dendriform_differential, psi_map, derivation_basis, rrb_cohomology_dim,
+    dendriform_differential, psi_map, derivation_basis, rrb_cohomology_dims,
     rrb_differential,
 )
 from .fileformat import ParseError
@@ -50,45 +50,6 @@ from .samples import random_hochschild_cochain
 # --------------------------------------------------------------- rendering
 
 
-def _fmt_scalar(v):
-    try:
-        return format_rational(v)
-    except Exception:
-        return str(v)
-
-
-def _fmt_val(v):
-    if isinstance(v, tuple):
-        return "(" + ", ".join(_fmt_scalar(x) for x in v) + ")"
-    return _fmt_scalar(v)
-
-
-def _json_val(v):
-    if isinstance(v, tuple):
-        return [_fmt_scalar(x) for x in v]
-    return _fmt_scalar(v)
-
-
-def _viol_json(v):
-    return {"law": v.law, "args": list(v.args), "lhs": _json_val(v.lhs),
-            "rhs": _json_val(v.rhs)}
-
-
-def _report_lines(label, rep, lines):
-    if rep.ok:
-        lines.append(f"{label}: pass")
-    else:
-        lines.append(f"{label}: FAIL ({len(rep.violations)} violations)")
-        for v in rep.violations:
-            lines.append(f"  {v.law} at {v.args}: "
-                         f"lhs={_fmt_val(v.lhs)} rhs={_fmt_val(v.rhs)}")
-
-
-def _check_entry(label, rep):
-    return {"name": label, "ok": rep.ok,
-            "violations": [_viol_json(v) for v in rep.violations]}
-
-
 def _matrix_text(m):
     rows = ["[" + ", ".join(format_rational(v) for v in m.row(i)) + "]"
             for i in range(m.rows)]
@@ -105,12 +66,9 @@ def _emit(args, payload, lines):
 
 def _fail(args, pairs):
     """Emit the failing reports and return exit code 1."""
-    lines, checks = [], []
-    for label, rep in pairs:
-        _report_lines(label, rep, lines)
-        checks.append(_check_entry(label, rep))
-    _emit(args, {"command": args.command, "ok": False, "checks": checks},
-          lines)
+    _emit(args, {"command": args.command, "ok": False,
+                 "checks": [rep.to_json(label) for label, rep in pairs]},
+          [rep.describe(label) for label, rep in pairs])
     return 1
 
 
@@ -220,8 +178,8 @@ def cmd_validate(args):
     for d in sf.declarations:
         rep = _check_declaration(sf, d)
         label = f"{d.name} ({d.kind})"
-        _report_lines(label, rep, lines)
-        entry = _check_entry(label, rep)
+        lines.append(rep.describe(label))
+        entry = rep.to_json(label)
         entry["kind"] = d.kind
         checks.append(entry)
         ok = ok and rep.ok
@@ -231,19 +189,20 @@ def cmd_validate(args):
 
 
 def cmd_cohomology(args):
+    if args.max_degree < 1:
+        raise ParseError("--max-degree must be at least 1 for cohomology")
     sf = ff.parse_path(args.file)
     xname, x, bname, b = _coefficients(sf, args, "cohomology")
     rc = _guard(args, [(f"{xname} (rrb_algebra)", check_relative_rb(x)),
                        (f"{bname} (coefficients)", check_rrb_bimodule(b))])
     if rc:
         return rc
-    dims = {}
+    dims = rrb_cohomology_dims(x, b, args.max_degree)
     lines = [f"cohomology of {xname} with coefficients in {bname}"]
-    for k in range(1, args.max_degree + 1):
-        dims[str(k)] = rrb_cohomology_dim(x, b, k)
-        lines.append(f"H^{k} = {dims[str(k)]}")
+    lines.extend(f"H^{k} = {h}" for k, h in enumerate(dims, 1))
     _emit(args, {"command": "cohomology", "ok": True, "over": xname,
-                 "coefficients": bname, "dims": dims}, lines)
+                 "coefficients": bname,
+                 "dims": {str(k): h for k, h in enumerate(dims, 1)}}, lines)
     return 0
 
 
@@ -263,11 +222,9 @@ def cmd_hochschild(args):
     lines, table = [], {}
     for name, mod in mods:
         lines.append(f"Hochschild cohomology with coefficients in {name}")
-        dims = {}
-        for k in range(args.max_degree + 1):
-            dims[str(k)] = hochschild_cohomology_dim(mod, k)
-            lines.append(f"H^{k} = {dims[str(k)]}")
-        table[name] = dims
+        dims = hochschild_cohomology_dims(mod, args.max_degree)
+        lines.extend(f"H^{k} = {h}" for k, h in enumerate(dims))
+        table[name] = {str(k): h for k, h in enumerate(dims)}
     _emit(args, {"command": "hochschild", "ok": True, "modules": table},
           lines)
     return 0
@@ -421,8 +378,8 @@ def cmd_dendriform(args):
                       check_bimodule(mtot_action_bimodule(b).actions)))
     lines, checks, ok = [], [], True
     for label, rep in pairs:
-        _report_lines(label, rep, lines)
-        checks.append(_check_entry(label, rep))
+        lines.append(rep.describe(label))
+        checks.append(rep.to_json(label))
         ok = ok and rep.ok
     _emit(args, {"command": "dendriform", "ok": ok, "checks": checks},
           lines)

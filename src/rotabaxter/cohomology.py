@@ -34,8 +34,7 @@ from .algebra import (
     StructuralError, basis_vec, hochschild_differential, hochschild_matrix,
 )
 from .linalg import (
-    Matrix, Q, SparseBuilder, TensorIndex, format_matrix, homology_dim,
-    kernel_basis, parse_rational,
+    Matrix, Q, SparseBuilder, TensorIndex, homology_dims, kernel_basis,
 )
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
@@ -169,36 +168,6 @@ class RRBCochain:
         return (isinstance(other, RRBCochain) and
                 self.degree == other.degree and self.alpha == other.alpha and
                 self.beta == other.beta and self.gamma == other.gamma)
-
-    def to_json(self):
-        """Plain dict with rationals rendered as strings."""
-        return {"degree": self.degree,
-                "alpha": format_matrix(self.alpha.matrix),
-                "beta": [format_matrix(bs.matrix) for bs in self.beta],
-                "gamma": (None if self.gamma is None
-                          else format_matrix(self.gamma.matrix))}
-
-    @staticmethod
-    def from_json(x, b, data):
-        """Inverse of to_json; shapes are dictated by (x, b)."""
-        k = int(data["degree"])
-        shapes = RRBCochain.zero(x, b, k)
-        alpha = _map_from_strings(shapes.alpha, data["alpha"])
-        if len(data["beta"]) != k:
-            raise ShapeError(f"degree {k} needs {k} slot maps")
-        beta = tuple(_map_from_strings(z, rows)
-                     for z, rows in zip(shapes.beta, data["beta"]))
-        gamma = None if k == 1 else _map_from_strings(shapes.gamma,
-                                                      data["gamma"])
-        return RRBCochain(k, alpha, beta, gamma).validate(x, b)
-
-
-def _map_from_strings(shape, rows):
-    entries = [parse_rational(v) for row in rows for v in row]
-    rows_n, cols_n = shape.codomain_dim, shape.domain_dim
-    if len(entries) != rows_n * cols_n:
-        raise ShapeError(f"expected a {rows_n}x{cols_n} matrix")
-    return LinearMap(cols_n, rows_n, Matrix(rows_n, cols_n, entries))
 
 
 class DendriformCochain:
@@ -512,17 +481,13 @@ def rrb_differential(x, b, k, c):
     return RRBCochain.from_vector(x, b, k + 1, vec)
 
 
-def rrb_cohomology_dim(x, b, k):
-    """dim H^k for k >= 1; the degree-0 space is zero, so at k = 1 the
-    incoming differential is the zero map."""
-    if k < 1:
-        raise ShapeError(f"RRB cohomology starts in degree 1, got {k}")
-    d_out = rrb_differential_matrix(x, b, k)
-    if k == 1:
-        d_in = SparseBuilder(d_out.cols, 0)
-    else:
-        d_in = rrb_differential_matrix(x, b, k - 1)
-    return homology_dim(d_out, d_in)
+def rrb_cohomology_dims(x, b, max_degree):
+    """[dim H^1, ..., dim H^K]; the degree-0 space is zero, so the map into
+    degree 1 is the zero map."""
+    if max_degree < 1:
+        raise ShapeError(f"RRB cohomology starts in degree 1, got {max_degree}")
+    return homology_dims(rrb_differential_matrix(x, b, k)
+                         for k in range(1, max_degree + 1))
 
 
 # ---------------------------------------------------------------------------

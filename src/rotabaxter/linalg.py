@@ -4,8 +4,9 @@ Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
 type, a dense row-major matrix, a column-sparse matrix for big differentials,
 multi-index flattening for tensor powers, and the workhorses rank /
-kernel_basis / solve / inverse / homology_dim.  These run one elimination
-kernel on sparse rows and take either matrix type.
+kernel_basis / solve / inverse, and homology_dims, which sweeps a whole
+cochain complex.  These run one elimination kernel on sparse rows and take
+either matrix type.
 
 Conventions fixed here and relied on by every other module:
 
@@ -28,23 +29,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 ZERO = Q(0)
 ONE = Q(1)
-
-Rational = type(Q(0))
-
-
-def rational(value, den=None):
-    """Build a reduced Rational from int, string 'p' / 'p/q', or Rational."""
-    if den is not None:
-        if int(den) == 0:
-            raise ValueError("zero denominator")
-        return Q(value) / Q(den)
-    if isinstance(value, Rational):
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        if isinstance(value, float):
-            raise TypeError("floats are not accepted; use 'p/q' strings")
-    return Q(value)
-
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
@@ -371,32 +355,42 @@ def inverse(m):
     return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
 
 
-def homology_dim(d_out, d_in):
-    """dim ker(d_out) - rank(d_in) for consecutive differentials.
+def homology_dims(differentials):
+    """dim ker d_k - rank d_{k-1} for each map of the complex d_0, d_1, ...
 
-    d_in maps INTO the middle space, d_out maps OUT of it; requires
-    cols(d_out) == rows(d_in) and d_out . d_in == 0.
+    differentials is any iterable of matrices of either type; the map into
+    the domain of d_0 is zero.  Each map is ranked once, checked against the
+    one before it for cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0, and
+    dropped after its successor.
     """
-    if d_out.cols != d_in.rows:
-        raise ValueError(
-            f"not composable: d_out has {d_out.cols} cols, "
-            f"d_in has {d_in.rows} rows")
-    inner = d_in.row_dicts()
-    for row in d_out.row_dicts():
-        acc = {}
-        for k, v in row.items():
-            for j, w in inner[k].items():
-                acc[j] = acc.get(j, ZERO) + v * w
-        if any(acc.values()):
-            raise ValueError("d_out . d_in != 0: not a complex")
-    return (d_out.cols - rank(d_out)) - rank(d_in)
+    dims = []
+    inner, inner_rank = None, 0
+    for k, d in enumerate(differentials):
+        rows = d.row_dicts()
+        if inner is not None:
+            if d.cols != len(inner):
+                raise ValueError(
+                    f"not composable: d_{k} has {d.cols} cols, "
+                    f"d_{k - 1} has {len(inner)} rows")
+            for row in rows:
+                acc = {}
+                for i, v in row.items():
+                    for j, w in inner[i].items():
+                        acc[j] = acc.get(j, ZERO) + v * w
+                if any(acc.values()):
+                    raise ValueError(
+                        f"d_{k} . d_{k - 1} != 0: not a complex")
+        r = rank(d)
+        dims.append(d.cols - r - inner_rank)
+        inner, inner_rank = rows, r
+    return dims
 
 
 class SparseBuilder:
     """Column-sparse accumulator for big differential matrices.
 
     Large coboundary matrices are built here entry by entry.  rank,
-    kernel_basis, solve, inverse and homology_dim take it as they take a
+    kernel_basis, solve, inverse and homology_dims take it as they take a
     Matrix; to_matrix gives the dense form.
     """
 

@@ -245,6 +245,30 @@ def test_commands_guard_invalid_inputs(tmp_path, capsys):
         assert "FAIL" in out
 
 
+def test_text_violation_renders_as_one_string(tmp_path, capsys):
+    src = tmp_path / "pair.json"
+    write_pair_fixture(src)
+    ext = tmp_path / "ext.json"
+    run(capsys, "extend", str(src), "--cocycle", "c", "-o", str(ext))
+    doc = json.loads(ext.read_text())
+    s = doc["linear"]["c.extension.canonical.s"]["matrix"]
+    doc["linear"]["c.extension.canonical.s"]["matrix"] = [
+        ["0"] * len(row) for row in s]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    lhs = "s is not a right inverse of the algebra projection"
+    rhs = "a splitting of both projections"
+    rc, out = run(capsys, "validate", str(bad))
+    assert rc == 1
+    assert f"  section[canonical] at (): lhs={lhs} rhs={rhs}\n" in out
+    rc, out = run(capsys, "validate", str(bad), "--format", "json")
+    assert rc == 1
+    (entry,) = [c for c in json.loads(out)["checks"]
+                if c["kind"] == "extension"]
+    assert entry["violations"] == [{"law": "section[canonical]", "args": [],
+                                    "lhs": lhs, "rhs": rhs}]
+
+
 # ------------------------------------------------------------ exit code 2
 
 
@@ -304,6 +328,24 @@ def test_negative_max_degree(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-degree: must be >= 0, got -3" in captured.err
+
+
+def test_cohomology_max_degree_zero(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    write_zero_fixture(path)
+    rc = cli.main(["cohomology", str(path), "--max-degree", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree must be at least 1 for cohomology" in captured.err
+    # Hochschild cohomology starts in degree 0, so K = 0 is a full report
+    doc = ff.new_document()
+    ff.declare_assoc_algebra(doc, "A", AssocAlgebra.zero(1))
+    ff.write_path(doc, path)
+    rc, out = run(capsys, "hochschild", str(path), "--max-degree", "0")
+    assert rc == 0
+    assert out == "Hochschild cohomology with coefficients in adjoint(A)\n" \
+                  "H^0 = 1\n"
 
 
 def test_module_entry_point(tmp_path):

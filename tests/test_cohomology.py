@@ -1,25 +1,25 @@
 """The three-block cochain complex: differential, cohomology, chain maps."""
 
-import json
 from itertools import product
 from random import Random
 
 import pytest
 
+from rotabaxter import cohomology, fileformat as ff
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
     HochschildCochain, LinearMap, ShapeError, basis_vec,
-    hochschild_cohomology_dim, hochschild_differential,
+    hochschild_cohomology_dims, hochschild_differential,
 )
 from rotabaxter.cohomology import (
     DendriformCochain, MixedTensorSpace, RBCochain, RRBCochain,
     check_derivation, cochain_space_dims, delta_AB, delta_MB, delta_alpha_AN,
     dendriform_differential, dendriform_hat, derivation_basis, h_R, psi_map,
-    rb_restrict, rrb_cohomology_dim, rrb_differential,
+    rb_restrict, rrb_cohomology_dims, rrb_differential,
     rrb_differential_matrix, semidirect_complex, semidirect_inclusion_matrix,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, homology_dim, kernel_basis, rank, solve,
+    Matrix, Q, homology_dims, kernel_basis, rank, solve,
 )
 from rotabaxter.rrb import (
     RBBimodulePair, RMatrix, RelativeRBAlgebra, check_rb_bimodule,
@@ -461,10 +461,8 @@ def test_adjoint_cohomology_matches_direct_evaluation():
         mats = {k: direct_adjoint_matrix(x, k) for k in (1, 2, 3)}
         assert (mats[2] * mats[1]).is_zero()
         assert (mats[3] * mats[2]).is_zero()
-        for k in (1, 2, 3):
-            d_in = Matrix.zero(mats[1].cols, 0) if k == 1 else mats[k - 1]
-            assert homology_dim(mats[k], d_in) == \
-                rrb_cohomology_dim(x, b, k), (k,)
+        assert homology_dims(mats[k] for k in (1, 2, 3)) == \
+            rrb_cohomology_dims(x, b, 3)
 
 
 # ------------------------------------------------------ cohomology numbers
@@ -472,17 +470,16 @@ def test_adjoint_cohomology_matches_direct_evaluation():
 
 def test_cohomology_of_inert_ones_fixture():
     x, b = ones_pair()
-    assert rrb_cohomology_dim(x, b, 1) == 2
-    assert rrb_cohomology_dim(x, b, 2) == 4
+    assert rrb_cohomology_dims(x, b, 2) == [2, 4]
 
 
 def test_cohomology_degree_out_of_range():
     x = field_adjoint_rrb()
     b = adjoint_bimodule(x)
     with pytest.raises(ShapeError):
-        rrb_cohomology_dim(x, b, 0)
+        rrb_cohomology_dims(x, b, 0)
     with pytest.raises(ShapeError):
-        hochschild_cohomology_dim(b.base, -1)
+        hochschild_cohomology_dims(b.base, -1)
 
 
 def test_sparse_kernels_match_dense():
@@ -504,8 +501,33 @@ def test_sparse_kernels_match_dense():
 def test_cohomology_vanishes_with_empty_coefficients():
     x = field_adjoint_rrb()
     b = RRBBimodule.zero(x, 0, 0)
-    for k in (1, 2, 3):
-        assert rrb_cohomology_dim(x, b, k) == 0
+    assert rrb_cohomology_dims(x, b, 3) == [0, 0, 0]
+
+
+def test_cohomology_sweep_builds_each_differential_once(monkeypatch):
+    x, b = ones_pair()
+    calls = []
+
+    def counting(x, b, k):
+        calls.append(k)
+        return rrb_differential_matrix(x, b, k)
+
+    monkeypatch.setattr(cohomology, "rrb_differential_matrix", counting)
+    assert rrb_cohomology_dims(x, b, 3) == \
+        homology_dims(rrb_differential_matrix(x, b, k) for k in (1, 2, 3))
+    assert calls == [1, 2, 3]
+
+
+def test_zero_module_cohomology_is_hochschild():
+    """With M = 0, R = 0 and adjoint coefficients only the alpha block is
+    left, so H^k is HH^k(A, A) for k >= 2.  There is no degree-0 term, so
+    H^1 is every derivation: HH^1 + dim A - HH^0."""
+    for seed in range(100):
+        alg = random_rrb_pair(seed)[0].algebra
+        x = RelativeRBAlgebra.zero_operator(Bimodule.zero_actions(alg, 0))
+        hh = hochschild_cohomology_dims(Bimodule.adjoint(alg), 3)
+        assert rrb_cohomology_dims(x, adjoint_bimodule(x), 3) == \
+            [hh[1] + alg.dim - hh[0], hh[2], hh[3]], seed
 
 
 # ----------------------------------------------------------- derivations
@@ -751,21 +773,30 @@ def test_inclusion_is_injective_with_unit_entries():
 # ----------------------------------------------------------- round trips
 
 
+def cochain_document(x, b, c):
+    doc = ff.new_document()
+    xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
+    bn, bsp, fsp = ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
+    ff.declare_cocycle(doc, "c", c, xn, bn, asp, msp, bsp, fsp)
+    return doc
+
+
 def test_cochain_json_round_trip():
     for seed in range(4):
         x, b = random_rrb_pair(seed)
         for k in (1, 2, 3):
             c = random_rrb_cochain(seed * 10 + k, x, b, k)
-            data = json.loads(json.dumps(c.to_json()))
-            assert RRBCochain.from_json(x, b, data) == c
+            text = ff.dump_document(cochain_document(x, b, c))
+            assert ff.parse_text(text).by_name["c"].obj == c, (seed, k)
 
 
 def test_cochain_json_rejects_wrong_slot_count():
     x, b = ones_pair()
-    data = random_rrb_cochain(3, x, b, 2).to_json()
-    data["beta"] = data["beta"][:1]
-    with pytest.raises(ShapeError):
-        RRBCochain.from_json(x, b, data)
+    doc = cochain_document(x, b, random_rrb_cochain(3, x, b, 3))
+    entry = doc["declare"][-1]
+    entry["beta"] = entry["beta"][:2]
+    with pytest.raises(ff.ParseError, match="needs 3 linear names"):
+        ff.parse_text(ff.dump_document(doc))
 
 
 def test_cochain_vector_round_trip():
