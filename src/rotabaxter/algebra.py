@@ -13,8 +13,7 @@ elements of M, i.e. maps from the empty tensor product (the base field).
 from __future__ import annotations
 
 from .linalg import (
-    Matrix, Q, SparseBuilder, TensorIndex, ZERO, format_rational,
-    homology_dims,
+    Matrix, Q, TensorIndex, ZERO, format_rational, homology_dims,
 )
 
 
@@ -156,7 +155,10 @@ class StructureConstants:
         return self.data[i][j]
 
     def __call__(self, x, y):
-        assert len(x) == self.dim_left and len(y) == self.dim_right
+        if len(x) != self.dim_left or len(y) != self.dim_right:
+            raise ShapeError(
+                f"arguments of length {len(x)}, {len(y)}, tensor needs "
+                f"{self.dim_left}, {self.dim_right}")
         out = [ZERO] * self.dim_out
         for i, xi in enumerate(x):
             if not xi:
@@ -192,8 +194,9 @@ class StructureConstants:
         return hash(self.data)
 
     def __add__(self, other):
-        assert (self.dim_left, self.dim_right, self.dim_out) == \
-            (other.dim_left, other.dim_right, other.dim_out)
+        if (self.dim_left, self.dim_right, self.dim_out) != \
+                (other.dim_left, other.dim_right, other.dim_out):
+            raise ShapeError("tensor shapes must agree")
         return StructureConstants.build(
             self.dim_left, self.dim_right, self.dim_out,
             lambda i, j: add_vec(self.data[i][j], other.data[i][j]))
@@ -214,7 +217,7 @@ class StructureConstants:
 
 
 class LinearMap:
-    """Linear map with explicit domain/codomain dims and a dense matrix."""
+    """Linear map with explicit domain/codomain dims and its matrix."""
 
     __slots__ = ("domain_dim", "codomain_dim", "matrix")
 
@@ -245,7 +248,10 @@ class LinearMap:
 
     def compose(self, inner):
         """self after inner."""
-        assert inner.codomain_dim == self.domain_dim
+        if inner.codomain_dim != self.domain_dim:
+            raise ShapeError(
+                "cannot compose: inner map lands in dimension "
+                f"{inner.codomain_dim}, outer map starts at {self.domain_dim}")
         return LinearMap(inner.domain_dim, self.codomain_dim,
                          self.matrix * inner.matrix)
 
@@ -266,9 +272,6 @@ class LinearMap:
     def __eq__(self, other):
         return isinstance(other, LinearMap) and self.matrix == other.matrix
 
-    def __hash__(self):
-        return hash(self.matrix)
-
 
 def default_names(prefix, dim):
     return tuple(f"{prefix}{i}" for i in range(dim))
@@ -285,7 +288,9 @@ class AssocAlgebra:
         self.dim = dim
         self.mu = mu
         self.basis_names = tuple(basis_names or default_names("e", dim))
-        assert len(self.basis_names) == dim
+        if len(self.basis_names) != dim:
+            raise ShapeError(
+                f"{len(self.basis_names)} basis names for dim {dim}")
 
     @staticmethod
     def zero(dim, basis_names=None):
@@ -313,7 +318,9 @@ class Bimodule:
         self.left = left
         self.right = right
         self.basis_names = tuple(basis_names or default_names("m", dim))
-        assert len(self.basis_names) == dim
+        if len(self.basis_names) != dim:
+            raise ShapeError(
+                f"{len(self.basis_names)} basis names for dim {dim}")
 
     @staticmethod
     def zero_actions(over, dim, basis_names=None):
@@ -420,7 +427,8 @@ class HochschildCochain:
     __slots__ = ("degree", "map")
 
     def __init__(self, degree, linmap, alg_dim=None):
-        assert degree >= 0
+        if degree < 0:
+            raise ShapeError(f"cochain degree must be >= 0, got {degree}")
         if alg_dim is not None and linmap.domain_dim != alg_dim ** degree:
             raise ShapeError(
                 f"degree-{degree} cochain needs domain {alg_dim ** degree}")
@@ -448,7 +456,7 @@ def hochschild_matrix(mod, k):
     dA, dM = alg.dim, mod.dim
     dom = dA ** k
     cod = dA ** (k + 1)
-    out = SparseBuilder(dM * cod, dM * dom)
+    out = Matrix(dM * cod, dM * dom)
     if k == 0:
         # (delta m)(a) = a.m - m.a
         for a in range(dA):

@@ -711,12 +711,18 @@ class _Graded:
         self.deg = deg
         self.vec = tuple(vec)
 
+    def _check_layer(self, other):
+        if (self.space, self.deg) != (other.space, other.deg):
+            raise StructuralError(
+                f"layer ({self.space}, {self.deg}) combined with "
+                f"({other.space}, {other.deg})")
+
     def __add__(self, other):
-        assert (self.space, self.deg) == (other.space, other.deg)
+        self._check_layer(other)
         return _Graded(self.space, self.deg, add_vec(self.vec, other.vec))
 
     def __sub__(self, other):
-        assert (self.space, self.deg) == (other.space, other.deg)
+        self._check_layer(other)
         return _Graded(self.space, self.deg, sub_vec(self.vec, other.vec))
 
 

@@ -33,9 +33,7 @@ from .algebra import (
     Bimodule, HochschildCochain, LinearMap, Report, ShapeError,
     StructuralError, basis_vec, hochschild_differential, hochschild_matrix,
 )
-from .linalg import (
-    Matrix, Q, SparseBuilder, TensorIndex, homology_dims, kernel_basis,
-)
+from .linalg import Matrix, Q, TensorIndex, homology_dims, kernel_basis
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
     RRBBimodule, adjoint_bimodule, dendriform_to_rrb, lift_bimodule,
@@ -235,7 +233,8 @@ class RBCochain:
 
 def cochain_space_dims(x, b, k):
     """Sizes of the three coordinate blocks in degree k."""
-    assert k >= 0
+    if k < 0:
+        raise ShapeError(f"cochain degree must be >= 0, got {k}")
     dA, dM = x.algebra.dim, x.module.dim
     dB, dN = b.base.dim, b.fiber.dim
     if k == 0:
@@ -387,12 +386,12 @@ def _operator_block(out, x, b, k, row_off, alpha_off, beta_off):
 
 
 def rrb_differential_matrix(x, b, k):
-    """SparseBuilder of the full degree-k differential, k >= 1."""
+    """Matrix of the full degree-k differential, k >= 1."""
     if k < 1:
         raise ShapeError("the differential starts in degree 1")
     a_in, bt_in, g_in = cochain_space_dims(x, b, k)
     a_out, bt_out, g_out = cochain_space_dims(x, b, k + 1)
-    out = SparseBuilder(a_out + bt_out + g_out, a_in + bt_in + g_in)
+    out = Matrix(a_out + bt_out + g_out, a_in + bt_in + g_in)
     _paste(out, hochschild_matrix(b.base, k), 0, 0)
     _twisted_block(out, x, b, k, a_out, 0, a_in)
     _operator_block(out, x, b, k, a_out + bt_out, 0, a_in)
@@ -405,16 +404,11 @@ def rrb_differential_matrix(x, b, k):
 # component-wise entry points
 
 
-def _check_alpha_beta(x, b, k, alpha, beta):
-    dA, dM = x.algebra.dim, x.module.dim
-    if alpha.domain_dim != dA ** k or alpha.codomain_dim != b.base.dim:
-        raise ShapeError("alpha must map A^(x)k into the base")
-    if len(beta) != k:
-        raise ShapeError(f"degree {k} needs {k} slot maps")
-    slot = dA ** (k - 1) * dM
-    for bs in beta:
-        if bs.domain_dim != slot or bs.codomain_dim != b.fiber.dim:
-            raise ShapeError("slot maps must land in the fiber")
+def _alpha_beta_image(x, b, k, alpha, beta):
+    """The differential of (alpha, beta, gamma = 0) in degree k."""
+    gamma = None if k == 1 else LinearMap.zero(x.module.dim ** (k - 1),
+                                                b.base.dim)
+    return rrb_differential(x, b, k, RRBCochain(k, alpha, beta, gamma))
 
 
 def delta_AB(x, b, k, alpha):
@@ -425,22 +419,7 @@ def delta_AB(x, b, k, alpha):
 
 def delta_alpha_AN(x, b, k, alpha, beta):
     """The alpha-twisted differential on the slot maps; returns k+1 maps."""
-    beta = tuple(beta)
-    _check_alpha_beta(x, b, k, alpha, beta)
-    a_in, bt_in, _ = cochain_space_dims(x, b, k)
-    _, bt_out, _ = cochain_space_dims(x, b, k + 1)
-    work = SparseBuilder(bt_out, a_in + bt_in)
-    _twisted_block(work, x, b, k, 0, 0, a_in)
-    vec = list(alpha.matrix.entries)
-    for bs in beta:
-        vec.extend(bs.matrix.entries)
-    img = work.apply(vec)
-    dN = b.fiber.dim
-    slot = MixedTensorSpace(k + 1, x.algebra.dim, x.module.dim).slot_dim
-    step = dN * slot
-    return tuple(
-        LinearMap(slot, dN, Matrix(dN, slot, img[s * step:(s + 1) * step]))
-        for s in range(k + 1))
+    return _alpha_beta_image(x, b, k, alpha, beta).beta
 
 
 def delta_MB(x, b, k, gamma):
@@ -459,17 +438,7 @@ def delta_MB(x, b, k, gamma):
 
 def h_R(x, b, k, alpha, beta):
     """The operator term feeding (alpha, beta) into the gamma block."""
-    beta = tuple(beta)
-    _check_alpha_beta(x, b, k, alpha, beta)
-    a_in, bt_in, _ = cochain_space_dims(x, b, k)
-    dM, dB = x.module.dim, b.base.dim
-    work = SparseBuilder(dM ** k * dB, a_in + bt_in)
-    _operator_block(work, x, b, k, 0, 0, a_in)
-    vec = list(alpha.matrix.entries)
-    for bs in beta:
-        vec.extend(bs.matrix.entries)
-    img = work.apply(vec)
-    return LinearMap(dM ** k, dB, Matrix(dB, dM ** k, img))
+    return _alpha_beta_image(x, b, k, alpha, beta).gamma
 
 
 def rrb_differential(x, b, k, c):
@@ -576,10 +545,6 @@ def rb_restrict(pair, k, c):
 # the labelled dendriform complex
 
 
-def _host_dims(d, e):
-    return d.dim, e.dim
-
-
 def dendriform_hat(f, d, e):
     """Present a labelled cochain inside the doubled Hochschild complex.
 
@@ -591,12 +556,12 @@ def dendriform_hat(f, d, e):
     components it vanishes.
     """
     k = f.degree
-    dD, dE = _host_dims(d, e)
+    dD, dE = d.dim, e.dim
     if f.maps[0].domain_dim != dD ** k or f.maps[0].codomain_dim != dE:
         raise ShapeError("labelled maps must be D^(x)k -> E")
     ti_host = TensorIndex((2 * dD,) * k)
     ti_d = TensorIndex((dD,) * k)
-    out = SparseBuilder(2 * dE, ti_host.size)
+    out = Matrix(2 * dE, ti_host.size)
     for flat in range(ti_host.size):
         tt = ti_host.unflatten(flat)
         second = [j for j, i in enumerate(tt) if i >= dD]
@@ -613,15 +578,14 @@ def dendriform_hat(f, d, e):
             g = f.maps[second[0]]
             for w in range(dE):
                 out.add(dE + w, flat, g.matrix.at(w, col))
-    return HochschildCochain(
-        k, LinearMap(ti_host.size, 2 * dE, out.to_matrix()))
+    return HochschildCochain(k, LinearMap(ti_host.size, 2 * dE, out))
 
 
 def _labels_from_hat(hat, d, e):
     """Recover the labelled components: label i reads the second-component
     output on tuples whose only second-component argument sits at i."""
     k = hat.degree
-    dD, dE = _host_dims(d, e)
+    dD, dE = d.dim, e.dim
     ti_host = TensorIndex((2 * dD,) * k)
     ti_d = TensorIndex((dD,) * k)
     mat = hat.map.matrix
@@ -674,8 +638,8 @@ def psi_map(x, b, k, f):
     ti_in = TensorIndex((dM,) * k)
     fm = f.map.matrix
     sign = ONE if k % 2 else -ONE               # (-1)^(k+1)
-    first = SparseBuilder(dN, ti_out.size)
-    last = SparseBuilder(dN, ti_out.size)
+    first = Matrix(dN, ti_out.size)
+    last = Matrix(dN, ti_out.size)
     for flat in range(ti_out.size):
         mt = ti_out.unflatten(flat)
         lead = ti_in.flatten(mt[1:])
@@ -692,8 +656,8 @@ def psi_map(x, b, k, f):
                     if c:
                         last.add(w, flat, fv * c)
     maps = [LinearMap.zero(ti_out.size, dN) for _ in range(k + 1)]
-    maps[0] = LinearMap(ti_out.size, dN, first.to_matrix())
-    maps[k] = LinearMap(ti_out.size, dN, last.to_matrix())
+    maps[0] = LinearMap(ti_out.size, dN, first)
+    maps[k] = LinearMap(ti_out.size, dN, last)
     return DendriformCochain(k + 1, maps)
 
 
@@ -715,14 +679,15 @@ def semidirect_inclusion_matrix(x, b, k):
     summands; gamma sees only M-arguments and is valued in B.  The blocks
     of the full differential commute with this inclusion.
     """
-    assert k >= 1
+    if k < 1:
+        raise ShapeError("the inclusion starts in degree 1")
     dA, dM = x.algebra.dim, x.module.dim
     dB, dN = b.base.dim, b.fiber.dim
     big_a, big_m = dA + dB, dM + dN
     a_in, bt_in, g_in = cochain_space_dims(x, b, k)
     big, bigb = semidirect_complex(x, b)
     A_in, BT_in, G_in = cochain_space_dims(big, bigb, k)
-    out = SparseBuilder(A_in + BT_in + G_in, a_in + bt_in + g_in)
+    out = Matrix(A_in + BT_in + G_in, a_in + bt_in + g_in)
     ti_a, ti_big_a = TensorIndex((dA,) * k), TensorIndex((big_a,) * k)
     for flat in range(ti_a.size):
         big_flat = ti_big_a.flatten(ti_a.unflatten(flat))

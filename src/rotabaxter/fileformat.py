@@ -119,7 +119,7 @@ def _parse_spaces(raw):
             raise ParseError(f"{key}: must be an object")
         _fields(entry, key, ("dim",), ("basis_names",))
         dim = entry["dim"]
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:  # bool is an int subclass
             raise ParseError(f"{key}.dim: must be a nonnegative integer")
         names = entry.get("basis_names")
         if names is not None:
@@ -406,7 +406,7 @@ def _build_cocycle(entry, key, rs):
     x = rs.decl(entry["over"], ("rrb_algebra",), key).obj
     b = rs.decl(entry["coefficients"], ("rrb_bimodule",), key).obj
     degree = entry["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:
         raise ParseError(f"{key}.degree: must be a positive integer")
     beta = entry["beta"]
     if not isinstance(beta, list) or len(beta) != degree:

@@ -2,11 +2,10 @@
 
 Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
-type, a dense row-major matrix, a column-sparse matrix for big differentials,
-multi-index flattening for tensor powers, and the workhorses rank /
+type, the one matrix type (row-sparse, built from dense entries or entry by
+entry), multi-index flattening for tensor powers, and the workhorses rank /
 kernel_basis / solve / inverse, and homology_dims, which sweeps a whole
-cochain complex.  These run one elimination kernel on sparse rows and take
-either matrix type.
+cochain complex.  These run one elimination kernel on sparse rows.
 
 Conventions fixed here and relied on by every other module:
 
@@ -63,134 +62,160 @@ def format_matrix(m):
 
 
 class Matrix:
-    """Dense row-major matrix of Rationals.  Immutable once built."""
+    """Row-sparse matrix of Rationals: per row, a col -> value dict of its
+    nonzeros.
 
-    __slots__ = ("rows", "cols", "entries")
+    Built from dense row-major entries, or empty (Matrix(rows, cols)) and then
+    filled entry by entry with add.  Read-only once built.
+    """
 
-    def __init__(self, rows, cols, entries):
-        entries = tuple(Q(e) for e in entries)
+    __slots__ = ("rows", "cols", "_data")
+
+    def __init__(self, rows, cols, entries=None):
+        self.rows = rows
+        self.cols = cols
+        self._data = [{} for _ in range(rows)]
+        if entries is None:
+            return
+        entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count must be rows*cols")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        for i, row in enumerate(self._data):
+            for j, v in enumerate(entries[i * cols:(i + 1) * cols]):
+                if v:
+                    row[j] = Q(v)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix is immutable")
+    def add(self, i, j, val):
+        """Add val to entry (i, j); used while building."""
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise ValueError(
+                f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
+        if not val:
+            return
+        row = self._data[i]
+        nv = row.get(j, ZERO) + val
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+
+    @staticmethod
+    def _of(rows, cols, data):
+        """Wrap row dicts that hold nonzeros only."""
+        m = Matrix.__new__(Matrix)
+        m.rows, m.cols, m._data = rows, cols, data
+        return m
 
     @staticmethod
     def from_rows(rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
-        flat = []
-        for r in rows_list:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return Matrix(rows, cols, flat)
+        if any(len(r) != cols for r in rows_list):
+            raise ValueError("ragged rows")
+        return Matrix._of(rows, cols, [{j: Q(v) for j, v in enumerate(r) if v}
+                                       for r in rows_list])
 
     @staticmethod
     def zero(rows, cols):
-        return Matrix(rows, cols, [ZERO] * (rows * cols))
+        return Matrix(rows, cols)
 
     @staticmethod
     def identity(n):
-        return Matrix(n, n, [ONE if i == j else ZERO
-                             for i in range(n) for j in range(n)])
+        return Matrix._of(n, n, [{i: ONE} for i in range(n)])
+
+    @property
+    def entries(self):
+        """The dense row-major tuple of all rows*cols entries."""
+        return tuple(v for i in range(self.rows) for v in self.row(i))
 
     def at(self, i, j):
-        return self.entries[i * self.cols + j]
+        return self._data[i].get(j, ZERO)
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+        """Row i as a dense tuple."""
+        row = self._data[i]
+        return tuple(row.get(j, ZERO) for j in range(self.cols))
 
     def row_dicts(self):
         """Fresh col -> value dicts of the nonzeros, one per row."""
-        return [{j: v for j, v in enumerate(self.row(i)) if v}
-                for i in range(self.rows)]
+        return [dict(row) for row in self._data]
+
+    def nonzero_items(self):
+        """(i, j, value) for every nonzero, row by row."""
+        for i, row in enumerate(self._data):
+            for j, v in row.items():
+                yield i, j, v
 
     def is_zero(self):
-        return all(e == 0 for e in self.entries)
+        return not any(self._data)
 
     def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [self.at(i, j) for j in range(self.cols)
-                       for i in range(self.rows)])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, v in row.items():
+                out[j][i] = v
+        return Matrix._of(self.cols, self.rows, out)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._data == other._data)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+    def _combine(self, other, sign):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shapes must agree")
+        out = self.row_dicts()
+        for row, theirs in zip(out, other._data):
+            for j, v in theirs.items():
+                nv = row.get(j, ZERO) + sign * v
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+        return Matrix._of(self.rows, self.cols, out)
 
     def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shapes must agree")
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, ONE)
 
     def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shapes must agree")
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, -ONE)
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def scale(self, c):
-        c = Q(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
+        return Matrix._of(self.rows, self.cols,
+                          [{j: -v for j, v in row.items()}
+                           for row in self._data])
 
     def __mul__(self, other):
-        """Matrix product, skipping zero entries of the right factor."""
+        """Matrix product over the nonzeros of both factors."""
         if not isinstance(other, Matrix):
             raise TypeError("can only multiply a Matrix by a Matrix")
         if self.cols != other.rows:
             raise ValueError("inner dimensions must agree")
-        # column-sparse view of self: for each k, the nonzeros of column k
-        left_cols = [[] for _ in range(self.cols)]
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                v = self.entries[base + k]
-                if v:
-                    left_cols[k].append((i, v))
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for k in range(other.rows):
-            base = k * other.cols
-            for j in range(other.cols):
-                w = other.entries[base + j]
-                if w:
-                    for i, v in left_cols[k]:
-                        out[i][j] += v * w
-        return Matrix.from_rows(out) if self.rows else Matrix(0, other.cols, [])
+        inner = other._data
+        out = []
+        for row in self._data:
+            acc = {}
+            for k, v in row.items():
+                for j, w in inner[k].items():
+                    acc[j] = acc.get(j, ZERO) + v * w
+            out.append({j: v for j, v in acc.items() if v})
+        return Matrix._of(self.rows, other.cols, out)
 
     def apply(self, vec):
         """Apply to a column vector (any sequence of scalars)."""
         if len(vec) != self.cols:
             raise ValueError("vector length must equal cols")
-        vec = [Q(v) for v in vec]
         out = []
-        for i in range(self.rows):
-            base = i * self.cols
+        for row in self._data:
             s = ZERO
-            for j, v in enumerate(vec):
-                if v:
-                    s += self.entries[base + j] * v
+            for j, v in row.items():
+                w = vec[j]
+                if w:
+                    s += v * w
             out.append(s)
         return tuple(out)
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_rational(self.at(i, j))
-                                  for j in range(self.cols))
+        body = "; ".join(" ".join(format_rational(v) for v in self.row(i))
                          for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
@@ -352,110 +377,28 @@ def inverse(m):
     # column j of the inverse solves m x = e_j
     cols = [_back_substitute(pivots, pivot_cols, {n + j: -ONE}, 2 * n)
             for j in range(n)]
-    return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+    return Matrix.from_rows([[col[i] for col in cols] for i in range(n)])
 
 
 def homology_dims(differentials):
     """dim ker d_k - rank d_{k-1} for each map of the complex d_0, d_1, ...
 
-    differentials is any iterable of matrices of either type; the map into
-    the domain of d_0 is zero.  Each map is ranked once, checked against the
-    one before it for cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0, and
-    dropped after its successor.
+    differentials is any iterable of matrices; the map into the domain of
+    d_0 is zero.  Each map is ranked once, checked against the one before
+    it for cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0, and dropped
+    after its successor.
     """
     dims = []
     inner, inner_rank = None, 0
     for k, d in enumerate(differentials):
-        rows = d.row_dicts()
         if inner is not None:
-            if d.cols != len(inner):
+            if d.cols != inner.rows:
                 raise ValueError(
                     f"not composable: d_{k} has {d.cols} cols, "
-                    f"d_{k - 1} has {len(inner)} rows")
-            for row in rows:
-                acc = {}
-                for i, v in row.items():
-                    for j, w in inner[i].items():
-                        acc[j] = acc.get(j, ZERO) + v * w
-                if any(acc.values()):
-                    raise ValueError(
-                        f"d_{k} . d_{k - 1} != 0: not a complex")
+                    f"d_{k - 1} has {inner.rows} rows")
+            if not (d * inner).is_zero():
+                raise ValueError(f"d_{k} . d_{k - 1} != 0: not a complex")
         r = rank(d)
         dims.append(d.cols - r - inner_rank)
-        inner, inner_rank = rows, r
+        inner, inner_rank = d, r
     return dims
-
-
-class SparseBuilder:
-    """Column-sparse accumulator for big differential matrices.
-
-    Large coboundary matrices are built here entry by entry.  rank,
-    kernel_basis, solve, inverse and homology_dims take it as they take a
-    Matrix; to_matrix gives the dense form.
-    """
-
-    __slots__ = ("rows", "cols", "cols_data")
-
-    def __init__(self, rows, cols):
-        self.rows = rows
-        self.cols = cols
-        self.cols_data = [dict() for _ in range(cols)]
-
-    def add(self, i, j, val):
-        if not val:
-            return
-        col = self.cols_data[j]
-        nv = col.get(i, ZERO) + val
-        if nv:
-            col[i] = nv
-        elif i in col:
-            del col[i]
-
-    def compose(self, other):
-        """self . other as SparseBuilder."""
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions must agree")
-        out = SparseBuilder(self.rows, other.cols)
-        for j, col in enumerate(other.cols_data):
-            acc = out.cols_data[j]
-            for k, w in col.items():
-                for i, v in self.cols_data[k].items():
-                    nv = acc.get(i, ZERO) + v * w
-                    if nv:
-                        acc[i] = nv
-                    elif i in acc:
-                        del acc[i]
-        return out
-
-    def is_zero(self):
-        return all(not c for c in self.cols_data)
-
-    def nonzero_items(self):
-        for j, col in enumerate(self.cols_data):
-            for i, v in col.items():
-                yield i, j, v
-
-    def row_dicts(self):
-        """Fresh col -> value dicts of the nonzeros, one per row."""
-        out = [{} for _ in range(self.rows)]
-        for j, col in enumerate(self.cols_data):
-            for i, v in col.items():
-                out[i][j] = v
-        return out
-
-    def to_matrix(self):
-        flat = [ZERO] * (self.rows * self.cols)
-        for j, col in enumerate(self.cols_data):
-            for i, v in col.items():
-                flat[i * self.cols + j] = v
-        return Matrix(self.rows, self.cols, flat)
-
-    def apply(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length must equal cols")
-        out = [ZERO] * self.rows
-        for j, v in enumerate(vec):
-            if v:
-                for i, w in self.cols_data[j].items():
-                    out[i] += w * v
-        return tuple(out)

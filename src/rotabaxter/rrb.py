@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from .algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, LinearMap, Report, ShapeError,
-    StructureConstants, add_vec, basis_vec, semidirect_algebra, total_algebra,
-    zero_vec,
+    StructuralError, StructureConstants, add_vec, basis_vec,
+    semidirect_algebra, total_algebra, zero_vec,
 )
 from .linalg import Matrix, Q, TensorIndex, kernel_basis, solve
 
@@ -306,10 +306,6 @@ def check_rb_bimodule(pair):
     return rep
 
 
-def _reshape(vec, rows, cols):
-    return Matrix(rows, cols, vec)
-
-
 def endomorphism_rrb(cx):
     """The relative Rota-Baxter algebra of a 2-term complex A_1 -> A_0.
 
@@ -342,12 +338,13 @@ def endomorphism_rrb(cx):
 
     def coords_in_end(vec):
         x = solve(kmat, vec)
-        assert x is not None, "vector is not a chain map"
+        if x is None:
+            raise StructuralError("vector is not a chain map")
         return x
 
     def split(vec):
-        f0 = _reshape(vec[:d0 * d0], d0, d0)
-        f1 = _reshape(vec[d0 * d0:], d1, d1)
+        f0 = Matrix(d0, d0, vec[:d0 * d0])
+        f1 = Matrix(d1, d1, vec[d0 * d0:])
         return f0, f1
 
     def product(i, j):
@@ -367,7 +364,8 @@ def endomorphism_rrb(cx):
 
     def kd_coords(vec):
         x = solve(kdmat, vec)
-        assert x is not None, "vector is not in ker d"
+        if x is None:
+            raise StructuralError("vector is not in ker d")
         return x
 
     def left_act(i, su):

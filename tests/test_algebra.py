@@ -147,7 +147,7 @@ class TestHochschild:
             for k in range(3):
                 d1 = hochschild_matrix(mod, k)
                 d2 = hochschild_matrix(mod, k + 1)
-                assert d2.compose(d1).is_zero()
+                assert (d2 * d1).is_zero()
         del rng
 
     def test_degree_mismatch_raises(self):
@@ -223,3 +223,19 @@ class TestLinearMap:
                                                     [Q(0), Q(3)]]))
         g = LinearMap.identity(2)
         assert f.compose(g)((1, 1)) == (2, 3)
+
+
+# Each guard was an assert, so python -O would have let the bad shape through.
+@pytest.mark.parametrize("call", [
+    lambda: StructureConstants.zero(1, 1, 1)((Q(1), Q(1)), (Q(1),)),
+    lambda: (StructureConstants.zero(1, 1, 1)
+             + StructureConstants.zero(2, 1, 1)),
+    lambda: LinearMap.identity(2).compose(LinearMap.identity(3)),
+    lambda: AssocAlgebra.zero(2, ("e0",)),
+    lambda: Bimodule.zero_actions(field_algebra(), 2, ("m0",)),
+    lambda: HochschildCochain(-1, LinearMap.identity(1)),
+], ids=["call-length", "add-shape", "compose", "algebra-names",
+        "bimodule-names", "negative-degree"])
+def test_shape_guards_raise(call):
+    with pytest.raises(ShapeError):
+        call()

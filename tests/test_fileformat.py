@@ -11,6 +11,7 @@ from rotabaxter.classification import (
     check_two_term_ainfty, extract_cocycle, skeletal_to_triple,
     triple_to_skeletal,
 )
+from rotabaxter.cohomology import RRBCochain
 from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
 
 
@@ -171,6 +172,31 @@ def test_bool_scalar_rejected(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", str(path)]) == 2
     assert "error: linear.X.R" in capsys.readouterr().err
+
+
+def test_bool_dim_rejected(tmp_path, capsys):
+    doc = {"field": "Q", "spaces": {"V": {"dim": True}}}
+    reject(doc, "spaces.V.dim: must be a nonnegative integer")
+    path = tmp_path / "bool_dim.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    assert "error: spaces.V.dim" in capsys.readouterr().err
+
+
+def test_bool_degree_rejected(tmp_path, capsys):
+    x, b = random_rrb_pair(seed=2)
+    doc = ff.new_document()
+    xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
+    bn, bsp, fsp = ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
+    ff.declare_cocycle(doc, "c", RRBCochain.zero(x, b, 1), xn, bn, asp, msp,
+                       bsp, fsp)
+    doc = json.loads(ff.dump_document(doc))
+    doc["declare"][-1]["degree"] = True
+    reject(doc, ".degree: must be a positive integer")
+    path = tmp_path / "bool_degree.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    assert ".degree: must be a positive integer" in capsys.readouterr().err
 
 
 def test_zero_denominator():

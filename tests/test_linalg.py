@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rotabaxter.linalg import (
-    Matrix, Q, SparseBuilder, TensorIndex, format_rational, homology_dims,
+    Matrix, Q, TensorIndex, format_rational, homology_dims,
     inverse, kernel_basis, parse_rational, rank, solve,
 )
 
@@ -94,7 +94,7 @@ class TestHomologyDim:
             homology_dims([Matrix.zero(3, 1), Matrix.zero(1, 2)])
 
     def test_rejects_sparse_noncomplex(self):
-        d_out, d_in = SparseBuilder(1, 2), SparseBuilder(2, 1)
+        d_out, d_in = Matrix(1, 2), Matrix(2, 1)
         d_out.add(0, 0, 1)
         d_out.add(0, 1, 1)
         d_in.add(0, 0, 1)
@@ -135,11 +135,13 @@ class TestTensorIndex:
     lambda: TensorIndex((2,)).flatten((2,)),
     lambda: TensorIndex((2,)).flatten((0, 0)),
     lambda: TensorIndex((2,)).unflatten(2),
-    lambda: SparseBuilder(2, 2).compose(SparseBuilder(3, 1)),
-    lambda: SparseBuilder(2, 2).apply([1]),
+    lambda: Matrix(2, 2) * Matrix(3, 1),
+    lambda: Matrix(2, 2).apply([1]),
+    lambda: Matrix(2, 2).add(2, 0, 1),
+    lambda: Matrix(2, 2).add(0, -1, 1),
 ], ids=["entry-count", "ragged", "add", "sub", "mul", "apply",
         "negative-dim", "index-range", "index-length", "flat-range",
-        "sparse-compose", "sparse-apply"])
+        "sparse-compose", "sparse-apply", "entry-row", "entry-col"])
 def test_validation_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
@@ -148,6 +150,12 @@ def test_validation_raises_value_error(call):
 def test_product_needs_a_matrix():
     with pytest.raises(TypeError):
         Matrix.identity(2) * 2
+
+
+def test_matrix_is_not_hashable():
+    # a Matrix is filled in place by add, so it must not serve as a key
+    with pytest.raises(TypeError):
+        hash(Matrix.identity(2))
 
 
 def random_matrix(rng, rows, cols, density=0.7):
@@ -202,17 +210,24 @@ class TestRandomizedInvariants:
         for _ in range(20):
             a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 0.5)
             b = random_matrix(rng, a.cols, rng.randint(1, 5), 0.5)
-            sa = SparseBuilder(a.rows, a.cols)
+            sa = Matrix(a.rows, a.cols)
             for i in range(a.rows):
                 for j in range(a.cols):
-                    sa.add(i, j, a.at(i, j))
-            sb = SparseBuilder(b.rows, b.cols)
-            for i in range(b.rows):
+                    # two adds per entry, so cancellation to zero is hit too
+                    sa.add(i, j, a.at(i, j) + 1)
+                    sa.add(i, j, Q(-1))
+            assert sa == a and sa.entries == a.entries
+            prod = sa * b
+            assert (prod.rows, prod.cols) == (a.rows, b.cols)
+            for i in range(a.rows):
                 for j in range(b.cols):
-                    sb.add(i, j, b.at(i, j))
-            assert sa.to_matrix() == a
-            assert sa.compose(sb).to_matrix() == a * b
-            assert sb.apply([Q(1)] * b.cols) == b.apply([Q(1)] * b.cols)
+                    assert prod.at(i, j) == sum(
+                        (a.at(i, k) * b.at(k, j) for k in range(a.cols)),
+                        Q(0))
+            vec = [Q(rng.randint(-3, 3)) for _ in range(b.cols)]
+            assert b.apply(vec) == tuple(
+                sum((b.at(i, j) * vec[j] for j in range(b.cols)), Q(0))
+                for i in range(b.rows))
 
 
 class TestInverse:
