@@ -5,7 +5,17 @@ rationals, done exactly: no floats anywhere.  This module provides the scalar
 type, the one matrix type (row-sparse, built from dense entries or entry by
 entry), multi-index flattening for tensor powers, and the workhorses rank /
 kernel_basis / solve / inverse, and homology_dims, which sweeps a whole
-cochain complex.  These run one elimination kernel on sparse rows.
+cochain complex.
+
+These run one elimination kernel, _echelon.  It clears each row of
+denominators once and then works on primitive integer rows, with a column
+index of the live rows that have a nonzero in each column.  Only the pivot
+key differs between callers: rank takes the sparsest column first, which
+limits fill-in; kernel_basis, solve and inverse take the smallest column
+first, because their documented output is fixed by the set of pivot
+columns, and elimination in column order always finds the same set.  The
+product accumulates in integers too, so homology_dims' check
+d_k . d_{k-1} == 0 builds a rational only for a nonzero entry.
 
 Conventions fixed here and relied on by every other module:
 
@@ -20,6 +30,8 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 import re
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as Q
@@ -83,7 +95,7 @@ class Matrix:
         for i, row in enumerate(self._data):
             for j, v in enumerate(entries[i * cols:(i + 1) * cols]):
                 if v:
-                    row[j] = Q(v)
+                    row[j] = v if type(v) is Q else Q(v)
 
     def add(self, i, j, val):
         """Add val to entry (i, j); used while building."""
@@ -112,8 +124,9 @@ class Matrix:
         cols = len(rows_list[0]) if rows else 0
         if any(len(r) != cols for r in rows_list):
             raise ValueError("ragged rows")
-        return Matrix._of(rows, cols, [{j: Q(v) for j, v in enumerate(r) if v}
-                                       for r in rows_list])
+        return Matrix._of(rows, cols,
+                          [{j: v if type(v) is Q else Q(v)
+                            for j, v in enumerate(r) if v} for r in rows_list])
 
     @staticmethod
     def zero(rows, cols):
@@ -185,19 +198,27 @@ class Matrix:
                            for row in self._data])
 
     def __mul__(self, other):
-        """Matrix product over the nonzeros of both factors."""
+        """Matrix product over the nonzeros of both factors, accumulated in
+        integers: each row of self is scaled by the lcm of its own
+        denominators and other by one common denominator, and the scale is
+        divided out of the nonzero results only.  Scaling other row by row
+        would not preserve a zero product."""
         if not isinstance(other, Matrix):
             raise TypeError("can only multiply a Matrix by a Matrix")
         if self.cols != other.rows:
             raise ValueError("inner dimensions must agree")
-        inner = other._data
+        den = lcm(*(v.denominator for row in other._data
+                    for v in row.values()))
+        inner = [_cleared(row, den) for row in other._data]
         out = []
         for row in self._data:
+            scale = lcm(*(v.denominator for v in row.values()))
             acc = {}
-            for k, v in row.items():
+            for k, v in _cleared(row, scale).items():
                 for j, w in inner[k].items():
-                    acc[j] = acc.get(j, ZERO) + v * w
-            out.append({j: v for j, v in acc.items() if v})
+                    acc[j] = acc.get(j, 0) + v * w
+            scale *= den
+            out.append({j: Q(s, scale) for j, s in acc.items() if s})
         return Matrix._of(self.rows, other.cols, out)
 
     def apply(self, vec):
@@ -268,49 +289,114 @@ class TensorIndex:
             yield self.unflatten(flat)
 
 
-def _echelon(rows_as_dicts, ncols):
-    """Sparse forward elimination.  Returns (pivot rows, pivot cols).
+def _primitive(row):
+    """Divide an integer row, in place, by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g != 1:
+        for c in row:
+            row[c] //= g
+    return row
 
-    rows_as_dicts is consumed.  Each returned row is a dict col->value with its
-    pivot at the matching entry of pivot_cols.  Deterministic: the pivot column
-    is the smallest column carrying a nonzero; among candidate rows the one
-    with fewest nonzeros (ties: first seen) is chosen.
+
+def _cleared(row, scale):
+    """A row of rationals times scale, a common multiple of their
+    denominators, as integers."""
+    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+
+
+def _integer_row(row):
+    """A row of rationals as a primitive integer row of the same span."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    return _primitive(_cleared(row, scale))
+
+
+def _column_order(index, ncols):
+    """Pivot key of kernel_basis, solve and inverse: smallest column first.
+
+    Their output is fixed by the set of pivot columns (the columns that are
+    not combinations of the columns before them), which any elimination in
+    column order finds, whatever rows it picks and however it scales them.
+    Another order can find another set, and so another basis or solution.
     """
-    live = [r for r in rows_as_dicts if r]
-    pivots = []
-    pivot_cols = []
-    col = 0
-    while live and col < ncols:
-        cand = [r for r in live if col in r]
-        if not cand:
-            col += 1
-            continue
-        shortest = min(len(r) for r in cand)
-        best = next(r for r in cand if len(r) == shortest)
-        live.remove(best)
-        pv = best[col]
-        inv = ONE / pv
-        best = {c: v * inv for c, v in best.items()}
-        for r in live:
-            f = r.get(col)
-            if f:
-                for c, v in best.items():
-                    nv = r.get(c, ZERO) - f * v
+    return (c for c in range(min(ncols, len(index))) if index[c])
+
+
+def _sparsest_first(index, ncols):
+    """Pivot key of rank: the column with the fewest live rows first (ties:
+    smallest column).  A lazy heap on (count, col): an entry whose count
+    went stale is pushed back with the count the column has when popped."""
+    heap = [(len(rows), c) for c, rows in enumerate(index[:ncols]) if rows]
+    heapify(heap)
+    while heap:
+        count, c = heappop(heap)
+        now = len(index[c])
+        if now == count:
+            yield c
+        elif now:
+            heappush(heap, (now, c))
+
+
+def _echelon(rows, ncols, order):
+    """Forward elimination on primitive integer rows.
+
+    rows are col -> rational dicts; they are not modified.  Each nonempty
+    row is cleared of denominators once.  A column index keeps, for every
+    column, the set of live rows that have a nonzero there, so a pivot step
+    touches only the rows it changes.  order(index, ncols) yields the pivot
+    columns, reading the index as elimination goes; only columns below
+    ncols are pivots.  The pivot row is the shortest live row in its column
+    (ties: first given).  It is cross-multiplied into every other row of the
+    column with the gcd of the two leading entries, and each new row is
+    divided by its content.
+
+    Returns (pivot rows, pivot cols): integer rows, each with its pivot at
+    the matching entry of pivot cols.
+    """
+    rows = [_integer_row(r) for r in rows if r]
+    index = [set() for _ in range(max((max(r) for r in rows), default=-1)
+                                  + 1)]
+    for i, r in enumerate(rows):
+        for c in r:
+            index[c].add(i)
+    pivots, pivot_cols = [], []
+    for col in order(index, ncols):
+        targets = index[col]
+        p = min(targets, key=lambda i: (len(rows[i]), i))
+        pivot = rows[p]
+        for c in pivot:
+            index[c].discard(p)
+        index[col] = set()
+        a = pivot[col]
+        rest = [(c, v) for c, v in pivot.items() if c != col]
+        for i in targets:
+            r = rows[i]
+            b = r.pop(col)
+            g = gcd(a, b)
+            fa, fb = a // g, b // g
+            if fa != 1:
+                for c in r:
+                    r[c] *= fa
+            for c, v in rest:
+                if c in r:
+                    nv = r[c] - fb * v
                     if nv:
                         r[c] = nv
-                    elif c in r:
+                    else:
                         del r[c]
-        live = [r for r in live if r]
-        pivots.append(best)
+                        index[c].discard(i)
+                else:
+                    r[c] = -fb * v
+                    index[c].add(i)
+            if r:
+                _primitive(r)
+        pivots.append(pivot)
         pivot_cols.append(col)
-        col += 1
     return pivots, pivot_cols
 
 
 def rank(m):
-    """Exact row rank over the rationals."""
-    pivots, _ = _echelon(m.row_dicts(), m.cols)
-    return len(pivots)
+    """Exact row rank over the rationals; pivots sparsest column first."""
+    return len(_echelon(m._data, m.cols, _sparsest_first)[0])
 
 
 def _back_substitute(pivots, pivot_cols, free_assign, ncols):
@@ -323,7 +409,7 @@ def _back_substitute(pivots, pivot_cols, free_assign, ncols):
         for c, v in row.items():
             if c != pc and vec[c]:
                 s += v * vec[c]
-        vec[pc] = -s  # pivot entry normalized to 1
+        vec[pc] = -s / row[pc]
     return tuple(vec)
 
 
@@ -333,7 +419,7 @@ def kernel_basis(m):
     One basis vector per non-pivot column, ascending; the vector carries 1 at
     its free column and 0 at the other free columns.
     """
-    pivots, pivot_cols = _echelon(m.row_dicts(), m.cols)
+    pivots, pivot_cols = _echelon(m._data, m.cols, _column_order)
     pivot_set = set(pivot_cols)
     basis = []
     for j in range(m.cols):
@@ -356,7 +442,7 @@ def solve(m, rhs):
         b = Q(b)
         if b:
             row[aug] = b
-    pivots, pivot_cols = _echelon(rows, aug + 1)
+    pivots, pivot_cols = _echelon(rows, aug + 1, _column_order)
     if aug in pivot_cols:
         return None  # a row reduced to 0 = nonzero
     # -1 at the rhs column moves it to the other side of m x = rhs
@@ -371,7 +457,7 @@ def inverse(m):
     rows = m.row_dicts()
     for i, row in enumerate(rows):
         row[n + i] = ONE  # [m | I], pivots only among the first n columns
-    pivots, pivot_cols = _echelon(rows, n)
+    pivots, pivot_cols = _echelon(rows, n, _column_order)
     if len(pivots) < n:
         return None
     # column j of the inverse solves m x = e_j

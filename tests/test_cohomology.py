@@ -19,7 +19,7 @@ from rotabaxter.cohomology import (
     rrb_differential_matrix, semidirect_complex, semidirect_inclusion_matrix,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, homology_dims, kernel_basis, rank, solve,
+    Matrix, Q, homology_dims, inverse, kernel_basis, rank, solve,
 )
 from rotabaxter.rrb import (
     RBBimodulePair, RMatrix, RelativeRBAlgebra, check_rb_bimodule,
@@ -38,7 +38,7 @@ from rotabaxter.samples import (
 
 from helpers import (
     dual_numbers, field_adjoint_rrb, nilpotent_shift_rrb, one_sided_rrb,
-    zero_rrb,
+    reference_elimination, reference_inverse, zero_rrb,
 )
 
 
@@ -519,12 +519,56 @@ def test_sparse_kernels_match_dense():
             assert sol is not None and sol == solve(dense, rhs), (seed, k)
 
 
+def test_kernels_match_reference_gauss_jordan():
+    """rank, kernel_basis, solve and inverse agree exactly with the textbook
+    dense Gauss-Jordan of tests/helpers.py on the differentials.  The
+    reference takes pivots in column order, so a kernel_basis or solve that
+    picked other pivot columns would return another basis or solution."""
+    inconsistent = 0
+    for seed in range(100):
+        x, b = random_rrb_pair(seed)
+        for k in (1, 2):
+            d = rrb_differential_matrix(x, b, k)
+            where = (seed, k)
+            image = d.apply([Q(j % 3 - 1) for j in range(d.cols)])
+            basis, sol, cols, rows = reference_elimination(d, image)
+            assert rank(d) == len(cols), where
+            assert kernel_basis(d) == basis, where
+            assert solve(d, image) == sol, where
+            # rows span the row space, so no x has d x = e_i for another i
+            for i in sorted(set(range(d.rows)) - set(rows))[:1]:
+                outside = list(image)
+                outside[i] += 1
+                assert solve(d, outside) is None, where
+                inconsistent += 1
+            # independent rows by independent columns: an invertible block
+            block = Matrix.from_rows([[d.at(i, j) for j in cols]
+                                      for i in rows])
+            inv = inverse(block)
+            assert inv is not None, where
+            assert inv == Matrix.from_rows(reference_inverse(block)), where
+            n = min(d.rows, d.cols)
+            lead = Matrix.from_rows([list(d.row(i)[:n]) for i in range(n)])
+            want = reference_inverse(lead)
+            if want is not None:
+                want = Matrix.from_rows(want)
+            assert inverse(lead) == want, where
+    assert inconsistent > 100
+
+
 def test_cohomology_is_invariant_under_transport():
     for seed in range(100):
         x, b = random_rrb_pair(seed)
         moved = random_transport_pair(1000 + seed, x, b)
         assert rrb_cohomology_dims(x, b, 2) == \
             rrb_cohomology_dims(*moved, 2), seed
+
+
+def test_cohomology_in_degrees_four_and_five():
+    """Pinned from the rational elimination the integer kernel replaced.
+    Sample 14's d_5 is 16038x4617 and sample 65's d_4 is 4617x1296."""
+    assert rrb_cohomology_dims(*random_rrb_pair(14), 5) == [3, 3, 4, 5, 6]
+    assert rrb_cohomology_dims(*random_rrb_pair(65), 4) == [3, 3, 4, 5]
 
 
 def test_cohomology_vanishes_with_empty_coefficients():

@@ -9,6 +9,8 @@ from rotabaxter.linalg import (
     inverse, kernel_basis, parse_rational, rank, solve,
 )
 
+from helpers import reference_elimination, reference_inverse
+
 
 def mat(rows):
     return Matrix.from_rows([[Q(x) for x in r] for r in rows])
@@ -104,6 +106,14 @@ class TestHomologyDim:
         d_in.add(1, 0, -3)  # now d_in = (1, -1)^T and d_out . d_in = 0
         assert homology_dims(iter([d_in, d_out])) == [0, 0]
 
+    def test_rejects_small_rational_defect(self):
+        # d_out . d_in is zero but for one entry, 1/2 - 1/3 = 1/6
+        d_in = mat([["1/2", 1], ["1/3", 1]])
+        d_out = mat([[1, -1]])
+        assert d_out * d_in == mat([["1/6", 0]])
+        with pytest.raises(ValueError, match="not a complex"):
+            homology_dims([d_in, d_out])
+
 
 class TestTensorIndex:
     def test_big_endian_order(self):
@@ -152,6 +162,14 @@ def test_product_needs_a_matrix():
         Matrix.identity(2) * 2
 
 
+def test_constructors_keep_q_values():
+    # a value that already is a Q is stored as it is; others go through Q()
+    q = Q(1, 3)
+    for m in (Matrix(1, 2, [q, 2]), Matrix.from_rows([[q, 2]])):
+        assert m.at(0, 0) is q
+        assert type(m.at(0, 1)) is Q and m.at(0, 1) == 2
+
+
 def test_matrix_is_not_hashable():
     # a Matrix is filled in place by add, so it must not serve as a key
     with pytest.raises(TypeError):
@@ -161,6 +179,15 @@ def test_matrix_is_not_hashable():
 def random_matrix(rng, rows, cols, density=0.7):
     return Matrix(rows, cols,
                   [Q(rng.randint(-4, 4), rng.randint(1, 3))
+                   if rng.random() < density else Q(0)
+                   for _ in range(rows * cols)])
+
+
+def mixed_matrix(rng, rows, cols, density=0.6):
+    """Entries with many distinct denominators, so rows need different
+    scales to clear them."""
+    return Matrix(rows, cols,
+                  [Q(rng.randint(-5, 5), rng.choice((1, 2, 3, 5, 7, 12)))
                    if rng.random() < density else Q(0)
                    for _ in range(rows * cols)])
 
@@ -228,6 +255,20 @@ class TestRandomizedInvariants:
             assert b.apply(vec) == tuple(
                 sum((b.at(i, j) * vec[j] for j in range(b.cols)), Q(0))
                 for i in range(b.rows))
+        # distinct denominators on both sides, and a product that cancels
+        # to exactly 0 in entry (0, 0): 1/2 * 2/3 + 1/3 * (-1) = 0
+        a = mat([["1/2", "1/3", 0], ["1/5", "-1/7", "3/11"]])
+        b = mat([["2/3", "1/4"], [-1, "3/8"], ["5/6", "-1/9"]])
+        assert a * b == mat([[0, "1/4"], ["1163/2310", "-313/9240"]])
+        assert 0 not in (a * b).row_dicts()[0]
+        for _ in range(20):
+            a = mixed_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            b = mixed_matrix(rng, a.cols, rng.randint(1, 5))
+            prod = a * b
+            assert prod == Matrix(a.rows, b.cols, [
+                sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), Q(0))
+                for i in range(a.rows) for j in range(b.cols)])
+            assert all(v for row in prod.row_dicts() for v in row.values())
 
 
 class TestInverse:
@@ -259,3 +300,34 @@ class TestInverse:
                 assert inv * m == Matrix.identity(3)
                 assert m * inv == Matrix.identity(3)
         assert invertible > 10
+
+
+def test_random_matrices_match_reference_gauss_jordan():
+    """rank, kernel_basis, solve and inverse agree exactly with the textbook
+    dense Gauss-Jordan of tests/helpers.py on random matrices with mixed
+    denominators, some with a row that is a combination of two others."""
+    rng = random.Random(2718)
+    inconsistent = singular = 0
+    for _ in range(150):
+        m = mixed_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
+                         rng.choice((0.3, 0.6, 0.9)))
+        if m.rows > 2 and rng.random() < 0.5:
+            f, g = Q(rng.randint(-3, 3), rng.randint(1, 4)), Q(1, 5)
+            m = Matrix.from_rows([list(m.row(i)) for i in range(m.rows - 1)]
+                                 + [[f * u + g * v for u, v
+                                     in zip(m.row(0), m.row(1))]])
+        rhs = tuple(Q(rng.randint(-3, 3), rng.choice((1, 2, 9)))
+                    for _ in range(m.rows))
+        basis, sol, pivots, _ = reference_elimination(m, rhs)
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m) == basis
+        assert solve(m, rhs) == sol
+        inconsistent += sol is None
+        n = min(m.rows, m.cols)
+        square = Matrix.from_rows([list(m.row(i)[:n]) for i in range(n)])
+        want = reference_inverse(square)
+        singular += want is None
+        if want is not None:
+            want = Matrix.from_rows(want)
+        assert inverse(square) == want
+    assert inconsistent > 10 and singular > 10
