@@ -29,7 +29,9 @@ from .algebra import (
     StructureConstants, Violation, add_vec, basis_vec, check_associativity,
     check_bimodule, sub_vec,
 )
-from .cohomology import RRBCochain, rrb_differential, rrb_differential_matrix
+from .cohomology import (
+    RRBCochain, cocycle_report, rrb_differential, rrb_differential_matrix,
+)
 from .linalg import Matrix, Q, rank, solve
 from .rrb import (
     RelativeRBAlgebra, RRBMorphism, TwoTermComplex, check_morphism,
@@ -206,26 +208,6 @@ def check_abelian_extension(e):
     return rep
 
 
-def _nonzero_blocks(c):
-    names = []
-    if not c.alpha.matrix.is_zero():
-        names.append("alpha")
-    for s, bs in enumerate(c.beta, start=1):
-        if not bs.matrix.is_zero():
-            names.append(f"beta[slot {s}]")
-    if c.gamma is not None and not c.gamma.matrix.is_zero():
-        names.append("gamma")
-    return names
-
-
-def _require_cocycle(x, b, c):
-    image = rrb_differential(x, b, c.degree, c)
-    bad = _nonzero_blocks(image)
-    if bad:
-        raise StructuralError(
-            "not a cocycle: the differential is nonzero in " + ", ".join(bad))
-
-
 def _block_incl(small, big, offset):
     entries = tuple(ONE if i == offset + j else ZERO
                     for i in range(big) for j in range(small))
@@ -254,7 +236,7 @@ def build_extension(x, b, c):
     if c.degree != 2:
         raise ShapeError("extensions are glued along degree-2 cochains")
     c.validate(x, b)
-    _require_cocycle(x, b, c)
+    cocycle_report(x, b, c, strict=True)
     alg, mod = x.algebra, x.module
     dA, dM = alg.dim, mod.dim
     dB, dN = b.base.dim, b.fiber.dim
@@ -952,7 +934,7 @@ def skeletal_to_triple(a, m, r, verify=True):
             if not bad:
                 raise StructuralError("skeletal data does not flatten to a "
                                       "valid triple:\n" + bad.describe())
-        _require_cocycle(x, coeff, c)
+        cocycle_report(x, coeff, c, strict=True)
     return x, coeff, c
 
 
@@ -969,7 +951,7 @@ def triple_to_skeletal(x, b, c, verify=True):
         raise ShapeError("skeletal data encodes a degree-3 cochain")
     c.validate(x, b)
     if verify:
-        _require_cocycle(x, b, c)
+        cocycle_report(x, b, c, strict=True)
     dM, dB = x.module.dim, b.base.dim
     a = TwoTermAInfty(
         x.algebra.dim, dB, LinearMap.zero(dB, x.algebra.dim),

@@ -15,14 +15,18 @@ acting on B for the gamma block, and an operator term h feeding
 (alpha, beta) into the gamma block through R and S.
 
 The same file carries the two sibling complexes that interact with this
-one: the labelled dendriform complex (computed through its embedding into
-the Hochschild complex of a doubled semidirect structure) and the
-restricted complex of a Rota-Baxter pair, together with the comparison
-maps between all of them.
+one: the labelled dendriform complex and the restricted complex of a
+Rota-Baxter pair, together with the comparison maps between them.  The
+labelled complex and its comparison map from the Hochschild complex of
+M_Tot acting on B are matrices: the hat and unhat between labelled
+cochains and the Hochschild complex of a doubled semidirect structure,
+the labelled differential read through them, and psi_matrix.  So the
+chain map identity is one exact matrix identity over all cochains.
 
 Coordinates everywhere are target-major matrix entries (index =
 target * domain_size + flattened tuple), with the blocks concatenated in
-the order alpha, beta_1, ..., beta_k, gamma.
+the order alpha, beta_1, ..., beta_k, gamma (labelled cochains: label 1
+to k).
 """
 
 from __future__ import annotations
@@ -166,41 +170,6 @@ class RRBCochain:
         return (isinstance(other, RRBCochain) and
                 self.degree == other.degree and self.alpha == other.alpha and
                 self.beta == other.beta and self.gamma == other.gamma)
-
-
-class DendriformCochain:
-    """Degree-k labelled cochain: one map D^(x)k -> E per label 1..k."""
-
-    __slots__ = ("degree", "maps")
-
-    def __init__(self, degree, maps):
-        maps = tuple(maps)
-        if degree < 1:
-            raise ShapeError("cochain degree must be >= 1")
-        if len(maps) != degree:
-            raise ShapeError(
-                f"degree {degree} needs {degree} labelled maps, got {len(maps)}")
-        for f in maps:
-            if (f.domain_dim, f.codomain_dim) != \
-                    (maps[0].domain_dim, maps[0].codomain_dim):
-                raise ShapeError("labelled maps must share their shape")
-        self.degree = degree
-        self.maps = maps
-
-    @staticmethod
-    def zero(k, dim_d, dim_e):
-        return DendriformCochain(k, (LinearMap.zero(dim_d ** k, dim_e),) * k)
-
-    def component(self, i):
-        """The map with label i (1-based)."""
-        return self.maps[i - 1]
-
-    def is_zero(self):
-        return all(f.matrix.is_zero() for f in self.maps)
-
-    def __eq__(self, other):
-        return (isinstance(other, DendriformCochain) and
-                self.degree == other.degree and self.maps == other.maps)
 
 
 class RBCochain:
@@ -450,6 +419,32 @@ def rrb_differential(x, b, k, c):
     return RRBCochain.from_vector(x, b, k + 1, vec)
 
 
+def cocycle_report(x, b, c, strict=False):
+    """The cocycle condition on c, one law per block of its differential.
+
+    The laws are differential_vanishes[alpha], [beta s] for each slot s,
+    and [gamma] from degree 2 on.  With strict set, a failure raises
+    StructuralError naming the nonzero blocks instead.
+    """
+    img = rrb_differential(x, b, c.degree, c)
+    blocks = [("alpha", "alpha", img.alpha)]
+    blocks.extend((f"beta {s}", f"beta[slot {s}]", m)
+                  for s, m in enumerate(img.beta, 1))
+    if img.gamma is not None:
+        blocks.append(("gamma", "gamma", img.gamma))
+    rep, bad = Report("cocycle"), []
+    for law, name, m in blocks:
+        vals = m.matrix.entries
+        if any(vals):
+            bad.append(name)
+        rep.require(f"differential_vanishes[{law}]", (), vals,
+                    (ZERO,) * len(vals))
+    if strict and bad:
+        raise StructuralError(
+            "not a cocycle: the differential is nonzero in " + ", ".join(bad))
+    return rep
+
+
 def rrb_cohomology_dims(x, b, max_degree):
     """[dim H^1, ..., dim H^K]; the degree-0 space is zero, so the map into
     degree 1 is the zero map."""
@@ -545,120 +540,85 @@ def rb_restrict(pair, k, c):
 # the labelled dendriform complex
 
 
-def dendriform_hat(f, d, e):
-    """Present a labelled cochain inside the doubled Hochschild complex.
+def dendriform_embedding(k, dim_d, dim_e):
+    """The hat H_k and unhat U_k between labelled k-cochains and the host.
 
-    The host algebra is the semidirect sum (total of d) (+) d with
-    coefficients (total of e) (+) e.  On a pure first-component tuple the
-    value is the sum over all labels placed in the first component; with
-    exactly one second-component argument, at position i, it is the
-    label-i map placed in the second component; with two or more second
-    components it vanishes.
+    A labelled k-cochain is one map D^(x)k -> E per label 1..k, with
+    coordinates (label - 1) * dim_e * dim_d^k + target * dim_d^k + tuple.
+    The host complex is the Hochschild complex of the semidirect sum
+    (total of D) (+) D with coefficients (total of E) (+) E.  H places
+    each labelled coordinate twice: in the first component on the same
+    tuple (so a pure first-component tuple sees the sum of all labels), and
+    in the second component on the tuple whose only second-component
+    argument sits at the label's position.  U reads the second place back,
+    one nonzero per row, so U_k H_k is the identity.
     """
-    k = f.degree
-    dD, dE = d.dim, e.dim
-    if f.maps[0].domain_dim != dD ** k or f.maps[0].codomain_dim != dE:
-        raise ShapeError("labelled maps must be D^(x)k -> E")
-    ti_host = TensorIndex((2 * dD,) * k)
-    ti_d = TensorIndex((dD,) * k)
-    out = Matrix(2 * dE, ti_host.size)
-    for flat in range(ti_host.size):
-        tt = ti_host.unflatten(flat)
-        second = [j for j, i in enumerate(tt) if i >= dD]
-        if len(second) > 1:
-            continue
-        col = ti_d.flatten(tuple(i - dD if i >= dD else i for i in tt))
-        if not second:
-            for w in range(dE):
-                acc = ZERO
-                for g in f.maps:
-                    acc += g.matrix.at(w, col)
-                out.add(w, flat, acc)
-        else:
-            g = f.maps[second[0]]
-            for w in range(dE):
-                out.add(dE + w, flat, g.matrix.at(w, col))
-    return HochschildCochain(k, LinearMap(ti_host.size, 2 * dE, out))
+    if k < 1:
+        raise ShapeError("labelled cochains start in degree 1")
+    ti_d, ti_host = TensorIndex((dim_d,) * k), TensorIndex((2 * dim_d,) * k)
+    size, host = ti_d.size, ti_host.size
+    hat = Matrix(2 * dim_e * host, k * dim_e * size)
+    unhat = Matrix(k * dim_e * size, 2 * dim_e * host)
+    for t in range(size):
+        first = ti_host.flatten(ti_d.unflatten(t))
+        for i in range(k):
+            second = (dim_e * host + first +
+                      dim_d * (2 * dim_d) ** (k - 1 - i))
+            for w in range(dim_e):
+                col = (i * dim_e + w) * size + t
+                hat.add(w * host + first, col, ONE)
+                hat.add(second + w * host, col, ONE)
+                unhat.add(col, second + w * host, ONE)
+    return hat, unhat
 
 
-def _labels_from_hat(hat, d, e):
-    """Recover the labelled components: label i reads the second-component
-    output on tuples whose only second-component argument sits at i."""
-    k = hat.degree
-    dD, dE = d.dim, e.dim
-    ti_host = TensorIndex((2 * dD,) * k)
-    ti_d = TensorIndex((dD,) * k)
-    mat = hat.map.matrix
-    maps = []
-    for i in range(k):
-        entries = []
-        for w in range(dE):
-            for col in range(ti_d.size):
-                xt = ti_d.unflatten(col)
-                host = tuple(dD + v if j == i else v
-                             for j, v in enumerate(xt))
-                entries.append(mat.at(dE + w, ti_host.flatten(host)))
-        maps.append(LinearMap(ti_d.size, dE, Matrix(dE, ti_d.size, entries)))
-    return DendriformCochain(k, maps)
+def dendriform_differential_matrix(d, e, k):
+    """Matrix D_k = U_{k+1} delta H_k of the labelled differential, k >= 1.
 
-
-def dendriform_differential(f, d, e):
-    """Differential on labelled cochains, through the doubled complex.
-
-    Hat the input, apply the Hochschild differential of the doubled host,
-    and read the labels back.  The image is re-hatted and compared to make
-    sure nothing was lost; a mismatch means the doubled differential left
-    the embedded subspace, which signals a bug, so it raises.
+    delta is the Hochschild differential of the doubled host.  It must keep
+    the embedded subspace, H_{k+1} D_k = delta H_k; a mismatch signals a
+    bug, so it raises.
     """
-    x, bim = dendriform_to_rrb(d, e)
+    _, bim = dendriform_to_rrb(d, e)
     host, _ = lift_bimodule(bim)
-    hat = dendriform_hat(f, d, e)
-    img = hochschild_differential(host, f.degree, hat)
-    labels = _labels_from_hat(img, d, e)
-    if dendriform_hat(labels, d, e).map != img.map:
+    hat, _ = dendriform_embedding(k, d.dim, e.dim)
+    hat_next, unhat_next = dendriform_embedding(k + 1, d.dim, e.dim)
+    image = hochschild_matrix(host, k) * hat
+    out = unhat_next * image
+    if hat_next * out != image:
         raise StructuralError(
             "the doubled differential left the labelled embedding")
-    return labels
+    return out
 
 
-def psi_map(x, b, k, f):
-    """Comparison map from degree-k cochains on (M_Tot, base) to labelled
-    degree-(k+1) cochains on (M, fiber).
+def psi_matrix(x, b, k):
+    """Matrix of the comparison map from degree-k cochains on (M_Tot, base)
+    to labelled degree-(k+1) cochains on (M, fiber), k >= 1.
 
     Label 1 pairs the leading argument against the value from the left
     with sign (-1)^(k+1); labels 2..k vanish; label k+1 pairs the trailing
     argument from the right.
     """
+    if k < 1:
+        raise ShapeError("the comparison map starts in degree 1")
     dM, dB, dN = x.module.dim, b.base.dim, b.fiber.dim
-    if f.degree != k:
-        raise ShapeError(f"cochain degree {f.degree} != {k}")
-    if f.map.domain_dim != dM ** k or f.map.codomain_dim != dB:
-        raise ShapeError("input must map M^(x)k into the base")
-    ti_out = TensorIndex((dM,) * (k + 1))
-    ti_in = TensorIndex((dM,) * k)
-    fm = f.map.matrix
+    ti_out, ti_in = TensorIndex((dM,) * (k + 1)), TensorIndex((dM,) * k)
+    size, size_in = ti_out.size, ti_in.size
+    last = k * dN * size                        # start of label k+1
     sign = ONE if k % 2 else -ONE               # (-1)^(k+1)
-    first = Matrix(dN, ti_out.size)
-    last = Matrix(dN, ti_out.size)
-    for flat in range(ti_out.size):
+    out = Matrix((k + 1) * dN * size, dB * size_in)
+    for flat in range(size):
         mt = ti_out.unflatten(flat)
         lead = ti_in.flatten(mt[1:])
         trail = ti_in.flatten(mt[:k])
         for vb in range(dB):
-            fv = fm.at(vb, lead)
-            if fv:
-                for w, c in enumerate(b.left_pair.data[mt[0]][vb]):
-                    if c:
-                        first.add(w, flat, sign * fv * c)
-            fv = fm.at(vb, trail)
-            if fv:
-                for w, c in enumerate(b.right_pair.data[vb][mt[k]]):
-                    if c:
-                        last.add(w, flat, fv * c)
-    maps = [LinearMap.zero(ti_out.size, dN) for _ in range(k + 1)]
-    maps[0] = LinearMap(ti_out.size, dN, first)
-    maps[k] = LinearMap(ti_out.size, dN, last)
-    return DendriformCochain(k + 1, maps)
+            for w, c in enumerate(b.left_pair.data[mt[0]][vb]):
+                if c:
+                    out.add(w * size + flat, vb * size_in + lead, sign * c)
+            for w, c in enumerate(b.right_pair.data[vb][mt[k]]):
+                if c:
+                    out.add(last + w * size + flat, vb * size_in + trail, c)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Seeded generators for structures, bimodules, and cochains.
 
-The property-style tests and the randomized command line checks both
-need a stream of structures that provably satisfy their defining
-identities while still exercising generic entries.  The recipe: keep a
+The property-style tests and the benchmark need a stream of structures
+that provably satisfy their defining identities while still exercising
+generic entries.  No other module of the package imports this one, so
+no command draws random input.  The recipe: keep a
 small catalog of hand-built examples, then push each one through a
 random invertible change of basis.  A change of basis preserves every
 identity on the nose (the checks are exact, so this matters), and the
@@ -17,12 +18,9 @@ from __future__ import annotations
 from random import Random
 
 from .algebra import (
-    AssocAlgebra, Bimodule, HochschildCochain, LinearMap, StructureConstants,
-    basis_vec,
+    AssocAlgebra, Bimodule, LinearMap, StructureConstants, basis_vec,
 )
-from .cohomology import (
-    DendriformCochain, RRBCochain, cochain_space_dims, rrb_differential_matrix,
-)
+from .cohomology import RRBCochain, cochain_space_dims, rrb_differential_matrix
 from .linalg import Matrix, Q, inverse, kernel_basis
 from .rrb import (
     RMatrix, RelativeRBAlgebra, TwoTermComplex, endomorphism_rrb,
@@ -354,21 +352,3 @@ def random_rrb_cocycle(seed, x, b, k):
                 if entry:
                     vec[idx] += coeff * entry
     return RRBCochain.from_vector(x, b, k, tuple(vec))
-
-
-def random_hochschild_cochain(seed, mod, k, density=0.7, span=3):
-    """Random k-cochain on the algebra of mod with values in mod."""
-    rng = _rng(seed)
-    dom = mod.over.dim ** k
-    return HochschildCochain(
-        k, random_linear_map(rng, dom, mod.dim, density, span),
-        alg_dim=mod.over.dim)
-
-
-def random_dendriform_cochain(seed, den, rep, k, density=0.7, span=3):
-    """Random labelled k-cochain: one map per label position."""
-    rng = _rng(seed)
-    dom = den.dim ** k
-    return DendriformCochain(
-        k, tuple(random_linear_map(rng, dom, rep.dim, density, span)
-                 for _ in range(k)))

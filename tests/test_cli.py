@@ -68,8 +68,8 @@ def test_report_commands_pass_on_seeded_pair(tmp_path, capsys):
     path = tmp_path / "pair.json"
     write_pair_fixture(path)
     for argv in (["validate"], ["cohomology"], ["hochschild"],
-                 ["derivations"], ["dendriform"],
-                 ["chainmap-check", "--trials", "2"]):
+                 ["derivations"], ["dendriform"], ["chainmap-check"],
+                 ["chainmap-check", "--degree", "2"]):
         rc, _ = run(capsys, *argv, str(path))
         assert rc == 0, argv
 
@@ -171,16 +171,27 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     outs = []
     for _ in range(2):
         rc, out = run(capsys, "chainmap-check", str(path), "--degree", "1",
-                      "--trials", "3", "--seed", "7", "--format", "json")
+                      "--format", "json")
         assert rc == 0
         outs.append(out)
     assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == {"command": "chainmap-check", "ok": True,
+                                   "degree": 1}
     outs = []
     for _ in range(2):
         rc, out = run(capsys, "derivations", str(path))
         assert rc == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("option", ["--trials", "--seed"])
+def test_chainmap_check_takes_no_sampling_options(tmp_path, capsys, option):
+    path = tmp_path / "pair.json"
+    write_pair_fixture(path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chainmap-check", str(path), option, "2"])
+    assert exc.value.code == 2
 
 
 # ------------------------------------------------------------ exit code 1
@@ -210,6 +221,29 @@ def test_extend_rejects_non_cocycle_naming_component(tmp_path, capsys):
     assert rc == 1
     assert "not a cocycle: the differential is nonzero in" in out
     assert not (tmp_path / "never.json").exists()
+
+
+def test_chainmap_check_fails_on_a_sign_error(tmp_path, capsys, monkeypatch):
+    # sample 6 has nonzero pairings, so both sides of the identity are
+    # nonzero; negating label 1 of the degree-1 comparison map breaks it
+    path = tmp_path / "pair.json"
+    write_pair_fixture(path, seed=6)
+    rc, out = run(capsys, "chainmap-check", str(path))
+    assert (rc, out) == (0, "chain map at degree 1: pass\n")
+    psi = cli.psi_matrix
+
+    def label_one_negated(x, b, k):
+        m = psi(x, b, k)
+        if k == 1:
+            for i, j, v in list(m.nonzero_items()):
+                if i < b.fiber.dim * x.module.dim ** 2:
+                    m.add(i, j, -2 * v)
+        return m
+
+    monkeypatch.setattr(cli, "psi_matrix", label_one_negated)
+    rc, out = run(capsys, "chainmap-check", str(path))
+    assert rc == 1
+    assert out == "chain map at degree 1: FAIL\n"
 
 
 def test_commands_guard_invalid_inputs(tmp_path, capsys):

@@ -8,14 +8,14 @@ import pytest
 from rotabaxter import cohomology, fileformat as ff
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
-    HochschildCochain, LinearMap, ShapeError, basis_vec,
-    hochschild_cohomology_dims, hochschild_differential,
+    LinearMap, ShapeError, StructuralError, basis_vec,
+    hochschild_cohomology_dims, hochschild_matrix,
 )
 from rotabaxter.cohomology import (
-    DendriformCochain, MixedTensorSpace, RBCochain, RRBCochain,
-    check_derivation, cochain_space_dims, delta_AB, delta_MB, delta_alpha_AN,
-    dendriform_differential, dendriform_hat, derivation_basis, h_R, psi_map,
-    rb_restrict, rrb_cohomology_dims, rrb_differential,
+    MixedTensorSpace, RBCochain, RRBCochain, check_derivation,
+    cochain_space_dims, delta_AB, delta_MB, delta_alpha_AN,
+    dendriform_differential_matrix, dendriform_embedding, derivation_basis,
+    h_R, psi_matrix, rb_restrict, rrb_cohomology_dims, rrb_differential,
     rrb_differential_matrix, semidirect_complex, semidirect_inclusion_matrix,
 )
 from rotabaxter.linalg import (
@@ -31,8 +31,7 @@ from rotabaxter.rrb_modules import (
     induced_dendriform_representation, mtot_action_bimodule,
 )
 from rotabaxter.samples import (
-    bump_map, random_dendriform_cochain, random_hochschild_cochain,
-    random_linear_map, random_rrb_cochain, random_rrb_cocycle,
+    bump_map, random_linear_map, random_rrb_cochain, random_rrb_cocycle,
     random_rrb_pair, random_transport_pair,
 )
 
@@ -705,81 +704,96 @@ def labelled_fixture():
     return x, b, den, e
 
 
-def test_hat_of_zero_is_zero():
-    _, _, den, e = labelled_fixture()
-    for k in (1, 2):
-        f = DendriformCochain.zero(k, den.dim, e.dim)
-        assert dendriform_hat(f, den, e).map.matrix.is_zero()
-
-
 def test_hat_identity_block_shape():
-    den = DendriformAlgebra.zero(1)
-    e = DendriformRepresentation.zero(den, 1)
-    f = DendriformCochain(1, (LinearMap.identity(1),))
-    hat = dendriform_hat(f, den, e)
-    assert hat.map.matrix == Matrix.identity(2)
+    # one label, D = E = 1: the hat of the identity map is the 2x2 identity
+    hat, _ = dendriform_embedding(1, 1, 1)
+    assert Matrix(2, 2, hat.apply((Q(1),))) == Matrix.identity(2)
 
 
-def test_hat_recovery_on_random_cochains():
+def test_unhat_inverts_hat():
     _, _, den, e = labelled_fixture()
     dD, dE = den.dim, e.dim
-    for k in (1, 2):
-        f = random_dendriform_cochain(70 + k, den, e, k)
-        hat = dendriform_hat(f, den, e)
-        for i in range(1, k + 1):
+    for k in (1, 2, 3):
+        hat, unhat = dendriform_embedding(k, dD, dE)
+        assert unhat * hat == Matrix.identity(hat.cols), k
+        host = (2 * dD) ** k
+        cols, rows = hat.transpose().row_dicts(), unhat.row_dicts()
+        for i in range(k):
             for tup in product(range(dD), repeat=k):
-                host = [basis_vec(2 * dD, v if p != i - 1 else dD + v)
-                        for p, v in enumerate(tup)]
-                got = hat.map(kron(host))[dE:]
-                want = f.component(i)(basis_vec(dD ** k,
-                                                flat_index([dD] * k, tup)))
-                assert got == tuple(want), (k, i, tup)
-
-
-def test_labelled_differential_of_zero_is_zero():
-    _, _, den, e = labelled_fixture()
-    for k in (1, 2):
-        img = dendriform_differential(DendriformCochain.zero(k, den.dim,
-                                                             e.dim), den, e)
-        assert img.degree == k + 1 and img.is_zero()
+                shifted = tuple(v + dD if p == i else v
+                                for p, v in enumerate(tup))
+                first = flat_index([2 * dD] * k, tup)
+                second = flat_index([2 * dD] * k, shifted)
+                for w in range(dE):
+                    col = (i * dE + w) * dD ** k + flat_index([dD] * k, tup)
+                    assert cols[col] == {w * host + first: 1,
+                                         (dE + w) * host + second: 1}
+                    assert rows[col] == {(dE + w) * host + second: 1}
 
 
 def test_labelled_differential_squares_to_zero():
-    _, _, den, e = labelled_fixture()
-    for k in (1, 2):
-        f = random_dendriform_cochain(80 + k, den, e, k)
-        twice = dendriform_differential(dendriform_differential(f, den, e),
-                                        den, e)
-        assert twice.is_zero()
+    for x in (nilpotent_shift_rrb(), one_sided_rrb()):
+        den, _, _ = induced_dendriform(x)
+        e = induced_dendriform_representation(adjoint_bimodule(x))
+        for k in (1, 2):
+            twice = (dendriform_differential_matrix(den, e, k + 1) *
+                     dendriform_differential_matrix(den, e, k))
+            assert twice.is_zero(), k
 
 
 def test_labelled_differential_vanishes_over_zero_dendriform():
     den = DendriformAlgebra.zero(2)
     e = DendriformRepresentation.zero(den, 2)
     for k in (1, 2):
-        f = random_dendriform_cochain(90 + k, den, e, k)
-        assert dendriform_differential(f, den, e).is_zero()
+        d = dendriform_differential_matrix(den, e, k)
+        assert (d.rows, d.cols) == ((k + 1) * 2 * 2 ** (k + 1),
+                                    k * 2 * 2 ** k)
+        assert d.is_zero()
+
+
+def test_labelled_differential_raises_off_the_embedding(monkeypatch):
+    # a host differential that lands on tuples with two second-component
+    # arguments leaves the embedded subspace, which the guard must catch
+    _, _, den, e = labelled_fixture()
+    dD = den.dim
+
+    def off_embedding(mod, k):
+        out = Matrix(mod.dim * mod.over.dim ** (k + 1),
+                     mod.dim * mod.over.dim ** k)
+        row = flat_index([2 * dD] * (k + 1), (dD,) * (k + 1))
+        for j in range(out.cols):
+            out.add(row, j, Q(1))
+        return out
+
+    monkeypatch.setattr(cohomology, "hochschild_matrix", off_embedding)
+    with pytest.raises(StructuralError):
+        dendriform_differential_matrix(den, e, 1)
 
 
 # ----------------------------------------------------------- chain map
 
 
 def test_pairing_map_of_zero_is_zero():
-    x, b, den, e = labelled_fixture()
-    for k in (1, 2):
-        f = HochschildCochain(
-            k, LinearMap.zero(x.module.dim ** k, b.base.dim),
-            alg_dim=x.module.dim)
-        assert psi_map(x, b, k, f).is_zero()
+    # zero goes to zero, and labels 2..k are zero whatever the input
+    x, b, _, _ = labelled_fixture()
+    for k in (1, 2, 3):
+        psi = psi_matrix(x, b, k)
+        assert not any(psi.apply((Q(0),) * psi.cols))
+        label = b.fiber.dim * x.module.dim ** (k + 1)
+        rows = psi.row_dicts()
+        assert psi.rows == (k + 1) * label
+        assert any(rows[:label]) and any(rows[k * label:])
+        assert not any(rows[label:k * label])
 
 
 def test_pairing_map_vanishes_without_pairings():
     x = nilpotent_shift_rrb()
     b = RRBBimodule.zero(x, 2, 2)
     for k in (1, 2):
-        f = random_hochschild_cochain(95 + k,
-                                      mtot_action_bimodule(b).actions, k)
-        assert psi_map(x, b, k, f).is_zero()
+        psi = psi_matrix(x, b, k)
+        assert (psi.rows, psi.cols) == ((k + 1) * 2 * 2 ** (k + 1),
+                                        2 * 2 ** k)
+        assert psi.is_zero()
 
 
 def test_pairing_map_is_a_chain_map():
@@ -791,18 +805,20 @@ def test_pairing_map_is_a_chain_map():
         e = induced_dendriform_representation(b)
         actions = mtot_action_bimodule(b).actions
         for k in (1, 2):
-            f = random_hochschild_cochain(100 + k, actions, k)
-            lhs = dendriform_differential(psi_map(x, b, k, f), den, e)
-            rhs = psi_map(x, b, k + 1,
-                          hochschild_differential(actions, k, f))
+            lhs = dendriform_differential_matrix(den, e, k + 1) * \
+                psi_matrix(x, b, k)
+            rhs = psi_matrix(x, b, k + 1) * hochschild_matrix(actions, k)
             assert lhs == rhs, (k,)
 
 
 def test_pairing_map_rejects_wrong_shape():
-    x, b, _, _ = labelled_fixture()
-    bad = HochschildCochain(1, LinearMap.zero(x.module.dim + 1, b.base.dim))
+    x, b, den, e = labelled_fixture()
     with pytest.raises(ShapeError):
-        psi_map(x, b, 1, bad)
+        psi_matrix(x, b, 0)
+    with pytest.raises(ShapeError):
+        dendriform_embedding(0, den.dim, e.dim)
+    with pytest.raises(ShapeError):
+        dendriform_differential_matrix(den, e, 0)
 
 
 # ------------------------------------------------- semidirect subcomplex
