@@ -8,9 +8,17 @@ verifies them on basis tuples only; that is equivalent to the full statement.
 Hochschild cochains of degree k are linear maps A^{(x) k} -> M, flattened with
 the big-endian convention of linalg.TensorIndex.  Degree 0 cochains are
 elements of M, i.e. maps from the empty tensor product (the base field).
+
+Every structure on a direct sum (semidirect products, square-zero
+extensions, lifted and glued structures elsewhere) is assembled by
+block_constants: the first summand's basis comes first, and each block sits
+at its summands' offsets.  bilinear reads a map on a flattened U (x) V as
+such a block.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .linalg import (
     Matrix, Q, TensorIndex, ZERO, format_rational, homology_dims,
@@ -125,8 +133,8 @@ class StructureConstants:
     __slots__ = ("dim_left", "dim_right", "dim_out", "data")
 
     def __init__(self, dim_left, dim_right, dim_out, data):
-        data = tuple(tuple(tuple(Q(x) for x in row) for row in plane)
-                     for plane in data)
+        data = tuple(tuple(tuple(x if type(x) is Q else Q(x) for x in row)
+                           for row in plane) for plane in data)
         if len(data) != dim_left or any(len(p) != dim_right for p in data) \
                 or any(len(r) != dim_out for p in data for r in p):
             raise ShapeError(
@@ -209,12 +217,6 @@ class StructureConstants:
     def __sub__(self, other):
         return self + (-other)
 
-    def flip(self):
-        """Swap the two inputs: c'[j][i][k] = c[i][j][k]."""
-        return StructureConstants.build(
-            self.dim_right, self.dim_left, self.dim_out,
-            lambda j, i: self.data[i][j])
-
 
 class LinearMap:
     """Linear map with explicit domain/codomain dims and its matrix."""
@@ -273,6 +275,42 @@ class LinearMap:
         return isinstance(other, LinearMap) and self.matrix == other.matrix
 
 
+def block_constants(left, right, out, blocks):
+    """Structure constants on direct sums, assembled from blocks.
+
+    left, right and out list the summand dimensions of the two inputs and
+    of the output; each sum takes its first summand's basis first.  blocks
+    maps (p, q, r) to the constants of summand p (x) summand q -> summand
+    r, placed at those summands' offsets; every other block is zero.
+    """
+    lo, ro, oo = ([0, *accumulate(dims)] for dims in (left, right, out))
+    data = [[[ZERO] * oo[-1] for _ in range(ro[-1])] for _ in range(lo[-1])]
+    for (p, q, r), t in blocks.items():
+        if (t.dim_left, t.dim_right, t.dim_out) != (left[p], right[q], out[r]):
+            raise ShapeError(
+                f"block {(p, q, r)} is {t.dim_left}x{t.dim_right}x"
+                f"{t.dim_out}, its summands are {left[p]}x{right[q]}x{out[r]}")
+        for i, j, k, v in t.items():
+            data[lo[p] + i][ro[q] + j][oo[r] + k] = v
+    return StructureConstants(lo[-1], ro[-1], oo[-1], data)
+
+
+def bilinear(lin, dim_left, dim_right):
+    """A linear map on the flattened U (x) V as the bilinear map U (x) V -> W.
+
+    Both factor dimensions are given, since either may be 0.
+    """
+    if lin.domain_dim != dim_left * dim_right:
+        raise ShapeError(f"map on dimension {lin.domain_dim} is not bilinear "
+                         f"on {dim_left} x {dim_right}")
+    data = [[[ZERO] * lin.codomain_dim for _ in range(dim_right)]
+            for _ in range(dim_left)]
+    for k, t, v in lin.matrix.nonzero_items():
+        i, j = divmod(t, dim_right)
+        data[i][j][k] = v
+    return StructureConstants(dim_left, dim_right, lin.codomain_dim, data)
+
+
 def default_names(prefix, dim):
     return tuple(f"{prefix}{i}" for i in range(dim))
 
@@ -296,9 +334,6 @@ class AssocAlgebra:
     def zero(dim, basis_names=None):
         return AssocAlgebra(dim, StructureConstants.zero(dim, dim, dim),
                             basis_names)
-
-    def multiply(self, x, y):
-        return self.mu(x, y)
 
 
 class Bimodule:
@@ -334,12 +369,6 @@ class Bimodule:
         """The algebra acting on itself by its own multiplication."""
         return Bimodule(over, over.dim, over.mu, over.mu,
                         basis_names or over.basis_names)
-
-    def act_left(self, a, m):
-        return self.left(a, m)
-
-    def act_right(self, m, a):
-        return self.right(m, a)
 
 
 def check_associativity(alg):
@@ -395,55 +424,22 @@ def dual_bimodule(mod):
     return Bimodule(alg, dM, left, right, names)
 
 
+def _square_zero(dims, pure, left, right):
+    # product on X (+) Y: pure on X (x) X, the actions into Y, zero on Y (x) Y
+    return block_constants(dims, dims, dims, {
+        (0, 0, 0): pure, (0, 1, 1): left, (1, 0, 1): right})
+
+
 def semidirect_algebra(mod):
     """Algebra on A (+) M with (a,m)(a',m') = (a a', a.m' + m.a').
 
     Basis order: A basis first, then M basis.
     """
     alg = mod.over
-    dA, dM = alg.dim, mod.dim
-    n = dA + dM
-
-    def product(i, j):
-        out = [ZERO] * n
-        if i < dA and j < dA:
-            for k, v in enumerate(alg.mu.data[i][j]):
-                out[k] = v
-        elif i < dA:
-            for k, v in enumerate(mod.left.data[i][j - dA]):
-                out[dA + k] = v
-        elif j < dA:
-            for k, v in enumerate(mod.right.data[i - dA][j]):
-                out[dA + k] = v
-        return out
-
-    names = alg.basis_names + mod.basis_names
-    return AssocAlgebra(n, StructureConstants.build(n, n, n, product), names)
-
-
-class HochschildCochain:
-    """Degree-k cochain: a linear map A^{(x) k} -> M."""
-
-    __slots__ = ("degree", "map")
-
-    def __init__(self, degree, linmap, alg_dim=None):
-        if degree < 0:
-            raise ShapeError(f"cochain degree must be >= 0, got {degree}")
-        if alg_dim is not None and linmap.domain_dim != alg_dim ** degree:
-            raise ShapeError(
-                f"degree-{degree} cochain needs domain {alg_dim ** degree}")
-        self.degree = degree
-        self.map = linmap
-
-    def vector(self):
-        """Row-major flattening of the matrix: coordinate order (target, tuple)."""
-        return self.map.matrix.entries
-
-    @staticmethod
-    def from_vector(degree, dim_dom, dim_cod, vec):
-        return HochschildCochain(
-            degree, LinearMap(dim_dom, dim_cod,
-                              Matrix(dim_cod, dim_dom, vec)))
+    dims = (alg.dim, mod.dim)
+    return AssocAlgebra(
+        sum(dims), _square_zero(dims, alg.mu, mod.left, mod.right),
+        alg.basis_names + mod.basis_names)
 
 
 def hochschild_matrix(mod, k):
@@ -452,6 +448,8 @@ def hochschild_matrix(mod, k):
     Cochain coordinates are row-major matrix entries: index = w * dimA^k + t
     for target coordinate w and flattened input tuple t.
     """
+    if k < 0:
+        raise ShapeError(f"cochain degree must be >= 0, got {k}")
     alg = mod.over
     dA, dM = alg.dim, mod.dim
     dom = dA ** k
@@ -495,19 +493,6 @@ def hochschild_matrix(mod, k):
                 out.add(row, v * dom + t_in,
                         sign * mod.right.data[v][tup[k]][w])
     return out
-
-
-def hochschild_differential(mod, k, cochain):
-    """Apply the degree-k Hochschild differential to a cochain."""
-    alg = mod.over
-    if cochain.degree != k:
-        raise ShapeError(f"cochain degree {cochain.degree} != {k}")
-    if cochain.map.domain_dim != alg.dim ** k or \
-            cochain.map.codomain_dim != mod.dim:
-        raise ShapeError("cochain shape does not match (algebra, bimodule)")
-    vec = hochschild_matrix(mod, k).apply(cochain.vector())
-    return HochschildCochain.from_vector(
-        k + 1, alg.dim ** (k + 1), mod.dim, vec)
 
 
 def hochschild_cohomology_dims(mod, max_degree):
@@ -629,40 +614,12 @@ def _square_zero_dendriform(rep):
     the identity list is generated.  Tuples with two or more E slots vanish
     identically on both sides, so nothing extra is imposed.
     """
-    dD, dE = rep.over.dim, rep.dim
-    n = dD + dE
-
-    def embed(tensor, row_off, col_off):
-        def fn(i, j):
-            out = [ZERO] * n
-            if row_off <= i < row_off + tensor.dim_left and \
-                    col_off <= j < col_off + tensor.dim_right:
-                for k, v in enumerate(
-                        tensor.data[i - row_off][j - col_off]):
-                    out[dD + k] = v  # outputs land in the E block
-            return out
-        return fn
-
-    def combine(pure, left_act, right_act):
-        def fn(i, j):
-            if i < dD and j < dD:
-                out = [ZERO] * n
-                for k, v in enumerate(pure.data[i][j]):
-                    out[k] = v
-                return out
-            if i < dD:
-                return embed(left_act, 0, dD)(i, j)
-            if j < dD:
-                return embed(right_act, dD, 0)(i, j)
-            return [ZERO] * n
-        return fn
-
     den = rep.over
-    prec = StructureConstants.build(
-        n, n, n, combine(den.prec, rep.left_prec, rep.right_prec))
-    succ = StructureConstants.build(
-        n, n, n, combine(den.succ, rep.left_succ, rep.right_succ))
-    return DendriformAlgebra(n, prec, succ)
+    dims = (den.dim, rep.dim)
+    return DendriformAlgebra(
+        sum(dims),
+        _square_zero(dims, den.prec, rep.left_prec, rep.right_prec),
+        _square_zero(dims, den.succ, rep.left_succ, rep.right_succ))
 
 
 def check_dendriform_representation(rep):

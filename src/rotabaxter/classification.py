@@ -8,7 +8,9 @@ induces a bimodule on the fiber and measures its own failure to split
 the products by a degree-2 cochain; that cochain is a cocycle, its
 class does not depend on the section, and cocycles differing by a
 coboundary give isomorphic extensions.  build_extension and
-extract_cocycle are the two constructive directions.
+extract_cocycle are the two constructive directions; build_extension
+adds the cocycle's blocks to the semidirect product, so the zero cocycle
+glues the semidirect product by construction.
 
 Second half: two-term homotopy data, meaning a chain complex with a
 binary product that is associative only up to a ternary corrector, a
@@ -27,20 +29,17 @@ from itertools import product
 from .algebra import (
     AssocAlgebra, Bimodule, LinearMap, Report, ShapeError, StructuralError,
     StructureConstants, Violation, add_vec, basis_vec, check_associativity,
-    check_bimodule, sub_vec,
+    bilinear, block_constants, check_bimodule, sub_vec,
 )
 from .cohomology import (
     RRBCochain, cocycle_report, rrb_differential, rrb_differential_matrix,
 )
-from .linalg import Matrix, Q, rank, solve
+from .linalg import Matrix, paste, rank, solve
 from .rrb import (
     RelativeRBAlgebra, RRBMorphism, TwoTermComplex, check_morphism,
     check_relative_rb,
 )
-from .rrb_modules import RRBBimodule, check_rrb_bimodule
-
-ZERO = Q(0)
-ONE = Q(1)
+from .rrb_modules import RRBBimodule, check_rrb_bimodule, semidirect_rrb
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +208,13 @@ def check_abelian_extension(e):
 
 
 def _block_incl(small, big, offset):
-    entries = tuple(ONE if i == offset + j else ZERO
-                    for i in range(big) for j in range(small))
-    return LinearMap(small, big, Matrix(big, small, entries))
+    return LinearMap.from_matrix(
+        paste(Matrix(big, small), Matrix.identity(small), offset))
 
 
 def _block_proj(big, small):
-    entries = tuple(ONE if i == j else ZERO
-                    for i in range(small) for j in range(big))
-    return LinearMap(big, small, Matrix(small, big, entries))
+    return LinearMap.from_matrix(
+        paste(Matrix(small, big), Matrix.identity(small)))
 
 
 def build_extension(x, b, c):
@@ -230,81 +227,35 @@ def build_extension(x, b, c):
         (m, n).(a, b)  = (m.a,  l(m, b) + n.a + beta_1(m, a))
         R-hat(m, n)    = (R(m), S(n) + gamma(m))
 
-    with beta_1, beta_2 the two slot maps of the cochain.  Gluing along
-    the zero cocycle reproduces the semidirect structure of b.
+    with beta_1, beta_2 the two slot maps of the cochain: the semidirect
+    structure of b plus the cochain's four blocks, so the zero cocycle
+    glues exactly the semidirect product.
     """
     if c.degree != 2:
         raise ShapeError("extensions are glued along degree-2 cochains")
     c.validate(x, b)
     cocycle_report(x, b, c, strict=True)
-    alg, mod = x.algebra, x.module
-    dA, dM = alg.dim, mod.dim
+    dA, dM = x.algebra.dim, x.module.dim
     dB, dN = b.base.dim, b.fiber.dim
-    nA, nM = dA + dB, dM + dN
+    alg_dims, mod_dims = (dA, dB), (dM, dN)
     alpha, (beta1, beta2), gamma = c.alpha, c.beta, c.gamma
-
-    def hat_mu(i, j):
-        out = [ZERO] * nA
-        if i < dA and j < dA:
-            for k, v in enumerate(alg.mu.data[i][j]):
-                out[k] = v
-            for k, v in enumerate(alpha(basis_vec(dA * dA, i * dA + j))):
-                out[dA + k] = v
-        elif i < dA:
-            for k, v in enumerate(b.base.left.data[i][j - dA]):
-                out[dA + k] = v
-        elif j < dA:
-            for k, v in enumerate(b.base.right.data[i - dA][j]):
-                out[dA + k] = v
-        return out
-
-    def hat_left(i, u):
-        out = [ZERO] * nM
-        if i < dA and u < dM:
-            for k, v in enumerate(mod.left.data[i][u]):
-                out[k] = v
-            for k, v in enumerate(beta2(basis_vec(dA * dM, i * dM + u))):
-                out[dM + k] = v
-        elif i < dA:
-            for k, v in enumerate(b.fiber.left.data[i][u - dM]):
-                out[dM + k] = v
-        elif u < dM:
-            for k, v in enumerate(b.right_pair.data[i - dA][u]):
-                out[dM + k] = v
-        return out
-
-    def hat_right(u, i):
-        out = [ZERO] * nM
-        if u < dM and i < dA:
-            for k, v in enumerate(mod.right.data[u][i]):
-                out[k] = v
-            for k, v in enumerate(beta1(basis_vec(dM * dA, u * dA + i))):
-                out[dM + k] = v
-        elif u < dM:
-            for k, v in enumerate(b.left_pair.data[u][i - dA]):
-                out[dM + k] = v
-        elif i < dA:
-            for k, v in enumerate(b.fiber.right.data[u - dM][i]):
-                out[dM + k] = v
-        return out
-
+    split = semidirect_rrb(b)
     big_alg = AssocAlgebra(
-        nA, StructureConstants.build(nA, nA, nA, hat_mu),
-        alg.basis_names + b.base.basis_names)
+        dA + dB, split.algebra.mu + block_constants(
+            alg_dims, alg_dims, alg_dims,
+            {(0, 0, 1): bilinear(alpha, dA, dA)}),
+        split.algebra.basis_names)
     big_mod = Bimodule(
-        big_alg, nM,
-        StructureConstants.build(nA, nM, nM, hat_left),
-        StructureConstants.build(nM, nA, nM, hat_right),
-        mod.basis_names + b.fiber.basis_names)
-    flat = []
-    for i in range(dA):
-        flat.extend(x.rop.matrix.row(i))
-        flat.extend([ZERO] * dN)
-    for w in range(dB):
-        flat.extend(gamma.matrix.row(w))
-        flat.extend(b.sop.matrix.row(w))
-    total = RelativeRBAlgebra(big_alg, big_mod,
-                              LinearMap(nM, nA, Matrix(nA, nM, flat)))
+        big_alg, dM + dN,
+        split.module.left + block_constants(
+            alg_dims, mod_dims, mod_dims,
+            {(0, 0, 1): bilinear(beta2, dA, dM)}),
+        split.module.right + block_constants(
+            mod_dims, alg_dims, mod_dims,
+            {(0, 0, 1): bilinear(beta1, dM, dA)}),
+        split.module.basis_names)
+    rop = split.rop.matrix + paste(Matrix(dA + dB, dM + dN), gamma.matrix, dA)
+    total = RelativeRBAlgebra(big_alg, big_mod, LinearMap.from_matrix(rop))
     for bad in (check_associativity(big_alg), check_bimodule(big_mod),
                 check_relative_rb(total)):
         if not bad:
@@ -313,8 +264,8 @@ def build_extension(x, b, c):
                 "is not valid:\n" + bad.describe())
     return AbelianExtension(
         x, TwoTermComplex(dB, dN, b.sop), total,
-        _block_incl(dB, nA, dA), _block_incl(dN, nM, dM),
-        _block_proj(nA, dA), _block_proj(nM, dM))
+        _block_incl(dB, dA + dB, dA), _block_incl(dN, dM + dN, dM),
+        _block_proj(dA + dB, dA), _block_proj(dM + dN, dM))
 
 
 def extract_cocycle(e, sec):
@@ -961,9 +912,4 @@ def triple_to_skeletal(x, b, c, verify=True):
         (x.module.left, b.fiber.left, b.right_pair),
         (x.module.right, b.left_pair, b.fiber.right),
         c.beta)
-    r = HomotopyRRBOperator(
-        x.rop, b.sop,
-        StructureConstants.build(
-            dM, dM, dB,
-            lambda u, v: c.gamma(basis_vec(dM * dM, u * dM + v))))
-    return a, m, r
+    return a, m, HomotopyRRBOperator(x.rop, b.sop, bilinear(c.gamma, dM, dM))

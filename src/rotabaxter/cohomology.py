@@ -34,10 +34,10 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from .algebra import (
-    Bimodule, HochschildCochain, LinearMap, Report, ShapeError,
-    StructuralError, basis_vec, hochschild_differential, hochschild_matrix,
+    Bimodule, LinearMap, Report, ShapeError, StructuralError, basis_vec,
+    hochschild_matrix,
 )
-from .linalg import Matrix, Q, TensorIndex, homology_dims, kernel_basis
+from .linalg import Matrix, Q, TensorIndex, homology_dims, kernel_basis, paste
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
     RRBBimodule, adjoint_bimodule, dendriform_to_rrb, lift_bimodule,
@@ -213,11 +213,6 @@ def cochain_space_dims(x, b, k):
     return (dA ** k * dB, k * dA ** (k - 1) * dM * dN, dM ** (k - 1) * dB)
 
 
-def _paste(dst, src, row_off, col_off):
-    for i, j, v in src.nonzero_items():
-        dst.add(row_off + i, col_off + j, v)
-
-
 def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
     """Rows of the fiber-valued output block.
 
@@ -361,53 +356,13 @@ def rrb_differential_matrix(x, b, k):
     a_in, bt_in, g_in = cochain_space_dims(x, b, k)
     a_out, bt_out, g_out = cochain_space_dims(x, b, k + 1)
     out = Matrix(a_out + bt_out + g_out, a_in + bt_in + g_in)
-    _paste(out, hochschild_matrix(b.base, k), 0, 0)
+    paste(out, hochschild_matrix(b.base, k))
     _twisted_block(out, x, b, k, a_out, 0, a_in)
     _operator_block(out, x, b, k, a_out + bt_out, 0, a_in)
     if k >= 2:
-        _paste(out, hochschild_matrix(mtot_action_bimodule(b).actions, k - 1),
-               a_out + bt_out, a_in + bt_in)
+        paste(out, hochschild_matrix(mtot_action_bimodule(b).actions, k - 1),
+              a_out + bt_out, a_in + bt_in)
     return out
-
-
-# component-wise entry points
-
-
-def _alpha_beta_image(x, b, k, alpha, beta):
-    """The differential of (alpha, beta, gamma = 0) in degree k."""
-    gamma = None if k == 1 else LinearMap.zero(x.module.dim ** (k - 1),
-                                                b.base.dim)
-    return rrb_differential(x, b, k, RRBCochain(k, alpha, beta, gamma))
-
-
-def delta_AB(x, b, k, alpha):
-    """Hochschild differential of A on the base, applied to alpha."""
-    img = hochschild_differential(b.base, k, HochschildCochain(k, alpha))
-    return img.map
-
-
-def delta_alpha_AN(x, b, k, alpha, beta):
-    """The alpha-twisted differential on the slot maps; returns k+1 maps."""
-    return _alpha_beta_image(x, b, k, alpha, beta).beta
-
-
-def delta_MB(x, b, k, gamma):
-    """Hochschild differential of M_Tot on the base, applied to gamma.
-
-    gamma follows the degree-k convention: a map M^(x)(k-1) -> B, sent to
-    a map M^(x)k -> B.
-    """
-    if k < 1:
-        raise ShapeError("the gamma convention needs k >= 1")
-    actions = mtot_action_bimodule(b).actions
-    img = hochschild_differential(actions, k - 1,
-                                  HochschildCochain(k - 1, gamma))
-    return img.map
-
-
-def h_R(x, b, k, alpha, beta):
-    """The operator term feeding (alpha, beta) into the gamma block."""
-    return _alpha_beta_image(x, b, k, alpha, beta).gamma
 
 
 def rrb_differential(x, b, k, c):

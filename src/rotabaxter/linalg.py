@@ -3,9 +3,9 @@
 Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
 type, the one matrix type (row-sparse, built from dense entries or entry by
-entry), multi-index flattening for tensor powers, and the workhorses rank /
-kernel_basis / solve / inverse, and homology_dims, which sweeps a whole
-cochain complex.
+entry, with paste placing one matrix as a block of another), multi-index
+flattening for tensor powers, the workhorses rank / kernel_basis / solve /
+inverse, and homology_dims, which sweeps a whole cochain complex.
 
 These run one elimination kernel, _echelon.  It clears each row of
 denominators once and then works on primitive integer rows, with a column
@@ -241,6 +241,18 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def paste(dst, src, row_off=0, col_off=0):
+    """Add the block src into dst with its corner at (row_off, col_off);
+    returns dst.  The block must fit inside dst."""
+    if row_off + src.rows > dst.rows or col_off + src.cols > dst.cols:
+        raise ValueError(
+            f"{src.rows}x{src.cols} block at ({row_off}, {col_off}) does not "
+            f"fit in {dst.rows}x{dst.cols}")
+    for i, j, v in src.nonzero_items():
+        dst.add(row_off + i, col_off + j, v)
+    return dst
+
+
 class TensorIndex:
     """Big-endian mixed-radix flattening of a multi-index.
 
@@ -282,11 +294,6 @@ class TensorIndex:
             multi.append(flat % d)
             flat //= d
         return tuple(reversed(multi))
-
-    def all_indices(self):
-        """Iterate multi-indices in flattening order."""
-        for flat in range(self.size):
-            yield self.unflatten(flat)
 
 
 def _primitive(row):

@@ -18,7 +18,7 @@ from .algebra import (
     StructuralError, StructureConstants, add_vec, basis_vec,
     semidirect_algebra, total_algebra, zero_vec,
 )
-from .linalg import Matrix, Q, TensorIndex, kernel_basis, solve
+from .linalg import Matrix, Q, kernel_basis, paste, solve
 
 
 class RelativeRBAlgebra:
@@ -150,14 +150,9 @@ def lift_to_rb(x):
     check_relative_rb.
     """
     total = semidirect_algebra(x.module)
-    dA, dM = x.algebra.dim, x.module.dim
-    n = dA + dM
-    rows = []
-    for i in range(dA):
-        rows.append([Q(0)] * dA + list(x.rop.matrix.row(i)))
-    for _ in range(dM):
-        rows.append([Q(0)] * n)
-    return total, LinearMap(n, n, Matrix.from_rows(rows))
+    n = total.dim
+    return total, LinearMap.from_matrix(
+        paste(Matrix(n, n), x.rop.matrix, 0, x.algebra.dim))
 
 
 def induced_dendriform(x):

@@ -23,17 +23,15 @@ from __future__ import annotations
 
 from .algebra import (
     Bimodule, DendriformRepresentation, LinearMap, Report, ShapeError,
-    StructuralError, StructureConstants, add_vec, basis_vec, dual_bimodule,
-    semidirect_algebra, total_algebra,
+    StructuralError, StructureConstants, add_vec, basis_vec, block_constants,
+    dual_bimodule, semidirect_algebra, total_algebra,
 )
-from .linalg import Matrix, Q, inverse
+from .linalg import Matrix, inverse, paste
 # Rota-Baxter bimodule pairs are re-exported here so they live next to the
 # rest of the bimodule machinery.
 from .rrb import (
     RBBimodulePair, RelativeRBAlgebra, check_rb_bimodule, induced_dendriform,
 )
-
-ZERO = Q(0)
 
 
 class RRBBimodule:
@@ -239,49 +237,22 @@ def semidirect_rrb(b):
     Operator: R (+) S, block diagonal.  Basis order: A then B, M then N.
     """
     x = b.over
-    dA, dM = x.algebra.dim, x.module.dim
-    dB, dN = b.base.dim, b.fiber.dim
+    alg_dims = (x.algebra.dim, b.base.dim)
+    mod_dims = (x.module.dim, b.fiber.dim)
     big_alg = semidirect_algebra(b.base)
-    nA, nM = dA + dB, dM + dN
-
-    def left_act(i, u):
-        out = [ZERO] * nM
-        if i < dA and u < dM:
-            for k, v in enumerate(x.module.left.data[i][u]):
-                out[k] = v
-        elif i < dA:
-            for k, v in enumerate(b.fiber.left.data[i][u - dM]):
-                out[dM + k] = v
-        elif u < dM:
-            for k, v in enumerate(b.right_pair.data[i - dA][u]):
-                out[dM + k] = v
-        return out
-
-    def right_act(u, i):
-        out = [ZERO] * nM
-        if u < dM and i < dA:
-            for k, v in enumerate(x.module.right.data[u][i]):
-                out[k] = v
-        elif u < dM:
-            for k, v in enumerate(b.left_pair.data[u][i - dA]):
-                out[dM + k] = v
-        elif i < dA:
-            for k, v in enumerate(b.fiber.right.data[u - dM][i]):
-                out[dM + k] = v
-        return out
-
     big_mod = Bimodule(
-        big_alg, nM,
-        StructureConstants.build(nA, nM, nM, left_act),
-        StructureConstants.build(nM, nA, nM, right_act),
+        big_alg, sum(mod_dims),
+        block_constants(alg_dims, mod_dims, mod_dims, {
+            (0, 0, 0): x.module.left, (0, 1, 1): b.fiber.left,
+            (1, 0, 1): b.right_pair}),
+        block_constants(mod_dims, alg_dims, mod_dims, {
+            (0, 0, 0): x.module.right, (0, 1, 1): b.left_pair,
+            (1, 0, 1): b.fiber.right}),
         x.module.basis_names + b.fiber.basis_names)
-    rows = []
-    for i in range(dA):
-        rows.append(list(x.rop.matrix.row(i)) + [ZERO] * dN)
-    for w in range(dB):
-        rows.append([ZERO] * dM + list(b.sop.matrix.row(w)))
-    return RelativeRBAlgebra(big_alg, big_mod,
-                             LinearMap(nM, nA, Matrix.from_rows(rows)))
+    rop = Matrix(big_alg.dim, big_mod.dim)
+    paste(rop, x.rop.matrix)
+    paste(rop, b.sop.matrix, x.algebra.dim, x.module.dim)
+    return RelativeRBAlgebra(big_alg, big_mod, LinearMap.from_matrix(rop))
 
 
 def lift_bimodule(b):
@@ -300,48 +271,20 @@ def lift_bimodule(b):
         raise StructuralError("pairing identities fail:\n" +
                               pairing.describe())
     x = b.over
-    dA, dM = x.algebra.dim, x.module.dim
-    dB, dN = b.base.dim, b.fiber.dim
-    host = semidirect_algebra(x.module)
-    nB = dB + dN
-
-    def left_act(i, w):
-        out = [ZERO] * nB
-        if i < dA and w < dB:
-            for k, v in enumerate(b.base.left.data[i][w]):
-                out[k] = v
-        elif i < dA:
-            for k, v in enumerate(b.fiber.left.data[i][w - dB]):
-                out[dB + k] = v
-        elif w < dB:
-            for k, v in enumerate(b.left_pair.data[i - dA][w]):
-                out[dB + k] = v
-        return out
-
-    def right_act(w, i):
-        out = [ZERO] * nB
-        if w < dB and i < dA:
-            for k, v in enumerate(b.base.right.data[w][i]):
-                out[k] = v
-        elif w < dB:
-            for k, v in enumerate(b.right_pair.data[w][i - dA]):
-                out[dB + k] = v
-        elif i < dA:
-            for k, v in enumerate(b.fiber.right.data[w - dB][i]):
-                out[dB + k] = v
-        return out
-
+    alg_dims = (x.algebra.dim, x.module.dim)
+    mod_dims = (b.base.dim, b.fiber.dim)
     lifted = Bimodule(
-        host, nB,
-        StructureConstants.build(dA + dM, nB, nB, left_act),
-        StructureConstants.build(nB, dA + dM, nB, right_act),
+        semidirect_algebra(x.module), sum(mod_dims),
+        block_constants(alg_dims, mod_dims, mod_dims, {
+            (0, 0, 0): b.base.left, (0, 1, 1): b.fiber.left,
+            (1, 0, 1): b.left_pair}),
+        block_constants(mod_dims, alg_dims, mod_dims, {
+            (0, 0, 0): b.base.right, (0, 1, 1): b.right_pair,
+            (1, 0, 1): b.fiber.right}),
         b.base.basis_names + b.fiber.basis_names)
-    rows = []
-    for w in range(dB):
-        rows.append([ZERO] * dB + list(b.sop.matrix.row(w)))
-    for _ in range(dN):
-        rows.append([ZERO] * nB)
-    return lifted, LinearMap(nB, nB, Matrix.from_rows(rows))
+    n = lifted.dim
+    return lifted, LinearMap.from_matrix(
+        paste(Matrix(n, n), b.sop.matrix, 0, b.base.dim))
 
 
 def mtot_action_bimodule(b):

@@ -190,6 +190,7 @@ def test_06_induced_dendriform_structures():
 
 def test_07_comparison_chain_map():
     # one exact identity over the whole cochain space, no sampled input
+    nonzero = {1: 0, 2: 0}
     for seed in range(25):
         x, b = random_rrb_pair(seed)
         den, _, _ = induced_dendriform(x)
@@ -203,6 +204,10 @@ def test_07_comparison_chain_map():
             lhs = dend * psi_matrix(x, b, k)
             rhs = psi_matrix(x, b, k + 1) * hochschild_matrix(acts, k)
             assert lhs == rhs, (seed, k)
+            nonzero[k] += not lhs.is_zero()
+    # on most fixtures both sides vanish (zero pairings, or D Psi_1 = 0);
+    # the identity must keep being tested on the 9 and 10 where they do not
+    assert nonzero[1] >= 9 and nonzero[2] >= 10, nonzero
     print("criterion 07 (comparison map intertwines the differentials "
           "on all cochains, k in {1, 2}, 25 fixtures): PASS")
 

@@ -6,10 +6,10 @@ import pytest
 
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
-    HochschildCochain, LinearMap, ShapeError, StructureConstants, basis_vec,
-    check_associativity, check_bimodule, check_dendriform,
-    check_dendriform_representation, dual_bimodule, hochschild_cohomology_dims,
-    hochschild_differential, hochschild_matrix, semidirect_algebra,
+    LinearMap, ShapeError, StructureConstants, basis_vec, check_associativity,
+    bilinear, block_constants, check_bimodule, check_dendriform,
+    check_dendriform_representation, dual_bimodule,
+    hochschild_cohomology_dims, hochschild_matrix, semidirect_algebra,
     total_algebra,
 )
 from rotabaxter.linalg import Matrix, Q
@@ -101,8 +101,8 @@ class TestSemidirect:
         total = semidirect_algebra(Bimodule.adjoint(field_algebra()))
         assert total.dim == 2
         e, m = basis_vec(2, 0), basis_vec(2, 1)
-        assert total.multiply(e, m) == m
-        assert total.multiply(m, m) == (0, 0)
+        assert total.mu(e, m) == m
+        assert total.mu(m, m) == (0, 0)
         assert check_associativity(total).ok
 
     def test_module_is_square_zero_ideal(self):
@@ -113,29 +113,76 @@ class TestSemidirect:
                 assert total.mu.on_basis(i, j) == (0,) * 4
 
 
-def cochain(mod, k, entries=None, fill=None):
-    dom = mod.over.dim ** k
-    vec = [Q(0)] * (mod.dim * dom)
-    if entries:
-        for idx, v in entries.items():
-            vec[idx] = Q(v)
-    if fill is not None:
-        vec = [Q(fill(t)) for t in range(len(vec))]
-    return HochschildCochain.from_vector(k, dom, mod.dim, vec)
+def random_constants(rng, dl, dr, do):
+    return StructureConstants.build(
+        dl, dr, do, lambda i, j: [Q(rng.randint(-3, 3)) for _ in range(do)])
+
+
+class TestBlockConstants:
+    def test_blocks_sit_at_their_summand_offsets(self):
+        rng = random.Random(5)
+        left, right, out = (2, 1, 3), (1, 2), (2, 0, 1)
+        blocks = {(0, 1, 0): random_constants(rng, 2, 2, 2),
+                  (2, 0, 2): random_constants(rng, 3, 1, 1),
+                  (1, 1, 1): StructureConstants.zero(1, 2, 0)}
+        got = block_constants(left, right, out, blocks)
+        assert (got.dim_left, got.dim_right, got.dim_out) == (6, 3, 3)
+        want = {(i, 1 + j, k): v
+                for i, j, k, v in blocks[(0, 1, 0)].items()}
+        want.update({(3 + i, j, 2 + k): v
+                     for i, j, k, v in blocks[(2, 0, 2)].items()})
+        assert want and dict(((i, j, k), v)
+                             for i, j, k, v in got.items()) == want
+
+    def test_no_blocks_is_zero(self):
+        got = block_constants((1, 2), (2,), (0, 3), {})
+        assert got == StructureConstants.zero(3, 2, 3)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (1, 2, 2), (2, 1, 2),
+                                       (3, 2, 2)])
+    def test_misfit_block_raises(self, shape):
+        # the block (0, 0, 0) must be 2 x 2 x 2; a misfit would spill over
+        with pytest.raises(ShapeError):
+            block_constants((2, 1), (2, 1), (2, 1),
+                            {(0, 0, 0): StructureConstants.zero(*shape)})
+
+
+@pytest.mark.parametrize("dl, dr, do", [(2, 3, 2), (1, 1, 1), (3, 1, 2),
+                                        (0, 2, 2), (2, 0, 1), (2, 2, 0)])
+def test_bilinear_reads_the_flattened_pair(dl, dr, do):
+    rng = random.Random(dl * 100 + dr * 10 + do)
+    lin = LinearMap(dl * dr, do, Matrix(do, dl * dr, [
+        Q(rng.randint(-4, 4), rng.randint(1, 3))
+        for _ in range(do * dl * dr)]))
+    form = bilinear(lin, dl, dr)
+    assert (form.dim_left, form.dim_right, form.dim_out) == (dl, dr, do)
+    for i in range(dl):
+        for j in range(dr):
+            assert form(basis_vec(dl, i), basis_vec(dr, j)) == \
+                lin(basis_vec(dl * dr, i * dr + j))
+
+
+def test_bilinear_rejects_a_wrong_domain():
+    with pytest.raises(ShapeError):
+        bilinear(LinearMap.zero(4, 1), 2, 3)
+
+
+def cochain(mod, k, fill):
+    """Coordinates of the degree-k cochain with entry t equal to fill(t)."""
+    return tuple(Q(fill(t)) for t in range(mod.dim * mod.over.dim ** k))
 
 
 class TestHochschild:
     def test_degree0_commutative_vanishes(self):
         mod = Bimodule.adjoint(field_algebra())
-        d = hochschild_differential(mod, 0, cochain(mod, 0, {0: 1}))
-        assert all(v == 0 for v in d.vector())
+        d = hochschild_matrix(mod, 0).apply(cochain(mod, 0, lambda t: 1))
+        assert all(v == 0 for v in d)
 
     def test_zero_structure_kills_everything(self):
         mod = Bimodule.zero_actions(AssocAlgebra.zero(2), 2)
         for k in range(3):
-            f = cochain(mod, k, fill=lambda t: t + 1)
-            assert all(v == 0 for v in
-                       hochschild_differential(mod, k, f).vector())
+            f = cochain(mod, k, lambda t: t + 1)
+            assert all(v == 0 for v in hochschild_matrix(mod, k).apply(f))
 
     def test_differential_squares_to_zero(self):
         rng = random.Random(11)
@@ -151,9 +198,10 @@ class TestHochschild:
         del rng
 
     def test_degree_mismatch_raises(self):
-        mod = Bimodule.adjoint(field_algebra())
-        with pytest.raises(ShapeError):
-            hochschild_differential(mod, 1, cochain(mod, 0, {0: 1}))
+        # over the dual numbers degrees 0 and 1 have 2 and 4 coordinates
+        mod = Bimodule.adjoint(dual_numbers())
+        with pytest.raises(ValueError):
+            hochschild_matrix(mod, 1).apply(cochain(mod, 0, lambda t: 1))
 
 
 class TestHochschildCohomology:
@@ -233,7 +281,7 @@ class TestLinearMap:
     lambda: LinearMap.identity(2).compose(LinearMap.identity(3)),
     lambda: AssocAlgebra.zero(2, ("e0",)),
     lambda: Bimodule.zero_actions(field_algebra(), 2, ("m0",)),
-    lambda: HochschildCochain(-1, LinearMap.identity(1)),
+    lambda: hochschild_matrix(Bimodule.adjoint(field_algebra()), -1),
 ], ids=["call-length", "add-shape", "compose", "algebra-names",
         "bimodule-names", "negative-degree"])
 def test_shape_guards_raise(call):

@@ -13,10 +13,10 @@ from rotabaxter.algebra import (
 )
 from rotabaxter.cohomology import (
     MixedTensorSpace, RBCochain, RRBCochain, check_derivation,
-    cochain_space_dims, delta_AB, delta_MB, delta_alpha_AN,
-    dendriform_differential_matrix, dendriform_embedding, derivation_basis,
-    h_R, psi_matrix, rb_restrict, rrb_cohomology_dims, rrb_differential,
-    rrb_differential_matrix, semidirect_complex, semidirect_inclusion_matrix,
+    cochain_space_dims, dendriform_differential_matrix, dendriform_embedding,
+    derivation_basis, psi_matrix, rb_restrict, rrb_cohomology_dims,
+    rrb_differential, rrb_differential_matrix, semidirect_complex,
+    semidirect_inclusion_matrix,
 )
 from rotabaxter.linalg import (
     Matrix, Q, homology_dims, inverse, kernel_basis, rank, solve,
@@ -108,103 +108,171 @@ def test_space_dims_formula():
 
 # ------------------------------------------------------- the four pieces
 
+BLOCKS = ("alpha", "beta", "gamma")
+
+
+def block_ranges(dims):
+    starts = (0, dims[0], dims[0] + dims[1], sum(dims))
+    return {name: range(starts[n], starts[n + 1])
+            for n, name in enumerate(BLOCKS)}
+
+
+def differential_blocks(x, b, k):
+    """The degree-k differential cut along cochain_space_dims: a Matrix per
+    (row block, column block) pair over alpha, beta and gamma."""
+    d = rrb_differential_matrix(x, b, k)
+    rows = block_ranges(cochain_space_dims(x, b, k + 1))
+    cols = block_ranges(cochain_space_dims(x, b, k))
+    out = {(r, c): Matrix(len(rows[r]), len(cols[c]))
+           for r in BLOCKS for c in BLOCKS}
+    for i, j, v in d.nonzero_items():
+        r = next(n for n in BLOCKS if i in rows[n])
+        c = next(n for n in BLOCKS if j in cols[n])
+        out[(r, c)].add(i - rows[r].start, j - cols[c].start, v)
+    return out
+
+
+def zeros(m):
+    return (Q(0),) * m.cols
+
+
+def test_differential_is_block_lower_triangular():
+    # alpha reaches alpha, beta, gamma; beta reaches beta, gamma; gamma
+    # reaches gamma only; the diagonal ends are the two Hochschild complexes
+    upper = (("alpha", "beta"), ("alpha", "gamma"), ("beta", "gamma"))
+    reached = {pair: 0 for pair in (("beta", "alpha"), ("gamma", "alpha"),
+                                    ("gamma", "beta"))}
+    for seed in range(100):
+        x, b = random_rrb_pair(seed)
+        acts = mtot_action_bimodule(b).actions
+        for k in (1, 2, 3):
+            blocks = differential_blocks(x, b, k)
+            for pair in upper:
+                assert blocks[pair].is_zero(), (seed, k, pair)
+            for pair in reached:
+                reached[pair] += not blocks[pair].is_zero()
+            assert blocks[("alpha", "alpha")] == \
+                hochschild_matrix(b.base, k), (seed, k)
+            if k >= 2:
+                assert blocks[("gamma", "gamma")] == \
+                    hochschild_matrix(acts, k - 1), (seed, k)
+            else:
+                assert blocks[("gamma", "gamma")].cols == 0
+    # the triangle is filled below the diagonal, not only empty above it
+    assert all(reached.values()), reached
+
 
 def test_delta_ab_zero_cochain_maps_to_zero():
     x, b = small_pairs()[1]
     for k in (1, 2):
-        img = delta_AB(x, b, k, LinearMap.zero(x.algebra.dim ** k,
-                                               b.base.dim))
-        assert img.matrix.is_zero()
+        aa = differential_blocks(x, b, k)[("alpha", "alpha")]
+        assert (aa.rows, aa.cols) == (x.algebra.dim ** (k + 1) * b.base.dim,
+                                      x.algebra.dim ** k * b.base.dim)
+        assert not any(aa.apply(zeros(aa)))
 
 
 def test_delta_ab_vanishes_over_zero_structure():
     x = zero_rrb(2, 1)
     b = RRBBimodule.zero(x, 2, 2)
     for k in (1, 2):
-        alpha = random_linear_map(Random(k), 2 ** k, 2)
-        assert delta_AB(x, b, k, alpha).matrix.is_zero()
+        aa = differential_blocks(x, b, k)[("alpha", "alpha")]
+        assert aa.cols == 2 ** k * 2 and aa.is_zero()
 
 
 def test_delta_ab_squares_to_zero():
     x = nilpotent_shift_rrb()
     b = adjoint_bimodule(x)
     for k in (1, 2, 3):
-        alpha = random_linear_map(Random(10 + k), x.algebra.dim ** k,
-                                  b.base.dim)
-        twice = delta_AB(x, b, k + 1, delta_AB(x, b, k, alpha))
-        assert twice.matrix.is_zero()
+        first = differential_blocks(x, b, k)[("alpha", "alpha")]
+        second = differential_blocks(x, b, k + 1)[("alpha", "alpha")]
+        assert not first.is_zero()
+        assert (second * first).is_zero(), k
 
 
 def test_twisted_delta_zero_inputs_map_to_zero():
     x, b = small_pairs()[1]
+    dA, dM, dN = x.algebra.dim, x.module.dim, b.fiber.dim
     for k in (1, 2):
-        zc = RRBCochain.zero(x, b, k)
-        out = delta_alpha_AN(x, b, k, zc.alpha, zc.beta)
-        assert len(out) == k + 1
-        assert all(m.matrix.is_zero() for m in out)
+        blocks = differential_blocks(x, b, k)
+        for c in ("alpha", "beta"):
+            twisted = blocks[("beta", c)]
+            assert twisted.rows == (k + 1) * dA ** k * dM * dN  # k+1 slots
+            assert not any(twisted.apply(zeros(twisted)))
 
 
 def test_twisted_delta_vanishes_over_zero_structure():
     x, b = ones_pair()
     for k in (1, 2):
-        alpha = random_linear_map(Random(k), 1, 1)
-        beta = tuple(random_linear_map(Random(20 + k + s), 1, 1)
-                     for s in range(k))
-        assert all(m.matrix.is_zero()
-                   for m in delta_alpha_AN(x, b, k, alpha, beta))
+        blocks = differential_blocks(x, b, k)
+        assert blocks[("beta", "alpha")].is_zero()
+        assert blocks[("beta", "beta")].is_zero()
 
 
 def test_delta_mb_zero_maps_to_zero():
     x = nilpotent_shift_rrb()
     b = adjoint_bimodule(x)
     for k in (1, 2, 3):
-        img = delta_MB(x, b, k, LinearMap.zero(x.module.dim ** (k - 1),
-                                               b.base.dim))
-        assert img.matrix.is_zero()
+        gg = differential_blocks(x, b, k)[("gamma", "gamma")]
+        # gamma is M^(x)(k-1) -> B, absent in degree 1
+        assert gg.cols == (0 if k == 1 else
+                           x.module.dim ** (k - 1) * b.base.dim)
+        assert gg.rows == x.module.dim ** k * b.base.dim
+        assert not any(gg.apply(zeros(gg)))
 
 
 def test_delta_mb_vanishes_when_both_operators_are_zero():
     # every term of the induced action carries the operator R or S
     x = field_adjoint_rrb()  # nonzero products, R = 0
     b = adjoint_bimodule(x)  # S = R = 0, pairings nonzero
-    for k in (1, 2, 3):
-        gamma = random_linear_map(Random(30 + k), x.module.dim ** (k - 1),
-                                  b.base.dim)
-        assert delta_MB(x, b, k, gamma).matrix.is_zero()
+    acts = mtot_action_bimodule(b).actions
+    assert acts.left.is_zero() and acts.right.is_zero()
+    for k in (2, 3):
+        gg = differential_blocks(x, b, k)[("gamma", "gamma")]
+        assert gg.cols and gg.is_zero()
 
 
 def test_delta_mb_squares_to_zero():
     x = nilpotent_shift_rrb()
     b = adjoint_bimodule(x)
-    for k in (1, 2):
-        gamma = random_linear_map(Random(40 + k), x.module.dim ** (k - 1),
-                                  b.base.dim)
-        twice = delta_MB(x, b, k + 1, delta_MB(x, b, k, gamma))
-        assert twice.matrix.is_zero()
+    acts = mtot_action_bimodule(b).actions
+    # Hochschild degrees 0 -> 1 -> 2 sit below the first gamma block
+    assert (hochschild_matrix(acts, 1) * hochschild_matrix(acts, 0)).is_zero()
+    for k in (2, 3):
+        first = differential_blocks(x, b, k)[("gamma", "gamma")]
+        second = differential_blocks(x, b, k + 1)[("gamma", "gamma")]
+        assert not first.is_zero()
+        assert (second * first).is_zero(), k
 
 
 def test_operator_term_zero_inputs_map_to_zero():
     x, b = small_pairs()[1]
     for k in (1, 2):
-        zc = RRBCochain.zero(x, b, k)
-        assert h_R(x, b, k, zc.alpha, zc.beta).matrix.is_zero()
+        blocks = differential_blocks(x, b, k)
+        for c in ("alpha", "beta"):
+            h = blocks[("gamma", c)]
+            assert h.rows == x.module.dim ** k * b.base.dim
+            assert not any(h.apply(zeros(h)))
 
 
 def test_operator_term_vanishes_over_inert_fixture():
     x, b = ones_pair()  # R = 0, S = 0, dims 1
-    alpha = random_linear_map(Random(5), 1, 1)
-    beta = (random_linear_map(Random(6), 1, 1),)
-    assert h_R(x, b, 1, alpha, beta).matrix.is_zero()
+    blocks = differential_blocks(x, b, 1)
+    assert blocks[("gamma", "alpha")].is_zero()
+    assert blocks[("gamma", "beta")].is_zero()
 
 
 def test_operator_term_degree_one_formula():
     # h(alpha, beta) = S . beta - alpha . R at degree 1
     for x, b in small_pairs():
         alpha = random_linear_map(Random(7), x.algebra.dim, b.base.dim)
-        beta = (random_linear_map(Random(8), x.module.dim, b.fiber.dim),)
-        got = h_R(x, b, 1, alpha, beta)
-        want = b.sop.compose(beta[0]) - alpha.compose(x.rop)
-        assert got == want
+        beta = random_linear_map(Random(8), x.module.dim, b.fiber.dim)
+        blocks = differential_blocks(x, b, 1)
+        got = tuple(
+            p + q for p, q in
+            zip(blocks[("gamma", "alpha")].apply(alpha.matrix.entries),
+                blocks[("gamma", "beta")].apply(beta.matrix.entries)))
+        want = b.sop.compose(beta) - alpha.compose(x.rop)
+        assert got == want.matrix.entries
 
 
 # --------------------------------------------------- the full differential
@@ -267,9 +335,9 @@ def test_cochain_shape_guards():
                                           RRBBimodule.zero(zero_rrb(2, 2),
                                                            1, 1))
     with pytest.raises(ShapeError):
-        delta_MB(x, b, 0, LinearMap.zero(1, 1))
+        rrb_differential_matrix(x, b, 0)  # no differential out of degree 0
     with pytest.raises(ShapeError):
-        h_R(x, b, 2, LinearMap.zero(1, 1), (LinearMap.zero(1, 1),))
+        RRBCochain.from_vector(x, b, 2, (Q(0),) * 5)  # degree 2 has 4
 
 
 # ------------------------------------------- independent adjoint evaluator

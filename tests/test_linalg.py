@@ -6,7 +6,7 @@ import pytest
 
 from rotabaxter.linalg import (
     Matrix, Q, TensorIndex, format_rational, homology_dims,
-    inverse, kernel_basis, parse_rational, rank, solve,
+    inverse, kernel_basis, parse_rational, paste, rank, solve,
 )
 
 from helpers import reference_elimination, reference_inverse
@@ -149,12 +149,20 @@ class TestTensorIndex:
     lambda: Matrix(2, 2).apply([1]),
     lambda: Matrix(2, 2).add(2, 0, 1),
     lambda: Matrix(2, 2).add(0, -1, 1),
+    lambda: paste(Matrix(2, 2), Matrix(1, 1), 2),  # a zero block too
 ], ids=["entry-count", "ragged", "add", "sub", "mul", "apply",
         "negative-dim", "index-range", "index-length", "flat-range",
-        "sparse-compose", "sparse-apply", "entry-row", "entry-col"])
+        "sparse-compose", "sparse-apply", "entry-row", "entry-col",
+        "paste-fit"])
 def test_validation_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_paste_adds_a_block_at_its_corner():
+    out = paste(Matrix(2, 3, [1, 0, 0, 0, 0, 0]),
+                Matrix(2, 2, [1, 2, 0, 3]), 0, 1)
+    assert out.entries == (1, 1, 2, 0, 0, 3)
 
 
 def test_product_needs_a_matrix():
