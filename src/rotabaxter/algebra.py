@@ -2,8 +2,11 @@
 
 All products and actions are bilinear maps stored as rank-3 rational tensors
 c[i][j][k]: the product of the i-th and j-th input basis vectors has k-th
-output coordinate c[i][j][k].  Axioms are multilinear, so every check below
-verifies them on basis tuples only; that is equivalent to the full statement.
+output coordinate c[i][j][k].  Axioms are multilinear, so checking them on
+basis tuples is equivalent to the full statement.  Every check evaluates a
+law on all its basis tuples at once: each variable is an identity matrix,
+a bilinear map c is applied as c.matrix * kron(X, Y), and the two sides
+become matrices whose columns are the tuples (Report.require_laws).
 
 Hochschild cochains of degree k are linear maps A^{(x) k} -> M, flattened with
 the big-endian convention of linalg.TensorIndex.  Degree 0 cochains are
@@ -21,7 +24,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .linalg import (
-    Matrix, Q, TensorIndex, ZERO, format_rational, homology_dims,
+    Matrix, Q, TensorIndex, ZERO, format_rational, homology_dims, kron,
 )
 
 
@@ -95,6 +98,31 @@ class Report:
         if tuple(lhs) != tuple(rhs):
             self.violations.append(Violation(law, args, lhs, rhs))
 
+    def require_laws(self, laws):
+        """Require multilinear laws, each on all its basis tuples at once.
+
+        A law is (name, dims, lhs, rhs, loop).  dims are the dimensions of
+        its variables, in the order of its args; both sides are matrices
+        whose column t holds the value at the basis tuple
+        TensorIndex(dims).unflatten(t).  Dense sides are built only for the
+        columns that differ.  The violations of all the laws are appended
+        sorted by loop(*args) (args itself when loop is None), then by the
+        law's place in the list: this is the order of a loop over basis
+        tuples that checks the laws one after another at every tuple.
+        """
+        found = []
+        for n, (law, dims, lhs, rhs, loop) in enumerate(laws):
+            if lhs == rhs:
+                continue
+            index = TensorIndex(dims)
+            for t in sorted({j for _, j, _ in (lhs - rhs).nonzero_items()}):
+                args = index.unflatten(t)
+                found.append(((args if loop is None else loop(*args), n),
+                              Violation(law, args, lhs.column(t),
+                                        rhs.column(t))))
+        found.sort(key=lambda item: item[0])
+        self.violations.extend(v for _, v in found)
+
     def merge(self, other):
         self.violations.extend(other.violations)
         return self
@@ -130,7 +158,7 @@ class StructuralError(RuntimeError):
 class StructureConstants:
     """Bilinear map U (x) V -> W as the tensor c[i][j][k]."""
 
-    __slots__ = ("dim_left", "dim_right", "dim_out", "data")
+    __slots__ = ("dim_left", "dim_right", "dim_out", "data", "_matrix")
 
     def __init__(self, dim_left, dim_right, dim_out, data):
         data = tuple(tuple(tuple(x if type(x) is Q else Q(x) for x in row)
@@ -143,6 +171,7 @@ class StructureConstants:
         self.dim_right = dim_right
         self.dim_out = dim_out
         self.data = data
+        self._matrix = None
 
     @staticmethod
     def zero(dim_left, dim_right, dim_out):
@@ -180,6 +209,25 @@ class StructureConstants:
                     if v:
                         out[k] += c * v
         return tuple(out)
+
+    @property
+    def matrix(self):
+        """The map on the flattened U (x) V: dim_out x (dim_left * dim_right),
+        entry (k, i * dim_right + j) = c[i][j][k]."""
+        if self._matrix is None:
+            m = Matrix(self.dim_out, self.dim_left * self.dim_right)
+            for i, j, k, v in self.items():
+                m.add(k, i * self.dim_right + j, v)
+            self._matrix = m
+        return self._matrix
+
+    def on_columns(self, x, y):
+        """The map on every pair of a column of x and a column of y.
+
+        Column s * y.cols + t of the result is self(x column s, y column t),
+        so identity arguments give the values on all basis pairs.
+        """
+        return self.matrix * kron(x, y)
 
     def items(self):
         """Nonzero entries as (i, j, k, value)."""
@@ -374,39 +422,30 @@ class Bimodule:
 def check_associativity(alg):
     """(e_i e_j) e_k == e_i (e_j e_k) for all basis triples."""
     rep = Report("associativity")
-    mu = alg.mu
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            ij = mu.on_basis(i, j)
-            for k in range(alg.dim):
-                lhs = mu(ij, basis_vec(alg.dim, k))
-                rhs = mu(basis_vec(alg.dim, i), mu.on_basis(j, k))
-                rep.require("assoc", (i, j, k), lhs, rhs)
+    mu, ident = alg.mu, Matrix.identity(alg.dim)
+    rep.require_laws([("assoc", (alg.dim,) * 3,
+                       mu.on_columns(mu.matrix, ident),
+                       mu.on_columns(ident, mu.matrix), None)])
     return rep
 
 
 def check_bimodule(mod):
-    """The three compatibility identities of a bimodule, on basis triples."""
+    """The three compatibility identities of a bimodule, on basis triples
+    (i, j, w) of A, A and M."""
     rep = Report("bimodule")
-    alg = mod.over
-    dA, dM = alg.dim, mod.dim
-    for i in range(dA):
-        for j in range(dA):
-            ij = alg.mu.on_basis(i, j)
-            for w in range(dM):
-                m = basis_vec(dM, w)
-                a = basis_vec(dA, i)
-                b = basis_vec(dA, j)
-                # (a a') . m = a . (a' . m)
-                rep.require("left_assoc", (i, j, w),
-                            mod.left(ij, m), mod.left(a, mod.left(b, m)))
-                # (a . m) . a' = a . (m . a')
-                rep.require("middle_assoc", (i, w, j),
-                            mod.right(mod.left(a, m), b),
-                            mod.left(a, mod.right(m, b)))
-                # (m . a) . a' = m . (a a')
-                rep.require("right_assoc", (w, i, j),
-                            mod.right(mod.right(m, a), b), mod.right(m, ij))
+    mu, left, right = mod.over.mu, mod.left, mod.right
+    dA, dM = mod.over.dim, mod.dim
+    ia, im = Matrix.identity(dA), Matrix.identity(dM)
+    rep.require_laws([
+        # (a a') . m = a . (a' . m)
+        ("left_assoc", (dA, dA, dM), left.on_columns(mu.matrix, im),
+         left.on_columns(ia, left.matrix), None),
+        # (a . m) . a' = a . (m . a')
+        ("middle_assoc", (dA, dM, dA), right.on_columns(left.matrix, ia),
+         left.on_columns(ia, right.matrix), lambda i, w, j: (i, j, w)),
+        # (m . a) . a' = m . (a a')
+        ("right_assoc", (dM, dA, dA), right.on_columns(right.matrix, ia),
+         right.on_columns(im, mu.matrix), lambda w, i, j: (i, j, w))])
     return rep
 
 
@@ -536,22 +575,17 @@ def check_dendriform(den):
     axiom3: (x * y) > z == x > (y > z)        (* = < + >)
     """
     rep = Report("dendriform")
-    d = den.dim
-    for i in range(d):
-        x = basis_vec(d, i)
-        for j in range(d):
-            y = basis_vec(d, j)
-            xy_prec = den.prec(x, y)
-            xy_succ = den.succ(x, y)
-            xy_star = add_vec(xy_prec, xy_succ)
-            for k in range(d):
-                z = basis_vec(d, k)
-                rep.require("axiom1", (i, j, k),
-                            den.prec(xy_prec, z), den.prec(x, den.star(y, z)))
-                rep.require("axiom2", (i, j, k),
-                            den.prec(xy_succ, z), den.succ(x, den.prec(y, z)))
-                rep.require("axiom3", (i, j, k),
-                            den.succ(xy_star, z), den.succ(x, den.succ(y, z)))
+    prec, succ = den.prec, den.succ
+    tot = prec.matrix + succ.matrix
+    ident = Matrix.identity(den.dim)
+    dims = (den.dim,) * 3
+    rep.require_laws([
+        ("axiom1", dims, prec.on_columns(prec.matrix, ident),
+         prec.on_columns(ident, tot), None),
+        ("axiom2", dims, prec.on_columns(succ.matrix, ident),
+         succ.on_columns(ident, prec.matrix), None),
+        ("axiom3", dims, succ.on_columns(tot, ident),
+         succ.on_columns(ident, succ.matrix), None)])
     return rep
 
 
@@ -623,30 +657,13 @@ def _square_zero_dendriform(rep):
 
 
 def check_dendriform_representation(rep):
-    """The nine identities, generated mechanically by slot substitution."""
-    big = _square_zero_dendriform(rep)
+    """The nine identities: the three axioms of the square-zero structure
+    on D (+) E at the basis triples with exactly one slot in E."""
     dD = rep.over.dim
-    n = big.dim
     out = Report("dendriform_representation")
-    for i in range(n):
-        x = basis_vec(n, i)
-        for j in range(n):
-            y = basis_vec(n, j)
-            xy_prec = big.prec(x, y)
-            xy_succ = big.succ(x, y)
-            for k in range(n):
-                # exactly one of the three slots in the E block
-                if (i >= dD) + (j >= dD) + (k >= dD) != 1:
-                    continue
-                z = basis_vec(n, k)
-                slot = "E@" + str([i >= dD, j >= dD, k >= dD].index(True) + 1)
-                out.require(f"axiom1[{slot}]", (i, j, k),
-                            big.prec(xy_prec, z),
-                            big.prec(x, big.star(y, z)))
-                out.require(f"axiom2[{slot}]", (i, j, k),
-                            big.prec(xy_succ, z),
-                            big.succ(x, big.prec(y, z)))
-                out.require(f"axiom3[{slot}]", (i, j, k),
-                            big.succ(add_vec(xy_prec, xy_succ), z),
-                            big.succ(x, big.succ(y, z)))
+    for v in check_dendriform(_square_zero_dendriform(rep)).violations:
+        in_e = [a >= dD for a in v.args]
+        if sum(in_e) == 1:
+            out.violations.append(Violation(
+                f"{v.law}[E@{in_e.index(True) + 1}]", v.args, v.lhs, v.rhs))
     return out

@@ -24,8 +24,6 @@ both directions, tensor-exactly.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .algebra import (
     AssocAlgebra, Bimodule, LinearMap, Report, ShapeError, StructuralError,
     StructureConstants, Violation, add_vec, basis_vec, check_associativity,
@@ -34,7 +32,7 @@ from .algebra import (
 from .cohomology import (
     RRBCochain, cocycle_report, rrb_differential, rrb_differential_matrix,
 )
-from .linalg import Matrix, paste, rank, solve
+from .linalg import Matrix, kron, paste, rank, solve
 from .rrb import (
     RelativeRBAlgebra, RRBMorphism, TwoTermComplex, check_morphism,
     check_relative_rb,
@@ -630,19 +628,19 @@ class HomotopyRRBOperator:
             StructureConstants.zero(m.dim0, m.dim0, a.dim1))
 
 
-def _kron3(u, v, w):
-    return tuple(p * q * r for p in u for q in v for r in w)
-
-
 class _Graded:
-    """A vector tagged by layer: space "a" or "m", degree 0 or 1."""
+    """Values tagged by layer: space "a" or "m", degree 0 or 1.
 
-    __slots__ = ("space", "deg", "vec")
+    mat holds one value per column: the values of an expression at every
+    basis tuple of the variables it involves, flattened in their order.
+    """
 
-    def __init__(self, space, deg, vec):
+    __slots__ = ("space", "deg", "mat")
+
+    def __init__(self, space, deg, mat):
         self.space = space
         self.deg = deg
-        self.vec = tuple(vec)
+        self.mat = mat
 
     def _check_layer(self, other):
         if (self.space, self.deg) != (other.space, other.deg):
@@ -652,15 +650,15 @@ class _Graded:
 
     def __add__(self, other):
         self._check_layer(other)
-        return _Graded(self.space, self.deg, add_vec(self.vec, other.vec))
+        return _Graded(self.space, self.deg, self.mat + other.mat)
 
     def __sub__(self, other):
         self._check_layer(other)
-        return _Graded(self.space, self.deg, sub_vec(self.vec, other.vec))
+        return _Graded(self.space, self.deg, self.mat - other.mat)
 
 
 class _TwoTermEnv:
-    """Evaluates d, mu2, mu3 on layer-tagged vectors by block dispatch.
+    """Evaluates d, mu2, mu3 on layer-tagged values by block dispatch.
 
     Writing the defining identities once against this dispatcher yields
     both the algebra check (all inputs in the "a" layer) and the full
@@ -686,19 +684,31 @@ class _TwoTermEnv:
 
     def d(self, x):
         lin = self.alg.d if x.space == "a" else self.mod.dm
-        return _Graded(x.space, 0, lin(x.vec))
+        return _Graded(x.space, 0, lin.matrix * x.mat)
 
     def mu2(self, x, y):
         block = self.blocks[(x.space, x.deg, y.space, y.deg)]
         space = "m" if "m" in (x.space, y.space) else "a"
-        return _Graded(space, x.deg + y.deg, block(x.vec, y.vec))
+        return _Graded(space, x.deg + y.deg, block.on_columns(x.mat, y.mat))
 
     def mu3(self, x, y, z):
         spaces = (x.space, y.space, z.space)
-        flat = _kron3(x.vec, y.vec, z.vec)
+        flat = kron(kron(x.mat, y.mat), z.mat)
         if spaces == ("a", "a", "a"):
-            return _Graded("a", 1, self.alg.mu3(flat))
-        return _Graded("m", 1, self.mod.mu3m[spaces.index("m")](flat))
+            return _Graded("a", 1, self.alg.mu3.matrix * flat)
+        return _Graded("m", 1, self.mod.mu3m[spaces.index("m")].matrix * flat)
+
+    def law(self, name, degs, spaces, lhs, rhs):
+        """One law of _TWO_TERM_LAWS with its inputs in the given layers,
+        in the form Report.require_laws takes: each input is the identity
+        of its layer, so it ranges over that layer's basis."""
+        elems = []
+        for space, deg in zip(spaces, degs):
+            cx = self.alg if space == "a" else self.mod
+            elems.append(_Graded(space, deg,
+                                 Matrix.identity(cx.dim1 if deg else cx.dim0)))
+        return (name, tuple(e.mat.cols for e in elems),
+                lhs(self, *elems).mat, rhs(self, *elems).mat, None)
 
 
 # each law: name, input degrees, and both sides as expressions over the
@@ -734,44 +744,31 @@ _TWO_TERM_LAWS = (
 )
 
 
-def _basis_elements(env, degs, spaces):
-    dims = []
-    for deg, space in zip(degs, spaces):
-        if space == "a":
-            dims.append(env.alg.dim0 if deg == 0 else env.alg.dim1)
-        else:
-            dims.append(env.mod.dim0 if deg == 0 else env.mod.dim1)
-    for combo in product(*(range(n) for n in dims)):
-        yield combo, [_Graded(space, deg, basis_vec(dim, idx))
-                      for space, deg, dim, idx
-                      in zip(spaces, degs, dims, combo)]
-
-
 def check_two_term_ainfty(a):
     """All defining identities on all basis tuples, degrees forced."""
     rep = Report("two_term_ainfty")
     env = _TwoTermEnv(a)
     for law, degs, lhs, rhs in _TWO_TERM_LAWS:
-        spaces = ("a",) * len(degs)
-        for combo, elems in _basis_elements(env, degs, spaces):
-            rep.require(law, combo,
-                        lhs(env, *elems).vec, rhs(env, *elems).vec)
+        rep.require_laws([env.law(law, degs, ("a",) * len(degs), lhs, rhs)])
     return rep
+
+
+def _require_fit(a, m):
+    if (m.left00.dim_left, m.left10.dim_left) != (a.dim0, a.dim1):
+        raise ShapeError("bimodule blocks do not fit the algebra dimensions")
 
 
 def check_ainfty_bimodule(a, m):
     """Every defining identity with exactly one input in the module layer."""
-    if (m.left00.dim_left, m.left10.dim_left) != (a.dim0, a.dim1):
-        raise ShapeError("bimodule blocks do not fit the algebra dimensions")
+    _require_fit(a, m)
     rep = Report("ainfty_bimodule")
     env = _TwoTermEnv(a, m)
     for law, degs, lhs, rhs in _TWO_TERM_LAWS:
         for pos in range(len(degs)):
             spaces = tuple("m" if q == pos else "a"
                            for q in range(len(degs)))
-            for combo, elems in _basis_elements(env, degs, spaces):
-                rep.require(f"{law}/input {pos + 1}", combo,
-                            lhs(env, *elems).vec, rhs(env, *elems).vec)
+            rep.require_laws([env.law(f"{law}/input {pos + 1}", degs,
+                                      spaces, lhs, rhs)])
     return rep
 
 
@@ -781,67 +778,43 @@ def check_homotopy_rrb_operator(a, m, r):
     In the final condition the three mixed-corrector terms are composed
     with r1 so that every term lands in the degree-1 algebra layer.
     """
+    _require_fit(a, m)
     if (r.r0.domain_dim, r.r0.codomain_dim) != (m.dim0, a.dim0) or \
             (r.r1.domain_dim, r.r1.codomain_dim) != (m.dim1, a.dim1):
         raise ShapeError("operator layers must map the module complex into "
                          "the algebra complex")
     rep = Report("homotopy_rrb_operator")
     d0, d1 = m.dim0, m.dim1
-    r0m = [r.r0(basis_vec(d0, u)) for u in range(d0)]
-    r1n = [r.r1(basis_vec(d1, v)) for v in range(d1)]
+    i0, i1 = Matrix.identity(d0), Matrix.identity(d1)
+    r0, r1, r2 = r.r0.matrix, r.r1.matrix, r.r2.matrix
+    da, dm = a.d.matrix, m.dm.matrix
     # the operator intertwines the two complexes
-    for v in range(d1):
-        rep.require("chain_map", (v,),
-                    a.d(r1n[v]), r.r0(m.dm(basis_vec(d1, v))))
-    # the degree-0 defect is the boundary of the corrector
-    for u in range(d0):
-        eu = basis_vec(d0, u)
-        for w in range(d0):
-            ew = basis_vec(d0, w)
-            inner = add_vec(m.left00(r0m[u], ew), m.right00(eu, r0m[w]))
-            rep.require("baxter_boundary", (u, w),
-                        sub_vec(r.r0(inner), a.mu00(r0m[u], r0m[w])),
-                        a.d(r.r2.on_basis(u, w)))
+    rep.require_laws([("chain_map", (d1,), da * r1, r0 * dm, None)])
+    # the degree-0 defect is the boundary of the corrector; circ is
+    # R(u) . w + u . R(w) at every basis pair (u, w)
+    circ = m.left00.on_columns(r0, i0) + m.right00.on_columns(i0, r0)
+    rep.require_laws([("baxter_boundary", (d0, d0),
+                       r0 * circ - a.mu00.on_columns(r0, r0), da * r2,
+                       None)])
     # the degree-1 defects are corrector values on boundaries
-    for u in range(d0):
-        eu = basis_vec(d0, u)
-        for v in range(d1):
-            nv = basis_vec(d1, v)
-            dn = m.dm(nv)
-            inner = add_vec(m.left01(r0m[u], nv), m.right01(eu, r1n[v]))
-            rep.require("baxter_right", (u, v),
-                        sub_vec(r.r1(inner), a.mu01(r0m[u], r1n[v])),
-                        r.r2(eu, dn))
-            inner = add_vec(m.left10(r1n[v], eu), m.right10(nv, r0m[u]))
-            rep.require("baxter_left", (v, u),
-                        sub_vec(r.r1(inner), a.mu10(r1n[v], r0m[u])),
-                        r.r2(dn, eu))
-    # the two correctors are compatible
-    for u in range(d0):
-        eu = basis_vec(d0, u)
-        for w in range(d0):
-            ew = basis_vec(d0, w)
-            r2uw = r.r2.on_basis(u, w)
-            circ_uw = add_vec(m.left00(r0m[u], ew), m.right00(eu, r0m[w]))
-            for z in range(d0):
-                ez = basis_vec(d0, z)
-                r2wz = r.r2.on_basis(w, z)
-                circ_wz = add_vec(m.left00(r0m[w], ez),
-                                  m.right00(ew, r0m[z]))
-                acc = a.mu01(r0m[u], r2wz)
-                acc = sub_vec(acc, r.r1(m.right01(eu, r2wz)))
-                acc = sub_vec(acc, r.r2(circ_uw, ez))
-                acc = add_vec(acc, r.r2(eu, circ_wz))
-                acc = sub_vec(acc, a.mu10(r2uw, r0m[z]))
-                acc = add_vec(acc, r.r1(m.left10(r2uw, ez)))
-                acc = add_vec(acc, r.r1(m.mu3m[0](
-                    _kron3(eu, r0m[w], r0m[z]))))
-                acc = add_vec(acc, r.r1(m.mu3m[1](
-                    _kron3(r0m[u], ew, r0m[z]))))
-                acc = add_vec(acc, r.r1(m.mu3m[2](
-                    _kron3(r0m[u], r0m[w], ez))))
-                rep.require("baxter_corrector", (u, w, z), acc,
-                            a.mu3(_kron3(r0m[u], r0m[w], r0m[z])))
+    rep.require_laws([
+        ("baxter_right", (d0, d1),
+         r1 * (m.left01.on_columns(r0, i1) + m.right01.on_columns(i0, r1))
+         - a.mu01.on_columns(r0, r1), r.r2.on_columns(i0, dm), None),
+        ("baxter_left", (d1, d0),
+         r1 * (m.left10.on_columns(r1, i0) + m.right10.on_columns(i1, r0))
+         - a.mu10.on_columns(r1, r0), r.r2.on_columns(dm, i0),
+         lambda v, u: (u, v))])
+    # the two correctors are compatible, at basis triples (u, w, z)
+    mixed = (m.mu3m[0].matrix * kron(kron(i0, r0), r0) +
+             m.mu3m[1].matrix * kron(kron(r0, i0), r0) +
+             m.mu3m[2].matrix * kron(kron(r0, r0), i0))
+    acc = (a.mu01.on_columns(r0, r2) - r1 * m.right01.on_columns(i0, r2)
+           - r.r2.on_columns(circ, i0) + r.r2.on_columns(i0, circ)
+           - a.mu10.on_columns(r2, r0) + r1 * m.left10.on_columns(r2, i0)
+           + r1 * mixed)
+    rep.require_laws([("baxter_corrector", (d0,) * 3, acc,
+                       a.mu3.matrix * kron(kron(r0, r0), r0), None)])
     return rep
 
 

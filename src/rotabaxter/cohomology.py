@@ -34,7 +34,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from .algebra import (
-    Bimodule, LinearMap, Report, ShapeError, StructuralError, basis_vec,
+    Bimodule, LinearMap, Report, ShapeError, StructuralError,
     hochschild_matrix,
 )
 from .linalg import Matrix, Q, TensorIndex, homology_dims, kernel_basis, paste
@@ -151,6 +151,9 @@ class RRBCochain:
         dB, dN = b.base.dim, b.fiber.dim
         da, slot = dA ** k, dA ** (k - 1) * dM
         vec = tuple(vec)
+        size = dB * da + k * dN * slot + (0 if k == 1 else dB * dM ** (k - 1))
+        if len(vec) != size:
+            raise ShapeError(f"vector length {len(vec)}, expected {size}")
         pos = 0
 
         def take(rows, cols):
@@ -162,8 +165,6 @@ class RRBCochain:
         alpha = take(dB, da)
         beta = tuple(take(dN, slot) for _ in range(k))
         gamma = None if k == 1 else take(dB, dM ** (k - 1))
-        if pos != len(vec):
-            raise ShapeError(f"vector length {len(vec)}, expected {pos}")
         return RRBCochain(k, alpha, beta, gamma)
 
     def __eq__(self, other):
@@ -423,31 +424,22 @@ def check_derivation(x, b, alpha, beta):
     """
     alg, mod = x.algebra, x.module
     dA, dM = alg.dim, mod.dim
+    a, bm = alpha.matrix, beta.matrix
+    ia, im = Matrix.identity(dA), Matrix.identity(dM)
     rep = Report("derivation_pair")
-    av = [alpha(basis_vec(dA, i)) for i in range(dA)]
-    bv = [beta(basis_vec(dM, u)) for u in range(dM)]
-    for i in range(dA):
-        ei = basis_vec(dA, i)
-        for j in range(dA):
-            rep.require(
-                "leibniz", (i, j), alpha(alg.mu.on_basis(i, j)),
-                tuple(p + q for p, q in
-                      zip(b.base.right(av[i], basis_vec(dA, j)),
-                          b.base.left(ei, av[j]))))
-        for u in range(dM):
-            eu = basis_vec(dM, u)
-            rep.require(
-                "left_action", (i, u), beta(mod.left.on_basis(i, u)),
-                tuple(p + q for p, q in
-                      zip(b.right_pair(av[i], eu), b.fiber.left(ei, bv[u]))))
-            rep.require(
-                "right_action", (u, i), beta(mod.right.on_basis(u, i)),
-                tuple(p + q for p, q in
-                      zip(b.fiber.right(bv[u], ei),
-                          b.left_pair(eu, av[i]))))
-    for u in range(dM):
-        rep.require("intertwine", (u,),
-                    alpha(x.rop(basis_vec(dM, u))), b.sop(bv[u]))
+    # at each basis vector of A: leibniz over A, then both actions over M
+    rep.require_laws([
+        ("leibniz", (dA, dA), a * alg.mu.matrix,
+         b.base.right.on_columns(a, ia) + b.base.left.on_columns(ia, a),
+         lambda i, j: (i, 0, j)),
+        ("left_action", (dA, dM), bm * mod.left.matrix,
+         b.right_pair.on_columns(a, im) + b.fiber.left.on_columns(ia, bm),
+         lambda i, u: (i, 1, u)),
+        ("right_action", (dM, dA), bm * mod.right.matrix,
+         b.fiber.right.on_columns(bm, ia) + b.left_pair.on_columns(im, a),
+         lambda u, i: (i, 1, u))])
+    rep.require_laws([("intertwine", (dM,), a * x.rop.matrix,
+                       b.sop.matrix * bm, None)])
     return rep
 
 

@@ -3,9 +3,10 @@
 Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
 type, the one matrix type (row-sparse, built from dense entries or entry by
-entry, with paste placing one matrix as a block of another), multi-index
-flattening for tensor powers, the workhorses rank / kernel_basis / solve /
-inverse, and homology_dims, which sweeps a whole cochain complex.
+entry, with paste placing one matrix as a block of another), the Kronecker
+product kron, multi-index flattening for tensor powers, the workhorses
+rank / kernel_basis / solve / inverse, and homology_dims, which sweeps a
+whole cochain complex.
 
 These run one elimination kernel, _echelon.  It clears each row of
 denominators once and then works on primitive integer rows, with a column
@@ -149,6 +150,10 @@ class Matrix:
         row = self._data[i]
         return tuple(row.get(j, ZERO) for j in range(self.cols))
 
+    def column(self, j):
+        """Column j as a dense tuple."""
+        return tuple(row.get(j, ZERO) for row in self._data)
+
     def row_dicts(self):
         """Fresh col -> value dicts of the nonzeros, one per row."""
         return [dict(row) for row in self._data]
@@ -251,6 +256,34 @@ def paste(dst, src, row_off=0, col_off=0):
     for i, j, v in src.nonzero_items():
         dst.add(row_off + i, col_off + j, v)
     return dst
+
+
+def kron(a, b):
+    """Kronecker product: entry ((i, k), (j, l)) is a[i, j] * b[k, l].
+
+    Row and column pairs flatten big-endian, as TensorIndex does: the index
+    of a varies slowest.  So if a's columns are values at the tuples of one
+    set of variables and b's at those of another, the product's columns are
+    the values of a (x) b at the joined tuples.
+    """
+    if not isinstance(a, Matrix) or not isinstance(b, Matrix):
+        raise TypeError("kron needs two matrices")
+    n = b.cols
+    out = []
+    for ra in a._data:
+        for rb in b._data:
+            row = {}
+            for j, v in ra.items():
+                off = j * n
+                # a factor 1, as in identity inputs, leaves the other as is
+                if v == 1:
+                    for l, w in rb.items():
+                        row[off + l] = w
+                else:
+                    for l, w in rb.items():
+                        row[off + l] = v if w == 1 else v * w
+            out.append(row)
+    return Matrix._of(a.rows * b.rows, a.cols * n, out)
 
 
 class TensorIndex:
@@ -446,7 +479,7 @@ def solve(m, rhs):
     rows = m.row_dicts()
     aug = m.cols  # rhs lives in an extra column
     for row, b in zip(rows, rhs):
-        b = Q(b)
+        b = b if type(b) is Q else Q(b)
         if b:
             row[aug] = b
     pivots, pivot_cols = _echelon(rows, aug + 1, _column_order)

@@ -95,15 +95,12 @@ class TwoTermComplex:
 def check_relative_rb(x):
     """The relative Rota-Baxter identity on all basis pairs of M."""
     rep = Report("relative_rota_baxter")
-    alg, mod, rop = x.algebra, x.module, x.rop
-    dM = mod.dim
-    rm = [rop(basis_vec(dM, u)) for u in range(dM)]
-    for u in range(dM):
-        for w in range(dM):
-            lhs = alg.mu(rm[u], rm[w])
-            inner = add_vec(mod.left(rm[u], basis_vec(dM, w)),
-                            mod.right(basis_vec(dM, u), rm[w]))
-            rep.require("rrb_identity", (u, w), lhs, rop(inner))
+    mod, r = x.module, x.rop.matrix
+    ident = Matrix.identity(mod.dim)
+    rep.require_laws([("rrb_identity", (mod.dim,) * 2,
+                       x.algebra.mu.on_columns(r, r),
+                       r * (mod.left.on_columns(r, ident) +
+                            mod.right.on_columns(ident, r)), None)])
     return rep
 
 
@@ -119,26 +116,18 @@ def check_morphism(mor):
     """The four morphism conditions, reported in order of first failure."""
     rep = Report("rrb_morphism")
     src, tgt = mor.source, mor.target
-    phi, psi = mor.phi, mor.psi
+    phi, psi = mor.phi.matrix, mor.psi.matrix
     dA, dM = src.algebra.dim, src.module.dim
-    fa = [phi(basis_vec(dA, i)) for i in range(dA)]
-    fm = [psi(basis_vec(dM, u)) for u in range(dM)]
-    for i in range(dA):
-        for j in range(dA):
-            rep.require("algebra_morphism", (i, j),
-                        phi(src.algebra.mu.on_basis(i, j)),
-                        tgt.algebra.mu(fa[i], fa[j]))
-    for i in range(dA):
-        for u in range(dM):
-            rep.require("left_action_intertwine", (i, u),
-                        psi(src.module.left.on_basis(i, u)),
-                        tgt.module.left(fa[i], fm[u]))
-            rep.require("right_action_intertwine", (u, i),
-                        psi(src.module.right.on_basis(u, i)),
-                        tgt.module.right(fm[u], fa[i]))
-    for u in range(dM):
-        rep.require("operator_intertwine", (u,),
-                    phi(src.rop(basis_vec(dM, u))), tgt.rop(fm[u]))
+    rep.require_laws([("algebra_morphism", (dA, dA),
+                       phi * src.algebra.mu.matrix,
+                       tgt.algebra.mu.on_columns(phi, phi), None)])
+    rep.require_laws([
+        ("left_action_intertwine", (dA, dM), psi * src.module.left.matrix,
+         tgt.module.left.on_columns(phi, psi), None),
+        ("right_action_intertwine", (dM, dA), psi * src.module.right.matrix,
+         tgt.module.right.on_columns(psi, phi), lambda u, i: (i, u))])
+    rep.require_laws([("operator_intertwine", (dM,), phi * src.rop.matrix,
+                       tgt.rop.matrix * psi, None)])
     return rep
 
 
@@ -171,11 +160,9 @@ def induced_dendriform(x):
     den = DendriformAlgebra(dM, prec, succ, mod.basis_names)
     mtot = total_algebra(den)
     rep = Report("total_operator_is_algebra_morphism")
-    for u in range(dM):
-        for w in range(dM):
-            rep.require("R_multiplicative", (u, w),
-                        rop(mtot.mu.on_basis(u, w)),
-                        alg.mu(rm[u], rm[w]))
+    r = rop.matrix
+    rep.require_laws([("R_multiplicative", (dM, dM), r * mtot.mu.matrix,
+                       alg.mu.on_columns(r, r), None)])
     return den, mtot, rep
 
 
@@ -282,22 +269,16 @@ def check_rb_bimodule(pair):
       R_M(m) . R(a) = R_M( R_M(m) . a + m . R(a) )
     """
     rep = Report("rb_bimodule")
-    alg, mod = pair.algebra, pair.module
-    dA, dM = alg.dim, mod.dim
-    ra = [pair.rop(basis_vec(dA, i)) for i in range(dA)]
-    rm = [pair.mop(basis_vec(dM, u)) for u in range(dM)]
-    for i in range(dA):
-        a = basis_vec(dA, i)
-        for u in range(dM):
-            m = basis_vec(dM, u)
-            rep.require(
-                "rb_bimodule_left", (i, u),
-                mod.left(ra[i], rm[u]),
-                pair.mop(add_vec(mod.left(ra[i], m), mod.left(a, rm[u]))))
-            rep.require(
-                "rb_bimodule_right", (u, i),
-                mod.right(rm[u], ra[i]),
-                pair.mop(add_vec(mod.right(rm[u], a), mod.right(m, ra[i]))))
+    left, right = pair.module.left, pair.module.right
+    ra, rm = pair.rop.matrix, pair.mop.matrix
+    dA, dM = pair.algebra.dim, pair.module.dim
+    ia, im = Matrix.identity(dA), Matrix.identity(dM)
+    rep.require_laws([
+        ("rb_bimodule_left", (dA, dM), left.on_columns(ra, rm),
+         rm * (left.on_columns(ra, im) + left.on_columns(ia, rm)), None),
+        ("rb_bimodule_right", (dM, dA), right.on_columns(rm, ra),
+         rm * (right.on_columns(rm, ia) + right.on_columns(im, ra)),
+         lambda u, i: (i, u))])
     return rep
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .algebra import (
     Bimodule, DendriformRepresentation, LinearMap, Report, ShapeError,
-    StructuralError, StructureConstants, add_vec, basis_vec, block_constants,
+    StructuralError, StructureConstants, basis_vec, block_constants,
     dual_bimodule, semidirect_algebra, total_algebra,
 )
 from .linalg import Matrix, inverse, paste
@@ -101,54 +101,41 @@ def check_pairing_identities(module, base, fiber, left_pair, right_pair):
     r(a.b, m) = a.r(b, m)    r(b.a, m) = r(b, a.m)    r(b, m.a) = r(b, m).a
     """
     rep = Report("pairing_identities")
-    alg = module.over
-    dA, dM, dB = alg.dim, module.dim, base.dim
-    for i in range(dA):
-        a = basis_vec(dA, i)
-        for u in range(dM):
-            m = basis_vec(dM, u)
-            for w in range(dB):
-                b = basis_vec(dB, w)
-                rep.require("pair_l_left", (i, u, w),
-                            left_pair(module.left.on_basis(i, u), b),
-                            fiber.left(a, left_pair.on_basis(u, w)))
-                rep.require("pair_l_middle", (u, i, w),
-                            left_pair(module.right.on_basis(u, i), b),
-                            left_pair(m, base.left.on_basis(i, w)))
-                rep.require("pair_l_right", (u, w, i),
-                            left_pair(m, base.right.on_basis(w, i)),
-                            fiber.right(left_pair.on_basis(u, w), a))
-                rep.require("pair_r_left", (i, w, u),
-                            right_pair(base.left.on_basis(i, w), m),
-                            fiber.left(a, right_pair.on_basis(w, u)))
-                rep.require("pair_r_middle", (w, i, u),
-                            right_pair(base.right.on_basis(w, i), m),
-                            right_pair(b, module.left.on_basis(i, u)))
-                rep.require("pair_r_right", (w, u, i),
-                            right_pair(b, module.right.on_basis(u, i)),
-                            fiber.right(right_pair.on_basis(w, u), a))
+    lp, rp = left_pair, right_pair
+    dA, dM, dB = module.over.dim, module.dim, base.dim
+    ia, im, ib = (Matrix.identity(n) for n in (dA, dM, dB))
+    # loop order (i, u, w): a in A, m in M, b in B
+    rep.require_laws([
+        ("pair_l_left", (dA, dM, dB), lp.on_columns(module.left.matrix, ib),
+         fiber.left.on_columns(ia, lp.matrix), None),
+        ("pair_l_middle", (dM, dA, dB),
+         lp.on_columns(module.right.matrix, ib),
+         lp.on_columns(im, base.left.matrix), lambda u, i, w: (i, u, w)),
+        ("pair_l_right", (dM, dB, dA), lp.on_columns(im, base.right.matrix),
+         fiber.right.on_columns(lp.matrix, ia), lambda u, w, i: (i, u, w)),
+        ("pair_r_left", (dA, dB, dM), rp.on_columns(base.left.matrix, im),
+         fiber.left.on_columns(ia, rp.matrix), lambda i, w, u: (i, u, w)),
+        ("pair_r_middle", (dB, dA, dM), rp.on_columns(base.right.matrix, im),
+         rp.on_columns(ib, module.left.matrix), lambda w, i, u: (i, u, w)),
+        ("pair_r_right", (dB, dM, dA),
+         rp.on_columns(ib, module.right.matrix),
+         fiber.right.on_columns(rp.matrix, ia), lambda w, u, i: (i, u, w))])
     return rep
 
 
 def check_operator_identities(b):
     """The two identities coupling R with the complex map S."""
     rep = Report("operator_identities")
-    x = b.over
-    dM, dN = x.module.dim, b.fiber.dim
-    rm = [x.rop(basis_vec(dM, u)) for u in range(dM)]
-    sn = [b.sop(basis_vec(dN, v)) for v in range(dN)]
-    for u in range(dM):
-        m = basis_vec(dM, u)
-        for v in range(dN):
-            n = basis_vec(dN, v)
-            rep.require("operator_left", (u, v),
-                        b.base.left(rm[u], sn[v]),
-                        b.sop(add_vec(b.fiber.left(rm[u], n),
-                                      b.left_pair(m, sn[v]))))
-            rep.require("operator_right", (v, u),
-                        b.base.right(sn[v], rm[u]),
-                        b.sop(add_vec(b.right_pair(sn[v], m),
-                                      b.fiber.right(n, rm[u]))))
+    r, s = b.over.rop.matrix, b.sop.matrix
+    dM, dN = b.over.module.dim, b.fiber.dim
+    im, i_n = Matrix.identity(dM), Matrix.identity(dN)
+    rep.require_laws([
+        ("operator_left", (dM, dN), b.base.left.on_columns(r, s),
+         s * (b.fiber.left.on_columns(r, i_n) +
+              b.left_pair.on_columns(im, s)), None),
+        ("operator_right", (dN, dM), b.base.right.on_columns(s, r),
+         s * (b.right_pair.on_columns(s, im) +
+              b.fiber.right.on_columns(i_n, r)), lambda v, u: (u, v))])
     return rep
 
 
@@ -378,6 +365,12 @@ class DifferentialPair:
             raise ShapeError("derivation must map the algebra into the module")
         if delta.domain_dim != base.dim or delta.codomain_dim != fiber.dim:
             raise ShapeError("delta must map the base into the fiber")
+        if (left_pair.dim_left, left_pair.dim_right, left_pair.dim_out) != \
+                (module.dim, base.dim, fiber.dim):
+            raise ShapeError("left pairing must be dimM x dimB -> dimN")
+        if (right_pair.dim_left, right_pair.dim_right,
+                right_pair.dim_out) != (base.dim, module.dim, fiber.dim):
+            raise ShapeError("right pairing must be dimB x dimM -> dimN")
         self.algebra = algebra
         self.module = module
         self.base = base
@@ -391,30 +384,21 @@ class DifferentialPair:
 def check_differential_pair(p):
     """Derivation law, pairing identities, and the two delta laws."""
     rep = Report("differential_pair")
-    alg = p.algebra
-    dA, dB = alg.dim, p.base.dim
-    da = [p.d(basis_vec(dA, i)) for i in range(dA)]
-    for i in range(dA):
-        a = basis_vec(dA, i)
-        for j in range(dA):
-            rep.require("derivation", (i, j),
-                        p.d(alg.mu.on_basis(i, j)),
-                        add_vec(p.module.left(a, da[j]),
-                                p.module.right(da[i], basis_vec(dA, j))))
+    alg, mod, base, fiber = p.algebra, p.module, p.base, p.fiber
+    d, delta = p.d.matrix, p.delta.matrix
+    ia, ib = Matrix.identity(alg.dim), Matrix.identity(base.dim)
+    rep.require_laws([("derivation", (alg.dim,) * 2, d * alg.mu.matrix,
+                       mod.left.on_columns(ia, d) +
+                       mod.right.on_columns(d, ia), None)])
     rep.merge(check_pairing_identities(
-        p.module, p.base, p.fiber, p.left_pair, p.right_pair))
-    for i in range(dA):
-        a = basis_vec(dA, i)
-        for w in range(dB):
-            b = basis_vec(dB, w)
-            rep.require("delta_left", (i, w),
-                        p.delta(p.base.left.on_basis(i, w)),
-                        add_vec(p.fiber.left(a, p.delta(b)),
-                                p.left_pair(da[i], b)))
-            rep.require("delta_right", (w, i),
-                        p.delta(p.base.right.on_basis(w, i)),
-                        add_vec(p.right_pair(b, da[i]),
-                                p.fiber.right(p.delta(b), a)))
+        mod, base, fiber, p.left_pair, p.right_pair))
+    rep.require_laws([
+        ("delta_left", (alg.dim, base.dim), delta * base.left.matrix,
+         fiber.left.on_columns(ia, delta) +
+         p.left_pair.on_columns(d, ib), None),
+        ("delta_right", (base.dim, alg.dim), delta * base.right.matrix,
+         p.right_pair.on_columns(ib, d) +
+         fiber.right.on_columns(delta, ia), lambda w, i: (i, w))])
     return rep
 
 

@@ -1,13 +1,15 @@
-"""Small hand-built structures and a reference Gauss-Jordan elimination
-shared across test modules."""
+"""Small hand-built structures, a reference Gauss-Jordan elimination and
+reference per-tuple axiom checks, shared across test modules."""
 
 from fractions import Fraction
+from itertools import product
 
 from rotabaxter.algebra import (
-    AssocAlgebra, Bimodule, LinearMap, StructureConstants,
+    AssocAlgebra, Bimodule, LinearMap, Report, ShapeError, StructuralError,
+    StructureConstants, _square_zero_dendriform, add_vec, basis_vec, sub_vec,
 )
 from rotabaxter.linalg import Matrix, Q
-from rotabaxter.rrb import RelativeRBAlgebra
+from rotabaxter.rrb import RelativeRBAlgebra, induced_dendriform
 
 
 def sc(dim_left, dim_right, dim_out, entries):
@@ -154,3 +156,531 @@ def reference_inverse(m):
     if len(pivots) < n:
         return None
     return [row[n:] for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# Reference axiom checks: the per-basis-tuple loops the package evaluated
+# before its checks became matrix identities, kept verbatim.  Each builds
+# dense vectors for one basis tuple at a time and shares only Report and
+# the structure types with rotabaxter, so the matrix form is checked
+# against an independent evaluation of every law, violation by violation.
+
+
+def ref_check_associativity(alg):
+    """(e_i e_j) e_k == e_i (e_j e_k) for all basis triples."""
+    rep = Report("associativity")
+    mu = alg.mu
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            ij = mu.on_basis(i, j)
+            for k in range(alg.dim):
+                lhs = mu(ij, basis_vec(alg.dim, k))
+                rhs = mu(basis_vec(alg.dim, i), mu.on_basis(j, k))
+                rep.require("assoc", (i, j, k), lhs, rhs)
+    return rep
+
+
+def ref_check_bimodule(mod):
+    """The three compatibility identities of a bimodule, on basis triples."""
+    rep = Report("bimodule")
+    alg = mod.over
+    dA, dM = alg.dim, mod.dim
+    for i in range(dA):
+        for j in range(dA):
+            ij = alg.mu.on_basis(i, j)
+            for w in range(dM):
+                m = basis_vec(dM, w)
+                a = basis_vec(dA, i)
+                b = basis_vec(dA, j)
+                # (a a') . m = a . (a' . m)
+                rep.require("left_assoc", (i, j, w),
+                            mod.left(ij, m), mod.left(a, mod.left(b, m)))
+                # (a . m) . a' = a . (m . a')
+                rep.require("middle_assoc", (i, w, j),
+                            mod.right(mod.left(a, m), b),
+                            mod.left(a, mod.right(m, b)))
+                # (m . a) . a' = m . (a a')
+                rep.require("right_assoc", (w, i, j),
+                            mod.right(mod.right(m, a), b), mod.right(m, ij))
+    return rep
+
+
+def ref_check_dendriform(den):
+    """The three splitting axioms on all basis triples.
+
+    axiom1: (x < y) < z == x < (y * z)
+    axiom2: (x > y) < z == x > (y < z)
+    axiom3: (x * y) > z == x > (y > z)        (* = < + >)
+    """
+    rep = Report("dendriform")
+    d = den.dim
+    for i in range(d):
+        x = basis_vec(d, i)
+        for j in range(d):
+            y = basis_vec(d, j)
+            xy_prec = den.prec(x, y)
+            xy_succ = den.succ(x, y)
+            xy_star = add_vec(xy_prec, xy_succ)
+            for k in range(d):
+                z = basis_vec(d, k)
+                rep.require("axiom1", (i, j, k),
+                            den.prec(xy_prec, z), den.prec(x, den.star(y, z)))
+                rep.require("axiom2", (i, j, k),
+                            den.prec(xy_succ, z), den.succ(x, den.prec(y, z)))
+                rep.require("axiom3", (i, j, k),
+                            den.succ(xy_star, z), den.succ(x, den.succ(y, z)))
+    return rep
+
+
+def ref_check_dendriform_representation(rep):
+    """The nine identities, generated mechanically by slot substitution."""
+    big = _square_zero_dendriform(rep)
+    dD = rep.over.dim
+    n = big.dim
+    out = Report("dendriform_representation")
+    for i in range(n):
+        x = basis_vec(n, i)
+        for j in range(n):
+            y = basis_vec(n, j)
+            xy_prec = big.prec(x, y)
+            xy_succ = big.succ(x, y)
+            for k in range(n):
+                # exactly one of the three slots in the E block
+                if (i >= dD) + (j >= dD) + (k >= dD) != 1:
+                    continue
+                z = basis_vec(n, k)
+                slot = "E@" + str([i >= dD, j >= dD, k >= dD].index(True) + 1)
+                out.require(f"axiom1[{slot}]", (i, j, k),
+                            big.prec(xy_prec, z),
+                            big.prec(x, big.star(y, z)))
+                out.require(f"axiom2[{slot}]", (i, j, k),
+                            big.prec(xy_succ, z),
+                            big.succ(x, big.prec(y, z)))
+                out.require(f"axiom3[{slot}]", (i, j, k),
+                            big.succ(add_vec(xy_prec, xy_succ), z),
+                            big.succ(x, big.succ(y, z)))
+    return out
+
+
+def ref_check_relative_rb(x):
+    """The relative Rota-Baxter identity on all basis pairs of M."""
+    rep = Report("relative_rota_baxter")
+    alg, mod, rop = x.algebra, x.module, x.rop
+    dM = mod.dim
+    rm = [rop(basis_vec(dM, u)) for u in range(dM)]
+    for u in range(dM):
+        for w in range(dM):
+            lhs = alg.mu(rm[u], rm[w])
+            inner = add_vec(mod.left(rm[u], basis_vec(dM, w)),
+                            mod.right(basis_vec(dM, u), rm[w]))
+            rep.require("rrb_identity", (u, w), lhs, rop(inner))
+    return rep
+
+
+def ref_check_morphism(mor):
+    """The four morphism conditions, reported in order of first failure."""
+    rep = Report("rrb_morphism")
+    src, tgt = mor.source, mor.target
+    phi, psi = mor.phi, mor.psi
+    dA, dM = src.algebra.dim, src.module.dim
+    fa = [phi(basis_vec(dA, i)) for i in range(dA)]
+    fm = [psi(basis_vec(dM, u)) for u in range(dM)]
+    for i in range(dA):
+        for j in range(dA):
+            rep.require("algebra_morphism", (i, j),
+                        phi(src.algebra.mu.on_basis(i, j)),
+                        tgt.algebra.mu(fa[i], fa[j]))
+    for i in range(dA):
+        for u in range(dM):
+            rep.require("left_action_intertwine", (i, u),
+                        psi(src.module.left.on_basis(i, u)),
+                        tgt.module.left(fa[i], fm[u]))
+            rep.require("right_action_intertwine", (u, i),
+                        psi(src.module.right.on_basis(u, i)),
+                        tgt.module.right(fm[u], fa[i]))
+    for u in range(dM):
+        rep.require("operator_intertwine", (u,),
+                    phi(src.rop(basis_vec(dM, u))), tgt.rop(fm[u]))
+    return rep
+
+
+def ref_induced_dendriform_report(x):
+    """The report of rrb.induced_dendriform: R: M_Tot -> A multiplies."""
+    alg, rop = x.algebra, x.rop
+    dM = x.module.dim
+    _, mtot, _ = induced_dendriform(x)
+    rm = [rop(basis_vec(dM, u)) for u in range(dM)]
+    rep = Report("total_operator_is_algebra_morphism")
+    for u in range(dM):
+        for w in range(dM):
+            rep.require("R_multiplicative", (u, w),
+                        rop(mtot.mu.on_basis(u, w)),
+                        alg.mu(rm[u], rm[w]))
+    return rep
+
+
+def ref_check_rb_bimodule(pair):
+    """The two Rota-Baxter bimodule identities on basis pairs:
+
+      R(a) . R_M(m) = R_M( R(a) . m + a . R_M(m) )
+      R_M(m) . R(a) = R_M( R_M(m) . a + m . R(a) )
+    """
+    rep = Report("rb_bimodule")
+    alg, mod = pair.algebra, pair.module
+    dA, dM = alg.dim, mod.dim
+    ra = [pair.rop(basis_vec(dA, i)) for i in range(dA)]
+    rm = [pair.mop(basis_vec(dM, u)) for u in range(dM)]
+    for i in range(dA):
+        a = basis_vec(dA, i)
+        for u in range(dM):
+            m = basis_vec(dM, u)
+            rep.require(
+                "rb_bimodule_left", (i, u),
+                mod.left(ra[i], rm[u]),
+                pair.mop(add_vec(mod.left(ra[i], m), mod.left(a, rm[u]))))
+            rep.require(
+                "rb_bimodule_right", (u, i),
+                mod.right(rm[u], ra[i]),
+                pair.mop(add_vec(mod.right(rm[u], a), mod.right(m, ra[i]))))
+    return rep
+
+
+def ref_check_pairing_identities(module, base, fiber, left_pair, right_pair):
+    """The six identities tying the pairings to the three A-bimodules.
+
+    l(a.m, b) = a.l(m, b)    l(m.a, b) = l(m, a.b)    l(m, b.a) = l(m, b).a
+    r(a.b, m) = a.r(b, m)    r(b.a, m) = r(b, a.m)    r(b, m.a) = r(b, m).a
+    """
+    rep = Report("pairing_identities")
+    alg = module.over
+    dA, dM, dB = alg.dim, module.dim, base.dim
+    for i in range(dA):
+        a = basis_vec(dA, i)
+        for u in range(dM):
+            m = basis_vec(dM, u)
+            for w in range(dB):
+                b = basis_vec(dB, w)
+                rep.require("pair_l_left", (i, u, w),
+                            left_pair(module.left.on_basis(i, u), b),
+                            fiber.left(a, left_pair.on_basis(u, w)))
+                rep.require("pair_l_middle", (u, i, w),
+                            left_pair(module.right.on_basis(u, i), b),
+                            left_pair(m, base.left.on_basis(i, w)))
+                rep.require("pair_l_right", (u, w, i),
+                            left_pair(m, base.right.on_basis(w, i)),
+                            fiber.right(left_pair.on_basis(u, w), a))
+                rep.require("pair_r_left", (i, w, u),
+                            right_pair(base.left.on_basis(i, w), m),
+                            fiber.left(a, right_pair.on_basis(w, u)))
+                rep.require("pair_r_middle", (w, i, u),
+                            right_pair(base.right.on_basis(w, i), m),
+                            right_pair(b, module.left.on_basis(i, u)))
+                rep.require("pair_r_right", (w, u, i),
+                            right_pair(b, module.right.on_basis(u, i)),
+                            fiber.right(right_pair.on_basis(w, u), a))
+    return rep
+
+
+def ref_check_operator_identities(b):
+    """The two identities coupling R with the complex map S."""
+    rep = Report("operator_identities")
+    x = b.over
+    dM, dN = x.module.dim, b.fiber.dim
+    rm = [x.rop(basis_vec(dM, u)) for u in range(dM)]
+    sn = [b.sop(basis_vec(dN, v)) for v in range(dN)]
+    for u in range(dM):
+        m = basis_vec(dM, u)
+        for v in range(dN):
+            n = basis_vec(dN, v)
+            rep.require("operator_left", (u, v),
+                        b.base.left(rm[u], sn[v]),
+                        b.sop(add_vec(b.fiber.left(rm[u], n),
+                                      b.left_pair(m, sn[v]))))
+            rep.require("operator_right", (v, u),
+                        b.base.right(sn[v], rm[u]),
+                        b.sop(add_vec(b.right_pair(sn[v], m),
+                                      b.fiber.right(n, rm[u]))))
+    return rep
+
+
+def ref_check_differential_pair(p):
+    """Derivation law, pairing identities, and the two delta laws."""
+    rep = Report("differential_pair")
+    alg = p.algebra
+    dA, dB = alg.dim, p.base.dim
+    da = [p.d(basis_vec(dA, i)) for i in range(dA)]
+    for i in range(dA):
+        a = basis_vec(dA, i)
+        for j in range(dA):
+            rep.require("derivation", (i, j),
+                        p.d(alg.mu.on_basis(i, j)),
+                        add_vec(p.module.left(a, da[j]),
+                                p.module.right(da[i], basis_vec(dA, j))))
+    rep.merge(ref_check_pairing_identities(
+        p.module, p.base, p.fiber, p.left_pair, p.right_pair))
+    for i in range(dA):
+        a = basis_vec(dA, i)
+        for w in range(dB):
+            b = basis_vec(dB, w)
+            rep.require("delta_left", (i, w),
+                        p.delta(p.base.left.on_basis(i, w)),
+                        add_vec(p.fiber.left(a, p.delta(b)),
+                                p.left_pair(da[i], b)))
+            rep.require("delta_right", (w, i),
+                        p.delta(p.base.right.on_basis(w, i)),
+                        add_vec(p.right_pair(b, da[i]),
+                                p.fiber.right(p.delta(b), a)))
+    return rep
+
+
+def ref_check_derivation(x, b, alpha, beta):
+    """The four identities cutting out the degree-1 cocycles.
+
+    alpha(a.a') = alpha(a).a' + a.alpha(a')            (values in the base)
+    beta(a.m)   = r(alpha(a), m) + a.beta(m)           (values in the fiber)
+    beta(m.a)   = beta(m).a + l(m, alpha(a))
+    alpha(R m)  = S(beta(m))
+    """
+    alg, mod = x.algebra, x.module
+    dA, dM = alg.dim, mod.dim
+    rep = Report("derivation_pair")
+    av = [alpha(basis_vec(dA, i)) for i in range(dA)]
+    bv = [beta(basis_vec(dM, u)) for u in range(dM)]
+    for i in range(dA):
+        ei = basis_vec(dA, i)
+        for j in range(dA):
+            rep.require(
+                "leibniz", (i, j), alpha(alg.mu.on_basis(i, j)),
+                tuple(p + q for p, q in
+                      zip(b.base.right(av[i], basis_vec(dA, j)),
+                          b.base.left(ei, av[j]))))
+        for u in range(dM):
+            eu = basis_vec(dM, u)
+            rep.require(
+                "left_action", (i, u), beta(mod.left.on_basis(i, u)),
+                tuple(p + q for p, q in
+                      zip(b.right_pair(av[i], eu), b.fiber.left(ei, bv[u]))))
+            rep.require(
+                "right_action", (u, i), beta(mod.right.on_basis(u, i)),
+                tuple(p + q for p, q in
+                      zip(b.fiber.right(bv[u], ei),
+                          b.left_pair(eu, av[i]))))
+    for u in range(dM):
+        rep.require("intertwine", (u,),
+                    alpha(x.rop(basis_vec(dM, u))), b.sop(bv[u]))
+    return rep
+
+
+def _kron3(u, v, w):
+    return tuple(p * q * r for p in u for q in v for r in w)
+
+
+class _Graded:
+    """A vector tagged by layer: space "a" or "m", degree 0 or 1."""
+
+    __slots__ = ("space", "deg", "vec")
+
+    def __init__(self, space, deg, vec):
+        self.space = space
+        self.deg = deg
+        self.vec = tuple(vec)
+
+    def _check_layer(self, other):
+        if (self.space, self.deg) != (other.space, other.deg):
+            raise StructuralError(
+                f"layer ({self.space}, {self.deg}) combined with "
+                f"({other.space}, {other.deg})")
+
+    def __add__(self, other):
+        self._check_layer(other)
+        return _Graded(self.space, self.deg, add_vec(self.vec, other.vec))
+
+    def __sub__(self, other):
+        self._check_layer(other)
+        return _Graded(self.space, self.deg, sub_vec(self.vec, other.vec))
+
+
+class _TwoTermEnv:
+    """Evaluates d, mu2, mu3 on layer-tagged vectors by block dispatch.
+
+    Writing the defining identities once against this dispatcher yields
+    both the algebra check (all inputs in the "a" layer) and the full
+    substituted bimodule identity list (exactly one input moved to the
+    "m" layer) without spelling the expansions out by hand.
+    """
+
+    __slots__ = ("alg", "mod", "blocks")
+
+    def __init__(self, alg, mod=None):
+        self.alg = alg
+        self.mod = mod
+        self.blocks = {("a", 0, "a", 0): alg.mu00,
+                       ("a", 0, "a", 1): alg.mu01,
+                       ("a", 1, "a", 0): alg.mu10}
+        if mod is not None:
+            self.blocks.update({("a", 0, "m", 0): mod.left00,
+                                ("a", 0, "m", 1): mod.left01,
+                                ("a", 1, "m", 0): mod.left10,
+                                ("m", 0, "a", 0): mod.right00,
+                                ("m", 0, "a", 1): mod.right01,
+                                ("m", 1, "a", 0): mod.right10})
+
+    def d(self, x):
+        lin = self.alg.d if x.space == "a" else self.mod.dm
+        return _Graded(x.space, 0, lin(x.vec))
+
+    def mu2(self, x, y):
+        block = self.blocks[(x.space, x.deg, y.space, y.deg)]
+        space = "m" if "m" in (x.space, y.space) else "a"
+        return _Graded(space, x.deg + y.deg, block(x.vec, y.vec))
+
+    def mu3(self, x, y, z):
+        spaces = (x.space, y.space, z.space)
+        flat = _kron3(x.vec, y.vec, z.vec)
+        if spaces == ("a", "a", "a"):
+            return _Graded("a", 1, self.alg.mu3(flat))
+        return _Graded("m", 1, self.mod.mu3m[spaces.index("m")](flat))
+
+
+# each law: name, input degrees, and both sides as expressions over the
+# dispatcher; substituting layers is then purely mechanical
+_TWO_TERM_LAWS = (
+    ("complex_right", (0, 1),
+     lambda E, a, p: E.d(E.mu2(a, p)),
+     lambda E, a, p: E.mu2(a, E.d(p))),
+    ("complex_left", (1, 0),
+     lambda E, p, a: E.d(E.mu2(p, a)),
+     lambda E, p, a: E.mu2(E.d(p), a)),
+    ("complex_exchange", (1, 1),
+     lambda E, p, q: E.mu2(E.d(p), q),
+     lambda E, p, q: E.mu2(p, E.d(q))),
+    ("associator_boundary", (0, 0, 0),
+     lambda E, a, b, c: E.d(E.mu3(a, b, c)),
+     lambda E, a, b, c: E.mu2(E.mu2(a, b), c) - E.mu2(a, E.mu2(b, c))),
+    ("associator_right", (0, 0, 1),
+     lambda E, a, b, p: E.mu3(a, b, E.d(p)),
+     lambda E, a, b, p: E.mu2(E.mu2(a, b), p) - E.mu2(a, E.mu2(b, p))),
+    ("associator_middle", (0, 1, 0),
+     lambda E, a, p, c: E.mu3(a, E.d(p), c),
+     lambda E, a, p, c: E.mu2(E.mu2(a, p), c) - E.mu2(a, E.mu2(p, c))),
+    ("associator_left", (1, 0, 0),
+     lambda E, p, b, c: E.mu3(E.d(p), b, c),
+     lambda E, p, b, c: E.mu2(E.mu2(p, b), c) - E.mu2(p, E.mu2(b, c))),
+    ("corrector_cocycle", (0, 0, 0, 0),
+     lambda E, a, b, c, e: (E.mu3(E.mu2(a, b), c, e) -
+                            E.mu3(a, E.mu2(b, c), e) +
+                            E.mu3(a, b, E.mu2(c, e))),
+     lambda E, a, b, c, e: (E.mu2(E.mu3(a, b, c), e) +
+                            E.mu2(a, E.mu3(b, c, e)))),
+)
+
+
+def _basis_elements(env, degs, spaces):
+    dims = []
+    for deg, space in zip(degs, spaces):
+        if space == "a":
+            dims.append(env.alg.dim0 if deg == 0 else env.alg.dim1)
+        else:
+            dims.append(env.mod.dim0 if deg == 0 else env.mod.dim1)
+    for combo in product(*(range(n) for n in dims)):
+        yield combo, [_Graded(space, deg, basis_vec(dim, idx))
+                      for space, deg, dim, idx
+                      in zip(spaces, degs, dims, combo)]
+
+
+def ref_check_two_term_ainfty(a):
+    """All defining identities on all basis tuples, degrees forced."""
+    rep = Report("two_term_ainfty")
+    env = _TwoTermEnv(a)
+    for law, degs, lhs, rhs in _TWO_TERM_LAWS:
+        spaces = ("a",) * len(degs)
+        for combo, elems in _basis_elements(env, degs, spaces):
+            rep.require(law, combo,
+                        lhs(env, *elems).vec, rhs(env, *elems).vec)
+    return rep
+
+
+def ref_check_ainfty_bimodule(a, m):
+    """Every defining identity with exactly one input in the module layer."""
+    if (m.left00.dim_left, m.left10.dim_left) != (a.dim0, a.dim1):
+        raise ShapeError("bimodule blocks do not fit the algebra dimensions")
+    rep = Report("ainfty_bimodule")
+    env = _TwoTermEnv(a, m)
+    for law, degs, lhs, rhs in _TWO_TERM_LAWS:
+        for pos in range(len(degs)):
+            spaces = tuple("m" if q == pos else "a"
+                           for q in range(len(degs)))
+            for combo, elems in _basis_elements(env, degs, spaces):
+                rep.require(f"{law}/input {pos + 1}", combo,
+                            lhs(env, *elems).vec, rhs(env, *elems).vec)
+    return rep
+
+
+def ref_check_homotopy_rrb_operator(a, m, r):
+    """The five operator conditions on all basis tuples.
+
+    In the final condition the three mixed-corrector terms are composed
+    with r1 so that every term lands in the degree-1 algebra layer.
+    """
+    if (r.r0.domain_dim, r.r0.codomain_dim) != (m.dim0, a.dim0) or \
+            (r.r1.domain_dim, r.r1.codomain_dim) != (m.dim1, a.dim1):
+        raise ShapeError("operator layers must map the module complex into "
+                         "the algebra complex")
+    rep = Report("homotopy_rrb_operator")
+    d0, d1 = m.dim0, m.dim1
+    r0m = [r.r0(basis_vec(d0, u)) for u in range(d0)]
+    r1n = [r.r1(basis_vec(d1, v)) for v in range(d1)]
+    # the operator intertwines the two complexes
+    for v in range(d1):
+        rep.require("chain_map", (v,),
+                    a.d(r1n[v]), r.r0(m.dm(basis_vec(d1, v))))
+    # the degree-0 defect is the boundary of the corrector
+    for u in range(d0):
+        eu = basis_vec(d0, u)
+        for w in range(d0):
+            ew = basis_vec(d0, w)
+            inner = add_vec(m.left00(r0m[u], ew), m.right00(eu, r0m[w]))
+            rep.require("baxter_boundary", (u, w),
+                        sub_vec(r.r0(inner), a.mu00(r0m[u], r0m[w])),
+                        a.d(r.r2.on_basis(u, w)))
+    # the degree-1 defects are corrector values on boundaries
+    for u in range(d0):
+        eu = basis_vec(d0, u)
+        for v in range(d1):
+            nv = basis_vec(d1, v)
+            dn = m.dm(nv)
+            inner = add_vec(m.left01(r0m[u], nv), m.right01(eu, r1n[v]))
+            rep.require("baxter_right", (u, v),
+                        sub_vec(r.r1(inner), a.mu01(r0m[u], r1n[v])),
+                        r.r2(eu, dn))
+            inner = add_vec(m.left10(r1n[v], eu), m.right10(nv, r0m[u]))
+            rep.require("baxter_left", (v, u),
+                        sub_vec(r.r1(inner), a.mu10(r1n[v], r0m[u])),
+                        r.r2(dn, eu))
+    # the two correctors are compatible
+    for u in range(d0):
+        eu = basis_vec(d0, u)
+        for w in range(d0):
+            ew = basis_vec(d0, w)
+            r2uw = r.r2.on_basis(u, w)
+            circ_uw = add_vec(m.left00(r0m[u], ew), m.right00(eu, r0m[w]))
+            for z in range(d0):
+                ez = basis_vec(d0, z)
+                r2wz = r.r2.on_basis(w, z)
+                circ_wz = add_vec(m.left00(r0m[w], ez),
+                                  m.right00(ew, r0m[z]))
+                acc = a.mu01(r0m[u], r2wz)
+                acc = sub_vec(acc, r.r1(m.right01(eu, r2wz)))
+                acc = sub_vec(acc, r.r2(circ_uw, ez))
+                acc = add_vec(acc, r.r2(eu, circ_wz))
+                acc = sub_vec(acc, a.mu10(r2uw, r0m[z]))
+                acc = add_vec(acc, r.r1(m.left10(r2uw, ez)))
+                acc = add_vec(acc, r.r1(m.mu3m[0](
+                    _kron3(eu, r0m[w], r0m[z]))))
+                acc = add_vec(acc, r.r1(m.mu3m[1](
+                    _kron3(r0m[u], ew, r0m[z]))))
+                acc = add_vec(acc, r.r1(m.mu3m[2](
+                    _kron3(r0m[u], r0m[w], ez))))
+                rep.require("baxter_corrector", (u, w, z), acc,
+                            a.mu3(_kron3(r0m[u], r0m[w], r0m[z])))
+    return rep

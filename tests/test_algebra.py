@@ -6,13 +6,14 @@ import pytest
 
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
-    LinearMap, ShapeError, StructureConstants, basis_vec, check_associativity,
+    LinearMap, Report, ShapeError, StructureConstants, basis_vec,
+    check_associativity,
     bilinear, block_constants, check_bimodule, check_dendriform,
     check_dendriform_representation, dual_bimodule,
     hochschild_cohomology_dims, hochschild_matrix, semidirect_algebra,
     total_algebra,
 )
-from rotabaxter.linalg import Matrix, Q
+from rotabaxter.linalg import Matrix, Q, TensorIndex
 
 
 def sc(dim_left, dim_right, dim_out, entries):
@@ -165,6 +166,82 @@ def test_bilinear_reads_the_flattened_pair(dl, dr, do):
 def test_bilinear_rejects_a_wrong_domain():
     with pytest.raises(ShapeError):
         bilinear(LinearMap.zero(4, 1), 2, 3)
+
+
+def mixed_constants(rng, dl, dr, do):
+    return StructureConstants(dl, dr, do, [[[
+        Q(rng.choice((0, 0, 1, -1, 3)), rng.choice((1, 1, 2, 5)))
+        for _ in range(do)] for _ in range(dr)] for _ in range(dl)])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_constants_matrix_and_columns_match_the_definition(seed):
+    # random shapes, 0 included, with mixed denominators
+    rng = random.Random(seed)
+    dl, dr, do, n1, n2 = (rng.randint(0, 3) for _ in range(5))
+    c = mixed_constants(rng, dl, dr, do)
+    m = c.matrix
+    assert (m.rows, m.cols) == (do, dl * dr)
+    index = TensorIndex((dl, dr))
+    for t in range(dl * dr):
+        i, j = index.unflatten(t)
+        assert m.column(t) == c.on_basis(i, j)
+    assert c.matrix is m  # built once
+    x, y = (Matrix(d, n, [Q(rng.randint(-2, 2), rng.choice((1, 3)))
+                          for _ in range(d * n)])
+            for d, n in ((dl, n1), (dr, n2)))
+    got = c.on_columns(x, y)
+    assert (got.rows, got.cols) == (do, n1 * n2)
+    pairs = TensorIndex((n1, n2))
+    for t in range(n1 * n2):
+        s, u = pairs.unflatten(t)
+        assert got.column(t) == c(x.column(s), y.column(u))
+
+
+def test_identity_columns_give_the_values_on_basis_pairs():
+    c = mixed_constants(random.Random(3), 2, 3, 2)
+    got = c.on_columns(Matrix.identity(2), Matrix.identity(3))
+    assert got == c.matrix
+
+
+def evaluated(lhs_cols, rhs_cols):
+    """Two one-row sides from their column values."""
+    return (Matrix(1, len(lhs_cols), lhs_cols),
+            Matrix(1, len(rhs_cols), rhs_cols))
+
+
+class TestRequireLaws:
+    def test_violations_come_in_loop_order(self):
+        # loop (i, j) over dims (2, 3); law "b" takes its args as (j, i)
+        a_lhs, a_rhs = evaluated([0, 1, 0, 0, 0, 5], [0] * 6)
+        b_lhs, b_rhs = evaluated([0, 0, 7, 0, 0, 0], [0, 0, 0, 0, 0, 0])
+        rep = Report("x")
+        rep.require_laws([
+            ("a", (2, 3), a_lhs, a_rhs, None),
+            ("b", (3, 2), b_lhs, b_rhs, lambda j, i: (i, j))])
+        assert [(v.law, v.args) for v in rep.violations] == [
+            ("a", (0, 1)), ("b", (1, 0)), ("a", (1, 2))]
+        assert rep.violations[1].lhs == (7,) and rep.violations[1].rhs == (0,)
+
+    def test_sides_are_dense_columns(self):
+        lhs = Matrix(3, 2, [0, 1, Q(1, 2), 0, 0, 0])
+        rep = Report("x")
+        rep.require_laws([("l", (2,), lhs, Matrix(3, 2), None)])
+        assert [(v.args, v.lhs, v.rhs) for v in rep.violations] == [
+            ((0,), (0, Q(1, 2), 0), (0, 0, 0)), ((1,), (1, 0, 0), (0, 0, 0))]
+
+    def test_equal_sides_and_empty_spaces_pass(self):
+        rep = Report("x")
+        rep.require_laws([("l", (2, 0), Matrix(2, 0), Matrix(2, 0), None),
+                          ("m", (2,), Matrix.identity(2),
+                           Matrix.identity(2), None)])
+        assert rep.ok
+
+    def test_appends_after_earlier_violations(self):
+        rep = Report("x")
+        rep.require("first", (), (1,), (0,))
+        rep.require_laws([("l", (1,), *evaluated([1], [0]), None)])
+        assert [v.law for v in rep.violations] == ["first", "l"]
 
 
 def cochain(mod, k, fill):

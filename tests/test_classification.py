@@ -497,6 +497,11 @@ def test_two_term_shape_validation():
     with pytest.raises(ShapeError):
         HomotopyRRBOperator(LinearMap.zero(1, 2), LinearMap.zero(1, 1),
                             StructureConstants.zero(1, 1, 2))
+    # a module over another algebra, whose operator layers still fit
+    small = TwoTermAInfty.zero(1, 1)
+    with pytest.raises(ShapeError):
+        check_homotopy_rrb_operator(small, m,
+                                    HomotopyRRBOperator.zero(small, m))
 
 
 # --------------------------------------------------- skeletal dictionary

@@ -10,6 +10,9 @@ from rotabaxter import cli, fileformat as ff
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, LinearMap, StructureConstants,
 )
+from rotabaxter.classification import (
+    AInftyBimodule, HomotopyRRBOperator, TwoTermAInfty,
+)
 from rotabaxter.rrb import RelativeRBAlgebra
 from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
 
@@ -320,6 +323,24 @@ def test_malformed_rational_is_input_error(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     rc, _ = run(capsys, "validate", str(bad))
     assert rc == 2
+
+
+def test_homotopy_operator_over_a_misfit_module_is_input_error(tmp_path,
+                                                                capsys):
+    # the operator's module is a bimodule over another, larger algebra
+    small, big = TwoTermAInfty.zero(1, 1), TwoTermAInfty.zero(2, 1)
+    m = AInftyBimodule.zero(big, 1, 1)
+    doc = ff.new_document()
+    a_name, a0, a1 = ff.declare_two_term(doc, "small", small)
+    big_name, b0, b1 = ff.declare_two_term(doc, "big", big)
+    m_name, m0, m1 = ff.declare_ainfty_bimodule(doc, "m", m, big_name, b0, b1)
+    ff.declare_homotopy_rrb(doc, "r", HomotopyRRBOperator.zero(small, m),
+                            a_name, m_name, a0, a1, m0, m1)
+    path = tmp_path / "misfit.json"
+    ff.write_path(doc, path)
+    rc = cli.main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "shape mismatch" in err
 
 
 def test_unknown_cocycle_name(tmp_path, capsys):

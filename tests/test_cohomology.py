@@ -340,6 +340,20 @@ def test_cochain_shape_guards():
         RRBCochain.from_vector(x, b, 2, (Q(0),) * 5)  # degree 2 has 4
 
 
+@pytest.mark.parametrize("pair, k", [(ones_pair(), 2),
+                                     (random_rrb_pair(6), 2),
+                                     (random_rrb_pair(6), 3)])
+def test_from_vector_rejects_both_wrong_lengths(pair, k):
+    # one coordinate short and one too many raise the same error
+    x, b = pair
+    size = sum(cochain_space_dims(x, b, k))
+    assert RRBCochain.from_vector(x, b, k, (Q(0),) * size) == \
+        RRBCochain.zero(x, b, k)
+    for wrong in (size - 1, size + 1):
+        with pytest.raises(ShapeError, match=f"expected {size}"):
+            RRBCochain.from_vector(x, b, k, (Q(0),) * wrong)
+
+
 # ------------------------------------------- independent adjoint evaluator
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from rotabaxter.linalg import (
     Matrix, Q, TensorIndex, format_rational, homology_dims,
-    inverse, kernel_basis, parse_rational, paste, rank, solve,
+    inverse, kernel_basis, kron, parse_rational, paste, rank, solve,
 )
 
 from helpers import reference_elimination, reference_inverse
@@ -176,6 +176,59 @@ def test_constructors_keep_q_values():
     for m in (Matrix(1, 2, [q, 2]), Matrix.from_rows([[q, 2]])):
         assert m.at(0, 0) is q
         assert type(m.at(0, 1)) is Q and m.at(0, 1) == 2
+
+
+def test_solve_takes_q_and_other_rhs_entries_alike():
+    # Q entries are used as they are, others go through Q()
+    m = mat([[1, 2], [0, 3]])
+    want = (Q(-1, 9), Q(1, 9))
+    for rhs in ((Q(1, 9), Q(1, 3)), ("1/9", "1/3"), (Q(1, 9), "1/3")):
+        assert solve(m, rhs) == want
+    assert solve(m, (0, Q(0))) == (0, 0)
+
+
+def test_column_is_dense():
+    m = Matrix(2, 3, [0, Q(1, 2), 0, 4, 0, 0])
+    assert [m.column(j) for j in range(3)] == [(0, 4), (Q(1, 2), 0), (0, 0)]
+    assert all(type(v) is Q for j in range(3) for v in m.column(j))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kron_matches_its_definition(seed):
+    # random shapes, 0 included, with mixed denominators and 1s
+    rng = random.Random(seed)
+    shapes = [rng.randint(0, 3) for _ in range(4)]
+    a, b = (Matrix(r, c, [Q(rng.choice((0, 0, 1, -1, 2)),
+                           rng.choice((1, 1, 2, 3, 7)))
+                          for _ in range(r * c)])
+            for r, c in (shapes[:2], shapes[2:]))
+    out = kron(a, b)
+    rows, cols = TensorIndex((a.rows, b.rows)), TensorIndex((a.cols, b.cols))
+    assert (out.rows, out.cols) == (rows.size, cols.size)
+    for r in range(out.rows):
+        i, k = rows.unflatten(r)
+        for c in range(out.cols):
+            j, l = cols.unflatten(c)
+            assert out.at(r, c) == a.at(i, j) * b.at(k, l)
+    assert all(v for _, _, v in out.nonzero_items())
+
+
+def test_kron_columns_join_the_tuples():
+    # columns of the factors indexed by tuples of variables give the
+    # product's columns at the joined tuples, flattened as TensorIndex does
+    ident, left = Matrix.identity(2), Matrix(1, 6, [1, 2, 3, 4, 5, 6])
+    out = kron(left, ident)  # variables (i, j) of dims (2, 3), then k of 2
+    index = TensorIndex((2, 3, 2))
+    for t in range(out.cols):
+        i, j, k = index.unflatten(t)
+        assert out.column(t) == tuple(
+            left.at(0, TensorIndex((2, 3)).flatten((i, j))) * ident.at(r, k)
+            for r in range(2))
+
+
+def test_kron_needs_matrices():
+    with pytest.raises(TypeError):
+        kron(Matrix.identity(2), 2)
 
 
 def test_matrix_is_not_hashable():

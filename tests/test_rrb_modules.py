@@ -4,8 +4,8 @@ import pytest
 
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
-    LinearMap, StructuralError, StructureConstants, check_bimodule,
-    check_dendriform, check_dendriform_representation,
+    LinearMap, ShapeError, StructuralError, StructureConstants,
+    check_bimodule, check_dendriform, check_dendriform_representation,
 )
 from rotabaxter.linalg import Matrix, Q
 from rotabaxter.rrb import (
@@ -440,6 +440,16 @@ def test_broken_derivation_law_is_rejected():
     assert {v.law for v in rep.violations} == {"derivation"}
     with pytest.raises(StructuralError):
         invert_differential_pair(p)
+
+
+@pytest.mark.parametrize("left, right", [((2, 1, 1), (1, 1, 1)),
+                                         ((1, 1, 1), (1, 1, 2))])
+def test_differential_pair_pairing_shapes_are_checked(left, right):
+    p = square_zero_pair()
+    with pytest.raises(ShapeError):
+        DifferentialPair(p.algebra, p.module, p.base, p.fiber, p.d, p.delta,
+                         StructureConstants.zero(*left),
+                         StructureConstants.zero(*right))
 
 
 def test_broken_delta_law_is_flagged():
