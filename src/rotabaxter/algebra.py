@@ -356,7 +356,9 @@ def bilinear(lin, dim_left, dim_right):
     for k, t, v in lin.matrix.nonzero_items():
         i, j = divmod(t, dim_right)
         data[i][j][k] = v
-    return StructureConstants(dim_left, dim_right, lin.codomain_dim, data)
+    out = StructureConstants(dim_left, dim_right, lin.codomain_dim, data)
+    out._matrix = lin.matrix    # the map's matrix is the flattened form
+    return out
 
 
 def default_names(prefix, dim):

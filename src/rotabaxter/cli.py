@@ -13,6 +13,7 @@ never perturbs them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -549,7 +550,10 @@ def cmd_chainmap_check(args):
 # ------------------------------------------------------------ entry point
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and kept for the process:
+    parse_args keeps no state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")

@@ -14,6 +14,14 @@ the pairings), the Hochschild differential of the total algebra M_Tot
 acting on B for the gamma block, and an operator term h feeding
 (alpha, beta) into the gamma block through R and S.
 
+rrb_differential applies the differential to one cochain as products of
+its blocks with the structure constants (each tensor read as a matrix, and
+padded with identities by linalg.kron), so checking one cocycle builds no
+differential matrix.  rrb_differential_matrix assembles the whole map, entry
+by entry, for what needs ranks and kernels: cohomology dimensions,
+derivation bases and random cocycles.  The two index the same formulas in
+two ways, and the tests tie them together.
+
 The same file carries the two sibling complexes that interact with this
 one: the labelled dendriform complex and the restricted complex of a
 Rota-Baxter pair, together with the comparison maps between them.  The
@@ -32,12 +40,16 @@ to k).
 from __future__ import annotations
 
 from itertools import product as iter_product
+from math import prod
 
 from .algebra import (
     Bimodule, LinearMap, Report, ShapeError, StructuralError,
     hochschild_matrix,
 )
-from .linalg import Matrix, Q, TensorIndex, homology_dims, kernel_basis, paste
+from .linalg import (
+    Matrix, Q, TensorIndex, homology_dims, kernel_basis, kron, paste,
+    signed_sum,
+)
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
     RRBBimodule, adjoint_bimodule, dendriform_to_rrb, lift_bimodule,
@@ -366,13 +378,97 @@ def rrb_differential_matrix(x, b, k):
     return out
 
 
+def _at(pre, p, post):
+    """kron(I_pre, p, I_post): p acting on the factors between a block of
+    dimension pre and one of dimension post."""
+    if pre != 1:
+        p = kron(Matrix.identity(pre), p)
+    return p if post == 1 else kron(p, Matrix.identity(post))
+
+
+def _powers(m, n):
+    """The Kronecker powers m^(x)0 .. m^(x)n, the first the 1x1 identity."""
+    out = [Matrix.identity(1)]
+    for _ in range(n):
+        out.append(kron(out[-1], m))
+    return out
+
+
+def _hochschild_image(mod, f, k):
+    """The Hochschild differential of the bimodule mod on the degree-k
+    cochain f (a matrix with dim A^k columns), k >= 1, as the block products
+    a_1 . f(...), sum_i (-1)^i f(..., a_i a_{i+1}, ...) and
+    (-1)^(k+1) f(...) . a_{k+1}."""
+    dA = mod.over.dim
+    ia, mu = Matrix.identity(dA), mod.over.mu.matrix
+    faces = signed_sum(((-1) ** i, _at(dA ** (i - 1), mu, dA ** (k - i)))
+                       for i in range(1, k + 1))
+    return signed_sum([(1, mod.left.on_columns(ia, f)), (1, f * faces),
+                       ((-1) ** (k + 1), mod.right.on_columns(f, ia))])
+
+
+def _slot_merges(x, k, t):
+    """The neighbour merges into output slot t of the degree-(k+1) slot
+    maps, as {input slot: summed operator}: merging factors i and i+1 is
+    the right action when M sits at i, the left action when it sits at
+    i+1 and the product of A otherwise, with sign (-1)^i."""
+    dA, dM = x.algebra.dim, x.module.dim
+    dims = (dA,) * (t - 1) + (dM,) + (dA,) * (k + 1 - t)
+    terms = {}
+    for i in range(1, k + 1):
+        p = (x.module.right if t == i else
+             x.module.left if t == i + 1 else x.algebra.mu)
+        op = _at(prod(dims[:i - 1]), p.matrix, prod(dims[i + 1:]))
+        terms.setdefault(t if t <= i else t - 1, []).append(((-1) ** i, op))
+    return {s: signed_sum(ops) for s, ops in terms.items()}
+
+
 def rrb_differential(x, b, k, c):
-    """Apply the degree-k differential to a cochain."""
+    """Apply the degree-k differential to a cochain, block by block.
+
+    Each output block is a sum of products of the cochain's blocks with the
+    structure constants, in the order of the paper's formulas; the matrix
+    of rrb_differential_matrix is never assembled.
+    alpha' is the Hochschild differential of A on the base applied to
+    alpha.  Slot map t of the image takes its leading argument from the
+    left (the left pairing on alpha when t = 1, the left fiber action on
+    beta_{t-1} otherwise), the neighbour merges of beta_{t-1} and beta_t,
+    and its trailing argument from the right (the right pairing on alpha
+    when t = k+1, the right fiber action on beta_t otherwise).  gamma' is
+    (-1)^k (alpha R^(x)k - sum_i S beta_i (R .. I_M .. R)), plus from
+    degree 2 on the Hochschild differential of M_Tot on the base applied to
+    gamma.
+    """
     if c.degree != k:
         raise ShapeError(f"cochain degree {c.degree} != {k}")
     c.validate(x, b)
-    vec = rrb_differential_matrix(x, b, k).apply(c.vector())
-    return RRBCochain.from_vector(x, b, k + 1, vec)
+    dA, dM = x.algebra.dim, x.module.dim
+    ia, im = Matrix.identity(dA), Matrix.identity(dM)
+    alpha = c.alpha.matrix
+    beta = [None] + [bs.matrix for bs in c.beta] + [None]
+    last = (-1) ** (k + 1)
+    new_beta = []
+    for t in range(1, k + 2):
+        terms = [(1, b.left_pair.on_columns(im, alpha) if t == 1 else
+                  b.fiber.left.on_columns(ia, beta[t - 1]))]
+        terms.extend((1, beta[s] * op)
+                     for s, op in _slot_merges(x, k, t).items())
+        terms.append((last, b.right_pair.on_columns(alpha, im) if t == k + 1
+                      else b.fiber.right.on_columns(beta[t], ia)))
+        new_beta.append(signed_sum(terms))
+    r = _powers(x.rop.matrix, k)
+    through_s = signed_sum(
+        (1, beta[i] * kron(kron(r[i - 1], im), r[k - i]))
+        for i in range(1, k + 1))
+    gamma = signed_sum([((-1) ** k, alpha * r[k]),
+                        (-(-1) ** k, b.sop.matrix * through_s)])
+    if k >= 2:
+        gamma = gamma + _hochschild_image(
+            mtot_action_bimodule(b).actions, c.gamma.matrix, k - 1)
+    return RRBCochain(
+        k + 1, LinearMap.from_matrix(_hochschild_image(b.base, alpha, k)),
+        (LinearMap.from_matrix(m) for m in new_beta),
+        LinearMap.from_matrix(gamma))
 
 
 def cocycle_report(x, b, c, strict=False):

@@ -3,10 +3,10 @@
 Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
 type, the one matrix type (row-sparse, built from dense entries or entry by
-entry, with paste placing one matrix as a block of another), the Kronecker
-product kron, multi-index flattening for tensor powers, the workhorses
-rank / kernel_basis / solve / inverse, and homology_dims, which sweeps a
-whole cochain complex.
+entry, with paste placing one matrix as a block of another and signed_sum
+adding many in one copy), the Kronecker product kron, multi-index
+flattening for tensor powers, the workhorses rank / kernel_basis / solve /
+inverse, and homology_dims, which sweeps a whole cochain complex.
 
 These run one elimination kernel, _echelon.  It clears each row of
 denominators once and then works on primitive integer rows, with a column
@@ -178,24 +178,11 @@ class Matrix:
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self._data == other._data)
 
-    def _combine(self, other, sign):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shapes must agree")
-        out = self.row_dicts()
-        for row, theirs in zip(out, other._data):
-            for j, v in theirs.items():
-                nv = row.get(j, ZERO) + sign * v
-                if nv:
-                    row[j] = nv
-                else:
-                    del row[j]
-        return Matrix._of(self.rows, self.cols, out)
-
     def __add__(self, other):
-        return self._combine(other, ONE)
+        return signed_sum(((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self._combine(other, -ONE)
+        return signed_sum(((1, self), (-1, other)))
 
     def __neg__(self):
         return Matrix._of(self.rows, self.cols,
@@ -244,6 +231,30 @@ class Matrix:
         body = "; ".join(" ".join(format_rational(v) for v in self.row(i))
                          for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def signed_sum(terms):
+    """The sum of sign * m over (sign, m) pairs, each sign +1 or -1; all
+    the matrices have one shape, and there is at least one.  The rows are
+    copied once, not once per term."""
+    terms = iter(terms)
+    sign, first = next(terms)
+    out = first.row_dicts() if sign > 0 else (-first)._data
+    for sign, m in terms:
+        if (m.rows, m.cols) != (first.rows, first.cols):
+            raise ValueError("shapes must agree")
+        for row, theirs in zip(out, m._data):
+            for j, v in theirs.items():
+                old = row.get(j)
+                if old is None:
+                    row[j] = v if sign > 0 else -v
+                else:
+                    nv = old + v if sign > 0 else old - v
+                    if nv:
+                        row[j] = nv
+                    else:
+                        del row[j]
+    return Matrix._of(first.rows, first.cols, out)
 
 
 def paste(dst, src, row_off=0, col_off=0):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, LinearMap, Report, ShapeError,
     StructuralError, StructureConstants, add_vec, basis_vec,
-    semidirect_algebra, total_algebra, zero_vec,
+    bilinear, semidirect_algebra, total_algebra, zero_vec,
 )
 from .linalg import Matrix, Q, kernel_basis, paste, solve
 
@@ -150,17 +150,16 @@ def induced_dendriform(x):
     Returns (dendriform algebra, its total associative algebra M_Tot, report
     checking that R: M_Tot -> A is an algebra morphism).
     """
-    mod, alg, rop = x.module, x.algebra, x.rop
+    mod, alg, r = x.module, x.algebra, x.rop.matrix
     dM = mod.dim
-    rm = [rop(basis_vec(dM, u)) for u in range(dM)]
-    prec = StructureConstants.build(
-        dM, dM, dM, lambda u, w: mod.right(basis_vec(dM, u), rm[w]))
-    succ = StructureConstants.build(
-        dM, dM, dM, lambda u, w: mod.left(rm[u], basis_vec(dM, w)))
+    im = Matrix.identity(dM)
+    prec = bilinear(LinearMap.from_matrix(mod.right.on_columns(im, r)),
+                    dM, dM)
+    succ = bilinear(LinearMap.from_matrix(mod.left.on_columns(r, im)),
+                    dM, dM)
     den = DendriformAlgebra(dM, prec, succ, mod.basis_names)
     mtot = total_algebra(den)
     rep = Report("total_operator_is_algebra_morphism")
-    r = rop.matrix
     rep.require_laws([("R_multiplicative", (dM, dM), r * mtot.mu.matrix,
                        alg.mu.on_columns(r, r), None)])
     return den, mtot, rep

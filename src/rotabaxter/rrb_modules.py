@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .algebra import (
     Bimodule, DendriformRepresentation, LinearMap, Report, ShapeError,
-    StructuralError, StructureConstants, basis_vec, block_constants,
+    StructuralError, StructureConstants, basis_vec, bilinear, block_constants,
     dual_bimodule, semidirect_algebra, total_algebra,
 )
 from .linalg import Matrix, inverse, paste
@@ -282,22 +282,13 @@ def mtot_action_bimodule(b):
     x = b.over
     _, mtot, _ = induced_dendriform(x)
     dM, dB = x.module.dim, b.base.dim
-    rm = [x.rop(basis_vec(dM, u)) for u in range(dM)]
-
-    def left_act(u, w):
-        drop = b.sop(b.left_pair.on_basis(u, w))
-        hit = b.base.left(rm[u], basis_vec(dB, w))
-        return tuple(p - q for p, q in zip(hit, drop))
-
-    def right_act(w, u):
-        drop = b.sop(b.right_pair.on_basis(w, u))
-        hit = b.base.right(basis_vec(dB, w), rm[u])
-        return tuple(p - q for p, q in zip(hit, drop))
-
+    r, s, ib = x.rop.matrix, b.sop.matrix, Matrix.identity(dB)
+    left = b.base.left.on_columns(r, ib) - s * b.left_pair.matrix
+    right = b.base.right.on_columns(ib, r) - s * b.right_pair.matrix
     actions = Bimodule(
         mtot, dB,
-        StructureConstants.build(dM, dB, dB, left_act),
-        StructureConstants.build(dB, dM, dB, right_act),
+        bilinear(LinearMap.from_matrix(left), dM, dB),
+        bilinear(LinearMap.from_matrix(right), dB, dM),
         b.base.basis_names)
     return MTotActionBimodule(mtot, actions)
 
@@ -310,16 +301,16 @@ def induced_dendriform_representation(b):
     x = b.over
     den, _, _ = induced_dendriform(x)
     dM, dN = x.module.dim, b.fiber.dim
-    rm = [x.rop(basis_vec(dM, u)) for u in range(dM)]
-    sn = [b.sop(basis_vec(dN, v)) for v in range(dN)]
-    left_prec = StructureConstants.build(
-        dM, dN, dN, lambda u, v: b.left_pair(basis_vec(dM, u), sn[v]))
-    left_succ = StructureConstants.build(
-        dM, dN, dN, lambda u, v: b.fiber.left(rm[u], basis_vec(dN, v)))
-    right_prec = StructureConstants.build(
-        dN, dM, dN, lambda v, u: b.fiber.right(basis_vec(dN, v), rm[u]))
-    right_succ = StructureConstants.build(
-        dN, dM, dN, lambda v, u: b.right_pair(sn[v], basis_vec(dM, u)))
+    r, s = x.rop.matrix, b.sop.matrix
+    im, i_n = Matrix.identity(dM), Matrix.identity(dN)
+    left_prec, left_succ = (
+        bilinear(LinearMap.from_matrix(m), dM, dN)
+        for m in (b.left_pair.on_columns(im, s),
+                  b.fiber.left.on_columns(r, i_n)))
+    right_prec, right_succ = (
+        bilinear(LinearMap.from_matrix(m), dN, dM)
+        for m in (b.fiber.right.on_columns(i_n, r),
+                  b.right_pair.on_columns(s, im)))
     return DendriformRepresentation(
         den, dN, left_prec, left_succ, right_prec, right_succ,
         b.fiber.basis_names)

@@ -403,6 +403,37 @@ def test_cohomology_max_degree_zero(tmp_path, capsys):
                   "H^0 = 1\n"
 
 
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
+    """main builds its parser once per process.  No option of one call
+    leaks into the next: every output and exit code of a sequence equals
+    that of the same call through a freshly built parser."""
+    path = str(tmp_path / "pair.json")
+    write_pair_fixture(path)
+    sequence = [
+        ["cohomology", path, "--max-degree", "1"], ["cohomology", path],
+        ["validate", path, "--format", "json"], ["validate", path],
+        ["cohomology", path, "--max-degree", "-1"], ["cohomology", path]]
+
+    def call(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        return rc, out, [line for line in err.splitlines()
+                         if not line.startswith("elapsed: ")]
+
+    cached = [call(argv) for argv in sequence]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert cached == fresh
+    assert [rc for rc, _, _ in cached] == [0, 0, 0, 0, 2, 0]
+    assert cached[0][1] != cached[1][1] and cached[2][1] != cached[3][1]
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "zero.json"
     write_zero_fixture(path)

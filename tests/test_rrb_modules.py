@@ -4,8 +4,9 @@ import pytest
 
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
-    LinearMap, ShapeError, StructuralError, StructureConstants,
+    LinearMap, ShapeError, StructuralError, StructureConstants, basis_vec,
     check_bimodule, check_dendriform, check_dendriform_representation,
+    sub_vec,
 )
 from rotabaxter.linalg import Matrix, Q
 from rotabaxter.rrb import (
@@ -19,6 +20,7 @@ from rotabaxter.rrb_modules import (
     invert_differential_pair, lift_bimodule, morphism_induced_bimodule,
     mtot_action_bimodule, semidirect_rrb,
 )
+from rotabaxter.samples import random_rrb_pair
 
 from helpers import (
     field_adjoint_rrb, field_algebra, linmap, nilpotent_shift_rrb,
@@ -288,6 +290,52 @@ def test_mtot_action_matches_the_defining_formula():
     # m |> b = R(m).b - S(m.b) = e - e = 0, b <| m = b.R(m) - S(b.m) = e
     assert out.actions.left.on_basis(0, 0) == (0,)
     assert out.actions.right.on_basis(0, 0) == (1,)
+
+
+def test_induced_structures_match_their_formulas_on_basis_vectors():
+    """The induced dendriform products, the M_Tot actions on B and the
+    induced representation on N, built as matrix products, equal their
+    defining formulas evaluated on each pair of basis vectors."""
+    for seed in range(100):
+        x, b = random_rrb_pair(seed)
+        dM, dB, dN = x.module.dim, b.base.dim, b.fiber.dim
+        r = [x.rop(basis_vec(dM, u)) for u in range(dM)]
+        s = [b.sop(basis_vec(dN, v)) for v in range(dN)]
+
+        def em(u):
+            return basis_vec(dM, u)
+
+        den, mtot, _ = induced_dendriform(x)
+        assert den.prec == StructureConstants.build(
+            dM, dM, dM, lambda u, w: x.module.right(em(u), r[w])), seed
+        assert den.succ == StructureConstants.build(
+            dM, dM, dM, lambda u, w: x.module.left(r[u], em(w))), seed
+        assert den.basis_names == mtot.basis_names == x.module.basis_names
+
+        acts = mtot_action_bimodule(b).actions
+        assert acts.left == StructureConstants.build(
+            dM, dB, dB, lambda u, w: sub_vec(
+                b.base.left(r[u], basis_vec(dB, w)),
+                b.sop(b.left_pair.on_basis(u, w)))), seed
+        assert acts.right == StructureConstants.build(
+            dB, dM, dB, lambda w, u: sub_vec(
+                b.base.right(basis_vec(dB, w), r[u]),
+                b.sop(b.right_pair.on_basis(w, u)))), seed
+        assert acts.basis_names == b.base.basis_names
+
+        rep = induced_dendriform_representation(b)
+        en = [basis_vec(dN, v) for v in range(dN)]
+        assert (rep.left_prec, rep.left_succ) == (
+            StructureConstants.build(
+                dM, dN, dN, lambda u, v: b.left_pair(em(u), s[v])),
+            StructureConstants.build(
+                dM, dN, dN, lambda u, v: b.fiber.left(r[u], en[v]))), seed
+        assert (rep.right_prec, rep.right_succ) == (
+            StructureConstants.build(
+                dN, dM, dN, lambda v, u: b.fiber.right(en[v], r[u])),
+            StructureConstants.build(
+                dN, dM, dN, lambda v, u: b.right_pair(s[v], em(u)))), seed
+        assert rep.basis_names == b.fiber.basis_names
 
 
 # ----------------------------------------- induced dendriform representation
