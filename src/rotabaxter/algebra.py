@@ -11,6 +11,9 @@ become matrices whose columns are the tuples (Report.require_laws).
 Hochschild cochains of degree k are linear maps A^{(x) k} -> M, flattened with
 the big-endian convention of linalg.TensorIndex.  Degree 0 cochains are
 elements of M, i.e. maps from the empty tensor product (the base field).
+The Hochschild differential is a list of terms (hochschild_terms), which
+the cohomology module applies to one cochain and hochschild_matrix
+assembles.
 
 Every structure on a direct sum (semidirect products, square-zero
 extensions, lifted and glued structures elsewhere) is assembled by
@@ -24,7 +27,8 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .linalg import (
-    Matrix, Q, TensorIndex, ZERO, format_rational, homology_dims, kron,
+    Matrix, OnColumns, Product, Q, TensorIndex, ZERO, assemble_terms,
+    format_rational, homology_dims, kron, padded, signed_sum,
 )
 
 
@@ -483,57 +487,36 @@ def semidirect_algebra(mod):
         alg.basis_names + mod.basis_names)
 
 
+def hochschild_terms(mod, k):
+    """The Hochschild differential C^k(A, M) -> C^{k+1}(A, M), k >= 0, as
+    (sign, term) pairs on a cochain f, the dim M x dim A^k matrix of a map
+    A^(x)k -> M: a_1 . f(...), sum_i (-1)^i f(..., a_i a_{i+1}, ...) and
+    (-1)^(k+1) f(...) . a_{k+1}."""
+    dA, mu = mod.over.dim, mod.over.mu.matrix
+    ia = Matrix.identity(dA)
+    terms = [(1, OnColumns(mod.left.matrix, ia))]
+    if k:
+        faces = signed_sum(
+            ((-1) ** i, padded(dA ** (i - 1), mu, dA ** (k - i)))
+            for i in range(1, k + 1))
+        terms.append((1, Product(None, faces)))
+    terms.append(((-1) ** (k + 1),
+                  OnColumns(mod.right.matrix, ia, x_first=True)))
+    return terms
+
+
 def hochschild_matrix(mod, k):
-    """Matrix of the Hochschild differential C^k(A, M) -> C^{k+1}(A, M).
+    """Matrix of the Hochschild differential C^k(A, M) -> C^{k+1}(A, M),
+    assembled from hochschild_terms.
 
     Cochain coordinates are row-major matrix entries: index = w * dimA^k + t
     for target coordinate w and flattened input tuple t.
     """
     if k < 0:
         raise ShapeError(f"cochain degree must be >= 0, got {k}")
-    alg = mod.over
-    dA, dM = alg.dim, mod.dim
-    dom = dA ** k
-    cod = dA ** (k + 1)
-    out = Matrix(dM * cod, dM * dom)
-    if k == 0:
-        # (delta m)(a) = a.m - m.a
-        for a in range(dA):
-            for w in range(dM):
-                for v in range(dM):
-                    out.add(w * dA + a, v,
-                            mod.left.data[a][v][w] - mod.right.data[v][a][w])
-        return out
-    ti_out = TensorIndex((dA,) * (k + 1))
-    ti_in = TensorIndex((dA,) * k)
-    for t_out in range(cod):
-        tup = ti_out.unflatten(t_out)
-        # first term: a_1 . f(a_2 ... a_{k+1})
-        t_in = ti_in.flatten(tup[1:])
-        for w in range(dM):
-            row = w * cod + t_out
-            for v in range(dM):
-                out.add(row, v * dom + t_in, mod.left.data[tup[0]][v][w])
-        # middle terms: (-1)^i f(..., a_i a_{i+1}, ...)
-        sign = Q(1)
-        for i in range(k):
-            sign = -sign
-            prod = alg.mu.data[tup[i]][tup[i + 1]]
-            for p, c in enumerate(prod):
-                if not c:
-                    continue
-                t_in = ti_in.flatten(tup[:i] + (p,) + tup[i + 2:])
-                for w in range(dM):
-                    out.add(w * cod + t_out, w * dom + t_in, sign * c)
-        # last term: (-1)^{k+1} f(a_1 ... a_k) . a_{k+1}
-        sign = -sign
-        t_in = ti_in.flatten(tup[:k])
-        for w in range(dM):
-            row = w * cod + t_out
-            for v in range(dM):
-                out.add(row, v * dom + t_in,
-                        sign * mod.right.data[v][tup[k]][w])
-    return out
+    dA, dM = mod.over.dim, mod.dim
+    return assemble_terms([(s, 0, 0, t) for s, t in hochschild_terms(mod, k)],
+                          [(dM, dA ** k)], [(dM, dA ** (k + 1))])
 
 
 def hochschild_cohomology_dims(mod, max_degree):
@@ -593,7 +576,9 @@ def check_dendriform(den):
 
 def total_algebra(den):
     """The associative algebra with product prec + succ."""
-    return AssocAlgebra(den.dim, den.prec + den.succ, den.basis_names)
+    tot = LinearMap.from_matrix(den.prec.matrix + den.succ.matrix)
+    return AssocAlgebra(den.dim, bilinear(tot, den.dim, den.dim),
+                        den.basis_names)
 
 
 class DendriformRepresentation:

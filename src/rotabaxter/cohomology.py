@@ -14,13 +14,16 @@ the pairings), the Hochschild differential of the total algebra M_Tot
 acting on B for the gamma block, and an operator term h feeding
 (alpha, beta) into the gamma block through R and S.
 
-rrb_differential applies the differential to one cochain as products of
-its blocks with the structure constants (each tensor read as a matrix, and
-padded with identities by linalg.kron), so checking one cocycle builds no
-differential matrix.  rrb_differential_matrix assembles the whole map, entry
-by entry, for what needs ranks and kernels: cohomology dimensions,
-derivation bases and random cocycles.  The two index the same formulas in
-two ways, and the tests tie them together.
+The formulas are written once, in rrb_terms: one list per degree of
+(sign, in-block, out-block, term), where a term is a product P X Q of a
+cochain block X with structure constants (each tensor read as a matrix and
+padded with identities by linalg.kron) or a tensor applied to the columns
+of X and of a fixed matrix.  rrb_differential applies the terms to one
+cochain, so checking one cocycle builds no differential matrix.
+rrb_differential_matrix assembles the same terms into the whole map, for
+what needs ranks and kernels: cohomology dimensions, derivation bases and
+random cocycles.  The comparison map psi_matrix and the inclusion into the
+semidirect complex are assembled from terms the same way.
 
 The same file carries the two sibling complexes that interact with this
 one: the labelled dendriform complex and the restricted complex of a
@@ -39,16 +42,15 @@ to k).
 
 from __future__ import annotations
 
-from itertools import product as iter_product
 from math import prod
 
 from .algebra import (
     Bimodule, LinearMap, Report, ShapeError, StructuralError,
-    hochschild_matrix,
+    hochschild_matrix, hochschild_terms,
 )
 from .linalg import (
-    Matrix, Q, TensorIndex, homology_dims, kernel_basis, kron, paste,
-    signed_sum,
+    Matrix, OnColumns, Product, Q, TensorIndex, apply_terms, assemble_terms,
+    homology_dims, kernel_basis, kron, padded, paste, signed_sum,
 )
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
@@ -62,38 +64,6 @@ ONE = Q(1)
 
 # ---------------------------------------------------------------------------
 # cochain containers
-
-
-class MixedTensorSpace:
-    """Index bookkeeping for k-fold tensors with one factor swapped out.
-
-    Models the direct sum over positions s = 1..k of
-    A^(x)(s-1) (x) M (x) A^(x)(k-s).  Each summand is flattened big-endian
-    and the summands are concatenated in slot order, so the total dimension
-    is k * dim_a^(k-1) * dim_m.
-    """
-
-    __slots__ = ("k", "dim_a", "dim_m", "slot_dim", "total_dim", "_indexers")
-
-    def __init__(self, k, dim_a, dim_m):
-        if k < 1:
-            raise ShapeError("a mixed tensor space needs k >= 1")
-        self.k = k
-        self.dim_a = dim_a
-        self.dim_m = dim_m
-        self._indexers = tuple(
-            TensorIndex((dim_a,) * (s - 1) + (dim_m,) + (dim_a,) * (k - s))
-            for s in range(1, k + 1))
-        self.slot_dim = self._indexers[0].size
-        self.total_dim = k * self.slot_dim
-
-    def indexer(self, s):
-        """TensorIndex of the slot-s summand (s is 1-based)."""
-        return self._indexers[s - 1]
-
-    def offset(self, s):
-        """Start of the slot-s summand inside the concatenated coordinates."""
-        return (s - 1) * self.slot_dim
 
 
 class RRBCochain:
@@ -140,44 +110,38 @@ class RRBCochain:
             raise ShapeError("gamma must map M^(x)(k-1) into the base")
         return self
 
+    def blocks(self):
+        """The maps alpha, beta_1..beta_k[, gamma], in coordinate order."""
+        return [self.alpha, *self.beta] + \
+            ([] if self.gamma is None else [self.gamma])
+
+    @staticmethod
+    def of_blocks(k, maps):
+        """The degree-k cochain whose maps, in coordinate order, are maps."""
+        return RRBCochain(k, maps[0], maps[1:k + 1],
+                          None if k == 1 else maps[k + 1])
+
     @staticmethod
     def zero(x, b, k):
-        dA, dM = x.algebra.dim, x.module.dim
-        dB, dN = b.base.dim, b.fiber.dim
-        alpha = LinearMap.zero(dA ** k, dB)
-        beta = (LinearMap.zero(dA ** (k - 1) * dM, dN),) * k
-        gamma = None if k == 1 else LinearMap.zero(dM ** (k - 1), dB)
-        return RRBCochain(k, alpha, beta, gamma)
+        return RRBCochain.of_blocks(k, [LinearMap.zero(cols, rows) for
+                                        rows, cols in _block_shapes(x, b, k)])
 
     def vector(self):
-        out = list(self.alpha.matrix.entries)
-        for bs in self.beta:
-            out.extend(bs.matrix.entries)
-        if self.gamma is not None:
-            out.extend(self.gamma.matrix.entries)
-        return tuple(out)
+        return tuple(v for m in self.blocks() for v in m.matrix.entries)
 
     @staticmethod
     def from_vector(x, b, k, vec):
-        dA, dM = x.algebra.dim, x.module.dim
-        dB, dN = b.base.dim, b.fiber.dim
-        da, slot = dA ** k, dA ** (k - 1) * dM
+        shapes = _block_shapes(x, b, k)
         vec = tuple(vec)
-        size = dB * da + k * dN * slot + (0 if k == 1 else dB * dM ** (k - 1))
+        size = sum(rows * cols for rows, cols in shapes)
         if len(vec) != size:
             raise ShapeError(f"vector length {len(vec)}, expected {size}")
-        pos = 0
-
-        def take(rows, cols):
-            nonlocal pos
-            m = Matrix(rows, cols, vec[pos:pos + rows * cols])
+        maps, pos = [], 0
+        for rows, cols in shapes:
+            maps.append(LinearMap(cols, rows, Matrix(
+                rows, cols, vec[pos:pos + rows * cols])))
             pos += rows * cols
-            return LinearMap(cols, rows, m)
-
-        alpha = take(dB, da)
-        beta = tuple(take(dN, slot) for _ in range(k))
-        gamma = None if k == 1 else take(dB, dM ** (k - 1))
-        return RRBCochain(k, alpha, beta, gamma)
+        return RRBCochain.of_blocks(k, maps)
 
     def __eq__(self, other):
         return (isinstance(other, RRBCochain) and
@@ -217,173 +181,19 @@ def cochain_space_dims(x, b, k):
     """Sizes of the three coordinate blocks in degree k."""
     if k < 0:
         raise ShapeError(f"cochain degree must be >= 0, got {k}")
-    dA, dM = x.algebra.dim, x.module.dim
-    dB, dN = b.base.dim, b.fiber.dim
     if k == 0:
         return (0, 0, 0)
-    if k == 1:
-        return (dA * dB, dM * dN, 0)
-    return (dA ** k * dB, k * dA ** (k - 1) * dM * dN, dM ** (k - 1) * dB)
+    sizes = [rows * cols for rows, cols in _block_shapes(x, b, k)]
+    return (sizes[0], sum(sizes[1:k + 1]), sum(sizes[k + 1:]))
 
 
-def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
-    """Rows of the fiber-valued output block.
-
-    For each output slot t the three terms are: the leading argument
-    consumed from the left (through the left pairing when t = 1, through
-    the left fiber action otherwise), the alternating sum of neighbour
-    merges (algebra product or module action, dispatched by which factor
-    holds M), and the trailing argument consumed from the right (right
-    pairing when t = k+1, right fiber action otherwise).  The boundary
-    cases read the alpha block; everything else reads the slot maps.
-    """
-    alg, mod = x.algebra, x.module
-    dA, dM = alg.dim, mod.dim
-    dB, dN = b.base.dim, b.fiber.dim
-    mix_in = MixedTensorSpace(k, dA, dM)
-    mix_out = MixedTensorSpace(k + 1, dA, dM)
-    ti_a_in = TensorIndex((dA,) * k)
-    da_in, slot_in, slot_out = ti_a_in.size, mix_in.slot_dim, mix_out.slot_dim
-    lp, rp = b.left_pair, b.right_pair
-    ln, rn = b.fiber.left, b.fiber.right
-    lm, rm, mu = mod.left, mod.right, alg.mu
-    last_sign = ONE if k % 2 else -ONE          # (-1)^(k+1)
-    for t in range(1, k + 2):
-        ti_out = mix_out.indexer(t)
-        row_base = row_off + dN * mix_out.offset(t)
-        for flat_out in range(slot_out):
-            tup = ti_out.unflatten(flat_out)
-            rows = [row_base + w * slot_out + flat_out for w in range(dN)]
-            # leading term
-            if t == 1:
-                t_in = ti_a_in.flatten(tup[1:])
-                plane = lp.data[tup[0]]
-                for vb in range(dB):
-                    col = alpha_off + vb * da_in + t_in
-                    for w, c in enumerate(plane[vb]):
-                        if c:
-                            out.add(rows[w], col, c)
-            else:
-                f_in = mix_in.indexer(t - 1).flatten(tup[1:])
-                col_base = beta_off + dN * mix_in.offset(t - 1)
-                plane = ln.data[tup[0]]
-                for v in range(dN):
-                    col = col_base + v * slot_in + f_in
-                    for w, c in enumerate(plane[v]):
-                        if c:
-                            out.add(rows[w], col, c)
-            # neighbour merges
-            sign = ONE
-            for i in range(1, k + 1):
-                sign = -sign
-                li, ri = tup[i - 1], tup[i]
-                if t == i:
-                    prods, s_in = rm.data[li][ri], i
-                elif t == i + 1:
-                    prods, s_in = lm.data[li][ri], i
-                else:
-                    prods = mu.data[li][ri]
-                    s_in = t if t < i else t - 1
-                idx = mix_in.indexer(s_in)
-                col_base = beta_off + dN * mix_in.offset(s_in)
-                head, tail = tup[:i - 1], tup[i + 1:]
-                for p, c in enumerate(prods):
-                    if not c:
-                        continue
-                    f_in = idx.flatten(head + (p,) + tail)
-                    for w in range(dN):
-                        out.add(rows[w], col_base + w * slot_in + f_in,
-                                sign * c)
-            # trailing term
-            if t == k + 1:
-                t_in = ti_a_in.flatten(tup[:k])
-                for vb in range(dB):
-                    col = alpha_off + vb * da_in + t_in
-                    for w, c in enumerate(rp.data[vb][tup[k]]):
-                        if c:
-                            out.add(rows[w], col, last_sign * c)
-            else:
-                f_in = mix_in.indexer(t).flatten(tup[:k])
-                col_base = beta_off + dN * mix_in.offset(t)
-                for v in range(dN):
-                    col = col_base + v * slot_in + f_in
-                    for w, c in enumerate(rn.data[v][tup[k]]):
-                        if c:
-                            out.add(rows[w], col, last_sign * c)
-
-
-def _weighted_tuples(choices):
-    """Cartesian product of (index, weight) lists with multiplied weights."""
-    for picks in iter_product(*choices):
-        coeff = ONE
-        idx = []
-        for i, c in picks:
-            idx.append(i)
-            coeff = coeff * c
-        yield tuple(idx), coeff
-
-
-def _operator_block(out, x, b, k, row_off, alpha_off, beta_off):
-    """Rows of the base-valued output block fed by R and S.
-
-    (-1)^k { alpha(R m_1, ..., R m_k)
-             - sum_i S . beta_i(R m_1, ..., m_i, ..., R m_k) }.
-    """
+def _block_shapes(x, b, k):
+    """The (rows, cols) of the matrices alpha, beta_1..beta_k[, gamma] of a
+    degree-k cochain, k >= 1."""
     dA, dM = x.algebra.dim, x.module.dim
     dB, dN = b.base.dim, b.fiber.dim
-    mix_in = MixedTensorSpace(k, dA, dM)
-    ti_m = TensorIndex((dM,) * k)
-    ti_a = TensorIndex((dA,) * k)
-    da_in, slot_in = ti_a.size, mix_in.slot_dim
-    rmat, smat = x.rop.matrix, b.sop.matrix
-    sign = -ONE if k % 2 else ONE               # (-1)^k
-    r_cols = [tuple((a, rmat.at(a, u)) for a in range(dA) if rmat.at(a, u))
-              for u in range(dM)]
-    for flat_out in range(ti_m.size):
-        mm = ti_m.unflatten(flat_out)
-        rows = [row_off + w * ti_m.size + flat_out for w in range(dB)]
-        picked = [r_cols[u] for u in mm]
-        for atup, coeff in _weighted_tuples(picked):
-            t_in = ti_a.flatten(atup)
-            val = sign * coeff
-            for w in range(dB):
-                out.add(rows[w], alpha_off + w * da_in + t_in, val)
-        for i in range(1, k + 1):
-            idx = mix_in.indexer(i)
-            col_base = beta_off + dN * mix_in.offset(i)
-            mixed = picked[:i - 1] + [((mm[i - 1], ONE),)] + picked[i:]
-            for tup, coeff in _weighted_tuples(mixed):
-                f_in = idx.flatten(tup)
-                for v in range(dN):
-                    col = col_base + v * slot_in + f_in
-                    for w in range(dB):
-                        sv = smat.at(w, v)
-                        if sv:
-                            out.add(rows[w], col, -sign * coeff * sv)
-
-
-def rrb_differential_matrix(x, b, k):
-    """Matrix of the full degree-k differential, k >= 1."""
-    if k < 1:
-        raise ShapeError("the differential starts in degree 1")
-    a_in, bt_in, g_in = cochain_space_dims(x, b, k)
-    a_out, bt_out, g_out = cochain_space_dims(x, b, k + 1)
-    out = Matrix(a_out + bt_out + g_out, a_in + bt_in + g_in)
-    paste(out, hochschild_matrix(b.base, k))
-    _twisted_block(out, x, b, k, a_out, 0, a_in)
-    _operator_block(out, x, b, k, a_out + bt_out, 0, a_in)
-    if k >= 2:
-        paste(out, hochschild_matrix(mtot_action_bimodule(b).actions, k - 1),
-              a_out + bt_out, a_in + bt_in)
-    return out
-
-
-def _at(pre, p, post):
-    """kron(I_pre, p, I_post): p acting on the factors between a block of
-    dimension pre and one of dimension post."""
-    if pre != 1:
-        p = kron(Matrix.identity(pre), p)
-    return p if post == 1 else kron(p, Matrix.identity(post))
+    shapes = [(dB, dA ** k)] + [(dN, dA ** (k - 1) * dM)] * k
+    return shapes if k == 1 else shapes + [(dB, dM ** (k - 1))]
 
 
 def _powers(m, n):
@@ -392,19 +202,6 @@ def _powers(m, n):
     for _ in range(n):
         out.append(kron(out[-1], m))
     return out
-
-
-def _hochschild_image(mod, f, k):
-    """The Hochschild differential of the bimodule mod on the degree-k
-    cochain f (a matrix with dim A^k columns), k >= 1, as the block products
-    a_1 . f(...), sum_i (-1)^i f(..., a_i a_{i+1}, ...) and
-    (-1)^(k+1) f(...) . a_{k+1}."""
-    dA = mod.over.dim
-    ia, mu = Matrix.identity(dA), mod.over.mu.matrix
-    faces = signed_sum(((-1) ** i, _at(dA ** (i - 1), mu, dA ** (k - i)))
-                       for i in range(1, k + 1))
-    return signed_sum([(1, mod.left.on_columns(ia, f)), (1, f * faces),
-                       ((-1) ** (k + 1), mod.right.on_columns(f, ia))])
 
 
 def _slot_merges(x, k, t):
@@ -418,17 +215,16 @@ def _slot_merges(x, k, t):
     for i in range(1, k + 1):
         p = (x.module.right if t == i else
              x.module.left if t == i + 1 else x.algebra.mu)
-        op = _at(prod(dims[:i - 1]), p.matrix, prod(dims[i + 1:]))
+        op = padded(prod(dims[:i - 1]), p.matrix, prod(dims[i + 1:]))
         terms.setdefault(t if t <= i else t - 1, []).append(((-1) ** i, op))
     return {s: signed_sum(ops) for s, ops in terms.items()}
 
 
-def rrb_differential(x, b, k, c):
-    """Apply the degree-k differential to a cochain, block by block.
+def rrb_terms(x, b, k):
+    """The degree-k differential, k >= 1, as (sign, in-block, out-block,
+    term) terms (see linalg.apply_terms).  The blocks are numbered in
+    coordinate order: alpha 0, beta_s s, gamma k+1 in degree k.
 
-    Each output block is a sum of products of the cochain's blocks with the
-    structure constants, in the order of the paper's formulas; the matrix
-    of rrb_differential_matrix is never assembled.
     alpha' is the Hochschild differential of A on the base applied to
     alpha.  Slot map t of the image takes its leading argument from the
     left (the left pairing on alpha when t = 1, the left fiber action on
@@ -439,36 +235,50 @@ def rrb_differential(x, b, k, c):
     degree 2 on the Hochschild differential of M_Tot on the base applied to
     gamma.
     """
+    dA, dM = x.algebra.dim, x.module.dim
+    ia, im = Matrix.identity(dA), Matrix.identity(dM)
+    last, gamma = (-1) ** (k + 1), k + 2
+    terms = [(s, 0, 0, t) for s, t in hochschild_terms(b.base, k)]
+    for t in range(1, k + 2):
+        terms.append((1, 0, t, OnColumns(b.left_pair.matrix, im)) if t == 1
+                     else (1, t - 1, t, OnColumns(b.fiber.left.matrix, ia)))
+        terms.extend((1, s, t, Product(None, op))
+                     for s, op in _slot_merges(x, k, t).items())
+        terms.append(
+            (last, 0, t, OnColumns(b.right_pair.matrix, im, x_first=True))
+            if t == k + 1 else
+            (last, t, t, OnColumns(b.fiber.right.matrix, ia, x_first=True)))
+    r = _powers(x.rop.matrix, k)
+    terms.append(((-1) ** k, 0, gamma, Product(None, r[k])))
+    terms.extend((-(-1) ** k, i, gamma,
+                  Product(b.sop.matrix, kron(kron(r[i - 1], im), r[k - i])))
+                 for i in range(1, k + 1))
+    if k >= 2:
+        terms.extend(
+            (s, k + 1, gamma, t) for s, t in
+            hochschild_terms(mtot_action_bimodule(b).actions, k - 1))
+    return terms
+
+
+def rrb_differential(x, b, k, c):
+    """Apply the degree-k differential to a cochain: the terms of rrb_terms
+    applied to its blocks, so no matrix of the differential is assembled."""
     if c.degree != k:
         raise ShapeError(f"cochain degree {c.degree} != {k}")
     c.validate(x, b)
-    dA, dM = x.algebra.dim, x.module.dim
-    ia, im = Matrix.identity(dA), Matrix.identity(dM)
-    alpha = c.alpha.matrix
-    beta = [None] + [bs.matrix for bs in c.beta] + [None]
-    last = (-1) ** (k + 1)
-    new_beta = []
-    for t in range(1, k + 2):
-        terms = [(1, b.left_pair.on_columns(im, alpha) if t == 1 else
-                  b.fiber.left.on_columns(ia, beta[t - 1]))]
-        terms.extend((1, beta[s] * op)
-                     for s, op in _slot_merges(x, k, t).items())
-        terms.append((last, b.right_pair.on_columns(alpha, im) if t == k + 1
-                      else b.fiber.right.on_columns(beta[t], ia)))
-        new_beta.append(signed_sum(terms))
-    r = _powers(x.rop.matrix, k)
-    through_s = signed_sum(
-        (1, beta[i] * kron(kron(r[i - 1], im), r[k - i]))
-        for i in range(1, k + 1))
-    gamma = signed_sum([((-1) ** k, alpha * r[k]),
-                        (-(-1) ** k, b.sop.matrix * through_s)])
-    if k >= 2:
-        gamma = gamma + _hochschild_image(
-            mtot_action_bimodule(b).actions, c.gamma.matrix, k - 1)
-    return RRBCochain(
-        k + 1, LinearMap.from_matrix(_hochschild_image(b.base, alpha, k)),
-        (LinearMap.from_matrix(m) for m in new_beta),
-        LinearMap.from_matrix(gamma))
+    out = apply_terms(rrb_terms(x, b, k), [m.matrix for m in c.blocks()],
+                      _block_shapes(x, b, k + 1))
+    return RRBCochain.of_blocks(k + 1,
+                                [LinearMap.from_matrix(m) for m in out])
+
+
+def rrb_differential_matrix(x, b, k):
+    """Matrix of the full degree-k differential, k >= 1, assembled from
+    rrb_terms."""
+    if k < 1:
+        raise ShapeError("the differential starts in degree 1")
+    return assemble_terms(rrb_terms(x, b, k), _block_shapes(x, b, k),
+                          _block_shapes(x, b, k + 1))
 
 
 def cocycle_report(x, b, c, strict=False):
@@ -645,23 +455,11 @@ def psi_matrix(x, b, k):
     if k < 1:
         raise ShapeError("the comparison map starts in degree 1")
     dM, dB, dN = x.module.dim, b.base.dim, b.fiber.dim
-    ti_out, ti_in = TensorIndex((dM,) * (k + 1)), TensorIndex((dM,) * k)
-    size, size_in = ti_out.size, ti_in.size
-    last = k * dN * size                        # start of label k+1
-    sign = ONE if k % 2 else -ONE               # (-1)^(k+1)
-    out = Matrix((k + 1) * dN * size, dB * size_in)
-    for flat in range(size):
-        mt = ti_out.unflatten(flat)
-        lead = ti_in.flatten(mt[1:])
-        trail = ti_in.flatten(mt[:k])
-        for vb in range(dB):
-            for w, c in enumerate(b.left_pair.data[mt[0]][vb]):
-                if c:
-                    out.add(w * size + flat, vb * size_in + lead, sign * c)
-            for w, c in enumerate(b.right_pair.data[vb][mt[k]]):
-                if c:
-                    out.add(last + w * size + flat, vb * size_in + trail, c)
-    return out
+    im = Matrix.identity(dM)
+    terms = [((-1) ** (k + 1), 0, 0, OnColumns(b.left_pair.matrix, im)),
+             (1, 0, k, OnColumns(b.right_pair.matrix, im, x_first=True))]
+    return assemble_terms(terms, [(dB, dM ** k)],
+                          [(dN, dM ** (k + 1))] * (k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -674,46 +472,36 @@ def semidirect_complex(x, b):
     return big, adjoint_bimodule(big)
 
 
+def _summands(d1, d2):
+    """The inclusions of the two summands into a direct sum of dimensions
+    d1 and d2."""
+    return (paste(Matrix(d1 + d2, d1), Matrix.identity(d1)),
+            paste(Matrix(d1 + d2, d2), Matrix.identity(d2), d1))
+
+
 def semidirect_inclusion_matrix(x, b, k):
     """Coordinates of the degree-k cochains inside the ambient complex.
 
     alpha becomes the map seeing only A-arguments and valued in the B
     summand; each slot map keeps its position with M and N embedded as
-    summands; gamma sees only M-arguments and is valued in B.  The blocks
+    summands; gamma sees only M-arguments and is valued in B.  Each is
+    X -> inc X proj for the inclusion inc of its value summand and the
+    Kronecker product proj of the projections onto its argument summands,
+    so its matrix is a Kronecker product of summand inclusions.  The blocks
     of the full differential commute with this inclusion.
     """
     if k < 1:
         raise ShapeError("the inclusion starts in degree 1")
-    dA, dM = x.algebra.dim, x.module.dim
-    dB, dN = b.base.dim, b.fiber.dim
-    big_a, big_m = dA + dB, dM + dN
-    a_in, bt_in, g_in = cochain_space_dims(x, b, k)
-    big, bigb = semidirect_complex(x, b)
-    A_in, BT_in, G_in = cochain_space_dims(big, bigb, k)
-    out = Matrix(A_in + BT_in + G_in, a_in + bt_in + g_in)
-    ti_a, ti_big_a = TensorIndex((dA,) * k), TensorIndex((big_a,) * k)
-    for flat in range(ti_a.size):
-        big_flat = ti_big_a.flatten(ti_a.unflatten(flat))
-        for w in range(dB):
-            out.add((dA + w) * ti_big_a.size + big_flat,
-                    w * ti_a.size + flat, ONE)
-    mix = MixedTensorSpace(k, dA, dM)
-    big_mix = MixedTensorSpace(k, big_a, big_m)
-    for s in range(1, k + 1):
-        idx, big_idx = mix.indexer(s), big_mix.indexer(s)
-        col_base = a_in + dN * mix.offset(s)
-        row_base = A_in + big_m * big_mix.offset(s)
-        for flat in range(idx.size):
-            big_flat = big_idx.flatten(idx.unflatten(flat))
-            for w in range(dN):
-                out.add(row_base + (dM + w) * big_idx.size + big_flat,
-                        col_base + w * idx.size + flat, ONE)
+    inc_a, inc_b = _summands(x.algebra.dim, b.base.dim)
+    inc_m, inc_n = _summands(x.module.dim, b.fiber.dim)
+    proj_a, proj_m = inc_a.transpose(), inc_m.transpose()
+    pa = _powers(proj_a, k)
+    terms = [(1, 0, 0, Product(inc_b, pa[k]))]
+    terms.extend((1, s, s, Product(inc_n, kron(kron(pa[s - 1], proj_m),
+                                                   pa[k - s])))
+                 for s in range(1, k + 1))
     if k >= 2:
-        ti_m = TensorIndex((dM,) * (k - 1))
-        ti_big_m = TensorIndex((big_m,) * (k - 1))
-        for flat in range(ti_m.size):
-            big_flat = ti_big_m.flatten(ti_m.unflatten(flat))
-            for w in range(dB):
-                out.add(A_in + BT_in + (dA + w) * ti_big_m.size + big_flat,
-                        a_in + bt_in + w * ti_m.size + flat, ONE)
-    return out
+        terms.append((1, k + 1, k + 1,
+                      Product(inc_b, _powers(proj_m, k - 1)[-1])))
+    return assemble_terms(terms, _block_shapes(x, b, k),
+                          _block_shapes(*semidirect_complex(x, b), k))

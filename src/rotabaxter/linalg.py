@@ -4,7 +4,9 @@ Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
 type, the one matrix type (row-sparse, built from dense entries or entry by
 entry, with paste placing one matrix as a block of another and signed_sum
-adding many in one copy), the Kronecker product kron, multi-index
+adding many in one copy), the Kronecker product kron, linear maps on lists
+of matrix blocks given as terms (Product, OnColumns), which apply_terms
+applies to blocks and assemble_terms turns into one matrix, multi-index
 flattening for tensor powers, the workhorses rank / kernel_basis / solve /
 inverse, and homology_dims, which sweeps a whole cochain complex.
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import re
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd, lcm
 
 try:
@@ -264,8 +267,14 @@ def paste(dst, src, row_off=0, col_off=0):
         raise ValueError(
             f"{src.rows}x{src.cols} block at ({row_off}, {col_off}) does not "
             f"fit in {dst.rows}x{dst.cols}")
-    for i, j, v in src.nonzero_items():
-        dst.add(row_off + i, col_off + j, v)
+    for i, row in enumerate(src._data, row_off):
+        out = dst._data[i]
+        for j, v in row.items():
+            j += col_off
+            if j in out:
+                dst.add(i, j, v)
+            else:
+                out[j] = v
     return dst
 
 
@@ -295,6 +304,102 @@ def kron(a, b):
                         row[off + l] = v if w == 1 else v * w
             out.append(row)
     return Matrix._of(a.rows * b.rows, a.cols * n, out)
+
+
+def padded(pre, p, post):
+    """kron(I_pre, p, I_post): p acting on the factors between a block of
+    dimension pre and one of dimension post."""
+    if pre != 1:
+        p = kron(Matrix.identity(pre), p)
+    return p if post == 1 else kron(p, Matrix.identity(post))
+
+
+def _unit(n, j):
+    """The n x 1 unit column e_j."""
+    return Matrix._of(n, 1, [{0: ONE} if i == j else {} for i in range(n)])
+
+
+class Product:
+    """The term X -> p X q of a linear map on matrices (p None: X -> X q).
+
+    On row-major coordinates, X[i, j] at i * X.cols + j, its matrix is
+    kron(p, q^T).
+    """
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p, q):
+        self.p = p
+        self.q = q
+
+    def apply(self, x):
+        return x * self.q if self.p is None else self.p * (x * self.q)
+
+    def matrix(self, rows, cols):
+        """The matrix of the term on rows x cols matrices X."""
+        p = Matrix.identity(rows) if self.p is None else self.p
+        return kron(p, self.q.transpose())
+
+
+class OnColumns:
+    """The term X -> t kron(y, X), or t kron(X, y) when x_first: the
+    bilinear map whose matrix is t, applied to every pair of a column of
+    the fixed matrix y and a column of X (StructureConstants.on_columns).
+
+    apply keeps it one product.  Its matrix is split over the columns y e_j
+    of y into products P_j X Q_j: P_j = t kron(y e_j, I), Q_j^T =
+    kron(e_j, I), and the same with the factors swapped when x_first.
+    """
+
+    __slots__ = ("t", "y", "x_first")
+
+    def __init__(self, t, y, x_first=False):
+        self.t = t
+        self.y = y
+        self.x_first = x_first
+
+    def apply(self, x):
+        return self.t * (kron(x, self.y) if self.x_first else kron(self.y, x))
+
+    def matrix(self, rows, cols):
+        """The matrix of the term on rows x cols matrices X."""
+        ix, iq, n = Matrix.identity(rows), Matrix.identity(cols), self.y.cols
+        parts = [(1, Matrix(self.t.rows * n * cols, rows * cols))]
+        for j in range(n):
+            e = _unit(n, j)
+            yj = self.y * e
+            parts.append((1, kron(self.t * kron(ix, yj), kron(iq, e))
+                          if self.x_first else
+                          kron(self.t * kron(yj, ix), kron(e, iq))))
+        return signed_sum(parts)
+
+
+def apply_terms(terms, blocks, out_shapes):
+    """The image of a list of matrix blocks under a linear map given as
+    (sign, in-block, out-block, term) terms: out block o, of shape
+    out_shapes[o], is the sum of sign * term.apply(blocks[i]) over its
+    terms."""
+    sums = [[] for _ in out_shapes]
+    for sign, i, o, term in terms:
+        sums[o].append((sign, term.apply(blocks[i])))
+    return [signed_sum(s) if s else Matrix(*shape)
+            for s, shape in zip(sums, out_shapes)]
+
+
+def assemble_terms(terms, in_shapes, out_shapes):
+    """The matrix of the map of apply_terms on coordinates: each block in
+    row-major order, the blocks concatenated in order.  The term matrices
+    of one (out-block, in-block) pair are summed and pasted once."""
+    row_off = [0, *accumulate(r * c for r, c in out_shapes)]
+    col_off = [0, *accumulate(r * c for r, c in in_shapes)]
+    pieces = {}
+    for sign, i, o, term in terms:
+        pieces.setdefault((o, i), []).append(
+            (sign, term.matrix(*in_shapes[i])))
+    out = Matrix(row_off[-1], col_off[-1])
+    for (o, i), ms in pieces.items():
+        paste(out, signed_sum(ms), row_off[o], col_off[i])
+    return out
 
 
 class TensorIndex:

@@ -144,24 +144,30 @@ def lift_to_rb(x):
         paste(Matrix(n, n), x.rop.matrix, 0, x.algebra.dim))
 
 
-def induced_dendriform(x):
-    """Dendriform structure m < m' = m.R(m'), m > m' = R(m).m' on M.
-
-    Returns (dendriform algebra, its total associative algebra M_Tot, report
-    checking that R: M_Tot -> A is an algebra morphism).
-    """
-    mod, alg, r = x.module, x.algebra, x.rop.matrix
+def induced_dendriform_algebra(x):
+    """Dendriform structure m < m' = m.R(m'), m > m' = R(m).m' on M."""
+    mod, r = x.module, x.rop.matrix
     dM = mod.dim
     im = Matrix.identity(dM)
     prec = bilinear(LinearMap.from_matrix(mod.right.on_columns(im, r)),
                     dM, dM)
     succ = bilinear(LinearMap.from_matrix(mod.left.on_columns(r, im)),
                     dM, dM)
-    den = DendriformAlgebra(dM, prec, succ, mod.basis_names)
+    return DendriformAlgebra(dM, prec, succ, mod.basis_names)
+
+
+def induced_dendriform(x):
+    """The induced dendriform structure on M, checked.
+
+    Returns (dendriform algebra, its total associative algebra M_Tot, report
+    checking that R: M_Tot -> A is an algebra morphism).
+    """
+    den = induced_dendriform_algebra(x)
     mtot = total_algebra(den)
+    r, dM = x.rop.matrix, den.dim
     rep = Report("total_operator_is_algebra_morphism")
     rep.require_laws([("R_multiplicative", (dM, dM), r * mtot.mu.matrix,
-                       alg.mu.on_columns(r, r), None)])
+                       x.algebra.mu.on_columns(r, r), None)])
     return den, mtot, rep
 
 

@@ -30,7 +30,8 @@ from .linalg import Matrix, inverse, paste
 # Rota-Baxter bimodule pairs are re-exported here so they live next to the
 # rest of the bimodule machinery.
 from .rrb import (
-    RBBimodulePair, RelativeRBAlgebra, check_rb_bimodule, induced_dendriform,
+    RBBimodulePair, RelativeRBAlgebra, check_rb_bimodule,
+    induced_dendriform_algebra,
 )
 
 
@@ -280,7 +281,7 @@ def mtot_action_bimodule(b):
     m |> b = R(m).b - S(l(m, b)) and b <| m = b.R(m) - S(r(b, m)).
     """
     x = b.over
-    _, mtot, _ = induced_dendriform(x)
+    mtot = total_algebra(induced_dendriform_algebra(x))
     dM, dB = x.module.dim, b.base.dim
     r, s, ib = x.rop.matrix, b.sop.matrix, Matrix.identity(dB)
     left = b.base.left.on_columns(r, ib) - s * b.left_pair.matrix
@@ -299,7 +300,7 @@ def induced_dendriform_representation(b):
     m < n = l(m, S(n)),  m > n = R(m).n,  n < m = n.R(m),  n > m = r(S(n), m).
     """
     x = b.over
-    den, _, _ = induced_dendriform(x)
+    den = induced_dendriform_algebra(x)
     dM, dN = x.module.dim, b.fiber.dim
     r, s = x.rop.matrix, b.sop.matrix
     im, i_n = Matrix.identity(dM), Matrix.identity(dN)

@@ -1,5 +1,6 @@
-"""Small hand-built structures, a reference Gauss-Jordan elimination and
-reference per-tuple axiom checks, shared across test modules."""
+"""Small hand-built structures, a reference Gauss-Jordan elimination,
+reference per-tuple axiom checks and reference index-loop assemblers of the
+cochain maps, shared across test modules."""
 
 from fractions import Fraction
 from itertools import product
@@ -8,8 +9,10 @@ from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, LinearMap, Report, ShapeError, StructuralError,
     StructureConstants, _square_zero_dendriform, add_vec, basis_vec, sub_vec,
 )
-from rotabaxter.linalg import Matrix, Q
+from rotabaxter.cohomology import cochain_space_dims, semidirect_complex
+from rotabaxter.linalg import Matrix, Q, TensorIndex, paste
 from rotabaxter.rrb import RelativeRBAlgebra, induced_dendriform
+from rotabaxter.rrb_modules import mtot_action_bimodule
 
 
 def sc(dim_left, dim_right, dim_out, entries):
@@ -684,3 +687,328 @@ def ref_check_homotopy_rrb_operator(a, m, r):
                 rep.require("baxter_corrector", (u, w, z), acc,
                             a.mu3(_kron3(r0m[u], r0m[w], r0m[z])))
     return rep
+
+
+# ---------------------------------------------------------------------------
+# Reference assemblers: the index loops that built the differential, the
+# Hochschild differential, the comparison map and the semidirect inclusion
+# entry by entry before they were assembled from term lists, kept verbatim
+# (the differential reads ref_hochschild_matrix).  They share with
+# rotabaxter only Matrix, TensorIndex, paste, the structure types, the
+# cochain dimensions and the M_Tot action, so the term lists are checked
+# against an independent indexing of the same formulas.
+
+ONE = Q(1)
+
+
+def ref_hochschild_matrix(mod, k):
+    """Matrix of the Hochschild differential C^k(A, M) -> C^{k+1}(A, M).
+
+    Cochain coordinates are row-major matrix entries: index = w * dimA^k + t
+    for target coordinate w and flattened input tuple t.
+    """
+    if k < 0:
+        raise ShapeError(f"cochain degree must be >= 0, got {k}")
+    alg = mod.over
+    dA, dM = alg.dim, mod.dim
+    dom = dA ** k
+    cod = dA ** (k + 1)
+    out = Matrix(dM * cod, dM * dom)
+    if k == 0:
+        # (delta m)(a) = a.m - m.a
+        for a in range(dA):
+            for w in range(dM):
+                for v in range(dM):
+                    out.add(w * dA + a, v,
+                            mod.left.data[a][v][w] - mod.right.data[v][a][w])
+        return out
+    ti_out = TensorIndex((dA,) * (k + 1))
+    ti_in = TensorIndex((dA,) * k)
+    for t_out in range(cod):
+        tup = ti_out.unflatten(t_out)
+        # first term: a_1 . f(a_2 ... a_{k+1})
+        t_in = ti_in.flatten(tup[1:])
+        for w in range(dM):
+            row = w * cod + t_out
+            for v in range(dM):
+                out.add(row, v * dom + t_in, mod.left.data[tup[0]][v][w])
+        # middle terms: (-1)^i f(..., a_i a_{i+1}, ...)
+        sign = Q(1)
+        for i in range(k):
+            sign = -sign
+            prod = alg.mu.data[tup[i]][tup[i + 1]]
+            for p, c in enumerate(prod):
+                if not c:
+                    continue
+                t_in = ti_in.flatten(tup[:i] + (p,) + tup[i + 2:])
+                for w in range(dM):
+                    out.add(w * cod + t_out, w * dom + t_in, sign * c)
+        # last term: (-1)^{k+1} f(a_1 ... a_k) . a_{k+1}
+        sign = -sign
+        t_in = ti_in.flatten(tup[:k])
+        for w in range(dM):
+            row = w * cod + t_out
+            for v in range(dM):
+                out.add(row, v * dom + t_in,
+                        sign * mod.right.data[v][tup[k]][w])
+    return out
+
+
+class MixedTensorSpace:
+    """Index bookkeeping for k-fold tensors with one factor swapped out.
+
+    Models the direct sum over positions s = 1..k of
+    A^(x)(s-1) (x) M (x) A^(x)(k-s).  Each summand is flattened big-endian
+    and the summands are concatenated in slot order, so the total dimension
+    is k * dim_a^(k-1) * dim_m.
+    """
+
+    __slots__ = ("k", "dim_a", "dim_m", "slot_dim", "total_dim", "_indexers")
+
+    def __init__(self, k, dim_a, dim_m):
+        if k < 1:
+            raise ShapeError("a mixed tensor space needs k >= 1")
+        self.k = k
+        self.dim_a = dim_a
+        self.dim_m = dim_m
+        self._indexers = tuple(
+            TensorIndex((dim_a,) * (s - 1) + (dim_m,) + (dim_a,) * (k - s))
+            for s in range(1, k + 1))
+        self.slot_dim = self._indexers[0].size
+        self.total_dim = k * self.slot_dim
+
+    def indexer(self, s):
+        """TensorIndex of the slot-s summand (s is 1-based)."""
+        return self._indexers[s - 1]
+
+    def offset(self, s):
+        """Start of the slot-s summand inside the concatenated coordinates."""
+        return (s - 1) * self.slot_dim
+
+
+def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
+    """Rows of the fiber-valued output block.
+
+    For each output slot t the three terms are: the leading argument
+    consumed from the left (through the left pairing when t = 1, through
+    the left fiber action otherwise), the alternating sum of neighbour
+    merges (algebra product or module action, dispatched by which factor
+    holds M), and the trailing argument consumed from the right (right
+    pairing when t = k+1, right fiber action otherwise).  The boundary
+    cases read the alpha block; everything else reads the slot maps.
+    """
+    alg, mod = x.algebra, x.module
+    dA, dM = alg.dim, mod.dim
+    dB, dN = b.base.dim, b.fiber.dim
+    mix_in = MixedTensorSpace(k, dA, dM)
+    mix_out = MixedTensorSpace(k + 1, dA, dM)
+    ti_a_in = TensorIndex((dA,) * k)
+    da_in, slot_in, slot_out = ti_a_in.size, mix_in.slot_dim, mix_out.slot_dim
+    lp, rp = b.left_pair, b.right_pair
+    ln, rn = b.fiber.left, b.fiber.right
+    lm, rm, mu = mod.left, mod.right, alg.mu
+    last_sign = ONE if k % 2 else -ONE          # (-1)^(k+1)
+    for t in range(1, k + 2):
+        ti_out = mix_out.indexer(t)
+        row_base = row_off + dN * mix_out.offset(t)
+        for flat_out in range(slot_out):
+            tup = ti_out.unflatten(flat_out)
+            rows = [row_base + w * slot_out + flat_out for w in range(dN)]
+            # leading term
+            if t == 1:
+                t_in = ti_a_in.flatten(tup[1:])
+                plane = lp.data[tup[0]]
+                for vb in range(dB):
+                    col = alpha_off + vb * da_in + t_in
+                    for w, c in enumerate(plane[vb]):
+                        if c:
+                            out.add(rows[w], col, c)
+            else:
+                f_in = mix_in.indexer(t - 1).flatten(tup[1:])
+                col_base = beta_off + dN * mix_in.offset(t - 1)
+                plane = ln.data[tup[0]]
+                for v in range(dN):
+                    col = col_base + v * slot_in + f_in
+                    for w, c in enumerate(plane[v]):
+                        if c:
+                            out.add(rows[w], col, c)
+            # neighbour merges
+            sign = ONE
+            for i in range(1, k + 1):
+                sign = -sign
+                li, ri = tup[i - 1], tup[i]
+                if t == i:
+                    prods, s_in = rm.data[li][ri], i
+                elif t == i + 1:
+                    prods, s_in = lm.data[li][ri], i
+                else:
+                    prods = mu.data[li][ri]
+                    s_in = t if t < i else t - 1
+                idx = mix_in.indexer(s_in)
+                col_base = beta_off + dN * mix_in.offset(s_in)
+                head, tail = tup[:i - 1], tup[i + 1:]
+                for p, c in enumerate(prods):
+                    if not c:
+                        continue
+                    f_in = idx.flatten(head + (p,) + tail)
+                    for w in range(dN):
+                        out.add(rows[w], col_base + w * slot_in + f_in,
+                                sign * c)
+            # trailing term
+            if t == k + 1:
+                t_in = ti_a_in.flatten(tup[:k])
+                for vb in range(dB):
+                    col = alpha_off + vb * da_in + t_in
+                    for w, c in enumerate(rp.data[vb][tup[k]]):
+                        if c:
+                            out.add(rows[w], col, last_sign * c)
+            else:
+                f_in = mix_in.indexer(t).flatten(tup[:k])
+                col_base = beta_off + dN * mix_in.offset(t)
+                for v in range(dN):
+                    col = col_base + v * slot_in + f_in
+                    for w, c in enumerate(rn.data[v][tup[k]]):
+                        if c:
+                            out.add(rows[w], col, last_sign * c)
+
+
+def _weighted_tuples(choices):
+    """Cartesian product of (index, weight) lists with multiplied weights."""
+    for picks in product(*choices):
+        coeff = ONE
+        idx = []
+        for i, c in picks:
+            idx.append(i)
+            coeff = coeff * c
+        yield tuple(idx), coeff
+
+
+def _operator_block(out, x, b, k, row_off, alpha_off, beta_off):
+    """Rows of the base-valued output block fed by R and S.
+
+    (-1)^k { alpha(R m_1, ..., R m_k)
+             - sum_i S . beta_i(R m_1, ..., m_i, ..., R m_k) }.
+    """
+    dA, dM = x.algebra.dim, x.module.dim
+    dB, dN = b.base.dim, b.fiber.dim
+    mix_in = MixedTensorSpace(k, dA, dM)
+    ti_m = TensorIndex((dM,) * k)
+    ti_a = TensorIndex((dA,) * k)
+    da_in, slot_in = ti_a.size, mix_in.slot_dim
+    rmat, smat = x.rop.matrix, b.sop.matrix
+    sign = -ONE if k % 2 else ONE               # (-1)^k
+    r_cols = [tuple((a, rmat.at(a, u)) for a in range(dA) if rmat.at(a, u))
+              for u in range(dM)]
+    for flat_out in range(ti_m.size):
+        mm = ti_m.unflatten(flat_out)
+        rows = [row_off + w * ti_m.size + flat_out for w in range(dB)]
+        picked = [r_cols[u] for u in mm]
+        for atup, coeff in _weighted_tuples(picked):
+            t_in = ti_a.flatten(atup)
+            val = sign * coeff
+            for w in range(dB):
+                out.add(rows[w], alpha_off + w * da_in + t_in, val)
+        for i in range(1, k + 1):
+            idx = mix_in.indexer(i)
+            col_base = beta_off + dN * mix_in.offset(i)
+            mixed = picked[:i - 1] + [((mm[i - 1], ONE),)] + picked[i:]
+            for tup, coeff in _weighted_tuples(mixed):
+                f_in = idx.flatten(tup)
+                for v in range(dN):
+                    col = col_base + v * slot_in + f_in
+                    for w in range(dB):
+                        sv = smat.at(w, v)
+                        if sv:
+                            out.add(rows[w], col, -sign * coeff * sv)
+
+
+def ref_rrb_differential_matrix(x, b, k):
+    """Matrix of the full degree-k differential, k >= 1."""
+    if k < 1:
+        raise ShapeError("the differential starts in degree 1")
+    a_in, bt_in, g_in = cochain_space_dims(x, b, k)
+    a_out, bt_out, g_out = cochain_space_dims(x, b, k + 1)
+    out = Matrix(a_out + bt_out + g_out, a_in + bt_in + g_in)
+    paste(out, ref_hochschild_matrix(b.base, k))
+    _twisted_block(out, x, b, k, a_out, 0, a_in)
+    _operator_block(out, x, b, k, a_out + bt_out, 0, a_in)
+    if k >= 2:
+        paste(out,
+              ref_hochschild_matrix(mtot_action_bimodule(b).actions, k - 1),
+              a_out + bt_out, a_in + bt_in)
+    return out
+
+
+def ref_psi_matrix(x, b, k):
+    """Matrix of the comparison map from degree-k cochains on (M_Tot, base)
+    to labelled degree-(k+1) cochains on (M, fiber), k >= 1.
+
+    Label 1 pairs the leading argument against the value from the left
+    with sign (-1)^(k+1); labels 2..k vanish; label k+1 pairs the trailing
+    argument from the right.
+    """
+    if k < 1:
+        raise ShapeError("the comparison map starts in degree 1")
+    dM, dB, dN = x.module.dim, b.base.dim, b.fiber.dim
+    ti_out, ti_in = TensorIndex((dM,) * (k + 1)), TensorIndex((dM,) * k)
+    size, size_in = ti_out.size, ti_in.size
+    last = k * dN * size                        # start of label k+1
+    sign = ONE if k % 2 else -ONE               # (-1)^(k+1)
+    out = Matrix((k + 1) * dN * size, dB * size_in)
+    for flat in range(size):
+        mt = ti_out.unflatten(flat)
+        lead = ti_in.flatten(mt[1:])
+        trail = ti_in.flatten(mt[:k])
+        for vb in range(dB):
+            for w, c in enumerate(b.left_pair.data[mt[0]][vb]):
+                if c:
+                    out.add(w * size + flat, vb * size_in + lead, sign * c)
+            for w, c in enumerate(b.right_pair.data[vb][mt[k]]):
+                if c:
+                    out.add(last + w * size + flat, vb * size_in + trail, c)
+    return out
+
+
+def ref_semidirect_inclusion_matrix(x, b, k):
+    """Coordinates of the degree-k cochains inside the ambient complex.
+
+    alpha becomes the map seeing only A-arguments and valued in the B
+    summand; each slot map keeps its position with M and N embedded as
+    summands; gamma sees only M-arguments and is valued in B.  The blocks
+    of the full differential commute with this inclusion.
+    """
+    if k < 1:
+        raise ShapeError("the inclusion starts in degree 1")
+    dA, dM = x.algebra.dim, x.module.dim
+    dB, dN = b.base.dim, b.fiber.dim
+    big_a, big_m = dA + dB, dM + dN
+    a_in, bt_in, g_in = cochain_space_dims(x, b, k)
+    big, bigb = semidirect_complex(x, b)
+    A_in, BT_in, G_in = cochain_space_dims(big, bigb, k)
+    out = Matrix(A_in + BT_in + G_in, a_in + bt_in + g_in)
+    ti_a, ti_big_a = TensorIndex((dA,) * k), TensorIndex((big_a,) * k)
+    for flat in range(ti_a.size):
+        big_flat = ti_big_a.flatten(ti_a.unflatten(flat))
+        for w in range(dB):
+            out.add((dA + w) * ti_big_a.size + big_flat,
+                    w * ti_a.size + flat, ONE)
+    mix = MixedTensorSpace(k, dA, dM)
+    big_mix = MixedTensorSpace(k, big_a, big_m)
+    for s in range(1, k + 1):
+        idx, big_idx = mix.indexer(s), big_mix.indexer(s)
+        col_base = a_in + dN * mix.offset(s)
+        row_base = A_in + big_m * big_mix.offset(s)
+        for flat in range(idx.size):
+            big_flat = big_idx.flatten(idx.unflatten(flat))
+            for w in range(dN):
+                out.add(row_base + (dM + w) * big_idx.size + big_flat,
+                        col_base + w * idx.size + flat, ONE)
+    if k >= 2:
+        ti_m = TensorIndex((dM,) * (k - 1))
+        ti_big_m = TensorIndex((big_m,) * (k - 1))
+        for flat in range(ti_m.size):
+            big_flat = ti_big_m.flatten(ti_m.unflatten(flat))
+            for w in range(dB):
+                out.add(A_in + BT_in + (dA + w) * ti_big_m.size + big_flat,
+                        a_in + bt_in + w * ti_m.size + flat, ONE)
+    return out
