@@ -1,12 +1,17 @@
 """Associative algebras, bimodules and dendriform structures by structure constants.
 
-All products and actions are bilinear maps stored as rank-3 rational tensors
-c[i][j][k]: the product of the i-th and j-th input basis vectors has k-th
-output coordinate c[i][j][k].  Axioms are multilinear, so checking them on
-basis tuples is equivalent to the full statement.  Every check evaluates a
-law on all its basis tuples at once: each variable is an identity matrix,
-a bilinear map c is applied as c.matrix * kron(X, Y), and the two sides
-become matrices whose columns are the tuples (Report.require_laws).
+All products and actions are bilinear maps c with constants c[i][j][k]:
+the product of the i-th and j-th input basis vectors has k-th output
+coordinate c[i][j][k].  StructureConstants stores only their matrix on the
+flattened U (x) V, entry (k, i * dim_V + j) = c[i][j][k]; the file layout
+keeps the nested c[i][j][k], which the constructor reads and the data view
+gives back.  Every structure made from others (duals, pullbacks, induced
+and transported structures) is a matrix expression in these matrices.
+Axioms are multilinear, so checking them on basis tuples is equivalent to
+the full statement.  Every check evaluates a law on all its basis tuples
+at once: each variable is an identity matrix, a bilinear map c is applied
+as c.matrix * kron(X, Y), and the two sides become matrices whose columns
+are the tuples (Report.require_laws).
 
 Hochschild cochains of degree k are linear maps A^{(x) k} -> M, flattened with
 the big-endian convention of linalg.TensorIndex.  Degree 0 cochains are
@@ -17,9 +22,9 @@ assembles.
 
 Every structure on a direct sum (semidirect products, square-zero
 extensions, lifted and glued structures elsewhere) is assembled by
-block_constants: the first summand's basis comes first, and each block sits
-at its summands' offsets.  bilinear reads a map on a flattened U (x) V as
-such a block.
+block_constants: the first summand's basis comes first, and each block's
+nonzeros sit at its summands' offsets.  bilinear reads a map on a
+flattened U (x) V as such a block.
 """
 
 from __future__ import annotations
@@ -36,20 +41,8 @@ def basis_vec(n, i):
     return tuple(Q(1) if j == i else Q(0) for j in range(n))
 
 
-def zero_vec(n):
-    return (Q(0),) * n
-
-
 def add_vec(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def sub_vec(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def scale_vec(c, u):
-    return tuple(c * a for a in u)
 
 
 class Violation:
@@ -160,70 +153,73 @@ class StructuralError(RuntimeError):
 
 
 class StructureConstants:
-    """Bilinear map U (x) V -> W as the tensor c[i][j][k]."""
+    """Bilinear map U (x) V -> W, stored as its matrix on the flattened
+    U (x) V: dim_out x (dim_left * dim_right), entry (k, i * dim_right + j)
+    is c[i][j][k], the k-th coordinate of the map on basis pair (i, j)."""
 
-    __slots__ = ("dim_left", "dim_right", "dim_out", "data", "_matrix")
+    __slots__ = ("dim_left", "dim_right", "dim_out", "matrix", "_data")
 
     def __init__(self, dim_left, dim_right, dim_out, data):
-        data = tuple(tuple(tuple(x if type(x) is Q else Q(x) for x in row)
-                           for row in plane) for plane in data)
+        """From the nested data[i][j][k], as files and literals give it."""
         if len(data) != dim_left or any(len(p) != dim_right for p in data) \
                 or any(len(r) != dim_out for p in data for r in p):
             raise ShapeError(
                 f"structure constants must be {dim_left}x{dim_right}x{dim_out}")
+        self._set(dim_left, dim_right, Matrix(
+            dim_out, dim_left * dim_right,
+            [data[i][j][k] for k in range(dim_out)
+             for i in range(dim_left) for j in range(dim_right)]))
+
+    def _set(self, dim_left, dim_right, matrix):
         self.dim_left = dim_left
         self.dim_right = dim_right
-        self.dim_out = dim_out
-        self.data = data
-        self._matrix = None
+        self.dim_out = matrix.rows
+        self.matrix = matrix
+        self._data = None
+
+    @staticmethod
+    def from_matrix(dim_left, dim_right, matrix):
+        """The bilinear map whose matrix on the flattened U (x) V is matrix."""
+        if matrix.cols != dim_left * dim_right:
+            raise ShapeError(f"map on dimension {matrix.cols} is not bilinear "
+                             f"on {dim_left} x {dim_right}")
+        out = StructureConstants.__new__(StructureConstants)
+        out._set(dim_left, dim_right, matrix)
+        return out
 
     @staticmethod
     def zero(dim_left, dim_right, dim_out):
-        return StructureConstants(
-            dim_left, dim_right, dim_out,
-            [[[ZERO] * dim_out for _ in range(dim_right)]
-             for _ in range(dim_left)])
+        return StructureConstants.from_matrix(
+            dim_left, dim_right, Matrix(dim_out, dim_left * dim_right))
 
-    @staticmethod
-    def build(dim_left, dim_right, dim_out, fn):
-        """fn(i, j) -> output coordinate vector."""
-        return StructureConstants(
-            dim_left, dim_right, dim_out,
-            [[list(fn(i, j)) for j in range(dim_right)]
-             for i in range(dim_left)])
+    @property
+    def data(self):
+        """The nested tuple c[i][j][k], read from the matrix once."""
+        if self._data is None:
+            data = [[[ZERO] * self.dim_out for _ in range(self.dim_right)]
+                    for _ in range(self.dim_left)]
+            for k, t, v in self.matrix.nonzero_items():
+                i, j = divmod(t, self.dim_right)
+                data[i][j][k] = v
+            self._data = tuple(tuple(tuple(row) for row in plane)
+                               for plane in data)
+        return self._data
 
     def on_basis(self, i, j):
-        return self.data[i][j]
+        return self.matrix.column(i * self.dim_right + j)
 
     def __call__(self, x, y):
         if len(x) != self.dim_left or len(y) != self.dim_right:
             raise ShapeError(
                 f"arguments of length {len(x)}, {len(y)}, tensor needs "
                 f"{self.dim_left}, {self.dim_right}")
-        out = [ZERO] * self.dim_out
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            plane = self.data[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, v in enumerate(plane[j]):
-                    if v:
-                        out[k] += c * v
-        return tuple(out)
-
-    @property
-    def matrix(self):
-        """The map on the flattened U (x) V: dim_out x (dim_left * dim_right),
-        entry (k, i * dim_right + j) = c[i][j][k]."""
-        if self._matrix is None:
-            m = Matrix(self.dim_out, self.dim_left * self.dim_right)
-            for i, j, k, v in self.items():
-                m.add(k, i * self.dim_right + j, v)
-            self._matrix = m
-        return self._matrix
+        flat = [ZERO] * (self.dim_left * self.dim_right)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i * self.dim_right):
+                    if b:
+                        flat[j] = a * b
+        return self.matrix.apply(flat)
 
     def on_columns(self, x, y):
         """The map on every pair of a column of x and a column of y.
@@ -233,41 +229,34 @@ class StructureConstants:
         """
         return self.matrix * kron(x, y)
 
-    def items(self):
-        """Nonzero entries as (i, j, k, value)."""
-        for i, plane in enumerate(self.data):
-            for j, row in enumerate(plane):
-                for k, v in enumerate(row):
-                    if v:
-                        yield i, j, k, v
+    def rotated(self):
+        """The constants c'[j][k][i] = c[i][j][k] of V (x) W -> U, read
+        off the nonzeros; dual structures are rotations."""
+        dl, dr, do = self.dim_left, self.dim_right, self.dim_out
+        m = Matrix(dl, dr * do)
+        for k, t, v in self.matrix.nonzero_items():
+            i, j = divmod(t, dr)
+            m.add(i, j * do + k, v)
+        return StructureConstants.from_matrix(dr, do, m)
 
     def is_zero(self):
-        return all(not v for p in self.data for r in p for v in r)
+        return self.matrix.is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, StructureConstants)
-                and self.data == other.data
-                and (self.dim_left, self.dim_right, self.dim_out)
-                == (other.dim_left, other.dim_right, other.dim_out))
+                and (self.dim_left, self.dim_right) ==
+                (other.dim_left, other.dim_right)
+                and self.matrix == other.matrix)
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.dim_left, self.dim_right, self.dim_out))
 
     def __add__(self, other):
         if (self.dim_left, self.dim_right, self.dim_out) != \
                 (other.dim_left, other.dim_right, other.dim_out):
             raise ShapeError("tensor shapes must agree")
-        return StructureConstants.build(
-            self.dim_left, self.dim_right, self.dim_out,
-            lambda i, j: add_vec(self.data[i][j], other.data[i][j]))
-
-    def __neg__(self):
-        return StructureConstants.build(
-            self.dim_left, self.dim_right, self.dim_out,
-            lambda i, j: scale_vec(Q(-1), self.data[i][j]))
-
-    def __sub__(self, other):
-        return self + (-other)
+        return StructureConstants.from_matrix(
+            self.dim_left, self.dim_right, self.matrix + other.matrix)
 
 
 class LinearMap:
@@ -336,15 +325,16 @@ def block_constants(left, right, out, blocks):
     r, placed at those summands' offsets; every other block is zero.
     """
     lo, ro, oo = ([0, *accumulate(dims)] for dims in (left, right, out))
-    data = [[[ZERO] * oo[-1] for _ in range(ro[-1])] for _ in range(lo[-1])]
+    m = Matrix(oo[-1], lo[-1] * ro[-1])
     for (p, q, r), t in blocks.items():
         if (t.dim_left, t.dim_right, t.dim_out) != (left[p], right[q], out[r]):
             raise ShapeError(
                 f"block {(p, q, r)} is {t.dim_left}x{t.dim_right}x"
                 f"{t.dim_out}, its summands are {left[p]}x{right[q]}x{out[r]}")
-        for i, j, k, v in t.items():
-            data[lo[p] + i][ro[q] + j][oo[r] + k] = v
-    return StructureConstants(lo[-1], ro[-1], oo[-1], data)
+        for k, t_in, v in t.matrix.nonzero_items():
+            i, j = divmod(t_in, t.dim_right)
+            m.add(oo[r] + k, (lo[p] + i) * ro[-1] + ro[q] + j, v)
+    return StructureConstants.from_matrix(lo[-1], ro[-1], m)
 
 
 def bilinear(lin, dim_left, dim_right):
@@ -352,17 +342,7 @@ def bilinear(lin, dim_left, dim_right):
 
     Both factor dimensions are given, since either may be 0.
     """
-    if lin.domain_dim != dim_left * dim_right:
-        raise ShapeError(f"map on dimension {lin.domain_dim} is not bilinear "
-                         f"on {dim_left} x {dim_right}")
-    data = [[[ZERO] * lin.codomain_dim for _ in range(dim_right)]
-            for _ in range(dim_left)]
-    for k, t, v in lin.matrix.nonzero_items():
-        i, j = divmod(t, dim_right)
-        data[i][j][k] = v
-    out = StructureConstants(dim_left, dim_right, lin.codomain_dim, data)
-    out._matrix = lin.matrix    # the map's matrix is the flattened form
-    return out
+    return StructureConstants.from_matrix(dim_left, dim_right, lin.matrix)
 
 
 def default_names(prefix, dim):
@@ -456,17 +436,11 @@ def check_bimodule(mod):
 
 
 def dual_bimodule(mod):
-    """Dual actions (a.f)(m) = f(m.a) and (f.a)(m) = f(a.m)."""
-    alg = mod.over
-    dA, dM = alg.dim, mod.dim
-    left = StructureConstants.build(
-        dA, dM, dM, lambda a, v: tuple(mod.right.data[w][a][v]
-                                       for w in range(dM)))
-    right = StructureConstants.build(
-        dM, dA, dM, lambda v, a: tuple(mod.left.data[a][w][v]
-                                       for w in range(dM)))
+    """Dual actions (a.f)(m) = f(m.a) and (f.a)(m) = f(a.m): the action
+    constants rotated."""
     names = tuple(n + "*" for n in mod.basis_names)
-    return Bimodule(alg, dM, left, right, names)
+    return Bimodule(mod.over, mod.dim, mod.right.rotated(),
+                    mod.left.rotated().rotated(), names)
 
 
 def _square_zero(dims, pure, left, right):
@@ -576,9 +550,7 @@ def check_dendriform(den):
 
 def total_algebra(den):
     """The associative algebra with product prec + succ."""
-    tot = LinearMap.from_matrix(den.prec.matrix + den.succ.matrix)
-    return AssocAlgebra(den.dim, bilinear(tot, den.dim, den.dim),
-                        den.basis_names)
+    return AssocAlgebra(den.dim, den.prec + den.succ, den.basis_names)
 
 
 class DendriformRepresentation:

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from .algebra import (
     AssocAlgebra, Bimodule, LinearMap, Report, ShapeError, StructuralError,
-    StructureConstants, Violation, add_vec, basis_vec, check_associativity,
-    bilinear, block_constants, check_bimodule, sub_vec,
+    StructureConstants, Violation, basis_vec, check_associativity,
+    bilinear, block_constants, check_bimodule,
 )
 from .cohomology import (
     RRBCochain, cocycle_report, rrb_differential, rrb_differential_matrix,
@@ -128,12 +128,7 @@ def _right_inverse(p):
         if sol is None:
             raise StructuralError("projection is not surjective")
         cols.append(sol)
-    return _map_from_columns(cols, p.codomain_dim, p.domain_dim)
-
-
-def _map_from_columns(cols, dom, cod):
-    entries = tuple(cols[j][i] for i in range(cod) for j in range(dom))
-    return LinearMap(dom, cod, Matrix(cod, dom, entries))
+    return LinearMap.from_matrix(Matrix.from_columns(p.domain_dim, cols))
 
 
 def canonical_section(e):
@@ -146,12 +141,19 @@ def canonical_section(e):
                    _right_inverse(e.mod_proj)).validate(e)
 
 
-def _fiber_coords(incl, vec, what):
-    """Coordinates of a vector inside the image of an embedding."""
-    sol = solve(incl.matrix, tuple(vec))
-    if sol is None:
+def _solve_columns(incl, values):
+    """Each column of values in coordinates of the image of an embedding,
+    or None where it does not lie in the image."""
+    return [solve(incl.matrix, values.column(t)) for t in range(values.cols)]
+
+
+def _fiber_coords(incl, values, what):
+    """The matrix of coordinates of the columns of values inside the image
+    of an embedding; the first column outside it raises."""
+    cols = _solve_columns(incl, values)
+    if None in cols:
         raise StructuralError(what + " does not land in the fiber")
-    return sol
+    return Matrix.from_columns(incl.domain_dim, cols)
 
 
 def _fiber_rrb(fiber):
@@ -282,35 +284,34 @@ def extract_cocycle(e, sec):
     sec.validate(e)
     base, tot = e.base, e.total
     dA, dM = base.algebra.dim, base.module.dim
-    sa = [sec.s(basis_vec(dA, i)) for i in range(dA)]
-    sm = [sec.sbar(basis_vec(dM, u)) for u in range(dM)]
-    alpha_cols, beta1_cols, beta2_cols, gamma_cols = {}, {}, {}, {}
-    for i in range(dA):
-        for j in range(dA):
-            defect = sub_vec(tot.algebra.mu(sa[i], sa[j]),
-                             sec.s(base.algebra.mu.on_basis(i, j)))
-            alpha_cols[i * dA + j] = _fiber_coords(
-                e.alg_incl, defect, "product defect")
+    s, sbar = sec.s.matrix, sec.sbar.matrix
+    alpha = _fiber_coords(
+        e.alg_incl,
+        tot.algebra.mu.on_columns(s, s) - s * base.algebra.mu.matrix,
+        "product defect")
+    # both action defects are read before either raises, so that the
+    # first reported is the first in the loop over (u, i), right first
+    beta1 = _solve_columns(e.mod_incl, tot.module.right.on_columns(sbar, s)
+                           - sbar * base.module.right.matrix)
+    beta2 = _solve_columns(e.mod_incl, tot.module.left.on_columns(s, sbar)
+                           - sbar * base.module.left.matrix)
     for u in range(dM):
         for i in range(dA):
-            defect = sub_vec(tot.module.right(sm[u], sa[i]),
-                             sec.sbar(base.module.right.on_basis(u, i)))
-            beta1_cols[u * dA + i] = _fiber_coords(
-                e.mod_incl, defect, "right action defect")
-            defect = sub_vec(tot.module.left(sa[i], sm[u]),
-                             sec.sbar(base.module.left.on_basis(i, u)))
-            beta2_cols[i * dM + u] = _fiber_coords(
-                e.mod_incl, defect, "left action defect")
-    for u in range(dM):
-        defect = sub_vec(tot.rop(sm[u]), sec.s(base.rop(basis_vec(dM, u))))
-        gamma_cols[u] = _fiber_coords(e.alg_incl, defect, "operator defect")
-    dB, dN = e.fiber.dim0, e.fiber.dim1
+            if beta1[u * dA + i] is None:
+                raise StructuralError(
+                    "right action defect does not land in the fiber")
+            if beta2[i * dM + u] is None:
+                raise StructuralError(
+                    "left action defect does not land in the fiber")
+    gamma = _fiber_coords(e.alg_incl,
+                          tot.rop.matrix * sbar - s * base.rop.matrix,
+                          "operator defect")
+    dN = e.fiber.dim1
     return RRBCochain(
-        2,
-        _map_from_columns(alpha_cols, dA * dA, dB),
-        (_map_from_columns(beta1_cols, dM * dA, dN),
-         _map_from_columns(beta2_cols, dA * dM, dN)),
-        _map_from_columns(gamma_cols, dM, dB))
+        2, LinearMap.from_matrix(alpha),
+        tuple(LinearMap.from_matrix(Matrix.from_columns(dN, cols))
+              for cols in (beta1, beta2)),
+        LinearMap.from_matrix(gamma))
 
 
 def induced_fiber_bimodule(e, sec):
@@ -328,33 +329,28 @@ def induced_fiber_bimodule(e, sec):
     tot = e.total
     dA, dM = e.base.algebra.dim, e.base.module.dim
     dB, dN = e.fiber.dim0, e.fiber.dim1
-    sa = [sec.s(basis_vec(dA, i)) for i in range(dA)]
-    sm = [sec.sbar(basis_vec(dM, u)) for u in range(dM)]
-    ib = [e.alg_incl(basis_vec(dB, w)) for w in range(dB)]
-    im = [e.mod_incl(basis_vec(dN, v)) for v in range(dN)]
+    s, sbar = sec.s.matrix, sec.sbar.matrix
+    ib, i_n = e.alg_incl.matrix, e.mod_incl.matrix
+    mu, left, right = tot.algebra.mu, tot.module.left, tot.module.right
 
-    def in_b(vec):
-        return _fiber_coords(e.alg_incl, vec, "induced product")
-
-    def in_n(vec):
-        return _fiber_coords(e.mod_incl, vec, "induced action")
+    def induced(dl, dr, values, incl, what):
+        return StructureConstants.from_matrix(
+            dl, dr, _fiber_coords(incl, values, what))
 
     base = Bimodule(
         e.base.algebra, dB,
-        StructureConstants.build(
-            dA, dB, dB, lambda i, w: in_b(tot.algebra.mu(sa[i], ib[w]))),
-        StructureConstants.build(
-            dB, dA, dB, lambda w, i: in_b(tot.algebra.mu(ib[w], sa[i]))))
+        induced(dA, dB, mu.on_columns(s, ib), e.alg_incl, "induced product"),
+        induced(dB, dA, mu.on_columns(ib, s), e.alg_incl, "induced product"))
     fiber = Bimodule(
         e.base.algebra, dN,
-        StructureConstants.build(
-            dA, dN, dN, lambda i, v: in_n(tot.module.left(sa[i], im[v]))),
-        StructureConstants.build(
-            dN, dA, dN, lambda v, i: in_n(tot.module.right(im[v], sa[i]))))
-    left_pair = StructureConstants.build(
-        dM, dB, dN, lambda u, w: in_n(tot.module.right(sm[u], ib[w])))
-    right_pair = StructureConstants.build(
-        dB, dM, dN, lambda w, u: in_n(tot.module.left(ib[w], sm[u])))
+        induced(dA, dN, left.on_columns(s, i_n), e.mod_incl,
+                "induced action"),
+        induced(dN, dA, right.on_columns(i_n, s), e.mod_incl,
+                "induced action"))
+    left_pair = induced(dM, dB, right.on_columns(sbar, ib), e.mod_incl,
+                        "induced action")
+    right_pair = induced(dB, dM, left.on_columns(ib, sbar), e.mod_incl,
+                         "induced action")
     return RRBBimodule(e.base, base, fiber, e.fiber.d, left_pair, right_pair)
 
 
@@ -375,26 +371,23 @@ def cobounding_cochain(x, b, c1, c2):
 
 
 def _same_bimodule(b1, b2):
-    return (b1.base.left.data == b2.base.left.data and
-            b1.base.right.data == b2.base.right.data and
-            b1.fiber.left.data == b2.fiber.left.data and
-            b1.fiber.right.data == b2.fiber.right.data and
+    return (b1.base.left == b2.base.left and
+            b1.base.right == b2.base.right and
+            b1.fiber.left == b2.fiber.left and
+            b1.fiber.right == b2.fiber.right and
             b1.sop == b2.sop and
-            b1.left_pair.data == b2.left_pair.data and
-            b1.right_pair.data == b2.right_pair.data)
+            b1.left_pair == b2.left_pair and
+            b1.right_pair == b2.right_pair)
 
 
-def _shear(e1, e2, sec1, sec2, corr, incl1, incl2, proj):
+def _shear(sec1, sec2, corr, incl1, incl2, proj):
     # v |-> s2(p(v)) + i2( i1-coords(v - s1(p(v))) + corr(p(v)) )
-    n = proj.domain_dim
-    cod = incl2.codomain_dim
-    cols = []
-    for j in range(n):
-        v = basis_vec(n, j)
-        a = proj(v)
-        y = _fiber_coords(incl1, sub_vec(v, sec1(a)), "section complement")
-        cols.append(add_vec(sec2(a), incl2(add_vec(y, corr(a)))))
-    return _map_from_columns(cols, n, cod)
+    p = proj.matrix
+    complement = _fiber_coords(
+        incl1, Matrix.identity(proj.domain_dim) - sec1.matrix * p,
+        "section complement")
+    return LinearMap.from_matrix(
+        sec2.matrix * p + incl2.matrix * (complement + corr.matrix * p))
 
 
 def extension_iso_from_cobounding(e1, e2, theta, vartheta):
@@ -426,10 +419,10 @@ def extension_iso_from_cobounding(e1, e2, theta, vartheta):
     if tuple(bound.vector()) != diff:
         raise StructuralError("the cochain does not cobound the difference "
                               "of the extracted cocycles")
-    phi = _shear(e1, e2, sec1.s, sec2.s, theta,
-                 e1.alg_incl, e2.alg_incl, e1.alg_proj)
-    psi = _shear(e1, e2, sec1.sbar, sec2.sbar, vartheta,
-                 e1.mod_incl, e2.mod_incl, e1.mod_proj)
+    phi = _shear(sec1.s, sec2.s, theta, e1.alg_incl, e2.alg_incl,
+                 e1.alg_proj)
+    psi = _shear(sec1.sbar, sec2.sbar, vartheta, e1.mod_incl, e2.mod_incl,
+                 e1.mod_proj)
     mor = RRBMorphism(e1.total, e2.total, phi, psi)
     rep = check_morphism(mor)
     if not rep:
@@ -847,12 +840,7 @@ def skeletal_to_triple(a, m, r, verify=True):
         Bimodule(alg, a.dim1, a.mu01, a.mu10),
         Bimodule(alg, m.dim1, m.left01, m.right10),
         r.r1, m.right01, m.left10)
-    gamma = LinearMap(
-        m.dim0 ** 2, a.dim1,
-        Matrix(a.dim1, m.dim0 ** 2,
-               tuple(r.r2.data[u][v][w] for w in range(a.dim1)
-                     for u in range(m.dim0) for v in range(m.dim0))))
-    c = RRBCochain(3, a.mu3, m.mu3m, gamma)
+    c = RRBCochain(3, a.mu3, m.mu3m, LinearMap.from_matrix(r.r2.matrix))
     if verify:
         for bad in (check_relative_rb(x), check_rrb_bimodule(coeff)):
             if not bad:

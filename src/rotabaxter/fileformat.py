@@ -105,8 +105,27 @@ def _fields(entry, key, required, optional=()):
             raise ParseError(f"{key}: missing field '{f}'")
 
 
+def _name(value, key):
+    """A reference to a space, a map or a declaration: a string."""
+    if not isinstance(value, str):
+        raise ParseError(
+            f"{key}: names must be strings, got {type(value).__name__}")
+    return value
+
+
+def _table(value, key, kind):
+    """A table of entries (dict) or a declare list; absent or null reads
+    as empty."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ParseError(f"{key}: must be "
+                         + ("an object" if kind is dict else "a list"))
+    return value
+
+
 def _space_dim(spaces, name, key):
-    if name not in spaces:
+    if _name(name, key) not in spaces:
         raise ParseError(f"{key}: unresolved space '{name}'")
     return spaces[name]["dim"]
 
@@ -135,6 +154,8 @@ def _parse_bilinear(raw, spaces):
     out = {}
     for name, entry in raw.items():
         key = f"bilinear.{name}"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{key}: must be an object")
         _fields(entry, key, ("from", "to", "tensor"))
         frm = entry["from"]
         if not isinstance(frm, list) or len(frm) != 2:
@@ -165,6 +186,8 @@ def _parse_linear(raw, spaces):
     out = {}
     for name, entry in raw.items():
         key = f"linear.{name}"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{key}: must be an object")
         _fields(entry, key, ("from", "to", "matrix"))
         frm = entry["from"]
         factors = frm if isinstance(frm, list) else [frm]
@@ -194,23 +217,23 @@ class _Resolver:
         self.declared = {}
 
     def space(self, entry, field, key):
-        name = entry[field]
+        name = _name(entry[field], f"{key}.{field}")
         if name not in self.spaces:
             raise ParseError(f"{key}.{field}: unresolved space '{name}'")
         return self.spaces[name]
 
     def bilin(self, name, key):
-        if name not in self.bilinear:
+        if _name(name, key) not in self.bilinear:
             raise ParseError(f"{key}: unresolved bilinear '{name}'")
         return self.bilinear[name]
 
     def lin(self, name, key):
-        if name not in self.linear:
+        if _name(name, key) not in self.linear:
             raise ParseError(f"{key}: unresolved linear '{name}'")
         return self.linear[name]
 
     def decl(self, name, kinds, key):
-        if name not in self.declared:
+        if _name(name, key) not in self.declared:
             raise ParseError(f"{key}: unresolved declaration '{name}'")
         d = self.declared[name]
         if d.kind not in kinds:
@@ -389,7 +412,8 @@ def _build_extension(entry, key, rs):
                          rs.lin(maps["alg_proj"], f"{key}.maps"),
                          rs.lin(maps["mod_proj"], f"{key}.maps"))
     sections = {}
-    for sname, sentry in (entry.get("sections") or {}).items():
+    table = _table(entry.get("sections"), f"{key}.sections", dict)
+    for sname, sentry in table.items():
         skey = f"{key}.sections.{sname}"
         if not isinstance(sentry, dict):
             raise ParseError(f"{skey}: must be an object")
@@ -449,15 +473,14 @@ def parse_document(doc):
         raise ParseError(f"top level: unknown keys {sorted(unknown)}")
     if doc.get("field") != "Q":
         raise ParseError('field: must be "Q"')
-    spaces = _parse_spaces(doc.get("spaces") or {})
-    bilinear = _parse_bilinear(doc.get("bilinear") or {}, spaces)
-    linear = _parse_linear(doc.get("linear") or {}, spaces)
+    spaces, bilinear, linear = (_table(doc.get(key), key, dict) for key in
+                                ("spaces", "bilinear", "linear"))
+    spaces = _parse_spaces(spaces)
+    bilinear = _parse_bilinear(bilinear, spaces)
+    linear = _parse_linear(linear, spaces)
     rs = _Resolver(spaces, bilinear, linear)
     declarations = []
-    raw = doc.get("declare") or []
-    if not isinstance(raw, list):
-        raise ParseError("declare: must be a list")
-    for idx, entry in enumerate(raw):
+    for idx, entry in enumerate(_table(doc.get("declare"), "declare", list)):
         d = _build_declaration(entry, idx, rs)
         rs.declared[d.name] = d
         declarations.append(d)

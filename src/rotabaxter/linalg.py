@@ -22,8 +22,8 @@ d_k . d_{k-1} == 0 builds a rational only for a nonzero entry.
 
 Conventions fixed here and relied on by every other module:
 
-* scalars are reduced rationals with positive denominator (gmpy2.mpq when
-  available, fractions.Fraction otherwise -- same interface, same semantics);
+* scalars are fractions.Fraction: reduced rationals with positive
+  denominator;
 * a linear map's matrix has codomain-dim rows and domain-dim columns, and
   acts on column vectors;
 * tensor products flatten big-endian: the FIRST factor varies slowest.  So for
@@ -33,14 +33,10 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 import re
+from fractions import Fraction as Q
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd, lcm
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Q
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -109,7 +105,11 @@ class Matrix:
         if not val:
             return
         row = self._data[i]
-        nv = row.get(j, ZERO) + val
+        old = row.get(j)
+        if old is None:
+            row[j] = val if type(val) is Q else Q(val)
+            return
+        nv = old + val
         if nv:
             row[j] = nv
         else:
@@ -131,6 +131,12 @@ class Matrix:
         return Matrix._of(rows, cols,
                           [{j: v if type(v) is Q else Q(v)
                             for j, v in enumerate(r) if v} for r in rows_list])
+
+    @staticmethod
+    def from_columns(rows, columns):
+        """The rows x len(columns) matrix with the given dense columns."""
+        return Matrix(len(columns), rows,
+                      [v for col in columns for v in col]).transpose()
 
     @staticmethod
     def zero(rows, cols):

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from .algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, LinearMap, Report, ShapeError,
-    StructuralError, StructureConstants, add_vec, basis_vec,
-    bilinear, semidirect_algebra, total_algebra, zero_vec,
+    StructuralError, StructureConstants, semidirect_algebra, total_algebra,
 )
 from .linalg import Matrix, Q, kernel_basis, paste, solve
 
@@ -149,10 +148,10 @@ def induced_dendriform_algebra(x):
     mod, r = x.module, x.rop.matrix
     dM = mod.dim
     im = Matrix.identity(dM)
-    prec = bilinear(LinearMap.from_matrix(mod.right.on_columns(im, r)),
-                    dM, dM)
-    succ = bilinear(LinearMap.from_matrix(mod.left.on_columns(r, im)),
-                    dM, dM)
+    prec = StructureConstants.from_matrix(dM, dM,
+                                          mod.right.on_columns(im, r))
+    succ = StructureConstants.from_matrix(dM, dM,
+                                          mod.left.on_columns(r, im))
     return DendriformAlgebra(dM, prec, succ, mod.basis_names)
 
 
@@ -214,41 +213,35 @@ def aybe_check(r):
     return rep
 
 
+def _sandwich_weights(r, n):
+    """The weights that sum e_i . v . e_j into sum r[i][j] e_i . v . e_j:
+    r[i][j] at row (i * n + v) * d + j, column v, for v among n basis
+    vectors and d = dim A."""
+    t, d = r.tensor, r.over.dim
+    w = Matrix(d * n * d, n)
+    for i in range(d):
+        for j in range(d):
+            if t[i][j]:
+                for v in range(n):
+                    w.add((i * n + v) * d + j, v, t[i][j])
+    return w
+
+
 def rb_from_r_matrix(r):
     """The Rota-Baxter operator R(a) = sum r[i][j] e_i . a . e_j."""
-    alg, t = r.over, r.tensor
-    d = alg.dim
-    cols = []
-    for a in range(d):
-        v = zero_vec(d)
-        for i in range(d):
-            for j in range(d):
-                if t[i][j]:
-                    w = alg.mu(alg.mu.on_basis(i, a), basis_vec(d, j))
-                    v = add_vec(v, tuple(t[i][j] * x for x in w))
-        cols.append(v)
-    m = Matrix.from_rows([[cols[a][i] for a in range(d)] for i in range(d)])
-    return alg, LinearMap(d, d, m)
+    alg, d = r.over, r.over.dim
+    sandwiches = alg.mu.on_columns(alg.mu.matrix, Matrix.identity(d))
+    return alg, LinearMap(d, d, sandwiches * _sandwich_weights(r, d))
 
 
 def rb_bimodule_from_r_matrix(r, mod):
     """The induced operator R_M(m) = sum r[i][j] e_i . m . e_j on a bimodule."""
-    alg, t = r.over, r.tensor
-    if mod.over.mu != alg.mu:
+    if mod.over.mu != r.over.mu:
         raise ShapeError("bimodule must be over the r-matrix algebra")
-    d, dM = alg.dim, mod.dim
-    cols = []
-    for u in range(dM):
-        v = zero_vec(dM)
-        for i in range(d):
-            for j in range(d):
-                if t[i][j]:
-                    w = mod.right(mod.left.on_basis(i, u), basis_vec(d, j))
-                    v = add_vec(v, tuple(t[i][j] * x for x in w))
-        cols.append(v)
-    m = Matrix.from_rows([[cols[u][p] for u in range(dM)]
-                          for p in range(dM)])
-    return LinearMap(dM, dM, m)
+    sandwiches = mod.right.on_columns(mod.left.matrix,
+                                      Matrix.identity(r.over.dim))
+    return LinearMap(mod.dim, mod.dim,
+                     sandwiches * _sandwich_weights(r, mod.dim))
 
 
 class RBBimodulePair:
@@ -313,9 +306,7 @@ def endomorphism_rrb(cx):
     cond_m = Matrix.from_rows(cond) if cond else Matrix.zero(0, nvars)
     end_basis = kernel_basis(cond_m)
     n = len(end_basis)
-    kmat = Matrix.from_rows([[v[t] for v in end_basis]
-                             for t in range(nvars)]) if n else \
-        Matrix.zero(nvars, 0)
+    kmat = Matrix.from_columns(nvars, end_basis)
 
     def coords_in_end(vec):
         x = solve(kmat, vec)
@@ -334,14 +325,14 @@ def endomorphism_rrb(cx):
         c0, c1 = a0 * b0, a1 * b1
         return coords_in_end(c0.entries + c1.entries)
 
-    alg = AssocAlgebra(n, StructureConstants.build(n, n, n, product))
+    mu = Matrix.from_columns(
+        n, [product(i, j) for i in range(n) for j in range(n)])
+    alg = AssocAlgebra(n, StructureConstants.from_matrix(n, n, mu))
 
     kd = kernel_basis(dmat)
     rM = len(kd)
     dM = rM * d0
-    kdmat = Matrix.from_rows([[v[p] for v in kd]
-                              for p in range(d1)]) if rM else \
-        Matrix.zero(d1, 0)
+    kdmat = Matrix.from_columns(d1, kd)
 
     def kd_coords(vec):
         x = solve(kdmat, vec)
@@ -366,9 +357,12 @@ def endomorphism_rrb(cx):
             out[s * d0 + j] = f0.at(j0, j)
         return out
 
-    mod = Bimodule(alg, dM,
-                   StructureConstants.build(n, dM, dM, left_act),
-                   StructureConstants.build(dM, n, dM, right_act))
+    left = Matrix.from_columns(
+        dM, [left_act(i, su) for i in range(n) for su in range(dM)])
+    right = Matrix.from_columns(
+        dM, [right_act(su, i) for su in range(dM) for i in range(n)])
+    mod = Bimodule(alg, dM, StructureConstants.from_matrix(n, dM, left),
+                   StructureConstants.from_matrix(dM, n, right))
 
     rop_cols = []
     for su in range(dM):
@@ -376,6 +370,5 @@ def endomorphism_rrb(cx):
         f1_flat = tuple(dmat.at(j, q) * kd[s][p]
                         for p in range(d1) for q in range(d1))
         rop_cols.append(coords_in_end(tuple([Q(0)] * (d0 * d0)) + f1_flat))
-    rop = LinearMap(dM, n, Matrix.from_rows(
-        [[rop_cols[su][t] for su in range(dM)] for t in range(n)]))
+    rop = LinearMap(dM, n, Matrix.from_columns(n, rop_cols))
     return RelativeRBAlgebra(alg, mod, rop)

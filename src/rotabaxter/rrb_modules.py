@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from .algebra import (
     Bimodule, DendriformRepresentation, LinearMap, Report, ShapeError,
-    StructuralError, StructureConstants, basis_vec, bilinear, block_constants,
-    dual_bimodule, semidirect_algebra, total_algebra,
+    StructuralError, StructureConstants, block_constants, dual_bimodule,
+    semidirect_algebra, total_algebra,
 )
 from .linalg import Matrix, inverse, paste
 # Rota-Baxter bimodule pairs are re-exported here so they live next to the
@@ -164,14 +164,8 @@ def dual_rrb_bimodule(b):
     New base N*, new fiber B*, A-actions by the dual bimodules, pairings
     l*(m, f_N)(b) = f_N(r(b, m)) and r*(f_N, m)(b) = f_N(l(m, b)).
     """
-    dM = b.over.module.dim
-    dB, dN = b.base.dim, b.fiber.dim
-    lstar = StructureConstants.build(
-        dM, dN, dB,
-        lambda u, v: tuple(b.right_pair.data[w][u][v] for w in range(dB)))
-    rstar = StructureConstants.build(
-        dN, dM, dB,
-        lambda v, u: tuple(b.left_pair.data[u][w][v] for w in range(dB)))
+    lstar = b.right_pair.rotated()
+    rstar = b.left_pair.rotated().rotated()
     return RRBBimodule(b.over, dual_bimodule(b.fiber), dual_bimodule(b.base),
                        -b.sop.transpose(), lstar, rstar)
 
@@ -191,28 +185,23 @@ def morphism_induced_bimodule(mor):
     alg = src.algebra
     dA, dM = alg.dim, src.module.dim
     dB, dN = tgt.algebra.dim, tgt.module.dim
-    fa = [mor.phi(basis_vec(dA, i)) for i in range(dA)]
-    fm = [mor.psi(basis_vec(dM, u)) for u in range(dM)]
+    phi, psi = mor.phi.matrix, mor.psi.matrix
+    ib, i_n = Matrix.identity(dB), Matrix.identity(dN)
+    mu, left, right = tgt.algebra.mu, tgt.module.left, tgt.module.right
     base = Bimodule(
         alg, dB,
-        StructureConstants.build(
-            dA, dB, dB, lambda i, w: tgt.algebra.mu(fa[i], basis_vec(dB, w))),
-        StructureConstants.build(
-            dB, dA, dB, lambda w, i: tgt.algebra.mu(basis_vec(dB, w), fa[i])),
+        StructureConstants.from_matrix(dA, dB, mu.on_columns(phi, ib)),
+        StructureConstants.from_matrix(dB, dA, mu.on_columns(ib, phi)),
         tgt.algebra.basis_names)
     fiber = Bimodule(
         alg, dN,
-        StructureConstants.build(
-            dA, dN, dN,
-            lambda i, v: tgt.module.left(fa[i], basis_vec(dN, v))),
-        StructureConstants.build(
-            dN, dA, dN,
-            lambda v, i: tgt.module.right(basis_vec(dN, v), fa[i])),
+        StructureConstants.from_matrix(dA, dN, left.on_columns(phi, i_n)),
+        StructureConstants.from_matrix(dN, dA, right.on_columns(i_n, phi)),
         tgt.module.basis_names)
-    left_pair = StructureConstants.build(
-        dM, dB, dN, lambda u, w: tgt.module.right(fm[u], basis_vec(dB, w)))
-    right_pair = StructureConstants.build(
-        dB, dM, dN, lambda w, u: tgt.module.left(basis_vec(dB, w), fm[u]))
+    left_pair = StructureConstants.from_matrix(dM, dB,
+                                               right.on_columns(psi, ib))
+    right_pair = StructureConstants.from_matrix(dB, dM,
+                                                left.on_columns(ib, psi))
     return RRBBimodule(src, base, fiber, tgt.rop, left_pair, right_pair)
 
 
@@ -288,8 +277,8 @@ def mtot_action_bimodule(b):
     right = b.base.right.on_columns(ib, r) - s * b.right_pair.matrix
     actions = Bimodule(
         mtot, dB,
-        bilinear(LinearMap.from_matrix(left), dM, dB),
-        bilinear(LinearMap.from_matrix(right), dB, dM),
+        StructureConstants.from_matrix(dM, dB, left),
+        StructureConstants.from_matrix(dB, dM, right),
         b.base.basis_names)
     return MTotActionBimodule(mtot, actions)
 
@@ -305,11 +294,11 @@ def induced_dendriform_representation(b):
     r, s = x.rop.matrix, b.sop.matrix
     im, i_n = Matrix.identity(dM), Matrix.identity(dN)
     left_prec, left_succ = (
-        bilinear(LinearMap.from_matrix(m), dM, dN)
+        StructureConstants.from_matrix(dM, dN, m)
         for m in (b.left_pair.on_columns(im, s),
                   b.fiber.left.on_columns(r, i_n)))
     right_prec, right_succ = (
-        bilinear(LinearMap.from_matrix(m), dN, dM)
+        StructureConstants.from_matrix(dN, dM, m)
         for m in (b.fiber.right.on_columns(i_n, r),
                   b.right_pair.on_columns(s, im)))
     return DendriformRepresentation(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from random import Random
 
 from .algebra import (
-    AssocAlgebra, Bimodule, LinearMap, StructureConstants, basis_vec,
+    AssocAlgebra, Bimodule, LinearMap, StructureConstants,
 )
 from .cohomology import RRBCochain, cochain_space_dims, rrb_differential_matrix
 from .linalg import Matrix, Q, inverse, kernel_basis
@@ -107,10 +107,9 @@ def _inv(p):
 
 def transport_bilinear(c, f, g, h_inv):
     """Constants of h^-1 . c . (f (x) g) on the new bases."""
-    return StructureConstants.build(
-        f.domain_dim, g.domain_dim, h_inv.codomain_dim,
-        lambda i, j: h_inv(c(f(basis_vec(f.domain_dim, i)),
-                             g(basis_vec(g.domain_dim, j)))))
+    return StructureConstants.from_matrix(
+        f.domain_dim, g.domain_dim,
+        h_inv.matrix * c.on_columns(f.matrix, g.matrix))
 
 
 def transport_rrb(x, p, q):
@@ -312,10 +311,11 @@ def operator_break_pair(seed=0):
 
 def bump_constants(c, where, delta=ONE):
     """Copy of structure constants with entry (i, j, k) shifted by delta."""
-    i0, j0, k0 = where
-    data = [[list(row) for row in plane] for plane in c.data]
-    data[i0][j0][k0] += Q(delta)
-    return StructureConstants(c.dim_left, c.dim_right, c.dim_out, data)
+    i, j, k = where
+    bump = Matrix(c.dim_out, c.dim_left * c.dim_right)
+    bump.add(k, i * c.dim_right + j, Q(delta))
+    return StructureConstants.from_matrix(c.dim_left, c.dim_right,
+                                          c.matrix + bump)
 
 
 def bump_map(lin, where, delta=ONE):

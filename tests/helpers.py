@@ -1,18 +1,25 @@
 """Small hand-built structures, a reference Gauss-Jordan elimination,
-reference per-tuple axiom checks and reference index-loop assemblers of the
-cochain maps, shared across test modules."""
+reference per-tuple axiom checks, reference index-loop assemblers of the
+cochain maps and reference basis-vector constructions, shared across test
+modules."""
 
 from fractions import Fraction
 from itertools import product
 
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, LinearMap, Report, ShapeError, StructuralError,
-    StructureConstants, _square_zero_dendriform, add_vec, basis_vec, sub_vec,
+    StructureConstants, _square_zero_dendriform, add_vec, basis_vec,
 )
-from rotabaxter.cohomology import cochain_space_dims, semidirect_complex
-from rotabaxter.linalg import Matrix, Q, TensorIndex, paste
+from rotabaxter.cohomology import (
+    RRBCochain, cochain_space_dims, semidirect_complex,
+)
+from rotabaxter.linalg import Matrix, Q, TensorIndex, paste, solve
 from rotabaxter.rrb import RelativeRBAlgebra, induced_dendriform
-from rotabaxter.rrb_modules import mtot_action_bimodule
+from rotabaxter.rrb_modules import RRBBimodule, mtot_action_bimodule
+
+
+def sub_vec(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def sc(dim_left, dim_right, dim_out, entries):
@@ -1012,3 +1019,257 @@ def ref_semidirect_inclusion_matrix(x, b, k):
                 out.add(A_in + BT_in + (dA + w) * ti_big_m.size + big_flat,
                         a_in + bt_in + w * ti_m.size + flat, ONE)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference constructions: the structures made from others, built one
+# basis vector at a time through ref_build (StructureConstants.build) as
+# they were before they became matrix expressions, kept verbatim.  They
+# share with rotabaxter only the structure types, solve and the sample
+# cochain type, so the matrix forms are checked against an independent
+# evaluation of the same formulas.
+
+
+def ref_build(dim_left, dim_right, dim_out, fn):
+    """fn(i, j) -> output coordinate vector."""
+    return StructureConstants(
+        dim_left, dim_right, dim_out,
+        [[list(fn(i, j)) for j in range(dim_right)]
+         for i in range(dim_left)])
+
+
+def zero_vec(n):
+    return (Q(0),) * n
+
+
+def ref_dual_bimodule(mod):
+    """Dual actions (a.f)(m) = f(m.a) and (f.a)(m) = f(a.m)."""
+    alg = mod.over
+    dA, dM = alg.dim, mod.dim
+    left = ref_build(
+        dA, dM, dM, lambda a, v: tuple(mod.right.data[w][a][v]
+                                       for w in range(dM)))
+    right = ref_build(
+        dM, dA, dM, lambda v, a: tuple(mod.left.data[a][w][v]
+                                       for w in range(dM)))
+    names = tuple(n + "*" for n in mod.basis_names)
+    return Bimodule(alg, dM, left, right, names)
+
+
+def ref_dual_rrb_bimodule(b):
+    """The dual bimodule on the transposed complex -S*: B* -> N*.
+
+    New base N*, new fiber B*, A-actions by the dual bimodules, pairings
+    l*(m, f_N)(b) = f_N(r(b, m)) and r*(f_N, m)(b) = f_N(l(m, b)).
+    """
+    dM = b.over.module.dim
+    dB, dN = b.base.dim, b.fiber.dim
+    lstar = ref_build(
+        dM, dN, dB,
+        lambda u, v: tuple(b.right_pair.data[w][u][v] for w in range(dB)))
+    rstar = ref_build(
+        dN, dM, dB,
+        lambda v, u: tuple(b.left_pair.data[u][w][v] for w in range(dB)))
+    return RRBBimodule(b.over, ref_dual_bimodule(b.fiber),
+                       ref_dual_bimodule(b.base), -b.sop.transpose(), lstar,
+                       rstar)
+
+
+def ref_morphism_induced_bimodule(mor):
+    """Pull the target structure back along a morphism (phi, psi).
+
+    A acts on the target's algebra B and module N through phi, and the
+    pairings use psi: l(m, b) = psi(m).b, r(b, m) = b.psi(m).
+    """
+    src, tgt = mor.source, mor.target
+    alg = src.algebra
+    dA, dM = alg.dim, src.module.dim
+    dB, dN = tgt.algebra.dim, tgt.module.dim
+    fa = [mor.phi(basis_vec(dA, i)) for i in range(dA)]
+    fm = [mor.psi(basis_vec(dM, u)) for u in range(dM)]
+    base = Bimodule(
+        alg, dB,
+        ref_build(
+            dA, dB, dB, lambda i, w: tgt.algebra.mu(fa[i], basis_vec(dB, w))),
+        ref_build(
+            dB, dA, dB, lambda w, i: tgt.algebra.mu(basis_vec(dB, w), fa[i])),
+        tgt.algebra.basis_names)
+    fiber = Bimodule(
+        alg, dN,
+        ref_build(
+            dA, dN, dN,
+            lambda i, v: tgt.module.left(fa[i], basis_vec(dN, v))),
+        ref_build(
+            dN, dA, dN,
+            lambda v, i: tgt.module.right(basis_vec(dN, v), fa[i])),
+        tgt.module.basis_names)
+    left_pair = ref_build(
+        dM, dB, dN, lambda u, w: tgt.module.right(fm[u], basis_vec(dB, w)))
+    right_pair = ref_build(
+        dB, dM, dN, lambda w, u: tgt.module.left(basis_vec(dB, w), fm[u]))
+    return RRBBimodule(src, base, fiber, tgt.rop, left_pair, right_pair)
+
+
+def ref_transport_bilinear(c, f, g, h_inv):
+    """Constants of h^-1 . c . (f (x) g) on the new bases."""
+    return ref_build(
+        f.domain_dim, g.domain_dim, h_inv.codomain_dim,
+        lambda i, j: h_inv(c(f(basis_vec(f.domain_dim, i)),
+                             g(basis_vec(g.domain_dim, j)))))
+
+
+def ref_rb_from_r_matrix(r):
+    """The Rota-Baxter operator R(a) = sum r[i][j] e_i . a . e_j."""
+    alg, t = r.over, r.tensor
+    d = alg.dim
+    cols = []
+    for a in range(d):
+        v = zero_vec(d)
+        for i in range(d):
+            for j in range(d):
+                if t[i][j]:
+                    w = alg.mu(alg.mu.on_basis(i, a), basis_vec(d, j))
+                    v = add_vec(v, tuple(t[i][j] * x for x in w))
+        cols.append(v)
+    m = Matrix.from_rows([[cols[a][i] for a in range(d)] for i in range(d)])
+    return alg, LinearMap(d, d, m)
+
+
+def ref_rb_bimodule_from_r_matrix(r, mod):
+    """The induced operator R_M(m) = sum r[i][j] e_i . m . e_j on a bimodule."""
+    alg, t = r.over, r.tensor
+    if mod.over.mu != alg.mu:
+        raise ShapeError("bimodule must be over the r-matrix algebra")
+    d, dM = alg.dim, mod.dim
+    cols = []
+    for u in range(dM):
+        v = zero_vec(dM)
+        for i in range(d):
+            for j in range(d):
+                if t[i][j]:
+                    w = mod.right(mod.left.on_basis(i, u), basis_vec(d, j))
+                    v = add_vec(v, tuple(t[i][j] * x for x in w))
+        cols.append(v)
+    m = Matrix.from_rows([[cols[u][p] for u in range(dM)]
+                          for p in range(dM)])
+    return LinearMap(dM, dM, m)
+
+
+def _ref_map_from_columns(cols, dom, cod):
+    entries = tuple(cols[j][i] for i in range(cod) for j in range(dom))
+    return LinearMap(dom, cod, Matrix(cod, dom, entries))
+
+
+def _ref_fiber_coords(incl, vec, what):
+    """Coordinates of a vector inside the image of an embedding."""
+    sol = solve(incl.matrix, tuple(vec))
+    if sol is None:
+        raise StructuralError(what + " does not land in the fiber")
+    return sol
+
+
+def ref_extract_cocycle(e, sec):
+    """The degree-2 cochain measuring the section's failure to split.
+
+    alpha(a, a') = s(a) s(a') - s(a a')        (product defect)
+    beta_1(m, a) = sbar(m) s(a) - sbar(m a)    (right action defect)
+    beta_2(a, m) = s(a) sbar(m) - sbar(a m)    (left action defect)
+    gamma(m)     = R-hat(sbar(m)) - s(R(m))    (operator defect)
+
+    Each defect is checked to land in the embedded fiber and returned
+    in fiber coordinates.  For an extension made by build_extension,
+    read with its canonical section, this recovers the glued cocycle
+    exactly.
+    """
+    sec.validate(e)
+    base, tot = e.base, e.total
+    dA, dM = base.algebra.dim, base.module.dim
+    sa = [sec.s(basis_vec(dA, i)) for i in range(dA)]
+    sm = [sec.sbar(basis_vec(dM, u)) for u in range(dM)]
+    alpha_cols, beta1_cols, beta2_cols, gamma_cols = {}, {}, {}, {}
+    for i in range(dA):
+        for j in range(dA):
+            defect = sub_vec(tot.algebra.mu(sa[i], sa[j]),
+                             sec.s(base.algebra.mu.on_basis(i, j)))
+            alpha_cols[i * dA + j] = _ref_fiber_coords(
+                e.alg_incl, defect, "product defect")
+    for u in range(dM):
+        for i in range(dA):
+            defect = sub_vec(tot.module.right(sm[u], sa[i]),
+                             sec.sbar(base.module.right.on_basis(u, i)))
+            beta1_cols[u * dA + i] = _ref_fiber_coords(
+                e.mod_incl, defect, "right action defect")
+            defect = sub_vec(tot.module.left(sa[i], sm[u]),
+                             sec.sbar(base.module.left.on_basis(i, u)))
+            beta2_cols[i * dM + u] = _ref_fiber_coords(
+                e.mod_incl, defect, "left action defect")
+    for u in range(dM):
+        defect = sub_vec(tot.rop(sm[u]), sec.s(base.rop(basis_vec(dM, u))))
+        gamma_cols[u] = _ref_fiber_coords(e.alg_incl, defect,
+                                          "operator defect")
+    dB, dN = e.fiber.dim0, e.fiber.dim1
+    return RRBCochain(
+        2,
+        _ref_map_from_columns(alpha_cols, dA * dA, dB),
+        (_ref_map_from_columns(beta1_cols, dM * dA, dN),
+         _ref_map_from_columns(beta2_cols, dA * dM, dN)),
+        _ref_map_from_columns(gamma_cols, dM, dB))
+
+
+def ref_induced_fiber_bimodule(e, sec):
+    """Push the total structure onto the fiber through a section.
+
+    Base actions   a.b = s(a)  i(b),   b.a = i(b)  s(a)
+    Fiber actions  a.n = s(a)  i(n),   n.a = i(n)  s(a)
+    Pairings       l(m, b) = sbar(m) i(b),   r(b, m) = i(b) sbar(m)
+
+    Every value is checked to land back in the embedded fiber.  The
+    result does not depend on the chosen section, because sections
+    differ by fiber values and products of fiber values vanish.
+    """
+    sec.validate(e)
+    tot = e.total
+    dA, dM = e.base.algebra.dim, e.base.module.dim
+    dB, dN = e.fiber.dim0, e.fiber.dim1
+    sa = [sec.s(basis_vec(dA, i)) for i in range(dA)]
+    sm = [sec.sbar(basis_vec(dM, u)) for u in range(dM)]
+    ib = [e.alg_incl(basis_vec(dB, w)) for w in range(dB)]
+    im = [e.mod_incl(basis_vec(dN, v)) for v in range(dN)]
+
+    def in_b(vec):
+        return _ref_fiber_coords(e.alg_incl, vec, "induced product")
+
+    def in_n(vec):
+        return _ref_fiber_coords(e.mod_incl, vec, "induced action")
+
+    base = Bimodule(
+        e.base.algebra, dB,
+        ref_build(
+            dA, dB, dB, lambda i, w: in_b(tot.algebra.mu(sa[i], ib[w]))),
+        ref_build(
+            dB, dA, dB, lambda w, i: in_b(tot.algebra.mu(ib[w], sa[i]))))
+    fiber = Bimodule(
+        e.base.algebra, dN,
+        ref_build(
+            dA, dN, dN, lambda i, v: in_n(tot.module.left(sa[i], im[v]))),
+        ref_build(
+            dN, dA, dN, lambda v, i: in_n(tot.module.right(im[v], sa[i]))))
+    left_pair = ref_build(
+        dM, dB, dN, lambda u, w: in_n(tot.module.right(sm[u], ib[w])))
+    right_pair = ref_build(
+        dB, dM, dN, lambda w, u: in_n(tot.module.left(ib[w], sm[u])))
+    return RRBBimodule(e.base, base, fiber, e.fiber.d, left_pair, right_pair)
+
+
+def ref_shear(e1, e2, sec1, sec2, corr, incl1, incl2, proj):
+    # v |-> s2(p(v)) + i2( i1-coords(v - s1(p(v))) + corr(p(v)) )
+    n = proj.domain_dim
+    cod = incl2.codomain_dim
+    cols = []
+    for j in range(n):
+        v = basis_vec(n, j)
+        a = proj(v)
+        y = _ref_fiber_coords(incl1, sub_vec(v, sec1(a)),
+                              "section complement")
+        cols.append(add_vec(sec2(a), incl2(add_vec(y, corr(a)))))
+    return _ref_map_from_columns(cols, n, cod)

@@ -13,7 +13,7 @@ from rotabaxter import cli, fileformat as ff
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, LinearMap, StructuralError, StructureConstants,
     add_vec, check_bimodule, check_dendriform,
-    check_dendriform_representation, hochschild_matrix, sub_vec,
+    check_dendriform_representation, hochschild_matrix,
 )
 from rotabaxter.classification import (
     Section, build_extension, canonical_section, check_abelian_extension,
@@ -42,6 +42,8 @@ from rotabaxter.samples import (
     bump_constants, bump_map, operator_break_pair, random_linear_map,
     random_rrb_cocycle, random_rrb_pair,
 )
+
+from helpers import sub_vec
 
 
 # ------------------------------------------------------------------ helpers

@@ -27,7 +27,7 @@ from rotabaxter.samples import (
 
 import random
 
-from helpers import dual_numbers, linmap
+from helpers import dual_numbers, linmap, ref_build
 
 
 def seeded_cocycle(seed, x, b, k):
@@ -371,18 +371,18 @@ def test_transported_extension_extracts_cohomologous_cocycle():
         Pi = LinearMap(nA, nA, inverse(P.matrix))
         Qi = LinearMap(nM, nM, inverse(Qm.matrix))
         tot = e.total
-        mu2 = StructureConstants.build(
+        mu2 = ref_build(
             nA, nA, nA,
             lambda i, j: P(tot.algebra.mu(Pi(basis_vec(nA, i)),
                                           Pi(basis_vec(nA, j)))))
         alg2 = AssocAlgebra(nA, mu2)
         mod2 = Bimodule(
             alg2, nM,
-            StructureConstants.build(
+            ref_build(
                 nA, nM, nM,
                 lambda i, u: Qm(tot.module.left(Pi(basis_vec(nA, i)),
                                                 Qi(basis_vec(nM, u))))),
-            StructureConstants.build(
+            ref_build(
                 nM, nA, nM,
                 lambda u, i: Qm(tot.module.right(Qi(basis_vec(nM, u)),
                                                  Pi(basis_vec(nA, i))))))

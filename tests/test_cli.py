@@ -314,6 +314,23 @@ def test_missing_file(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"field": "Q", "spaces": [1]}', "spaces: must be an object"),
+    ('{"field": "Q", "linear": {"f": 3}}', "linear.f: must be an object"),
+    ('{"field": "Q", "spaces": {"A": {"dim": 1}}, "bilinear": {"m": '
+     '{"from": [["A"], "A"], "to": "A", "tensor": [[["1"]]]}}}',
+     "bilinear.m.from: names must be strings"),
+], ids=["spaces-list", "linear-entry-int", "space-name-list"])
+def test_malformed_structure_file_is_input_error(tmp_path, capsys, text,
+                                                 message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert cli.main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_malformed_rational_is_input_error(tmp_path, capsys):
     src = tmp_path / "pair.json"
     write_pair_fixture(src)

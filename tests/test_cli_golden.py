@@ -1,9 +1,24 @@
-"""The report commands print exactly what they printed when this table was
-recorded: the exit code and the sha256 of stdout of validate, cohomology,
+"""The commands print and write exactly what they did when these tables were
+recorded.
+
+GOLDEN: the exit code and the sha256 of stdout of validate, cohomology,
 hochschild, derivations and chainmap-check, in text and JSON, on samples 6,
 14 and 16 and on the pair whose four dimensions are 1 and whose structure
-is zero.  A change meant to keep the output byte for byte is held to it
-here; a change meant to alter it records the table again with
+is zero.
+
+WRITTEN: the exit code, the sha256 of stdout and the sha256 of the written
+file of semidirect, dual, lift, dendriform, extend, extract-cocycle (with
+and without --section canonical), triple-to-skeletal and
+skeletal-to-triple, in text and JSON, on samples 6, 14 and 16 declared
+with the degree-2 and degree-3 random_rrb_cocycle of the same seed.
+extract-cocycle reads the file extend wrote, skeletal-to-triple the file
+triple-to-skeletal wrote.
+
+PAIRS: the sha256 of the serialized random_rrb_pair(s), s = 0..99, which
+runs the samples through every construction they are built with.
+
+A change meant to keep the output byte for byte is held to it here; a
+change meant to alter it records the tables again with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 """
@@ -18,7 +33,7 @@ import pytest
 
 from rotabaxter import cli, fileformat as ff
 from rotabaxter.rrb_modules import RRBBimodule
-from rotabaxter.samples import random_rrb_pair
+from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
 
 from helpers import zero_rrb
 
@@ -45,6 +60,18 @@ def write_fixture(name, path):
     xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
     ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
     ff.write_path(doc, path)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def pair_digest(seed):
+    x, b = random_rrb_pair(seed)
+    doc = ff.new_document()
+    xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
+    ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
+    return sha256(ff.dump_document(doc).encode("utf-8"))
 
 
 def run(command, fmt, path):
@@ -161,6 +188,362 @@ def test_cli_output_is_unchanged(key, fixture_paths):
     name, command, fmt = key
     assert run(command, fmt, fixture_paths[name]) == GOLDEN[key]
 
+# commands that write a file (out.json) or read one another command wrote;
+# every *.json argument names a file in the fixture's directory
+WRITERS = {
+    "semidirect": ("semidirect", "fixture.json", "-o", "out.json"),
+    "dual": ("dual", "fixture.json", "-o", "out.json"),
+    "lift": ("lift", "fixture.json", "-o", "out.json"),
+    "dendriform": ("dendriform", "fixture.json"),
+    "extend": ("extend", "fixture.json", "--cocycle", "C2", "-o", "out.json"),
+    "extract-cocycle": ("extract-cocycle", "extension.json"),
+    "extract-cocycle-canonical": ("extract-cocycle", "extension.json",
+                                  "--section", "canonical"),
+    "triple-to-skeletal": ("triple-to-skeletal", "fixture.json",
+                           "-o", "out.json"),
+    "skeletal-to-triple": ("skeletal-to-triple", "skeletal.json",
+                           "-o", "out.json"),
+}
+WRITER_FIXTURES = ("sample6", "sample14", "sample16")
+
+
+def write_cocycle_fixture(name, path):
+    """The sample with its degree-2 and degree-3 random_rrb_cocycle of the
+    same seed, as C2 and C3 (either is left out when there is none)."""
+    seed = int(name.removeprefix("sample"))
+    x, b = random_rrb_pair(seed)
+    doc = ff.new_document()
+    xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
+    bn, bsp, fsp = ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
+    for k in (2, 3):
+        c = random_rrb_cocycle(seed, x, b, k)
+        if c is not None:
+            ff.declare_cocycle(doc, f"C{k}", c, xn, bn, asp, msp, bsp, fsp)
+    ff.write_path(doc, path)
+
+
+def run_writer(command, fmt, work):
+    """(exit code, sha256 of stdout, sha256 of out.json or None); the
+    directory is cut from the paths stdout names."""
+    written = work / "out.json"
+    written.unlink(missing_ok=True)
+    argv = [str(work / a) if a.endswith(".json") else a
+            for a in WRITERS[command]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main([*argv, "--format", fmt])
+    stdout = out.getvalue().replace(f"{work}/", "")
+    return (rc, sha256(stdout.encode("utf-8")),
+            sha256(written.read_bytes()) if written.exists() else None)
+
+
+def prepare_writer_fixture(name, work):
+    """fixture.json, and the extension.json and skeletal.json that extend
+    and triple-to-skeletal write from it."""
+    work.mkdir()
+    write_cocycle_fixture(name, work / "fixture.json")
+    for command, made in (("extend", "extension.json"),
+                          ("triple-to-skeletal", "skeletal.json")):
+        run_writer(command, "text", work)
+        if (work / "out.json").exists():
+            (work / "out.json").rename(work / made)
+    return work
+
+
+# (fixture, command, format) -> (exit code, sha256 of stdout,
+#                                sha256 of the written file or None)
+WRITTEN = {
+    ('sample6', 'semidirect', 'text'):
+        (0, '758af7d10736b9a7f28e130d8acbd52565f89053f2e70e8d23e0b91e754e75fb',
+         'd2684cea2a35531da9866d198b542ed7a94ad7129397a9b509617e5a865d5056'),
+    ('sample6', 'semidirect', 'json'):
+        (0, 'cf0ab3d10ec06a4c6ce26cb8399f243856f13a0797e01eeced2fea0df5739b90',
+         'd2684cea2a35531da9866d198b542ed7a94ad7129397a9b509617e5a865d5056'),
+    ('sample6', 'dual', 'text'):
+        (0, 'bbc3ab025b63e9f959673405dc20fd810032a6a9c2c77f3f67a048f2ed5afe2c',
+         '3c8048fbf1d9f66cd966cc869c6300df1ed238b15092530ad5d36fd0be9f0241'),
+    ('sample6', 'dual', 'json'):
+        (0, '91a989ab66181fa38bd5d6c46c29238dd395e0c3bd90c3039c6b4639444ea666',
+         '3c8048fbf1d9f66cd966cc869c6300df1ed238b15092530ad5d36fd0be9f0241'),
+    ('sample6', 'lift', 'text'):
+        (0, '4962aff209b11d3418948f65c5a6cf7e1cb72fb555bc15317840ca019d59f878',
+         'c3c1366d054dc2bed65a54f0119c3faef4edf2c9da7b3e6af0589fc7f8f0d813'),
+    ('sample6', 'lift', 'json'):
+        (0, 'c5cbfe93d958071a431ac940917472ddb2675a49e3269912af2ae375b8d3e0b3',
+         'c3c1366d054dc2bed65a54f0119c3faef4edf2c9da7b3e6af0589fc7f8f0d813'),
+    ('sample6', 'dendriform', 'text'):
+        (0, '37a560e84581b120d5dd76f7b0182ffd3b842b54aa716d794efdcaa7d9336031',
+         None),
+    ('sample6', 'dendriform', 'json'):
+        (0, 'b8b914de07a2510819a20ba302491172db92583f2eb237cdca983c8bccd6e77b',
+         None),
+    ('sample6', 'extend', 'text'):
+        (0, '23ed0d6f94c1aa7661fee0cc9d68985aa4a71248857215e4efc076e3ddcdfe42',
+         'c021093d99210bf898c1f26652beb8e15ba245627da50d4acee3978270609f86'),
+    ('sample6', 'extend', 'json'):
+        (0, '4a2d51051ebf22348b5ddf689575ab908b3d66650d75798667a6578a62ce9dbb',
+         'c021093d99210bf898c1f26652beb8e15ba245627da50d4acee3978270609f86'),
+    ('sample6', 'extract-cocycle', 'text'):
+        (0, '8025b02f50827a9279c98686ef17c1987cfb9ec3122b7c8cf565102936871681',
+         None),
+    ('sample6', 'extract-cocycle', 'json'):
+        (0, '9c8081d17467812ca6d559507650add20a38c5e793853194b170bd77a4fccddb',
+         None),
+    ('sample6', 'extract-cocycle-canonical', 'text'):
+        (0, '8025b02f50827a9279c98686ef17c1987cfb9ec3122b7c8cf565102936871681',
+         None),
+    ('sample6', 'extract-cocycle-canonical', 'json'):
+        (0, '9c8081d17467812ca6d559507650add20a38c5e793853194b170bd77a4fccddb',
+         None),
+    ('sample6', 'triple-to-skeletal', 'text'):
+        (0, '0497838ae03a1d9bcfae1f4d25f90830692746b72ed2f8ddb087343ce17b956f',
+         'd753b288aa8669e7eec73d8f082f6eac40f25be9d0695b089dd0b307f839e6f2'),
+    ('sample6', 'triple-to-skeletal', 'json'):
+        (0, 'ba35e3685b9339622d75e5beeb6ce12ef5f7a25376ebc1003a81916df96b2c3f',
+         'd753b288aa8669e7eec73d8f082f6eac40f25be9d0695b089dd0b307f839e6f2'),
+    ('sample6', 'skeletal-to-triple', 'text'):
+        (0, '6950b16e428a44a43d1c552aaf0ab71ea7d4841ad08163b90c5613997f841e2c',
+         '1cbe38ae2225304eb607e1b979e318982ba068397e2ac314a9f8d8817c78047c'),
+    ('sample6', 'skeletal-to-triple', 'json'):
+        (0, 'd632fcf6439e81d43ee8fde4edd4ab2d6097769b72dc6106ca319f79156d586b',
+         '1cbe38ae2225304eb607e1b979e318982ba068397e2ac314a9f8d8817c78047c'),
+    ('sample14', 'semidirect', 'text'):
+        (0, '4bb4aeecc75a916176bfb4a83ba75d0f6a7f751302d245283d749ade05f20a0b',
+         '8407656de2e7a186aba0b365a438472e7ac358c5457d4637d7a6f4f988bf5beb'),
+    ('sample14', 'semidirect', 'json'):
+        (0, 'a634a157348b9e8429d32e48a54adcc5900ef30f87ba1e716802907d80351fb4',
+         '8407656de2e7a186aba0b365a438472e7ac358c5457d4637d7a6f4f988bf5beb'),
+    ('sample14', 'dual', 'text'):
+        (0, '1726669e613e34d3881630055b876fec07f435b90704c2b6da0f5db4a0dd2ac0',
+         '7fe6d00dbd3bccba1ff8baf8bdb5d61406ca40189ee74cb6913cf0172e7400f8'),
+    ('sample14', 'dual', 'json'):
+        (0, '63d5218e6032f78d5e67f43c54844d89cb054b12ddc9d44245aa74d6b6336b52',
+         '7fe6d00dbd3bccba1ff8baf8bdb5d61406ca40189ee74cb6913cf0172e7400f8'),
+    ('sample14', 'lift', 'text'):
+        (0, '30529728bc67a446c0b281dbdc827accf6441888028a22b2dcdb33a006b86f75',
+         '7abdc186c99f4eea66a80273391ae89f89c4153802a4e84a93b518a4f92ced68'),
+    ('sample14', 'lift', 'json'):
+        (0, '386722c71f86488f7ba881680e89806fcfbd4cb831fd034be7482df3f8c18619',
+         '7abdc186c99f4eea66a80273391ae89f89c4153802a4e84a93b518a4f92ced68'),
+    ('sample14', 'dendriform', 'text'):
+        (0, '37a560e84581b120d5dd76f7b0182ffd3b842b54aa716d794efdcaa7d9336031',
+         None),
+    ('sample14', 'dendriform', 'json'):
+        (0, 'b8b914de07a2510819a20ba302491172db92583f2eb237cdca983c8bccd6e77b',
+         None),
+    ('sample14', 'extend', 'text'):
+        (0, 'a246b07df9191506c8bd896a47846e096aa80dfd827a647c6efba3f806fedfe5',
+         '2ed539a98cda54d99a74c439f6a35afefdb1b676d45b11176fe1536635804cd3'),
+    ('sample14', 'extend', 'json'):
+        (0, '49de8c42d2e17eec45edb90a9271e7f9bb62f3d5b6a2a1b46b183c3204b07c16',
+         '2ed539a98cda54d99a74c439f6a35afefdb1b676d45b11176fe1536635804cd3'),
+    ('sample14', 'extract-cocycle', 'text'):
+        (0, 'f325bf3f904fec0c74280a110936c00ea106d5962673c3a87feb4e0f653d0797',
+         None),
+    ('sample14', 'extract-cocycle', 'json'):
+        (0, '399b0a9f281d6e9100ce167503b67b562cdbc8437009abe7e4e7050bb33df5ef',
+         None),
+    ('sample14', 'extract-cocycle-canonical', 'text'):
+        (0, 'f325bf3f904fec0c74280a110936c00ea106d5962673c3a87feb4e0f653d0797',
+         None),
+    ('sample14', 'extract-cocycle-canonical', 'json'):
+        (0, '399b0a9f281d6e9100ce167503b67b562cdbc8437009abe7e4e7050bb33df5ef',
+         None),
+    ('sample14', 'triple-to-skeletal', 'text'):
+        (0, '45d24c6ba614bba51fa786985b78a4dcc1e616d816dd5b3f2fba369a9ba1e043',
+         '0b93e9f0992193908ad6ca31bcba32fd6aab4bda9f3130bc232fe0b86e4d0db0'),
+    ('sample14', 'triple-to-skeletal', 'json'):
+        (0, 'de14abf1b6e96441b66b02fb642841782baefb47c36d95a27501a72b8aa95b22',
+         '0b93e9f0992193908ad6ca31bcba32fd6aab4bda9f3130bc232fe0b86e4d0db0'),
+    ('sample14', 'skeletal-to-triple', 'text'):
+        (0, 'ac90cba8e926233f9932092669c18be087d119016c941ed252a3521d28edd5a1',
+         '86ecbcb9bc57fc7ccc4c10f5d364bd51711d974f7385cfa2f5faa1a36adb8e25'),
+    ('sample14', 'skeletal-to-triple', 'json'):
+        (0, 'a3746073bdcd1eddba6949adb782b8573eb76efc76b2ba639ef15418a48e4522',
+         '86ecbcb9bc57fc7ccc4c10f5d364bd51711d974f7385cfa2f5faa1a36adb8e25'),
+    ('sample16', 'semidirect', 'text'):
+        (0, '4bb4aeecc75a916176bfb4a83ba75d0f6a7f751302d245283d749ade05f20a0b',
+         '6b6ea264f3f6bb2d34c14b96ad0c1e08a4ac318c2608a2eed3d733c13b450342'),
+    ('sample16', 'semidirect', 'json'):
+        (0, 'a634a157348b9e8429d32e48a54adcc5900ef30f87ba1e716802907d80351fb4',
+         '6b6ea264f3f6bb2d34c14b96ad0c1e08a4ac318c2608a2eed3d733c13b450342'),
+    ('sample16', 'dual', 'text'):
+        (0, '1726669e613e34d3881630055b876fec07f435b90704c2b6da0f5db4a0dd2ac0',
+         '2b535675b054c3d0570bb91a18d70b0212909d980bf16d397d1c04c9a4378db5'),
+    ('sample16', 'dual', 'json'):
+        (0, '63d5218e6032f78d5e67f43c54844d89cb054b12ddc9d44245aa74d6b6336b52',
+         '2b535675b054c3d0570bb91a18d70b0212909d980bf16d397d1c04c9a4378db5'),
+    ('sample16', 'lift', 'text'):
+        (0, '30529728bc67a446c0b281dbdc827accf6441888028a22b2dcdb33a006b86f75',
+         'd380fba0ce77d6ce71ae06c11fdde36d36442e1bbdaa6fcbd9cec9482bfbd50a'),
+    ('sample16', 'lift', 'json'):
+        (0, '386722c71f86488f7ba881680e89806fcfbd4cb831fd034be7482df3f8c18619',
+         'd380fba0ce77d6ce71ae06c11fdde36d36442e1bbdaa6fcbd9cec9482bfbd50a'),
+    ('sample16', 'dendriform', 'text'):
+        (0, '37a560e84581b120d5dd76f7b0182ffd3b842b54aa716d794efdcaa7d9336031',
+         None),
+    ('sample16', 'dendriform', 'json'):
+        (0, 'b8b914de07a2510819a20ba302491172db92583f2eb237cdca983c8bccd6e77b',
+         None),
+    ('sample16', 'extend', 'text'):
+        (0, 'a246b07df9191506c8bd896a47846e096aa80dfd827a647c6efba3f806fedfe5',
+         '6f123d67ddd7d6bd00de238e5e6a66bf781422cd7e3f103fed7e49038bf85446'),
+    ('sample16', 'extend', 'json'):
+        (0, '49de8c42d2e17eec45edb90a9271e7f9bb62f3d5b6a2a1b46b183c3204b07c16',
+         '6f123d67ddd7d6bd00de238e5e6a66bf781422cd7e3f103fed7e49038bf85446'),
+    ('sample16', 'extract-cocycle', 'text'):
+        (0, '708f6623ea9673402123ef1b5a3486cf919f33135ef48f7e3961c7502be876a8',
+         None),
+    ('sample16', 'extract-cocycle', 'json'):
+        (0, '058a219b55d038472545e207afb660e3c20486e93a560c29ab11cd8ec6db75b9',
+         None),
+    ('sample16', 'extract-cocycle-canonical', 'text'):
+        (0, '708f6623ea9673402123ef1b5a3486cf919f33135ef48f7e3961c7502be876a8',
+         None),
+    ('sample16', 'extract-cocycle-canonical', 'json'):
+        (0, '058a219b55d038472545e207afb660e3c20486e93a560c29ab11cd8ec6db75b9',
+         None),
+    ('sample16', 'triple-to-skeletal', 'text'):
+        (0, '45d24c6ba614bba51fa786985b78a4dcc1e616d816dd5b3f2fba369a9ba1e043',
+         '320085d743b0164be4ccabb58733565618835dc1839a57915054f2d9935e175d'),
+    ('sample16', 'triple-to-skeletal', 'json'):
+        (0, 'de14abf1b6e96441b66b02fb642841782baefb47c36d95a27501a72b8aa95b22',
+         '320085d743b0164be4ccabb58733565618835dc1839a57915054f2d9935e175d'),
+    ('sample16', 'skeletal-to-triple', 'text'):
+        (0, 'ac90cba8e926233f9932092669c18be087d119016c941ed252a3521d28edd5a1',
+         'd8bd5294a42dded1c16de1989d3f4aac9f2a3a6a57a5d4ff4e8f938ec8bddf63'),
+    ('sample16', 'skeletal-to-triple', 'json'):
+        (0, 'a3746073bdcd1eddba6949adb782b8573eb76efc76b2ba639ef15418a48e4522',
+         'd8bd5294a42dded1c16de1989d3f4aac9f2a3a6a57a5d4ff4e8f938ec8bddf63'),
+}
+
+# seed -> sha256 of random_rrb_pair(seed) declared as X and B
+PAIRS = {
+    0: '8a3a8106a1862c850e840372893ddd9028f75e466441493de257ff8301c50408',
+    1: '4948f31378d12e6802f5bc1322a256570be328f61f5ddee02748e3b2cd78b2bf',
+    2: 'c1097ee6923ecf1affcc5d9a1a2bd258a2190587829c1d89dcf5dbd23c17327d',
+    3: 'ad884519b3b559917c65d7c701dcbe32a5896e16b3e06927a5eb2caef1c4c4b0',
+    4: 'f2a3094e946a1e63da973506732460d6fdac75c58c0b6f00a10180dd02ec800c',
+    5: '7a4eead9a80c8d5f30ae23394639fe58b915a58ae684949ab51e00e473a822c7',
+    6: '49cf9b13cb3ebffc32be0040a9a4b7e165e045cf7bc08c242278e2ecf23afb64',
+    7: 'fb9dcc1a65fecd22d0e76232d5bf8f897127e89f365c36ad5498f5951d65d4c5',
+    8: 'b503f38459d6c05f3ec76f10cde2b02fed6823cc4baf06a7df99c20fd7da6c52',
+    9: '431746312cbdb0659d2a27f1d6bf6ce7de4e8f6b863146329c4c5d1d6e4fa3fa',
+    10: '98d8a0846bff6560852ea22271297749775af57b5fb2ef0d6de7555831737ab6',
+    11: '012db0dc879365a5728d32fd58a576c275967c2b52021ff7cc92fd4cf983a092',
+    12: 'c58d8319d386bc7df147aa598ec0438c360bc931cdd25410d7869fe320e6a165',
+    13: '263765d6558fd1d611f21e94abe877d830fbc28b79c4554e44253cc40b574435',
+    14: '8e0f5259924f9ea630a8e3271b146f990d3e73c05f315ef25587b5f834098cc4',
+    15: 'fa287aa40263634fb29af0fdcbe027278f01696150214db46f0d6b27e9f6abca',
+    16: '6fcab2e6e266adf0582b9cd70aef4077520eecd3676df240344ca8f86f2d7e11',
+    17: '9fbf1e50ef09d9545aa8a32550604b2fe0d933bf07e8c7d1c8f558960a9695dc',
+    18: '7b7ba3c5109ac780595ff32b3eda2b848b706d5410747c9a65554707721d2990',
+    19: '144e45a44b173ba2568e68aacb439c220a68b2802b9d46c3270d8223b5ee6261',
+    20: 'f24ff8c30ff7b42e1a484a6b1f0f5c00270cfb5f31d9636a732ab5bb8b69b429',
+    21: 'f75a4a2ad79374d720dfaac106074878239c46f8a15a7fe984e97f2b7d02aea2',
+    22: '10d5a5723bacab1a1fc186115dc58bc50d26d5bd467b15fb801e2ef4f793a191',
+    23: '3ffbd0f701436e746afbffc324338983742386658f4500d1f52981a145a1ef74',
+    24: '293c28791fd3600e400d7c148a75d07f304d676fe347a353e8c13d7c9e4ccf33',
+    25: 'c2a184a3e9afef5df1e6baa7d73b09ecf6dfede1fda9152dab92a78ae168c7e8',
+    26: 'cd9b42b76d38338cca166ad3e692c601e3c76e61591c13fb08edc4c12aba2a40',
+    27: '833674a064db90f09722f4c81a0a89547d426ff91b6ffefda2c3fc59cac93796',
+    28: '7ba72557b230788eb7388c64b6732512ab696697971ec3904d0049035302724a',
+    29: '0982e51bc49628278907c036c5f00ca399716f8ad0ea4965f0bcffadead4e616',
+    30: '1f2c509f298286ebe813bce1874ef163802b841e34a4ce64cfce432a31a52561',
+    31: '804876224eba04b512047df4753a03241228501200b8a97b4a4ba8a31bb65c05',
+    32: '8d48ff920a31b4a85e4f58bf95fd4ace1584c4186ffc9d864d6c77110739f489',
+    33: 'e898545f8ab244dbbb0cf2c60ca559dbae3ca84cd07cb4958f8719989f7ed2c6',
+    34: '0dcadbec0ca8d3d0649822d02287a458456e5f01d04519ca8fda35c8ce3d8703',
+    35: '05273fc57f73d46cf63196f85f8736d3ed2950eab133abec00a5a80a6c62b4c8',
+    36: 'a55720a5c25ac0dbb08a2d25e57f544999bd2e9fc3e56c4447850e3d9f4b78eb',
+    37: 'a7151b551375085400c114c7bbceaaed0d2fe800058d55f63963fbd06c3613c6',
+    38: '9eac62e382974dd7c4951a7d3f33135a73c285c363af9bfa1300405ce83e64d7',
+    39: 'f321be0f571c415cf98f4a6def5a9e2245a52665b2fcd95255414002d8a472d7',
+    40: 'ff530989051145a0406ebbf82f83390469628bcbc410710da244f76f4c2edeb8',
+    41: 'a03fa69fa771e5dc57a060001607f73c52db0259ffe7b8a34384d06d8f14f9ba',
+    42: '2ba3f217dacfa7a0ece159a1bf1ef0788215d83b85e809125f6fe4a1e8cfb9ef',
+    43: '8474520a11ae034b1a631b91350a6de8487cb11f938b5ed23ed24efede1e0d1b',
+    44: '0e712862caa111a3fec7d4f8302e20a6d0c8bda3480c4e86b6dd8555b910eada',
+    45: 'ae3596ce426fa6319c6caabd3b65149e03b089ca76d4a66c0b51c7e48246c472',
+    46: '88ad591767a3545bb195dc498fb5cedae194d26d42d6a62f71e1c5f5f046c205',
+    47: 'e81aebf01fdcecf295d602229c4828a75d99ec4370b03396569f6d215eb35c00',
+    48: 'dde2abb84f05b4bb11cfb0b5a4e5430e459f78e5acbb9baa45527b10e198d442',
+    49: 'd262c5dd6870bf1b4feb2aaec9e550ee091fb26008ca1acbbeeb498d1a37d379',
+    50: '99b1b446672bff8856a000c5ee1afcd7aef4e305d27140653a81252246e4e8c6',
+    51: 'abcb459349e87a60d336ac4f812f7524815e0d623ab744284b5f7d0ac6ebb027',
+    52: 'f83ea257a7f649884d526f266b443a5fd3857751aaf97e34a37fe34dc33d5ed4',
+    53: '5ce80c44cf78d686cd9846badbc409c4f2c19b5fa9814fb6cc6badba7fbdc3a9',
+    54: '370dbf787b0a4118d3f08788980cca78b3efa00d7464b46777a9102b7f05d3b7',
+    55: 'a751e0585839400b34d477347e648f9721894eca031fa3a52d367857c74a04b6',
+    56: 'c8a56a79e7a35362725189a5370e6e4f4975580178575596813f53d2c2e59875',
+    57: '74dcf9f9839ad32eb49812747d1a87b6a7d47ecd06afaa97258cd32aeb97e42d',
+    58: '345778cde9881cb96c4d17cb2cd83a3699e3ac5da7d0ff6b4fe84f746dc5044f',
+    59: 'a1aa99cd78ca5e8289faca560cd8551545e37367dfa3f1c4854f44ba8a7d8d2c',
+    60: '6797bb940ac559aafe4d865ef09fa46101d1542ec60ed6d5fe5fa03bca6c9711',
+    61: '5c835cdb63c574208013c9890813351c4285e6ec5c3251ef8fd84bfa2cda7629',
+    62: '2fe919ee309b1e863ccccd5831628af491e7cfcd05ce4aa45e1f35ff9ce4c5f2',
+    63: '4f7ec7ab5e32559fc0390ce9ff7b7706d036a559906fe2afafbb07129df7840f',
+    64: '23bdca10e2b9b04e2c71af42c185c862ebef670ac19769d1b05865ee80d7ebc5',
+    65: '53df8a925228f7f0204afac42628ef2f6d80620ba258954f04a266c74021545d',
+    66: 'b6e900f83fd1f17f39d32047409af4d72f95814fc46a78898747ecfa9c88d03f',
+    67: '4bb0ebbff0cd759239732d01c9b6c73571db9828d854c168c6eb9b774b0ad0eb',
+    68: '341bf09666082426e5150dbdbdd9fa89d8c3b878fa99c55af2666731a5c3e27c',
+    69: 'c516050c049fb77916bfabb8fef0701fc34430952949a7300eb951383ef6f173',
+    70: 'e9b435d4a11c5d982892d4814e14a13a4994778e373a13bde3ed95aed56e7963',
+    71: '7696e9410393d786a98877298a46c5ca58ec0ebec03e0238abf46ac26369d389',
+    72: '493257212cb63b00d84553371b8f4a0d5ac1da624bd0b9a37859f181664fd190',
+    73: '80db7201232dfe39303c4e9eb621dc3c68bafcf0df86f753905b07fa831a1950',
+    74: '4dae071ff71c47cc247d2b17bca3f25889929f5a9ef3a28afc8b6a9b285384ca',
+    75: '370e3d2df5f134cad52bce59a215ced5a2b0e18311be37635e067b792127f9ae',
+    76: 'a10f7eeff36b8b60974098f93ad880929fdb7bbcac294cb67388434a4b0368f0',
+    77: '355b5d59df14603693758af9e754212dc7dda205806fc2461ae2d20abb010364',
+    78: 'b2feee68dd152bb8a97b991076575c0d93d068959992b6a9ecb38b3d0f5f56a6',
+    79: '7e4ed6635803844952297884f39d09a2c00e7e5a56e01c84d515bf84b395f44e',
+    80: 'b947f50450fd6652616adb73a902426f035d5458a6a39650c6d7df2296285c1a',
+    81: 'fc9d64c22570deb129577ff630653ce4b70f1669925a44d6f00a17a5d8efd368',
+    82: 'd9ad9ac74952f6f65633ae5d4c5f87e0819dc42477882bf417d7c7ffcf1252d6',
+    83: 'c51a2703f1cdd634c3f6e8bb2630f01787e387c44291c97d23b0c9d9de8f1b10',
+    84: '30d4823bdb8c85b9bc29543617fd605f9de9b62cda962926295880f554d6d0ad',
+    85: '526c596463c3f065118b61016665fb1753104d0a8da5a80ba25b9b4123baae24',
+    86: 'ad82a9b9e29a5196cef9831a23013a02d588c8697da1e44ad9df92e498855121',
+    87: 'b19edcf5ae334e30e47caed2dba43255538313cf3e4de79422b5fe887f7aeec6',
+    88: '89ee11a956e233782b82f4a036514b657fb09bd130c6941e74b9b81f6844573f',
+    89: 'f17b79af53b3c2cfb412cd09dd641c2886c37f027c0d555aa83095ba857d3b9f',
+    90: '1b3881929615ea7cc45ba61301b4c29f7aee9ef576773599b196a56c42f3874b',
+    91: 'ba268f250f2131eff80d3bf0f400bcd079fde708b2b352341aa0ee8ff0486a01',
+    92: '143bc6886e6df14b8f3790eba79a3f555edf2031eb6eaa6ae3e51841d11503ad',
+    93: '4fe8621b392f2dbe398cba2509d950d0896c204c8b7a0e67f53798bccf7cf550',
+    94: '31d5b4b766922891ec3fb673a41da6936840d4df88da1abdc68709b9740513ab',
+    95: '236caa9a562fadbd20a212ce6f960945a8a223472f65ee49fcfe7ea3b667deb7',
+    96: '0f778a01e7b3b6c031299f580ccb64f98e1dcd28d7952488821239aad4483781',
+    97: '8c3e5072ce5bd0c7a7e7c4443c27f98dcb49e8032f96fafc319728998f64849f',
+    98: '9b713f35bc2601546e903ada1159a4490d97581dacc117bb1e38131d0131f399',
+    99: '2b3470dd1ac6293ba248c53a5549e60f53e0c33407c5b2c918cc5418c28cfa42',
+}
+
+
+@pytest.fixture(scope="module")
+def writer_dirs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("written")
+    return {name: prepare_writer_fixture(name, work / name)
+            for name in WRITER_FIXTURES}
+
+
+def test_written_table_covers_every_command_format_and_fixture():
+    assert set(WRITTEN) == {(f, c, fmt) for f in WRITER_FIXTURES
+                            for c in WRITERS for fmt in FORMATS}
+
+
+@pytest.mark.parametrize("key", sorted(WRITTEN), ids="-".join)
+def test_written_output_is_unchanged(key, writer_dirs):
+    name, command, fmt = key
+    assert run_writer(command, fmt, writer_dirs[name]) == WRITTEN[key]
+
+
+def test_serialized_pairs_are_unchanged():
+    assert {s: pair_digest(s) for s in range(100)} == PAIRS
+
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
@@ -173,4 +556,18 @@ if __name__ == "__main__":
                     rc, sha = run(command, fmt, path)
                     print(f"    ({name!r}, {command!r}, {fmt!r}):\n"
                           f"        ({rc}, {sha!r}),")
+        print("}")
+        print("WRITTEN = {")
+        for name in WRITER_FIXTURES:
+            wdir = prepare_writer_fixture(name, Path(work) / name)
+            for command in WRITERS:
+                for fmt in FORMATS:
+                    rc, out, written = run_writer(command, fmt, wdir)
+                    print(f"    ({name!r}, {command!r}, {fmt!r}):\n"
+                          f"        ({rc}, {out!r},\n"
+                          f"         {written!r}),")
+        print("}")
+        print("PAIRS = {")
+        for s in range(100):
+            print(f"    {s}: {pair_digest(s)!r},")
         print("}")

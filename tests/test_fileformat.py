@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotabaxter import cli, fileformat as ff
 from rotabaxter.classification import (
@@ -313,3 +314,85 @@ def test_homotopy_layer_mismatch():
     doc = json.loads(ff.dump_document(doc))
     doc["declare"][-1]["r0"] = "T.r1"
     reject(doc, "operator layers")
+
+
+# ------------------------------------------------------------------ fuzzing
+
+
+def skeletal_document():
+    x, b = random_rrb_pair(seed=2)
+    a, m, r = triple_to_skeletal(x, b, random_rrb_cocycle(1, x, b, 3))
+    doc = ff.new_document()
+    an, a0, a1 = ff.declare_two_term(doc, "A2", a)
+    mn, m0, m1 = ff.declare_ainfty_bimodule(doc, "M2", m, an, a0, a1)
+    ff.declare_homotopy_rrb(doc, "T", r, an, mn, a0, a1, m0, m1)
+    return doc
+
+
+def extension_document():
+    doc, x, b, c = rrb_document()
+    e = build_extension(x, b, c)
+    ff.declare_extension(doc, "E", e, {"canonical": canonical_section(e)})
+    return doc
+
+
+# valid documents covering every declaration kind but the dendriform ones
+# and r_matrix, which the hand-made entries below add
+FUZZ_SEEDS = [json.loads(ff.dump_document(doc)) for doc in (
+    rrb_document()[0], skeletal_document(), extension_document())]
+_n = FUZZ_SEEDS[0]["spaces"]["X.algebra.space"]["dim"]
+FUZZ_SEEDS[0]["declare"].extend([
+    {"type": "r_matrix", "name": "r", "algebra": "X.algebra",
+     "tensor": [["1"] * _n] * _n},
+    {"type": "dendriform", "name": "D", "space": "X.algebra.space",
+     "prec": "X.algebra.mul", "succ": "X.algebra.mul"},
+    {"type": "dendriform_rep", "name": "E", "over": "D",
+     "space": "X.algebra.space", "left_prec": "X.algebra.mul",
+     "left_succ": "X.algebra.mul", "right_prec": "X.algebra.mul",
+     "right_succ": "X.algebra.mul"}])
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(0, 1)
+    | st.sampled_from(["", "Q", "1", "1/2", "1/0", "x", "X", "X.algebra",
+                       "X.module.space", "B.l", "c.alpha", "assoc_algebra",
+                       "cocycle", "extension"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["type", "name", "dim", "from", "to",
+                                       "tensor", "matrix", "space"]),
+                      inner, max_size=3),
+    max_leaves=6)
+
+
+def paths(value, prefix=()):
+    """Every place in a JSON value, the root first."""
+    yield prefix
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from paths(v, prefix + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from paths(v, prefix + (i,))
+
+
+def replaced(doc, path, new):
+    if not path:
+        return new
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = new
+    return out
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_parse_document_raises_only_parse_error(data):
+    doc = data.draw(st.sampled_from(FUZZ_SEEDS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(paths(doc))))
+        doc = replaced(doc, path, data.draw(JSON))
+    try:
+        ff.parse_document(doc)
+    except ff.ParseError:
+        pass

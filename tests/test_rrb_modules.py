@@ -6,7 +6,6 @@ from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
     LinearMap, ShapeError, StructuralError, StructureConstants, basis_vec,
     check_bimodule, check_dendriform, check_dendriform_representation,
-    sub_vec,
 )
 from rotabaxter.linalg import Matrix, Q
 from rotabaxter.rrb import (
@@ -24,7 +23,7 @@ from rotabaxter.samples import random_rrb_pair
 
 from helpers import (
     field_adjoint_rrb, field_algebra, linmap, nilpotent_shift_rrb,
-    one_sided_rrb, sc, zero_rrb,
+    one_sided_rrb, ref_build, sc, sub_vec, zero_rrb,
 )
 
 
@@ -306,18 +305,18 @@ def test_induced_structures_match_their_formulas_on_basis_vectors():
             return basis_vec(dM, u)
 
         den, mtot, _ = induced_dendriform(x)
-        assert den.prec == StructureConstants.build(
+        assert den.prec == ref_build(
             dM, dM, dM, lambda u, w: x.module.right(em(u), r[w])), seed
-        assert den.succ == StructureConstants.build(
+        assert den.succ == ref_build(
             dM, dM, dM, lambda u, w: x.module.left(r[u], em(w))), seed
         assert den.basis_names == mtot.basis_names == x.module.basis_names
 
         acts = mtot_action_bimodule(b).actions
-        assert acts.left == StructureConstants.build(
+        assert acts.left == ref_build(
             dM, dB, dB, lambda u, w: sub_vec(
                 b.base.left(r[u], basis_vec(dB, w)),
                 b.sop(b.left_pair.on_basis(u, w)))), seed
-        assert acts.right == StructureConstants.build(
+        assert acts.right == ref_build(
             dB, dM, dB, lambda w, u: sub_vec(
                 b.base.right(basis_vec(dB, w), r[u]),
                 b.sop(b.right_pair.on_basis(w, u)))), seed
@@ -326,14 +325,14 @@ def test_induced_structures_match_their_formulas_on_basis_vectors():
         rep = induced_dendriform_representation(b)
         en = [basis_vec(dN, v) for v in range(dN)]
         assert (rep.left_prec, rep.left_succ) == (
-            StructureConstants.build(
+            ref_build(
                 dM, dN, dN, lambda u, v: b.left_pair(em(u), s[v])),
-            StructureConstants.build(
+            ref_build(
                 dM, dN, dN, lambda u, v: b.fiber.left(r[u], en[v]))), seed
         assert (rep.right_prec, rep.right_succ) == (
-            StructureConstants.build(
+            ref_build(
                 dN, dM, dN, lambda v, u: b.fiber.right(en[v], r[u])),
-            StructureConstants.build(
+            ref_build(
                 dN, dM, dN, lambda v, u: b.right_pair(s[v], em(u)))), seed
         assert rep.basis_names == b.fiber.basis_names
 
