@@ -41,10 +41,6 @@ def basis_vec(n, i):
     return tuple(Q(1) if j == i else Q(0) for j in range(n))
 
 
-def add_vec(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 class Violation:
     """One failed axiom instance: which law, at which basis tuple, both sides.
 
@@ -521,9 +517,6 @@ class DendriformAlgebra:
     def zero(dim):
         z = StructureConstants.zero(dim, dim, dim)
         return DendriformAlgebra(dim, z, z)
-
-    def star(self, x, y):
-        return add_vec(self.prec(x, y), self.succ(x, y))
 
 
 def check_dendriform(den):

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from .algebra import (
     AssocAlgebra, Bimodule, LinearMap, Report, ShapeError, StructuralError,
-    StructureConstants, Violation, basis_vec, check_associativity,
-    bilinear, block_constants, check_bimodule,
+    StructureConstants, Violation, bilinear, block_constants,
+    check_associativity, check_bimodule,
 )
 from .cohomology import (
     RRBCochain, cocycle_report, rrb_differential, rrb_differential_matrix,
 )
-from .linalg import Matrix, kron, paste, rank, solve
+from .linalg import Matrix, kron, paste, rank, solve, solve_columns
 from .rrb import (
     RelativeRBAlgebra, RRBMorphism, TwoTermComplex, check_morphism,
     check_relative_rb,
@@ -122,12 +122,9 @@ class Section:
 
 def _right_inverse(p):
     # columns solved with all free coordinates zero, hence deterministic
-    cols = []
-    for i in range(p.codomain_dim):
-        sol = solve(p.matrix, basis_vec(p.codomain_dim, i))
-        if sol is None:
-            raise StructuralError("projection is not surjective")
-        cols.append(sol)
+    cols = solve_columns(p.matrix, Matrix.identity(p.codomain_dim))
+    if None in cols:
+        raise StructuralError("projection is not surjective")
     return LinearMap.from_matrix(Matrix.from_columns(p.domain_dim, cols))
 
 
@@ -141,16 +138,10 @@ def canonical_section(e):
                    _right_inverse(e.mod_proj)).validate(e)
 
 
-def _solve_columns(incl, values):
-    """Each column of values in coordinates of the image of an embedding,
-    or None where it does not lie in the image."""
-    return [solve(incl.matrix, values.column(t)) for t in range(values.cols)]
-
-
 def _fiber_coords(incl, values, what):
     """The matrix of coordinates of the columns of values inside the image
     of an embedding; the first column outside it raises."""
-    cols = _solve_columns(incl, values)
+    cols = solve_columns(incl.matrix, values)
     if None in cols:
         raise StructuralError(what + " does not land in the fiber")
     return Matrix.from_columns(incl.domain_dim, cols)
@@ -291,10 +282,12 @@ def extract_cocycle(e, sec):
         "product defect")
     # both action defects are read before either raises, so that the
     # first reported is the first in the loop over (u, i), right first
-    beta1 = _solve_columns(e.mod_incl, tot.module.right.on_columns(sbar, s)
-                           - sbar * base.module.right.matrix)
-    beta2 = _solve_columns(e.mod_incl, tot.module.left.on_columns(s, sbar)
-                           - sbar * base.module.left.matrix)
+    beta1 = solve_columns(e.mod_incl.matrix,
+                          tot.module.right.on_columns(sbar, s)
+                          - sbar * base.module.right.matrix)
+    beta2 = solve_columns(e.mod_incl.matrix,
+                          tot.module.left.on_columns(s, sbar)
+                          - sbar * base.module.left.matrix)
     for u in range(dM):
         for i in range(dA):
             if beta1[u * dA + i] is None:

@@ -27,12 +27,14 @@ semidirect complex are assembled from terms the same way.
 
 The same file carries the two sibling complexes that interact with this
 one: the labelled dendriform complex and the restricted complex of a
-Rota-Baxter pair, together with the comparison maps between them.  The
-labelled complex and its comparison map from the Hochschild complex of
-M_Tot acting on B are matrices: the hat and unhat between labelled
-cochains and the Hochschild complex of a doubled semidirect structure,
-the labelled differential read through them, and psi_matrix.  So the
-chain map identity is one exact matrix identity over all cochains.
+Rota-Baxter pair, together with the comparison maps between them.  A
+labelled k-cochain on dendriform data (D, E) has the coordinates of the
+slot maps of a degree-k cochain on dendriform_to_rrb(D, E), so the
+labelled differential is assembled from the slot-map terms of the same
+list (_slot_terms), with alpha read as the sum of the labels.  It and the
+comparison map psi_matrix from the Hochschild complex of M_Tot acting on B
+are matrices, so the chain map identity is one exact matrix identity over
+all cochains.
 
 Coordinates everywhere are target-major matrix entries (index =
 target * domain_size + flattened tuple), with the blocks concatenated in
@@ -46,20 +48,19 @@ from math import prod
 
 from .algebra import (
     Bimodule, LinearMap, Report, ShapeError, StructuralError,
-    hochschild_matrix, hochschild_terms,
+    hochschild_terms,
 )
 from .linalg import (
-    Matrix, OnColumns, Product, Q, TensorIndex, apply_terms, assemble_terms,
+    Matrix, OnColumns, Product, Q, apply_terms, assemble_terms,
     homology_dims, kernel_basis, kron, padded, paste, signed_sum,
 )
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
-    RRBBimodule, adjoint_bimodule, dendriform_to_rrb, lift_bimodule,
-    mtot_action_bimodule, semidirect_rrb,
+    RRBBimodule, adjoint_bimodule, dendriform_to_rrb, mtot_action_bimodule,
+    semidirect_rrb,
 )
 
 ZERO = Q(0)
-ONE = Q(1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +221,15 @@ def _slot_merges(x, k, t):
     return {s: signed_sum(ops) for s, ops in terms.items()}
 
 
-def rrb_terms(x, b, k):
-    """The degree-k differential, k >= 1, as (sign, in-block, out-block,
-    term) terms (see linalg.apply_terms).  The blocks are numbered in
-    coordinate order: alpha 0, beta_s s, gamma k+1 in degree k.
-
-    alpha' is the Hochschild differential of A on the base applied to
-    alpha.  Slot map t of the image takes its leading argument from the
+def _slot_terms(x, b, k):
+    """The terms of the degree-k differential whose out-block is a slot map
+    1..k+1.  Slot map t of the image takes its leading argument from the
     left (the left pairing on alpha when t = 1, the left fiber action on
     beta_{t-1} otherwise), the neighbour merges of beta_{t-1} and beta_t,
     and its trailing argument from the right (the right pairing on alpha
-    when t = k+1, the right fiber action on beta_t otherwise).  gamma' is
-    (-1)^k (alpha R^(x)k - sum_i S beta_i (R .. I_M .. R)), plus from
-    degree 2 on the Hochschild differential of M_Tot on the base applied to
-    gamma.
-    """
-    dA, dM = x.algebra.dim, x.module.dim
-    ia, im = Matrix.identity(dA), Matrix.identity(dM)
-    last, gamma = (-1) ** (k + 1), k + 2
-    terms = [(s, 0, 0, t) for s, t in hochschild_terms(b.base, k)]
+    when t = k+1, the right fiber action on beta_t otherwise)."""
+    ia, im = Matrix.identity(x.algebra.dim), Matrix.identity(x.module.dim)
+    last, terms = (-1) ** (k + 1), []
     for t in range(1, k + 2):
         terms.append((1, 0, t, OnColumns(b.left_pair.matrix, im)) if t == 1
                      else (1, t - 1, t, OnColumns(b.fiber.left.matrix, ia)))
@@ -248,6 +239,23 @@ def rrb_terms(x, b, k):
             (last, 0, t, OnColumns(b.right_pair.matrix, im, x_first=True))
             if t == k + 1 else
             (last, t, t, OnColumns(b.fiber.right.matrix, ia, x_first=True)))
+    return terms
+
+
+def rrb_terms(x, b, k):
+    """The degree-k differential, k >= 1, as (sign, in-block, out-block,
+    term) terms (see linalg.apply_terms).  The blocks are numbered in
+    coordinate order: alpha 0, beta_s s, gamma k+1 in degree k.
+
+    alpha' is the Hochschild differential of A on the base applied to
+    alpha, the slot maps are _slot_terms, and gamma' is
+    (-1)^k (alpha R^(x)k - sum_i S beta_i (R .. I_M .. R)), plus from
+    degree 2 on the Hochschild differential of M_Tot on the base applied to
+    gamma.
+    """
+    im, gamma = Matrix.identity(x.module.dim), k + 2
+    terms = [(s, 0, 0, t) for s, t in hochschild_terms(b.base, k)]
+    terms.extend(_slot_terms(x, b, k))
     r = _powers(x.rop.matrix, k)
     terms.append(((-1) ** k, 0, gamma, Product(None, r[k])))
     terms.extend((-(-1) ** k, i, gamma,
@@ -393,55 +401,22 @@ def rb_restrict(pair, k, c):
 # the labelled dendriform complex
 
 
-def dendriform_embedding(k, dim_d, dim_e):
-    """The hat H_k and unhat U_k between labelled k-cochains and the host.
+def dendriform_differential_matrix(d, e, k):
+    """Matrix D_k of the labelled differential, k >= 1.
 
     A labelled k-cochain is one map D^(x)k -> E per label 1..k, with
     coordinates (label - 1) * dim_e * dim_d^k + target * dim_d^k + tuple.
-    The host complex is the Hochschild complex of the semidirect sum
-    (total of D) (+) D with coefficients (total of E) (+) E.  H places
-    each labelled coordinate twice: in the first component on the same
-    tuple (so a pure first-component tuple sees the sum of all labels), and
-    in the second component on the tuple whose only second-component
-    argument sits at the label's position.  U reads the second place back,
-    one nonzero per row, so U_k H_k is the identity.
+    These are the slot maps of a degree-k cochain on dendriform_to_rrb(d, e),
+    whose alpha is read as the sum of the labels: D_k is the slot-map part
+    of the differential there, each alpha term fed by every label.
     """
     if k < 1:
         raise ShapeError("labelled cochains start in degree 1")
-    ti_d, ti_host = TensorIndex((dim_d,) * k), TensorIndex((2 * dim_d,) * k)
-    size, host = ti_d.size, ti_host.size
-    hat = Matrix(2 * dim_e * host, k * dim_e * size)
-    unhat = Matrix(k * dim_e * size, 2 * dim_e * host)
-    for t in range(size):
-        first = ti_host.flatten(ti_d.unflatten(t))
-        for i in range(k):
-            second = (dim_e * host + first +
-                      dim_d * (2 * dim_d) ** (k - 1 - i))
-            for w in range(dim_e):
-                col = (i * dim_e + w) * size + t
-                hat.add(w * host + first, col, ONE)
-                hat.add(second + w * host, col, ONE)
-                unhat.add(col, second + w * host, ONE)
-    return hat, unhat
-
-
-def dendriform_differential_matrix(d, e, k):
-    """Matrix D_k = U_{k+1} delta H_k of the labelled differential, k >= 1.
-
-    delta is the Hochschild differential of the doubled host.  It must keep
-    the embedded subspace, H_{k+1} D_k = delta H_k; a mismatch signals a
-    bug, so it raises.
-    """
-    _, bim = dendriform_to_rrb(d, e)
-    host, _ = lift_bimodule(bim)
-    hat, _ = dendriform_embedding(k, d.dim, e.dim)
-    hat_next, unhat_next = dendriform_embedding(k + 1, d.dim, e.dim)
-    image = hochschild_matrix(host, k) * hat
-    out = unhat_next * image
-    if hat_next * out != image:
-        raise StructuralError(
-            "the doubled differential left the labelled embedding")
-    return out
+    x, b = dendriform_to_rrb(d, e)
+    terms = [(s, j, t - 1, term) for s, i, t, term in _slot_terms(x, b, k)
+             for j in (range(k) if i == 0 else (i - 1,))]
+    return assemble_terms(terms, [(e.dim, d.dim ** k)] * k,
+                          [(e.dim, d.dim ** (k + 1))] * (k + 1))
 
 
 def psi_matrix(x, b, k):

@@ -7,14 +7,15 @@ entry, with paste placing one matrix as a block of another and signed_sum
 adding many in one copy), the Kronecker product kron, linear maps on lists
 of matrix blocks given as terms (Product, OnColumns), which apply_terms
 applies to blocks and assemble_terms turns into one matrix, multi-index
-flattening for tensor powers, the workhorses rank / kernel_basis / solve /
-inverse, and homology_dims, which sweeps a whole cochain complex.
+flattening for tensor powers, the workhorses rank / kernel_basis /
+solve_columns (with its cases solve and inverse), and homology_dims, which
+sweeps a whole cochain complex.
 
 These run one elimination kernel, _echelon.  It clears each row of
 denominators once and then works on primitive integer rows, with a column
 index of the live rows that have a nonzero in each column.  Only the pivot
 key differs between callers: rank takes the sparsest column first, which
-limits fill-in; kernel_basis, solve and inverse take the smallest column
+limits fill-in; kernel_basis and solve_columns take the smallest column
 first, because their documented output is fixed by the set of pivot
 columns, and elimination in column order always finds the same set.  The
 product accumulates in integers too, so homology_dims' check
@@ -473,7 +474,7 @@ def _integer_row(row):
 
 
 def _column_order(index, ncols):
-    """Pivot key of kernel_basis, solve and inverse: smallest column first.
+    """Pivot key of kernel_basis and solve_columns: smallest column first.
 
     Their output is fixed by the set of pivot columns (the columns that are
     not combinations of the columns before them), which any elimination in
@@ -591,6 +592,32 @@ def kernel_basis(m):
     return basis
 
 
+def solve_columns(m, b):
+    """For each column of b, any exact solution x of m x = (that column),
+    or None where m x cannot equal it.
+
+    [m | b] is eliminated once in column order, so all of m's columns
+    come first: the rows it leaves read 0 = (a combination of b), and a
+    column of b is consistent exactly when none of them has a nonzero
+    there.  Free variables are set to zero, so the answer is deterministic.
+    """
+    if b.rows != m.rows:
+        raise ValueError(f"right-hand side has {b.rows} rows, not {m.rows}")
+    n, width = m.cols, m.cols + b.cols
+    rows = m.row_dicts()
+    for row, extra in zip(rows, b._data):
+        for j, v in extra.items():
+            row[n + j] = v
+    pivots, pivot_cols = _echelon(rows, width, _column_order)
+    r = sum(c < n for c in pivot_cols)
+    inconsistent = {c for row in pivots[r:] for c in row}
+    pivots, pivot_cols = pivots[:r], pivot_cols[:r]
+    # -1 at the column of b moves it to the other side of m x = b
+    return [None if n + j in inconsistent else
+            _back_substitute(pivots, pivot_cols, {n + j: -ONE}, width)[:n]
+            for j in range(b.cols)]
+
+
 def solve(m, rhs):
     """Any exact solution x of m x = rhs, or None when inconsistent.
 
@@ -598,34 +625,15 @@ def solve(m, rhs):
     """
     if len(rhs) != m.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {m.rows}")
-    rows = m.row_dicts()
-    aug = m.cols  # rhs lives in an extra column
-    for row, b in zip(rows, rhs):
-        b = b if type(b) is Q else Q(b)
-        if b:
-            row[aug] = b
-    pivots, pivot_cols = _echelon(rows, aug + 1, _column_order)
-    if aug in pivot_cols:
-        return None  # a row reduced to 0 = nonzero
-    # -1 at the rhs column moves it to the other side of m x = rhs
-    return _back_substitute(pivots, pivot_cols, {aug: -ONE}, aug + 1)[:aug]
+    return solve_columns(m, Matrix(m.rows, 1, rhs))[0]
 
 
 def inverse(m):
     """Exact inverse of a square matrix, or None when singular."""
     if m.rows != m.cols:
         raise ValueError(f"inverse needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    rows = m.row_dicts()
-    for i, row in enumerate(rows):
-        row[n + i] = ONE  # [m | I], pivots only among the first n columns
-    pivots, pivot_cols = _echelon(rows, n, _column_order)
-    if len(pivots) < n:
-        return None
-    # column j of the inverse solves m x = e_j
-    cols = [_back_substitute(pivots, pivot_cols, {n + j: -ONE}, 2 * n)
-            for j in range(n)]
-    return Matrix.from_rows([[col[i] for col in cols] for i in range(n)])
+    cols = solve_columns(m, Matrix.identity(m.rows))
+    return None if None in cols else Matrix.from_columns(m.rows, cols)
 
 
 def homology_dims(differentials):

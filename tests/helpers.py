@@ -8,18 +8,29 @@ from itertools import product
 
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, LinearMap, Report, ShapeError, StructuralError,
-    StructureConstants, _square_zero_dendriform, add_vec, basis_vec,
+    StructureConstants, _square_zero_dendriform, basis_vec, hochschild_matrix,
 )
 from rotabaxter.cohomology import (
     RRBCochain, cochain_space_dims, semidirect_complex,
 )
 from rotabaxter.linalg import Matrix, Q, TensorIndex, paste, solve
 from rotabaxter.rrb import RelativeRBAlgebra, induced_dendriform
-from rotabaxter.rrb_modules import RRBBimodule, mtot_action_bimodule
+from rotabaxter.rrb_modules import (
+    RRBBimodule, dendriform_to_rrb, lift_bimodule, mtot_action_bimodule,
+)
+
+
+def add_vec(u, v):
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def sub_vec(u, v):
     return tuple(a - b for a, b in zip(u, v))
+
+
+def star(den, x, y):
+    """x * y = x < y + x > y in a dendriform algebra, on vectors."""
+    return add_vec(den.prec(x, y), den.succ(x, y))
 
 
 def sc(dim_left, dim_right, dim_out, entries):
@@ -234,7 +245,7 @@ def ref_check_dendriform(den):
             for k in range(d):
                 z = basis_vec(d, k)
                 rep.require("axiom1", (i, j, k),
-                            den.prec(xy_prec, z), den.prec(x, den.star(y, z)))
+                            den.prec(xy_prec, z), den.prec(x, star(den, y, z)))
                 rep.require("axiom2", (i, j, k),
                             den.prec(xy_succ, z), den.succ(x, den.prec(y, z)))
                 rep.require("axiom3", (i, j, k),
@@ -262,7 +273,7 @@ def ref_check_dendriform_representation(rep):
                 slot = "E@" + str([i >= dD, j >= dD, k >= dD].index(True) + 1)
                 out.require(f"axiom1[{slot}]", (i, j, k),
                             big.prec(xy_prec, z),
-                            big.prec(x, big.star(y, z)))
+                            big.prec(x, star(big, y, z)))
                 out.require(f"axiom2[{slot}]", (i, j, k),
                             big.prec(xy_succ, z),
                             big.succ(x, big.prec(y, z)))
@@ -703,7 +714,10 @@ def ref_check_homotopy_rrb_operator(a, m, r):
 # (the differential reads ref_hochschild_matrix).  They share with
 # rotabaxter only Matrix, TensorIndex, paste, the structure types, the
 # cochain dimensions and the M_Tot action, so the term lists are checked
-# against an independent indexing of the same formulas.
+# against an independent indexing of the same formulas.  The labelled
+# differential read through the hat and unhat of the doubled Hochschild
+# complex, as it was before it became the slot-map part of the
+# differential, is kept verbatim too.
 
 ONE = Q(1)
 
@@ -1018,6 +1032,57 @@ def ref_semidirect_inclusion_matrix(x, b, k):
             for w in range(dB):
                 out.add(A_in + BT_in + (dA + w) * ti_big_m.size + big_flat,
                         a_in + bt_in + w * ti_m.size + flat, ONE)
+    return out
+
+
+def ref_dendriform_embedding(k, dim_d, dim_e):
+    """The hat H_k and unhat U_k between labelled k-cochains and the host.
+
+    A labelled k-cochain is one map D^(x)k -> E per label 1..k, with
+    coordinates (label - 1) * dim_e * dim_d^k + target * dim_d^k + tuple.
+    The host complex is the Hochschild complex of the semidirect sum
+    (total of D) (+) D with coefficients (total of E) (+) E.  H places
+    each labelled coordinate twice: in the first component on the same
+    tuple (so a pure first-component tuple sees the sum of all labels), and
+    in the second component on the tuple whose only second-component
+    argument sits at the label's position.  U reads the second place back,
+    one nonzero per row, so U_k H_k is the identity.
+    """
+    if k < 1:
+        raise ShapeError("labelled cochains start in degree 1")
+    ti_d, ti_host = TensorIndex((dim_d,) * k), TensorIndex((2 * dim_d,) * k)
+    size, host = ti_d.size, ti_host.size
+    hat = Matrix(2 * dim_e * host, k * dim_e * size)
+    unhat = Matrix(k * dim_e * size, 2 * dim_e * host)
+    for t in range(size):
+        first = ti_host.flatten(ti_d.unflatten(t))
+        for i in range(k):
+            second = (dim_e * host + first +
+                      dim_d * (2 * dim_d) ** (k - 1 - i))
+            for w in range(dim_e):
+                col = (i * dim_e + w) * size + t
+                hat.add(w * host + first, col, ONE)
+                hat.add(second + w * host, col, ONE)
+                unhat.add(col, second + w * host, ONE)
+    return hat, unhat
+
+
+def ref_dendriform_differential_matrix(d, e, k):
+    """Matrix D_k = U_{k+1} delta H_k of the labelled differential, k >= 1.
+
+    delta is the Hochschild differential of the doubled host.  It must keep
+    the embedded subspace, H_{k+1} D_k = delta H_k; a mismatch signals a
+    bug, so it raises.
+    """
+    _, bim = dendriform_to_rrb(d, e)
+    host, _ = lift_bimodule(bim)
+    hat, _ = ref_dendriform_embedding(k, d.dim, e.dim)
+    hat_next, unhat_next = ref_dendriform_embedding(k + 1, d.dim, e.dim)
+    image = hochschild_matrix(host, k) * hat
+    out = unhat_next * image
+    if hat_next * out != image:
+        raise StructuralError(
+            "the doubled differential left the labelled embedding")
     return out
 
 

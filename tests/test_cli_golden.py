@@ -2,9 +2,9 @@
 recorded.
 
 GOLDEN: the exit code and the sha256 of stdout of validate, cohomology,
-hochschild, derivations and chainmap-check, in text and JSON, on samples 6,
-14 and 16 and on the pair whose four dimensions are 1 and whose structure
-is zero.
+hochschild, derivations and chainmap-check (at degrees 1 and 2), in text
+and JSON, on samples 6, 14 and 16 and on the pair whose four dimensions are
+1 and whose structure is zero.
 
 WRITTEN: the exit code, the sha256 of stdout and the sha256 of the written
 file of semidirect, dual, lift, dendriform, extend, extract-cocycle (with
@@ -43,6 +43,7 @@ COMMANDS = {
     "hochschild": ("hochschild", "--max-degree", "3"),
     "derivations": ("derivations",),
     "chainmap-check": ("chainmap-check",),
+    "chainmap-check-2": ("chainmap-check", "--degree", "2"),
 }
 FORMATS = ("text", "json")
 
@@ -104,6 +105,10 @@ GOLDEN = {
         (0, 'b5e1e621600a1a356293ef6b50e66778d54d1ea1fca2b4479e52617f81903a3c'),
     ('sample6', 'chainmap-check', 'json'):
         (0, '61771a646f31d3ed1e324e671fde409a9ff76e0b0754e451596f1da269e73eae'),
+    ('sample6', 'chainmap-check-2', 'text'):
+        (0, '38fd54f638c3fddb7f24500dc72c8fdfade81f97f9d5e880b3fbcbcd038bbf18'),
+    ('sample6', 'chainmap-check-2', 'json'):
+        (0, '3e611125041e60eaa2cd8a24d27045f490c75bb749f6cae499363b4b2b028e7d'),
     ('sample14', 'validate', 'text'):
         (0, '873681e5a5bbc02196f0847d05bb38b84f0f327c7937a4e1bc7521cf5270d206'),
     ('sample14', 'validate', 'json'):
@@ -124,6 +129,10 @@ GOLDEN = {
         (0, 'b5e1e621600a1a356293ef6b50e66778d54d1ea1fca2b4479e52617f81903a3c'),
     ('sample14', 'chainmap-check', 'json'):
         (0, '61771a646f31d3ed1e324e671fde409a9ff76e0b0754e451596f1da269e73eae'),
+    ('sample14', 'chainmap-check-2', 'text'):
+        (0, '38fd54f638c3fddb7f24500dc72c8fdfade81f97f9d5e880b3fbcbcd038bbf18'),
+    ('sample14', 'chainmap-check-2', 'json'):
+        (0, '3e611125041e60eaa2cd8a24d27045f490c75bb749f6cae499363b4b2b028e7d'),
     ('sample16', 'validate', 'text'):
         (0, '873681e5a5bbc02196f0847d05bb38b84f0f327c7937a4e1bc7521cf5270d206'),
     ('sample16', 'validate', 'json'):
@@ -144,6 +153,10 @@ GOLDEN = {
         (0, 'b5e1e621600a1a356293ef6b50e66778d54d1ea1fca2b4479e52617f81903a3c'),
     ('sample16', 'chainmap-check', 'json'):
         (0, '61771a646f31d3ed1e324e671fde409a9ff76e0b0754e451596f1da269e73eae'),
+    ('sample16', 'chainmap-check-2', 'text'):
+        (0, '38fd54f638c3fddb7f24500dc72c8fdfade81f97f9d5e880b3fbcbcd038bbf18'),
+    ('sample16', 'chainmap-check-2', 'json'):
+        (0, '3e611125041e60eaa2cd8a24d27045f490c75bb749f6cae499363b4b2b028e7d'),
     ('ones', 'validate', 'text'):
         (0, '873681e5a5bbc02196f0847d05bb38b84f0f327c7937a4e1bc7521cf5270d206'),
     ('ones', 'validate', 'json'):
@@ -164,6 +177,10 @@ GOLDEN = {
         (0, 'b5e1e621600a1a356293ef6b50e66778d54d1ea1fca2b4479e52617f81903a3c'),
     ('ones', 'chainmap-check', 'json'):
         (0, '61771a646f31d3ed1e324e671fde409a9ff76e0b0754e451596f1da269e73eae'),
+    ('ones', 'chainmap-check-2', 'text'):
+        (0, '38fd54f638c3fddb7f24500dc72c8fdfade81f97f9d5e880b3fbcbcd038bbf18'),
+    ('ones', 'chainmap-check-2', 'json'):
+        (0, '3e611125041e60eaa2cd8a24d27045f490c75bb749f6cae499363b4b2b028e7d'),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from rotabaxter.linalg import (
     Matrix, Q, TensorIndex, format_rational, homology_dims,
     inverse, kernel_basis, kron, parse_rational, paste, rank, solve,
+    solve_columns,
 )
 
 from helpers import reference_elimination, reference_inverse
@@ -150,10 +151,11 @@ class TestTensorIndex:
     lambda: Matrix(2, 2).add(2, 0, 1),
     lambda: Matrix(2, 2).add(0, -1, 1),
     lambda: paste(Matrix(2, 2), Matrix(1, 1), 2),  # a zero block too
+    lambda: solve_columns(Matrix(2, 2), Matrix(3, 1)),
 ], ids=["entry-count", "ragged", "add", "sub", "mul", "apply",
         "negative-dim", "index-range", "index-length", "flat-range",
         "sparse-compose", "sparse-apply", "entry-row", "entry-col",
-        "paste-fit"])
+        "paste-fit", "solve-columns-rows"])
 def test_validation_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
@@ -392,3 +394,31 @@ def test_random_matrices_match_reference_gauss_jordan():
             want = Matrix.from_rows(want)
         assert inverse(square) == want
     assert inconsistent > 10 and singular > 10
+
+
+def test_solve_columns_matches_reference_column_by_column():
+    """One elimination of [m | b] gives, column by column, the solution of
+    the textbook Gauss-Jordan (free variables 0) or None where there is
+    none; half the columns of b are images m x, so both kinds occur in
+    one call."""
+    rng = random.Random(31415)
+    consistent = inconsistent = mixed = 0
+    for _ in range(300):
+        m = mixed_matrix(rng, rng.randint(1, 6), rng.randint(1, 6),
+                         rng.choice((0.3, 0.6, 0.9)))
+        cols = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                x = [Q(rng.randint(-3, 3)) for _ in range(m.cols)]
+                cols.append(m.apply(x))
+            else:
+                cols.append(tuple(Q(rng.randint(-3, 3), rng.choice((1, 2)))
+                                  for _ in range(m.rows)))
+        got = solve_columns(m, Matrix.from_columns(m.rows, cols))
+        want = [reference_elimination(m, col)[1] for col in cols]
+        assert got == want
+        consistent += sum(x is not None for x in got)
+        inconsistent += got.count(None)
+        mixed += None in got and got.count(None) < len(got)
+    assert consistent > 500 and inconsistent > 200 and mixed > 80, \
+        (consistent, inconsistent, mixed)
