@@ -463,15 +463,14 @@ def hochschild_terms(mod, k):
     A^(x)k -> M: a_1 . f(...), sum_i (-1)^i f(..., a_i a_{i+1}, ...) and
     (-1)^(k+1) f(...) . a_{k+1}."""
     dA, mu = mod.over.dim, mod.over.mu.matrix
-    ia = Matrix.identity(dA)
-    terms = [(1, OnColumns(mod.left.matrix, ia))]
+    terms = [(1, OnColumns(mod.left.matrix, dA))]
     if k:
         faces = signed_sum(
             ((-1) ** i, padded(dA ** (i - 1), mu, dA ** (k - i)))
             for i in range(1, k + 1))
         terms.append((1, Product(None, faces)))
     terms.append(((-1) ** (k + 1),
-                  OnColumns(mod.right.matrix, ia, x_first=True)))
+                  OnColumns(mod.right.matrix, dA, x_first=True)))
     return terms
 
 

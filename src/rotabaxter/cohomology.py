@@ -228,17 +228,17 @@ def _slot_terms(x, b, k):
     beta_{t-1} otherwise), the neighbour merges of beta_{t-1} and beta_t,
     and its trailing argument from the right (the right pairing on alpha
     when t = k+1, the right fiber action on beta_t otherwise)."""
-    ia, im = Matrix.identity(x.algebra.dim), Matrix.identity(x.module.dim)
+    dA, dM = x.algebra.dim, x.module.dim
     last, terms = (-1) ** (k + 1), []
     for t in range(1, k + 2):
-        terms.append((1, 0, t, OnColumns(b.left_pair.matrix, im)) if t == 1
-                     else (1, t - 1, t, OnColumns(b.fiber.left.matrix, ia)))
+        terms.append((1, 0, t, OnColumns(b.left_pair.matrix, dM)) if t == 1
+                     else (1, t - 1, t, OnColumns(b.fiber.left.matrix, dA)))
         terms.extend((1, s, t, Product(None, op))
                      for s, op in _slot_merges(x, k, t).items())
         terms.append(
-            (last, 0, t, OnColumns(b.right_pair.matrix, im, x_first=True))
+            (last, 0, t, OnColumns(b.right_pair.matrix, dM, x_first=True))
             if t == k + 1 else
-            (last, t, t, OnColumns(b.fiber.right.matrix, ia, x_first=True)))
+            (last, t, t, OnColumns(b.fiber.right.matrix, dA, x_first=True)))
     return terms
 
 
@@ -430,9 +430,8 @@ def psi_matrix(x, b, k):
     if k < 1:
         raise ShapeError("the comparison map starts in degree 1")
     dM, dB, dN = x.module.dim, b.base.dim, b.fiber.dim
-    im = Matrix.identity(dM)
-    terms = [((-1) ** (k + 1), 0, 0, OnColumns(b.left_pair.matrix, im)),
-             (1, 0, k, OnColumns(b.right_pair.matrix, im, x_first=True))]
+    terms = [((-1) ** (k + 1), 0, 0, OnColumns(b.left_pair.matrix, dM)),
+             (1, 0, k, OnColumns(b.right_pair.matrix, dM, x_first=True))]
     return assemble_terms(terms, [(dB, dM ** k)],
                           [(dN, dM ** (k + 1))] * (k + 1))
 

@@ -6,8 +6,9 @@ type, the one matrix type (row-sparse, built from dense entries or entry by
 entry, with paste placing one matrix as a block of another and signed_sum
 adding many in one copy), the Kronecker product kron, linear maps on lists
 of matrix blocks given as terms (Product, OnColumns), which apply_terms
-applies to blocks and assemble_terms turns into one matrix, multi-index
-flattening for tensor powers, the workhorses rank / kernel_basis /
+applies to blocks and assemble_terms turns into one matrix (an OnColumns
+term's matrix is its tensor's nonzeros re-indexed, with no product),
+multi-index flattening for tensor powers, the workhorses rank / kernel_basis /
 solve_columns (with its cases solve and inverse), and homology_dims, which
 sweeps a whole cochain complex.
 
@@ -321,11 +322,6 @@ def padded(pre, p, post):
     return p if post == 1 else kron(p, Matrix.identity(post))
 
 
-def _unit(n, j):
-    """The n x 1 unit column e_j."""
-    return Matrix._of(n, 1, [{0: ONE} if i == j else {} for i in range(n)])
-
-
 class Product:
     """The term X -> p X q of a linear map on matrices (p None: X -> X q).
 
@@ -349,36 +345,45 @@ class Product:
 
 
 class OnColumns:
-    """The term X -> t kron(y, X), or t kron(X, y) when x_first: the
-    bilinear map whose matrix is t, applied to every pair of a column of
-    the fixed matrix y and a column of X (StructureConstants.on_columns).
+    """The term X -> t kron(I_n, X), or t kron(X, I_n) when x_first: the
+    bilinear map whose matrix is t, applied to every pair of a basis vector
+    of an n-dimensional space and a column of X
+    (StructureConstants.on_columns with an identity).
 
-    apply keeps it one product.  Its matrix is split over the columns y e_j
-    of y into products P_j X Q_j: P_j = t kron(y e_j, I), Q_j^T =
-    kron(e_j, I), and the same with the factors swapped when x_first.
+    apply keeps it one product.  Its matrix is t's nonzeros re-indexed, in
+    one pass and with no product: it is kron(t reshaped to (t.rows n) x
+    rows, I_cols), with the image's columns (basis vector, column of X)
+    read in the other order when x_first.
     """
 
-    __slots__ = ("t", "y", "x_first")
+    __slots__ = ("t", "n", "x_first")
 
-    def __init__(self, t, y, x_first=False):
+    def __init__(self, t, n, x_first=False):
         self.t = t
-        self.y = y
+        self.n = n
         self.x_first = x_first
 
     def apply(self, x):
-        return self.t * (kron(x, self.y) if self.x_first else kron(self.y, x))
+        y = Matrix.identity(self.n)
+        return self.t * (kron(x, y) if self.x_first else kron(y, x))
 
     def matrix(self, rows, cols):
-        """The matrix of the term on rows x cols matrices X."""
-        ix, iq, n = Matrix.identity(rows), Matrix.identity(cols), self.y.cols
-        parts = [(1, Matrix(self.t.rows * n * cols, rows * cols))]
-        for j in range(n):
-            e = _unit(n, j)
-            yj = self.y * e
-            parts.append((1, kron(self.t * kron(ix, yj), kron(iq, e))
-                          if self.x_first else
-                          kron(self.t * kron(yj, ix), kron(e, iq))))
-        return signed_sum(parts)
+        """The matrix of the term on rows x cols matrices X.  Entry t[w, j]
+        pairs basis vector a with row r of X (j = a rows + r, or r n + a
+        when x_first).  For each column c of X it takes X[r, c] to image
+        entry (w, a cols + c), or (w, c n + a) when x_first."""
+        n = self.n
+        out = [{} for _ in range(self.t.rows * n * cols)]
+        for w, j, v in self.t.nonzero_items():
+            if self.x_first:
+                r, a = divmod(j, n)
+                base, step = w * cols * n + a, n
+            else:
+                a, r = divmod(j, rows)
+                base, step = (w * n + a) * cols, 1
+            for c in range(cols):
+                out[base + c * step][r * cols + c] = v
+        return Matrix._of(len(out), rows * cols, out)
 
 
 def apply_terms(terms, blocks, out_shapes):

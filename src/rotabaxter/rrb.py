@@ -17,7 +17,7 @@ from .algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, LinearMap, Report, ShapeError,
     StructuralError, StructureConstants, semidirect_algebra, total_algebra,
 )
-from .linalg import Matrix, Q, kernel_basis, paste, solve
+from .linalg import Matrix, Q, kernel_basis, paste, solve_columns
 
 
 class RelativeRBAlgebra:
@@ -308,42 +308,37 @@ def endomorphism_rrb(cx):
     n = len(end_basis)
     kmat = Matrix.from_columns(nvars, end_basis)
 
-    def coords_in_end(vec):
-        x = solve(kmat, vec)
-        if x is None:
-            raise StructuralError("vector is not a chain map")
-        return x
+    def coords(basis, vectors, what):
+        """The coordinates of each vector in the columns of basis, from one
+        elimination."""
+        cols = solve_columns(basis, Matrix.from_columns(basis.rows, vectors))
+        if None in cols:
+            raise StructuralError(what)
+        return cols
 
     def split(vec):
         f0 = Matrix(d0, d0, vec[:d0 * d0])
         f1 = Matrix(d1, d1, vec[d0 * d0:])
         return f0, f1
 
-    def product(i, j):
-        a0, a1 = split(end_basis[i])
-        b0, b1 = split(end_basis[j])
-        c0, c1 = a0 * b0, a1 * b1
-        return coords_in_end(c0.entries + c1.entries)
-
-    mu = Matrix.from_columns(
-        n, [product(i, j) for i in range(n) for j in range(n)])
+    ends = [split(v) for v in end_basis]
+    mu = Matrix.from_columns(n, coords(
+        kmat, [(a0 * b0).entries + (a1 * b1).entries
+               for a0, a1 in ends for b0, b1 in ends],
+        "vector is not a chain map"))
     alg = AssocAlgebra(n, StructureConstants.from_matrix(n, n, mu))
 
     kd = kernel_basis(dmat)
     rM = len(kd)
     dM = rM * d0
-    kdmat = Matrix.from_columns(d1, kd)
-
-    def kd_coords(vec):
-        x = solve(kdmat, vec)
-        if x is None:
-            raise StructuralError("vector is not in ker d")
-        return x
+    # the f_1 kd[s] in ker d, in the basis kd, by (i, s)
+    imgs = coords(Matrix.from_columns(d1, kd),
+                  [f1.apply(k) for _, f1 in ends for k in kd],
+                  "vector is not in ker d")
 
     def left_act(i, su):
         s, j = divmod(su, d0)
-        _, f1 = split(end_basis[i])
-        img = kd_coords(f1.apply(kd[s]))
+        img = imgs[i * rM + s]
         out = [Q(0)] * dM
         for t in range(rM):
             out[t * d0 + j] = img[t]
@@ -351,7 +346,7 @@ def endomorphism_rrb(cx):
 
     def right_act(su, i):
         s, j0 = divmod(su, d0)
-        f0, _ = split(end_basis[i])
+        f0, _ = ends[i]
         out = [Q(0)] * dM
         for j in range(d0):
             out[s * d0 + j] = f0.at(j0, j)
@@ -364,11 +359,11 @@ def endomorphism_rrb(cx):
     mod = Bimodule(alg, dM, StructureConstants.from_matrix(n, dM, left),
                    StructureConstants.from_matrix(dM, n, right))
 
-    rop_cols = []
+    rop_vecs = []
     for su in range(dM):
         s, j = divmod(su, d0)
-        f1_flat = tuple(dmat.at(j, q) * kd[s][p]
-                        for p in range(d1) for q in range(d1))
-        rop_cols.append(coords_in_end(tuple([Q(0)] * (d0 * d0)) + f1_flat))
-    rop = LinearMap(dM, n, Matrix.from_columns(n, rop_cols))
+        rop_vecs.append((Q(0),) * (d0 * d0) + tuple(
+            dmat.at(j, q) * kd[s][p] for p in range(d1) for q in range(d1)))
+    rop = LinearMap(dM, n, Matrix.from_columns(
+        n, coords(kmat, rop_vecs, "vector is not a chain map")))
     return RelativeRBAlgebra(alg, mod, rop)

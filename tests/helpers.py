@@ -13,7 +13,9 @@ from rotabaxter.algebra import (
 from rotabaxter.cohomology import (
     RRBCochain, cochain_space_dims, semidirect_complex,
 )
-from rotabaxter.linalg import Matrix, Q, TensorIndex, paste, solve
+from rotabaxter.linalg import (
+    Matrix, Q, TensorIndex, kron, paste, signed_sum, solve,
+)
 from rotabaxter.rrb import RelativeRBAlgebra, induced_dendriform
 from rotabaxter.rrb_modules import (
     RRBBimodule, dendriform_to_rrb, lift_bimodule, mtot_action_bimodule,
@@ -711,7 +713,8 @@ def ref_check_homotopy_rrb_operator(a, m, r):
 # Reference assemblers: the index loops that built the differential, the
 # Hochschild differential, the comparison map and the semidirect inclusion
 # entry by entry before they were assembled from term lists, kept verbatim
-# (the differential reads ref_hochschild_matrix).  They share with
+# (the differential reads ref_hochschild_matrix), and the unit-vector
+# products that built the matrix of an OnColumns term.  They share with
 # rotabaxter only Matrix, TensorIndex, paste, the structure types, the
 # cochain dimensions and the M_Tot action, so the term lists are checked
 # against an independent indexing of the same formulas.  The labelled
@@ -720,6 +723,27 @@ def ref_check_homotopy_rrb_operator(a, m, r):
 # differential, is kept verbatim too.
 
 ONE = Q(1)
+
+
+def _unit(n, j):
+    """The n x 1 unit column e_j."""
+    return Matrix._of(n, 1, [{0: ONE} if i == j else {} for i in range(n)])
+
+
+def ref_on_columns_matrix(t, y, x_first, rows, cols):
+    """The matrix of X -> t kron(y, X) (t kron(X, y) when x_first) on
+    rows x cols matrices X, split over the columns y e_j of y into
+    products P_j X Q_j, as linalg.OnColumns.matrix built it before it read
+    t's nonzeros directly."""
+    ix, iq, n = Matrix.identity(rows), Matrix.identity(cols), y.cols
+    parts = [(1, Matrix(t.rows * n * cols, rows * cols))]
+    for j in range(n):
+        e = _unit(n, j)
+        yj = y * e
+        parts.append((1, kron(t * kron(ix, yj), kron(iq, e))
+                      if x_first else
+                      kron(t * kron(yj, ix), kron(e, iq))))
+    return signed_sum(parts)
 
 
 def ref_hochschild_matrix(mod, k):

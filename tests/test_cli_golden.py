@@ -1,10 +1,12 @@
 """The commands print and write exactly what they did when these tables were
 recorded.
 
-GOLDEN: the exit code and the sha256 of stdout of validate, cohomology,
-hochschild, derivations and chainmap-check (at degrees 1 and 2), in text
-and JSON, on samples 6, 14 and 16 and on the pair whose four dimensions are
-1 and whose structure is zero.
+GOLDEN: the exit code and the sha256 of stdout of validate, cohomology and
+hochschild (to degrees 3 and 4), derivations and chainmap-check (at
+degrees 1 and 2), in text and JSON, on samples 6, 14 and 16 and on the
+pair whose four dimensions are 1 and whose structure is zero.  cohomology
+to degree 4 runs on sample 6 and that pair only: on samples 14 and 16 it
+ranks a 4617x1296 differential, seconds per run.
 
 WRITTEN: the exit code, the sha256 of stdout and the sha256 of the written
 file of semidirect, dual, lift, dendriform, extend, extract-cocycle (with
@@ -41,11 +43,17 @@ COMMANDS = {
     "validate": ("validate",),
     "cohomology": ("cohomology", "--max-degree", "3"),
     "hochschild": ("hochschild", "--max-degree", "3"),
+    "cohomology-4": ("cohomology", "--max-degree", "4"),
+    "hochschild-4": ("hochschild", "--max-degree", "4"),
     "derivations": ("derivations",),
     "chainmap-check": ("chainmap-check",),
     "chainmap-check-2": ("chainmap-check", "--degree", "2"),
 }
 FORMATS = ("text", "json")
+FIXTURES = ("sample6", "sample14", "sample16", "ones")
+GOLDEN_KEYS = [(f, c, fmt) for f in FIXTURES for c in COMMANDS
+               for fmt in FORMATS
+               if not (c == "cohomology-4" and f in ("sample14", "sample16"))]
 
 
 def fixture(name):
@@ -97,6 +105,14 @@ GOLDEN = {
         (0, '5a9681a40d8f96b7ac0b3203a6bcdfed08466dbf532be688fd804dceee287707'),
     ('sample6', 'hochschild', 'json'):
         (0, 'b3946316c33705ce39e59fa9b2cd69cc8f74d88cdaf699f3f5cfde49734d08cd'),
+    ('sample6', 'cohomology-4', 'text'):
+        (0, '3a406e4641fa7e88d3761081a8dc5710515eff8510b6244c7575c72830faf9e5'),
+    ('sample6', 'cohomology-4', 'json'):
+        (0, '42094e15bc608a55e903216df71cebb7cf4e555c0c5577d0c615bd7e05cfda87'),
+    ('sample6', 'hochschild-4', 'text'):
+        (0, '5da3fd3922b794a00e448ab75a403c819341bebdcb993d5915235085409575f2'),
+    ('sample6', 'hochschild-4', 'json'):
+        (0, '6140962116a4c5de4f71436a8ff5fb9caa09c1178337601f5d42d23c6fd84c1a'),
     ('sample6', 'derivations', 'text'):
         (0, '5a44e309029e8c6d767b2157c858e4a2d1dce474f49f545a7ef6977ea520c59b'),
     ('sample6', 'derivations', 'json'):
@@ -121,6 +137,10 @@ GOLDEN = {
         (0, 'a554546d29c8f57efbcd73dfa5f2bc4ffebb7ec219451cdc78188477c510a64f'),
     ('sample14', 'hochschild', 'json'):
         (0, 'a63afcd27b3d40b3daabdb6babfffe93c07b0a48877d628dfeaaf9a823eccea6'),
+    ('sample14', 'hochschild-4', 'text'):
+        (0, 'eacc1468563a8dfe6485214e0bd0a63777faf2efa3ac39e19492653a287b8ff2'),
+    ('sample14', 'hochschild-4', 'json'):
+        (0, 'f27733fc37081b76ae8ec597323fa427b22e819d95600034713337e108e911da'),
     ('sample14', 'derivations', 'text'):
         (0, 'c20783d1b8b69772b66d6fa96fa9d12af1286077e416a1706420817ebd94bb4a'),
     ('sample14', 'derivations', 'json'):
@@ -145,6 +165,10 @@ GOLDEN = {
         (0, 'a554546d29c8f57efbcd73dfa5f2bc4ffebb7ec219451cdc78188477c510a64f'),
     ('sample16', 'hochschild', 'json'):
         (0, 'a63afcd27b3d40b3daabdb6babfffe93c07b0a48877d628dfeaaf9a823eccea6'),
+    ('sample16', 'hochschild-4', 'text'):
+        (0, 'eacc1468563a8dfe6485214e0bd0a63777faf2efa3ac39e19492653a287b8ff2'),
+    ('sample16', 'hochschild-4', 'json'):
+        (0, 'f27733fc37081b76ae8ec597323fa427b22e819d95600034713337e108e911da'),
     ('sample16', 'derivations', 'text'):
         (0, 'fe9659d14810206c31502bb42c179f150b41f2f325a317e37366e0aaeccf9b9f'),
     ('sample16', 'derivations', 'json'):
@@ -169,6 +193,14 @@ GOLDEN = {
         (0, 'f8a10581974c063c806819649f84cebe2ac5d0c4eea76c91ff2b2079c0ddc866'),
     ('ones', 'hochschild', 'json'):
         (0, 'e87b90444882a2ef5be4a03c65474f2bf3417d31db7638e93c99fde5daa37a23'),
+    ('ones', 'cohomology-4', 'text'):
+        (0, '9b4c1f7b617403bdbf226a27f25ff917b3a34a173b055aa877a191468c28c71f'),
+    ('ones', 'cohomology-4', 'json'):
+        (0, '8c32c163c7f9100205d007b3daa212b33bba4c9808d996bb2eb866b391c68e3c'),
+    ('ones', 'hochschild-4', 'text'):
+        (0, 'a71686250b7c0c74df7a56da4053651bc2076d40a6acb76031fafe9a15d48f06'),
+    ('ones', 'hochschild-4', 'json'):
+        (0, '61b28a76027a37f8ec1e7177b70e2e9097ce6c29b906c6152c5e771efd7f74d6'),
     ('ones', 'derivations', 'text'):
         (0, '8639616c304eaf9a3da692b432a9c713f274423c75763a30bcf6f9ab089a47c8'),
     ('ones', 'derivations', 'json'):
@@ -195,9 +227,7 @@ def fixture_paths(tmp_path_factory):
 
 
 def test_table_covers_every_command_format_and_fixture():
-    assert set(GOLDEN) == {(f, c, fmt)
-                           for f in ("sample6", "sample14", "sample16", "ones")
-                           for c in COMMANDS for fmt in FORMATS}
+    assert set(GOLDEN) == set(GOLDEN_KEYS)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids="-".join)
@@ -565,14 +595,13 @@ def test_serialized_pairs_are_unchanged():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         print("GOLDEN = {")
-        for name in ("sample6", "sample14", "sample16", "ones"):
+        for name in FIXTURES:
             path = Path(work) / f"{name}.json"
             write_fixture(name, path)
-            for command in COMMANDS:
-                for fmt in FORMATS:
-                    rc, sha = run(command, fmt, path)
-                    print(f"    ({name!r}, {command!r}, {fmt!r}):\n"
-                          f"        ({rc}, {sha!r}),")
+            for key in GOLDEN_KEYS:
+                if key[0] == name:
+                    rc, sha = run(key[1], key[2], path)
+                    print(f"    {key!r}:\n        ({rc}, {sha!r}),")
         print("}")
         print("WRITTEN = {")
         for name in WRITER_FIXTURES:

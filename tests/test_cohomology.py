@@ -461,12 +461,17 @@ def test_assemblers_match_index_loop_reference():
     Hochschild differentials of the base and of M_Tot in degrees 0-3, the
     rest in degrees 1-3), on d_4 of the fixtures whose dimensions are all
     3, and after a one-entry change of each structure tensor on seeds 0-11
-    (the pairings are nonzero on 7 of them)."""
+    (the pairings are nonzero on 7 of them).  Some seeds have a
+    zero-dimensional space."""
     maps = ((rrb_differential_matrix, ref.ref_rrb_differential_matrix),
             (psi_matrix, ref.ref_psi_matrix),
             (semidirect_inclusion_matrix,
              ref.ref_semidirect_inclusion_matrix))
     pairs = [random_rrb_pair(seed) for seed in range(100)]
+    # a zero-dimensional space makes terms with no nonzeros and blocks
+    # with no rows or columns
+    assert any(0 in (x.algebra.dim, x.module.dim, b.base.dim, b.fiber.dim)
+               for x, b in pairs)
     for seed, (x, b) in enumerate(pairs):
         for mod in (b.base, mtot_action_bimodule(b).actions):
             for k in range(4):

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from rotabaxter.linalg import (
-    Matrix, Q, TensorIndex, format_rational, homology_dims,
+    Matrix, OnColumns, Q, TensorIndex, format_rational, homology_dims,
     inverse, kernel_basis, kron, parse_rational, paste, rank, solve,
     solve_columns,
 )
 
-from helpers import reference_elimination, reference_inverse
+from helpers import (
+    ref_on_columns_matrix, reference_elimination, reference_inverse,
+)
 
 
 def mat(rows):
@@ -226,6 +228,31 @@ def test_kron_columns_join_the_tuples():
         assert out.column(t) == tuple(
             left.at(0, TensorIndex((2, 3)).flatten((i, j))) * ident.at(r, k)
             for r in range(2))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_on_columns_matrix_matches_reference(seed):
+    # a random bilinear map t of an n-dimensional space and rows-dimensional
+    # columns, 0 included, in both orientations: the matrix equals the
+    # unit-vector construction and, times X read row-major, equals apply(X)
+    rng = random.Random(seed)
+    n, rows, cols, out = (rng.randint(0, 3) for _ in range(4))
+    if seed < 12:  # each of n, rows, cols zero on some seeds
+        n, rows, cols = [(0, 2, 3), (2, 0, 3), (2, 3, 0)][seed % 3]
+    t = Matrix(out, n * rows, [Q(rng.choice((0, 0, 1, -1, 2)),
+                                 rng.choice((1, 1, 2, 3)))
+                               for _ in range(out * n * rows)])
+    x = Matrix(rows, cols, [Q(rng.randint(-3, 3), rng.choice((1, 2)))
+                            for _ in range(rows * cols)])
+    for x_first in (False, True):
+        term = OnColumns(t, n, x_first)
+        m = term.matrix(rows, cols)
+        assert m == ref_on_columns_matrix(t, Matrix.identity(n), x_first,
+                                          rows, cols), (n, rows, cols)
+        image = term.apply(x)
+        assert (image.rows, image.cols) == (out, n * cols)
+        assert m * Matrix(rows * cols, 1, x.entries) == \
+            Matrix(m.rows, 1, image.entries)
 
 
 def test_kron_needs_matrices():

@@ -1,5 +1,7 @@
 """Every function, class and method defined in src is used: its name is
-referenced somewhere in src or tests (dunders are called by the language)."""
+referenced somewhere in src or tests (dunders are called by the language).
+Every local a src function assigns is read, in the function or in one
+nested in it (names starting with _ are exempt)."""
 
 import ast
 import pathlib
@@ -35,3 +37,56 @@ def test_every_definition_is_referenced():
                          and node.name.endswith("__")))
     dead = [f"{where} {name}" for name, where in defined if name not in used]
     assert not dead, f"defined but never referenced: {', '.join(dead)}"
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def own_nodes(func):
+    """The nodes of func's body outside the functions nested in it."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(tree):
+    """(function, name, line) for each name a function assigns and neither
+    it nor a function nested in it reads."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, shared = {}, set()
+        for node in own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        for name, line in stored.items():
+            if not (name in read or name in shared or name.startswith("_")):
+                yield func.name, name, line
+
+
+def test_unused_locals_are_found():
+    tree = ast.parse(
+        "def f(n):\n"
+        "    ia, im = g(n), g(n)\n"
+        "    for i, _j in pairs(n):\n"
+        "        total = i\n"
+        "    def inner():\n"
+        "        return im\n"
+        "    return inner\n")
+    assert set(unused_locals(tree)) == {("f", "ia", 2), ("f", "total", 4)}
+
+
+def test_every_local_is_read():
+    unused = [f"{path.name}:{line} {func}: {name}"
+              for path in sorted(SRC.glob("*.py"))
+              for func, name, line in unused_locals(
+                  ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert not unused, f"assigned but never read: {', '.join(unused)}"
