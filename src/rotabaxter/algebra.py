@@ -23,8 +23,9 @@ assembles.
 Every structure on a direct sum (semidirect products, square-zero
 extensions, lifted and glued structures elsewhere) is assembled by
 block_constants: the first summand's basis comes first, and each block's
-nonzeros sit at its summands' offsets.  bilinear reads a map on a
-flattened U (x) V as such a block.
+nonzeros sit at its summands' offsets.  A linear map is its linalg.Matrix;
+one on a flattened U (x) V is read as a bilinear map by
+StructureConstants.from_matrix.
 """
 
 from __future__ import annotations
@@ -32,13 +33,9 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .linalg import (
-    Matrix, OnColumns, Product, Q, TensorIndex, ZERO, assemble_terms,
+    Matrix, OnColumns, Product, TensorIndex, ZERO, assemble_terms,
     format_rational, homology_dims, kron, padded, signed_sum,
 )
-
-
-def basis_vec(n, i):
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
 
 
 class Violation:
@@ -244,9 +241,6 @@ class StructureConstants:
                 (other.dim_left, other.dim_right)
                 and self.matrix == other.matrix)
 
-    def __hash__(self):
-        return hash((self.dim_left, self.dim_right, self.dim_out))
-
     def __add__(self, other):
         if (self.dim_left, self.dim_right, self.dim_out) != \
                 (other.dim_left, other.dim_right, other.dim_out):
@@ -255,61 +249,12 @@ class StructureConstants:
             self.dim_left, self.dim_right, self.matrix + other.matrix)
 
 
-class LinearMap:
-    """Linear map with explicit domain/codomain dims and its matrix."""
-
-    __slots__ = ("domain_dim", "codomain_dim", "matrix")
-
-    def __init__(self, domain_dim, codomain_dim, matrix):
-        if matrix.rows != codomain_dim or matrix.cols != domain_dim:
-            raise ShapeError(
-                f"matrix is {matrix.rows}x{matrix.cols}, map needs "
-                f"{codomain_dim}x{domain_dim}")
-        self.domain_dim = domain_dim
-        self.codomain_dim = codomain_dim
-        self.matrix = matrix
-
-    @staticmethod
-    def zero(domain_dim, codomain_dim):
-        return LinearMap(domain_dim, codomain_dim,
-                         Matrix.zero(codomain_dim, domain_dim))
-
-    @staticmethod
-    def identity(n):
-        return LinearMap(n, n, Matrix.identity(n))
-
-    @staticmethod
-    def from_matrix(matrix):
-        return LinearMap(matrix.cols, matrix.rows, matrix)
-
-    def __call__(self, vec):
-        return self.matrix.apply(vec)
-
-    def compose(self, inner):
-        """self after inner."""
-        if inner.codomain_dim != self.domain_dim:
-            raise ShapeError(
-                "cannot compose: inner map lands in dimension "
-                f"{inner.codomain_dim}, outer map starts at {self.domain_dim}")
-        return LinearMap(inner.domain_dim, self.codomain_dim,
-                         self.matrix * inner.matrix)
-
-    def __add__(self, other):
-        return LinearMap(self.domain_dim, self.codomain_dim,
-                         self.matrix + other.matrix)
-
-    def __neg__(self):
-        return LinearMap(self.domain_dim, self.codomain_dim, -self.matrix)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def transpose(self):
-        return LinearMap(self.codomain_dim, self.domain_dim,
-                         self.matrix.transpose())
-
-    def __eq__(self, other):
-        return isinstance(other, LinearMap) and self.matrix == other.matrix
+def LinearMap(dom, cod, matrix):
+    """Shape-check matrix and return it; kept because perfbench calls it."""
+    if matrix.rows != cod or matrix.cols != dom:
+        raise ShapeError(
+            f"matrix is {matrix.rows}x{matrix.cols}, map needs {cod}x{dom}")
+    return matrix
 
 
 def block_constants(left, right, out, blocks):
@@ -331,14 +276,6 @@ def block_constants(left, right, out, blocks):
             i, j = divmod(t_in, t.dim_right)
             m.add(oo[r] + k, (lo[p] + i) * ro[-1] + ro[q] + j, v)
     return StructureConstants.from_matrix(lo[-1], ro[-1], m)
-
-
-def bilinear(lin, dim_left, dim_right):
-    """A linear map on the flattened U (x) V as the bilinear map U (x) V -> W.
-
-    Both factor dimensions are given, since either may be 0.
-    """
-    return StructureConstants.from_matrix(dim_left, dim_right, lin.matrix)
 
 
 def default_names(prefix, dim):

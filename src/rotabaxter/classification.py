@@ -25,8 +25,8 @@ both directions, tensor-exactly.
 from __future__ import annotations
 
 from .algebra import (
-    AssocAlgebra, Bimodule, LinearMap, Report, ShapeError, StructuralError,
-    StructureConstants, Violation, bilinear, block_constants,
+    AssocAlgebra, Bimodule, Report, ShapeError, StructuralError,
+    StructureConstants, Violation, block_constants,
     check_associativity, check_bimodule,
 )
 from .cohomology import (
@@ -68,20 +68,16 @@ class AbelianExtension:
         dB, dN = fiber.dim0, fiber.dim1
         if total.algebra.dim != dA + dB or total.module.dim != dM + dN:
             raise ShapeError("total dimensions must be base plus fiber")
-        if (alg_incl.domain_dim, alg_incl.codomain_dim) != \
-                (dB, total.algebra.dim):
+        if (alg_incl.cols, alg_incl.rows) != (dB, total.algebra.dim):
             raise ShapeError("algebra embedding must send the fiber into "
                              "the total")
-        if (mod_incl.domain_dim, mod_incl.codomain_dim) != \
-                (dN, total.module.dim):
+        if (mod_incl.cols, mod_incl.rows) != (dN, total.module.dim):
             raise ShapeError("module embedding must send the fiber into "
                              "the total")
-        if (alg_proj.domain_dim, alg_proj.codomain_dim) != \
-                (total.algebra.dim, dA):
+        if (alg_proj.cols, alg_proj.rows) != (total.algebra.dim, dA):
             raise ShapeError("algebra projection must send the total onto "
                              "the base")
-        if (mod_proj.domain_dim, mod_proj.codomain_dim) != \
-                (total.module.dim, dM):
+        if (mod_proj.cols, mod_proj.rows) != (total.module.dim, dM):
             raise ShapeError("module projection must send the total onto "
                              "the base")
         self.base = base
@@ -105,16 +101,14 @@ class Section:
     def validate(self, e):
         """Shapes plus proj o s = id on both rows; returns self."""
         dA, dM = e.base.algebra.dim, e.base.module.dim
-        if (self.s.domain_dim, self.s.codomain_dim) != \
-                (dA, e.total.algebra.dim):
+        if (self.s.cols, self.s.rows) != (dA, e.total.algebra.dim):
             raise ShapeError("s must map the base algebra into the total")
-        if (self.sbar.domain_dim, self.sbar.codomain_dim) != \
-                (dM, e.total.module.dim):
+        if (self.sbar.cols, self.sbar.rows) != (dM, e.total.module.dim):
             raise ShapeError("sbar must map the base module into the total")
-        if e.alg_proj.compose(self.s).matrix != Matrix.identity(dA):
+        if e.alg_proj * self.s != Matrix.identity(dA):
             raise StructuralError("s is not a right inverse of the algebra "
                                   "projection")
-        if e.mod_proj.compose(self.sbar).matrix != Matrix.identity(dM):
+        if e.mod_proj * self.sbar != Matrix.identity(dM):
             raise StructuralError("sbar is not a right inverse of the module "
                                   "projection")
         return self
@@ -122,10 +116,10 @@ class Section:
 
 def _right_inverse(p):
     # columns solved with all free coordinates zero, hence deterministic
-    cols = solve_columns(p.matrix, Matrix.identity(p.codomain_dim))
+    cols = solve_columns(p, Matrix.identity(p.rows))
     if None in cols:
         raise StructuralError("projection is not surjective")
-    return LinearMap.from_matrix(Matrix.from_columns(p.domain_dim, cols))
+    return Matrix.from_columns(p.cols, cols)
 
 
 def canonical_section(e):
@@ -141,10 +135,10 @@ def canonical_section(e):
 def _fiber_coords(incl, values, what):
     """The matrix of coordinates of the columns of values inside the image
     of an embedding; the first column outside it raises."""
-    cols = solve_columns(incl.matrix, values)
+    cols = solve_columns(incl, values)
     if None in cols:
         raise StructuralError(what + " does not land in the fiber")
-    return Matrix.from_columns(incl.domain_dim, cols)
+    return Matrix.from_columns(incl.cols, cols)
 
 
 def _fiber_rrb(fiber):
@@ -171,20 +165,20 @@ def check_abelian_extension(e):
     dA, dM = e.base.algebra.dim, e.base.module.dim
     dB, dN = e.fiber.dim0, e.fiber.dim1
     rep.require("alg_embedding_injective", (),
-                (rank(e.alg_incl.matrix),), (dB,))
+                (rank(e.alg_incl),), (dB,))
     rep.require("mod_embedding_injective", (),
-                (rank(e.mod_incl.matrix),), (dN,))
+                (rank(e.mod_incl),), (dN,))
     rep.require("alg_projection_surjective", (),
-                (rank(e.alg_proj.matrix),), (dA,))
+                (rank(e.alg_proj),), (dA,))
     rep.require("mod_projection_surjective", (),
-                (rank(e.mod_proj.matrix),), (dM,))
+                (rank(e.mod_proj),), (dM,))
     # with the rank and dimension facts above, proj o incl = 0 pins
     # image of the embedding = kernel of the projection on both rows
     rep.require("alg_row_exact", (),
-                e.alg_proj.compose(e.alg_incl).matrix.entries,
+                (e.alg_proj * e.alg_incl).entries,
                 Matrix.zero(dA, dB).entries)
     rep.require("mod_row_exact", (),
-                e.mod_proj.compose(e.mod_incl).matrix.entries,
+                (e.mod_proj * e.mod_incl).entries,
                 Matrix.zero(dM, dN).entries)
     _merge_prefixed(rep, check_morphism(
         RRBMorphism(_fiber_rrb(e.fiber), e.total, e.alg_incl, e.mod_incl)),
@@ -199,13 +193,11 @@ def check_abelian_extension(e):
 
 
 def _block_incl(small, big, offset):
-    return LinearMap.from_matrix(
-        paste(Matrix(big, small), Matrix.identity(small), offset))
+    return paste(Matrix(big, small), Matrix.identity(small), offset)
 
 
 def _block_proj(big, small):
-    return LinearMap.from_matrix(
-        paste(Matrix(small, big), Matrix.identity(small)))
+    return paste(Matrix(small, big), Matrix.identity(small))
 
 
 def build_extension(x, b, c):
@@ -234,19 +226,19 @@ def build_extension(x, b, c):
     big_alg = AssocAlgebra(
         dA + dB, split.algebra.mu + block_constants(
             alg_dims, alg_dims, alg_dims,
-            {(0, 0, 1): bilinear(alpha, dA, dA)}),
+            {(0, 0, 1): StructureConstants.from_matrix(dA, dA, alpha)}),
         split.algebra.basis_names)
     big_mod = Bimodule(
         big_alg, dM + dN,
         split.module.left + block_constants(
             alg_dims, mod_dims, mod_dims,
-            {(0, 0, 1): bilinear(beta2, dA, dM)}),
+            {(0, 0, 1): StructureConstants.from_matrix(dA, dM, beta2)}),
         split.module.right + block_constants(
             mod_dims, alg_dims, mod_dims,
-            {(0, 0, 1): bilinear(beta1, dM, dA)}),
+            {(0, 0, 1): StructureConstants.from_matrix(dM, dA, beta1)}),
         split.module.basis_names)
-    rop = split.rop.matrix + paste(Matrix(dA + dB, dM + dN), gamma.matrix, dA)
-    total = RelativeRBAlgebra(big_alg, big_mod, LinearMap.from_matrix(rop))
+    rop = split.rop + paste(Matrix(dA + dB, dM + dN), gamma, dA)
+    total = RelativeRBAlgebra(big_alg, big_mod, rop)
     for bad in (check_associativity(big_alg), check_bimodule(big_mod),
                 check_relative_rb(total)):
         if not bad:
@@ -275,17 +267,17 @@ def extract_cocycle(e, sec):
     sec.validate(e)
     base, tot = e.base, e.total
     dA, dM = base.algebra.dim, base.module.dim
-    s, sbar = sec.s.matrix, sec.sbar.matrix
+    s, sbar = sec.s, sec.sbar
     alpha = _fiber_coords(
         e.alg_incl,
         tot.algebra.mu.on_columns(s, s) - s * base.algebra.mu.matrix,
         "product defect")
     # both action defects are read before either raises, so that the
     # first reported is the first in the loop over (u, i), right first
-    beta1 = solve_columns(e.mod_incl.matrix,
+    beta1 = solve_columns(e.mod_incl,
                           tot.module.right.on_columns(sbar, s)
                           - sbar * base.module.right.matrix)
-    beta2 = solve_columns(e.mod_incl.matrix,
+    beta2 = solve_columns(e.mod_incl,
                           tot.module.left.on_columns(s, sbar)
                           - sbar * base.module.left.matrix)
     for u in range(dM):
@@ -297,14 +289,11 @@ def extract_cocycle(e, sec):
                 raise StructuralError(
                     "left action defect does not land in the fiber")
     gamma = _fiber_coords(e.alg_incl,
-                          tot.rop.matrix * sbar - s * base.rop.matrix,
+                          tot.rop * sbar - s * base.rop,
                           "operator defect")
     dN = e.fiber.dim1
-    return RRBCochain(
-        2, LinearMap.from_matrix(alpha),
-        tuple(LinearMap.from_matrix(Matrix.from_columns(dN, cols))
-              for cols in (beta1, beta2)),
-        LinearMap.from_matrix(gamma))
+    return RRBCochain(2, alpha, tuple(Matrix.from_columns(dN, cols)
+                                      for cols in (beta1, beta2)), gamma)
 
 
 def induced_fiber_bimodule(e, sec):
@@ -322,8 +311,8 @@ def induced_fiber_bimodule(e, sec):
     tot = e.total
     dA, dM = e.base.algebra.dim, e.base.module.dim
     dB, dN = e.fiber.dim0, e.fiber.dim1
-    s, sbar = sec.s.matrix, sec.sbar.matrix
-    ib, i_n = e.alg_incl.matrix, e.mod_incl.matrix
+    s, sbar = sec.s, sec.sbar
+    ib, i_n = e.alg_incl, e.mod_incl
     mu, left, right = tot.algebra.mu, tot.module.left, tot.module.right
 
     def induced(dl, dr, values, incl, what):
@@ -375,12 +364,9 @@ def _same_bimodule(b1, b2):
 
 def _shear(sec1, sec2, corr, incl1, incl2, proj):
     # v |-> s2(p(v)) + i2( i1-coords(v - s1(p(v))) + corr(p(v)) )
-    p = proj.matrix
     complement = _fiber_coords(
-        incl1, Matrix.identity(proj.domain_dim) - sec1.matrix * p,
-        "section complement")
-    return LinearMap.from_matrix(
-        sec2.matrix * p + incl2.matrix * (complement + corr.matrix * p))
+        incl1, Matrix.identity(proj.cols) - sec1 * proj, "section complement")
+    return sec2 * proj + incl2 * (complement + corr * proj)
 
 
 def extension_iso_from_cobounding(e1, e2, theta, vartheta):
@@ -396,9 +382,9 @@ def extension_iso_from_cobounding(e1, e2, theta, vartheta):
     x = e1.base
     dA, dM = x.algebra.dim, x.module.dim
     dB, dN = e1.fiber.dim0, e1.fiber.dim1
-    if (theta.domain_dim, theta.codomain_dim) != (dA, dB):
+    if (theta.cols, theta.rows) != (dA, dB):
         raise ShapeError("theta must map the base algebra into the fiber")
-    if (vartheta.domain_dim, vartheta.codomain_dim) != (dM, dN):
+    if (vartheta.cols, vartheta.rows) != (dM, dN):
         raise ShapeError("vartheta must map the base module into the fiber")
     sec1, sec2 = canonical_section(e1), canonical_section(e2)
     coeff = induced_fiber_bimodule(e1, sec1)
@@ -434,17 +420,13 @@ def check_extension_morphism(e1, e2, mor):
     rep = Report("extension_morphism")
     rep.merge(check_morphism(mor))
     rep.require("fixes_fiber_algebra", (),
-                mor.phi.compose(e1.alg_incl).matrix.entries,
-                e2.alg_incl.matrix.entries)
+                (mor.phi * e1.alg_incl).entries, e2.alg_incl.entries)
     rep.require("fixes_fiber_module", (),
-                mor.psi.compose(e1.mod_incl).matrix.entries,
-                e2.mod_incl.matrix.entries)
+                (mor.psi * e1.mod_incl).entries, e2.mod_incl.entries)
     rep.require("covers_base_algebra", (),
-                e2.alg_proj.compose(mor.phi).matrix.entries,
-                e1.alg_proj.matrix.entries)
+                (e2.alg_proj * mor.phi).entries, e1.alg_proj.entries)
     rep.require("covers_base_module", (),
-                e2.mod_proj.compose(mor.psi).matrix.entries,
-                e1.mod_proj.matrix.entries)
+                (e2.mod_proj * mor.psi).entries, e1.mod_proj.entries)
     return rep
 
 
@@ -468,7 +450,7 @@ class TwoTermAInfty:
 
     def __init__(self, dim0, dim1, d, mu2, mu3):
         mu00, mu01, mu10 = mu2
-        if (d.domain_dim, d.codomain_dim) != (dim1, dim0):
+        if (d.cols, d.rows) != (dim1, dim0):
             raise ShapeError("differential must map degree 1 to degree 0")
         if (mu00.dim_left, mu00.dim_right, mu00.dim_out) != \
                 (dim0, dim0, dim0):
@@ -479,7 +461,7 @@ class TwoTermAInfty:
         if (mu10.dim_left, mu10.dim_right, mu10.dim_out) != \
                 (dim1, dim0, dim1):
             raise ShapeError("degree (1,0) block must be A1 x A0 -> A1")
-        if (mu3.domain_dim, mu3.codomain_dim) != (dim0 ** 3, dim1):
+        if (mu3.cols, mu3.rows) != (dim0 ** 3, dim1):
             raise ShapeError("corrector must map the degree-0 cube into A1")
         self.dim0 = dim0
         self.dim1 = dim1
@@ -492,15 +474,15 @@ class TwoTermAInfty:
     @staticmethod
     def zero(dim0, dim1):
         return TwoTermAInfty(
-            dim0, dim1, LinearMap.zero(dim1, dim0),
+            dim0, dim1, Matrix.zero(dim0, dim1),
             (StructureConstants.zero(dim0, dim0, dim0),
              StructureConstants.zero(dim0, dim1, dim1),
              StructureConstants.zero(dim1, dim0, dim1)),
-            LinearMap.zero(dim0 ** 3, dim1))
+            Matrix.zero(dim1, dim0 ** 3))
 
     @property
     def skeletal(self):
-        return self.d.matrix.is_zero()
+        return self.d.is_zero()
 
 
 class AInftyBimodule:
@@ -525,7 +507,7 @@ class AInftyBimodule:
         right00, right01, right10 = right
         mu3m = tuple(mu3m)
         d0, d1 = over.dim0, over.dim1
-        if (dm.domain_dim, dm.codomain_dim) != (dim1, dim0):
+        if (dm.cols, dm.rows) != (dim1, dim0):
             raise ShapeError("differential must map degree 1 to degree 0")
         blocks = ((left00, (d0, dim0, dim0), "left00"),
                   (left01, (d0, dim1, dim1), "left01"),
@@ -541,8 +523,7 @@ class AInftyBimodule:
         if len(mu3m) != 3:
             raise ShapeError("the corrector needs three slot blocks")
         for s, block in enumerate(mu3m, start=1):
-            if (block.domain_dim, block.codomain_dim) != \
-                    (d0 * d0 * dim0, dim1):
+            if (block.cols, block.rows) != (d0 * d0 * dim0, dim1):
                 raise ShapeError(f"corrector slot {s} must map the mixed "
                                  "triple product into M1")
         self.over = over
@@ -561,14 +542,14 @@ class AInftyBimodule:
     def zero(over, dim0, dim1):
         d0, d1 = over.dim0, over.dim1
         return AInftyBimodule(
-            over, dim0, dim1, LinearMap.zero(dim1, dim0),
+            over, dim0, dim1, Matrix.zero(dim0, dim1),
             (StructureConstants.zero(d0, dim0, dim0),
              StructureConstants.zero(d0, dim1, dim1),
              StructureConstants.zero(d1, dim0, dim1)),
             (StructureConstants.zero(dim0, d0, dim0),
              StructureConstants.zero(dim0, d1, dim1),
              StructureConstants.zero(dim1, d0, dim1)),
-            tuple(LinearMap.zero(d0 * d0 * dim0, dim1) for _ in range(3)))
+            tuple(Matrix.zero(dim1, d0 * d0 * dim0) for _ in range(3)))
 
     @staticmethod
     def adjoint(over):
@@ -581,7 +562,7 @@ class AInftyBimodule:
 
     @property
     def skeletal(self):
-        return self.dm.matrix.is_zero()
+        return self.dm.is_zero()
 
 
 class HomotopyRRBOperator:
@@ -595,11 +576,10 @@ class HomotopyRRBOperator:
     __slots__ = ("r0", "r1", "r2")
 
     def __init__(self, r0, r1, r2):
-        if (r2.dim_left, r2.dim_right) != \
-                (r0.domain_dim, r0.domain_dim):
+        if (r2.dim_left, r2.dim_right) != (r0.cols, r0.cols):
             raise ShapeError("corrector must consume two degree-0 module "
                              "factors")
-        if r2.dim_out != r1.codomain_dim:
+        if r2.dim_out != r1.rows:
             raise ShapeError("corrector must land in the degree-1 algebra "
                              "layer")
         self.r0 = r0
@@ -609,8 +589,8 @@ class HomotopyRRBOperator:
     @staticmethod
     def zero(a, m):
         return HomotopyRRBOperator(
-            LinearMap.zero(m.dim0, a.dim0),
-            LinearMap.zero(m.dim1, a.dim1),
+            Matrix.zero(a.dim0, m.dim0),
+            Matrix.zero(a.dim1, m.dim1),
             StructureConstants.zero(m.dim0, m.dim0, a.dim1))
 
 
@@ -670,7 +650,7 @@ class _TwoTermEnv:
 
     def d(self, x):
         lin = self.alg.d if x.space == "a" else self.mod.dm
-        return _Graded(x.space, 0, lin.matrix * x.mat)
+        return _Graded(x.space, 0, lin * x.mat)
 
     def mu2(self, x, y):
         block = self.blocks[(x.space, x.deg, y.space, y.deg)]
@@ -681,8 +661,8 @@ class _TwoTermEnv:
         spaces = (x.space, y.space, z.space)
         flat = kron(kron(x.mat, y.mat), z.mat)
         if spaces == ("a", "a", "a"):
-            return _Graded("a", 1, self.alg.mu3.matrix * flat)
-        return _Graded("m", 1, self.mod.mu3m[spaces.index("m")].matrix * flat)
+            return _Graded("a", 1, self.alg.mu3 * flat)
+        return _Graded("m", 1, self.mod.mu3m[spaces.index("m")] * flat)
 
     def law(self, name, degs, spaces, lhs, rhs):
         """One law of _TWO_TERM_LAWS with its inputs in the given layers,
@@ -765,15 +745,15 @@ def check_homotopy_rrb_operator(a, m, r):
     with r1 so that every term lands in the degree-1 algebra layer.
     """
     _require_fit(a, m)
-    if (r.r0.domain_dim, r.r0.codomain_dim) != (m.dim0, a.dim0) or \
-            (r.r1.domain_dim, r.r1.codomain_dim) != (m.dim1, a.dim1):
+    if (r.r0.cols, r.r0.rows) != (m.dim0, a.dim0) or \
+            (r.r1.cols, r.r1.rows) != (m.dim1, a.dim1):
         raise ShapeError("operator layers must map the module complex into "
                          "the algebra complex")
     rep = Report("homotopy_rrb_operator")
     d0, d1 = m.dim0, m.dim1
     i0, i1 = Matrix.identity(d0), Matrix.identity(d1)
-    r0, r1, r2 = r.r0.matrix, r.r1.matrix, r.r2.matrix
-    da, dm = a.d.matrix, m.dm.matrix
+    r0, r1, r2 = r.r0, r.r1, r.r2.matrix
+    da, dm = a.d, m.dm
     # the operator intertwines the two complexes
     rep.require_laws([("chain_map", (d1,), da * r1, r0 * dm, None)])
     # the degree-0 defect is the boundary of the corrector; circ is
@@ -792,15 +772,15 @@ def check_homotopy_rrb_operator(a, m, r):
          - a.mu10.on_columns(r1, r0), r.r2.on_columns(dm, i0),
          lambda v, u: (u, v))])
     # the two correctors are compatible, at basis triples (u, w, z)
-    mixed = (m.mu3m[0].matrix * kron(kron(i0, r0), r0) +
-             m.mu3m[1].matrix * kron(kron(r0, i0), r0) +
-             m.mu3m[2].matrix * kron(kron(r0, r0), i0))
+    mixed = (m.mu3m[0] * kron(kron(i0, r0), r0) +
+             m.mu3m[1] * kron(kron(r0, i0), r0) +
+             m.mu3m[2] * kron(kron(r0, r0), i0))
     acc = (a.mu01.on_columns(r0, r2) - r1 * m.right01.on_columns(i0, r2)
            - r.r2.on_columns(circ, i0) + r.r2.on_columns(i0, circ)
            - a.mu10.on_columns(r2, r0) + r1 * m.left10.on_columns(r2, i0)
            + r1 * mixed)
     rep.require_laws([("baxter_corrector", (d0,) * 3, acc,
-                       a.mu3.matrix * kron(kron(r0, r0), r0), None)])
+                       a.mu3 * kron(kron(r0, r0), r0), None)])
     return rep
 
 
@@ -833,7 +813,7 @@ def skeletal_to_triple(a, m, r, verify=True):
         Bimodule(alg, a.dim1, a.mu01, a.mu10),
         Bimodule(alg, m.dim1, m.left01, m.right10),
         r.r1, m.right01, m.left10)
-    c = RRBCochain(3, a.mu3, m.mu3m, LinearMap.from_matrix(r.r2.matrix))
+    c = RRBCochain(3, a.mu3, m.mu3m, r.r2.matrix)
     if verify:
         for bad in (check_relative_rb(x), check_rrb_bimodule(coeff)):
             if not bad:
@@ -859,11 +839,12 @@ def triple_to_skeletal(x, b, c, verify=True):
         cocycle_report(x, b, c, strict=True)
     dM, dB = x.module.dim, b.base.dim
     a = TwoTermAInfty(
-        x.algebra.dim, dB, LinearMap.zero(dB, x.algebra.dim),
+        x.algebra.dim, dB, Matrix.zero(x.algebra.dim, dB),
         (x.algebra.mu, b.base.left, b.base.right), c.alpha)
     m = AInftyBimodule(
-        a, dM, b.fiber.dim, LinearMap.zero(b.fiber.dim, dM),
+        a, dM, b.fiber.dim, Matrix.zero(dM, b.fiber.dim),
         (x.module.left, b.fiber.left, b.right_pair),
         (x.module.right, b.left_pair, b.fiber.right),
         c.beta)
-    return a, m, HomotopyRRBOperator(x.rop, b.sop, bilinear(c.gamma, dM, dM))
+    return a, m, HomotopyRRBOperator(
+        x.rop, b.sop, StructureConstants.from_matrix(dM, dM, c.gamma))

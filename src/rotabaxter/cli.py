@@ -112,6 +112,12 @@ def _coefficients(sf, args, what):
     return x_d.name, x_d.obj, "adjoint", adjoint_bimodule(x_d.obj)
 
 
+def _coefficient_guard(args, xname, x, bname, b):
+    """_guard on the algebra and the coefficients _coefficients returned."""
+    return _guard(args, [(f"{xname} (rrb_algebra)", check_relative_rb(x)),
+                         (f"{bname} (coefficients)", check_rrb_bimodule(b))])
+
+
 def _check_declaration(sf, d):
     kind = d.kind
     if kind == "assoc_algebra":
@@ -176,8 +182,7 @@ def cmd_cohomology(args):
         raise ParseError("--max-degree must be at least 1 for cohomology")
     sf = ff.parse_path(args.file)
     xname, x, bname, b = _coefficients(sf, args, "cohomology")
-    rc = _guard(args, [(f"{xname} (rrb_algebra)", check_relative_rb(x)),
-                       (f"{bname} (coefficients)", check_rrb_bimodule(b))])
+    rc = _coefficient_guard(args, xname, x, bname, b)
     if rc:
         return rc
     dims = rrb_cohomology_dims(x, b, args.max_degree)
@@ -216,8 +221,7 @@ def cmd_hochschild(args):
 def cmd_derivations(args):
     sf = ff.parse_path(args.file)
     xname, x, bname, b = _coefficients(sf, args, "derivations")
-    rc = _guard(args, [(f"{xname} (rrb_algebra)", check_relative_rb(x)),
-                       (f"{bname} (coefficients)", check_rrb_bimodule(b))])
+    rc = _coefficient_guard(args, xname, x, bname, b)
     if rc:
         return rc
     basis = derivation_basis(x, b)
@@ -226,10 +230,10 @@ def cmd_derivations(args):
     elems = []
     for n, c in enumerate(basis):
         lines.append(f"derivation {n + 1}:")
-        lines.append(f"  alpha = {_matrix_text(c.alpha.matrix)}")
-        lines.append(f"  beta = {_matrix_text(c.beta[0].matrix)}")
-        elems.append({"alpha": format_matrix(c.alpha.matrix),
-                      "beta": format_matrix(c.beta[0].matrix)})
+        lines.append(f"  alpha = {_matrix_text(c.alpha)}")
+        lines.append(f"  beta = {_matrix_text(c.beta[0])}")
+        elems.append({"alpha": format_matrix(c.alpha),
+                      "beta": format_matrix(c.beta[0])})
     _emit(args, {"command": "derivations", "ok": True, "over": xname,
                  "coefficients": bname, "dimension": len(basis),
                  "basis": elems}, lines)
@@ -433,14 +437,14 @@ def cmd_extract_cocycle(args):
     if not crep.ok:
         return _fail(args, [("extracted cochain", crep)])
     blob = {"degree": c.degree,
-            "alpha": format_matrix(c.alpha.matrix),
-            "beta": [format_matrix(s.matrix) for s in c.beta],
-            "gamma": format_matrix(c.gamma.matrix)}
+            "alpha": format_matrix(c.alpha),
+            "beta": [format_matrix(s) for s in c.beta],
+            "gamma": format_matrix(c.gamma)}
     lines = [f"degree 2 cocycle extracted with section '{sec_name}'",
-             f"alpha = {_matrix_text(c.alpha.matrix)}"]
+             f"alpha = {_matrix_text(c.alpha)}"]
     for s, slot in enumerate(c.beta):
-        lines.append(f"beta {s + 1} = {_matrix_text(slot.matrix)}")
-    lines.append(f"gamma = {_matrix_text(c.gamma.matrix)}")
+        lines.append(f"beta {s + 1} = {_matrix_text(slot)}")
+    lines.append(f"gamma = {_matrix_text(c.gamma)}")
     lines.append("cocycle condition: pass")
     _emit(args, {"command": "extract-cocycle", "ok": True,
                  "section": sec_name, "cocycle": blob}, lines)
@@ -528,8 +532,7 @@ def cmd_chainmap_check(args):
         raise ParseError("--degree must be at least 1")
     sf = ff.parse_path(args.file)
     xname, x, bname, b = _coefficients(sf, args, "chainmap-check")
-    rc = _guard(args, [(f"{xname} (rrb_algebra)", check_relative_rb(x)),
-                       (f"{bname} (coefficients)", check_rrb_bimodule(b))])
+    rc = _coefficient_guard(args, xname, x, bname, b)
     if rc:
         return rc
     den, _, morph = induced_dendriform(x)

@@ -47,7 +47,7 @@ from __future__ import annotations
 from math import prod
 
 from .algebra import (
-    Bimodule, LinearMap, Report, ShapeError, StructuralError,
+    Bimodule, Report, ShapeError, StructuralError,
     hochschild_terms,
 )
 from .linalg import (
@@ -87,8 +87,7 @@ class RRBCochain:
         if (gamma is None) != (degree == 1):
             raise ShapeError("gamma is present exactly when the degree is >= 2")
         for bs in beta:
-            if (bs.domain_dim, bs.codomain_dim) != \
-                    (beta[0].domain_dim, beta[0].codomain_dim):
+            if (bs.rows, bs.cols) != (beta[0].rows, beta[0].cols):
                 raise ShapeError("slot maps must share their shape")
         self.degree = degree
         self.alpha = alpha
@@ -99,15 +98,14 @@ class RRBCochain:
         """Check all shapes against a structure pair; returns self."""
         dA, dM = x.algebra.dim, x.module.dim
         k = self.degree
-        if self.alpha.domain_dim != dA ** k or \
-                self.alpha.codomain_dim != b.base.dim:
+        if self.alpha.cols != dA ** k or self.alpha.rows != b.base.dim:
             raise ShapeError("alpha must map A^(x)k into the base")
         slot = dA ** (k - 1) * dM
         for bs in self.beta:
-            if bs.domain_dim != slot or bs.codomain_dim != b.fiber.dim:
+            if bs.cols != slot or bs.rows != b.fiber.dim:
                 raise ShapeError("slot maps must land in the fiber")
-        if k >= 2 and (self.gamma.domain_dim != dM ** (k - 1) or
-                       self.gamma.codomain_dim != b.base.dim):
+        if k >= 2 and (self.gamma.cols != dM ** (k - 1) or
+                       self.gamma.rows != b.base.dim):
             raise ShapeError("gamma must map M^(x)(k-1) into the base")
         return self
 
@@ -124,11 +122,11 @@ class RRBCochain:
 
     @staticmethod
     def zero(x, b, k):
-        return RRBCochain.of_blocks(k, [LinearMap.zero(cols, rows) for
+        return RRBCochain.of_blocks(k, [Matrix(rows, cols) for
                                         rows, cols in _block_shapes(x, b, k)])
 
     def vector(self):
-        return tuple(v for m in self.blocks() for v in m.matrix.entries)
+        return tuple(v for m in self.blocks() for v in m.entries)
 
     @staticmethod
     def from_vector(x, b, k, vec):
@@ -139,8 +137,7 @@ class RRBCochain:
             raise ShapeError(f"vector length {len(vec)}, expected {size}")
         maps, pos = [], 0
         for rows, cols in shapes:
-            maps.append(LinearMap(cols, rows, Matrix(
-                rows, cols, vec[pos:pos + rows * cols])))
+            maps.append(Matrix(rows, cols, vec[pos:pos + rows * cols]))
             pos += rows * cols
         return RRBCochain.of_blocks(k, maps)
 
@@ -256,10 +253,10 @@ def rrb_terms(x, b, k):
     im, gamma = Matrix.identity(x.module.dim), k + 2
     terms = [(s, 0, 0, t) for s, t in hochschild_terms(b.base, k)]
     terms.extend(_slot_terms(x, b, k))
-    r = _powers(x.rop.matrix, k)
+    r = _powers(x.rop, k)
     terms.append(((-1) ** k, 0, gamma, Product(None, r[k])))
     terms.extend((-(-1) ** k, i, gamma,
-                  Product(b.sop.matrix, kron(kron(r[i - 1], im), r[k - i])))
+                  Product(b.sop, kron(kron(r[i - 1], im), r[k - i])))
                  for i in range(1, k + 1))
     if k >= 2:
         terms.extend(
@@ -274,10 +271,9 @@ def rrb_differential(x, b, k, c):
     if c.degree != k:
         raise ShapeError(f"cochain degree {c.degree} != {k}")
     c.validate(x, b)
-    out = apply_terms(rrb_terms(x, b, k), [m.matrix for m in c.blocks()],
+    out = apply_terms(rrb_terms(x, b, k), c.blocks(),
                       _block_shapes(x, b, k + 1))
-    return RRBCochain.of_blocks(k + 1,
-                                [LinearMap.from_matrix(m) for m in out])
+    return RRBCochain.of_blocks(k + 1, out)
 
 
 def rrb_differential_matrix(x, b, k):
@@ -304,7 +300,7 @@ def cocycle_report(x, b, c, strict=False):
         blocks.append(("gamma", "gamma", img.gamma))
     rep, bad = Report("cocycle"), []
     for law, name, m in blocks:
-        vals = m.matrix.entries
+        vals = m.entries
         if any(vals):
             bad.append(name)
         rep.require(f"differential_vanishes[{law}]", (), vals,
@@ -338,7 +334,7 @@ def check_derivation(x, b, alpha, beta):
     """
     alg, mod = x.algebra, x.module
     dA, dM = alg.dim, mod.dim
-    a, bm = alpha.matrix, beta.matrix
+    a, bm = alpha, beta
     ia, im = Matrix.identity(dA), Matrix.identity(dM)
     rep = Report("derivation_pair")
     # at each basis vector of A: leibniz over A, then both actions over M
@@ -352,8 +348,8 @@ def check_derivation(x, b, alpha, beta):
         ("right_action", (dM, dA), bm * mod.right.matrix,
          b.fiber.right.on_columns(bm, ia) + b.left_pair.on_columns(im, a),
          lambda u, i: (i, 1, u))])
-    rep.require_laws([("intertwine", (dM,), a * x.rop.matrix,
-                       b.sop.matrix * bm, None)])
+    rep.require_laws([("intertwine", (dM,), a * x.rop,
+                       b.sop * bm, None)])
     return rep
 
 
@@ -390,7 +386,7 @@ def rb_restrict(pair, k, c):
         emb = RRBCochain(k, c.beta, (c.beta,) * k, c.gamma)
     img = rrb_differential(x, coeff, k, emb)
     for bs in img.beta:
-        if bs.matrix != img.alpha.matrix:
+        if bs != img.alpha:
             raise StructuralError(
                 "restricted image has a slot map disagreeing with its "
                 "tensor component")

@@ -28,7 +28,7 @@ import json
 
 from .algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
-    LinearMap, ShapeError, StructureConstants,
+    ShapeError, StructureConstants,
 )
 from .classification import (
     AbelianExtension, AInftyBimodule, HomotopyRRBOperator, Section,
@@ -203,7 +203,7 @@ def _parse_linear(raw, spaces):
             if not isinstance(row, list) or len(row) != dom:
                 raise ParseError(f"{key}.matrix[{i}]: needs {dom} entries")
             flat.extend(_rat(v, f"{key}.matrix[{i}]") for v in row)
-        out[name] = LinearMap(dom, cod, Matrix(cod, dom, flat))
+        out[name] = Matrix(cod, dom, flat)
     return out
 
 
@@ -380,8 +380,8 @@ def _build_homotopy_rrb(entry, key, rs):
     m = rs.decl(entry["module"], ("ainfty_bimodule",), key).obj
     r0 = rs.lin(entry["r0"], key)
     r1 = rs.lin(entry["r1"], key)
-    if (r0.domain_dim, r0.codomain_dim) != (m.dim0, a.dim0) or \
-            (r1.domain_dim, r1.codomain_dim) != (m.dim1, a.dim1):
+    if (r0.cols, r0.rows) != (m.dim0, a.dim0) or \
+            (r1.cols, r1.rows) != (m.dim1, a.dim1):
         raise ParseError(f"{key}: operator layers do not map the module "
                          "complex into the algebra complex")
     r = HomotopyRRBOperator(r0, r1, rs.bilin(entry["r2"], key))
@@ -529,7 +529,7 @@ def add_bilinear(doc, name, frm, to, sc):
 
 def add_linear(doc, name, frm, to, lin):
     doc["linear"][name] = {"from": frm if isinstance(frm, str) else list(frm),
-                           "to": to, "matrix": format_matrix(lin.matrix)}
+                           "to": to, "matrix": format_matrix(lin)}
     return name
 
 

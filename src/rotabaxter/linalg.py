@@ -26,8 +26,9 @@ Conventions fixed here and relied on by every other module:
 
 * scalars are fractions.Fraction: reduced rationals with positive
   denominator;
-* a linear map's matrix has codomain-dim rows and domain-dim columns, and
-  acts on column vectors;
+* a linear map is its Matrix: codomain-dim rows and domain-dim columns,
+  acting on column vectors (apply), composed by the product (f * g is f
+  after g);
 * tensor products flatten big-endian: the FIRST factor varies slowest.  So for
   factor dims (d1, d2) the pair (i1, i2) flattens to i1*d2 + i2.
 """

@@ -14,7 +14,7 @@ endomorphism example built from a 2-term chain complex.
 from __future__ import annotations
 
 from .algebra import (
-    AssocAlgebra, Bimodule, DendriformAlgebra, LinearMap, Report, ShapeError,
+    AssocAlgebra, Bimodule, DendriformAlgebra, Report, ShapeError,
     StructuralError, StructureConstants, semidirect_algebra, total_algebra,
 )
 from .linalg import Matrix, Q, kernel_basis, paste, solve_columns
@@ -28,7 +28,7 @@ class RelativeRBAlgebra:
     def __init__(self, algebra, module, rop):
         if module.over is not algebra and module.over.mu != algebra.mu:
             raise ShapeError("module is not over the given algebra")
-        if rop.domain_dim != module.dim or rop.codomain_dim != algebra.dim:
+        if rop.cols != module.dim or rop.rows != algebra.dim:
             raise ShapeError("operator must map the module into the algebra")
         self.algebra = algebra
         self.module = module
@@ -36,9 +36,8 @@ class RelativeRBAlgebra:
 
     @staticmethod
     def zero_operator(module):
-        return RelativeRBAlgebra(
-            module.over, module,
-            LinearMap.zero(module.dim, module.over.dim))
+        return RelativeRBAlgebra(module.over, module,
+                                 Matrix.zero(module.over.dim, module.dim))
 
 
 class RRBMorphism:
@@ -47,11 +46,11 @@ class RRBMorphism:
     __slots__ = ("source", "target", "phi", "psi")
 
     def __init__(self, source, target, phi, psi):
-        if phi.domain_dim != source.algebra.dim or \
-                phi.codomain_dim != target.algebra.dim:
+        if phi.cols != source.algebra.dim or \
+                phi.rows != target.algebra.dim:
             raise ShapeError("phi must map source algebra to target algebra")
-        if psi.domain_dim != source.module.dim or \
-                psi.codomain_dim != target.module.dim:
+        if psi.cols != source.module.dim or \
+                psi.rows != target.module.dim:
             raise ShapeError("psi must map source module to target module")
         self.source = source
         self.target = target
@@ -60,8 +59,8 @@ class RRBMorphism:
 
     @staticmethod
     def identity(x):
-        return RRBMorphism(x, x, LinearMap.identity(x.algebra.dim),
-                           LinearMap.identity(x.module.dim))
+        return RRBMorphism(x, x, Matrix.identity(x.algebra.dim),
+                           Matrix.identity(x.module.dim))
 
 
 class RMatrix:
@@ -84,7 +83,7 @@ class TwoTermComplex:
     __slots__ = ("dim0", "dim1", "d")
 
     def __init__(self, dim0, dim1, d):
-        if d.domain_dim != dim1 or d.codomain_dim != dim0:
+        if d.cols != dim1 or d.rows != dim0:
             raise ShapeError("differential must map degree 1 to degree 0")
         self.dim0 = dim0
         self.dim1 = dim1
@@ -94,7 +93,7 @@ class TwoTermComplex:
 def check_relative_rb(x):
     """The relative Rota-Baxter identity on all basis pairs of M."""
     rep = Report("relative_rota_baxter")
-    mod, r = x.module, x.rop.matrix
+    mod, r = x.module, x.rop
     ident = Matrix.identity(mod.dim)
     rep.require_laws([("rrb_identity", (mod.dim,) * 2,
                        x.algebra.mu.on_columns(r, r),
@@ -105,7 +104,7 @@ def check_relative_rb(x):
 
 def check_rota_baxter(alg, rop):
     """The (plain) Rota-Baxter identity of an operator A -> A."""
-    if rop.domain_dim != alg.dim or rop.codomain_dim != alg.dim:
+    if rop.cols != alg.dim or rop.rows != alg.dim:
         raise ShapeError("Rota-Baxter operator must be an endomorphism")
     return check_relative_rb(
         RelativeRBAlgebra(alg, Bimodule.adjoint(alg), rop))
@@ -115,7 +114,7 @@ def check_morphism(mor):
     """The four morphism conditions, reported in order of first failure."""
     rep = Report("rrb_morphism")
     src, tgt = mor.source, mor.target
-    phi, psi = mor.phi.matrix, mor.psi.matrix
+    phi, psi = mor.phi, mor.psi
     dA, dM = src.algebra.dim, src.module.dim
     rep.require_laws([("algebra_morphism", (dA, dA),
                        phi * src.algebra.mu.matrix,
@@ -125,8 +124,8 @@ def check_morphism(mor):
          tgt.module.left.on_columns(phi, psi), None),
         ("right_action_intertwine", (dM, dA), psi * src.module.right.matrix,
          tgt.module.right.on_columns(psi, phi), lambda u, i: (i, u))])
-    rep.require_laws([("operator_intertwine", (dM,), phi * src.rop.matrix,
-                       tgt.rop.matrix * psi, None)])
+    rep.require_laws([("operator_intertwine", (dM,), phi * src.rop,
+                       tgt.rop * psi, None)])
     return rep
 
 
@@ -139,13 +138,12 @@ def lift_to_rb(x):
     """
     total = semidirect_algebra(x.module)
     n = total.dim
-    return total, LinearMap.from_matrix(
-        paste(Matrix(n, n), x.rop.matrix, 0, x.algebra.dim))
+    return total, paste(Matrix(n, n), x.rop, 0, x.algebra.dim)
 
 
 def induced_dendriform_algebra(x):
     """Dendriform structure m < m' = m.R(m'), m > m' = R(m).m' on M."""
-    mod, r = x.module, x.rop.matrix
+    mod, r = x.module, x.rop
     dM = mod.dim
     im = Matrix.identity(dM)
     prec = StructureConstants.from_matrix(dM, dM,
@@ -163,7 +161,7 @@ def induced_dendriform(x):
     """
     den = induced_dendriform_algebra(x)
     mtot = total_algebra(den)
-    r, dM = x.rop.matrix, den.dim
+    r, dM = x.rop, den.dim
     rep = Report("total_operator_is_algebra_morphism")
     rep.require_laws([("R_multiplicative", (dM, dM), r * mtot.mu.matrix,
                        x.algebra.mu.on_columns(r, r), None)])
@@ -231,7 +229,7 @@ def rb_from_r_matrix(r):
     """The Rota-Baxter operator R(a) = sum r[i][j] e_i . a . e_j."""
     alg, d = r.over, r.over.dim
     sandwiches = alg.mu.on_columns(alg.mu.matrix, Matrix.identity(d))
-    return alg, LinearMap(d, d, sandwiches * _sandwich_weights(r, d))
+    return alg, sandwiches * _sandwich_weights(r, d)
 
 
 def rb_bimodule_from_r_matrix(r, mod):
@@ -240,8 +238,7 @@ def rb_bimodule_from_r_matrix(r, mod):
         raise ShapeError("bimodule must be over the r-matrix algebra")
     sandwiches = mod.right.on_columns(mod.left.matrix,
                                       Matrix.identity(r.over.dim))
-    return LinearMap(mod.dim, mod.dim,
-                     sandwiches * _sandwich_weights(r, mod.dim))
+    return sandwiches * _sandwich_weights(r, mod.dim)
 
 
 class RBBimodulePair:
@@ -250,9 +247,9 @@ class RBBimodulePair:
     __slots__ = ("algebra", "rop", "module", "mop")
 
     def __init__(self, algebra, rop, module, mop):
-        if mop.domain_dim != module.dim or mop.codomain_dim != module.dim:
+        if mop.cols != module.dim or mop.rows != module.dim:
             raise ShapeError("module operator must be an endomorphism of M")
-        if rop.domain_dim != algebra.dim or rop.codomain_dim != algebra.dim:
+        if rop.cols != algebra.dim or rop.rows != algebra.dim:
             raise ShapeError("algebra operator must be an endomorphism of A")
         self.algebra = algebra
         self.rop = rop
@@ -268,7 +265,7 @@ def check_rb_bimodule(pair):
     """
     rep = Report("rb_bimodule")
     left, right = pair.module.left, pair.module.right
-    ra, rm = pair.rop.matrix, pair.mop.matrix
+    ra, rm = pair.rop, pair.mop
     dA, dM = pair.algebra.dim, pair.module.dim
     ia, im = Matrix.identity(dA), Matrix.identity(dM)
     rep.require_laws([
@@ -292,7 +289,7 @@ def endomorphism_rrb(cx):
     k_s (x) e_j^* over the kernel basis (k_s) of d, ordered (s, j).
     """
     d0, d1 = cx.dim0, cx.dim1
-    dmat = cx.d.matrix  # d0 x d1
+    dmat = cx.d  # d0 x d1
     nvars = d0 * d0 + d1 * d1
     cond = []
     for i in range(d0):
@@ -364,6 +361,6 @@ def endomorphism_rrb(cx):
         s, j = divmod(su, d0)
         rop_vecs.append((Q(0),) * (d0 * d0) + tuple(
             dmat.at(j, q) * kd[s][p] for p in range(d1) for q in range(d1)))
-    rop = LinearMap(dM, n, Matrix.from_columns(
-        n, coords(kmat, rop_vecs, "vector is not a chain map")))
+    rop = Matrix.from_columns(
+        n, coords(kmat, rop_vecs, "vector is not a chain map"))
     return RelativeRBAlgebra(alg, mod, rop)

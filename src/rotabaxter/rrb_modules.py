@@ -22,7 +22,7 @@ derivation pairs).
 from __future__ import annotations
 
 from .algebra import (
-    Bimodule, DendriformRepresentation, LinearMap, Report, ShapeError,
+    Bimodule, DendriformRepresentation, Report, ShapeError,
     StructuralError, StructureConstants, block_constants, dual_bimodule,
     semidirect_algebra, total_algebra,
 )
@@ -51,7 +51,7 @@ class RRBBimodule:
         for part in (base, fiber):
             if part.over is not alg and part.over.mu != alg.mu:
                 raise ShapeError("base and fiber must be bimodules over A")
-        if sop.domain_dim != fiber.dim or sop.codomain_dim != base.dim:
+        if sop.cols != fiber.dim or sop.rows != base.dim:
             raise ShapeError("complex map must send the fiber into the base")
         dM = over.module.dim
         if (left_pair.dim_left, left_pair.dim_right, left_pair.dim_out) != \
@@ -75,7 +75,7 @@ class RRBBimodule:
             over,
             Bimodule.zero_actions(alg, dim_base),
             Bimodule.zero_actions(alg, dim_fiber),
-            LinearMap.zero(dim_fiber, dim_base),
+            Matrix.zero(dim_base, dim_fiber),
             StructureConstants.zero(over.module.dim, dim_base, dim_fiber),
             StructureConstants.zero(dim_base, over.module.dim, dim_fiber))
 
@@ -127,7 +127,7 @@ def check_pairing_identities(module, base, fiber, left_pair, right_pair):
 def check_operator_identities(b):
     """The two identities coupling R with the complex map S."""
     rep = Report("operator_identities")
-    r, s = b.over.rop.matrix, b.sop.matrix
+    r, s = b.over.rop, b.sop
     dM, dN = b.over.module.dim, b.fiber.dim
     im, i_n = Matrix.identity(dM), Matrix.identity(dN)
     rep.require_laws([
@@ -185,7 +185,7 @@ def morphism_induced_bimodule(mor):
     alg = src.algebra
     dA, dM = alg.dim, src.module.dim
     dB, dN = tgt.algebra.dim, tgt.module.dim
-    phi, psi = mor.phi.matrix, mor.psi.matrix
+    phi, psi = mor.phi, mor.psi
     ib, i_n = Matrix.identity(dB), Matrix.identity(dN)
     mu, left, right = tgt.algebra.mu, tgt.module.left, tgt.module.right
     base = Bimodule(
@@ -227,9 +227,9 @@ def semidirect_rrb(b):
             (1, 0, 1): b.fiber.right}),
         x.module.basis_names + b.fiber.basis_names)
     rop = Matrix(big_alg.dim, big_mod.dim)
-    paste(rop, x.rop.matrix)
-    paste(rop, b.sop.matrix, x.algebra.dim, x.module.dim)
-    return RelativeRBAlgebra(big_alg, big_mod, LinearMap.from_matrix(rop))
+    paste(rop, x.rop)
+    paste(rop, b.sop, x.algebra.dim, x.module.dim)
+    return RelativeRBAlgebra(big_alg, big_mod, rop)
 
 
 def lift_bimodule(b):
@@ -260,8 +260,7 @@ def lift_bimodule(b):
             (1, 0, 1): b.fiber.right}),
         b.base.basis_names + b.fiber.basis_names)
     n = lifted.dim
-    return lifted, LinearMap.from_matrix(
-        paste(Matrix(n, n), b.sop.matrix, 0, b.base.dim))
+    return lifted, paste(Matrix(n, n), b.sop, 0, b.base.dim)
 
 
 def mtot_action_bimodule(b):
@@ -272,7 +271,7 @@ def mtot_action_bimodule(b):
     x = b.over
     mtot = total_algebra(induced_dendriform_algebra(x))
     dM, dB = x.module.dim, b.base.dim
-    r, s, ib = x.rop.matrix, b.sop.matrix, Matrix.identity(dB)
+    r, s, ib = x.rop, b.sop, Matrix.identity(dB)
     left = b.base.left.on_columns(r, ib) - s * b.left_pair.matrix
     right = b.base.right.on_columns(ib, r) - s * b.right_pair.matrix
     actions = Bimodule(
@@ -291,7 +290,7 @@ def induced_dendriform_representation(b):
     x = b.over
     den = induced_dendriform_algebra(x)
     dM, dN = x.module.dim, b.fiber.dim
-    r, s = x.rop.matrix, b.sop.matrix
+    r, s = x.rop, b.sop
     im, i_n = Matrix.identity(dM), Matrix.identity(dN)
     left_prec, left_succ = (
         StructureConstants.from_matrix(dM, dN, m)
@@ -317,13 +316,13 @@ def dendriform_to_rrb(d, e):
     """
     dtot = total_algebra(d)
     dmod = Bimodule(dtot, d.dim, d.succ, d.prec, d.basis_names)
-    x = RelativeRBAlgebra(dtot, dmod, LinearMap.identity(d.dim))
+    x = RelativeRBAlgebra(dtot, dmod, Matrix.identity(d.dim))
     etot = Bimodule(dtot, e.dim,
                     e.left_prec + e.left_succ,
                     e.right_prec + e.right_succ,
                     e.basis_names)
     efib = Bimodule(dtot, e.dim, e.left_succ, e.right_prec, e.basis_names)
-    bim = RRBBimodule(x, etot, efib, LinearMap.identity(e.dim),
+    bim = RRBBimodule(x, etot, efib, Matrix.identity(e.dim),
                       e.left_prec, e.right_succ)
     return x, bim
 
@@ -342,9 +341,9 @@ class DifferentialPair:
 
     def __init__(self, algebra, module, base, fiber, d, delta,
                  left_pair, right_pair):
-        if d.domain_dim != algebra.dim or d.codomain_dim != module.dim:
+        if d.cols != algebra.dim or d.rows != module.dim:
             raise ShapeError("derivation must map the algebra into the module")
-        if delta.domain_dim != base.dim or delta.codomain_dim != fiber.dim:
+        if delta.cols != base.dim or delta.rows != fiber.dim:
             raise ShapeError("delta must map the base into the fiber")
         if (left_pair.dim_left, left_pair.dim_right, left_pair.dim_out) != \
                 (module.dim, base.dim, fiber.dim):
@@ -366,7 +365,7 @@ def check_differential_pair(p):
     """Derivation law, pairing identities, and the two delta laws."""
     rep = Report("differential_pair")
     alg, mod, base, fiber = p.algebra, p.module, p.base, p.fiber
-    d, delta = p.d.matrix, p.delta.matrix
+    d, delta = p.d, p.delta
     ia, ib = Matrix.identity(alg.dim), Matrix.identity(base.dim)
     rep.require_laws([("derivation", (alg.dim,) * 2, d * alg.mu.matrix,
                        mod.left.on_columns(ia, d) +
@@ -394,14 +393,13 @@ def invert_differential_pair(p):
     if not check:
         raise StructuralError("differential pair laws fail:\n" +
                               check.describe())
-    if p.d.domain_dim != p.d.codomain_dim or \
-            p.delta.domain_dim != p.delta.codomain_dim:
+    if p.d.cols != p.d.rows or p.delta.cols != p.delta.rows:
         raise StructuralError("inversion needs dim M = dim A, dim N = dim B")
-    rinv = inverse(p.d.matrix)
-    sinv = inverse(p.delta.matrix)
+    rinv = inverse(p.d)
+    sinv = inverse(p.delta)
     if rinv is None or sinv is None:
         raise StructuralError("derivation or delta is not invertible")
-    x = RelativeRBAlgebra(p.algebra, p.module, LinearMap.from_matrix(rinv))
-    bim = RRBBimodule(x, p.base, p.fiber, LinearMap.from_matrix(sinv),
+    x = RelativeRBAlgebra(p.algebra, p.module, rinv)
+    bim = RRBBimodule(x, p.base, p.fiber, sinv,
                       p.left_pair, p.right_pair)
     return x, bim

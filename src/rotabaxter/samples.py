@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .algebra import (
-    AssocAlgebra, Bimodule, LinearMap, StructureConstants,
-)
+from .algebra import AssocAlgebra, Bimodule, StructureConstants
 from .cohomology import RRBCochain, cochain_space_dims, rrb_differential_matrix
 from .linalg import Matrix, Q, inverse, kernel_basis
 from .rrb import (
@@ -65,7 +63,7 @@ def random_matrix(rng, rows, cols, density=0.6, span=4):
 
 
 def random_linear_map(rng, dom, cod, density=0.6, span=4):
-    return LinearMap(dom, cod, random_matrix(rng, cod, dom, density, span))
+    return random_matrix(rng, cod, dom, density, span)
 
 
 def random_constants(rng, dim_left, dim_right, dim_out, density=0.5, span=3):
@@ -79,7 +77,7 @@ def random_constants(rng, dim_left, dim_right, dim_out, density=0.5, span=3):
 def random_invertible(rng, n, steps=None):
     """Invertible n x n map built from elementary row operations."""
     if n == 0:
-        return LinearMap(0, 0, Matrix.zero(0, 0))
+        return Matrix.zero(0, 0)
     rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     if steps is None:
         steps = 2 * n + 2
@@ -95,21 +93,20 @@ def random_invertible(rng, n, steps=None):
             rows[i] = [u + c * v for u, v in zip(rows[i], rows[j])]
         else:
             rows[i], rows[j] = rows[j], rows[i]
-    return LinearMap(n, n, Matrix.from_rows(rows))
+    return Matrix.from_rows(rows)
 
 
 def _inv(p):
-    m = inverse(p.matrix)
+    m = inverse(p)
     if m is None:
         raise ValueError("change of basis must be invertible")
-    return LinearMap.from_matrix(m)
+    return m
 
 
 def transport_bilinear(c, f, g, h_inv):
     """Constants of h^-1 . c . (f (x) g) on the new bases."""
     return StructureConstants.from_matrix(
-        f.domain_dim, g.domain_dim,
-        h_inv.matrix * c.on_columns(f.matrix, g.matrix))
+        f.cols, g.cols, h_inv * c.on_columns(f, g))
 
 
 def transport_rrb(x, p, q):
@@ -120,7 +117,7 @@ def transport_rrb(x, p, q):
     mod = Bimodule(alg, x.module.dim,
                    transport_bilinear(x.module.left, p, q, q_inv),
                    transport_bilinear(x.module.right, q, p, q_inv))
-    return RelativeRBAlgebra(alg, mod, p_inv.compose(x.rop).compose(q))
+    return RelativeRBAlgebra(alg, mod, p_inv * x.rop * q)
 
 
 def transport_bimodule(b, x_new, p, q, u, v):
@@ -138,7 +135,7 @@ def transport_bimodule(b, x_new, p, q, u, v):
                      transport_bilinear(b.fiber.left, p, v, v_inv),
                      transport_bilinear(b.fiber.right, v, p, v_inv))
     return RRBBimodule(x_new, base, fiber,
-                       u_inv.compose(b.sop).compose(v),
+                       u_inv * b.sop * v,
                        transport_bilinear(b.left_pair, q, u, v_inv),
                        transport_bilinear(b.right_pair, u, q, v_inv))
 
@@ -171,9 +168,8 @@ def _truncated_poly():
 
 
 def _adjoint_with(alg, rop_rows):
-    return RelativeRBAlgebra(
-        alg, Bimodule.adjoint(alg),
-        LinearMap(alg.dim, alg.dim, Matrix.from_rows(rop_rows)))
+    return RelativeRBAlgebra(alg, Bimodule.adjoint(alg),
+                             Matrix.from_rows(rop_rows))
 
 
 def catalog_rrb(rng):
@@ -203,7 +199,7 @@ def catalog_rrb(rng):
         field,
         Bimodule(field, 1, StructureConstants.zero(1, 1, 1),
                  _sc(1, 1, 1, {(0, 0, 0): 1})),
-        LinearMap.identity(1))
+        Matrix.identity(1))
     out.append(one_sided)
 
     # square-zero extension, operator 1 -> c t, t -> 0 (any scale works)
@@ -260,7 +256,7 @@ def catalog_bimodules(rng, x):
         out.append(RRBBimodule(
             x, Bimodule.zero_actions(alg, dim_b),
             Bimodule.zero_actions(alg, dim_n),
-            LinearMap.zero(dim_n, dim_b),
+            Matrix.zero(dim_b, dim_n),
             random_constants(rng, x.module.dim, dim_b, dim_n),
             random_constants(rng, dim_b, x.module.dim, dim_n)))
     return out
@@ -305,7 +301,7 @@ def operator_break_pair(seed=0):
         law = "operator_right"
     b = RRBBimodule(x, Bimodule.zero_actions(alg, dim),
                     Bimodule.zero_actions(alg, dim),
-                    LinearMap.identity(dim), lp, rp)
+                    Matrix.identity(dim), lp, rp)
     return b, law
 
 
@@ -318,13 +314,11 @@ def bump_constants(c, where, delta=ONE):
                                           c.matrix + bump)
 
 
-def bump_map(lin, where, delta=ONE):
-    """Copy of a linear map with matrix entry (row, col) shifted by delta."""
-    r0, c0 = where
-    rows = [list(lin.matrix.row(i)) for i in range(lin.codomain_dim)]
-    rows[r0][c0] += Q(delta)
-    return LinearMap(lin.domain_dim, lin.codomain_dim,
-                     Matrix.from_rows(rows))
+def bump_map(m, where, delta=ONE):
+    """Copy of a linear map with entry (row, col) shifted by delta."""
+    bump = Matrix(m.rows, m.cols)
+    bump.add(*where, Q(delta))
+    return m + bump
 
 
 def random_rrb_cochain(seed, x, b, k, density=0.7, span=3):

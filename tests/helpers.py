@@ -7,8 +7,8 @@ from fractions import Fraction
 from itertools import product
 
 from rotabaxter.algebra import (
-    AssocAlgebra, Bimodule, LinearMap, Report, ShapeError, StructuralError,
-    StructureConstants, _square_zero_dendriform, basis_vec, hochschild_matrix,
+    AssocAlgebra, Bimodule, Report, ShapeError, StructuralError,
+    StructureConstants, _square_zero_dendriform, hochschild_matrix,
 )
 from rotabaxter.cohomology import (
     RRBCochain, cochain_space_dims, semidirect_complex,
@@ -44,9 +44,12 @@ def sc(dim_left, dim_right, dim_out, entries):
     return StructureConstants(dim_left, dim_right, dim_out, data)
 
 
+def basis_vec(n, i):
+    return tuple(Q(1) if j == i else Q(0) for j in range(n))
+
+
 def linmap(rows):
-    return LinearMap.from_matrix(Matrix.from_rows([[Q(x) for x in r]
-                                                   for r in rows]))
+    return Matrix.from_rows([[Q(x) for x in r] for r in rows])
 
 
 def field_algebra():
@@ -290,13 +293,13 @@ def ref_check_relative_rb(x):
     rep = Report("relative_rota_baxter")
     alg, mod, rop = x.algebra, x.module, x.rop
     dM = mod.dim
-    rm = [rop(basis_vec(dM, u)) for u in range(dM)]
+    rm = [rop.apply(basis_vec(dM, u)) for u in range(dM)]
     for u in range(dM):
         for w in range(dM):
             lhs = alg.mu(rm[u], rm[w])
             inner = add_vec(mod.left(rm[u], basis_vec(dM, w)),
                             mod.right(basis_vec(dM, u), rm[w]))
-            rep.require("rrb_identity", (u, w), lhs, rop(inner))
+            rep.require("rrb_identity", (u, w), lhs, rop.apply(inner))
     return rep
 
 
@@ -306,24 +309,25 @@ def ref_check_morphism(mor):
     src, tgt = mor.source, mor.target
     phi, psi = mor.phi, mor.psi
     dA, dM = src.algebra.dim, src.module.dim
-    fa = [phi(basis_vec(dA, i)) for i in range(dA)]
-    fm = [psi(basis_vec(dM, u)) for u in range(dM)]
+    fa = [phi.apply(basis_vec(dA, i)) for i in range(dA)]
+    fm = [psi.apply(basis_vec(dM, u)) for u in range(dM)]
     for i in range(dA):
         for j in range(dA):
             rep.require("algebra_morphism", (i, j),
-                        phi(src.algebra.mu.on_basis(i, j)),
+                        phi.apply(src.algebra.mu.on_basis(i, j)),
                         tgt.algebra.mu(fa[i], fa[j]))
     for i in range(dA):
         for u in range(dM):
             rep.require("left_action_intertwine", (i, u),
-                        psi(src.module.left.on_basis(i, u)),
+                        psi.apply(src.module.left.on_basis(i, u)),
                         tgt.module.left(fa[i], fm[u]))
             rep.require("right_action_intertwine", (u, i),
-                        psi(src.module.right.on_basis(u, i)),
+                        psi.apply(src.module.right.on_basis(u, i)),
                         tgt.module.right(fm[u], fa[i]))
     for u in range(dM):
         rep.require("operator_intertwine", (u,),
-                    phi(src.rop(basis_vec(dM, u))), tgt.rop(fm[u]))
+                    phi.apply(src.rop.apply(basis_vec(dM, u))),
+                    tgt.rop.apply(fm[u]))
     return rep
 
 
@@ -332,12 +336,12 @@ def ref_induced_dendriform_report(x):
     alg, rop = x.algebra, x.rop
     dM = x.module.dim
     _, mtot, _ = induced_dendriform(x)
-    rm = [rop(basis_vec(dM, u)) for u in range(dM)]
+    rm = [rop.apply(basis_vec(dM, u)) for u in range(dM)]
     rep = Report("total_operator_is_algebra_morphism")
     for u in range(dM):
         for w in range(dM):
             rep.require("R_multiplicative", (u, w),
-                        rop(mtot.mu.on_basis(u, w)),
+                        rop.apply(mtot.mu.on_basis(u, w)),
                         alg.mu(rm[u], rm[w]))
     return rep
 
@@ -351,8 +355,8 @@ def ref_check_rb_bimodule(pair):
     rep = Report("rb_bimodule")
     alg, mod = pair.algebra, pair.module
     dA, dM = alg.dim, mod.dim
-    ra = [pair.rop(basis_vec(dA, i)) for i in range(dA)]
-    rm = [pair.mop(basis_vec(dM, u)) for u in range(dM)]
+    ra = [pair.rop.apply(basis_vec(dA, i)) for i in range(dA)]
+    rm = [pair.mop.apply(basis_vec(dM, u)) for u in range(dM)]
     for i in range(dA):
         a = basis_vec(dA, i)
         for u in range(dM):
@@ -360,11 +364,13 @@ def ref_check_rb_bimodule(pair):
             rep.require(
                 "rb_bimodule_left", (i, u),
                 mod.left(ra[i], rm[u]),
-                pair.mop(add_vec(mod.left(ra[i], m), mod.left(a, rm[u]))))
+                pair.mop.apply(add_vec(mod.left(ra[i], m),
+                                       mod.left(a, rm[u]))))
             rep.require(
                 "rb_bimodule_right", (u, i),
                 mod.right(rm[u], ra[i]),
-                pair.mop(add_vec(mod.right(rm[u], a), mod.right(m, ra[i]))))
+                pair.mop.apply(add_vec(mod.right(rm[u], a),
+                                       mod.right(m, ra[i]))))
     return rep
 
 
@@ -409,20 +415,20 @@ def ref_check_operator_identities(b):
     rep = Report("operator_identities")
     x = b.over
     dM, dN = x.module.dim, b.fiber.dim
-    rm = [x.rop(basis_vec(dM, u)) for u in range(dM)]
-    sn = [b.sop(basis_vec(dN, v)) for v in range(dN)]
+    rm = [x.rop.apply(basis_vec(dM, u)) for u in range(dM)]
+    sn = [b.sop.apply(basis_vec(dN, v)) for v in range(dN)]
     for u in range(dM):
         m = basis_vec(dM, u)
         for v in range(dN):
             n = basis_vec(dN, v)
             rep.require("operator_left", (u, v),
                         b.base.left(rm[u], sn[v]),
-                        b.sop(add_vec(b.fiber.left(rm[u], n),
-                                      b.left_pair(m, sn[v]))))
+                        b.sop.apply(add_vec(b.fiber.left(rm[u], n),
+                                            b.left_pair(m, sn[v]))))
             rep.require("operator_right", (v, u),
                         b.base.right(sn[v], rm[u]),
-                        b.sop(add_vec(b.right_pair(sn[v], m),
-                                      b.fiber.right(n, rm[u]))))
+                        b.sop.apply(add_vec(b.right_pair(sn[v], m),
+                                            b.fiber.right(n, rm[u]))))
     return rep
 
 
@@ -431,12 +437,12 @@ def ref_check_differential_pair(p):
     rep = Report("differential_pair")
     alg = p.algebra
     dA, dB = alg.dim, p.base.dim
-    da = [p.d(basis_vec(dA, i)) for i in range(dA)]
+    da = [p.d.apply(basis_vec(dA, i)) for i in range(dA)]
     for i in range(dA):
         a = basis_vec(dA, i)
         for j in range(dA):
             rep.require("derivation", (i, j),
-                        p.d(alg.mu.on_basis(i, j)),
+                        p.d.apply(alg.mu.on_basis(i, j)),
                         add_vec(p.module.left(a, da[j]),
                                 p.module.right(da[i], basis_vec(dA, j))))
     rep.merge(ref_check_pairing_identities(
@@ -446,13 +452,13 @@ def ref_check_differential_pair(p):
         for w in range(dB):
             b = basis_vec(dB, w)
             rep.require("delta_left", (i, w),
-                        p.delta(p.base.left.on_basis(i, w)),
-                        add_vec(p.fiber.left(a, p.delta(b)),
+                        p.delta.apply(p.base.left.on_basis(i, w)),
+                        add_vec(p.fiber.left(a, p.delta.apply(b)),
                                 p.left_pair(da[i], b)))
             rep.require("delta_right", (w, i),
-                        p.delta(p.base.right.on_basis(w, i)),
+                        p.delta.apply(p.base.right.on_basis(w, i)),
                         add_vec(p.right_pair(b, da[i]),
-                                p.fiber.right(p.delta(b), a)))
+                                p.fiber.right(p.delta.apply(b), a)))
     return rep
 
 
@@ -467,30 +473,31 @@ def ref_check_derivation(x, b, alpha, beta):
     alg, mod = x.algebra, x.module
     dA, dM = alg.dim, mod.dim
     rep = Report("derivation_pair")
-    av = [alpha(basis_vec(dA, i)) for i in range(dA)]
-    bv = [beta(basis_vec(dM, u)) for u in range(dM)]
+    av = [alpha.apply(basis_vec(dA, i)) for i in range(dA)]
+    bv = [beta.apply(basis_vec(dM, u)) for u in range(dM)]
     for i in range(dA):
         ei = basis_vec(dA, i)
         for j in range(dA):
             rep.require(
-                "leibniz", (i, j), alpha(alg.mu.on_basis(i, j)),
+                "leibniz", (i, j), alpha.apply(alg.mu.on_basis(i, j)),
                 tuple(p + q for p, q in
                       zip(b.base.right(av[i], basis_vec(dA, j)),
                           b.base.left(ei, av[j]))))
         for u in range(dM):
             eu = basis_vec(dM, u)
             rep.require(
-                "left_action", (i, u), beta(mod.left.on_basis(i, u)),
+                "left_action", (i, u), beta.apply(mod.left.on_basis(i, u)),
                 tuple(p + q for p, q in
                       zip(b.right_pair(av[i], eu), b.fiber.left(ei, bv[u]))))
             rep.require(
-                "right_action", (u, i), beta(mod.right.on_basis(u, i)),
+                "right_action", (u, i), beta.apply(mod.right.on_basis(u, i)),
                 tuple(p + q for p, q in
                       zip(b.fiber.right(bv[u], ei),
                           b.left_pair(eu, av[i]))))
     for u in range(dM):
         rep.require("intertwine", (u,),
-                    alpha(x.rop(basis_vec(dM, u))), b.sop(bv[u]))
+                    alpha.apply(x.rop.apply(basis_vec(dM, u))),
+                    b.sop.apply(bv[u]))
     return rep
 
 
@@ -550,7 +557,7 @@ class _TwoTermEnv:
 
     def d(self, x):
         lin = self.alg.d if x.space == "a" else self.mod.dm
-        return _Graded(x.space, 0, lin(x.vec))
+        return _Graded(x.space, 0, lin.apply(x.vec))
 
     def mu2(self, x, y):
         block = self.blocks[(x.space, x.deg, y.space, y.deg)]
@@ -561,8 +568,8 @@ class _TwoTermEnv:
         spaces = (x.space, y.space, z.space)
         flat = _kron3(x.vec, y.vec, z.vec)
         if spaces == ("a", "a", "a"):
-            return _Graded("a", 1, self.alg.mu3(flat))
-        return _Graded("m", 1, self.mod.mu3m[spaces.index("m")](flat))
+            return _Graded("a", 1, self.alg.mu3.apply(flat))
+        return _Graded("m", 1, self.mod.mu3m[spaces.index("m")].apply(flat))
 
 
 # each law: name, input degrees, and both sides as expressions over the
@@ -645,18 +652,19 @@ def ref_check_homotopy_rrb_operator(a, m, r):
     In the final condition the three mixed-corrector terms are composed
     with r1 so that every term lands in the degree-1 algebra layer.
     """
-    if (r.r0.domain_dim, r.r0.codomain_dim) != (m.dim0, a.dim0) or \
-            (r.r1.domain_dim, r.r1.codomain_dim) != (m.dim1, a.dim1):
+    if (r.r0.cols, r.r0.rows) != (m.dim0, a.dim0) or \
+            (r.r1.cols, r.r1.rows) != (m.dim1, a.dim1):
         raise ShapeError("operator layers must map the module complex into "
                          "the algebra complex")
     rep = Report("homotopy_rrb_operator")
     d0, d1 = m.dim0, m.dim1
-    r0m = [r.r0(basis_vec(d0, u)) for u in range(d0)]
-    r1n = [r.r1(basis_vec(d1, v)) for v in range(d1)]
+    r0m = [r.r0.apply(basis_vec(d0, u)) for u in range(d0)]
+    r1n = [r.r1.apply(basis_vec(d1, v)) for v in range(d1)]
     # the operator intertwines the two complexes
     for v in range(d1):
         rep.require("chain_map", (v,),
-                    a.d(r1n[v]), r.r0(m.dm(basis_vec(d1, v))))
+                    a.d.apply(r1n[v]),
+                    r.r0.apply(m.dm.apply(basis_vec(d1, v))))
     # the degree-0 defect is the boundary of the corrector
     for u in range(d0):
         eu = basis_vec(d0, u)
@@ -664,21 +672,21 @@ def ref_check_homotopy_rrb_operator(a, m, r):
             ew = basis_vec(d0, w)
             inner = add_vec(m.left00(r0m[u], ew), m.right00(eu, r0m[w]))
             rep.require("baxter_boundary", (u, w),
-                        sub_vec(r.r0(inner), a.mu00(r0m[u], r0m[w])),
-                        a.d(r.r2.on_basis(u, w)))
+                        sub_vec(r.r0.apply(inner), a.mu00(r0m[u], r0m[w])),
+                        a.d.apply(r.r2.on_basis(u, w)))
     # the degree-1 defects are corrector values on boundaries
     for u in range(d0):
         eu = basis_vec(d0, u)
         for v in range(d1):
             nv = basis_vec(d1, v)
-            dn = m.dm(nv)
+            dn = m.dm.apply(nv)
             inner = add_vec(m.left01(r0m[u], nv), m.right01(eu, r1n[v]))
             rep.require("baxter_right", (u, v),
-                        sub_vec(r.r1(inner), a.mu01(r0m[u], r1n[v])),
+                        sub_vec(r.r1.apply(inner), a.mu01(r0m[u], r1n[v])),
                         r.r2(eu, dn))
             inner = add_vec(m.left10(r1n[v], eu), m.right10(nv, r0m[u]))
             rep.require("baxter_left", (v, u),
-                        sub_vec(r.r1(inner), a.mu10(r1n[v], r0m[u])),
+                        sub_vec(r.r1.apply(inner), a.mu10(r1n[v], r0m[u])),
                         r.r2(dn, eu))
     # the two correctors are compatible
     for u in range(d0):
@@ -693,19 +701,19 @@ def ref_check_homotopy_rrb_operator(a, m, r):
                 circ_wz = add_vec(m.left00(r0m[w], ez),
                                   m.right00(ew, r0m[z]))
                 acc = a.mu01(r0m[u], r2wz)
-                acc = sub_vec(acc, r.r1(m.right01(eu, r2wz)))
+                acc = sub_vec(acc, r.r1.apply(m.right01(eu, r2wz)))
                 acc = sub_vec(acc, r.r2(circ_uw, ez))
                 acc = add_vec(acc, r.r2(eu, circ_wz))
                 acc = sub_vec(acc, a.mu10(r2uw, r0m[z]))
-                acc = add_vec(acc, r.r1(m.left10(r2uw, ez)))
-                acc = add_vec(acc, r.r1(m.mu3m[0](
+                acc = add_vec(acc, r.r1.apply(m.left10(r2uw, ez)))
+                acc = add_vec(acc, r.r1.apply(m.mu3m[0].apply(
                     _kron3(eu, r0m[w], r0m[z]))))
-                acc = add_vec(acc, r.r1(m.mu3m[1](
+                acc = add_vec(acc, r.r1.apply(m.mu3m[1].apply(
                     _kron3(r0m[u], ew, r0m[z]))))
-                acc = add_vec(acc, r.r1(m.mu3m[2](
+                acc = add_vec(acc, r.r1.apply(m.mu3m[2].apply(
                     _kron3(r0m[u], r0m[w], ez))))
                 rep.require("baxter_corrector", (u, w, z), acc,
-                            a.mu3(_kron3(r0m[u], r0m[w], r0m[z])))
+                            a.mu3.apply(_kron3(r0m[u], r0m[w], r0m[z])))
     return rep
 
 
@@ -940,7 +948,7 @@ def _operator_block(out, x, b, k, row_off, alpha_off, beta_off):
     ti_m = TensorIndex((dM,) * k)
     ti_a = TensorIndex((dA,) * k)
     da_in, slot_in = ti_a.size, mix_in.slot_dim
-    rmat, smat = x.rop.matrix, b.sop.matrix
+    rmat, smat = x.rop, b.sop
     sign = -ONE if k % 2 else ONE               # (-1)^k
     r_cols = [tuple((a, rmat.at(a, u)) for a in range(dA) if rmat.at(a, u))
               for u in range(dM)]
@@ -1174,8 +1182,8 @@ def ref_morphism_induced_bimodule(mor):
     alg = src.algebra
     dA, dM = alg.dim, src.module.dim
     dB, dN = tgt.algebra.dim, tgt.module.dim
-    fa = [mor.phi(basis_vec(dA, i)) for i in range(dA)]
-    fm = [mor.psi(basis_vec(dM, u)) for u in range(dM)]
+    fa = [mor.phi.apply(basis_vec(dA, i)) for i in range(dA)]
+    fm = [mor.psi.apply(basis_vec(dM, u)) for u in range(dM)]
     base = Bimodule(
         alg, dB,
         ref_build(
@@ -1202,9 +1210,9 @@ def ref_morphism_induced_bimodule(mor):
 def ref_transport_bilinear(c, f, g, h_inv):
     """Constants of h^-1 . c . (f (x) g) on the new bases."""
     return ref_build(
-        f.domain_dim, g.domain_dim, h_inv.codomain_dim,
-        lambda i, j: h_inv(c(f(basis_vec(f.domain_dim, i)),
-                             g(basis_vec(g.domain_dim, j)))))
+        f.cols, g.cols, h_inv.rows,
+        lambda i, j: h_inv.apply(c(f.apply(basis_vec(f.cols, i)),
+                                   g.apply(basis_vec(g.cols, j)))))
 
 
 def ref_rb_from_r_matrix(r):
@@ -1221,7 +1229,7 @@ def ref_rb_from_r_matrix(r):
                     v = add_vec(v, tuple(t[i][j] * x for x in w))
         cols.append(v)
     m = Matrix.from_rows([[cols[a][i] for a in range(d)] for i in range(d)])
-    return alg, LinearMap(d, d, m)
+    return alg, m
 
 
 def ref_rb_bimodule_from_r_matrix(r, mod):
@@ -1241,17 +1249,17 @@ def ref_rb_bimodule_from_r_matrix(r, mod):
         cols.append(v)
     m = Matrix.from_rows([[cols[u][p] for u in range(dM)]
                           for p in range(dM)])
-    return LinearMap(dM, dM, m)
+    return m
 
 
 def _ref_map_from_columns(cols, dom, cod):
     entries = tuple(cols[j][i] for i in range(cod) for j in range(dom))
-    return LinearMap(dom, cod, Matrix(cod, dom, entries))
+    return Matrix(cod, dom, entries)
 
 
 def _ref_fiber_coords(incl, vec, what):
     """Coordinates of a vector inside the image of an embedding."""
-    sol = solve(incl.matrix, tuple(vec))
+    sol = solve(incl, tuple(vec))
     if sol is None:
         raise StructuralError(what + " does not land in the fiber")
     return sol
@@ -1273,27 +1281,28 @@ def ref_extract_cocycle(e, sec):
     sec.validate(e)
     base, tot = e.base, e.total
     dA, dM = base.algebra.dim, base.module.dim
-    sa = [sec.s(basis_vec(dA, i)) for i in range(dA)]
-    sm = [sec.sbar(basis_vec(dM, u)) for u in range(dM)]
+    sa = [sec.s.apply(basis_vec(dA, i)) for i in range(dA)]
+    sm = [sec.sbar.apply(basis_vec(dM, u)) for u in range(dM)]
     alpha_cols, beta1_cols, beta2_cols, gamma_cols = {}, {}, {}, {}
     for i in range(dA):
         for j in range(dA):
             defect = sub_vec(tot.algebra.mu(sa[i], sa[j]),
-                             sec.s(base.algebra.mu.on_basis(i, j)))
+                             sec.s.apply(base.algebra.mu.on_basis(i, j)))
             alpha_cols[i * dA + j] = _ref_fiber_coords(
                 e.alg_incl, defect, "product defect")
     for u in range(dM):
         for i in range(dA):
             defect = sub_vec(tot.module.right(sm[u], sa[i]),
-                             sec.sbar(base.module.right.on_basis(u, i)))
+                             sec.sbar.apply(base.module.right.on_basis(u, i)))
             beta1_cols[u * dA + i] = _ref_fiber_coords(
                 e.mod_incl, defect, "right action defect")
             defect = sub_vec(tot.module.left(sa[i], sm[u]),
-                             sec.sbar(base.module.left.on_basis(i, u)))
+                             sec.sbar.apply(base.module.left.on_basis(i, u)))
             beta2_cols[i * dM + u] = _ref_fiber_coords(
                 e.mod_incl, defect, "left action defect")
     for u in range(dM):
-        defect = sub_vec(tot.rop(sm[u]), sec.s(base.rop(basis_vec(dM, u))))
+        defect = sub_vec(tot.rop.apply(sm[u]),
+                         sec.s.apply(base.rop.apply(basis_vec(dM, u))))
         gamma_cols[u] = _ref_fiber_coords(e.alg_incl, defect,
                                           "operator defect")
     dB, dN = e.fiber.dim0, e.fiber.dim1
@@ -1320,10 +1329,10 @@ def ref_induced_fiber_bimodule(e, sec):
     tot = e.total
     dA, dM = e.base.algebra.dim, e.base.module.dim
     dB, dN = e.fiber.dim0, e.fiber.dim1
-    sa = [sec.s(basis_vec(dA, i)) for i in range(dA)]
-    sm = [sec.sbar(basis_vec(dM, u)) for u in range(dM)]
-    ib = [e.alg_incl(basis_vec(dB, w)) for w in range(dB)]
-    im = [e.mod_incl(basis_vec(dN, v)) for v in range(dN)]
+    sa = [sec.s.apply(basis_vec(dA, i)) for i in range(dA)]
+    sm = [sec.sbar.apply(basis_vec(dM, u)) for u in range(dM)]
+    ib = [e.alg_incl.apply(basis_vec(dB, w)) for w in range(dB)]
+    im = [e.mod_incl.apply(basis_vec(dN, v)) for v in range(dN)]
 
     def in_b(vec):
         return _ref_fiber_coords(e.alg_incl, vec, "induced product")
@@ -1352,13 +1361,14 @@ def ref_induced_fiber_bimodule(e, sec):
 
 def ref_shear(e1, e2, sec1, sec2, corr, incl1, incl2, proj):
     # v |-> s2(p(v)) + i2( i1-coords(v - s1(p(v))) + corr(p(v)) )
-    n = proj.domain_dim
-    cod = incl2.codomain_dim
+    n = proj.cols
+    cod = incl2.rows
     cols = []
     for j in range(n):
         v = basis_vec(n, j)
-        a = proj(v)
-        y = _ref_fiber_coords(incl1, sub_vec(v, sec1(a)),
+        a = proj.apply(v)
+        y = _ref_fiber_coords(incl1, sub_vec(v, sec1.apply(a)),
                               "section complement")
-        cols.append(add_vec(sec2(a), incl2(add_vec(y, corr(a)))))
+        cols.append(add_vec(sec2.apply(a),
+                            incl2.apply(add_vec(y, corr.apply(a)))))
     return _ref_map_from_columns(cols, n, cod)

@@ -11,7 +11,7 @@ import time
 
 from rotabaxter import cli, fileformat as ff
 from rotabaxter.algebra import (
-    AssocAlgebra, Bimodule, LinearMap, StructureConstants, check_bimodule,
+    AssocAlgebra, Bimodule, StructureConstants, check_bimodule,
     check_dendriform, check_dendriform_representation, hochschild_matrix,
 )
 from rotabaxter.classification import (
@@ -75,9 +75,8 @@ def stacked_section(e, theta, vartheta):
         for i in range(dim):
             entries.extend(Q(1) if j == i else Q(0) for j in range(dim))
         for i in range(extra):
-            entries.extend(corr.matrix.row(i))
-        return LinearMap(dim, dim + extra, Matrix(dim + extra, dim,
-                                                  entries))
+            entries.extend(corr.row(i))
+        return Matrix(dim + extra, dim, entries)
 
     return Section(stack(dA, dB, theta), stack(dM, dN, vartheta))
 
@@ -249,8 +248,7 @@ def _triple_passes(x, b, c):
 def _mutants(x, b, c, kind):
     """Single-entry bumps of one of the seven ingredients, lazily."""
     def positions(lin):
-        return itertools.product(range(lin.matrix.rows),
-                                 range(lin.matrix.cols))
+        return itertools.product(range(lin.rows), range(lin.cols))
 
     if kind == "alpha":
         for pos in positions(c.alpha):
@@ -327,7 +325,7 @@ def test_10_cli_zero_structure_dimensions(tmp_path, capsys):
     alg = AssocAlgebra(1, StructureConstants.zero(1, 1, 1))
     mod = Bimodule(alg, 1, StructureConstants.zero(1, 1, 1),
                    StructureConstants.zero(1, 1, 1))
-    x = RelativeRBAlgebra(alg, mod, LinearMap.zero(1, 1))
+    x = RelativeRBAlgebra(alg, mod, Matrix.zero(1, 1))
     doc = ff.new_document()
     ff.declare_rrb_algebra(doc, "X", x)
     path = tmp_path / "zero.json"

@@ -12,7 +12,7 @@ from functools import lru_cache
 from random import Random
 
 from rotabaxter.algebra import (
-    Bimodule, LinearMap, StructureConstants, check_associativity,
+    Bimodule, StructureConstants, check_associativity,
     check_bimodule, check_dendriform, check_dendriform_representation,
 )
 from rotabaxter.classification import (
@@ -23,7 +23,7 @@ from rotabaxter.classification import (
 from rotabaxter.cohomology import (
     RRBCochain, check_derivation, derivation_basis,
 )
-from rotabaxter.linalg import Q
+from rotabaxter.linalg import Matrix, Q
 from rotabaxter.rrb import (
     RBBimodulePair, RRBMorphism, check_morphism, check_rb_bimodule,
     check_relative_rb, induced_dendriform, lift_to_rb,
@@ -88,10 +88,10 @@ def mutate(value, rng):
         if 0 in dims:
             return None
         return bump_constants(value, [rng.randrange(n) for n in dims], delta)
-    if 0 in (value.codomain_dim, value.domain_dim):
+    if 0 in (value.rows, value.cols):
         return None
-    return bump_map(value, (rng.randrange(value.codomain_dim),
-                            rng.randrange(value.domain_dim)), delta)
+    return bump_map(value, (rng.randrange(value.rows),
+                            rng.randrange(value.cols)), delta)
 
 
 def variants(seed, count):
@@ -134,8 +134,8 @@ def triple_pairs(f, base, seed):
         yield "bimodule", check_bimodule(part), ref.ref_check_bimodule(part)
     yield "relative_rb", check_relative_rb(x), ref.ref_check_relative_rb(x)
     for src, tgt in ((x, x0), (x0, x)):
-        mor = RRBMorphism(src, tgt, LinearMap.identity(x.algebra.dim),
-                          LinearMap.identity(x.module.dim))
+        mor = RRBMorphism(src, tgt, Matrix.identity(x.algebra.dim),
+                          Matrix.identity(x.module.dim))
         yield "morphism", check_morphism(mor), ref.ref_check_morphism(mor)
     pairing = (x.module, b.base, b.fiber, b.left_pair, b.right_pair)
     yield ("pairing_identities", check_pairing_identities(*pairing),

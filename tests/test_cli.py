@@ -7,12 +7,11 @@ import sys
 import pytest
 
 from rotabaxter import cli, fileformat as ff
-from rotabaxter.algebra import (
-    AssocAlgebra, Bimodule, LinearMap, StructureConstants,
-)
+from rotabaxter.algebra import AssocAlgebra, Bimodule, StructureConstants
 from rotabaxter.classification import (
     AInftyBimodule, HomotopyRRBOperator, TwoTermAInfty,
 )
+from rotabaxter.linalg import Matrix
 from rotabaxter.rrb import RelativeRBAlgebra
 from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
 
@@ -21,7 +20,7 @@ def write_zero_fixture(path):
     alg = AssocAlgebra(1, StructureConstants.zero(1, 1, 1))
     mod = Bimodule(alg, 1, StructureConstants.zero(1, 1, 1),
                    StructureConstants.zero(1, 1, 1))
-    x = RelativeRBAlgebra(alg, mod, LinearMap.zero(1, 1))
+    x = RelativeRBAlgebra(alg, mod, Matrix.zero(1, 1))
     doc = ff.new_document()
     ff.declare_rrb_algebra(doc, "X", x)
     ff.write_path(doc, path)
@@ -256,8 +255,8 @@ def test_commands_guard_invalid_inputs(tmp_path, capsys):
     broken = None
     for seed in range(10):
         x, b = random_rrb_pair(seed=seed)
-        for row in range(x.rop.codomain_dim):
-            for col in range(x.rop.domain_dim):
+        for row in range(x.rop.rows):
+            for col in range(x.rop.cols):
                 x2 = RelativeRBAlgebra(x.algebra, x.module,
                                        bump_map(x.rop, (row, col)))
                 if not check_relative_rb(x2).ok:

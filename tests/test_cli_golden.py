@@ -19,6 +19,11 @@ triple-to-skeletal wrote.
 PAIRS: the sha256 of the serialized random_rrb_pair(s), s = 0..99, which
 runs the samples through every construction they are built with.
 
+GUARDED: the whole stdout, in text and JSON, of cohomology, derivations
+and chainmap-check on random_rrb_pair(1) with entry (0, 0) of R raised by
+1, which breaks the relative Rota-Baxter identity: each stops at the same
+check of the algebra and its coefficients and exits 1.
+
 A change meant to keep the output byte for byte is held to it here; a
 change meant to alter it records the tables again with
 
@@ -34,8 +39,9 @@ from pathlib import Path
 import pytest
 
 from rotabaxter import cli, fileformat as ff
+from rotabaxter.rrb import RelativeRBAlgebra
 from rotabaxter.rrb_modules import RRBBimodule
-from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
+from rotabaxter.samples import bump_map, random_rrb_cocycle, random_rrb_pair
 
 from helpers import zero_rrb
 
@@ -64,7 +70,10 @@ def fixture(name):
 
 
 def write_fixture(name, path):
-    x, b = fixture(name)
+    write_pair(*fixture(name), path)
+
+
+def write_pair(x, b, path):
     doc = ff.new_document()
     xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
     ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
@@ -83,12 +92,18 @@ def pair_digest(seed):
     return sha256(ff.dump_document(doc).encode("utf-8"))
 
 
-def run(command, fmt, path):
+def capture(argv):
+    """(exit code, stdout) of one command."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        rc = cli.main([*COMMANDS[command], str(path), "--format", fmt])
-    return rc, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+def run(command, fmt, path):
+    rc, stdout = capture([*COMMANDS[command], str(path), "--format", fmt])
+    return rc, sha256(stdout.encode("utf-8"))
 
 
 # (fixture, command, format) -> (exit code, sha256 of stdout)
@@ -276,11 +291,8 @@ def run_writer(command, fmt, work):
     written.unlink(missing_ok=True)
     argv = [str(work / a) if a.endswith(".json") else a
             for a in WRITERS[command]]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        rc = cli.main([*argv, "--format", fmt])
-    stdout = out.getvalue().replace(f"{work}/", "")
+    rc, stdout = capture([*argv, "--format", fmt])
+    stdout = stdout.replace(f"{work}/", "")
     return (rc, sha256(stdout.encode("utf-8")),
             sha256(written.read_bytes()) if written.exists() else None)
 
@@ -590,6 +602,61 @@ def test_written_output_is_unchanged(key, writer_dirs):
 
 def test_serialized_pairs_are_unchanged():
     assert {s: pair_digest(s) for s in range(100)} == PAIRS
+
+
+GUARDED = ("cohomology", "derivations", "chainmap-check")
+GUARD_TEXT = ("X (rrb_algebra): FAIL (1 violations)\n"
+              "  rrb_identity at (0, 0): lhs=(1) rhs=(2)\n"
+              "B (coefficients): pass\n")
+# the command's name stands for COMMAND
+GUARD_JSON = """\
+{
+  "checks": [
+    {
+      "name": "X (rrb_algebra)",
+      "ok": false,
+      "violations": [
+        {
+          "args": [
+            0,
+            0
+          ],
+          "law": "rrb_identity",
+          "lhs": [
+            "1"
+          ],
+          "rhs": [
+            "2"
+          ]
+        }
+      ]
+    },
+    {
+      "name": "B (coefficients)",
+      "ok": true,
+      "violations": []
+    }
+  ],
+  "command": "COMMAND",
+  "ok": false
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def broken_path(tmp_path_factory):
+    x, b = random_rrb_pair(1)
+    x = RelativeRBAlgebra(x.algebra, x.module, bump_map(x.rop, (0, 0)))
+    path = tmp_path_factory.mktemp("guarded") / "bad.json"
+    write_pair(x, b, path)
+    return path
+
+
+@pytest.mark.parametrize("command", GUARDED)
+def test_coefficient_guard_output_is_unchanged(command, broken_path):
+    assert capture([command, str(broken_path)]) == (1, GUARD_TEXT)
+    assert capture([command, str(broken_path), "--format", "json"]) == \
+        (1, GUARD_JSON.replace("COMMAND", command))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ extension's total product makes the fiber-landing check fire in both.
 from random import Random
 
 from rotabaxter.algebra import (
-    AssocAlgebra, Bimodule, LinearMap, ShapeError, StructuralError,
+    AssocAlgebra, Bimodule, ShapeError, StructuralError,
     dual_bimodule,
 )
 from rotabaxter.classification import (
@@ -48,13 +48,12 @@ def bimodule(m):
 
 
 def rrb_bimodule(b):
-    return (bimodule(b.base), bimodule(b.fiber), b.sop.matrix,
+    return (bimodule(b.base), bimodule(b.fiber), b.sop,
             tensor(b.left_pair), tensor(b.right_pair))
 
 
 def cochain(c):
-    return (c.degree, c.alpha.matrix, tuple(s.matrix for s in c.beta),
-            c.gamma.matrix)
+    return c.degree, c.alpha, c.beta, c.gamma
 
 
 def outcome(record, build, *args):
@@ -91,8 +90,7 @@ def shifted_section(rng, e):
     theta = random_matrix(rng, e.fiber.dim0, dA)
     vartheta = random_matrix(rng, e.fiber.dim1, dM)
     return Section(
-        LinearMap.from_matrix(sec.s.matrix + e.alg_incl.matrix * theta),
-        LinearMap.from_matrix(sec.sbar.matrix + e.mod_incl.matrix * vartheta))
+        sec.s + e.alg_incl * theta, sec.sbar + e.mod_incl * vartheta)
 
 
 def with_total(e, mu=None, left=None, right=None, rop=None):
@@ -161,10 +159,10 @@ def test_constructions_match_basis_vector_reference():
              b.left_pair, f, g, h)
         t = random_matrix(rng, dA, dA)
         r = RMatrix(x.algebra, [t.row(i) for i in range(dA)])
-        same(lambda out: out[1].matrix, rb_from_r_matrix,
+        same(lambda out: out[1], rb_from_r_matrix,
              ref.ref_rb_from_r_matrix, r)
         for mod in (x.module, b.base, b.fiber):
-            same(lambda out: out.matrix, rb_bimodule_from_r_matrix,
+            same(lambda out: out, rb_bimodule_from_r_matrix,
                  ref.ref_rb_bimodule_from_r_matrix, r, mod)
 
         c = random_rrb_cocycle(seed, x, b, 2)
@@ -179,9 +177,9 @@ def test_constructions_match_basis_vector_reference():
             assert same(rrb_bimodule, induced_fiber_bimodule,
                         ref.ref_induced_fiber_bimodule, e, sec)[0] == "ok"
         theta = random_linear_map(rng, dA, b.base.dim)
-        assert outcome(lambda m: m.matrix, _shear, canonical.s, shifted.s,
+        assert outcome(lambda m: m, _shear, canonical.s, shifted.s,
                        theta, e.alg_incl, e.alg_incl, e.alg_proj) == \
-            outcome(lambda m: m.matrix, ref.ref_shear, e, e, canonical.s,
+            outcome(lambda m: m, ref.ref_shear, e, e, canonical.s,
                     shifted.s, theta, e.alg_incl, e.alg_incl, e.alg_proj)
         for bad in mutants(rng, e):
             for sec in (canonical, shifted):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
     Matrix, OnColumns, Q, TensorIndex, format_rational, homology_dims,
     inverse, kernel_basis, kron, parse_rational, paste, rank, solve,
@@ -261,9 +262,12 @@ def test_kron_needs_matrices():
 
 
 def test_matrix_is_not_hashable():
-    # a Matrix is filled in place by add, so it must not serve as a key
+    # a Matrix is filled in place by add, so it must not serve as a key,
+    # nor may the structure constants that hold one as their matrix
     with pytest.raises(TypeError):
         hash(Matrix.identity(2))
+    with pytest.raises(TypeError):
+        hash(StructureConstants.zero(1, 1, 1))
 
 
 def random_matrix(rng, rows, cols, density=0.7):
