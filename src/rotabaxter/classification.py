@@ -415,8 +415,12 @@ def check_extension_morphism(e1, e2, mor):
 
     Beyond the four morphism identities, the map must restrict to the
     identity on the fiber (phi o i1 = i2 and likewise on modules) and
-    cover the identity on the base (p2 o phi = p1 and likewise).
+    cover the identity on the base (p2 o phi = p1 and likewise).  The
+    morphism must run from e1's total to e2's.
     """
+    if mor.source is not e1.total or mor.target is not e2.total:
+        raise ShapeError("the morphism must run from the first extension's "
+                         "total to the second's")
     rep = Report("extension_morphism")
     rep.merge(check_morphism(mor))
     rep.require("fixes_fiber_algebra", (),

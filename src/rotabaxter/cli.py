@@ -1,13 +1,16 @@
 """Command line front end over structure files.
 
 Every subcommand reads one structure file (see fileformat), runs exact
-rational computations, and reports in text or JSON form.  Exit codes:
-0 when everything checks out, 1 when a declared structure fails its
-axioms (or a requested construction rejects its input mathematically),
-2 for input errors such as unparseable files, unresolved names, or
-missing declarations.  No command draws random input, so reports are
-deterministic for fixed inputs; wall-clock timing goes to stderr so it
-never perturbs them.
+rational computations, and reports in text or JSON form.  A command
+returns its result as (ok, fields, lines), or raises _Rejected when a
+check on its input or on what it built fails; _run prints either, as
+JSON fields or as text lines, and turns it into the exit code.  Exit
+codes: 0 when everything checks out, 1 when a declared structure fails
+its axioms (or a requested construction rejects its input
+mathematically), 2 for input errors such as unparseable files,
+unresolved names, or missing declarations.  No command draws random
+input, so reports are deterministic for fixed inputs; wall-clock timing
+goes to stderr so it never perturbs them.
 """
 
 from __future__ import annotations
@@ -64,25 +67,50 @@ def _emit(args, payload, lines):
             print(ln)
 
 
-def _fail(args, pairs):
-    """Emit the failing reports and return exit code 1."""
-    _emit(args, {"command": args.command, "ok": False,
-                 "checks": [rep.to_json(label) for label, rep in pairs]},
-          [rep.describe(label) for label, rep in pairs])
-    return 1
+class _Rejected(Exception):
+    """A failed check: carries the fields and lines that report it."""
 
 
-def _guard(args, pairs):
-    """Exit code 1 with a report when any input structure fails, else None."""
-    if all(rep.ok for _, rep in pairs):
-        return None
-    return _fail(args, pairs)
+def _checks(pairs):
+    """The result reporting every (label, Report) pair; ok when all pass."""
+    return (all(rep.ok for _, rep in pairs),
+            {"checks": [rep.to_json(label) for label, rep in pairs]},
+            [rep.describe(label) for label, rep in pairs])
 
 
-def _fail_message(args, message):
-    _emit(args, {"command": args.command, "ok": False, "error": message},
-          [message])
-    return 1
+def _require(pairs):
+    """Raise _Rejected with every pair unless all of them pass."""
+    if not all(rep.ok for _, rep in pairs):
+        _, fields, lines = _checks(pairs)
+        raise _Rejected(fields, lines)
+
+
+def _construct(build, *inputs, prefix=""):
+    """build(*inputs), with a StructuralError it raises turned into a
+    rejection that reports its message."""
+    try:
+        return build(*inputs)
+    except StructuralError as err:
+        message = prefix + str(err)
+        raise _Rejected({"error": message}, [message]) from None
+
+
+def _wrote(args, doc, fields, lines):
+    """Write doc to the -o file: the result, with the file it wrote."""
+    ff.write_path(doc, args.output)
+    return (True, {**fields, "output": args.output},
+            [*lines, f"wrote {args.output}"])
+
+
+def _run(args):
+    """Print the command's result, or the check that rejected it, and
+    return the exit code."""
+    try:
+        ok, fields, lines = args.func(args)
+    except _Rejected as rejected:
+        ok, (fields, lines) = False, rejected.args
+    _emit(args, {**fields, "command": args.command, "ok": ok}, lines)
+    return 0 if ok else 1
 
 
 # ----------------------------------------------------- declaration lookup
@@ -102,20 +130,39 @@ def _bimodule_over(sf, xname):
     return None
 
 
-def _coefficients(sf, args, what):
+def _coefficients(sf, what):
     """First rrb_algebra plus its first declared rrb_bimodule, or the
-    adjoint coefficients when the file declares none."""
+    adjoint coefficients when the file declares none, once both pass."""
     x_d = _need(sf, "rrb_algebra", what)
     b_d = _bimodule_over(sf, x_d.name)
     if b_d is not None:
-        return x_d.name, x_d.obj, b_d.name, b_d.obj
-    return x_d.name, x_d.obj, "adjoint", adjoint_bimodule(x_d.obj)
+        bname, b = b_d.name, b_d.obj
+    else:
+        bname, b = "adjoint", adjoint_bimodule(x_d.obj)
+    _require([(f"{x_d.name} (rrb_algebra)", check_relative_rb(x_d.obj)),
+              (f"{bname} (coefficients)", check_rrb_bimodule(b))])
+    return x_d.name, x_d.obj, bname, b
 
 
-def _coefficient_guard(args, xname, x, bname, b):
-    """_guard on the algebra and the coefficients _coefficients returned."""
-    return _guard(args, [(f"{xname} (rrb_algebra)", check_relative_rb(x)),
-                         (f"{bname} (coefficients)", check_rrb_bimodule(b))])
+def _checked_bimodule(sf, what):
+    """The first rrb_bimodule declaration, once it and its algebra pass."""
+    b_d = _need(sf, "rrb_bimodule", what)
+    _require([(f"{b_d.refs['over']} (rrb_algebra)",
+               check_relative_rb(b_d.obj.over)),
+              (f"{b_d.name} (rrb_bimodule)", check_rrb_bimodule(b_d.obj))])
+    return b_d
+
+
+def _checked_algebra(sf, what):
+    """The first rrb_algebra declaration, once it passes, with the first
+    rrb_bimodule declared over it, once that passes, or None."""
+    x_d = _need(sf, "rrb_algebra", what)
+    _require([(f"{x_d.name} (rrb_algebra)", check_relative_rb(x_d.obj))])
+    b_d = _bimodule_over(sf, x_d.name)
+    if b_d is not None:
+        _require([(f"{b_d.name} (rrb_bimodule)",
+                   check_rrb_bimodule(b_d.obj))])
+    return x_d, b_d
 
 
 def _check_declaration(sf, d):
@@ -163,35 +210,25 @@ def _check_declaration(sf, d):
 
 def cmd_validate(args):
     sf = ff.parse_path(args.file)
-    lines, checks, ok = [], [], True
-    for d in sf.declarations:
-        rep = _check_declaration(sf, d)
-        label = f"{d.name} ({d.kind})"
-        lines.append(rep.describe(label))
-        entry = rep.to_json(label)
+    ok, fields, lines = _checks([(f"{d.name} ({d.kind})",
+                                  _check_declaration(sf, d))
+                                 for d in sf.declarations])
+    for entry, d in zip(fields["checks"], sf.declarations):
         entry["kind"] = d.kind
-        checks.append(entry)
-        ok = ok and rep.ok
     lines.append(f"validate: {'pass' if ok else 'FAIL'}")
-    _emit(args, {"command": "validate", "ok": ok, "checks": checks}, lines)
-    return 0 if ok else 1
+    return ok, fields, lines
 
 
 def cmd_cohomology(args):
     if args.max_degree < 1:
         raise ParseError("--max-degree must be at least 1 for cohomology")
     sf = ff.parse_path(args.file)
-    xname, x, bname, b = _coefficients(sf, args, "cohomology")
-    rc = _coefficient_guard(args, xname, x, bname, b)
-    if rc:
-        return rc
+    xname, x, bname, b = _coefficients(sf, "cohomology")
     dims = rrb_cohomology_dims(x, b, args.max_degree)
     lines = [f"cohomology of {xname} with coefficients in {bname}"]
     lines.extend(f"H^{k} = {h}" for k, h in enumerate(dims, 1))
-    _emit(args, {"command": "cohomology", "ok": True, "over": xname,
-                 "coefficients": bname,
-                 "dims": {str(k): h for k, h in enumerate(dims, 1)}}, lines)
-    return 0
+    return True, {"over": xname, "coefficients": bname,
+                  "dims": {str(k): h for k, h in enumerate(dims, 1)}}, lines
 
 
 def cmd_hochschild(args):
@@ -204,26 +241,19 @@ def cmd_hochschild(args):
                              "hochschild needs one")
         mods = [(f"adjoint({d.name})", Bimodule.adjoint(d.obj))
                 for d in algs]
-    rc = _guard(args, [(name, check_bimodule(mod)) for name, mod in mods])
-    if rc:
-        return rc
+    _require([(name, check_bimodule(mod)) for name, mod in mods])
     lines, table = [], {}
     for name, mod in mods:
         lines.append(f"Hochschild cohomology with coefficients in {name}")
         dims = hochschild_cohomology_dims(mod, args.max_degree)
         lines.extend(f"H^{k} = {h}" for k, h in enumerate(dims))
         table[name] = {str(k): h for k, h in enumerate(dims)}
-    _emit(args, {"command": "hochschild", "ok": True, "modules": table},
-          lines)
-    return 0
+    return True, {"modules": table}, lines
 
 
 def cmd_derivations(args):
     sf = ff.parse_path(args.file)
-    xname, x, bname, b = _coefficients(sf, args, "derivations")
-    rc = _coefficient_guard(args, xname, x, bname, b)
-    if rc:
-        return rc
+    xname, x, bname, b = _coefficients(sf, "derivations")
     basis = derivation_basis(x, b)
     lines = [f"derivations of {xname} with coefficients in {bname}: "
              f"dimension {len(basis)}"]
@@ -234,90 +264,51 @@ def cmd_derivations(args):
         lines.append(f"  beta = {_matrix_text(c.beta[0])}")
         elems.append({"alpha": format_matrix(c.alpha),
                       "beta": format_matrix(c.beta[0])})
-    _emit(args, {"command": "derivations", "ok": True, "over": xname,
-                 "coefficients": bname, "dimension": len(basis),
-                 "basis": elems}, lines)
-    return 0
+    return True, {"over": xname, "coefficients": bname,
+                  "dimension": len(basis), "basis": elems}, lines
 
 
 def cmd_semidirect(args):
     sf = ff.parse_path(args.file)
-    b_d = _need(sf, "rrb_bimodule", "semidirect")
-    b = b_d.obj
-    x = b.over
-    rc = _guard(args, [
-        (f"{b_d.refs['over']} (rrb_algebra)", check_relative_rb(x)),
-        (f"{b_d.name} (rrb_bimodule)", check_rrb_bimodule(b))])
-    if rc:
-        return rc
-    y = semidirect_rrb(b)
-    rep = check_relative_rb(y)
-    if not rep.ok:
-        return _fail(args, [("semidirect product", rep)])
+    b_d = _checked_bimodule(sf, "semidirect")
+    y = semidirect_rrb(b_d.obj)
+    _require([("semidirect product", check_relative_rb(y))])
     doc = ff.new_document()
     ff.declare_rrb_algebra(doc, f"{b_d.name}.semidirect", y)
-    ff.write_path(doc, args.output)
-    lines = [f"semidirect product: algebra dimension {y.algebra.dim}, "
-             f"module dimension {y.module.dim}",
-             f"wrote {args.output}"]
-    _emit(args, {"command": "semidirect", "ok": True,
-                 "algebra_dim": y.algebra.dim, "module_dim": y.module.dim,
-                 "output": args.output}, lines)
-    return 0
+    return _wrote(args, doc,
+                  {"algebra_dim": y.algebra.dim, "module_dim": y.module.dim},
+                  [f"semidirect product: algebra dimension {y.algebra.dim}, "
+                   f"module dimension {y.module.dim}"])
 
 
 def cmd_dual(args):
     sf = ff.parse_path(args.file)
-    b_d = _need(sf, "rrb_bimodule", "dual")
-    b = b_d.obj
-    xname = b_d.refs["over"]
-    rc = _guard(args, [(f"{xname} (rrb_algebra)", check_relative_rb(b.over)),
-                       (f"{b_d.name} (rrb_bimodule)", check_rrb_bimodule(b))])
-    if rc:
-        return rc
+    b_d = _checked_bimodule(sf, "dual")
+    b, xname = b_d.obj, b_d.refs["over"]
     dual = dual_rrb_bimodule(b)
-    rep = check_rrb_bimodule(dual)
-    if not rep.ok:
-        return _fail(args, [("dual bimodule", rep)])
+    _require([("dual bimodule", check_rrb_bimodule(dual))])
     doc = ff.new_document()
     _, asp, msp = ff.declare_rrb_algebra(doc, xname, b.over)
     ff.declare_rrb_bimodule(doc, f"{b_d.name}.dual", dual, xname, asp, msp)
-    ff.write_path(doc, args.output)
-    lines = [f"dual bimodule: base dimension {dual.base.dim}, "
-             f"fiber dimension {dual.fiber.dim}",
-             f"wrote {args.output}"]
-    _emit(args, {"command": "dual", "ok": True, "base_dim": dual.base.dim,
-                 "fiber_dim": dual.fiber.dim, "output": args.output}, lines)
-    return 0
+    return _wrote(args, doc,
+                  {"base_dim": dual.base.dim, "fiber_dim": dual.fiber.dim},
+                  [f"dual bimodule: base dimension {dual.base.dim}, "
+                   f"fiber dimension {dual.fiber.dim}"])
 
 
 def cmd_lift(args):
     sf = ff.parse_path(args.file)
-    x_d = _need(sf, "rrb_algebra", "lift")
-    x = x_d.obj
-    rc = _guard(args, [(f"{x_d.name} (rrb_algebra)", check_relative_rb(x))])
-    if rc:
-        return rc
-    total, rhat = lift_to_rb(x)
+    x_d, b_d = _checked_algebra(sf, "lift")
+    total, rhat = lift_to_rb(x_d.obj)
     xhat = RelativeRBAlgebra(total, Bimodule.adjoint(total), rhat)
     pairs = [("lifted Rota-Baxter identity", check_relative_rb(xhat))]
     doc = ff.new_document()
     xhat_name = f"{x_d.name}.lift"
     _, asp, msp = ff.declare_rrb_algebra(doc, xhat_name, xhat)
     lines = [f"lifted algebra dimension {total.dim}"]
-    payload = {"command": "lift", "ok": True, "algebra_dim": total.dim,
-               "output": args.output}
-    b_d = _bimodule_over(sf, x_d.name)
+    fields = {"algebra_dim": total.dim}
     if b_d is not None:
-        b = b_d.obj
-        rc = _guard(args, [(f"{b_d.name} (rrb_bimodule)",
-                            check_rrb_bimodule(b))])
-        if rc:
-            return rc
-        try:
-            lifted, shat = lift_bimodule(b)
-        except StructuralError as err:
-            return _fail_message(args, str(err))
+        lifted, shat = _construct(lift_bimodule, b_d.obj)
         hosted = Bimodule(total, lifted.dim, lifted.left, lifted.right,
                           lifted.basis_names)
         pairs.append(("lifted module pair",
@@ -328,49 +319,27 @@ def cmd_lift(args):
         ff.declare_rrb_bimodule(doc, f"{b_d.name}.lift", bhat, xhat_name,
                                 asp, msp)
         lines.append(f"lifted module dimension {lifted.dim}")
-        payload["module_dim"] = lifted.dim
-    rc = _guard(args, pairs)
-    if rc:
-        return rc
-    for label, _ in pairs:
-        lines.append(f"{label}: pass")
-    ff.write_path(doc, args.output)
-    lines.append(f"wrote {args.output}")
-    _emit(args, payload, lines)
-    return 0
+        fields["module_dim"] = lifted.dim
+    _require(pairs)
+    lines.extend(f"{label}: pass" for label, _ in pairs)
+    return _wrote(args, doc, fields, lines)
 
 
 def cmd_dendriform(args):
     sf = ff.parse_path(args.file)
-    x_d = _need(sf, "rrb_algebra", "dendriform")
-    x = x_d.obj
-    rc = _guard(args, [(f"{x_d.name} (rrb_algebra)", check_relative_rb(x))])
-    if rc:
-        return rc
-    den, mtot, morph = induced_dendriform(x)
+    x_d, b_d = _checked_algebra(sf, "dendriform")
+    den, mtot, morph = induced_dendriform(x_d.obj)
     pairs = [("dendriform axioms", check_dendriform(den)),
              ("total product associativity", check_associativity(mtot)),
              ("operator is a morphism on the total algebra", morph)]
-    b_d = _bimodule_over(sf, x_d.name)
     if b_d is not None:
         b = b_d.obj
-        rc = _guard(args, [(f"{b_d.name} (rrb_bimodule)",
-                            check_rrb_bimodule(b))])
-        if rc:
-            return rc
-        rep = induced_dendriform_representation(b)
         pairs.append(("dendriform representation",
-                      check_dendriform_representation(rep)))
+                      check_dendriform_representation(
+                          induced_dendriform_representation(b))))
         pairs.append(("total product bimodule",
                       check_bimodule(mtot_action_bimodule(b).actions)))
-    lines, checks, ok = [], [], True
-    for label, rep in pairs:
-        lines.append(rep.describe(label))
-        checks.append(rep.to_json(label))
-        ok = ok and rep.ok
-    _emit(args, {"command": "dendriform", "ok": ok, "checks": checks},
-          lines)
-    return 0 if ok else 1
+    return _checks(pairs)
 
 
 def cmd_extend(args):
@@ -385,57 +354,40 @@ def cmd_extend(args):
             f"'{args.cocycle}' has degree {c.degree}")
     x = sf.by_name[d.refs["over"]].obj
     b = sf.by_name[d.refs["coefficients"]].obj
-    rc = _guard(args, [
+    _require([
         (f"{d.refs['over']} (rrb_algebra)", check_relative_rb(x)),
         (f"{d.refs['coefficients']} (rrb_bimodule)", check_rrb_bimodule(b))])
-    if rc:
-        return rc
-    try:
-        e = build_extension(x, b, c)
-    except StructuralError as err:
-        return _fail_message(args, str(err))
-    rep = check_abelian_extension(e)
-    if not rep.ok:
-        return _fail(args, [("built extension", rep)])
+    e = _construct(build_extension, x, b, c)
+    _require([("built extension", check_abelian_extension(e))])
     doc = ff.new_document()
     ff.declare_extension(doc, f"{args.cocycle}.extension", e,
                          sections={"canonical": canonical_section(e)})
-    ff.write_path(doc, args.output)
-    lines = [f"total algebra dimension {e.total.algebra.dim}, "
-             f"total module dimension {e.total.module.dim}",
-             "extension checks: pass",
-             f"wrote {args.output}"]
-    _emit(args, {"command": "extend", "ok": True,
-                 "total_algebra_dim": e.total.algebra.dim,
-                 "total_module_dim": e.total.module.dim,
-                 "output": args.output}, lines)
-    return 0
+    return _wrote(args, doc,
+                  {"total_algebra_dim": e.total.algebra.dim,
+                   "total_module_dim": e.total.module.dim},
+                  [f"total algebra dimension {e.total.algebra.dim}, "
+                   f"total module dimension {e.total.module.dim}",
+                   "extension checks: pass"])
 
 
 def cmd_extract_cocycle(args):
     sf = ff.parse_path(args.file)
     e_d = _need(sf, "extension", "extract-cocycle")
     e = e_d.obj
-    rep = check_abelian_extension(e)
-    if not rep.ok:
-        return _fail(args, [(f"{e_d.name} (extension)", rep)])
+    _require([(f"{e_d.name} (extension)", check_abelian_extension(e))])
     if args.section is not None:
         sec = e_d.refs["sections"].get(args.section)
         if sec is None:
             raise ParseError(f"extension '{e_d.name}' declares no section "
                              f"named '{args.section}'")
         sec_name = args.section
-        try:
-            sec.validate(e)
-        except StructuralError as err:
-            return _fail_message(args, f"section '{args.section}': {err}")
+        _construct(sec.validate, e, prefix=f"section '{args.section}': ")
     else:
         sec = canonical_section(e)
         sec_name = "canonical"
     c = extract_cocycle(e, sec)
-    crep = cocycle_report(e.base, induced_fiber_bimodule(e, sec), c)
-    if not crep.ok:
-        return _fail(args, [("extracted cochain", crep)])
+    _require([("extracted cochain",
+               cocycle_report(e.base, induced_fiber_bimodule(e, sec), c))])
     blob = {"degree": c.degree,
             "alpha": format_matrix(c.alpha),
             "beta": [format_matrix(s) for s in c.beta],
@@ -446,9 +398,7 @@ def cmd_extract_cocycle(args):
         lines.append(f"beta {s + 1} = {_matrix_text(slot)}")
     lines.append(f"gamma = {_matrix_text(c.gamma)}")
     lines.append("cocycle condition: pass")
-    _emit(args, {"command": "extract-cocycle", "ok": True,
-                 "section": sec_name, "cocycle": blob}, lines)
-    return 0
+    return True, {"section": sec_name, "cocycle": blob}, lines
 
 
 def cmd_skeletal_to_triple(args):
@@ -457,34 +407,25 @@ def cmd_skeletal_to_triple(args):
     a = sf.by_name[r_d.refs["algebra"]].obj
     m = sf.by_name[r_d.refs["module"]].obj
     r = r_d.obj
-    rc = _guard(args, [
+    _require([
         (f"{r_d.refs['algebra']} (two_term_ainfty)", check_two_term_ainfty(a)),
         (f"{r_d.refs['module']} (ainfty_bimodule)",
          check_ainfty_bimodule(a, m)),
         (f"{r_d.name} (homotopy_rrb)", check_homotopy_rrb_operator(a, m, r))])
-    if rc:
-        return rc
-    try:
-        x, b, c = skeletal_to_triple(a, m, r)
-    except StructuralError as err:
-        return _fail_message(args, str(err))
+    x, b, c = _construct(skeletal_to_triple, a, m, r)
     doc = ff.new_document()
     xname, asp, msp = ff.declare_rrb_algebra(doc, "triple", x)
     bname, bsp, fsp = ff.declare_rrb_bimodule(doc, "triple.coefficients", b,
                                               xname, asp, msp)
     ff.declare_cocycle(doc, "triple.cocycle", c, xname, bname, asp, msp,
                        bsp, fsp)
-    ff.write_path(doc, args.output)
-    lines = [f"algebra dimension {x.algebra.dim}, "
-             f"module dimension {x.module.dim}",
-             f"coefficient dimensions {b.base.dim} and {b.fiber.dim}",
-             "degree-3 cocycle recorded",
-             f"wrote {args.output}"]
-    _emit(args, {"command": "skeletal-to-triple", "ok": True,
-                 "algebra_dim": x.algebra.dim, "module_dim": x.module.dim,
-                 "base_dim": b.base.dim, "fiber_dim": b.fiber.dim,
-                 "output": args.output}, lines)
-    return 0
+    return _wrote(args, doc,
+                  {"algebra_dim": x.algebra.dim, "module_dim": x.module.dim,
+                   "base_dim": b.base.dim, "fiber_dim": b.fiber.dim},
+                  [f"algebra dimension {x.algebra.dim}, "
+                   f"module dimension {x.module.dim}",
+                   f"coefficient dimensions {b.base.dim} and {b.fiber.dim}",
+                   "degree-3 cocycle recorded"])
 
 
 def cmd_triple_to_skeletal(args):
@@ -499,55 +440,40 @@ def cmd_triple_to_skeletal(args):
                          "triple-to-skeletal needs one")
     x = sf.by_name[c_d.refs["over"]].obj
     b = sf.by_name[c_d.refs["coefficients"]].obj
-    rc = _guard(args, [
+    _require([
         (f"{c_d.refs['over']} (rrb_algebra)", check_relative_rb(x)),
         (f"{c_d.refs['coefficients']} (rrb_bimodule)",
          check_rrb_bimodule(b)),
         (f"{c_d.name} (cocycle)", cocycle_report(x, b, c_d.obj))])
-    if rc:
-        return rc
-    try:
-        a, m, r = triple_to_skeletal(x, b, c_d.obj, verify=False)
-    except StructuralError as err:
-        return _fail_message(args, str(err))
+    a, m, r = _construct(functools.partial(triple_to_skeletal, verify=False),
+                         x, b, c_d.obj)
     doc = ff.new_document()
     aname, a0, a1 = ff.declare_two_term(doc, "skeletal.algebra", a)
     mname, m0, m1 = ff.declare_ainfty_bimodule(doc, "skeletal.module", m,
                                                aname, a0, a1)
     ff.declare_homotopy_rrb(doc, "skeletal.operator", r, aname, mname,
                             a0, a1, m0, m1)
-    ff.write_path(doc, args.output)
-    lines = [f"degree-0 dimensions {a.dim0} and {m.dim0}",
-             f"degree-1 dimensions {a.dim1} and {m.dim1}",
-             f"wrote {args.output}"]
-    _emit(args, {"command": "triple-to-skeletal", "ok": True,
-                 "algebra_dims": [a.dim0, a.dim1],
-                 "module_dims": [m.dim0, m.dim1],
-                 "output": args.output}, lines)
-    return 0
+    return _wrote(args, doc,
+                  {"algebra_dims": [a.dim0, a.dim1],
+                   "module_dims": [m.dim0, m.dim1]},
+                  [f"degree-0 dimensions {a.dim0} and {m.dim0}",
+                   f"degree-1 dimensions {a.dim1} and {m.dim1}"])
 
 
 def cmd_chainmap_check(args):
     if args.degree < 1:
         raise ParseError("--degree must be at least 1")
     sf = ff.parse_path(args.file)
-    xname, x, bname, b = _coefficients(sf, args, "chainmap-check")
-    rc = _coefficient_guard(args, xname, x, bname, b)
-    if rc:
-        return rc
+    _, x, _, b = _coefficients(sf, "chainmap-check")
     den, _, morph = induced_dendriform(x)
-    rc = _guard(args, [("operator is a morphism on the total algebra",
-                        morph)])
-    if rc:
-        return rc
+    _require([("operator is a morphism on the total algebra", morph)])
     k = args.degree
     dend = dendriform_differential_matrix(
         den, induced_dendriform_representation(b), k + 1)
     ok = dend * psi_matrix(x, b, k) == psi_matrix(x, b, k + 1) * \
         hochschild_matrix(mtot_action_bimodule(b).actions, k)
-    _emit(args, {"command": "chainmap-check", "ok": ok, "degree": k},
-          [f"chain map at degree {k}: {'pass' if ok else 'FAIL'}"])
-    return 0 if ok else 1
+    return ok, {"degree": k}, [
+        f"chain map at degree {k}: {'pass' if ok else 'FAIL'}"]
 
 
 # ------------------------------------------------------------ entry point
@@ -628,7 +554,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        return args.func(args)
+        return _run(args)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

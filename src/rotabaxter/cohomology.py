@@ -436,7 +436,7 @@ def psi_matrix(x, b, k):
 # the ambient semidirect complex
 
 
-def semidirect_complex(x, b):
+def semidirect_complex(b):
     """The semidirect-sum structure with its own adjoint coefficients."""
     big = semidirect_rrb(b)
     return big, adjoint_bimodule(big)
@@ -474,4 +474,4 @@ def semidirect_inclusion_matrix(x, b, k):
         terms.append((1, k + 1, k + 1,
                       Product(inc_b, _powers(proj_m, k - 1)[-1])))
     return assemble_terms(terms, _block_shapes(x, b, k),
-                          _block_shapes(*semidirect_complex(x, b), k))
+                          _block_shapes(*semidirect_complex(b), k))

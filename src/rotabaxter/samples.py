@@ -62,10 +62,6 @@ def random_matrix(rng, rows, cols, density=0.6, span=4):
           for _ in range(cols)] for _ in range(rows)])
 
 
-def random_linear_map(rng, dom, cod, density=0.6, span=4):
-    return random_matrix(rng, cod, dom, density, span)
-
-
 def random_constants(rng, dim_left, dim_right, dim_out, density=0.5, span=3):
     return StructureConstants(
         dim_left, dim_right, dim_out,
@@ -188,7 +184,7 @@ def catalog_rrb(rng):
     zero_alg = AssocAlgebra.zero(dim_a)
     out.append(RelativeRBAlgebra(
         zero_alg, Bimodule.zero_actions(zero_alg, dim_m),
-        random_linear_map(rng, dim_m, dim_a)))
+        random_matrix(rng, dim_a, dim_m)))
 
     # the ground field on itself; only the zero operator passes here
     field = _field()
@@ -224,8 +220,8 @@ def catalog_rrb(rng):
 
     # endomorphisms of a random 2-term complex of lines; an invertible
     # differential leaves the module zero-dimensional, a welcome edge case
-    cx = TwoTermComplex(1, 1, random_linear_map(rng, 1, 1, density=0.5,
-                                                span=2))
+    cx = TwoTermComplex(1, 1, random_matrix(rng, 1, 1, density=0.5,
+                                            span=2))
     out.append(endomorphism_rrb(cx))
 
     return out
@@ -245,7 +241,7 @@ def catalog_bimodules(rng, x):
     out.append(RRBBimodule(
         x, Bimodule.zero_actions(alg, dim_b),
         Bimodule.zero_actions(alg, dim_n),
-        random_linear_map(rng, dim_n, dim_b),
+        random_matrix(rng, dim_b, dim_n),
         StructureConstants.zero(x.module.dim, dim_b, dim_n),
         StructureConstants.zero(dim_b, x.module.dim, dim_n)))
 

@@ -1036,7 +1036,7 @@ def ref_semidirect_inclusion_matrix(x, b, k):
     dB, dN = b.base.dim, b.fiber.dim
     big_a, big_m = dA + dB, dM + dN
     a_in, bt_in, g_in = cochain_space_dims(x, b, k)
-    big, bigb = semidirect_complex(x, b)
+    big, bigb = semidirect_complex(b)
     A_in, BT_in, G_in = cochain_space_dims(big, bigb, k)
     out = Matrix(A_in + BT_in + G_in, a_in + bt_in + g_in)
     ti_a, ti_big_a = TensorIndex((dA,) * k), TensorIndex((big_a,) * k)

@@ -38,7 +38,7 @@ from rotabaxter.rrb_modules import (
     mtot_action_bimodule, semidirect_rrb,
 )
 from rotabaxter.samples import (
-    bump_constants, bump_map, operator_break_pair, random_linear_map,
+    bump_constants, bump_map, operator_break_pair, random_matrix,
     random_rrb_cocycle, random_rrb_pair,
 )
 
@@ -83,8 +83,8 @@ def stacked_section(e, theta, vartheta):
 
 def random_degree_one(x, b, seed):
     rng = random.Random(seed)
-    theta = random_linear_map(rng, x.algebra.dim, b.base.dim)
-    vartheta = random_linear_map(rng, x.module.dim, b.fiber.dim)
+    theta = random_matrix(rng, b.base.dim, x.algebra.dim)
+    vartheta = random_matrix(rng, b.fiber.dim, x.module.dim)
     return theta, vartheta
 
 
@@ -125,7 +125,7 @@ def test_02_semidirect_subcomplex_blocks():
         x, b = random_rrb_pair(seed)
         if x.algebra.dim + b.base.dim > 4 or x.module.dim + b.fiber.dim > 4:
             continue
-        big_x, big_b = semidirect_complex(x, b)
+        big_x, big_b = semidirect_complex(b)
         for k in (1, 2):
             inc_k = semidirect_inclusion_matrix(x, b, k)
             inc_next = semidirect_inclusion_matrix(x, b, k + 1)

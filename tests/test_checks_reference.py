@@ -34,7 +34,7 @@ from rotabaxter.rrb_modules import (
     lift_bimodule,
 )
 from rotabaxter.samples import (
-    bump_constants, bump_map, random_linear_map, random_rrb_cochain,
+    bump_constants, bump_map, random_matrix, random_rrb_cochain,
     random_rrb_pair,
 )
 
@@ -164,8 +164,8 @@ def triple_pairs(f, base, seed):
     rng = Random(seed)
     dpair = DifferentialPair(
         x.algebra, x.module, b.base, b.fiber,
-        random_linear_map(rng, x.algebra.dim, x.module.dim),
-        random_linear_map(rng, b.base.dim, b.fiber.dim),
+        random_matrix(rng, x.module.dim, x.algebra.dim),
+        random_matrix(rng, b.fiber.dim, b.base.dim),
         b.left_pair, b.right_pair)
     yield ("differential_pair", check_differential_pair(dpair),
            ref.ref_check_differential_pair(dpair))

@@ -16,12 +16,12 @@ from rotabaxter.classification import (
 )
 from rotabaxter.cohomology import RRBCochain, rrb_differential
 from rotabaxter.linalg import Matrix, Q, inverse, kernel_basis
-from rotabaxter.rrb import RelativeRBAlgebra, check_relative_rb
+from rotabaxter.rrb import RRBMorphism, RelativeRBAlgebra, check_relative_rb
 from rotabaxter.rrb_modules import (
     RRBBimodule, check_rrb_bimodule, semidirect_rrb,
 )
 from rotabaxter.samples import (
-    bump_constants, bump_map, random_invertible, random_linear_map,
+    bump_constants, bump_map, random_invertible, random_matrix,
     random_rrb_cocycle, random_rrb_pair,
 )
 
@@ -155,8 +155,8 @@ def test_perturbed_section_shifts_extract_by_coboundary():
         rng = random.Random(seed + 77)
         x, b, c = extension_fixture(seed)
         e = build_extension(x, b, c)
-        theta = random_linear_map(rng, x.algebra.dim, b.base.dim)
-        varth = random_linear_map(rng, x.module.dim, b.fiber.dim)
+        theta = random_matrix(rng, b.base.dim, x.algebra.dim)
+        varth = random_matrix(rng, b.fiber.dim, x.module.dim)
         got = extract_cocycle(e, perturbed_section(e, theta, varth))
         shift = rrb_differential(x, b, 1, RRBCochain(1, theta, (varth,)))
         want = tuple(p + q for p, q in zip(c.vector(), shift.vector()))
@@ -194,8 +194,8 @@ def test_induced_bimodule_is_section_independent():
         x, b, c = extension_fixture(seed)
         e = build_extension(x, b, c)
         sec = perturbed_section(
-            e, random_linear_map(rng, x.algebra.dim, b.base.dim),
-            random_linear_map(rng, x.module.dim, b.fiber.dim))
+            e, random_matrix(rng, b.base.dim, x.algebra.dim),
+            random_matrix(rng, b.fiber.dim, x.module.dim))
         ind = induced_fiber_bimodule(e, sec)
         assert coefficient_tensors(ind) == coefficient_tensors(b)
 
@@ -217,8 +217,8 @@ def test_cobounding_cochain_finds_witness():
     for seed in range(6):
         rng = random.Random(seed + 13)
         x, b, c = extension_fixture(seed)
-        theta = random_linear_map(rng, x.algebra.dim, b.base.dim)
-        varth = random_linear_map(rng, x.module.dim, b.fiber.dim)
+        theta = random_matrix(rng, b.base.dim, x.algebra.dim)
+        varth = random_matrix(rng, b.fiber.dim, x.module.dim)
         shift = rrb_differential(x, b, 1, RRBCochain(1, theta, (varth,)))
         c2 = RRBCochain.from_vector(
             x, b, 2, tuple(p + q for p, q in zip(c.vector(),
@@ -258,8 +258,8 @@ def test_extension_iso_is_a_shear_in_glued_coordinates():
     for seed in range(6):
         rng = random.Random(seed + 41)
         x, b, c = extension_fixture(seed)
-        theta = random_linear_map(rng, x.algebra.dim, b.base.dim)
-        varth = random_linear_map(rng, x.module.dim, b.fiber.dim)
+        theta = random_matrix(rng, b.base.dim, x.algebra.dim)
+        varth = random_matrix(rng, b.fiber.dim, x.module.dim)
         shift = rrb_differential(x, b, 1, RRBCochain(1, theta, (varth,)))
         c2 = RRBCochain.from_vector(
             x, b, 2, tuple(p + q for p, q in zip(c.vector(),
@@ -281,8 +281,8 @@ def test_extension_iso_is_a_shear_in_glued_coordinates():
 def test_extension_iso_from_coboundary_reaches_the_split():
     rng = random.Random(99)
     x, b = random_rrb_pair(seed=4)
-    theta = random_linear_map(rng, x.algebra.dim, b.base.dim)
-    varth = random_linear_map(rng, x.module.dim, b.fiber.dim)
+    theta = random_matrix(rng, b.base.dim, x.algebra.dim)
+    varth = random_matrix(rng, b.fiber.dim, x.module.dim)
     cb = rrb_differential(x, b, 1, RRBCochain(1, theta, (varth,)))
     e = build_extension(x, b, cb)
     split = build_extension(x, b, RRBCochain.zero(x, b, 2))
@@ -314,7 +314,6 @@ def test_extension_iso_rejects_different_fiber_bimodules():
 
 
 def test_check_extension_morphism_detects_tampering():
-    from rotabaxter.rrb import RRBMorphism
     x, b, c = extension_fixture(2)
     e = build_extension(x, b, c)
     mor = extension_iso_from_cobounding(
@@ -322,6 +321,20 @@ def test_check_extension_morphism_detects_tampering():
         Matrix.zero(b.fiber.dim, x.module.dim))
     bent = RRBMorphism(e.total, e.total, bump_map(mor.phi, (0, 0)), mor.psi)
     assert not check_extension_morphism(e, e, bent).ok
+
+
+def test_check_extension_morphism_needs_the_totals_as_ends():
+    # seeds 0 and 1 build totals of dimensions 3+2, seed 2 one of 3+3
+    e0, e1, e2 = (build_extension(*extension_fixture(s)) for s in range(3))
+    assert (e0.total.algebra.dim, e0.total.module.dim) == \
+        (e1.total.algebra.dim, e1.total.module.dim) == (3, 2)
+    assert (e2.total.algebra.dim, e2.total.module.dim) == (3, 3)
+    with pytest.raises(ShapeError):
+        check_extension_morphism(e0, e2, RRBMorphism.identity(e2.total))
+    with pytest.raises(ShapeError):
+        check_extension_morphism(e0, e0, RRBMorphism.identity(e1.total))
+    assert check_extension_morphism(
+        e0, e0, RRBMorphism.identity(e0.total)).ok
 
 
 # ------------------------------------------------------ extension checks

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from rotabaxter import cli, fileformat as ff
-from rotabaxter.algebra import AssocAlgebra, Bimodule, StructureConstants
+from rotabaxter.algebra import (
+    AssocAlgebra, Bimodule, StructuralError, StructureConstants,
+)
 from rotabaxter.classification import (
     AInftyBimodule, HomotopyRRBOperator, TwoTermAInfty,
 )
@@ -279,6 +281,30 @@ def test_commands_guard_invalid_inputs(tmp_path, capsys):
         rc, out = run(capsys, argv[0], str(bad), *argv[1:])
         assert rc == 1, argv
         assert "FAIL" in out
+
+
+def test_structural_errors_outside_a_construction_go_to_stderr(
+        tmp_path, capsys, monkeypatch):
+    """A construction that rejects its input reports on stdout; an
+    invariant failing anywhere else is reported on stderr."""
+    src = tmp_path / "pair.json"
+    write_pair_fixture(src)
+    out = tmp_path / "out.json"
+
+    def broken(*_):
+        raise StructuralError("invariant broken")
+
+    monkeypatch.setattr(cli, "build_extension", broken)
+    rc = cli.main(["extend", str(src), "--cocycle", "c", "-o", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "invariant broken\n")
+    assert "failure" not in captured.err
+    monkeypatch.setattr(cli, "semidirect_rrb", broken)
+    rc = cli.main(["semidirect", str(src), "-o", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.startswith("failure: invariant broken\n")
+    assert not out.exists()
 
 
 def test_text_violation_renders_as_one_string(tmp_path, capsys):

@@ -24,6 +24,15 @@ and chainmap-check on random_rrb_pair(1) with entry (0, 0) of R raised by
 1, which breaks the relative Rota-Baxter identity: each stops at the same
 check of the algebra and its coefficients and exits 1.
 
+REJECTED: the exit code and the sha256 of stdout, in text and JSON, of each
+command that takes -o or checks what it builds, on an input it rejects:
+semidirect, dual, lift and dendriform on the GUARDED input; extend and
+triple-to-skeletal on sample 6 with entry (0, 0) of alpha of its degree-2
+and degree-3 cocycles raised by 1; extract-cocycle --section canonical on
+the extension extend builds from sample 6 with the section's s zeroed; and
+skeletal-to-triple on the skeletal data triple-to-skeletal builds from
+sample 6 with entry (0, 0) of r0 raised by 1.  None of them writes a file.
+
 A change meant to keep the output byte for byte is held to it here; a
 change meant to alter it records the tables again with
 
@@ -39,6 +48,12 @@ from pathlib import Path
 import pytest
 
 from rotabaxter import cli, fileformat as ff
+from rotabaxter.classification import (
+    HomotopyRRBOperator, Section, build_extension, canonical_section,
+    triple_to_skeletal,
+)
+from rotabaxter.cohomology import RRBCochain
+from rotabaxter.linalg import Matrix
 from rotabaxter.rrb import RelativeRBAlgebra
 from rotabaxter.rrb_modules import RRBBimodule
 from rotabaxter.samples import bump_map, random_rrb_cocycle, random_rrb_pair
@@ -284,13 +299,12 @@ def write_cocycle_fixture(name, path):
     ff.write_path(doc, path)
 
 
-def run_writer(command, fmt, work):
-    """(exit code, sha256 of stdout, sha256 of out.json or None); the
-    directory is cut from the paths stdout names."""
+def run_writer(words, fmt, work):
+    """(exit code, sha256 of stdout, sha256 of out.json or None) of the
+    command line words; the directory is cut from the paths stdout names."""
     written = work / "out.json"
     written.unlink(missing_ok=True)
-    argv = [str(work / a) if a.endswith(".json") else a
-            for a in WRITERS[command]]
+    argv = [str(work / a) if a.endswith(".json") else a for a in words]
     rc, stdout = capture([*argv, "--format", fmt])
     stdout = stdout.replace(f"{work}/", "")
     return (rc, sha256(stdout.encode("utf-8")),
@@ -304,7 +318,7 @@ def prepare_writer_fixture(name, work):
     write_cocycle_fixture(name, work / "fixture.json")
     for command, made in (("extend", "extension.json"),
                           ("triple-to-skeletal", "skeletal.json")):
-        run_writer(command, "text", work)
+        run_writer(WRITERS[command], "text", work)
         if (work / "out.json").exists():
             (work / "out.json").rename(work / made)
     return work
@@ -597,7 +611,8 @@ def test_written_table_covers_every_command_format_and_fixture():
 @pytest.mark.parametrize("key", sorted(WRITTEN), ids="-".join)
 def test_written_output_is_unchanged(key, writer_dirs):
     name, command, fmt = key
-    assert run_writer(command, fmt, writer_dirs[name]) == WRITTEN[key]
+    assert run_writer(WRITERS[command], fmt, writer_dirs[name]) == \
+        WRITTEN[key]
 
 
 def test_serialized_pairs_are_unchanged():
@@ -643,12 +658,16 @@ GUARD_JSON = """\
 """
 
 
-@pytest.fixture(scope="module")
-def broken_path(tmp_path_factory):
+def write_broken_pair(path):
     x, b = random_rrb_pair(1)
     x = RelativeRBAlgebra(x.algebra, x.module, bump_map(x.rop, (0, 0)))
-    path = tmp_path_factory.mktemp("guarded") / "bad.json"
     write_pair(x, b, path)
+
+
+@pytest.fixture(scope="module")
+def broken_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("guarded") / "bad.json"
+    write_broken_pair(path)
     return path
 
 
@@ -657,6 +676,111 @@ def test_coefficient_guard_output_is_unchanged(command, broken_path):
     assert capture([command, str(broken_path)]) == (1, GUARD_TEXT)
     assert capture([command, str(broken_path), "--format", "json"]) == \
         (1, GUARD_JSON.replace("COMMAND", command))
+
+
+# commands on inputs they reject; every *.json argument names a file
+# prepare_rejected_fixtures writes, and none of them may write out.json
+REJECTS = {
+    "semidirect": ("semidirect", "bad.json", "-o", "out.json"),
+    "dual": ("dual", "bad.json", "-o", "out.json"),
+    "lift": ("lift", "bad.json", "-o", "out.json"),
+    "dendriform": ("dendriform", "bad.json"),
+    "extend": ("extend", "bent.json", "--cocycle", "C2", "-o", "out.json"),
+    "triple-to-skeletal": ("triple-to-skeletal", "bent.json",
+                           "-o", "out.json"),
+    "extract-cocycle": ("extract-cocycle", "unsplit.json",
+                        "--section", "canonical"),
+    "skeletal-to-triple": ("skeletal-to-triple", "bent-skeletal.json",
+                           "-o", "out.json"),
+}
+
+
+def prepare_rejected_fixtures(work):
+    """bad.json (the GUARDED input), and from sample 6: bent.json with
+    alpha (0, 0) of C2 and C3 raised by 1, unsplit.json with its extension
+    and a zero s as section 'canonical', and bent-skeletal.json with its
+    skeletal data and r0 (0, 0) raised by 1."""
+    work.mkdir()
+    write_broken_pair(work / "bad.json")
+    x, b = random_rrb_pair(6)
+    c2, c3 = (random_rrb_cocycle(6, x, b, k) for k in (2, 3))
+    doc = ff.new_document()
+    xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
+    bn, bsp, fsp = ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
+    for c in (c2, c3):
+        bent = RRBCochain(c.degree, bump_map(c.alpha, (0, 0)), c.beta,
+                          c.gamma)
+        ff.declare_cocycle(doc, f"C{c.degree}", bent, xn, bn, asp, msp,
+                           bsp, fsp)
+    ff.write_path(doc, work / "bent.json")
+    e = build_extension(x, b, c2)
+    sec = canonical_section(e)
+    doc = ff.new_document()
+    ff.declare_extension(doc, "E", e, sections={
+        "canonical": Section(Matrix(sec.s.rows, sec.s.cols), sec.sbar)})
+    ff.write_path(doc, work / "unsplit.json")
+    a, m, r = triple_to_skeletal(x, b, c3)
+    doc = ff.new_document()
+    an, a0, a1 = ff.declare_two_term(doc, "A", a)
+    mn, m0, m1 = ff.declare_ainfty_bimodule(doc, "M", m, an, a0, a1)
+    ff.declare_homotopy_rrb(
+        doc, "R", HomotopyRRBOperator(bump_map(r.r0, (0, 0)), r.r1, r.r2),
+        an, mn, a0, a1, m0, m1)
+    ff.write_path(doc, work / "bent-skeletal.json")
+    return work
+
+
+# (command, format) -> (exit code, sha256 of stdout)
+REJECTED = {
+    ('semidirect', 'text'):
+        (1, '072a1935997fa4170ac2b98b7aaedc2aa00df4dc4e72ef43ab00907f698bb006'),
+    ('semidirect', 'json'):
+        (1, 'ca2e0ffe069de849cb137964646a408ec1af5429ca0f2673bc478e786c908e9b'),
+    ('dual', 'text'):
+        (1, '072a1935997fa4170ac2b98b7aaedc2aa00df4dc4e72ef43ab00907f698bb006'),
+    ('dual', 'json'):
+        (1, '7b52ccc89ecf8f8218ff3471c7b20b23068245f4de0d3e0be004a45e77764454'),
+    ('lift', 'text'):
+        (1, '5ae79f73a28542c8a6e1e2fa77732533956cf26fef807624ad47faf36f91ceef'),
+    ('lift', 'json'):
+        (1, 'b53bf388904fb032f1ab318ae2407aa8ffc5e49ad86a34e0069b9b0750eb417c'),
+    ('dendriform', 'text'):
+        (1, '5ae79f73a28542c8a6e1e2fa77732533956cf26fef807624ad47faf36f91ceef'),
+    ('dendriform', 'json'):
+        (1, 'cbd4ab450a70be89f3631cc52b2278f7a859fff1fcef77d5960f56ba12d51673'),
+    ('extend', 'text'):
+        (1, 'c08f45d4631568bbe3daaf3d57149c7efa1eec5fa6ecbacefc3823202599aecc'),
+    ('extend', 'json'):
+        (1, '6c218dfcd1ddf481ac337bfb757de4261b0fe638317af3ced160c2808e34424a'),
+    ('triple-to-skeletal', 'text'):
+        (1, '08476653f2a29ef05a2ea64adc3085e3214e3b07d46dc434756358592debb823'),
+    ('triple-to-skeletal', 'json'):
+        (1, 'ce8818a425fb1f6a95596eddcbf2486eb38e9a653ce913b31f01d70e23a66ed4'),
+    ('extract-cocycle', 'text'):
+        (1, '69feba0b2ba3db2fa1891a7c1a30ac37c394644fe79184e02d90b1a0035899cf'),
+    ('extract-cocycle', 'json'):
+        (1, '8b03a602054fefa42b5dc74b0338445285c27f8e0c5868bd8fc88c814d3bc5f6'),
+    ('skeletal-to-triple', 'text'):
+        (1, '086a862214ef7f5010669ff355c5389d8f218e1950574b0505b5f0a52918722a'),
+    ('skeletal-to-triple', 'json'):
+        (1, '83015c78d7027be2a161168320e83050d6530af3ab8e57076b63571e56a0e52f'),
+}
+
+
+@pytest.fixture(scope="module")
+def rejected_dir(tmp_path_factory):
+    return prepare_rejected_fixtures(tmp_path_factory.mktemp("r") / "work")
+
+
+def test_rejected_table_covers_every_command_and_format():
+    assert set(REJECTED) == {(c, fmt) for c in REJECTS for fmt in FORMATS}
+
+
+@pytest.mark.parametrize("key", sorted(REJECTED), ids="-".join)
+def test_rejected_output_is_unchanged(key, rejected_dir):
+    command, fmt = key
+    assert run_writer(REJECTS[command], fmt, rejected_dir) == \
+        (*REJECTED[key], None)
 
 
 if __name__ == "__main__":
@@ -675,7 +799,8 @@ if __name__ == "__main__":
             wdir = prepare_writer_fixture(name, Path(work) / name)
             for command in WRITERS:
                 for fmt in FORMATS:
-                    rc, out, written = run_writer(command, fmt, wdir)
+                    rc, out, written = run_writer(WRITERS[command], fmt,
+                                                  wdir)
                     print(f"    ({name!r}, {command!r}, {fmt!r}):\n"
                           f"        ({rc}, {out!r},\n"
                           f"         {written!r}),")
@@ -683,4 +808,12 @@ if __name__ == "__main__":
         print("PAIRS = {")
         for s in range(100):
             print(f"    {s}: {pair_digest(s)!r},")
+        print("}")
+        print("REJECTED = {")
+        rdir = prepare_rejected_fixtures(Path(work) / "rejected")
+        for command in REJECTS:
+            for fmt in FORMATS:
+                rc, out, _ = run_writer(REJECTS[command], fmt, rdir)
+                print(f"    ({command!r}, {fmt!r}):\n"
+                      f"        ({rc}, {out!r}),")
         print("}")

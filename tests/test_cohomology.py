@@ -30,7 +30,7 @@ from rotabaxter.rrb_modules import (
     induced_dendriform_representation, mtot_action_bimodule,
 )
 from rotabaxter.samples import (
-    bump_map, random_linear_map, random_rrb_cochain, random_rrb_cocycle,
+    bump_map, random_matrix, random_rrb_cochain, random_rrb_cocycle,
     random_rrb_pair, random_transport_pair,
 )
 
@@ -299,8 +299,8 @@ def test_operator_term_vanishes_over_inert_fixture():
 def test_operator_term_degree_one_formula():
     # h(alpha, beta) = S . beta - alpha . R at degree 1
     for x, b in small_pairs():
-        alpha = random_linear_map(Random(7), x.algebra.dim, b.base.dim)
-        beta = random_linear_map(Random(8), x.module.dim, b.fiber.dim)
+        alpha = random_matrix(Random(7), b.base.dim, x.algebra.dim)
+        beta = random_matrix(Random(8), b.fiber.dim, x.module.dim)
         blocks = differential_blocks(x, b, 1)
         got = tuple(
             p + q for p, q in
@@ -946,10 +946,10 @@ def rb_pair_from_r_matrix():
 def random_rb_cochain(seed, pair, k):
     rng = Random(seed)
     dA, dM = pair.algebra.dim, pair.module.dim
-    beta = random_linear_map(rng, dA ** k, dM)
+    beta = random_matrix(rng, dM, dA ** k)
     if k == 1:
         return RBCochain(1, beta)
-    return RBCochain(k, beta, random_linear_map(rng, dA ** (k - 1), dM))
+    return RBCochain(k, beta, random_matrix(rng, dM, dA ** (k - 1)))
 
 
 def test_restricted_differential_of_zero_is_zero():
@@ -1153,7 +1153,7 @@ def test_differential_commutes_with_semidirect_inclusion():
         x, b = random_rrb_pair(seed)
         if x.algebra.dim + b.base.dim > 4 or x.module.dim + b.fiber.dim > 4:
             continue
-        big_x, big_b = semidirect_complex(x, b)
+        big_x, big_b = semidirect_complex(b)
         assert check_relative_rb(big_x).ok
         assert check_rrb_bimodule(big_b).ok
         for k in (1, 2):

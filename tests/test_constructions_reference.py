@@ -29,9 +29,8 @@ from rotabaxter.rrb_modules import (
     dual_rrb_bimodule, morphism_induced_bimodule,
 )
 from rotabaxter.samples import (
-    bump_constants, bump_map, random_invertible, random_linear_map,
-    random_matrix, random_rrb_cocycle, random_rrb_pair, transport_bilinear,
-    transport_rrb,
+    bump_constants, bump_map, random_invertible, random_matrix,
+    random_rrb_cocycle, random_rrb_pair, transport_bilinear, transport_rrb,
 )
 
 import helpers as ref
@@ -79,8 +78,8 @@ def morphisms(rng, x, seed):
     return (RRBMorphism.identity(x),
             RRBMorphism(transport_rrb(x, p, q), x, p, q),
             RRBMorphism(y, x,
-                        random_linear_map(rng, y.algebra.dim, x.algebra.dim),
-                        random_linear_map(rng, y.module.dim, x.module.dim)))
+                        random_matrix(rng, x.algebra.dim, y.algebra.dim),
+                        random_matrix(rng, x.module.dim, y.module.dim)))
 
 
 def shifted_section(rng, e):
@@ -152,9 +151,9 @@ def test_constructions_match_basis_vector_reference():
             same(rrb_bimodule, morphism_induced_bimodule,
                  ref.ref_morphism_induced_bimodule, mor)
         dA, dM, dB = x.algebra.dim, x.module.dim, b.base.dim
-        f = random_linear_map(rng, 2, dM)
-        g = random_linear_map(rng, 3, dB)
-        h = random_linear_map(rng, b.fiber.dim, 2)
+        f = random_matrix(rng, dM, 2)
+        g = random_matrix(rng, dB, 3)
+        h = random_matrix(rng, 2, b.fiber.dim)
         same(tensor, transport_bilinear, ref.ref_transport_bilinear,
              b.left_pair, f, g, h)
         t = random_matrix(rng, dA, dA)
@@ -176,7 +175,7 @@ def test_constructions_match_basis_vector_reference():
                         e, sec)[0] == "ok"
             assert same(rrb_bimodule, induced_fiber_bimodule,
                         ref.ref_induced_fiber_bimodule, e, sec)[0] == "ok"
-        theta = random_linear_map(rng, dA, b.base.dim)
+        theta = random_matrix(rng, b.base.dim, dA)
         assert outcome(lambda m: m, _shear, canonical.s, shifted.s,
                        theta, e.alg_incl, e.alg_incl, e.alg_proj) == \
             outcome(lambda m: m, ref.ref_shear, e, e, canonical.s,

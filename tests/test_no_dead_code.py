@@ -1,7 +1,9 @@
 """Every function, class and method defined in src is used: its name is
 referenced somewhere in src or tests (dunders are called by the language).
-Every local a src function assigns is read, in the function or in one
-nested in it (names starting with _ are exempt)."""
+Every local a src function assigns, and every parameter of a module-level
+src function, is read, in the function or in one nested in it (names
+starting with _ are exempt).  Methods may ignore a parameter: a class
+shares its method signatures with its siblings."""
 
 import ast
 import pathlib
@@ -90,3 +92,41 @@ def test_every_local_is_read():
               for func, name, line in unused_locals(
                   ast.parse(path.read_text(encoding="utf-8"), str(path)))]
     assert not unused, f"assigned but never read: {', '.join(unused)}"
+
+
+def unused_parameters(tree):
+    """(function, name, line) for each parameter of a module-level function
+    that neither it nor a function nested in it reads."""
+    for func in tree.body:
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(p for p in (a.vararg, a.kwarg) if p is not None)]
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        for param in params:
+            if not (param.arg in read or param.arg.startswith("_")):
+                yield func.name, param.arg, param.lineno
+
+
+def test_unused_parameters_are_found():
+    tree = ast.parse(
+        "def f(a, b, *rest, c=1, _d=2, **kw):\n"
+        "    def inner(e):\n"
+        "        return b\n"
+        "    return inner, kw\n"
+        "class K:\n"
+        "    def m(self, unused):\n"
+        "        return self\n")
+    assert set(unused_parameters(tree)) == {
+        ("f", "a", 1), ("f", "rest", 1), ("f", "c", 1)}
+
+
+def test_every_parameter_is_read():
+    unused = [f"{path.name}:{line} {func}: {name}"
+              for path in sorted(SRC.glob("*.py"))
+              for func, name, line in unused_parameters(
+                  ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert not unused, f"parameter never read: {', '.join(unused)}"
