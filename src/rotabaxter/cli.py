@@ -153,6 +153,17 @@ def _checked_bimodule(sf, what):
     return b_d
 
 
+def _cocycle_coefficients(sf, c_d, *checks):
+    """The algebra and coefficients cocycle declaration c_d refers to, once
+    both pass with every extra (label, check) pair, check(x, b) a Report."""
+    over, coefficients = c_d.refs["over"], c_d.refs["coefficients"]
+    x, b = sf.by_name[over].obj, sf.by_name[coefficients].obj
+    _require([(f"{over} (rrb_algebra)", check_relative_rb(x)),
+              (f"{coefficients} (rrb_bimodule)", check_rrb_bimodule(b)),
+              *((label, check(x, b)) for label, check in checks)])
+    return x, b
+
+
 def _checked_algebra(sf, what):
     """The first rrb_algebra declaration, once it passes, with the first
     rrb_bimodule declared over it, once that passes, or None."""
@@ -352,11 +363,7 @@ def cmd_extend(args):
         raise ParseError(
             f"extension building needs a degree-2 cochain, "
             f"'{args.cocycle}' has degree {c.degree}")
-    x = sf.by_name[d.refs["over"]].obj
-    b = sf.by_name[d.refs["coefficients"]].obj
-    _require([
-        (f"{d.refs['over']} (rrb_algebra)", check_relative_rb(x)),
-        (f"{d.refs['coefficients']} (rrb_bimodule)", check_rrb_bimodule(b))])
+    x, b = _cocycle_coefficients(sf, d)
     e = _construct(build_extension, x, b, c)
     _require([("built extension", check_abelian_extension(e))])
     doc = ff.new_document()
@@ -438,13 +445,9 @@ def cmd_triple_to_skeletal(args):
     if c_d is None:
         raise ParseError("no degree-3 cocycle declared; "
                          "triple-to-skeletal needs one")
-    x = sf.by_name[c_d.refs["over"]].obj
-    b = sf.by_name[c_d.refs["coefficients"]].obj
-    _require([
-        (f"{c_d.refs['over']} (rrb_algebra)", check_relative_rb(x)),
-        (f"{c_d.refs['coefficients']} (rrb_bimodule)",
-         check_rrb_bimodule(b)),
-        (f"{c_d.name} (cocycle)", cocycle_report(x, b, c_d.obj))])
+    x, b = _cocycle_coefficients(
+        sf, c_d, (f"{c_d.name} (cocycle)",
+                  lambda x, b: cocycle_report(x, b, c_d.obj)))
     a, m, r = _construct(functools.partial(triple_to_skeletal, verify=False),
                          x, b, c_d.obj)
     doc = ff.new_document()

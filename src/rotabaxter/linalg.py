@@ -7,10 +7,10 @@ entry, with paste placing one matrix as a block of another and signed_sum
 adding many in one copy), the Kronecker product kron, linear maps on lists
 of matrix blocks given as terms (Product, OnColumns), which apply_terms
 applies to blocks and assemble_terms turns into one matrix (an OnColumns
-term's matrix is its tensor's nonzeros re-indexed, with no product),
-multi-index flattening for tensor powers, the workhorses rank / kernel_basis /
-solve_columns (with its cases solve and inverse), and homology_dims, which
-sweeps a whole cochain complex.
+term's matrix is its tensor's nonzeros re-indexed, with no product, and so
+is a Product term's without p), multi-index flattening for tensor powers,
+the workhorses rank / kernel_basis / solve_columns (with its cases solve
+and inverse), and homology_dims, which sweeps a whole cochain complex.
 
 These run one elimination kernel, _echelon.  It clears each row of
 denominators once and then works on primitive integer rows, with a column
@@ -21,6 +21,12 @@ first, because their documented output is fixed by the set of pivot
 columns, and elimination in column order always finds the same set.  The
 product accumulates in integers too, so homology_dims' check
 d_k . d_{k-1} == 0 builds a rational only for a nonzero entry.
+
+homology_dims ranks each d_k off the image of d_{k-1}, on its transpose.
+With R the rows of d_{k-1} found as pivots one step before (a row basis of
+it), C^k = im d_{k-1} (+) W, W spanned by the unit vectors off R, and the
+pivot columns of the transposed elimination on W are the next R.  This
+rests on d_k . d_{k-1} == 0, which homology_dims checks first.
 
 Conventions fixed here and relied on by every other module:
 
@@ -340,9 +346,17 @@ class Product:
         return x * self.q if self.p is None else self.p * (x * self.q)
 
     def matrix(self, rows, cols):
-        """The matrix of the term on rows x cols matrices X."""
-        p = Matrix.identity(rows) if self.p is None else self.p
-        return kron(p, self.q.transpose())
+        """The matrix of the term on rows x cols matrices X.  With p None it
+        is block diagonal, kron(I_rows, q^T), and is written in one pass
+        over q's nonzeros: q[r, c] takes X[i, r] to image entry (i, c)."""
+        q = self.q
+        if self.p is not None:
+            return kron(self.p, q.transpose())
+        out = [{} for _ in range(rows * q.cols)]
+        for r, c, v in q.nonzero_items():
+            for i in range(rows):
+                out[i * q.cols + c][i * cols + r] = v
+        return Matrix._of(len(out), rows * cols, out)
 
 
 class OnColumns:
@@ -642,16 +656,37 @@ def inverse(m):
     return None if None in cols else Matrix.from_columns(m.rows, cols)
 
 
+def _transpose_off(m, skip):
+    """The rows of m's transpose, built in one pass from m's row dicts,
+    with those in skip left empty, which _echelon skips.  Passed straight
+    to _echelon, they are freed once it has made its integer rows."""
+    out = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m._data):
+        for j, v in row.items():
+            if j not in skip:
+                out[j][i] = v
+    return out
+
+
 def homology_dims(differentials):
     """dim ker d_k - rank d_{k-1} for each map of the complex d_0, d_1, ...
 
     differentials is any iterable of matrices; the map into the domain of
-    d_0 is zero.  Each map is ranked once, checked against the one before
-    it for cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0, and dropped
-    after its successor.
+    d_0 is zero.  Each map is checked against the one before it for
+    cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0, then ranked once,
+    and dropped after its successor.
+
+    The rank is taken off the image of d_{k-1}.  A set R of rows of d_{k-1}
+    that is a row basis of it projects im d_{k-1} one to one onto the
+    coordinates in R, so C^k = im d_{k-1} (+) W, W spanned by the unit
+    vectors off R.  d_k kills the image (the check above, made first, is
+    what makes this exact), so rank d_k is the rank of d_k on W: of its
+    transpose with the rows in R left out.  The pivot columns of that
+    elimination are rank d_k rows of d_k, independent on W and so in d_k:
+    the next R.  The first map starts with R empty.
     """
     dims = []
-    inner, inner_rank = None, 0
+    inner, inner_rank, row_basis = None, 0, set()
     for k, d in enumerate(differentials):
         if inner is not None:
             if d.cols != inner.rows:
@@ -660,7 +695,9 @@ def homology_dims(differentials):
                     f"d_{k - 1} has {inner.rows} rows")
             if not (d * inner).is_zero():
                 raise ValueError(f"d_{k} . d_{k - 1} != 0: not a complex")
-        r = rank(d)
-        dims.append(d.cols - r - inner_rank)
-        inner, inner_rank = d, r
+        pivots, pivot_cols = _echelon(_transpose_off(d, row_basis), d.rows,
+                                      _sparsest_first)
+        row_basis = set(pivot_cols)
+        dims.append(d.cols - len(pivots) - inner_rank)
+        inner, inner_rank = d, len(pivots)
     return dims

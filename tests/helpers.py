@@ -14,7 +14,7 @@ from rotabaxter.cohomology import (
     RRBCochain, cochain_space_dims, semidirect_complex,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, TensorIndex, kron, paste, signed_sum, solve,
+    Matrix, Q, TensorIndex, kron, paste, rank, signed_sum, solve,
 )
 from rotabaxter.rrb import RelativeRBAlgebra, induced_dendriform
 from rotabaxter.rrb_modules import (
@@ -182,6 +182,19 @@ def reference_inverse(m):
     if len(pivots) < n:
         return None
     return [row[n:] for row in rows]
+
+
+def full_rank_dims(differentials):
+    """The homology of a complex from each map's rank on all of its domain:
+    dim C^k - rank d_k - rank d_{k-1}, with linalg.rank.  Returns (dims,
+    ranks)."""
+    ranks = [rank(d) for d in differentials]
+    return ([d.cols - r - r_in for d, r, r_in
+             in zip(differentials, ranks, [0, *ranks])], ranks)
+
+
+def gauss_jordan_rank(m):
+    return len(gauss_jordan(dense_rows(m), m.cols)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ import random
 
 import pytest
 
+from rotabaxter import linalg
 from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
-    Matrix, OnColumns, Q, TensorIndex, format_rational, homology_dims,
-    inverse, kernel_basis, kron, parse_rational, paste, rank, solve,
-    solve_columns,
+    Matrix, OnColumns, Product, Q, TensorIndex, format_rational,
+    homology_dims, inverse, kernel_basis, kron, parse_rational, paste, rank,
+    solve, solve_columns,
 )
 
 from helpers import (
-    ref_on_columns_matrix, reference_elimination, reference_inverse,
+    full_rank_dims, gauss_jordan_rank, ref_on_columns_matrix,
+    reference_elimination, reference_inverse,
 )
 
 
@@ -117,6 +119,33 @@ class TestHomologyDim:
         assert d_out * d_in == mat([["1/6", 0]])
         with pytest.raises(ValueError, match="not a complex"):
             homology_dims([d_in, d_out])
+
+    def test_checks_before_it_ranks(self, monkeypatch):
+        # d_1 . d_0 != 0 raises once d_0 is ranked and before d_1 is
+        ranked = []
+
+        def counting(rows, ncols, order):
+            ranked.append(ncols)
+            return echelon(rows, ncols, order)
+
+        echelon = linalg._echelon
+        monkeypatch.setattr(linalg, "_echelon", counting)
+        d_0 = mat([[1], [0]])
+        d_1 = mat([[1, 0], [0, 0], [0, 0]])
+        with pytest.raises(ValueError, match="not a complex"):
+            homology_dims([d_0, d_1])
+        assert ranked == [d_0.rows]
+
+    def test_ranks_off_the_pivot_rows(self):
+        # The first rank-many rows of d_0 (row 0) and of d_1 (row 0) are
+        # zero, so they are no row basis: off either, the next map reads 0
+        # on the coordinates left, and its rank would come out 0, not 1.
+        d_0 = mat([[0], [1]])
+        d_1 = mat([[0, 0], [1, 0]])
+        d_2 = mat([[1, 0]])
+        assert homology_dims([d_0, d_1]) == [0, 0]
+        assert homology_dims([d_0, d_1, d_2]) == [0, 0, 0]
+        assert homology_dims([d_1, d_2]) == [1, 0]
 
 
 class TestTensorIndex:
@@ -252,6 +281,25 @@ def test_on_columns_matrix_matches_reference(seed):
                                           rows, cols), (n, rows, cols)
         image = term.apply(x)
         assert (image.rows, image.cols) == (out, n * cols)
+        assert m * Matrix(rows * cols, 1, x.entries) == \
+            Matrix(m.rows, 1, image.entries)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_product_matrix_matches_kron(seed):
+    # X -> X q and X -> p X q on rows x cols matrices, 0 included: the
+    # matrix is kron(p or I_rows, q^T) and, times X read row-major, equals
+    # apply(X)
+    rng = random.Random(seed)
+    rows, cols, out, wide = (rng.randint(0, 3) for _ in range(4))
+    q = random_matrix(rng, cols, wide, 0.5)
+    x = random_matrix(rng, rows, cols)
+    for p in (None, random_matrix(rng, out, rows, 0.5)):
+        term = Product(p, q)
+        m = term.matrix(rows, cols)
+        want = kron(Matrix.identity(rows) if p is None else p, q.transpose())
+        assert m == want, (rows, cols, wide)
+        image = term.apply(x)
         assert m * Matrix(rows * cols, 1, x.entries) == \
             Matrix(m.rows, 1, image.entries)
 
@@ -453,3 +501,35 @@ def test_solve_columns_matches_reference_column_by_column():
         mixed += None in got and got.count(None) < len(got)
     assert consistent > 500 and inconsistent > 200 and mixed > 80, \
         (consistent, inconsistent, mixed)
+
+
+def random_complex(rng, dims):
+    """Maps d_0, d_1, ... of a random complex on spaces of the given dims.
+    Each row of d_k is a random combination of a basis of the left null
+    space of d_{k-1}, so d_k . d_{k-1} == 0; rows, leading ones too, are
+    often zero or combinations of others."""
+    d = mixed_matrix(rng, dims[1], dims[0], rng.choice((0.3, 0.6)))
+    maps = [d]
+    for rows in dims[2:]:
+        left = kernel_basis(d.transpose())
+        combos = [[Q(rng.choice((0, 0, 1, -1, 2)), rng.choice((1, 2, 3)))
+                   for _ in left] for _ in range(rows)]
+        d = Matrix.from_rows([[sum((c * v[j] for c, v in zip(cs, left)), Q(0))
+                               for j in range(d.rows)] for cs in combos])
+        maps.append(d)
+    return maps
+
+
+def test_homology_dims_match_full_rank_on_random_complexes():
+    """The restricted ranks give the homology of the full ranks, which the
+    textbook Gauss-Jordan of tests/helpers.py confirms map by map."""
+    rng = random.Random(1717)
+    restricted = 0
+    for _ in range(200):
+        maps = random_complex(rng, [rng.randint(1, 5) for _ in range(5)])
+        dims, ranks = full_rank_dims(maps)
+        assert homology_dims(maps) == dims
+        assert ranks == [gauss_jordan_rank(d) for d in maps]
+        # pairs where d_k is ranked off a nonzero image
+        restricted += sum(a > 0 and b > 0 for a, b in zip(ranks, ranks[1:]))
+    assert restricted > 200, restricted
