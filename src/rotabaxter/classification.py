@@ -31,6 +31,7 @@ from .algebra import (
 )
 from .cohomology import (
     RRBCochain, cocycle_report, rrb_differential, rrb_differential_matrix,
+    summand_inclusions,
 )
 from .linalg import Matrix, kron, paste, rank, solve, solve_columns
 from .rrb import (
@@ -192,14 +193,6 @@ def check_abelian_extension(e):
     return rep
 
 
-def _block_incl(small, big, offset):
-    return paste(Matrix(big, small), Matrix.identity(small), offset)
-
-
-def _block_proj(big, small):
-    return paste(Matrix(small, big), Matrix.identity(small))
-
-
 def build_extension(x, b, c):
     """Glue the base x to the fiber of b along a degree-2 cocycle.
 
@@ -245,10 +238,10 @@ def build_extension(x, b, c):
             raise StructuralError(
                 "glued total fails its axioms, so the coefficient bimodule "
                 "is not valid:\n" + bad.describe())
-    return AbelianExtension(
-        x, TwoTermComplex(dB, dN, b.sop), total,
-        _block_incl(dB, dA + dB, dA), _block_incl(dN, dM + dN, dM),
-        _block_proj(dA + dB, dA), _block_proj(dM + dN, dM))
+    inc_a, inc_b = summand_inclusions(dA, dB)
+    inc_m, inc_n = summand_inclusions(dM, dN)
+    return AbelianExtension(x, TwoTermComplex(dB, dN, b.sop), total,
+                            inc_b, inc_n, inc_a.transpose(), inc_m.transpose())
 
 
 def extract_cocycle(e, sec):

@@ -473,10 +473,17 @@ def cmd_chainmap_check(args):
     k = args.degree
     dend = dendriform_differential_matrix(
         den, induced_dendriform_representation(b), k + 1)
-    ok = dend * psi_matrix(x, b, k) == psi_matrix(x, b, k + 1) * \
+    diff = dend * psi_matrix(x, b, k) - psi_matrix(x, b, k + 1) * \
         hochschild_matrix(mtot_action_bimodule(b).actions, k)
-    return ok, {"degree": k}, [
-        f"chain map at degree {k}: {'pass' if ok else 'FAIL'}"]
+    # the rows are k + 2 labels of fiber (x) module^(k+2) coordinates
+    size = b.fiber.dim * x.module.dim ** (k + 2)
+    labels = sorted({i // size + 1 for i, _, _ in diff.nonzero_items()})
+    if labels:
+        raise _Rejected({"degree": k, "labels": labels}, [
+            f"chain map at degree {k}: FAIL",
+            f"D.Psi_{k} and Psi_{k + 1}.delta_{k} differ at labels "
+            + ", ".join(map(str, labels))])
+    return True, {"degree": k}, [f"chain map at degree {k}: pass"]
 
 
 # ------------------------------------------------------------ entry point

@@ -442,9 +442,9 @@ def semidirect_complex(b):
     return big, adjoint_bimodule(big)
 
 
-def _summands(d1, d2):
+def summand_inclusions(d1, d2):
     """The inclusions of the two summands into a direct sum of dimensions
-    d1 and d2."""
+    d1 and d2; their transposes are the projections onto them."""
     return (paste(Matrix(d1 + d2, d1), Matrix.identity(d1)),
             paste(Matrix(d1 + d2, d2), Matrix.identity(d2), d1))
 
@@ -462,8 +462,8 @@ def semidirect_inclusion_matrix(x, b, k):
     """
     if k < 1:
         raise ShapeError("the inclusion starts in degree 1")
-    inc_a, inc_b = _summands(x.algebra.dim, b.base.dim)
-    inc_m, inc_n = _summands(x.module.dim, b.fiber.dim)
+    inc_a, inc_b = summand_inclusions(x.algebra.dim, b.base.dim)
+    inc_m, inc_n = summand_inclusions(x.module.dim, b.fiber.dim)
     proj_a, proj_m = inc_a.transpose(), inc_m.transpose()
     pa = _powers(proj_a, k)
     terms = [(1, 0, 0, Product(inc_b, pa[k]))]

@@ -6,11 +6,11 @@ type, the one matrix type (row-sparse, built from dense entries or entry by
 entry, with paste placing one matrix as a block of another and signed_sum
 adding many in one copy), the Kronecker product kron, linear maps on lists
 of matrix blocks given as terms (Product, OnColumns), which apply_terms
-applies to blocks and assemble_terms turns into one matrix (an OnColumns
-term's matrix is its tensor's nonzeros re-indexed, with no product, and so
-is a Product term's without p), multi-index flattening for tensor powers,
-the workhorses rank / kernel_basis / solve_columns (with its cases solve
-and inverse), and homology_dims, which sweeps a whole cochain complex.
+applies to blocks and whose signed entries assemble_terms writes, term by
+term, straight into the rows of one matrix, multi-index flattening for
+tensor powers, the workhorses rank / kernel_basis / solve_columns (with
+its cases solve and inverse), and homology_dims, which sweeps a whole
+cochain complex.
 
 These run one elimination kernel, _echelon.  It clears each row of
 denominators once and then works on primitive integer rows, with a column
@@ -111,18 +111,8 @@ class Matrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ValueError(
                 f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
-        if not val:
-            return
-        row = self._data[i]
-        old = row.get(j)
-        if old is None:
-            row[j] = val if type(val) is Q else Q(val)
-            return
-        nv = old + val
-        if nv:
-            row[j] = nv
-        else:
-            del row[j]
+        if val:
+            _add_entry(self._data[i], j, val if type(val) is Q else Q(val))
 
     @staticmethod
     def _of(rows, cols, data):
@@ -251,6 +241,20 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def _add_entry(row, j, v):
+    """Add the nonzero Q v to entry j of a row dict, deleting the entry if
+    the sum is 0: a row dict holds nonzeros only, which == relies on."""
+    old = row.get(j)
+    if old is None:
+        row[j] = v
+    else:
+        nv = old + v
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+
+
 def signed_sum(terms):
     """The sum of sign * m over (sign, m) pairs, each sign +1 or -1; all
     the matrices have one shape, and there is at least one.  The rows are
@@ -262,6 +266,7 @@ def signed_sum(terms):
         if (m.rows, m.cols) != (first.rows, first.cols):
             raise ValueError("shapes must agree")
         for row, theirs in zip(out, m._data):
+            # _add_entry inline: a call per entry slows the axiom checks
             for j, v in theirs.items():
                 old = row.get(j)
                 if old is None:
@@ -285,11 +290,7 @@ def paste(dst, src, row_off=0, col_off=0):
     for i, row in enumerate(src._data, row_off):
         out = dst._data[i]
         for j, v in row.items():
-            j += col_off
-            if j in out:
-                dst.add(i, j, v)
-            else:
-                out[j] = v
+            _add_entry(out, j + col_off, v)
     return dst
 
 
@@ -345,18 +346,18 @@ class Product:
     def apply(self, x):
         return x * self.q if self.p is None else self.p * (x * self.q)
 
-    def matrix(self, rows, cols):
-        """The matrix of the term on rows x cols matrices X.  With p None it
-        is block diagonal, kron(I_rows, q^T), and is written in one pass
-        over q's nonzeros: q[r, c] takes X[i, r] to image entry (i, c)."""
-        q = self.q
-        if self.p is not None:
-            return kron(self.p, q.transpose())
-        out = [{} for _ in range(rows * q.cols)]
-        for r, c, v in q.nonzero_items():
-            for i in range(rows):
-                out[i * q.cols + c][i * cols + r] = v
-        return Matrix._of(len(out), rows * cols, out)
+    def write(self, out, sign, row_off, col_off, rows, cols):
+        """Add sign times the term's matrix on rows x cols matrices X to
+        the row dicts out, with its corner at (row_off, col_off).  p[a, i]
+        q[r, c] takes X[i, r] to image entry (a, c); p None is I_rows."""
+        p = Matrix.identity(rows) if self.p is None else self.p
+        signed_q = [(r, c, v if sign > 0 else -v) for r, c, v in
+                    self.q.nonzero_items()]
+        width = self.q.cols
+        for a, i, u in p.nonzero_items():
+            base, col = row_off + a * width, col_off + i * cols
+            for r, c, v in signed_q:
+                _add_entry(out[base + c], col + r, v if u == 1 else u * v)
 
 
 class OnColumns:
@@ -382,23 +383,23 @@ class OnColumns:
         y = Matrix.identity(self.n)
         return self.t * (kron(x, y) if self.x_first else kron(y, x))
 
-    def matrix(self, rows, cols):
-        """The matrix of the term on rows x cols matrices X.  Entry t[w, j]
-        pairs basis vector a with row r of X (j = a rows + r, or r n + a
-        when x_first).  For each column c of X it takes X[r, c] to image
-        entry (w, a cols + c), or (w, c n + a) when x_first."""
+    def write(self, out, sign, row_off, col_off, rows, cols):
+        """Add sign times the term's matrix on rows x cols matrices X to
+        the row dicts out, with its corner at (row_off, col_off).  Entry
+        t[w, j] pairs basis vector a with row r of X (j = a rows + r, or
+        r n + a when x_first).  For each column c of X it takes X[r, c] to
+        image entry (w, a cols + c), or (w, c n + a) when x_first."""
         n = self.n
-        out = [{} for _ in range(self.t.rows * n * cols)]
         for w, j, v in self.t.nonzero_items():
             if self.x_first:
                 r, a = divmod(j, n)
-                base, step = w * cols * n + a, n
+                base, step = row_off + w * cols * n + a, n
             else:
                 a, r = divmod(j, rows)
-                base, step = (w * n + a) * cols, 1
+                base, step = row_off + (w * n + a) * cols, 1
+            col, v = col_off + r * cols, v if sign > 0 else -v
             for c in range(cols):
-                out[base + c * step][r * cols + c] = v
-        return Matrix._of(len(out), rows * cols, out)
+                _add_entry(out[base + c * step], col + c, v)
 
 
 def apply_terms(terms, blocks, out_shapes):
@@ -415,18 +416,14 @@ def apply_terms(terms, blocks, out_shapes):
 
 def assemble_terms(terms, in_shapes, out_shapes):
     """The matrix of the map of apply_terms on coordinates: each block in
-    row-major order, the blocks concatenated in order.  The term matrices
-    of one (out-block, in-block) pair are summed and pasted once."""
+    row-major order, the blocks concatenated in order.  Each term adds its
+    signed entries straight into the rows, at its block's offsets."""
     row_off = [0, *accumulate(r * c for r, c in out_shapes)]
     col_off = [0, *accumulate(r * c for r, c in in_shapes)]
-    pieces = {}
+    out = [{} for _ in range(row_off[-1])]
     for sign, i, o, term in terms:
-        pieces.setdefault((o, i), []).append(
-            (sign, term.matrix(*in_shapes[i])))
-    out = Matrix(row_off[-1], col_off[-1])
-    for (o, i), ms in pieces.items():
-        paste(out, signed_sum(ms), row_off[o], col_off[i])
-    return out
+        term.write(out, sign, row_off[o], col_off[i], *in_shapes[i])
+    return Matrix._of(row_off[-1], col_off[-1], out)
 
 
 class TensorIndex:

@@ -754,8 +754,8 @@ def _unit(n, j):
 def ref_on_columns_matrix(t, y, x_first, rows, cols):
     """The matrix of X -> t kron(y, X) (t kron(X, y) when x_first) on
     rows x cols matrices X, split over the columns y e_j of y into
-    products P_j X Q_j, as linalg.OnColumns.matrix built it before it read
-    t's nonzeros directly."""
+    products P_j X Q_j: the Kronecker products and sum that
+    linalg.OnColumns.write avoids by reading t's nonzeros directly."""
     ix, iq, n = Matrix.identity(rows), Matrix.identity(cols), y.cols
     parts = [(1, Matrix(t.rows * n * cols, rows * cols))]
     for j in range(n):

@@ -247,7 +247,12 @@ def test_chainmap_check_fails_on_a_sign_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "psi_matrix", label_one_negated)
     rc, out = run(capsys, "chainmap-check", str(path))
     assert rc == 1
-    assert out == "chain map at degree 1: FAIL\n"
+    assert out == ("chain map at degree 1: FAIL\n"
+                   "D.Psi_1 and Psi_2.delta_1 differ at labels 1\n")
+    rc, out = run(capsys, "chainmap-check", str(path), "--format", "json")
+    assert rc == 1
+    assert out == ('{\n  "command": "chainmap-check",\n  "degree": 1,\n'
+                   '  "labels": [\n    1\n  ],\n  "ok": false\n}\n')
 
 
 def test_commands_guard_invalid_inputs(tmp_path, capsys):

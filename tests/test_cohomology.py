@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from rotabaxter import algebra, cohomology, fileformat as ff
+from rotabaxter import algebra, cohomology, fileformat as ff, linalg
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
     Report, ShapeError, StructuralError, StructureConstants,
@@ -514,6 +514,22 @@ def test_cocycle_report_assembles_no_matrix(monkeypatch):
     for cocycle, other in cochains:
         assert cohomology.cocycle_report(x, b, cocycle).ok
         assert not cohomology.cocycle_report(x, b, other).ok
+
+
+def test_assembly_builds_no_term_matrix(monkeypatch):
+    # each term writes its signed entries straight into the rows: no term
+    # is built as a Kronecker product, summed or pasted
+    x, b = random_rrb_pair(14)
+    terms = list(cohomology.rrb_terms(x, b, 3))
+    shapes = [cohomology._block_shapes(x, b, k) for k in (3, 4)]
+    want = rrb_differential_matrix(x, b, 3)
+
+    def refuse(*args):
+        raise AssertionError("a term matrix was built")
+
+    for name in ("kron", "signed_sum", "paste"):
+        monkeypatch.setattr(linalg, name, refuse)
+    assert linalg.assemble_terms(terms, *shapes) == want
 
 
 def test_differential_runs_no_axiom_check(monkeypatch):

@@ -7,9 +7,9 @@ import pytest
 from rotabaxter import linalg
 from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
-    Matrix, OnColumns, Product, Q, TensorIndex, format_rational,
-    homology_dims, inverse, kernel_basis, kron, parse_rational, paste, rank,
-    solve, solve_columns,
+    Matrix, OnColumns, Product, Q, TensorIndex, apply_terms, assemble_terms,
+    format_rational, homology_dims, inverse, kernel_basis, kron,
+    parse_rational, paste, rank, signed_sum, solve, solve_columns,
 )
 
 from helpers import (
@@ -260,6 +260,14 @@ def test_kron_columns_join_the_tuples():
             for r in range(2))
 
 
+def term_matrix(term, rows, cols, image):
+    """The term's matrix on rows x cols matrices, read through a one-term
+    assemble_terms; image, the term applied to one of them, gives the
+    shape it maps to."""
+    return assemble_terms([(1, 0, 0, term)], [(rows, cols)],
+                          [(image.rows, image.cols)])
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_on_columns_matrix_matches_reference(seed):
     # a random bilinear map t of an n-dimensional space and rows-dimensional
@@ -276,11 +284,11 @@ def test_on_columns_matrix_matches_reference(seed):
                             for _ in range(rows * cols)])
     for x_first in (False, True):
         term = OnColumns(t, n, x_first)
-        m = term.matrix(rows, cols)
-        assert m == ref_on_columns_matrix(t, Matrix.identity(n), x_first,
-                                          rows, cols), (n, rows, cols)
         image = term.apply(x)
         assert (image.rows, image.cols) == (out, n * cols)
+        m = term_matrix(term, rows, cols, image)
+        assert m == ref_on_columns_matrix(t, Matrix.identity(n), x_first,
+                                          rows, cols), (n, rows, cols)
         assert m * Matrix(rows * cols, 1, x.entries) == \
             Matrix(m.rows, 1, image.entries)
 
@@ -296,12 +304,58 @@ def test_product_matrix_matches_kron(seed):
     x = random_matrix(rng, rows, cols)
     for p in (None, random_matrix(rng, out, rows, 0.5)):
         term = Product(p, q)
-        m = term.matrix(rows, cols)
+        image = term.apply(x)
+        m = term_matrix(term, rows, cols, image)
         want = kron(Matrix.identity(rows) if p is None else p, q.transpose())
         assert m == want, (rows, cols, wide)
-        image = term.apply(x)
         assert m * Matrix(rows * cols, 1, x.entries) == \
             Matrix(m.rows, 1, image.entries)
+
+
+@pytest.mark.parametrize("kind", ["product", "on-columns"])
+def test_term_writes_at_its_block_offsets(kind):
+    # a term with sign -1 as block (1, 1) of a two-block map, beside a
+    # Product in block (0, 0): its entries land past the 9 rows and 6
+    # columns of the first block, and the matrix agrees with apply_terms
+    rng = random.Random(kind)
+    first = Product(random_matrix(rng, 3, 2), random_matrix(rng, 3, 3))
+    if kind == "product":
+        p, q = random_matrix(rng, 2, 2), random_matrix(rng, 2, 3)
+        second, second_ref = Product(p, q), kron(p, q.transpose())
+    else:
+        t = random_matrix(rng, 2, 4)
+        second = OnColumns(t, 2)
+        second_ref = ref_on_columns_matrix(t, Matrix.identity(2), False, 2, 2)
+    terms = [(1, 0, 0, first), (-1, 1, 1, second)]
+    in_shapes = [(2, 3), (2, 2)]
+    out_shapes = [(3, 3), (2, second_ref.rows // 2)]
+    m = assemble_terms(terms, in_shapes, out_shapes)
+    want = paste(Matrix(9 + second_ref.rows, 6 + 4),
+                 kron(first.p, first.q.transpose()))
+    assert m == paste(want, -second_ref, 9, 6)
+    blocks = [random_matrix(rng, *shape) for shape in in_shapes]
+    images = apply_terms(terms, blocks, out_shapes)
+    assert m.apply([v for x in blocks for v in x.entries]) == \
+        tuple(v for y in images for v in y.entries)
+
+
+def test_cancelling_adds_store_no_zero():
+    # an entry that sums to 0 is deleted, not stored: a stored 0 would
+    # break == and is_zero
+    rng = random.Random(5)
+    a = random_matrix(rng, 3, 4)
+    term = OnColumns(random_matrix(rng, 2, 6), 2)  # on 3 x 2 matrices
+    assert assemble_terms([(1, 0, 0, term)], [(3, 2)], [(2, 4)]) != \
+        Matrix(8, 6)
+    sums = [assemble_terms([(1, 0, 0, term), (-1, 0, 0, term)],
+                           [(3, 2)], [(2, 4)]),
+            signed_sum([(1, a), (-1, a)]), paste(paste(Matrix(3, 4), a), -a)]
+    added = Matrix(3, 4)
+    for i, j, v in a.nonzero_items():
+        added.add(i, j, v)
+        added.add(i, j, -v)
+    for m in (*sums, added):
+        assert m == Matrix(m.rows, m.cols) and m.is_zero()
 
 
 def test_kron_needs_matrices():
