@@ -18,11 +18,10 @@ The formulas are written once, in rrb_terms: one list per degree of
 (sign, in-block, out-block, term), where a term is a product P X Q of a
 cochain block X with structure constants (each tensor read as a matrix and
 padded with identities by linalg.kron) or a tensor applied to the columns
-of X and of a fixed matrix.  rrb_differential applies the terms to one
-cochain, so checking one cocycle builds no differential matrix.
-rrb_differential_matrix assembles the same terms into the whole map, for
-what needs ranks and kernels: cohomology dimensions, derivation bases and
-random cocycles.  The comparison map psi_matrix and the inclusion into the
+of X and of a fixed matrix.  rrb_differential_matrix assembles the terms
+into the whole map, which gives the cohomology dimensions, derivation
+bases and random cocycles, and rrb_differential, its image of one
+cochain.  The comparison map psi_matrix and the inclusion into the
 semidirect complex are assembled from terms the same way.
 
 The same file carries the two sibling complexes that interact with this
@@ -51,8 +50,8 @@ from .algebra import (
     hochschild_terms,
 )
 from .linalg import (
-    Matrix, OnColumns, Product, Q, apply_terms, assemble_terms,
-    homology_dims, kernel_basis, kron, padded, paste, signed_sum,
+    Matrix, OnColumns, Product, Q, assemble_terms, homology_dims,
+    kernel_basis, kron, padded, paste, signed_sum,
 )
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
@@ -241,7 +240,7 @@ def _slot_terms(x, b, k):
 
 def rrb_terms(x, b, k):
     """The degree-k differential, k >= 1, as (sign, in-block, out-block,
-    term) terms (see linalg.apply_terms).  The blocks are numbered in
+    term) terms (see linalg.assemble_terms).  The blocks are numbered in
     coordinate order: alpha 0, beta_s s, gamma k+1 in degree k.
 
     alpha' is the Hochschild differential of A on the base applied to
@@ -266,14 +265,13 @@ def rrb_terms(x, b, k):
 
 
 def rrb_differential(x, b, k, c):
-    """Apply the degree-k differential to a cochain: the terms of rrb_terms
-    applied to its blocks, so no matrix of the differential is assembled."""
+    """Apply the degree-k differential to a cochain: its matrix times the
+    cochain's coordinate column."""
     if c.degree != k:
         raise ShapeError(f"cochain degree {c.degree} != {k}")
-    c.validate(x, b)
-    out = apply_terms(rrb_terms(x, b, k), c.blocks(),
-                      _block_shapes(x, b, k + 1))
-    return RRBCochain.of_blocks(k + 1, out)
+    vec = c.validate(x, b).vector()
+    image = rrb_differential_matrix(x, b, k) * Matrix(len(vec), 1, vec)
+    return RRBCochain.from_vector(x, b, k + 1, image.column(0))
 
 
 def rrb_differential_matrix(x, b, k):

@@ -490,14 +490,20 @@ def parse_document(doc):
 def parse_text(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
+        # json.loads recurses once per nesting level
         raise ParseError(f"invalid JSON: {err}") from None
     return parse_document(doc)
 
 
 def parse_path(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text: {err}") from None
+    return parse_text(text)
 
 
 # ------------------------------------------------------------ serializing
@@ -610,7 +616,8 @@ def declare_cocycle(doc, name, c, over_name, coeff_name, alg_space,
 
 
 def declare_extension(doc, name, e, sections=None):
-    base_name, _, _ = declare_rrb_algebra(doc, name + ".base", e.base)
+    base_name, base_alg_sp, base_mod_sp = declare_rrb_algebra(
+        doc, name + ".base", e.base)
     total_name, tot_alg_sp, tot_mod_sp = declare_rrb_algebra(
         doc, name + ".total", e.total)
     fib_alg = add_space(doc, name + ".fiber_algebra", e.fiber.dim0)
@@ -621,10 +628,10 @@ def declare_extension(doc, name, e, sections=None):
                                e.alg_incl),
         "mod_incl": add_linear(doc, name + ".ibar", fib_mod, tot_mod_sp,
                                e.mod_incl),
-        "alg_proj": add_linear(doc, name + ".p", tot_alg_sp,
-                               name + ".base.algebra.space", e.alg_proj),
-        "mod_proj": add_linear(doc, name + ".pbar", tot_mod_sp,
-                               name + ".base.module.space", e.mod_proj),
+        "alg_proj": add_linear(doc, name + ".p", tot_alg_sp, base_alg_sp,
+                               e.alg_proj),
+        "mod_proj": add_linear(doc, name + ".pbar", tot_mod_sp, base_mod_sp,
+                               e.mod_proj),
     }
     entry = {"type": "extension", "name": name, "base": base_name,
              "total": total_name,
@@ -635,12 +642,10 @@ def declare_extension(doc, name, e, sections=None):
         table = {}
         for sname, sec in sections.items():
             table[sname] = {
-                "s": add_linear(doc, f"{name}.{sname}.s",
-                                name + ".base.algebra.space", tot_alg_sp,
-                                sec.s),
-                "sbar": add_linear(doc, f"{name}.{sname}.sbar",
-                                   name + ".base.module.space", tot_mod_sp,
-                                   sec.sbar),
+                "s": add_linear(doc, f"{name}.{sname}.s", base_alg_sp,
+                                tot_alg_sp, sec.s),
+                "sbar": add_linear(doc, f"{name}.{sname}.sbar", base_mod_sp,
+                                   tot_mod_sp, sec.sbar),
             }
         entry["sections"] = table
     doc["declare"].append(entry)

@@ -5,10 +5,10 @@ rationals, done exactly: no floats anywhere.  This module provides the scalar
 type, the one matrix type (row-sparse, built from dense entries or entry by
 entry, with paste placing one matrix as a block of another and signed_sum
 adding many in one copy), the Kronecker product kron, linear maps on lists
-of matrix blocks given as terms (Product, OnColumns), which apply_terms
-applies to blocks and whose signed entries assemble_terms writes, term by
-term, straight into the rows of one matrix, multi-index flattening for
-tensor powers, the workhorses rank / kernel_basis / solve_columns (with
+of matrix blocks given as terms (Product, OnColumns), whose signed entries
+assemble_terms writes, term by term, straight into the rows of one matrix
+(write is each term's one definition), multi-index flattening for tensor
+powers, the workhorses rank / kernel_basis / solve_columns (with
 its cases solve and inverse), and homology_dims, which sweeps a whole
 cochain complex.
 
@@ -176,11 +176,7 @@ class Matrix:
         return not any(self._data)
 
     def transpose(self):
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._data):
-            for j, v in row.items():
-                out[j][i] = v
-        return Matrix._of(self.cols, self.rows, out)
+        return Matrix._of(self.cols, self.rows, _transpose_off(self, ()))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -343,9 +339,6 @@ class Product:
         self.p = p
         self.q = q
 
-    def apply(self, x):
-        return x * self.q if self.p is None else self.p * (x * self.q)
-
     def write(self, out, sign, row_off, col_off, rows, cols):
         """Add sign times the term's matrix on rows x cols matrices X to
         the row dicts out, with its corner at (row_off, col_off).  p[a, i]
@@ -366,10 +359,10 @@ class OnColumns:
     of an n-dimensional space and a column of X
     (StructureConstants.on_columns with an identity).
 
-    apply keeps it one product.  Its matrix is t's nonzeros re-indexed, in
-    one pass and with no product: it is kron(t reshaped to (t.rows n) x
-    rows, I_cols), with the image's columns (basis vector, column of X)
-    read in the other order when x_first.
+    Its matrix is t's nonzeros re-indexed, in one pass and with no product:
+    it is kron(t reshaped to (t.rows n) x rows, I_cols), with the image's
+    columns (basis vector, column of X) read in the other order when
+    x_first.
     """
 
     __slots__ = ("t", "n", "x_first")
@@ -378,10 +371,6 @@ class OnColumns:
         self.t = t
         self.n = n
         self.x_first = x_first
-
-    def apply(self, x):
-        y = Matrix.identity(self.n)
-        return self.t * (kron(x, y) if self.x_first else kron(y, x))
 
     def write(self, out, sign, row_off, col_off, rows, cols):
         """Add sign times the term's matrix on rows x cols matrices X to
@@ -402,22 +391,12 @@ class OnColumns:
                 _add_entry(out[base + c * step], col + c, v)
 
 
-def apply_terms(terms, blocks, out_shapes):
-    """The image of a list of matrix blocks under a linear map given as
-    (sign, in-block, out-block, term) terms: out block o, of shape
-    out_shapes[o], is the sum of sign * term.apply(blocks[i]) over its
-    terms."""
-    sums = [[] for _ in out_shapes]
-    for sign, i, o, term in terms:
-        sums[o].append((sign, term.apply(blocks[i])))
-    return [signed_sum(s) if s else Matrix(*shape)
-            for s, shape in zip(sums, out_shapes)]
-
-
 def assemble_terms(terms, in_shapes, out_shapes):
-    """The matrix of the map of apply_terms on coordinates: each block in
-    row-major order, the blocks concatenated in order.  Each term adds its
-    signed entries straight into the rows, at its block's offsets."""
+    """The matrix of the map on lists of matrix blocks whose out-block o
+    is the sum of sign * term(in-block i) over its (sign, i, o, term)
+    terms: the blocks read row-major and concatenated in order.  Each term
+    adds its signed entries straight into the rows, at its block's
+    offsets."""
     row_off = [0, *accumulate(r * c for r, c in out_shapes)]
     col_off = [0, *accumulate(r * c for r, c in in_shapes)]
     out = [{} for _ in range(row_off[-1])]

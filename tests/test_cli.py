@@ -361,6 +361,24 @@ def test_malformed_structure_file_is_input_error(tmp_path, capsys, text,
     assert f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "error: not UTF-8 text: 'utf-8' codec can't decode byte "
+                    "0xff in position 0: invalid start byte"),
+    (b"[" * 200000 + b"]" * 200000, "error: invalid JSON: maximum recursion "
+                                    "depth exceeded"),
+], ids=["utf-16-mark", "deeply-nested"])
+def test_unreadable_structure_file_is_input_error(tmp_path, capsys, data,
+                                                   message):
+    # no traceback: one error line, then the elapsed time
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert cli.main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, elapsed = captured.err.splitlines()
+    assert error.startswith(message) and elapsed.startswith("elapsed: ")
+
+
 def test_malformed_rational_is_input_error(tmp_path, capsys):
     src = tmp_path / "pair.json"
     write_pair_fixture(src)

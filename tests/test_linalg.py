@@ -7,7 +7,7 @@ import pytest
 from rotabaxter import linalg
 from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
-    Matrix, OnColumns, Product, Q, TensorIndex, apply_terms, assemble_terms,
+    Matrix, OnColumns, Product, Q, TensorIndex, assemble_terms,
     format_rational, homology_dims, inverse, kernel_basis, kron,
     parse_rational, paste, rank, signed_sum, solve, solve_columns,
 )
@@ -260,19 +260,18 @@ def test_kron_columns_join_the_tuples():
             for r in range(2))
 
 
-def term_matrix(term, rows, cols, image):
-    """The term's matrix on rows x cols matrices, read through a one-term
-    assemble_terms; image, the term applied to one of them, gives the
-    shape it maps to."""
-    return assemble_terms([(1, 0, 0, term)], [(rows, cols)],
-                          [(image.rows, image.cols)])
+def term_matrix(term, in_shape, out_shape):
+    """The term's matrix from in_shape to out_shape matrices, read through
+    a one-term assemble_terms."""
+    return assemble_terms([(1, 0, 0, term)], [in_shape], [out_shape])
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_on_columns_matrix_matches_reference(seed):
     # a random bilinear map t of an n-dimensional space and rows-dimensional
     # columns, 0 included, in both orientations: the matrix equals the
-    # unit-vector construction and, times X read row-major, equals apply(X)
+    # unit-vector construction and, times X read row-major, equals
+    # t kron(I_n, X), or t kron(X, I_n) when x_first
     rng = random.Random(seed)
     n, rows, cols, out = (rng.randint(0, 3) for _ in range(4))
     if seed < 12:  # each of n, rows, cols zero on some seeds
@@ -282,13 +281,13 @@ def test_on_columns_matrix_matches_reference(seed):
                                for _ in range(out * n * rows)])
     x = Matrix(rows, cols, [Q(rng.randint(-3, 3), rng.choice((1, 2)))
                             for _ in range(rows * cols)])
+    ident = Matrix.identity(n)
     for x_first in (False, True):
-        term = OnColumns(t, n, x_first)
-        image = term.apply(x)
-        assert (image.rows, image.cols) == (out, n * cols)
-        m = term_matrix(term, rows, cols, image)
-        assert m == ref_on_columns_matrix(t, Matrix.identity(n), x_first,
-                                          rows, cols), (n, rows, cols)
+        m = term_matrix(OnColumns(t, n, x_first), (rows, cols),
+                        (out, n * cols))
+        assert m == ref_on_columns_matrix(t, ident, x_first, rows, cols), \
+            (n, rows, cols)
+        image = t * (kron(x, ident) if x_first else kron(ident, x))
         assert m * Matrix(rows * cols, 1, x.entries) == \
             Matrix(m.rows, 1, image.entries)
 
@@ -297,15 +296,15 @@ def test_on_columns_matrix_matches_reference(seed):
 def test_product_matrix_matches_kron(seed):
     # X -> X q and X -> p X q on rows x cols matrices, 0 included: the
     # matrix is kron(p or I_rows, q^T) and, times X read row-major, equals
-    # apply(X)
+    # X q or p X q
     rng = random.Random(seed)
     rows, cols, out, wide = (rng.randint(0, 3) for _ in range(4))
     q = random_matrix(rng, cols, wide, 0.5)
     x = random_matrix(rng, rows, cols)
     for p in (None, random_matrix(rng, out, rows, 0.5)):
-        term = Product(p, q)
-        image = term.apply(x)
-        m = term_matrix(term, rows, cols, image)
+        image = x * q if p is None else p * x * q
+        m = term_matrix(Product(p, q), (rows, cols),
+                        (rows if p is None else out, wide))
         want = kron(Matrix.identity(rows) if p is None else p, q.transpose())
         assert m == want, (rows, cols, wide)
         assert m * Matrix(rows * cols, 1, x.entries) == \
@@ -316,7 +315,8 @@ def test_product_matrix_matches_kron(seed):
 def test_term_writes_at_its_block_offsets(kind):
     # a term with sign -1 as block (1, 1) of a two-block map, beside a
     # Product in block (0, 0): its entries land past the 9 rows and 6
-    # columns of the first block, and the matrix agrees with apply_terms
+    # columns of the first block, and the matrix takes the blocks (X, Y)
+    # to the first term's image of X and minus the second's of Y
     rng = random.Random(kind)
     first = Product(random_matrix(rng, 3, 2), random_matrix(rng, 3, 3))
     if kind == "product":
@@ -333,10 +333,12 @@ def test_term_writes_at_its_block_offsets(kind):
     want = paste(Matrix(9 + second_ref.rows, 6 + 4),
                  kron(first.p, first.q.transpose()))
     assert m == paste(want, -second_ref, 9, 6)
-    blocks = [random_matrix(rng, *shape) for shape in in_shapes]
-    images = apply_terms(terms, blocks, out_shapes)
-    assert m.apply([v for x in blocks for v in x.entries]) == \
-        tuple(v for y in images for v in y.entries)
+    x, y = (random_matrix(rng, *shape) for shape in in_shapes)
+    images = (first.p * x * first.q,
+              -(p * y * q if kind == "product" else
+                t * kron(Matrix.identity(2), y)))
+    assert m.apply(x.entries + y.entries) == \
+        tuple(v for image in images for v in image.entries)
 
 
 def test_cancelling_adds_store_no_zero():
