@@ -150,7 +150,7 @@ class StructureConstants:
     U (x) V: dim_out x (dim_left * dim_right), entry (k, i * dim_right + j)
     is c[i][j][k], the k-th coordinate of the map on basis pair (i, j)."""
 
-    __slots__ = ("dim_left", "dim_right", "dim_out", "matrix", "_data")
+    __slots__ = ("dim_left", "dim_right", "dim_out", "matrix", "_nested")
 
     def __init__(self, dim_left, dim_right, dim_out, data):
         """From the nested data[i][j][k], as files and literals give it."""
@@ -168,7 +168,7 @@ class StructureConstants:
         self.dim_right = dim_right
         self.dim_out = matrix.rows
         self.matrix = matrix
-        self._data = None
+        self._nested = None
 
     @staticmethod
     def from_matrix(dim_left, dim_right, matrix):
@@ -188,15 +188,15 @@ class StructureConstants:
     @property
     def data(self):
         """The nested tuple c[i][j][k], read from the matrix once."""
-        if self._data is None:
+        if self._nested is None:
             data = [[[ZERO] * self.dim_out for _ in range(self.dim_right)]
                     for _ in range(self.dim_left)]
             for k, t, v in self.matrix.nonzero_items():
                 i, j = divmod(t, self.dim_right)
                 data[i][j][k] = v
-            self._data = tuple(tuple(tuple(row) for row in plane)
-                               for plane in data)
-        return self._data
+            self._nested = tuple(tuple(tuple(row) for row in plane)
+                                 for plane in data)
+        return self._nested
 
     def on_basis(self, i, j):
         return self.matrix.column(i * self.dim_right + j)

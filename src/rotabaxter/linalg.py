@@ -12,26 +12,32 @@ powers, the workhorses rank / kernel_basis / solve_columns (with
 its cases solve and inverse), and homology_dims, which sweeps a whole
 cochain complex.
 
-These run one elimination kernel, _echelon.  It clears each row of
-denominators once and then works on primitive integer rows, with a column
-index of the live rows that have a nonzero in each column.  Only the pivot
-key differs between callers: rank takes the sparsest column first, which
-limits fill-in; kernel_basis and solve_columns take the smallest column
-first, because their documented output is fixed by the set of pivot
-columns, and elimination in column order always finds the same set.  The
-product accumulates in integers too, so homology_dims' check
-d_k . d_{k-1} == 0 builds a rational only for a nonzero entry.
+A Matrix stores integers over one denominator, so the product, kron,
+signed_sum, paste, the term writes and the transpose compute in integers
+and build no rational; only the reads (at, row, column, entries,
+nonzero_items, apply) make Q values.  These run one elimination kernel,
+_echelon, on primitive integer rows (each row divided by its content; the
+one such row of a given span, whatever the denominator it was stored
+over), with a column index of the live rows that have a nonzero in each
+column.  Only the pivot key differs between callers: rank takes the
+sparsest column first, which limits fill-in; kernel_basis and
+solve_columns take the smallest column first, because their documented
+output is fixed by the set of pivot columns, and elimination in column
+order always finds the same set.
 
 homology_dims ranks each d_k off the image of d_{k-1}, on its transpose.
 With R the rows of d_{k-1} found as pivots one step before (a row basis of
 it), C^k = im d_{k-1} (+) W, W spanned by the unit vectors off R, and the
 pivot columns of the transposed elimination on W are the next R.  This
-rests on d_k . d_{k-1} == 0, which homology_dims checks first.
+rests on d_k . d_{k-1} == 0, which homology_dims checks first, on the
+columns of d_{k-1} off the R before it, which span its image.
 
 Conventions fixed here and relied on by every other module:
 
-* scalars are fractions.Fraction: reduced rationals with positive
-  denominator;
+* scalars are stored as integers over one denominator per matrix, and are
+  Q (fractions.Fraction: reduced, positive denominator) at the boundary:
+  every value read out, and every value taken in, which may also be an int
+  or a 'p/q' string but never a float;
 * a linear map is its Matrix: codomain-dim rows and domain-dim columns,
   acting on column vectors (apply), composed by the product (f * g is f
   after g);
@@ -48,7 +54,6 @@ from itertools import accumulate
 from math import gcd, lcm
 
 ZERO = Q(0)
-ONE = Q(1)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
@@ -71,7 +76,8 @@ def parse_rational(text):
 
 def format_rational(q):
     """Serialize as 'p' or 'p/q'.  Inverse of parse_rational."""
-    q = Q(q)
+    if type(q) is not Q:
+        q = Q(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -83,42 +89,73 @@ def format_matrix(m):
 
 
 class Matrix:
-    """Row-sparse matrix of Rationals: per row, a col -> value dict of its
-    nonzeros.
+    """Row-sparse matrix of rationals, stored as integers over one
+    denominator: per row, a col -> int dict of its nonzeros, and _den > 0
+    with gcd(_den, every entry) == 1 (so _den is 1 for the zero matrix and
+    for every integer matrix), so equal matrices store equal data.
+    Values are read out as Q.
 
     Built from dense row-major entries, or empty (Matrix(rows, cols)) and then
-    filled entry by entry with add.  Read-only once built.
+    filled entry by entry with add.  Read-only once built.  add may leave a
+    common factor of _den and the entries (_loose); == and the copies that
+    keep _den divide it out first (_settle), so it is found once, not once
+    per entry added.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_den", "_loose")
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
         self.cols = cols
-        self._data = [{} for _ in range(rows)]
+        self._den, self._loose = 1, False
         if entries is None:
+            self._data = [{} for _ in range(rows)]
             return
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count must be rows*cols")
-        for i, row in enumerate(self._data):
-            for j, v in enumerate(entries[i * cols:(i + 1) * cols]):
-                if v:
-                    row[j] = v if type(v) is Q else Q(v)
+        nums, self._den = _integers(entries)
+        self._data = [{j: v for j, v in
+                       enumerate(nums[i * cols:(i + 1) * cols]) if v}
+                      for i in range(rows)]
 
     def add(self, i, j, val):
         """Add val to entry (i, j); used while building."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ValueError(
                 f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
-        if val:
-            _add_entry(self._data[i], j, val if type(val) is Q else Q(val))
+        (n,), den = _integers((val,))
+        if n:
+            self._over(den)
+            row = self._data[i]
+            _add_entry(row, j, n * (self._den // den))
+            # an entry prime to _den leaves no common factor; one that
+            # shares a factor with it, or cancelled to 0, may
+            self._loose = gcd(self._den, row.get(j, 0)) != 1
+
+    def _settle(self):
+        """Divide out the common factor add may have left; returns self."""
+        if self._loose:
+            self._den, self._loose = _lowest(self._data, self._den), False
+        return self
+
+    def _over(self, den):
+        """Rescale the entries, in place, so that _den is a multiple of
+        den."""
+        f = den // gcd(self._den, den)
+        if f != 1:
+            for row in self._data:
+                for c in row:
+                    row[c] *= f
+            self._den *= f
 
     @staticmethod
-    def _of(rows, cols, data):
-        """Wrap row dicts that hold nonzeros only."""
+    def _of(rows, cols, data, den=1):
+        """Wrap integer row dicts that hold nonzeros only, over den, with
+        gcd(den, every entry) == 1."""
         m = Matrix.__new__(Matrix)
-        m.rows, m.cols, m._data = rows, cols, data
+        m.rows, m.cols, m._data, m._den = rows, cols, data, den
+        m._loose = False
         return m
 
     @staticmethod
@@ -127,9 +164,7 @@ class Matrix:
         cols = len(rows_list[0]) if rows else 0
         if any(len(r) != cols for r in rows_list):
             raise ValueError("ragged rows")
-        return Matrix._of(rows, cols,
-                          [{j: v if type(v) is Q else Q(v)
-                            for j, v in enumerate(r) if v} for r in rows_list])
+        return Matrix(rows, cols, [v for r in rows_list for v in r])
 
     @staticmethod
     def from_columns(rows, columns):
@@ -143,7 +178,7 @@ class Matrix:
 
     @staticmethod
     def identity(n):
-        return Matrix._of(n, n, [{i: ONE} for i in range(n)])
+        return Matrix._of(n, n, [{i: 1} for i in range(n)])
 
     @property
     def entries(self):
@@ -151,36 +186,45 @@ class Matrix:
         return tuple(v for i in range(self.rows) for v in self.row(i))
 
     def at(self, i, j):
-        return self._data[i].get(j, ZERO)
+        return Q(self._data[i].get(j, 0), self._den)
 
     def row(self, i):
         """Row i as a dense tuple."""
-        row = self._data[i]
-        return tuple(row.get(j, ZERO) for j in range(self.cols))
+        row, den = self._data[i], self._den
+        return tuple(Q(row[j], den) if j in row else ZERO
+                     for j in range(self.cols))
 
     def column(self, j):
         """Column j as a dense tuple."""
-        return tuple(row.get(j, ZERO) for row in self._data)
+        den = self._den
+        return tuple(Q(row[j], den) if j in row else ZERO
+                     for row in self._data)
 
     def row_dicts(self):
         """Fresh col -> value dicts of the nonzeros, one per row."""
-        return [dict(row) for row in self._data]
+        den = self._den
+        return [{j: Q(v, den) for j, v in row.items()} for row in self._data]
 
     def nonzero_items(self):
         """(i, j, value) for every nonzero, row by row."""
+        den = self._den
         for i, row in enumerate(self._data):
             for j, v in row.items():
-                yield i, j, v
+                yield i, j, Q(v, den)
 
     def is_zero(self):
         return not any(self._data)
 
     def transpose(self):
-        return Matrix._of(self.cols, self.rows, _transpose_off(self, ()))
+        self._settle()
+        return Matrix._of(self.cols, self.rows, _transpose_off(self, ()),
+                          self._den)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self._data == other._data)
+                and self.cols == other.cols
+                and self._settle()._den == other._settle()._den
+                and self._data == other._data)
 
     def __add__(self, other):
         return signed_sum(((1, self), (1, other)))
@@ -189,47 +233,36 @@ class Matrix:
         return signed_sum(((1, self), (-1, other)))
 
     def __neg__(self):
+        self._settle()
         return Matrix._of(self.rows, self.cols,
                           [{j: -v for j, v in row.items()}
-                           for row in self._data])
+                           for row in self._data], self._den)
 
     def __mul__(self, other):
-        """Matrix product over the nonzeros of both factors, accumulated in
-        integers: each row of self is scaled by the lcm of its own
-        denominators and other by one common denominator, and the scale is
-        divided out of the nonzero results only.  Scaling other row by row
-        would not preserve a zero product."""
+        """Matrix product over the nonzeros of both factors, in integers
+        over the product of the two denominators, which is then reduced."""
         if not isinstance(other, Matrix):
             raise TypeError("can only multiply a Matrix by a Matrix")
         if self.cols != other.rows:
             raise ValueError("inner dimensions must agree")
-        den = lcm(*(v.denominator for row in other._data
-                    for v in row.values()))
-        inner = [_cleared(row, den) for row in other._data]
-        out = []
+        inner, out = other._data, []
         for row in self._data:
-            scale = lcm(*(v.denominator for v in row.values()))
             acc = {}
-            for k, v in _cleared(row, scale).items():
+            for k, v in row.items():
                 for j, w in inner[k].items():
                     acc[j] = acc.get(j, 0) + v * w
-            scale *= den
-            out.append({j: Q(s, scale) for j, s in acc.items() if s})
-        return Matrix._of(self.rows, other.cols, out)
+            out.append({j: s for j, s in acc.items() if s})
+        return Matrix._of(self.rows, other.cols, out,
+                          _lowest(out, self._den * other._den))
 
     def apply(self, vec):
         """Apply to a column vector (any sequence of scalars)."""
         if len(vec) != self.cols:
             raise ValueError("vector length must equal cols")
-        out = []
-        for row in self._data:
-            s = ZERO
-            for j, v in row.items():
-                w = vec[j]
-                if w:
-                    s += v * w
-            out.append(s)
-        return tuple(out)
+        nums, den = _integers(vec)
+        den *= self._den
+        return tuple(Q(sum(v * nums[j] for j, v in row.items()), den)
+                     for row in self._data)
 
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(v) for v in self.row(i))
@@ -237,8 +270,49 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def _integers(values):
+    """Rationals as integers over their least common denominator: (ints,
+    den).  A value is a Q or an int, or anything else Q reads, such as a
+    'p/q' string; a float or complex raises TypeError, because it is not
+    exact."""
+    qs = [v if type(v) is Q or type(v) is int else _rational(v)
+          for v in values]
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _rational(v):
+    if isinstance(v, (float, complex)):
+        raise TypeError(f"inexact scalar {v!r}: give a Q, an int or 'p/q'")
+    return Q(v)
+
+
+def _lowest(data, den):
+    """Divide integer rows, in place, by the gcd of den and all their
+    entries; returns den divided by it (1 when the rows are all zero)."""
+    g = den
+    for row in data:
+        if g == 1:
+            return den
+        if row:
+            g = gcd(g, *row.values())
+    if g != 1:
+        for row in data:
+            for c in row:
+                row[c] //= g
+    return den // g
+
+
+def _int_items(m):
+    """(i, j, integer entry) for every nonzero of m, row by row: m times
+    its denominator."""
+    for i, row in enumerate(m._data):
+        for j, v in row.items():
+            yield i, j, v
+
+
 def _add_entry(row, j, v):
-    """Add the nonzero Q v to entry j of a row dict, deleting the entry if
+    """Add the nonzero v to entry j of a row dict, deleting the entry if
     the sum is 0: a row dict holds nonzeros only, which == relies on."""
     old = row.get(j)
     if old is None:
@@ -253,27 +327,31 @@ def _add_entry(row, j, v):
 
 def signed_sum(terms):
     """The sum of sign * m over (sign, m) pairs, each sign +1 or -1; all
-    the matrices have one shape, and there is at least one.  The rows are
-    copied once, not once per term."""
-    terms = iter(terms)
-    sign, first = next(terms)
-    out = first.row_dicts() if sign > 0 else (-first)._data
-    for sign, m in terms:
-        if (m.rows, m.cols) != (first.rows, first.cols):
-            raise ValueError("shapes must agree")
+    the matrices have one shape, and there is at least one.  Each term is
+    scaled to the lcm of the denominators, and the rows are copied once,
+    not once per term."""
+    terms = list(terms)
+    (sign, first), rest = terms[0], terms[1:]
+    if any((m.rows, m.cols) != (first.rows, first.cols) for _, m in rest):
+        raise ValueError("shapes must agree")
+    den = lcm(*(m._den for _, m in terms))
+    f = sign * (den // first._den)
+    out = [{j: f * v for j, v in row.items()} for row in first._data]
+    for sign, m in rest:
+        f = sign * (den // m._den)
         for row, theirs in zip(out, m._data):
             # _add_entry inline: a call per entry slows the axiom checks
             for j, v in theirs.items():
                 old = row.get(j)
                 if old is None:
-                    row[j] = v if sign > 0 else -v
+                    row[j] = f * v
                 else:
-                    nv = old + v if sign > 0 else old - v
+                    nv = old + f * v
                     if nv:
                         row[j] = nv
                     else:
                         del row[j]
-    return Matrix._of(first.rows, first.cols, out)
+    return Matrix._of(first.rows, first.cols, out, _lowest(out, den))
 
 
 def paste(dst, src, row_off=0, col_off=0):
@@ -283,10 +361,13 @@ def paste(dst, src, row_off=0, col_off=0):
         raise ValueError(
             f"{src.rows}x{src.cols} block at ({row_off}, {col_off}) does not "
             f"fit in {dst.rows}x{dst.cols}")
+    dst._over(src._den)
+    f = dst._den // src._den
     for i, row in enumerate(src._data, row_off):
         out = dst._data[i]
         for j, v in row.items():
-            _add_entry(out, j + col_off, v)
+            _add_entry(out, j + col_off, f * v)
+    dst._den, dst._loose = _lowest(dst._data, dst._den), False
     return dst
 
 
@@ -313,9 +394,10 @@ def kron(a, b):
                         row[off + l] = w
                 else:
                     for l, w in rb.items():
-                        row[off + l] = v if w == 1 else v * w
+                        row[off + l] = v * w
             out.append(row)
-    return Matrix._of(a.rows * b.rows, a.cols * n, out)
+    return Matrix._of(a.rows * b.rows, a.cols * n, out,
+                      _lowest(out, a._den * b._den))
 
 
 def padded(pre, p, post):
@@ -339,17 +421,22 @@ class Product:
         self.p = p
         self.q = q
 
-    def write(self, out, sign, row_off, col_off, rows, cols):
-        """Add sign times the term's matrix on rows x cols matrices X to
-        the row dicts out, with its corner at (row_off, col_off).  p[a, i]
-        q[r, c] takes X[i, r] to image entry (a, c); p None is I_rows."""
+    @property
+    def den(self):
+        """The denominator over which write adds the matrix's integers."""
+        return self.q._den * (1 if self.p is None else self.p._den)
+
+    def write(self, out, factor, row_off, col_off, rows, cols):
+        """Add factor times den times the term's matrix on rows x cols
+        matrices X (integers) to the integer row dicts out, with its corner
+        at (row_off, col_off).  p[a, i] q[r, c] takes X[i, r] to image
+        entry (a, c); p None is I_rows."""
         p = Matrix.identity(rows) if self.p is None else self.p
-        signed_q = [(r, c, v if sign > 0 else -v) for r, c, v in
-                    self.q.nonzero_items()]
+        scaled_q = [(r, c, factor * v) for r, c, v in _int_items(self.q)]
         width = self.q.cols
-        for a, i, u in p.nonzero_items():
+        for a, i, u in _int_items(p):
             base, col = row_off + a * width, col_off + i * cols
-            for r, c, v in signed_q:
+            for r, c, v in scaled_q:
                 _add_entry(out[base + c], col + r, v if u == 1 else u * v)
 
 
@@ -372,21 +459,27 @@ class OnColumns:
         self.n = n
         self.x_first = x_first
 
-    def write(self, out, sign, row_off, col_off, rows, cols):
-        """Add sign times the term's matrix on rows x cols matrices X to
-        the row dicts out, with its corner at (row_off, col_off).  Entry
-        t[w, j] pairs basis vector a with row r of X (j = a rows + r, or
-        r n + a when x_first).  For each column c of X it takes X[r, c] to
-        image entry (w, a cols + c), or (w, c n + a) when x_first."""
+    @property
+    def den(self):
+        """The denominator over which write adds the matrix's integers."""
+        return self.t._den
+
+    def write(self, out, factor, row_off, col_off, rows, cols):
+        """Add factor times den times the term's matrix on rows x cols
+        matrices X (integers) to the integer row dicts out, with its corner
+        at (row_off, col_off).  Entry t[w, j] pairs basis vector a with row
+        r of X (j = a rows + r, or r n + a when x_first).  For each column
+        c of X it takes X[r, c] to image entry (w, a cols + c), or
+        (w, c n + a) when x_first."""
         n = self.n
-        for w, j, v in self.t.nonzero_items():
+        for w, j, v in _int_items(self.t):
             if self.x_first:
                 r, a = divmod(j, n)
                 base, step = row_off + w * cols * n + a, n
             else:
                 a, r = divmod(j, rows)
                 base, step = row_off + (w * n + a) * cols, 1
-            col, v = col_off + r * cols, v if sign > 0 else -v
+            col, v = col_off + r * cols, factor * v
             for c in range(cols):
                 _add_entry(out[base + c * step], col + c, v)
 
@@ -395,14 +488,17 @@ def assemble_terms(terms, in_shapes, out_shapes):
     """The matrix of the map on lists of matrix blocks whose out-block o
     is the sum of sign * term(in-block i) over its (sign, i, o, term)
     terms: the blocks read row-major and concatenated in order.  Each term
-    adds its signed entries straight into the rows, at its block's
-    offsets."""
+    adds its signed integer entries straight into the rows, at its block's
+    offsets, scaled to the lcm of the terms' denominators."""
+    terms = list(terms)
     row_off = [0, *accumulate(r * c for r, c in out_shapes)]
     col_off = [0, *accumulate(r * c for r, c in in_shapes)]
+    den = lcm(*(term.den for _, _, _, term in terms))
     out = [{} for _ in range(row_off[-1])]
     for sign, i, o, term in terms:
-        term.write(out, sign, row_off[o], col_off[i], *in_shapes[i])
-    return Matrix._of(row_off[-1], col_off[-1], out)
+        term.write(out, sign * (den // term.den), row_off[o], col_off[i],
+                   *in_shapes[i])
+    return Matrix._of(row_off[-1], col_off[-1], out, _lowest(out, den))
 
 
 class TensorIndex:
@@ -457,18 +553,6 @@ def _primitive(row):
     return row
 
 
-def _cleared(row, scale):
-    """A row of rationals times scale, a common multiple of their
-    denominators, as integers."""
-    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-
-
-def _integer_row(row):
-    """A row of rationals as a primitive integer row of the same span."""
-    scale = lcm(*(v.denominator for v in row.values()))
-    return _primitive(_cleared(row, scale))
-
-
 def _column_order(index, ncols):
     """Pivot key of kernel_basis and solve_columns: smallest column first.
 
@@ -498,20 +582,20 @@ def _sparsest_first(index, ncols):
 def _echelon(rows, ncols, order):
     """Forward elimination on primitive integer rows.
 
-    rows are col -> rational dicts; they are not modified.  Each nonempty
-    row is cleared of denominators once.  A column index keeps, for every
-    column, the set of live rows that have a nonzero there, so a pivot step
-    touches only the rows it changes.  order(index, ncols) yields the pivot
-    columns, reading the index as elimination goes; only columns below
-    ncols are pivots.  The pivot row is the shortest live row in its column
-    (ties: first given).  It is cross-multiplied into every other row of the
-    column with the gcd of the two leading entries, and each new row is
-    divided by its content.
+    rows are col -> integer dicts; they are not modified.  Each nonempty
+    row is copied and divided by its content once.  A column index keeps,
+    for every column, the set of live rows that have a nonzero there, so a
+    pivot step touches only the rows it changes.  order(index, ncols)
+    yields the pivot columns, reading the index as elimination goes; only
+    columns below ncols are pivots.  The pivot row is the shortest live row
+    in its column (ties: first given).  It is cross-multiplied into every
+    other row of the column with the gcd of the two leading entries, and
+    each new row is divided by its content.
 
     Returns (pivot rows, pivot cols): integer rows, each with its pivot at
     the matching entry of pivot cols.
     """
-    rows = [_integer_row(r) for r in rows if r]
+    rows = [_primitive(dict(r)) for r in rows if r]
     index = [set() for _ in range(max((max(r) for r in rows), default=-1)
                                   + 1)]
     for i, r in enumerate(rows):
@@ -558,18 +642,28 @@ def rank(m):
     return len(_echelon(m._data, m.cols, _sparsest_first)[0])
 
 
-def _back_substitute(pivots, pivot_cols, free_assign, ncols):
-    """Complete a kernel vector from values at non-pivot columns."""
-    vec = [ZERO] * ncols
-    for c, v in free_assign.items():
-        vec[c] = v
+def _back_substitute(pivots, pivot_cols, free_col, free_value, ncols):
+    """Complete a kernel vector from the integer free_value at the
+    non-pivot column free_col, 0 at the others.  The vector is kept as
+    integers over one denominator, which grows by the part of each pivot
+    its column's value does not cancel."""
+    vec, den = {free_col: free_value}, 1
     for row, pc in zip(reversed(pivots), reversed(pivot_cols)):
-        s = ZERO
-        for c, v in row.items():
-            if c != pc and vec[c]:
-                s += v * vec[c]
-        vec[pc] = -s / row[pc]
-    return tuple(vec)
+        s = 0
+        for c, v in row.items():  # vec has no value at pc yet
+            x = vec.get(c)
+            if x:
+                s += v * x
+        if s:
+            a = row[pc]
+            g = gcd(s, a) if a > 0 else -gcd(s, a)
+            if a != g:
+                f = a // g
+                for c in vec:
+                    vec[c] *= f
+                den *= f
+            vec[pc] = -s // g
+    return tuple(Q(vec[c], den) if c in vec else ZERO for c in range(ncols))
 
 
 def kernel_basis(m):
@@ -584,7 +678,7 @@ def kernel_basis(m):
     for j in range(m.cols):
         if j in pivot_set:
             continue
-        basis.append(_back_substitute(pivots, pivot_cols, {j: ONE}, m.cols))
+        basis.append(_back_substitute(pivots, pivot_cols, j, 1, m.cols))
     return basis
 
 
@@ -596,21 +690,24 @@ def solve_columns(m, b):
     come first: the rows it leaves read 0 = (a combination of b), and a
     column of b is consistent exactly when none of them has a nonzero
     there.  Free variables are set to zero, so the answer is deterministic.
+    In integers, the rows eliminated are those of den_m den_b [m | b].
     """
     if b.rows != m.rows:
         raise ValueError(f"right-hand side has {b.rows} rows, not {m.rows}")
     n, width = m.cols, m.cols + b.cols
-    rows = m.row_dicts()
-    for row, extra in zip(rows, b._data):
+    rows = []
+    for row, extra in zip(m._data, b._data):
+        out = {j: b._den * v for j, v in row.items()}
         for j, v in extra.items():
-            row[n + j] = v
+            out[n + j] = m._den * v
+        rows.append(out)
     pivots, pivot_cols = _echelon(rows, width, _column_order)
     r = sum(c < n for c in pivot_cols)
     inconsistent = {c for row in pivots[r:] for c in row}
     pivots, pivot_cols = pivots[:r], pivot_cols[:r]
     # -1 at the column of b moves it to the other side of m x = b
     return [None if n + j in inconsistent else
-            _back_substitute(pivots, pivot_cols, {n + j: -ONE}, width)[:n]
+            _back_substitute(pivots, pivot_cols, n + j, -1, width)[:n]
             for j in range(b.cols)]
 
 
@@ -635,13 +732,28 @@ def inverse(m):
 def _transpose_off(m, skip):
     """The rows of m's transpose, built in one pass from m's row dicts,
     with those in skip left empty, which _echelon skips.  Passed straight
-    to _echelon, they are freed once it has made its integer rows."""
+    to _echelon, they are freed once it has made its primitive copies."""
     out = [{} for _ in range(m.cols)]
     for i, row in enumerate(m._data):
         for j, v in row.items():
             if j not in skip:
                 out[j][i] = v
     return out
+
+
+def _kills(d, inner, skip):
+    """Whether d . inner is zero on the columns of inner off skip; in
+    integers, a row at a time, stopping at the first nonzero row."""
+    kept = [{j: v for j, v in row.items() if j not in skip}
+            for row in inner._data] if skip else inner._data
+    for row in d._data:
+        acc = {}
+        for k, v in row.items():
+            for j, w in kept[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
 
 
 def homology_dims(differentials):
@@ -660,20 +772,26 @@ def homology_dims(differentials):
     transpose with the rows in R left out.  The pivot columns of that
     elimination are rank d_k rows of d_k, independent on W and so in d_k:
     the next R.  The first map starts with R empty.
+
+    The same splitting makes the check cheaper.  With R' the rows of
+    d_{k-2} that d_{k-1} was ranked off, C^{k-1} = im d_{k-2} (+) W', and
+    d_{k-1} kills im d_{k-2} (checked the step before), so im d_{k-1} is
+    spanned by the columns of d_{k-1} off R': d_k . d_{k-1} == 0 exactly
+    when d_k kills those columns.
     """
     dims = []
-    inner, inner_rank, row_basis = None, 0, set()
+    inner, inner_rank, inner_skip, row_basis = None, 0, set(), set()
     for k, d in enumerate(differentials):
         if inner is not None:
             if d.cols != inner.rows:
                 raise ValueError(
                     f"not composable: d_{k} has {d.cols} cols, "
                     f"d_{k - 1} has {inner.rows} rows")
-            if not (d * inner).is_zero():
+            if not _kills(d, inner, inner_skip):
                 raise ValueError(f"d_{k} . d_{k - 1} != 0: not a complex")
         pivots, pivot_cols = _echelon(_transpose_off(d, row_basis), d.rows,
                                       _sparsest_first)
-        row_basis = set(pivot_cols)
         dims.append(d.cols - len(pivots) - inner_rank)
         inner, inner_rank = d, len(pivots)
+        inner_skip, row_basis = row_basis, set(pivot_cols)
     return dims

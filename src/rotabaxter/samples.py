@@ -335,10 +335,5 @@ def random_rrb_cocycle(seed, x, b, k):
     coeffs = [random_rational(rng, 3) for _ in basis]
     if not any(coeffs):
         coeffs[rng.randrange(len(coeffs))] = ONE
-    vec = [ZERO] * len(basis[0])
-    for coeff, member in zip(coeffs, basis):
-        if coeff:
-            for idx, entry in enumerate(member):
-                if entry:
-                    vec[idx] += coeff * entry
-    return RRBCochain.from_vector(x, b, k, tuple(vec))
+    vec = Matrix.from_columns(len(basis[0]), basis).apply(coeffs)
+    return RRBCochain.from_vector(x, b, k, vec)

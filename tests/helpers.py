@@ -198,6 +198,113 @@ def gauss_jordan_rank(m):
 
 
 # ---------------------------------------------------------------------------
+# Reference matrix operations: a matrix as (rows, cols, {(i, j): Fraction})
+# of its nonzeros, each operation computed entry by entry in Fraction
+# arithmetic from its definition.  They read a Matrix only through
+# nonzero_items, so linalg.Matrix's integer storage is checked against
+# plain rationals.
+
+
+def ref_of(m):
+    return m.rows, m.cols, {(i, j): v for i, j, v in m.nonzero_items()}
+
+
+def _ref(rows, cols, entries):
+    return rows, cols, {ij: v for ij, v in entries.items() if v}
+
+
+def _ref_add(entries, ij, v):
+    entries[ij] = entries.get(ij, Fraction(0)) + v
+
+
+def ref_mul(a, b):
+    (rows, _, ea), (_, cols, eb) = a, b
+    out = {}
+    for (i, k), v in ea.items():
+        for (k2, j), w in eb.items():
+            if k == k2:
+                _ref_add(out, (i, j), v * w)
+    return _ref(rows, cols, out)
+
+
+def ref_kron(a, b):
+    (ar, ac, ea), (br, bc, eb) = a, b
+    return _ref(ar * br, ac * bc,
+                {(i * br + k, j * bc + l): v * w
+                 for (i, j), v in ea.items() for (k, l), w in eb.items()})
+
+
+def ref_transpose(a):
+    rows, cols, entries = a
+    return cols, rows, {(j, i): v for (i, j), v in entries.items()}
+
+
+def ref_signed_sum(terms):
+    """The sum of sign * a over (sign, reference matrix) pairs."""
+    out = {}
+    for sign, (_, _, entries) in terms:
+        for ij, v in entries.items():
+            _ref_add(out, ij, sign * v)
+    rows, cols, _ = terms[0][1]
+    return _ref(rows, cols, out)
+
+
+def ref_paste(dst, src, row_off, col_off):
+    rows, cols, entries = dst
+    out = dict(entries)
+    for (i, j), v in src[2].items():
+        _ref_add(out, (i + row_off, j + col_off), v)
+    return _ref(rows, cols, out)
+
+
+def ref_apply(a, vec):
+    rows, _, entries = a
+    out = [Fraction(0)] * rows
+    for (i, j), v in entries.items():
+        out[i] += v * Fraction(vec[j])
+    return tuple(out)
+
+
+def ref_term(term, rows, cols):
+    """The matrix of a Product or OnColumns term on rows x cols matrices X
+    read row-major.  Product(p, q) is kron(p or I_rows, q^T).  OnColumns
+    takes X to t kron(I_n, X), whose entry (w, a cols + c) is the sum over
+    r of t[w, a rows + r] X[r, c], or to t kron(X, I_n), whose entry
+    (w, c n + a) is the sum over r of t[w, r n + a] X[r, c]."""
+    if hasattr(term, "q"):
+        p = (rows, rows, {(i, i): Fraction(1) for i in range(rows)}) \
+            if term.p is None else ref_of(term.p)
+        return ref_kron(p, ref_transpose(ref_of(term.q)))
+    n, (out_rows, _, t) = term.n, ref_of(term.t)
+    width = n * cols
+    entries = {}
+    for w in range(out_rows):
+        for a in range(n):
+            for r in range(rows):
+                v = t.get((w, r * n + a if term.x_first else a * rows + r))
+                for c in range(cols if v else 0):
+                    out = c * n + a if term.x_first else a * cols + c
+                    entries[w * width + out, r * cols + c] = v
+    return out_rows * width, rows * cols, entries
+
+
+def ref_assemble_terms(terms, in_shapes, out_shapes):
+    """The block matrix: sign * term(in-block i) added into out-block o for
+    each (sign, i, o, term), the blocks read row-major in order."""
+    row_off = [sum(r * c for r, c in out_shapes[:o])
+               for o in range(len(out_shapes) + 1)]
+    col_off = [sum(r * c for r, c in in_shapes[:i])
+               for i in range(len(in_shapes) + 1)]
+    out = (row_off[-1], col_off[-1], {})
+    for sign, i, o, term in terms:
+        rows, cols, entries = ref_term(term, *in_shapes[i])
+        out = ref_paste(out, (rows, cols, {ij: sign * v for ij, v
+                                           in entries.items()}),
+                        row_off[o], col_off[i])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Reference axiom checks: the per-basis-tuple loops the package evaluated
 # before its checks became matrix identities, kept verbatim.  Each builds
 # dense vectors for one basis tuple at a time and shares only Report and
@@ -748,7 +855,7 @@ ONE = Q(1)
 
 def _unit(n, j):
     """The n x 1 unit column e_j."""
-    return Matrix._of(n, 1, [{0: ONE} if i == j else {} for i in range(n)])
+    return Matrix(n, 1, [ONE if i == j else 0 for i in range(n)])
 
 
 def ref_on_columns_matrix(t, y, x_first, rows, cols):

@@ -205,10 +205,10 @@ def test_product_needs_a_matrix():
 
 
 def test_constructors_keep_q_values():
-    # a value that already is a Q is stored as it is; others go through Q()
+    # entries are stored as integers over one denominator and read out as Q
     q = Q(1, 3)
     for m in (Matrix(1, 2, [q, 2]), Matrix.from_rows([[q, 2]])):
-        assert m.at(0, 0) is q
+        assert m.at(0, 0) == q and type(m.at(0, 0)) is Q
         assert type(m.at(0, 1)) is Q and m.at(0, 1) == 2
 
 
@@ -576,16 +576,49 @@ def random_complex(rng, dims):
     return maps
 
 
+def random_complexes():
+    """200 random complexes of five maps on spaces of dimension 1 to 5."""
+    rng = random.Random(1717)
+    return [random_complex(rng, [rng.randint(1, 5) for _ in range(5)])
+            for _ in range(200)]
+
+
 def test_homology_dims_match_full_rank_on_random_complexes():
     """The restricted ranks give the homology of the full ranks, which the
     textbook Gauss-Jordan of tests/helpers.py confirms map by map."""
-    rng = random.Random(1717)
     restricted = 0
-    for _ in range(200):
-        maps = random_complex(rng, [rng.randint(1, 5) for _ in range(5)])
+    for maps in random_complexes():
         dims, ranks = full_rank_dims(maps)
         assert homology_dims(maps) == dims
         assert ranks == [gauss_jordan_rank(d) for d in maps]
         # pairs where d_k is ranked off a nonzero image
         restricted += sum(a > 0 and b > 0 for a, b in zip(ranks, ranks[1:]))
     assert restricted > 200, restricted
+
+
+def test_restricted_check_raises_exactly_when_the_product_is_nonzero():
+    """homology_dims checks d_k . d_{k-1} == 0 only on the columns of
+    d_{k-1} off the rows of d_{k-2} that d_{k-1} was ranked off.  With one
+    entry of d_k changed, the complex ending in d_k must be refused exactly
+    when the full product is nonzero."""
+    rng = random.Random(1718)
+    refused = kept = restricted = 0
+    for maps in random_complexes():
+        k = rng.randint(1, len(maps) - 1)
+        d = maps[k]
+        changed = Matrix(d.rows, d.cols, d.entries)
+        changed.add(rng.randrange(d.rows), rng.randrange(d.cols),
+                    Q(rng.choice((1, -1, 2)), rng.choice((1, 3))))
+        nonzero = not (changed * maps[k - 1]).is_zero()
+        try:
+            homology_dims(maps[:k] + [changed])
+        except ValueError as exc:
+            assert nonzero and "not a complex" in str(exc)
+            refused += 1
+        else:
+            assert not nonzero
+            kept += 1
+        # d_{k-1} was ranked off a nonzero image, so columns were skipped
+        restricted += nonzero and k >= 2 and rank(maps[k - 2]) > 0
+    assert refused > 100 and kept > 40 and restricted > 40, \
+        (refused, kept, restricted)
