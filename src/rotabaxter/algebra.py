@@ -10,8 +10,9 @@ and transported structures) is a matrix expression in these matrices.
 Axioms are multilinear, so checking them on basis tuples is equivalent to
 the full statement.  Every check evaluates a law on all its basis tuples
 at once: each variable is an identity matrix, a bilinear map c is applied
-as c.matrix * kron(X, Y), and the two sides become matrices whose columns
-are the tuples (Report.require_laws).
+as c.matrix * kron(X, Y) (on_columns, which builds no Kronecker product),
+and the two sides become matrices whose columns are the tuples
+(Report.require_laws).
 
 Hochschild cochains of degree k are linear maps A^{(x) k} -> M, flattened with
 the big-endian convention of linalg.TensorIndex.  Degree 0 cochains are
@@ -34,7 +35,7 @@ from itertools import accumulate
 
 from .linalg import (
     Matrix, OnColumns, Product, TensorIndex, ZERO, assemble_terms,
-    format_rational, homology_dims, kron, padded, signed_sum,
+    bilinear_on_columns, format_rational, homology_dims, padded, signed_sum,
 )
 
 
@@ -87,6 +88,12 @@ class Report:
     def require(self, law, args, lhs, rhs):
         if tuple(lhs) != tuple(rhs):
             self.violations.append(Violation(law, args, lhs, rhs))
+
+    def require_equal(self, law, lhs, rhs):
+        """Require two matrices to be equal, as a law at no args whose sides
+        are their dense row-major entries, built only when they differ."""
+        if lhs != rhs:
+            self.require(law, (), lhs.entries, rhs.entries)
 
     def require_laws(self, laws):
         """Require multilinear laws, each on all its basis tuples at once.
@@ -218,9 +225,10 @@ class StructureConstants:
         """The map on every pair of a column of x and a column of y.
 
         Column s * y.cols + t of the result is self(x column s, y column t),
-        so identity arguments give the values on all basis pairs.
+        so identity arguments give the values on all basis pairs.  It is
+        self.matrix * kron(x, y), computed with no Kronecker product.
         """
-        return self.matrix * kron(x, y)
+        return bilinear_on_columns(self.matrix, x, y)
 
     def rotated(self):
         """The constants c'[j][k][i] = c[i][j][k] of V (x) W -> U, read

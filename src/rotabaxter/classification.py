@@ -175,12 +175,10 @@ def check_abelian_extension(e):
                 (rank(e.mod_proj),), (dM,))
     # with the rank and dimension facts above, proj o incl = 0 pins
     # image of the embedding = kernel of the projection on both rows
-    rep.require("alg_row_exact", (),
-                (e.alg_proj * e.alg_incl).entries,
-                Matrix.zero(dA, dB).entries)
-    rep.require("mod_row_exact", (),
-                (e.mod_proj * e.mod_incl).entries,
-                Matrix.zero(dM, dN).entries)
+    rep.require_equal("alg_row_exact", e.alg_proj * e.alg_incl,
+                      Matrix.zero(dA, dB))
+    rep.require_equal("mod_row_exact", e.mod_proj * e.mod_incl,
+                      Matrix.zero(dM, dN))
     _merge_prefixed(rep, check_morphism(
         RRBMorphism(_fiber_rrb(e.fiber), e.total, e.alg_incl, e.mod_incl)),
         "fiber_embedding")
@@ -416,14 +414,14 @@ def check_extension_morphism(e1, e2, mor):
                          "total to the second's")
     rep = Report("extension_morphism")
     rep.merge(check_morphism(mor))
-    rep.require("fixes_fiber_algebra", (),
-                (mor.phi * e1.alg_incl).entries, e2.alg_incl.entries)
-    rep.require("fixes_fiber_module", (),
-                (mor.psi * e1.mod_incl).entries, e2.mod_incl.entries)
-    rep.require("covers_base_algebra", (),
-                (e2.alg_proj * mor.phi).entries, e1.alg_proj.entries)
-    rep.require("covers_base_module", (),
-                (e2.mod_proj * mor.psi).entries, e1.mod_proj.entries)
+    rep.require_equal("fixes_fiber_algebra", mor.phi * e1.alg_incl,
+                      e2.alg_incl)
+    rep.require_equal("fixes_fiber_module", mor.psi * e1.mod_incl,
+                      e2.mod_incl)
+    rep.require_equal("covers_base_algebra", e2.alg_proj * mor.phi,
+                      e1.alg_proj)
+    rep.require_equal("covers_base_module", e2.mod_proj * mor.psi,
+                      e1.mod_proj)
     return rep
 
 

@@ -51,7 +51,7 @@ from .algebra import (
 )
 from .linalg import (
     Matrix, OnColumns, Product, Q, assemble_terms, homology_dims,
-    kernel_basis, kron, padded, paste, signed_sum,
+    kernel_basis, kron, padded, paste, signed_sum, stacked,
 )
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
@@ -264,14 +264,18 @@ def rrb_terms(x, b, k):
     return terms
 
 
+def _image(x, b, c):
+    """The coordinate column of the differential of c: the matrix of the
+    differential in c's degree times c's coordinate column."""
+    return rrb_differential_matrix(x, b, c.degree) * \
+        stacked(c.validate(x, b).blocks())
+
+
 def rrb_differential(x, b, k, c):
-    """Apply the degree-k differential to a cochain: its matrix times the
-    cochain's coordinate column."""
+    """Apply the degree-k differential to a cochain."""
     if c.degree != k:
         raise ShapeError(f"cochain degree {c.degree} != {k}")
-    vec = c.validate(x, b).vector()
-    image = rrb_differential_matrix(x, b, k) * Matrix(len(vec), 1, vec)
-    return RRBCochain.from_vector(x, b, k + 1, image.column(0))
+    return RRBCochain.from_vector(x, b, k + 1, _image(x, b, c).column(0))
 
 
 def rrb_differential_matrix(x, b, k):
@@ -288,15 +292,21 @@ def cocycle_report(x, b, c, strict=False):
 
     The laws are differential_vanishes[alpha], [beta s] for each slot s,
     and [gamma] from degree 2 on.  With strict set, a failure raises
-    StructuralError naming the nonzero blocks instead.
+    StructuralError naming the nonzero blocks instead.  A zero image
+    passes with no block read out; only a nonzero one is split into the
+    blocks of a cochain.
     """
-    img = rrb_differential(x, b, c.degree, c)
+    image = _image(x, b, c)
+    rep = Report("cocycle")
+    if image.is_zero():
+        return rep
+    img = RRBCochain.from_vector(x, b, c.degree + 1, image.column(0))
     blocks = [("alpha", "alpha", img.alpha)]
     blocks.extend((f"beta {s}", f"beta[slot {s}]", m)
                   for s, m in enumerate(img.beta, 1))
     if img.gamma is not None:
         blocks.append(("gamma", "gamma", img.gamma))
-    rep, bad = Report("cocycle"), []
+    bad = []
     for law, name, m in blocks:
         vals = m.entries
         if any(vals):

@@ -35,7 +35,7 @@ from .classification import (
     TwoTermAInfty,
 )
 from .cohomology import RRBCochain
-from .linalg import Matrix, format_matrix, format_rational, parse_rational
+from .linalg import Q, format_matrix, parse_ratio, ratio_matrix
 from .rrb import RelativeRBAlgebra, RMatrix, TwoTermComplex
 from .rrb_modules import RRBBimodule
 
@@ -89,9 +89,10 @@ class StructureFile:
 # ---------------------------------------------------------------- parsing
 
 
-def _rat(value, key):
+def _ratios(row, key):
+    """The entries of a row as parse_ratio pairs (p, q)."""
     try:
-        return parse_rational(value)
+        return [parse_ratio(v) for v in row]
     except ValueError as err:
         raise ParseError(f"{key}: {err}") from None
 
@@ -166,19 +167,18 @@ def _parse_bilinear(raw, spaces):
         tensor = entry["tensor"]
         if not isinstance(tensor, list) or len(tensor) != dl:
             raise ParseError(f"{key}.tensor: needs {dl} planes")
-        data = []
+        ratios = []
         for i, plane in enumerate(tensor):
             if not isinstance(plane, list) or len(plane) != dr:
                 raise ParseError(f"{key}.tensor[{i}]: needs {dr} rows")
-            rows = []
             for j, row in enumerate(plane):
                 if not isinstance(row, list) or len(row) != do:
                     raise ParseError(
                         f"{key}.tensor[{i}][{j}]: needs {do} entries")
-                rows.append([_rat(v, f"{key}.tensor[{i}][{j}]")
-                             for v in row])
-            data.append(rows)
-        out[name] = StructureConstants(dl, dr, do, data)
+                ratios += _ratios(row, f"{key}.tensor[{i}][{j}]")
+        # the rows of the file, c[i][j], are the columns of the matrix
+        out[name] = StructureConstants.from_matrix(
+            dl, dr, ratio_matrix(dl * dr, do, ratios).transpose())
     return out
 
 
@@ -198,12 +198,12 @@ def _parse_linear(raw, spaces):
         rows = entry["matrix"]
         if not isinstance(rows, list) or len(rows) != cod:
             raise ParseError(f"{key}.matrix: needs {cod} rows")
-        flat = []
+        ratios = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != dom:
                 raise ParseError(f"{key}.matrix[{i}]: needs {dom} entries")
-            flat.extend(_rat(v, f"{key}.matrix[{i}]") for v in row)
-        out[name] = Matrix(cod, dom, flat)
+            ratios += _ratios(row, f"{key}.matrix[{i}]")
+        out[name] = ratio_matrix(cod, dom, ratios)
     return out
 
 
@@ -332,7 +332,7 @@ def _build_r_matrix(entry, key, rs):
     if not isinstance(rows, list) or len(rows) != alg.dim or \
             any(not isinstance(r, list) or len(r) != alg.dim for r in rows):
         raise ParseError(f"{key}.tensor: needs {alg.dim} x {alg.dim} entries")
-    tensor = [[_rat(v, f"{key}.tensor[{i}]") for v in row]
+    tensor = [[Q(p, q) for p, q in _ratios(row, f"{key}.tensor[{i}]")]
               for i, row in enumerate(rows)]
     return RMatrix(alg, tensor), {"algebra": entry["algebra"]}
 
@@ -510,8 +510,10 @@ def parse_path(path):
 
 
 def _sc_json(sc):
-    return [[[format_rational(v) for v in row] for row in plane]
-            for plane in sc.data]
+    """The nested c[i][j][k] as strings: the rows of the transposed matrix,
+    cut into dim_left planes."""
+    rows, dr = format_matrix(sc.matrix.transpose()), sc.dim_right
+    return [rows[i * dr:(i + 1) * dr] for i in range(sc.dim_left)]
 
 
 def new_document():

@@ -4,22 +4,30 @@ Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
 type, the one matrix type (row-sparse, built from dense entries or entry by
 entry, with paste placing one matrix as a block of another and signed_sum
-adding many in one copy), the Kronecker product kron, linear maps on lists
-of matrix blocks given as terms (Product, OnColumns), whose signed entries
-assemble_terms writes, term by term, straight into the rows of one matrix
-(write is each term's one definition), multi-index flattening for tensor
-powers, the workhorses rank / kernel_basis / solve_columns (with
-its cases solve and inverse), and homology_dims, which sweeps a whole
-cochain complex.
+adding many in one copy), the Kronecker product kron, bilinear_on_columns
+(a bilinear map's matrix times a Kronecker product, with none built),
+linear maps on lists of matrix blocks given as terms (Product, OnColumns),
+whose signed entries assemble_terms writes, term by term, straight into
+the rows of one matrix (write is each term's one definition), multi-index
+flattening for tensor powers, the workhorses rank / kernel_basis /
+solve_columns (with its cases solve and inverse), and homology_dims, which
+sweeps a whole cochain complex.
 
 A Matrix stores integers over one denominator, so the product, kron,
-signed_sum, paste, the term writes and the transpose compute in integers
-and build no rational; only the reads (at, row, column, entries,
-nonzero_items, apply) make Q values.  These run one elimination kernel,
-_echelon, on primitive integer rows (each row divided by its content; the
-one such row of a given span, whatever the denominator it was stored
-over), with a column index of the live rows that have a nonzero in each
-column.  Only the pivot key differs between callers: rank takes the
+bilinear_on_columns, signed_sum, stacked, paste, the term writes and the
+transpose compute in integers and build no rational; only the reads (at,
+row, column, entries, nonzero_items, row_dicts, apply, and the vectors
+kernel_basis and solve_columns return) make Q values.  Structure files are
+parsed into integers and rendered from them: parse_ratio reads a scalar
+as an unreduced integer pair, ratio_matrix stores a matrix of such pairs
+over their lcm, and format_matrix writes each entry from its integer and
+the denominator; parse_rational and format_rational read and write one Q.
+
+rank, kernel_basis, solve_columns and homology_dims run one elimination
+kernel, _echelon, on primitive integer rows (each row divided by its
+content; the one such row of a given span, whatever the denominator it was
+stored over), with a column index of the live rows that have a nonzero in
+each column.  Only the pivot key differs between callers: rank takes the
 sparsest column first, which limits fill-in; kernel_basis and
 solve_columns take the smallest column first, because their documented
 output is fixed by the set of pivot columns, and elimination in column
@@ -58,12 +66,13 @@ ZERO = Q(0)
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
-def parse_rational(text):
-    """Parse 'p' or 'p/q' (q > 0 after reduction is automatic).  Strict:
-    ASCII digits only, no whitespace or underscores; bools are rejected."""
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Q(text)
+def parse_ratio(text):
+    """Parse 'p' or 'p/q' to the integers (p, q), q > 0, not reduced.
+    Strict: ASCII digits only, no whitespace or underscores; bools are
+    rejected."""
     if not isinstance(text, str):
+        if isinstance(text, int) and not isinstance(text, bool):
+            return text, 1
         raise ValueError(f"rational must be a string or int, got {text!r}")
     match = _RATIONAL.fullmatch(text)
     if match is None:
@@ -71,21 +80,53 @@ def parse_rational(text):
     n, d = int(match[1]), int(match[2] or 1)
     if d == 0:
         raise ValueError(f"malformed rational {text!r}: zero denominator")
-    return Q(n, d)
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def parse_rational(text):
+    """parse_ratio as a Q."""
+    return Q(*parse_ratio(text))
 
 
 def format_rational(q):
-    """Serialize as 'p' or 'p/q'.  Inverse of parse_rational."""
+    """Serialize a Q or an int as 'p' or 'p/q'.  Inverse of
+    parse_rational; a float or complex raises TypeError."""
     if type(q) is not Q:
-        q = Q(q)
+        q = _rational(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
 def format_matrix(m):
-    """A Matrix as a list of rows of format_rational strings."""
-    return [[format_rational(v) for v in m.row(i)] for i in range(m.rows)]
+    """A Matrix as a list of rows of format_rational strings, rendered
+    from its integers: entry v over the denominator is reduced by their
+    gcd, and an absent entry is '0'."""
+    den, out = m._den, []
+    for row in m._data:
+        line = ["0"] * m.cols
+        for j, v in row.items():
+            g = gcd(v, den)
+            line[j] = str(v // g) if g == den else f"{v // g}/{den // g}"
+        out.append(line)
+    return out
+
+
+def ratio_matrix(rows, cols, ratios):
+    """The rows x cols Matrix of a list of dense row-major entries given as
+    integer pairs (p, q), q > 0, as parse_ratio gives them: stored over the
+    lcm of the q, in lowest terms, with no rational built."""
+    if len(ratios) != rows * cols:
+        raise ValueError("entry count must be rows*cols")
+    den = lcm(*(q for _, q in ratios))
+    data = []
+    for i in range(rows):
+        row = {}
+        for j, (p, q) in enumerate(ratios[i * cols:(i + 1) * cols]):
+            if p:
+                row[j] = p * (den // q)
+        data.append(row)
+    return Matrix._of(rows, cols, data, _lowest(data, den))
 
 
 class Matrix:
@@ -265,8 +306,7 @@ class Matrix:
                      for row in self._data)
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_rational(v) for v in self.row(i))
-                         for i in range(self.rows))
+        body = "; ".join(" ".join(row) for row in format_matrix(self))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
@@ -354,6 +394,19 @@ def signed_sum(terms):
     return Matrix._of(first.rows, first.cols, out, _lowest(out, den))
 
 
+def stacked(blocks):
+    """The column of the entries of a list of matrices, each read
+    row-major, one after another: the coordinates of a list of blocks."""
+    den = lcm(*(m._den for m in blocks))
+    out = []
+    for m in blocks:
+        f = den // m._den
+        for row in m._data:
+            out.extend({0: f * row[j]} if j in row else {}
+                       for j in range(m.cols))
+    return Matrix._of(len(out), 1, out, _lowest(out, den))
+
+
 def paste(dst, src, row_off=0, col_off=0):
     """Add the block src into dst with its corner at (row_off, col_off);
     returns dst.  The block must fit inside dst."""
@@ -398,6 +451,30 @@ def kron(a, b):
             out.append(row)
     return Matrix._of(a.rows * b.rows, a.cols * n, out,
                       _lowest(out, a._den * b._den))
+
+
+def bilinear_on_columns(m, x, y):
+    """m * kron(x, y), in one pass over the nonzeros of m, x and y, with no
+    Kronecker product built: m[w, i * y.rows + k] x[i, s] y[k, t] adds to
+    entry (w, s * y.cols + t)."""
+    if x.rows * y.rows != m.cols:
+        raise ValueError("inner dimensions must agree")
+    n, width, xs, ys = y.rows, y.cols, x._data, y._data
+    out = []
+    for row in m._data:
+        acc = {}
+        for c, v in row.items():
+            i, k = divmod(c, n)
+            yk = ys[k]
+            if yk:
+                for s, u in xs[i].items():
+                    off, uv = s * width, u * v
+                    for t, w in yk.items():
+                        j = off + t
+                        acc[j] = acc.get(j, 0) + uv * w
+        out.append({j: v for j, v in acc.items() if v})
+    return Matrix._of(m.rows, x.cols * width, out,
+                      _lowest(out, m._den * x._den * y._den))
 
 
 def padded(pre, p, post):

@@ -323,6 +323,35 @@ def test_check_extension_morphism_detects_tampering():
     assert not check_extension_morphism(e, e, bent).ok
 
 
+def test_failing_row_and_commutation_reports_are_unchanged():
+    """The lines of the row-exactness and commutation laws of a failing
+    extension check and extension morphism check, as first recorded: each
+    side is the dense row-major tuple of its map."""
+    x, b, c = extension_fixture(0)
+    e = build_extension(x, b, c)
+    dA, dM = x.algebra.dim, x.module.dim
+    bent = AbelianExtension(e.base, e.fiber, e.total, e.alg_incl, e.mod_incl,
+                            bump_map(e.alg_proj, (0, dA)),
+                            bump_map(e.mod_proj, (0, dM)))
+    lines = check_abelian_extension(bent).describe().split("\n")
+    assert lines[:3] == [
+        "abelian_extension: FAIL (12 violations)",
+        "  alg_row_exact at (): lhs=(1, 0) rhs=(0, 0)",
+        "  mod_row_exact at (): lhs=(1) rhs=(0)"]
+    mor = extension_iso_from_cobounding(
+        e, e, Matrix.zero(b.base.dim, dA), Matrix.zero(b.fiber.dim, dM))
+    moved = RRBMorphism(e.total, e.total, bump_map(mor.phi, (0, dA)),
+                        bump_map(mor.psi, (0, dM)))
+    lines = check_extension_morphism(e, e, moved).describe().split("\n")
+    assert lines[0] == "extension_morphism: FAIL (14 violations)"
+    assert lines[-4:] == [
+        "  fixes_fiber_algebra at (): lhs=(1, 0, 1, 0, 0, 1) "
+        "rhs=(0, 0, 1, 0, 0, 1)",
+        "  fixes_fiber_module at (): lhs=(1, 1) rhs=(0, 1)",
+        "  covers_base_algebra at (): lhs=(1, 1, 0) rhs=(1, 0, 0)",
+        "  covers_base_module at (): lhs=(1, 1) rhs=(1, 0)"]
+
+
 def test_check_extension_morphism_needs_the_totals_as_ends():
     # seeds 0 and 1 build totals of dimensions 3+2, seed 2 one of 3+3
     e0, e1, e2 = (build_extension(*extension_fixture(s)) for s in range(3))

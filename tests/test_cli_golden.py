@@ -29,9 +29,12 @@ command that takes -o or checks what it builds, on an input it rejects:
 semidirect, dual, lift and dendriform on the GUARDED input; extend and
 triple-to-skeletal on sample 6 with entry (0, 0) of alpha of its degree-2
 and degree-3 cocycles raised by 1; extract-cocycle --section canonical on
-the extension extend builds from sample 6 with the section's s zeroed; and
+the extension extend builds from sample 6 with the section's s zeroed;
 skeletal-to-triple on the skeletal data triple-to-skeletal builds from
-sample 6 with entry (0, 0) of r0 raised by 1.  None of them writes a file.
+sample 6 with entry (0, 0) of r0 raised by 1; and validate on the bent
+cocycles and on the unsplit extension, which pins the values printed by a
+failing cocycle report that does not raise and by a failing extension
+check.  None of them writes a file.
 
 A change meant to keep the output byte for byte is held to it here; a
 change meant to alter it records the tables again with
@@ -692,6 +695,8 @@ REJECTS = {
                         "--section", "canonical"),
     "skeletal-to-triple": ("skeletal-to-triple", "bent-skeletal.json",
                            "-o", "out.json"),
+    "validate-bent": ("validate", "bent.json"),
+    "validate-unsplit": ("validate", "unsplit.json"),
 }
 
 
@@ -764,6 +769,14 @@ REJECTED = {
         (1, '086a862214ef7f5010669ff355c5389d8f218e1950574b0505b5f0a52918722a'),
     ('skeletal-to-triple', 'json'):
         (1, '83015c78d7027be2a161168320e83050d6530af3ab8e57076b63571e56a0e52f'),
+    ('validate-bent', 'text'):
+        (1, 'cd5c76a6470f0f0a14f3657519fea31909a52b97a65343f130b679535a220275'),
+    ('validate-bent', 'json'):
+        (1, '7f55c168ab00f2de3669b4a559f44b1363300297d070a2f4a69b5bd45f35bb1c'),
+    ('validate-unsplit', 'text'):
+        (1, '17e0ece5e09bd172979276e0f46a5848dce08732fb67f938eb65614fa5699637'),
+    ('validate-unsplit', 'json'):
+        (1, '2f7869e90749a342d4e008435cfda5b4033104a94e6030e6c084f735ed790311'),
 }
 
 

@@ -1,6 +1,7 @@
 """Structure files: round trips, strict parsing, and error reporting."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,6 +206,64 @@ def test_zero_denominator():
     doc = json.loads(ff.dump_document(doc))
     doc["linear"]["X.R"]["matrix"][0][0] = "1/0"
     reject(doc, "zero denominator")
+
+
+# the three errors of a scalar, each at the three keys that name a row
+SCALAR_ERRORS = [
+    ("2/4x", "malformed rational '2/4x'"),
+    ("1/-0", "malformed rational '1/-0': zero denominator"),
+    (True, "rational must be a string or int, got True"),
+]
+
+
+@pytest.mark.parametrize("value, message", SCALAR_ERRORS)
+@pytest.mark.parametrize("where", ["tensor", "matrix", "r_matrix"])
+def test_scalar_errors_name_the_row(where, value, message):
+    doc = json.loads(json.dumps(FUZZ_SEEDS[0]))
+    if where == "tensor":
+        doc["bilinear"]["B.base.left"]["tensor"][0][1][1] = value
+        key = "bilinear.B.base.left.tensor[0][1]"
+    elif where == "matrix":
+        doc["linear"]["B.S"]["matrix"][1][0] = value
+        key = "linear.B.S.matrix[1]"
+    else:  # the algebra of the r-matrix has dimension 1
+        doc["declare"][-3]["tensor"][0][0] = value
+        key = "declare.r.tensor[0]"
+    with pytest.raises(ff.ParseError) as err:
+        ff.parse_document(doc)
+    assert str(err.value) == f"{key}: {message}"
+
+
+def test_reading_and_writing_build_no_fraction(tmp_path, monkeypatch):
+    """A structure file is parsed into integers and rendered from them:
+    declaring sample 14 with its cocycles, writing the file and reading it
+    back make no Fraction."""
+    x, b = random_rrb_pair(14)
+    cocycles = [random_rrb_cocycle(14, x, b, k) for k in (2, 3)]
+    made, new = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    Fraction(1, 2)
+    assert len(made) == 1  # the count sees every Fraction made
+    made.clear()
+    doc = ff.new_document()
+    xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
+    bn, bsp, fsp = ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
+    for c in cocycles:
+        ff.declare_cocycle(doc, f"C{c.degree}", c, xn, bn, asp, msp, bsp,
+                           fsp)
+    path = tmp_path / "sample14.json"
+    ff.write_path(doc, path)
+    sf = ff.parse_path(path)
+    assert made == []
+    monkeypatch.undo()
+    assert sf.by_name["X"].obj.rop == x.rop
+    assert sf.by_name["B"].obj.left_pair == b.left_pair
+    assert sf.by_name["C3"].obj == cocycles[1]
 
 
 def test_matrix_row_count():

@@ -10,9 +10,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rotabaxter.algebra import StructureConstants
+from rotabaxter.fileformat import parse_document
 from rotabaxter.linalg import (
-    Matrix, OnColumns, Product, Q, assemble_terms, kron, paste, signed_sum,
-    solve,
+    Matrix, OnColumns, Product, Q, assemble_terms, bilinear_on_columns,
+    format_matrix, format_rational, kron, parse_ratio, parse_rational,
+    paste, ratio_matrix, signed_sum, solve,
 )
 
 from helpers import (
@@ -58,6 +61,80 @@ def test_product(data):
 @given(matrices(), matrices())
 def test_kron(a, b):
     agrees(kron(a, b), ref_kron(ref_of(a), ref_of(b)))
+
+
+@SETTINGS
+@given(st.data())
+def test_bilinear_on_columns(data):
+    # m on the flattened U (x) V, applied to the columns of x and of y
+    x, y = data.draw(matrices()), data.draw(matrices())
+    m = data.draw(matrices(cols=x.rows * y.rows))
+    got = bilinear_on_columns(m, x, y)
+    agrees(got, ref_mul(ref_of(m), ref_kron(ref_of(x), ref_of(y))))
+    assert got == m * kron(x, y)
+
+
+# file scalars: ints, and 'p' or 'p/q' with signs on either part, over
+# denominators that share factors, so the lcm is not in lowest terms
+TEXTS = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from(("2/4", "1/-2", "-0", "+3", "0/5", "-6/-9", "4/6")),
+    st.builds("{}{}/{}{}".format, st.sampled_from(("", "+", "-")),
+              st.integers(0, 12), st.sampled_from(("", "+", "-")),
+              st.sampled_from((1, 2, 4, 6, 8, 12))))
+
+
+@SETTINGS
+@given(st.data())
+def test_parsed_files_store_what_the_rationals_would(data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    texts = data.draw(st.lists(TEXTS, min_size=rows * cols,
+                               max_size=rows * cols))
+    want = Matrix(rows, cols, [parse_rational(t) for t in texts])
+    got = ratio_matrix(rows, cols, [parse_ratio(t) for t in texts])
+    agrees(got, ref_of(want))
+    assert format_matrix(got) == format_matrix(want)
+    # and through the file parser, as a linear and as a bilinear map
+    dl = data.draw(st.integers(0, 2))
+    doc = {"field": "Q",
+           "spaces": {"R": {"dim": rows}, "C": {"dim": cols},
+                      "L": {"dim": dl}},
+           "linear": {"f": {"from": "C", "to": "R", "matrix": [
+               texts[i * cols:(i + 1) * cols] for i in range(rows)]}},
+           "bilinear": {"c": {"from": ["L", "R"], "to": "C", "tensor": [
+               [texts[i * cols:(i + 1) * cols] for i in range(rows)]
+               for _ in range(dl)]}}}
+    sf = parse_document(doc)
+    assert sf.linear["f"] == want
+    nested = [[[parse_rational(t) for t in texts[i * cols:(i + 1) * cols]]
+               for i in range(rows)] for _ in range(dl)]
+    assert sf.bilinear["c"] == StructureConstants(dl, rows, cols, nested)
+
+
+def test_parse_ratio_keeps_the_pair_unreduced():
+    assert [parse_ratio(t) for t in ("2/4", "1/-2", "-0", "+3", "-6/-9")] \
+        == [(2, 4), (-1, 2), (0, 1), (3, 1), (6, 9)]
+    assert parse_ratio(7) == (7, 1)
+    for bad in (True, False, None, 0.5, "1 /2", "1_0", "", "1/0"):
+        with pytest.raises(ValueError):
+            parse_ratio(bad)
+    # the lcm 12 of 4 and 6 shares the factor 2 with every numerator
+    m = ratio_matrix(1, 2, [parse_ratio("2/4"), parse_ratio("4/6")])
+    assert m == Matrix(1, 2, [Q(1, 2), Q(2, 3)])
+    assert format_matrix(m) == [["1/2", "2/3"]]
+
+
+@SETTINGS
+@given(st.data())
+def test_format_matrix(data):
+    a = data.draw(matrices())
+    if a.rows and a.cols and data.draw(st.booleans()):
+        # add may leave a factor shared by the denominator and entries
+        for _ in range(data.draw(st.integers(1, 3))):
+            a.add(data.draw(st.integers(0, a.rows - 1)),
+                  data.draw(st.integers(0, a.cols - 1)), data.draw(SCALARS))
+    assert format_matrix(a) == [[format_rational(v) for v in a.row(i)]
+                                for i in range(a.rows)]
 
 
 @SETTINGS
@@ -199,9 +276,15 @@ def test_equal_values_compare_equal():
     lambda v: Matrix(2, 2).add(0, 1, v),
     lambda v: Matrix.identity(2).apply((v, 1)),
     lambda v: solve(Matrix.identity(2), (1, v)),
-], ids=["Matrix", "from_rows", "add", "apply", "solve"])
+    format_rational,
+], ids=["Matrix", "from_rows", "add", "apply", "solve", "format_rational"])
 def test_inexact_scalars_are_refused(entry_point, value):
     # a float is not an exact rational: 0.1 would be stored as
     # 3602879701896397/36028797018963968
     with pytest.raises(TypeError):
         entry_point(value)
+
+
+def test_format_rational_takes_rationals_and_ints():
+    assert [format_rational(v) for v in (Q(-3, 6), Q(4, 2), 5, -0, "3/6")] \
+        == ["-1/2", "2", "5", "0", "1/2"]
