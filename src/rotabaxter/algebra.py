@@ -35,7 +35,8 @@ from itertools import accumulate
 
 from .linalg import (
     Matrix, OnColumns, Product, TensorIndex, ZERO, assemble_terms,
-    bilinear_on_columns, format_rational, homology_dims, padded, signed_sum,
+    bilinear_on_columns, format_rational, homology_dims, padded, paste,
+    signed_sum,
 )
 
 
@@ -271,7 +272,9 @@ def block_constants(left, right, out, blocks):
     left, right and out list the summand dimensions of the two inputs and
     of the output; each sum takes its first summand's basis first.  blocks
     maps (p, q, r) to the constants of summand p (x) summand q -> summand
-    r, placed at those summands' offsets; every other block is zero.
+    r, placed at those summands' offsets; every other block is zero.  A
+    block is itself on the projections to its two input summands, pasted
+    at its output summand's rows, all in integers.
     """
     lo, ro, oo = ([0, *accumulate(dims)] for dims in (left, right, out))
     m = Matrix(oo[-1], lo[-1] * ro[-1])
@@ -280,10 +283,16 @@ def block_constants(left, right, out, blocks):
             raise ShapeError(
                 f"block {(p, q, r)} is {t.dim_left}x{t.dim_right}x"
                 f"{t.dim_out}, its summands are {left[p]}x{right[q]}x{out[r]}")
-        for k, t_in, v in t.matrix.nonzero_items():
-            i, j = divmod(t_in, t.dim_right)
-            m.add(oo[r] + k, (lo[p] + i) * ro[-1] + ro[q] + j, v)
+        paste(m, t.on_columns(_projection(left, lo, p),
+                              _projection(right, ro, q)), oo[r])
     return StructureConstants.from_matrix(lo[-1], ro[-1], m)
+
+
+def _projection(dims, offsets, p):
+    """The projection of the direct sum with summands dims (at offsets)
+    onto summand p."""
+    return paste(Matrix(dims[p], offsets[-1]), Matrix.identity(dims[p]),
+                 0, offsets[p])
 
 
 def default_names(prefix, dim):

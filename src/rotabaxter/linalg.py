@@ -24,14 +24,17 @@ over their lcm, and format_matrix writes each entry from its integer and
 the denominator; parse_rational and format_rational read and write one Q.
 
 rank, kernel_basis, solve_columns and homology_dims run one elimination
-kernel, _echelon, on primitive integer rows (each row divided by its
-content; the one such row of a given span, whatever the denominator it was
-stored over), with a column index of the live rows that have a nonzero in
-each column.  Only the pivot key differs between callers: rank takes the
-sparsest column first, which limits fill-in; kernel_basis and
-solve_columns take the smallest column first, because their documented
-output is fixed by the set of pivot columns, and elimination in column
-order always finds the same set.
+kernel, _echelon, on integer rows, with a column index of the live rows
+that have a nonzero in each column.  An update costs the pivot's length,
+not the target row's: the sign of the pivot entry goes into the
+multiplier, so a target row is scaled only when the pivot entry does not
+divide its own, and a row is divided by its content only when it becomes
+a pivot (so pivot rows are primitive) and after such a scaling.  Only the
+pivot key differs between callers: rank takes the sparsest column first,
+which limits fill-in; kernel_basis and solve_columns take the smallest
+column first, because their documented output is fixed by the set of
+pivot columns, and elimination in column order always finds the same
+set.
 
 homology_dims ranks each d_k off the image of d_{k-1}, on its transpose.
 With R the rows of d_{k-1} found as pivots one step before (a row basis of
@@ -657,22 +660,27 @@ def _sparsest_first(index, ncols):
 
 
 def _echelon(rows, ncols, order):
-    """Forward elimination on primitive integer rows.
+    """Forward elimination on integer rows.
 
     rows are col -> integer dicts; they are not modified.  Each nonempty
-    row is copied and divided by its content once.  A column index keeps,
-    for every column, the set of live rows that have a nonzero there, so a
-    pivot step touches only the rows it changes.  order(index, ncols)
-    yields the pivot columns, reading the index as elimination goes; only
-    columns below ncols are pivots.  The pivot row is the shortest live row
-    in its column (ties: first given).  It is cross-multiplied into every
-    other row of the column with the gcd of the two leading entries, and
-    each new row is divided by its content.
+    row is copied as it is.  A column index keeps, for every column, the
+    set of live rows that have a nonzero there, so a pivot step touches
+    only the rows it changes.  order(index, ncols) yields the pivot
+    columns, reading the index as elimination goes; only columns below
+    ncols are pivots.  The pivot row is the shortest live row in its
+    column (ties: first given), divided by its content when it is chosen.
+    With a its entry and b a target row's, g = gcd(a, b) takes the sign of
+    a, so the target row becomes (a/g) row - (b/g) pivot with a/g > 0: it
+    is scaled only when a does not divide b, never by -1, and only then
+    divided by its content, so an update with a | b costs the pivot's
+    length.  Every live row is a nonzero multiple of the primitive row of
+    its span with the same support, so the pivots chosen do not depend on
+    where content is taken.
 
-    Returns (pivot rows, pivot cols): integer rows, each with its pivot at
-    the matching entry of pivot cols.
+    Returns (pivot rows, pivot cols): primitive integer rows, each with its
+    pivot at the matching entry of pivot cols.
     """
-    rows = [_primitive(dict(r)) for r in rows if r]
+    rows = [dict(r) for r in rows if r]
     index = [set() for _ in range(max((max(r) for r in rows), default=-1)
                                   + 1)]
     for i, r in enumerate(rows):
@@ -686,12 +694,12 @@ def _echelon(rows, ncols, order):
         for c in pivot:
             index[c].discard(p)
         index[col] = set()
-        a = pivot[col]
+        a = _primitive(pivot)[col]
         rest = [(c, v) for c, v in pivot.items() if c != col]
         for i in targets:
             r = rows[i]
             b = r.pop(col)
-            g = gcd(a, b)
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
             fa, fb = a // g, b // g
             if fa != 1:
                 for c in r:
@@ -707,7 +715,7 @@ def _echelon(rows, ncols, order):
                 else:
                     r[c] = -fb * v
                     index[c].add(i)
-            if r:
+            if fa != 1 and r:
                 _primitive(r)
         pivots.append(pivot)
         pivot_cols.append(col)
@@ -809,7 +817,7 @@ def inverse(m):
 def _transpose_off(m, skip):
     """The rows of m's transpose, built in one pass from m's row dicts,
     with those in skip left empty, which _echelon skips.  Passed straight
-    to _echelon, they are freed once it has made its primitive copies."""
+    to _echelon, they are freed once it has made its copies."""
     out = [{} for _ in range(m.cols)]
     for i, row in enumerate(m._data):
         for j, v in row.items():

@@ -3,7 +3,12 @@ tests/helpers.py, on matrices drawn with mixed denominators.
 
 A Matrix stores integers over one denominator in lowest terms, so a
 result must read the reference's values, compare == to the matrix built
-from those values, and be is_zero exactly when they are all 0."""
+from those values, and be is_zero exactly when they are all 0.
+
+The elimination behind rank, kernel_basis, solve_columns and
+homology_dims is checked against the textbook Gauss-Jordan of
+tests/helpers.py, and for invariance: scaling rows by nonzero integers,
+negative ones included, must not change any of their answers."""
 
 from fractions import Fraction
 
@@ -14,13 +19,15 @@ from rotabaxter.algebra import StructureConstants
 from rotabaxter.fileformat import parse_document
 from rotabaxter.linalg import (
     Matrix, OnColumns, Product, Q, assemble_terms, bilinear_on_columns,
-    format_matrix, format_rational, kron, parse_ratio, parse_rational,
-    paste, ratio_matrix, signed_sum, solve,
+    format_matrix, format_rational, homology_dims, kernel_basis, kron,
+    parse_ratio, parse_rational, paste, rank, ratio_matrix, signed_sum,
+    solve, solve_columns,
 )
 
 from helpers import (
-    ref_apply, ref_assemble_terms, ref_kron, ref_mul, ref_of, ref_paste,
-    ref_signed_sum, ref_transpose,
+    dense_rows, gauss_jordan_rank, ref_apply, ref_assemble_terms, ref_kron,
+    ref_mul, ref_of, ref_paste, ref_signed_sum, ref_transpose,
+    reference_elimination,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -288,3 +295,109 @@ def test_inexact_scalars_are_refused(entry_point, value):
 def test_format_rational_takes_rationals_and_ints():
     assert [format_rational(v) for v in (Q(-3, 6), Q(4, 2), 5, -0, "3/6")] \
         == ["-1/2", "2", "5", "0", "1/2"]
+
+
+# ---------------------------------------------------------------------------
+# elimination: invariance under row scaling, and the Gauss-Jordan reference
+
+# nonzero multipliers, negative half the time
+MULTIPLIERS = st.sampled_from((-1, -1, -2, -3, 1, 2, 3, 6))
+
+
+@st.composite
+def low_rank(draw):
+    """A product a * c through an inner dimension of 1 to 6, so the rank
+    is often below both sides and rows are combinations of others."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    inner = draw(st.integers(1, 6))
+    return (draw(matrices(rows=rows, cols=inner))
+            * draw(matrices(rows=inner, cols=cols)))
+
+
+def rescaled(m, row_factors, col_factors=None):
+    """diag(row_factors) m diag(col_factors)^-1; with col_factors left out,
+    m with row i multiplied by row_factors[i]."""
+    col_factors = col_factors or [1] * m.cols
+    return Matrix(m.rows, m.cols, [Q(row_factors[i]) * m.at(i, j)
+                                   / col_factors[j]
+                                   for i in range(m.rows)
+                                   for j in range(m.cols)])
+
+
+def rescaled_complex(maps, factors):
+    """The complex in the basis of each space scaled by a prefix of
+    factors: d_k becomes D_{k+1} d_k D_k^-1, so the rows and the columns
+    of every map are scaled, and it is still a complex."""
+    return [rescaled(d, factors[:d.rows], factors[:d.cols]) for d in maps]
+
+
+def kernels(m, b):
+    """rank, the kernel basis and the solutions of m x = (each column of
+    b), as tuples."""
+    return rank(m), tuple(kernel_basis(m)), tuple(solve_columns(m, b))
+
+
+def reference_kernels(m, b):
+    basis, _, pivots, _ = reference_elimination(m, [0] * m.rows)
+    return len(pivots), tuple(basis), tuple(
+        reference_elimination(m, b.column(j))[1] for j in range(b.cols))
+
+
+def complexes(m):
+    """Two complexes d_0, d_1 from m: (its kernel basis, m) and their
+    transposes in the other order, so that homology_dims eliminates the
+    columns of m in one and its rows in the other."""
+    kernel = Matrix.from_columns(m.cols, kernel_basis(m))
+    return [kernel, m], [m.transpose(), kernel.transpose()]
+
+
+def reference_homology(maps):
+    ranks = [gauss_jordan_rank(d) for d in maps]
+    return [d.cols - r - r_in for d, r, r_in in zip(maps, ranks, [0, *ranks])]
+
+
+def check_scaling_invariance(m, b, factors):
+    """factors covers the rows and the columns of m."""
+    row_factors = factors[:m.rows]
+    assert kernels(rescaled(m, row_factors), rescaled(b, row_factors)) \
+        == kernels(m, b) == reference_kernels(m, b)
+    for maps in complexes(m):
+        want = reference_homology(maps)
+        assert homology_dims(maps) == want
+        assert homology_dims(rescaled_complex(maps, factors)) == want
+
+
+@SETTINGS
+@given(st.data())
+def test_elimination_ignores_row_scaling(data):
+    m = data.draw(low_rank())
+    b = data.draw(matrices(rows=m.rows, cols=data.draw(st.integers(1, 3))))
+    # half the columns of b are images m x, so both answers occur
+    x = data.draw(matrices(rows=m.cols, cols=b.cols))
+    b = Matrix.from_columns(m.rows, [m.apply(x.column(j)) if j % 2
+                                     else b.column(j) for j in range(b.cols)])
+    factors = data.draw(st.lists(MULTIPLIERS, min_size=max(m.rows, m.cols),
+                                 max_size=max(m.rows, m.cols)))
+    check_scaling_invariance(m, b, factors)
+
+
+def test_unit_negative_pivots_under_long_rows():
+    """Every pivot entry is -1 and the rows it is eliminated from are full:
+    twelve rows -e_i + (i % 3 + 1) e_{12 + i % 3}, and four full rows that
+    are combinations of them.  Each pivot is one of the short rows, in
+    either pivot order, and -1 divides every entry it meets, so no update
+    needs to scale the full rows it touches."""
+    n = 12
+    short = [[-1 if j == i else i % 3 + 1 if j == n + i % 3 else 0
+              for j in range(n + 3)] for i in range(n)]
+    full = [[sum(((i + 2 * k) % 5 + 1) * row[j] for i, row in enumerate(short))
+             for j in range(n + 3)] for k in range(4)]
+    assert all(all(row) for row in full)
+    m = Matrix.from_rows(full + short)
+    x = [Q(j % 4 - 1, 2) for j in range(n + 3)]
+    b = Matrix.from_columns(m.rows, [m.apply(x), [1] + [0] * (m.rows - 1)])
+    r, _, solutions = kernels(m, b)
+    assert r == n and solutions[1] is None
+    check_scaling_invariance(m, b, [-1] * m.rows)
+    check_scaling_invariance(m, b, [(-1) ** i * (i % 3 + 1)
+                                    for i in range(m.rows)])
