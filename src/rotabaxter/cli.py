@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -61,7 +60,7 @@ def _matrix_text(m):
 
 def _emit(args, payload, lines):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(ff.render_json(payload))
     else:
         for ln in lines:
             print(ln)

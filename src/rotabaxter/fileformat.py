@@ -19,12 +19,17 @@ list.  Parsing is strict: unresolved names, wrong shapes, malformed
 rationals, and unknown fields all raise ParseError naming the offending
 key.  Checking the declared structures against their axioms is the
 caller's job (the command line front end does it); parsing checks shapes
-only.
+only.  Each document parses each distinct scalar string once.
+
+dump_document writes with render_json, the package's one JSON renderer,
+which the command line's JSON reports use too: the bytes of
+json.dumps(obj, indent=2, sort_keys=True), in one pass.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
@@ -89,12 +94,37 @@ class StructureFile:
 # ---------------------------------------------------------------- parsing
 
 
-def _ratios(row, key):
-    """The entries of a row as parse_ratio pairs (p, q)."""
-    try:
-        return [parse_ratio(v) for v in row]
-    except ValueError as err:
-        raise ParseError(f"{key}: {err}") from None
+class _Scalars:
+    """parse_ratio over the scalars of one document.  A file repeats most
+    of its strings ("0", "1", "-1", ...), so each distinct string is parsed
+    once and then looked up.  Only strings are kept: True == 1, and a bool
+    must still be refused."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self):
+        self.memo = {}
+
+    def _read(self, v):
+        if not isinstance(v, str):
+            return parse_ratio(v)
+        pq = self.memo.get(v)
+        if pq is None:
+            pq = self.memo[v] = parse_ratio(v)
+        return pq
+
+    def row(self, row, key, *index):
+        """The entries of a row (a list) as pairs (p, q).  The row's key,
+        key[i][j]..., is formatted only when an entry is rejected."""
+        try:
+            return [self.memo[v] for v in row]
+        except (KeyError, TypeError):  # a string not seen yet, or no string
+            pass
+        try:
+            return [self._read(v) for v in row]
+        except ValueError as err:
+            where = key + "".join(f"[{n}]" for n in index)
+            raise ParseError(f"{where}: {err}") from None
 
 
 def _fields(entry, key, required, optional=()):
@@ -151,7 +181,7 @@ def _parse_spaces(raw):
     return spaces
 
 
-def _parse_bilinear(raw, spaces):
+def _parse_bilinear(raw, spaces, scalars):
     out = {}
     for name, entry in raw.items():
         key = f"bilinear.{name}"
@@ -164,25 +194,24 @@ def _parse_bilinear(raw, spaces):
         dl = _space_dim(spaces, frm[0], f"{key}.from")
         dr = _space_dim(spaces, frm[1], f"{key}.from")
         do = _space_dim(spaces, entry["to"], f"{key}.to")
-        tensor = entry["tensor"]
+        tensor, where = entry["tensor"], f"{key}.tensor"
         if not isinstance(tensor, list) or len(tensor) != dl:
-            raise ParseError(f"{key}.tensor: needs {dl} planes")
+            raise ParseError(f"{where}: needs {dl} planes")
         ratios = []
         for i, plane in enumerate(tensor):
             if not isinstance(plane, list) or len(plane) != dr:
-                raise ParseError(f"{key}.tensor[{i}]: needs {dr} rows")
+                raise ParseError(f"{where}[{i}]: needs {dr} rows")
             for j, row in enumerate(plane):
                 if not isinstance(row, list) or len(row) != do:
-                    raise ParseError(
-                        f"{key}.tensor[{i}][{j}]: needs {do} entries")
-                ratios += _ratios(row, f"{key}.tensor[{i}][{j}]")
+                    raise ParseError(f"{where}[{i}][{j}]: needs {do} entries")
+                ratios += scalars.row(row, where, i, j)
         # the rows of the file, c[i][j], are the columns of the matrix
         out[name] = StructureConstants.from_matrix(
-            dl, dr, ratio_matrix(dl * dr, do, ratios).transpose())
+            dl, dr, ratio_matrix(do, dl * dr, ratios, by_columns=True))
     return out
 
 
-def _parse_linear(raw, spaces):
+def _parse_linear(raw, spaces, scalars):
     out = {}
     for name, entry in raw.items():
         key = f"linear.{name}"
@@ -195,14 +224,14 @@ def _parse_linear(raw, spaces):
         for s in factors:
             dom *= _space_dim(spaces, s, f"{key}.from")
         cod = _space_dim(spaces, entry["to"], f"{key}.to")
-        rows = entry["matrix"]
+        rows, where = entry["matrix"], f"{key}.matrix"
         if not isinstance(rows, list) or len(rows) != cod:
-            raise ParseError(f"{key}.matrix: needs {cod} rows")
+            raise ParseError(f"{where}: needs {cod} rows")
         ratios = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != dom:
-                raise ParseError(f"{key}.matrix[{i}]: needs {dom} entries")
-            ratios += _ratios(row, f"{key}.matrix[{i}]")
+                raise ParseError(f"{where}[{i}]: needs {dom} entries")
+            ratios += scalars.row(row, where, i)
         out[name] = ratio_matrix(cod, dom, ratios)
     return out
 
@@ -210,10 +239,11 @@ def _parse_linear(raw, spaces):
 class _Resolver:
     """Name resolution against the three tables and prior declarations."""
 
-    def __init__(self, spaces, bilinear, linear):
+    def __init__(self, spaces, bilinear, linear, scalars):
         self.spaces = spaces
         self.bilinear = bilinear
         self.linear = linear
+        self.scalars = scalars
         self.declared = {}
 
     def space(self, entry, field, key):
@@ -328,11 +358,11 @@ def _build_dendriform_rep(entry, key, rs):
 def _build_r_matrix(entry, key, rs):
     _fields(entry, key, ("name", "algebra", "tensor"))
     alg = rs.decl(entry["algebra"], ("assoc_algebra",), key).obj
-    rows = entry["tensor"]
+    rows, where = entry["tensor"], f"{key}.tensor"
     if not isinstance(rows, list) or len(rows) != alg.dim or \
             any(not isinstance(r, list) or len(r) != alg.dim for r in rows):
-        raise ParseError(f"{key}.tensor: needs {alg.dim} x {alg.dim} entries")
-    tensor = [[Q(p, q) for p, q in _ratios(row, f"{key}.tensor[{i}]")]
+        raise ParseError(f"{where}: needs {alg.dim} x {alg.dim} entries")
+    tensor = [[Q(p, q) for p, q in rs.scalars.row(row, where, i)]
               for i, row in enumerate(rows)]
     return RMatrix(alg, tensor), {"algebra": entry["algebra"]}
 
@@ -475,10 +505,10 @@ def parse_document(doc):
         raise ParseError('field: must be "Q"')
     spaces, bilinear, linear = (_table(doc.get(key), key, dict) for key in
                                 ("spaces", "bilinear", "linear"))
-    spaces = _parse_spaces(spaces)
-    bilinear = _parse_bilinear(bilinear, spaces)
-    linear = _parse_linear(linear, spaces)
-    rs = _Resolver(spaces, bilinear, linear)
+    spaces, scalars = _parse_spaces(spaces), _Scalars()
+    bilinear = _parse_bilinear(bilinear, spaces, scalars)
+    linear = _parse_linear(linear, spaces, scalars)
+    rs = _Resolver(spaces, bilinear, linear, scalars)
     declarations = []
     for idx, entry in enumerate(_table(doc.get("declare"), "declare", list)):
         d = _build_declaration(entry, idx, rs)
@@ -490,8 +520,9 @@ def parse_document(doc):
 def parse_text(text):
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:
-        # json.loads recurses once per nesting level
+    except (ValueError, RecursionError) as err:
+        # a JSONDecodeError, an integer past the interpreter's digit limit,
+        # or nesting deeper than its recursion limit
         raise ParseError(f"invalid JSON: {err}") from None
     return parse_document(doc)
 
@@ -700,9 +731,54 @@ def declare_homotopy_rrb(doc, name, r, alg_name, mod_name, a0, a1, m0, m1):
     return name
 
 
+def render_json(obj):
+    """The text of json.dumps(obj, indent=2, sort_keys=True), rendered in
+    one pass: the C escaper quotes every string, and a list of strings (a
+    row of a matrix) is one join.  Takes dicts with string keys, lists,
+    tuples, strings, ints, bools and None; anything else (a float, say,
+    which no report holds) raises TypeError."""
+    return _render(obj, "\n")
+
+
+def _render(obj, nl):
+    """obj rendered at the indent that nl, a newline, carries; the types
+    are tried from the most to the least frequent in a structure file."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        if isinstance(obj[0], str):
+            try:
+                return "[" + inner + sep.join(map(_quote, obj)) + nl + "]"
+            except TypeError:  # not all strings
+                pass
+        return "[" + inner + sep.join([_render(v, inner) for v in obj]) \
+            + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _render(v, inner)
+             for k, v in sorted(obj.items())]) + nl + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
+
+
 def dump_document(doc):
     """Deterministic text form: sorted keys, two-space indent."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return render_json(doc) + "\n"
 
 
 def write_path(doc, path):

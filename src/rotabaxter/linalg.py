@@ -115,20 +115,28 @@ def format_matrix(m):
     return out
 
 
-def ratio_matrix(rows, cols, ratios):
-    """The rows x cols Matrix of a list of dense row-major entries given as
-    integer pairs (p, q), q > 0, as parse_ratio gives them: stored over the
-    lcm of the q, in lowest terms, with no rational built."""
+def ratio_matrix(rows, cols, ratios, by_columns=False):
+    """The rows x cols Matrix of a list of dense entries, row by row (or
+    column by column, by_columns), given as integer pairs (p, q), q > 0, as
+    parse_ratio gives them: stored over the lcm of the q, in lowest terms,
+    with no rational built."""
     if len(ratios) != rows * cols:
         raise ValueError("entry count must be rows*cols")
-    den = lcm(*(q for _, q in ratios))
-    data = []
-    for i in range(rows):
-        row = {}
-        for j, (p, q) in enumerate(ratios[i * cols:(i + 1) * cols]):
-            if p:
-                row[j] = p * (den // q)
-        data.append(row)
+    den = lcm(*{q for _, q in ratios})
+    data = [{} for _ in range(rows)]
+    # zip stops at its first input that runs out, before taking from the
+    # next: each inner loop takes one row's, or one column's, entries
+    entries = iter(ratios)
+    if by_columns:
+        for j in range(cols):
+            for row, (p, q) in zip(data, entries):
+                if p:
+                    row[j] = p * (den // q)
+    else:
+        for row in data:
+            for j, (p, q) in zip(range(cols), entries):
+                if p:
+                    row[j] = p * (den // q)
     return Matrix._of(rows, cols, data, _lowest(data, den))
 
 

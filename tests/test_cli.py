@@ -366,7 +366,9 @@ def test_malformed_structure_file_is_input_error(tmp_path, capsys, text,
                     "0xff in position 0: invalid start byte"),
     (b"[" * 200000 + b"]" * 200000, "error: invalid JSON: maximum recursion "
                                     "depth exceeded"),
-], ids=["utf-16-mark", "deeply-nested"])
+    (b'{"field": "Q", "spaces": {"V": {"dim": ' + b"7" * 5000 + b"}}}",
+     "error: invalid JSON: Exceeds the limit (4300"),  # 3.10 omits "digits"
+], ids=["utf-16-mark", "deeply-nested", "5000-digit-integer"])
 def test_unreadable_structure_file_is_input_error(tmp_path, capsys, data,
                                                    message):
     # no traceback: one error line, then the elapsed time

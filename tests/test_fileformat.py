@@ -234,6 +234,65 @@ def test_scalar_errors_name_the_row(where, value, message):
     assert str(err.value) == f"{key}: {message}"
 
 
+# ------------------------------------------------- the memo of one document
+
+
+def one_row(*rows):
+    """A document whose one linear map f: V -> K has the given rows of
+    scalars, one per dimension of K."""
+    return {"field": "Q", "spaces": {"V": {"dim": len(rows[0])},
+                                     "K": {"dim": len(rows)}},
+            "linear": {"f": {"from": "V", "to": "K", "matrix": list(rows)}}}
+
+
+def test_bool_is_refused_after_an_equal_int_and_string():
+    # True == 1: a memo that kept ints would read True as the 1 before it
+    with pytest.raises(ff.ParseError) as err:
+        ff.parse_document(one_row([1, "1"], ["1", True]))
+    assert str(err.value) == \
+        "linear.f.matrix[1]: rational must be a string or int, got True"
+
+
+def test_malformed_string_seen_twice_is_reported_where_first_seen():
+    doc = one_row(["0", "1"], ["1/x", "0"], ["0", "1/x"])
+    doc["bilinear"] = {"b": {"from": ["V", "V"], "to": "K",
+                             "tensor": [[["0", "0", "0"]] * 2] * 2}}
+    doc["bilinear"]["b"]["tensor"][1] = [["2", "2", "2"], ["0", "1/x", "0"]]
+    with pytest.raises(ff.ParseError) as err:
+        ff.parse_document(doc)
+    assert str(err.value) == \
+        "bilinear.b.tensor[1][1]: malformed rational '1/x'"
+    del doc["bilinear"]
+    with pytest.raises(ff.ParseError) as err:
+        ff.parse_document(doc)
+    assert str(err.value) == "linear.f.matrix[1]: malformed rational '1/x'"
+
+
+def test_each_document_parses_its_strings_once_and_anew(monkeypatch):
+    """Within a document each distinct string is parsed once; a second
+    document parses its own again, whatever came before it."""
+    doc = json.loads(ff.dump_document(rrb_document()[0]))
+    calls, real = [], ff.parse_ratio
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(ff, "parse_ratio", counted)
+    first = ff.parse_document(doc)
+    once = list(calls)
+    assert len(set(once)) == len(once) > 2
+    calls.clear()
+    ff.parse_document(one_row(["7/3", "-1", "0", "7/3"]))
+    assert calls == ["7/3", "-1", "0"]
+    calls.clear()
+    second = ff.parse_document(doc)
+    assert calls == once
+    assert second.linear == first.linear
+    assert {k: c.matrix for k, c in second.bilinear.items()} == \
+        {k: c.matrix for k, c in first.bilinear.items()}
+
+
 def test_reading_and_writing_build_no_fraction(tmp_path, monkeypatch):
     """A structure file is parsed into integers and rendered from them:
     declaring sample 14 with its cocycles, writing the file and reading it
@@ -393,6 +452,37 @@ def extension_document():
     e = build_extension(x, b, c)
     ff.declare_extension(doc, "E", e, {"canonical": canonical_section(e)})
     return doc
+
+
+# ----------------------------------------------------------------- renderer
+
+# strings with what the escaper must write: quotes, backslashes, control
+# characters, and non-ASCII from the Latin, BMP and astral planes
+TEXT = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", "a\"b\\c", "\x00\x1f\x7f\t\n", "é", "\u2028€", "😀"])
+RENDERABLE = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-10 ** 80, 10 ** 80) | TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple) | st.lists(TEXT, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(RENDERABLE)
+def test_render_json_is_json_dumps(value):
+    assert ff.render_json(value) == json.dumps(value, indent=2,
+                                               sort_keys=True)
+
+
+def test_render_json_takes_what_json_dumps_takes_without_floats():
+    value = {"b": ["x", 1, ("y", [])], "a": {}, "c": ["s", None, True]}
+    assert ff.render_json(value) == json.dumps(value, indent=2,
+                                               sort_keys=True)
+    for bad in (0.5, [1, {"k": 2.0}], {1: "int key"}, {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            ff.render_json(bad)
 
 
 # valid documents covering every declaration kind but the dendriform ones

@@ -101,6 +101,9 @@ def test_parsed_files_store_what_the_rationals_would(data):
     got = ratio_matrix(rows, cols, [parse_ratio(t) for t in texts])
     agrees(got, ref_of(want))
     assert format_matrix(got) == format_matrix(want)
+    # the same entries read column by column are the transpose
+    assert ratio_matrix(cols, rows, [parse_ratio(t) for t in texts],
+                        by_columns=True) == want.transpose()
     # and through the file parser, as a linear and as a bilinear map
     dl = data.draw(st.integers(0, 2))
     doc = {"field": "Q",
