@@ -2,11 +2,12 @@
 
 All products and actions are bilinear maps c with constants c[i][j][k]:
 the product of the i-th and j-th input basis vectors has k-th output
-coordinate c[i][j][k].  StructureConstants stores only their matrix on the
-flattened U (x) V, entry (k, i * dim_V + j) = c[i][j][k]; the file layout
-keeps the nested c[i][j][k], which the constructor reads and the data view
-gives back.  Every structure made from others (duals, pullbacks, induced
-and transported structures) is a matrix expression in these matrices.
+coordinate c[i][j][k].  StructureConstants is built from, and stores only,
+their matrix on the flattened U (x) V, entry (k, i * dim_V + j) =
+c[i][j][k]; the file layout keeps the nested c[i][j][k], which the file
+parser reads straight into that matrix.  Every structure made from others
+(duals, pullbacks, induced and transported structures) is a matrix
+expression in these matrices.
 Axioms are multilinear, so checking them on basis tuples is equivalent to
 the full statement.  Every check evaluates a law on all its basis tuples
 at once: each variable is an identity matrix, a bilinear map c is applied
@@ -25,8 +26,7 @@ Every structure on a direct sum (semidirect products, square-zero
 extensions, lifted and glued structures elsewhere) is assembled by
 block_constants: the first summand's basis comes first, and each block's
 nonzeros sit at its summands' offsets.  A linear map is its linalg.Matrix;
-one on a flattened U (x) V is read as a bilinear map by
-StructureConstants.from_matrix.
+one on a flattened U (x) V is the matrix of a bilinear map.
 """
 
 from __future__ import annotations
@@ -158,53 +158,21 @@ class StructureConstants:
     U (x) V: dim_out x (dim_left * dim_right), entry (k, i * dim_right + j)
     is c[i][j][k], the k-th coordinate of the map on basis pair (i, j)."""
 
-    __slots__ = ("dim_left", "dim_right", "dim_out", "matrix", "_nested")
+    __slots__ = ("dim_left", "dim_right", "dim_out", "matrix")
 
-    def __init__(self, dim_left, dim_right, dim_out, data):
-        """From the nested data[i][j][k], as files and literals give it."""
-        if len(data) != dim_left or any(len(p) != dim_right for p in data) \
-                or any(len(r) != dim_out for p in data for r in p):
-            raise ShapeError(
-                f"structure constants must be {dim_left}x{dim_right}x{dim_out}")
-        self._set(dim_left, dim_right, Matrix(
-            dim_out, dim_left * dim_right,
-            [data[i][j][k] for k in range(dim_out)
-             for i in range(dim_left) for j in range(dim_right)]))
-
-    def _set(self, dim_left, dim_right, matrix):
+    def __init__(self, dim_left, dim_right, matrix):
+        if matrix.cols != dim_left * dim_right:
+            raise ShapeError(f"map on dimension {matrix.cols} is not bilinear "
+                             f"on {dim_left} x {dim_right}")
         self.dim_left = dim_left
         self.dim_right = dim_right
         self.dim_out = matrix.rows
         self.matrix = matrix
-        self._nested = None
-
-    @staticmethod
-    def from_matrix(dim_left, dim_right, matrix):
-        """The bilinear map whose matrix on the flattened U (x) V is matrix."""
-        if matrix.cols != dim_left * dim_right:
-            raise ShapeError(f"map on dimension {matrix.cols} is not bilinear "
-                             f"on {dim_left} x {dim_right}")
-        out = StructureConstants.__new__(StructureConstants)
-        out._set(dim_left, dim_right, matrix)
-        return out
 
     @staticmethod
     def zero(dim_left, dim_right, dim_out):
-        return StructureConstants.from_matrix(
-            dim_left, dim_right, Matrix(dim_out, dim_left * dim_right))
-
-    @property
-    def data(self):
-        """The nested tuple c[i][j][k], read from the matrix once."""
-        if self._nested is None:
-            data = [[[ZERO] * self.dim_out for _ in range(self.dim_right)]
-                    for _ in range(self.dim_left)]
-            for k, t, v in self.matrix.nonzero_items():
-                i, j = divmod(t, self.dim_right)
-                data[i][j][k] = v
-            self._nested = tuple(tuple(tuple(row) for row in plane)
-                                 for plane in data)
-        return self._nested
+        return StructureConstants(dim_left, dim_right,
+                                  Matrix(dim_out, dim_left * dim_right))
 
     def on_basis(self, i, j):
         return self.matrix.column(i * self.dim_right + j)
@@ -239,7 +207,7 @@ class StructureConstants:
         for k, t, v in self.matrix.nonzero_items():
             i, j = divmod(t, dr)
             m.add(i, j * do + k, v)
-        return StructureConstants.from_matrix(dr, do, m)
+        return StructureConstants(dr, do, m)
 
     def is_zero(self):
         return self.matrix.is_zero()
@@ -254,8 +222,8 @@ class StructureConstants:
         if (self.dim_left, self.dim_right, self.dim_out) != \
                 (other.dim_left, other.dim_right, other.dim_out):
             raise ShapeError("tensor shapes must agree")
-        return StructureConstants.from_matrix(
-            self.dim_left, self.dim_right, self.matrix + other.matrix)
+        return StructureConstants(self.dim_left, self.dim_right,
+                                  self.matrix + other.matrix)
 
 
 def LinearMap(dom, cod, matrix):
@@ -285,7 +253,7 @@ def block_constants(left, right, out, blocks):
                 f"{t.dim_out}, its summands are {left[p]}x{right[q]}x{out[r]}")
         paste(m, t.on_columns(_projection(left, lo, p),
                               _projection(right, ro, q)), oo[r])
-    return StructureConstants.from_matrix(lo[-1], ro[-1], m)
+    return StructureConstants(lo[-1], ro[-1], m)
 
 
 def _projection(dims, offsets, p):

@@ -217,16 +217,16 @@ def build_extension(x, b, c):
     big_alg = AssocAlgebra(
         dA + dB, split.algebra.mu + block_constants(
             alg_dims, alg_dims, alg_dims,
-            {(0, 0, 1): StructureConstants.from_matrix(dA, dA, alpha)}),
+            {(0, 0, 1): StructureConstants(dA, dA, alpha)}),
         split.algebra.basis_names)
     big_mod = Bimodule(
         big_alg, dM + dN,
         split.module.left + block_constants(
             alg_dims, mod_dims, mod_dims,
-            {(0, 0, 1): StructureConstants.from_matrix(dA, dM, beta2)}),
+            {(0, 0, 1): StructureConstants(dA, dM, beta2)}),
         split.module.right + block_constants(
             mod_dims, alg_dims, mod_dims,
-            {(0, 0, 1): StructureConstants.from_matrix(dM, dA, beta1)}),
+            {(0, 0, 1): StructureConstants(dM, dA, beta1)}),
         split.module.basis_names)
     rop = split.rop + paste(Matrix(dA + dB, dM + dN), gamma, dA)
     total = RelativeRBAlgebra(big_alg, big_mod, rop)
@@ -307,8 +307,7 @@ def induced_fiber_bimodule(e, sec):
     mu, left, right = tot.algebra.mu, tot.module.left, tot.module.right
 
     def induced(dl, dr, values, incl, what):
-        return StructureConstants.from_matrix(
-            dl, dr, _fiber_coords(incl, values, what))
+        return StructureConstants(dl, dr, _fiber_coords(incl, values, what))
 
     base = Bimodule(
         e.base.algebra, dB,
@@ -842,4 +841,4 @@ def triple_to_skeletal(x, b, c, verify=True):
         (x.module.right, b.left_pair, b.fiber.right),
         c.beta)
     return a, m, HomotopyRRBOperator(
-        x.rop, b.sop, StructureConstants.from_matrix(dM, dM, c.gamma))
+        x.rop, b.sop, StructureConstants(dM, dM, c.gamma))

@@ -40,7 +40,7 @@ from .classification import (
     TwoTermAInfty,
 )
 from .cohomology import RRBCochain
-from .linalg import Q, format_matrix, parse_ratio, ratio_matrix
+from .linalg import format_matrix, parse_ratio, ratio_matrix
 from .rrb import RelativeRBAlgebra, RMatrix, TwoTermComplex
 from .rrb_modules import RRBBimodule
 
@@ -206,7 +206,7 @@ def _parse_bilinear(raw, spaces, scalars):
                     raise ParseError(f"{where}[{i}][{j}]: needs {do} entries")
                 ratios += scalars.row(row, where, i, j)
         # the rows of the file, c[i][j], are the columns of the matrix
-        out[name] = StructureConstants.from_matrix(
+        out[name] = StructureConstants(
             dl, dr, ratio_matrix(do, dl * dr, ratios, by_columns=True))
     return out
 
@@ -362,9 +362,10 @@ def _build_r_matrix(entry, key, rs):
     if not isinstance(rows, list) or len(rows) != alg.dim or \
             any(not isinstance(r, list) or len(r) != alg.dim for r in rows):
         raise ParseError(f"{where}: needs {alg.dim} x {alg.dim} entries")
-    tensor = [[Q(p, q) for p, q in rs.scalars.row(row, where, i)]
-              for i, row in enumerate(rows)]
-    return RMatrix(alg, tensor), {"algebra": entry["algebra"]}
+    ratios = [pq for i, row in enumerate(rows)
+              for pq in rs.scalars.row(row, where, i)]
+    return (RMatrix(alg, ratio_matrix(alg.dim, alg.dim, ratios)),
+            {"algebra": entry["algebra"]})
 
 
 def _build_two_term(entry, key, rs):
@@ -541,10 +542,10 @@ def parse_path(path):
 
 
 def _sc_json(sc):
-    """The nested c[i][j][k] as strings: the rows of the transposed matrix,
-    cut into dim_left planes."""
-    rows, dr = format_matrix(sc.matrix.transpose()), sc.dim_right
-    return [rows[i * dr:(i + 1) * dr] for i in range(sc.dim_left)]
+    """The nested c[i][j][k] as strings: the columns of the matrix, cut
+    into dim_left planes."""
+    cols, dr = format_matrix(sc.matrix, by_columns=True), sc.dim_right
+    return [cols[i * dr:(i + 1) * dr] for i in range(sc.dim_left)]
 
 
 def new_document():

@@ -101,17 +101,21 @@ def format_rational(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-def format_matrix(m):
-    """A Matrix as a list of rows of format_rational strings, rendered
-    from its integers: entry v over the denominator is reduced by their
-    gcd, and an absent entry is '0'."""
-    den, out = m._den, []
-    for row in m._data:
-        line = ["0"] * m.cols
+def format_matrix(m, by_columns=False):
+    """A Matrix as a list of rows (or of columns, by_columns) of
+    format_rational strings, rendered from its integers: entry v over the
+    denominator is reduced by their gcd, and an absent entry is '0'."""
+    den = m._den
+    n, width = (m.cols, m.rows) if by_columns else (m.rows, m.cols)
+    out = [["0"] * width for _ in range(n)]
+    for i, row in enumerate(m._data):
         for j, v in row.items():
             g = gcd(v, den)
-            line[j] = str(v // g) if g == den else f"{v // g}/{den // g}"
-        out.append(line)
+            text = str(v // g) if g == den else f"{v // g}/{den // g}"
+            if by_columns:
+                out[j][i] = text
+            else:
+                out[i][j] = text
     return out
 
 

@@ -64,17 +64,16 @@ class RRBMorphism:
 
 
 class RMatrix:
-    """Element r = sum r[i][j] e_i (x) e_j of A (x) A."""
+    """Element r = sum r[i][j] e_i (x) e_j of A (x) A, held as the
+    dim A x dim A Matrix whose entry (i, j) is r[i][j]."""
 
-    __slots__ = ("over", "tensor")
+    __slots__ = ("over", "matrix")
 
-    def __init__(self, over, tensor):
-        tensor = tuple(tuple(Q(x) for x in row) for row in tensor)
-        if len(tensor) != over.dim or \
-                any(len(row) != over.dim for row in tensor):
+    def __init__(self, over, matrix):
+        if matrix.rows != over.dim or matrix.cols != over.dim:
             raise ShapeError("r-matrix tensor must be dimA x dimA")
         self.over = over
-        self.tensor = tensor
+        self.matrix = matrix
 
 
 class TwoTermComplex:
@@ -146,10 +145,8 @@ def induced_dendriform_algebra(x):
     mod, r = x.module, x.rop
     dM = mod.dim
     im = Matrix.identity(dM)
-    prec = StructureConstants.from_matrix(dM, dM,
-                                          mod.right.on_columns(im, r))
-    succ = StructureConstants.from_matrix(dM, dM,
-                                          mod.left.on_columns(r, im))
+    prec = StructureConstants(dM, dM, mod.right.on_columns(im, r))
+    succ = StructureConstants(dM, dM, mod.left.on_columns(r, im))
     return DendriformAlgebra(dM, prec, succ, mod.basis_names)
 
 
@@ -175,39 +172,26 @@ def aybe_check(r):
       r13 r12 = (e_i e_p) (x) e_q (x) e_j
       r12 r23 = e_i (x) (e_j e_p) (x) e_q
       r23 r13 = e_i (x) e_p (x) (e_q e_j)
-    and the equation is r13 r12 - r12 r23 + r23 r13 = 0.
+    and the equation is r13 r12 - r12 r23 + r23 r13 = 0.  With t the
+    matrix of r, each term is one product mu.on_columns(X, Y), X and Y
+    each t or its transpose: its entry (s, x d + y) is the term's
+    coordinate whose index weighs s, x and y by the strides below.  Their
+    sum is checked as one law whose d^3 columns are the coordinates
+    (a, b, c), against 0.
     """
-    alg, t = r.over, r.tensor
-    d = alg.dim
-    total = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
-    mu = alg.mu.data
-    for i in range(d):
-        for j in range(d):
-            rij = t[i][j]
-            if not rij:
-                continue
-            for p in range(d):
-                for q in range(d):
-                    c = rij * t[p][q]
-                    if not c:
-                        continue
-                    for s in range(d):
-                        v = mu[i][p][s]
-                        if v:
-                            total[s][q][j] += c * v
-                        v = mu[j][p][s]
-                        if v:
-                            total[i][s][q] -= c * v
-                        v = mu[q][j][s]
-                        if v:
-                            total[i][p][s] += c * v
+    mu, d, t = r.over.mu, r.over.dim, r.matrix
+    tt, dd = t.transpose(), d * d
+    total = Matrix(1, d * dd)
+    for sign, x_side, y_side, (ws, wx, wy) in (
+            (1, t, t, (dd, 1, d)),      # r13 r12 at (s, y, x)
+            (-1, tt, t, (d, dd, 1)),    # r12 r23 at (x, s, y)
+            (1, tt, tt, (1, d, dd))):   # r23 r13 at (y, x, s)
+        for s, col, v in mu.on_columns(x_side, y_side).nonzero_items():
+            x, y = divmod(col, d)
+            total.add(0, s * ws + x * wx + y * wy, sign * v)
     rep = Report("aybe")
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                if total[a][b][c]:
-                    rep.require("aybe_coordinate", (a, b, c),
-                                (total[a][b][c],), (Q(0),))
+    rep.require_laws([("aybe_coordinate", (d, d, d), total,
+                       Matrix(1, d * dd), None)])
     return rep
 
 
@@ -215,13 +199,11 @@ def _sandwich_weights(r, n):
     """The weights that sum e_i . v . e_j into sum r[i][j] e_i . v . e_j:
     r[i][j] at row (i * n + v) * d + j, column v, for v among n basis
     vectors and d = dim A."""
-    t, d = r.tensor, r.over.dim
+    d = r.over.dim
     w = Matrix(d * n * d, n)
-    for i in range(d):
-        for j in range(d):
-            if t[i][j]:
-                for v in range(n):
-                    w.add((i * n + v) * d + j, v, t[i][j])
+    for i, j, rij in r.matrix.nonzero_items():
+        for v in range(n):
+            w.add((i * n + v) * d + j, v, rij)
     return w
 
 
@@ -323,7 +305,7 @@ def endomorphism_rrb(cx):
         kmat, [(a0 * b0).entries + (a1 * b1).entries
                for a0, a1 in ends for b0, b1 in ends],
         "vector is not a chain map"))
-    alg = AssocAlgebra(n, StructureConstants.from_matrix(n, n, mu))
+    alg = AssocAlgebra(n, StructureConstants(n, n, mu))
 
     kd = kernel_basis(dmat)
     rM = len(kd)
@@ -353,8 +335,8 @@ def endomorphism_rrb(cx):
         dM, [left_act(i, su) for i in range(n) for su in range(dM)])
     right = Matrix.from_columns(
         dM, [right_act(su, i) for su in range(dM) for i in range(n)])
-    mod = Bimodule(alg, dM, StructureConstants.from_matrix(n, dM, left),
-                   StructureConstants.from_matrix(dM, n, right))
+    mod = Bimodule(alg, dM, StructureConstants(n, dM, left),
+                   StructureConstants(dM, n, right))
 
     rop_vecs = []
     for su in range(dM):

@@ -190,18 +190,16 @@ def morphism_induced_bimodule(mor):
     mu, left, right = tgt.algebra.mu, tgt.module.left, tgt.module.right
     base = Bimodule(
         alg, dB,
-        StructureConstants.from_matrix(dA, dB, mu.on_columns(phi, ib)),
-        StructureConstants.from_matrix(dB, dA, mu.on_columns(ib, phi)),
+        StructureConstants(dA, dB, mu.on_columns(phi, ib)),
+        StructureConstants(dB, dA, mu.on_columns(ib, phi)),
         tgt.algebra.basis_names)
     fiber = Bimodule(
         alg, dN,
-        StructureConstants.from_matrix(dA, dN, left.on_columns(phi, i_n)),
-        StructureConstants.from_matrix(dN, dA, right.on_columns(i_n, phi)),
+        StructureConstants(dA, dN, left.on_columns(phi, i_n)),
+        StructureConstants(dN, dA, right.on_columns(i_n, phi)),
         tgt.module.basis_names)
-    left_pair = StructureConstants.from_matrix(dM, dB,
-                                               right.on_columns(psi, ib))
-    right_pair = StructureConstants.from_matrix(dB, dM,
-                                                left.on_columns(ib, psi))
+    left_pair = StructureConstants(dM, dB, right.on_columns(psi, ib))
+    right_pair = StructureConstants(dB, dM, left.on_columns(ib, psi))
     return RRBBimodule(src, base, fiber, tgt.rop, left_pair, right_pair)
 
 
@@ -276,8 +274,8 @@ def mtot_action_bimodule(b):
     right = b.base.right.on_columns(ib, r) - s * b.right_pair.matrix
     actions = Bimodule(
         mtot, dB,
-        StructureConstants.from_matrix(dM, dB, left),
-        StructureConstants.from_matrix(dB, dM, right),
+        StructureConstants(dM, dB, left),
+        StructureConstants(dB, dM, right),
         b.base.basis_names)
     return MTotActionBimodule(mtot, actions)
 
@@ -293,11 +291,11 @@ def induced_dendriform_representation(b):
     r, s = x.rop, b.sop
     im, i_n = Matrix.identity(dM), Matrix.identity(dN)
     left_prec, left_succ = (
-        StructureConstants.from_matrix(dM, dN, m)
+        StructureConstants(dM, dN, m)
         for m in (b.left_pair.on_columns(im, s),
                   b.fiber.left.on_columns(r, i_n)))
     right_prec, right_succ = (
-        StructureConstants.from_matrix(dN, dM, m)
+        StructureConstants(dN, dM, m)
         for m in (b.fiber.right.on_columns(i_n, r),
                   b.right_pair.on_columns(s, im)))
     return DendriformRepresentation(

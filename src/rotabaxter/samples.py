@@ -37,11 +37,10 @@ def _rng(seed):
 
 
 def _sc(dim_left, dim_right, dim_out, entries):
-    data = [[[ZERO] * dim_out for _ in range(dim_right)]
-            for _ in range(dim_left)]
+    m = Matrix(dim_out, dim_left * dim_right)
     for (i, j, k), val in entries.items():
-        data[i][j][k] = Q(val)
-    return StructureConstants(dim_left, dim_right, dim_out, data)
+        m.add(k, i * dim_right + j, val)
+    return StructureConstants(dim_left, dim_right, m)
 
 
 def random_rational(rng, span=4):
@@ -63,11 +62,13 @@ def random_matrix(rng, rows, cols, density=0.6, span=4):
 
 
 def random_constants(rng, dim_left, dim_right, dim_out, density=0.5, span=3):
-    return StructureConstants(
-        dim_left, dim_right, dim_out,
-        [[[random_rational(rng, span) if rng.random() < density else ZERO
-           for _ in range(dim_out)] for _ in range(dim_right)]
-         for _ in range(dim_left)])
+    m = Matrix(dim_out, dim_left * dim_right)
+    # draws run i, then j, then k: every sample built on these depends on it
+    for t in range(dim_left * dim_right):
+        for k in range(dim_out):
+            if rng.random() < density:
+                m.add(k, t, random_rational(rng, span))
+    return StructureConstants(dim_left, dim_right, m)
 
 
 def random_invertible(rng, n, steps=None):
@@ -101,8 +102,7 @@ def _inv(p):
 
 def transport_bilinear(c, f, g, h_inv):
     """Constants of h^-1 . c . (f (x) g) on the new bases."""
-    return StructureConstants.from_matrix(
-        f.cols, g.cols, h_inv * c.on_columns(f, g))
+    return StructureConstants(f.cols, g.cols, h_inv * c.on_columns(f, g))
 
 
 def transport_rrb(x, p, q):
@@ -212,7 +212,7 @@ def catalog_rrb(rng):
     # operator coming from the tensor t (x) t, a solution of the
     # associative Yang-Baxter equation over the square-zero extension
     alg, rop = rb_from_r_matrix(
-        RMatrix(_square_zero_ext(), ((0, 0), (0, 1))))
+        RMatrix(_square_zero_ext(), Matrix(2, 2, (0, 0, 0, 1))))
     out.append(RelativeRBAlgebra(alg, Bimodule.adjoint(alg), rop))
 
     # semidirect sum collapses a bimodule into a new passing structure
@@ -306,8 +306,7 @@ def bump_constants(c, where, delta=ONE):
     i, j, k = where
     bump = Matrix(c.dim_out, c.dim_left * c.dim_right)
     bump.add(k, i * c.dim_right + j, Q(delta))
-    return StructureConstants.from_matrix(c.dim_left, c.dim_right,
-                                          c.matrix + bump)
+    return StructureConstants(c.dim_left, c.dim_right, c.matrix + bump)
 
 
 def bump_map(m, where, delta=ONE):

@@ -1,4 +1,5 @@
-"""Small hand-built structures, a reference Gauss-Jordan elimination,
+"""Small hand-built structures, the nested c[i][j][k] form of structure
+constants (nested, from_nested), a reference Gauss-Jordan elimination,
 reference per-tuple axiom checks, reference index-loop assemblers of the
 cochain maps and reference basis-vector constructions, shared across test
 modules."""
@@ -14,9 +15,9 @@ from rotabaxter.cohomology import (
     RRBCochain, cochain_space_dims, semidirect_complex,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, TensorIndex, kron, paste, rank, signed_sum, solve,
+    Matrix, Q, TensorIndex, inverse, kron, paste, rank, signed_sum, solve,
 )
-from rotabaxter.rrb import RelativeRBAlgebra, induced_dendriform
+from rotabaxter.rrb import RMatrix, RelativeRBAlgebra, induced_dendriform
 from rotabaxter.rrb_modules import (
     RRBBimodule, dendriform_to_rrb, lift_bimodule, mtot_action_bimodule,
 )
@@ -35,13 +36,35 @@ def star(den, x, y):
     return add_vec(den.prec(x, y), den.succ(x, y))
 
 
+def nested(t):
+    """The constants of t as the nested tuple c[i][j][k]."""
+    data = [[[Q(0)] * t.dim_out for _ in range(t.dim_right)]
+            for _ in range(t.dim_left)]
+    for k, col, v in t.matrix.nonzero_items():
+        i, j = divmod(col, t.dim_right)
+        data[i][j][k] = v
+    return tuple(tuple(tuple(row) for row in plane) for plane in data)
+
+
+def from_nested(dim_left, dim_right, dim_out, data):
+    """The structure constants whose nested form is data[i][j][k]."""
+    if len(data) != dim_left or any(len(p) != dim_right for p in data) \
+            or any(len(r) != dim_out for p in data for r in p):
+        raise ShapeError(
+            f"structure constants must be {dim_left}x{dim_right}x{dim_out}")
+    return StructureConstants(dim_left, dim_right, Matrix(
+        dim_out, dim_left * dim_right,
+        [data[i][j][k] for k in range(dim_out)
+         for i in range(dim_left) for j in range(dim_right)]))
+
+
 def sc(dim_left, dim_right, dim_out, entries):
     """Structure constants from a sparse {(i,j,k): value} dict."""
-    t = StructureConstants.zero(dim_left, dim_right, dim_out)
-    data = [[[v for v in row] for row in plane] for plane in t.data]
+    data = [[[Q(0)] * dim_out for _ in range(dim_right)]
+            for _ in range(dim_left)]
     for (i, j, k), v in entries.items():
         data[i][j][k] = Q(v)
-    return StructureConstants(dim_left, dim_right, dim_out, data)
+    return from_nested(dim_left, dim_right, dim_out, data)
 
 
 def basis_vec(n, i):
@@ -71,6 +94,24 @@ def truncated_cubic():
             if i + j < 3:
                 e[(i, j, i + j)] = 1
     return AssocAlgebra(3, sc(3, 3, 3, e))
+
+
+def upper_triangular():
+    """The upper triangular 2x2 matrices, basis (E11, E12, E22)."""
+    return AssocAlgebra(3, sc(3, 3, 3, {(0, 0, 0): 1, (0, 1, 1): 1,
+                                        (1, 2, 1): 1, (2, 2, 2): 1}))
+
+
+def upper_triangular_r_matrix(p):
+    """E11 (x) E12 - E12 (x) E11, a solution of the associative
+    Yang-Baxter equation, moved with its algebra to the basis that the
+    invertible p maps to (E11, E12, E22)."""
+    p_inv = inverse(p)
+    alg = AssocAlgebra(3, ref_transport_bilinear(upper_triangular().mu, p,
+                                                 p, p_inv))
+    t = p_inv * linmap([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]) \
+        * p_inv.transpose()
+    return RMatrix(alg, t)
 
 
 def zero_rrb(dim_a=1, dim_m=1):
@@ -494,6 +535,50 @@ def ref_check_rb_bimodule(pair):
     return rep
 
 
+def ref_aybe_violations(r):
+    """Associative Yang-Baxter equation, coordinatewise in A (x) A (x) A.
+
+    With r = sum r[i][j] e_i (x) e_j and a second copy indexed (p, q):
+      r13 r12 = (e_i e_p) (x) e_q (x) e_j
+      r12 r23 = e_i (x) (e_j e_p) (x) e_q
+      r23 r13 = e_i (x) e_p (x) (e_q e_j)
+    and the equation is r13 r12 - r12 r23 + r23 r13 = 0.
+    """
+    alg = r.over
+    d = alg.dim
+    t = [r.matrix.row(i) for i in range(d)]
+    total = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
+    mu = nested(alg.mu)
+    for i in range(d):
+        for j in range(d):
+            rij = t[i][j]
+            if not rij:
+                continue
+            for p in range(d):
+                for q in range(d):
+                    c = rij * t[p][q]
+                    if not c:
+                        continue
+                    for s in range(d):
+                        v = mu[i][p][s]
+                        if v:
+                            total[s][q][j] += c * v
+                        v = mu[j][p][s]
+                        if v:
+                            total[i][s][q] -= c * v
+                        v = mu[q][j][s]
+                        if v:
+                            total[i][p][s] += c * v
+    rep = Report("aybe")
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                if total[a][b][c]:
+                    rep.require("aybe_coordinate", (a, b, c),
+                                (total[a][b][c],), (Q(0),))
+    return rep
+
+
 def ref_check_pairing_identities(module, base, fiber, left_pair, right_pair):
     """The six identities tying the pairings to the three A-bimodules.
 
@@ -884,6 +969,7 @@ def ref_hochschild_matrix(mod, k):
         raise ShapeError(f"cochain degree must be >= 0, got {k}")
     alg = mod.over
     dA, dM = alg.dim, mod.dim
+    left, right, mu = nested(mod.left), nested(mod.right), nested(alg.mu)
     dom = dA ** k
     cod = dA ** (k + 1)
     out = Matrix(dM * cod, dM * dom)
@@ -892,8 +978,7 @@ def ref_hochschild_matrix(mod, k):
         for a in range(dA):
             for w in range(dM):
                 for v in range(dM):
-                    out.add(w * dA + a, v,
-                            mod.left.data[a][v][w] - mod.right.data[v][a][w])
+                    out.add(w * dA + a, v, left[a][v][w] - right[v][a][w])
         return out
     ti_out = TensorIndex((dA,) * (k + 1))
     ti_in = TensorIndex((dA,) * k)
@@ -904,12 +989,12 @@ def ref_hochschild_matrix(mod, k):
         for w in range(dM):
             row = w * cod + t_out
             for v in range(dM):
-                out.add(row, v * dom + t_in, mod.left.data[tup[0]][v][w])
+                out.add(row, v * dom + t_in, left[tup[0]][v][w])
         # middle terms: (-1)^i f(..., a_i a_{i+1}, ...)
         sign = Q(1)
         for i in range(k):
             sign = -sign
-            prod = alg.mu.data[tup[i]][tup[i + 1]]
+            prod = mu[tup[i]][tup[i + 1]]
             for p, c in enumerate(prod):
                 if not c:
                     continue
@@ -923,7 +1008,7 @@ def ref_hochschild_matrix(mod, k):
             row = w * cod + t_out
             for v in range(dM):
                 out.add(row, v * dom + t_in,
-                        sign * mod.right.data[v][tup[k]][w])
+                        sign * right[v][tup[k]][w])
     return out
 
 
@@ -977,9 +1062,9 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
     mix_out = MixedTensorSpace(k + 1, dA, dM)
     ti_a_in = TensorIndex((dA,) * k)
     da_in, slot_in, slot_out = ti_a_in.size, mix_in.slot_dim, mix_out.slot_dim
-    lp, rp = b.left_pair, b.right_pair
-    ln, rn = b.fiber.left, b.fiber.right
-    lm, rm, mu = mod.left, mod.right, alg.mu
+    lp, rp = nested(b.left_pair), nested(b.right_pair)
+    ln, rn = nested(b.fiber.left), nested(b.fiber.right)
+    lm, rm, mu = nested(mod.left), nested(mod.right), nested(alg.mu)
     last_sign = ONE if k % 2 else -ONE          # (-1)^(k+1)
     for t in range(1, k + 2):
         ti_out = mix_out.indexer(t)
@@ -990,7 +1075,7 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
             # leading term
             if t == 1:
                 t_in = ti_a_in.flatten(tup[1:])
-                plane = lp.data[tup[0]]
+                plane = lp[tup[0]]
                 for vb in range(dB):
                     col = alpha_off + vb * da_in + t_in
                     for w, c in enumerate(plane[vb]):
@@ -999,7 +1084,7 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
             else:
                 f_in = mix_in.indexer(t - 1).flatten(tup[1:])
                 col_base = beta_off + dN * mix_in.offset(t - 1)
-                plane = ln.data[tup[0]]
+                plane = ln[tup[0]]
                 for v in range(dN):
                     col = col_base + v * slot_in + f_in
                     for w, c in enumerate(plane[v]):
@@ -1011,11 +1096,11 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
                 sign = -sign
                 li, ri = tup[i - 1], tup[i]
                 if t == i:
-                    prods, s_in = rm.data[li][ri], i
+                    prods, s_in = rm[li][ri], i
                 elif t == i + 1:
-                    prods, s_in = lm.data[li][ri], i
+                    prods, s_in = lm[li][ri], i
                 else:
-                    prods = mu.data[li][ri]
+                    prods = mu[li][ri]
                     s_in = t if t < i else t - 1
                 idx = mix_in.indexer(s_in)
                 col_base = beta_off + dN * mix_in.offset(s_in)
@@ -1032,7 +1117,7 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
                 t_in = ti_a_in.flatten(tup[:k])
                 for vb in range(dB):
                     col = alpha_off + vb * da_in + t_in
-                    for w, c in enumerate(rp.data[vb][tup[k]]):
+                    for w, c in enumerate(rp[vb][tup[k]]):
                         if c:
                             out.add(rows[w], col, last_sign * c)
             else:
@@ -1040,7 +1125,7 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
                 col_base = beta_off + dN * mix_in.offset(t)
                 for v in range(dN):
                     col = col_base + v * slot_in + f_in
-                    for w, c in enumerate(rn.data[v][tup[k]]):
+                    for w, c in enumerate(rn[v][tup[k]]):
                         if c:
                             out.add(rows[w], col, last_sign * c)
 
@@ -1127,16 +1212,17 @@ def ref_psi_matrix(x, b, k):
     size, size_in = ti_out.size, ti_in.size
     last = k * dN * size                        # start of label k+1
     sign = ONE if k % 2 else -ONE               # (-1)^(k+1)
+    lpair, rpair = nested(b.left_pair), nested(b.right_pair)
     out = Matrix((k + 1) * dN * size, dB * size_in)
     for flat in range(size):
         mt = ti_out.unflatten(flat)
         lead = ti_in.flatten(mt[1:])
         trail = ti_in.flatten(mt[:k])
         for vb in range(dB):
-            for w, c in enumerate(b.left_pair.data[mt[0]][vb]):
+            for w, c in enumerate(lpair[mt[0]][vb]):
                 if c:
                     out.add(w * size + flat, vb * size_in + lead, sign * c)
-            for w, c in enumerate(b.right_pair.data[vb][mt[k]]):
+            for w, c in enumerate(rpair[vb][mt[k]]):
                 if c:
                     out.add(last + w * size + flat, vb * size_in + trail, c)
     return out
@@ -1249,7 +1335,7 @@ def ref_dendriform_differential_matrix(d, e, k):
 
 def ref_build(dim_left, dim_right, dim_out, fn):
     """fn(i, j) -> output coordinate vector."""
-    return StructureConstants(
+    return from_nested(
         dim_left, dim_right, dim_out,
         [[list(fn(i, j)) for j in range(dim_right)]
          for i in range(dim_left)])
@@ -1263,12 +1349,11 @@ def ref_dual_bimodule(mod):
     """Dual actions (a.f)(m) = f(m.a) and (f.a)(m) = f(a.m)."""
     alg = mod.over
     dA, dM = alg.dim, mod.dim
+    lm, rm = nested(mod.left), nested(mod.right)
     left = ref_build(
-        dA, dM, dM, lambda a, v: tuple(mod.right.data[w][a][v]
-                                       for w in range(dM)))
+        dA, dM, dM, lambda a, v: tuple(rm[w][a][v] for w in range(dM)))
     right = ref_build(
-        dM, dA, dM, lambda v, a: tuple(mod.left.data[a][w][v]
-                                       for w in range(dM)))
+        dM, dA, dM, lambda v, a: tuple(lm[a][w][v] for w in range(dM)))
     names = tuple(n + "*" for n in mod.basis_names)
     return Bimodule(alg, dM, left, right, names)
 
@@ -1281,12 +1366,11 @@ def ref_dual_rrb_bimodule(b):
     """
     dM = b.over.module.dim
     dB, dN = b.base.dim, b.fiber.dim
+    lp, rp = nested(b.left_pair), nested(b.right_pair)
     lstar = ref_build(
-        dM, dN, dB,
-        lambda u, v: tuple(b.right_pair.data[w][u][v] for w in range(dB)))
+        dM, dN, dB, lambda u, v: tuple(rp[w][u][v] for w in range(dB)))
     rstar = ref_build(
-        dN, dM, dB,
-        lambda v, u: tuple(b.left_pair.data[u][w][v] for w in range(dB)))
+        dN, dM, dB, lambda v, u: tuple(lp[u][w][v] for w in range(dB)))
     return RRBBimodule(b.over, ref_dual_bimodule(b.fiber),
                        ref_dual_bimodule(b.base), -b.sop.transpose(), lstar,
                        rstar)
@@ -1337,8 +1421,8 @@ def ref_transport_bilinear(c, f, g, h_inv):
 
 def ref_rb_from_r_matrix(r):
     """The Rota-Baxter operator R(a) = sum r[i][j] e_i . a . e_j."""
-    alg, t = r.over, r.tensor
-    d = alg.dim
+    alg, d = r.over, r.over.dim
+    t = [r.matrix.row(i) for i in range(d)]
     cols = []
     for a in range(d):
         v = zero_vec(d)
@@ -1354,10 +1438,11 @@ def ref_rb_from_r_matrix(r):
 
 def ref_rb_bimodule_from_r_matrix(r, mod):
     """The induced operator R_M(m) = sum r[i][j] e_i . m . e_j on a bimodule."""
-    alg, t = r.over, r.tensor
+    alg = r.over
     if mod.over.mu != alg.mu:
         raise ShapeError("bimodule must be over the r-matrix algebra")
     d, dM = alg.dim, mod.dim
+    t = [r.matrix.row(i) for i in range(d)]
     cols = []
     for u in range(dM):
         v = zero_vec(dM)

@@ -42,26 +42,26 @@ from rotabaxter.samples import (
     random_rrb_cocycle, random_rrb_pair,
 )
 
-from helpers import sub_vec
+from helpers import from_nested, nested, sub_vec
 
 
 # ------------------------------------------------------------------ helpers
 
 
 def same_bimodule_tensors(b1, b2):
-    return (b1.base.left.data == b2.base.left.data
-            and b1.base.right.data == b2.base.right.data
-            and b1.fiber.left.data == b2.fiber.left.data
-            and b1.fiber.right.data == b2.fiber.right.data
+    return (nested(b1.base.left) == nested(b2.base.left)
+            and nested(b1.base.right) == nested(b2.base.right)
+            and nested(b1.fiber.left) == nested(b2.fiber.left)
+            and nested(b1.fiber.right) == nested(b2.fiber.right)
             and b1.sop == b2.sop
-            and b1.left_pair.data == b2.left_pair.data
-            and b1.right_pair.data == b2.right_pair.data)
+            and nested(b1.left_pair) == nested(b2.left_pair)
+            and nested(b1.right_pair) == nested(b2.right_pair))
 
 
 def same_structure(x1, x2):
-    return (x1.algebra.mu.data == x2.algebra.mu.data
-            and x1.module.left.data == x2.module.left.data
-            and x1.module.right.data == x2.module.right.data
+    return (nested(x1.algebra.mu) == nested(x2.algebra.mu)
+            and nested(x1.module.left) == nested(x2.module.left)
+            and nested(x1.module.right) == nested(x2.module.right)
             and x1.rop == x2.rop)
 
 
@@ -274,18 +274,16 @@ def _mutants(x, b, c, kind):
                                  b.left_pair, b.right_pair), c
     elif kind == "left_pair":
         sc = b.left_pair
-        for i, j, k in itertools.product(range(len(sc.data)),
-                                         range(len(sc.data[0]) if sc.data
-                                               else 0),
+        for i, j, k in itertools.product(range(sc.dim_left),
+                                         range(sc.dim_right),
                                          range(b.fiber.dim)):
             yield x, RRBBimodule(x, b.base, b.fiber, b.sop,
                                  bump_constants(sc, (i, j, k)),
                                  b.right_pair), c
     elif kind == "right_pair":
         sc = b.right_pair
-        for i, j, k in itertools.product(range(len(sc.data)),
-                                         range(len(sc.data[0]) if sc.data
-                                               else 0),
+        for i, j, k in itertools.product(range(sc.dim_left),
+                                         range(sc.dim_right),
                                          range(b.fiber.dim)):
             yield x, RRBBimodule(x, b.base, b.fiber, b.sop, b.left_pair,
                                  bump_constants(sc, (i, j, k))), c
@@ -300,9 +298,10 @@ def test_09_skeletal_classification():
         assert same_structure(x, x2) and same_bimodule_tensors(b, b2)
         assert c2 == c
         a2, m2, r2 = triple_to_skeletal(x2, b2, c2)
-        assert a2.mu3 == a.mu3 and a2.mu00.data == a.mu00.data
+        assert a2.mu3 == a.mu3 and nested(a2.mu00) == nested(a.mu00)
         assert tuple(m2.mu3m) == tuple(m.mu3m)
-        assert r2.r0 == r.r0 and r2.r1 == r.r1 and r2.r2.data == r.r2.data
+        assert r2.r0 == r.r0 and r2.r1 == r.r1 \
+            and nested(r2.r2) == nested(r.r2)
     detected = {}
     for kind in ("alpha", "beta", "gamma", "operator", "complex_map",
                  "left_pair", "right_pair"):
@@ -345,8 +344,8 @@ def test_11_aybe_pipeline():
     data[0][0][0] = Q(1)
     data[0][1][1] = Q(1)
     data[1][0][1] = Q(1)
-    alg = AssocAlgebra(2, StructureConstants(2, 2, 2, data))
-    good = RMatrix(alg, [[0, 0], [0, 1]])  # x (x) x
+    alg = AssocAlgebra(2, from_nested(2, 2, 2, data))
+    good = RMatrix(alg, Matrix.from_rows([[0, 0], [0, 1]]))  # x (x) x
     assert aybe_check(good).ok
     from rotabaxter.rrb import rb_from_r_matrix, rb_bimodule_from_r_matrix
     _, rop = rb_from_r_matrix(good)
@@ -354,7 +353,8 @@ def test_11_aybe_pipeline():
     mod = Bimodule.adjoint(alg)
     mop = rb_bimodule_from_r_matrix(good, mod)
     assert check_rb_bimodule(RBBimodulePair(alg, rop, mod, mop)).ok
-    bad = aybe_check(RMatrix(alg, [[1, 0], [0, 0]]))  # 1 (x) 1
+    one = Matrix.from_rows([[1, 0], [0, 0]])  # 1 (x) 1
+    bad = aybe_check(RMatrix(alg, one))
     assert not bad.ok
     assert {v.args for v in bad.violations} == {(0, 0, 0)}
     print("criterion 11 (x(x)x solves the associative Yang-Baxter "

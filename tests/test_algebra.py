@@ -14,16 +14,16 @@ from rotabaxter.algebra import (
 )
 from rotabaxter.linalg import Matrix, Q, TensorIndex
 
-from helpers import basis_vec
+from helpers import basis_vec, from_nested, nested
 
 
 def sc(dim_left, dim_right, dim_out, entries):
     """Structure constants from a sparse {(i,j,k): value} dict."""
     t = StructureConstants.zero(dim_left, dim_right, dim_out)
-    data = [[[v for v in row] for row in plane] for plane in t.data]
+    data = [[[v for v in row] for row in plane] for plane in nested(t)]
     for (i, j, k), v in entries.items():
         data[i][j][k] = Q(v)
-    return StructureConstants(dim_left, dim_right, dim_out, data)
+    return from_nested(dim_left, dim_right, dim_out, data)
 
 
 def field_algebra():
@@ -79,8 +79,8 @@ class TestDualBimodule:
 
     def test_dual_of_field_adjoint_is_identity_scaling(self):
         dual = dual_bimodule(Bimodule.adjoint(field_algebra()))
-        assert dual.left.data[0][0][0] == 1
-        assert dual.right.data[0][0][0] == 1
+        assert nested(dual.left)[0][0][0] == 1
+        assert nested(dual.right)[0][0][0] == 1
 
     def test_double_dual_restores_tensors(self):
         rng = random.Random(3)
@@ -116,13 +116,13 @@ class TestSemidirect:
 
 
 def random_constants(rng, dl, dr, do):
-    return StructureConstants(dl, dr, do, [
+    return from_nested(dl, dr, do, [
         [[Q(rng.randint(-3, 3)) for _ in range(do)] for _ in range(dr)]
         for _ in range(dl)])
 
 
 def nonzeros(t):
-    return {(i, j, k): v for i, plane in enumerate(t.data)
+    return {(i, j, k): v for i, plane in enumerate(nested(t))
             for j, row in enumerate(plane) for k, v in enumerate(row) if v}
 
 
@@ -160,7 +160,7 @@ def test_bilinear_reads_the_flattened_pair(dl, dr, do):
     rng = random.Random(dl * 100 + dr * 10 + do)
     lin = Matrix(do, dl * dr, [Q(rng.randint(-4, 4), rng.randint(1, 3))
                                for _ in range(do * dl * dr)])
-    form = StructureConstants.from_matrix(dl, dr, lin)
+    form = StructureConstants(dl, dr, lin)
     assert (form.dim_left, form.dim_right, form.dim_out) == (dl, dr, do)
     for i in range(dl):
         for j in range(dr):
@@ -170,11 +170,11 @@ def test_bilinear_reads_the_flattened_pair(dl, dr, do):
 
 def test_bilinear_rejects_a_wrong_domain():
     with pytest.raises(ShapeError):
-        StructureConstants.from_matrix(2, 3, Matrix(1, 4))
+        StructureConstants(2, 3, Matrix(1, 4))
 
 
 def mixed_constants(rng, dl, dr, do):
-    return StructureConstants(dl, dr, do, [[[
+    return from_nested(dl, dr, do, [[[
         Q(rng.choice((0, 0, 1, -1, 3)), rng.choice((1, 1, 2, 5)))
         for _ in range(do)] for _ in range(dr)] for _ in range(dl)])
 
@@ -314,7 +314,7 @@ class TestDendriform:
     def test_succ_only_field(self):
         den = succ_only()
         assert check_dendriform(den).ok
-        assert total_algebra(den).mu.data[0][0][0] == 1
+        assert nested(total_algebra(den).mu)[0][0][0] == 1
         assert check_associativity(total_algebra(den)).ok
 
     def test_equal_products_fail_first_axiom(self):

@@ -5,9 +5,13 @@ sparse matrix identity; the reference evaluates one basis tuple at a time
 on dense vectors.  On seeds 0-99, and on one-entry mutations of every input
 tensor, both must give the same Report: the same violations with the same
 law names, args, sides and order.  Every check must fail on at least one
-mutation, so the comparison covers violations, not only passes.
+mutation, so the comparison covers violations, not only passes.  The
+associative Yang-Baxter check is compared with the six-loop coordinate
+sum it replaced, on random r-matrices and on a solution and its
+one-entry mutations.
 """
 
+from collections import Counter
 from functools import lru_cache
 from random import Random
 
@@ -25,8 +29,8 @@ from rotabaxter.cohomology import (
 )
 from rotabaxter.linalg import Matrix, Q
 from rotabaxter.rrb import (
-    RBBimodulePair, RRBMorphism, check_morphism, check_rb_bimodule,
-    check_relative_rb, induced_dendriform, lift_to_rb,
+    RBBimodulePair, RMatrix, RRBMorphism, aybe_check, check_morphism,
+    check_rb_bimodule, check_relative_rb, induced_dendriform, lift_to_rb,
 )
 from rotabaxter.rrb_modules import (
     DifferentialPair, check_differential_pair, check_operator_identities,
@@ -34,8 +38,8 @@ from rotabaxter.rrb_modules import (
     lift_bimodule,
 )
 from rotabaxter.samples import (
-    bump_constants, bump_map, random_matrix, random_rrb_cochain,
-    random_rrb_pair,
+    bump_constants, bump_map, random_invertible, random_matrix,
+    random_rrb_cochain, random_rrb_pair,
 )
 
 import helpers as ref
@@ -207,3 +211,29 @@ def test_two_term_checks_match_per_tuple_reference():
     names, failed = compare(two_term_pairs, 1,
                             [s for s in range(100) if s not in heavy])
     assert len(names) == 3 and names == failed
+
+
+def test_aybe_matches_the_coordinate_loops():
+    # per seed: a sparse and a dense random r-matrix over the algebra of
+    # the sample, and the upper triangular solution in a random basis,
+    # as it is and with one entry raised by 1
+    outcomes = Counter()
+    for seed in range(100):
+        rng = Random(seed)
+        alg = random_rrb_pair(seed)[0].algebra
+        cases = [(kind, RMatrix(alg, random_matrix(rng, alg.dim, alg.dim,
+                                                   density)))
+                 for kind, density in (("sparse", 0.3), ("dense", 0.8))]
+        solution = ref.upper_triangular_r_matrix(random_invertible(rng, 3))
+        cases += [("solution", solution),
+                  ("bumped", RMatrix(solution.over, bump_map(
+                      solution.matrix,
+                      (rng.randrange(3), rng.randrange(3)))))]
+        for kind, r in cases:
+            want = ref.ref_aybe_violations(r)
+            assert as_record(aybe_check(r)) == as_record(want), (seed, kind)
+            outcomes[kind, want.ok] += 1
+    # the solution passes in every basis, and one entry off it fails
+    assert outcomes == {("sparse", True): 52, ("sparse", False): 48,
+                        ("dense", True): 22, ("dense", False): 78,
+                        ("solution", True): 100, ("bumped", False): 100}

@@ -27,7 +27,7 @@ from rotabaxter.samples import (
 
 import random
 
-from helpers import basis_vec, dual_numbers, linmap, ref_build
+from helpers import basis_vec, dual_numbers, linmap, nested, ref_build
 
 
 def seeded_cocycle(seed, x, b, k):
@@ -60,9 +60,9 @@ def perturbed_section(e, theta, vartheta):
 
 
 def coefficient_tensors(b):
-    return (b.base.left.data, b.base.right.data, b.fiber.left.data,
-            b.fiber.right.data, b.sop, b.left_pair.data,
-            b.right_pair.data)
+    return (nested(b.base.left), nested(b.base.right), nested(b.fiber.left),
+            nested(b.fiber.right), b.sop, nested(b.left_pair),
+            nested(b.right_pair))
 
 
 # ------------------------------------------------------------- building
@@ -73,9 +73,9 @@ def test_split_extension_matches_semidirect():
         x, b = random_rrb_pair(seed=seed)
         e = build_extension(x, b, RRBCochain.zero(x, b, 2))
         sd = semidirect_rrb(b)
-        assert e.total.algebra.mu.data == sd.algebra.mu.data
-        assert e.total.module.left.data == sd.module.left.data
-        assert e.total.module.right.data == sd.module.right.data
+        assert nested(e.total.algebra.mu) == nested(sd.algebra.mu)
+        assert nested(e.total.module.left) == nested(sd.module.left)
+        assert nested(e.total.module.right) == nested(sd.module.right)
         assert e.total.rop == sd.rop
 
 
@@ -85,10 +85,10 @@ def test_zero_structure_total_is_pure_cocycle():
                    linmap([[5]]))
     e = build_extension(x, b, c)
     mu = e.total.algebra.mu
-    assert mu.data[0][0] == (Q(0), Q(1))          # alpha
-    assert mu.data[0][1] == (Q(0), Q(0))          # fiber actions are zero
-    assert e.total.module.left.data[0][0] == (Q(0), Q(3))   # slot-2 map
-    assert e.total.module.right.data[0][0] == (Q(0), Q(2))  # slot-1 map
+    assert nested(mu)[0][0] == (Q(0), Q(1))          # alpha
+    assert nested(mu)[0][1] == (Q(0), Q(0))          # fiber actions are zero
+    assert nested(e.total.module.left)[0][0] == (Q(0), Q(3))   # slot-2 map
+    assert nested(e.total.module.right)[0][0] == (Q(0), Q(2))  # slot-1 map
     assert e.total.rop == Matrix.from_rows([[Q(0), Q(0)],
                                             [Q(5), Q(0)]])
 
@@ -556,21 +556,21 @@ def test_skeletal_round_trips_are_tensor_identical():
         c = seeded_cocycle(seed + 300, x, b, 3)
         a, m, r = triple_to_skeletal(x, b, c)
         x2, b2, c2 = skeletal_to_triple(a, m, r)
-        assert x2.algebra.mu.data == x.algebra.mu.data
-        assert x2.module.left.data == x.module.left.data
-        assert x2.module.right.data == x.module.right.data
+        assert nested(x2.algebra.mu) == nested(x.algebra.mu)
+        assert nested(x2.module.left) == nested(x.module.left)
+        assert nested(x2.module.right) == nested(x.module.right)
         assert x2.rop == x.rop
         assert coefficient_tensors(b2) == coefficient_tensors(b)
         assert c2 == c
         a3, m3, r3 = triple_to_skeletal(x2, b2, c2)
-        assert a3.mu00.data == a.mu00.data
-        assert a3.mu01.data == a.mu01.data
-        assert a3.mu10.data == a.mu10.data
+        assert nested(a3.mu00) == nested(a.mu00)
+        assert nested(a3.mu01) == nested(a.mu01)
+        assert nested(a3.mu10) == nested(a.mu10)
         assert a3.mu3 == a.mu3
         assert m3.mu3m == m.mu3m
         assert r3.r0 == r.r0
         assert r3.r1 == r.r1
-        assert r3.r2.data == r.r2.data
+        assert nested(r3.r2) == nested(r.r2)
 
 
 def test_corrector_mutation_fails_exactly_the_corrector_condition():

@@ -36,6 +36,14 @@ cocycles and on the unsplit extension, which pins the values printed by a
 failing cocycle report that does not raise and by a failing extension
 check.  None of them writes a file.
 
+AYBE: the exit code and the sha256 of stdout of validate, in text and JSON,
+on three r-matrix files: E11 (x) E12 - E12 (x) E11 over the upper
+triangular 2x2 matrices, a solution of the associative Yang-Baxter
+equation, moved to the basis random_invertible(Random(2), 3) gives, where
+its tensor and the product are dense; 1 (x) 1 over the dual numbers, which
+fails at one coordinate; and a dense tensor over k[x]/(x^3), which fails
+at 25 of the 27.
+
 A change meant to keep the output byte for byte is held to it here; a
 change meant to alter it records the tables again with
 
@@ -47,6 +55,7 @@ import hashlib
 import io
 import tempfile
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -56,12 +65,16 @@ from rotabaxter.classification import (
     triple_to_skeletal,
 )
 from rotabaxter.cohomology import RRBCochain
-from rotabaxter.linalg import Matrix
+from rotabaxter.linalg import Matrix, format_matrix
 from rotabaxter.rrb import RelativeRBAlgebra
 from rotabaxter.rrb_modules import RRBBimodule
-from rotabaxter.samples import bump_map, random_rrb_cocycle, random_rrb_pair
+from rotabaxter.samples import (
+    bump_map, random_invertible, random_rrb_cocycle, random_rrb_pair,
+)
 
-from helpers import zero_rrb
+from helpers import (
+    dual_numbers, truncated_cubic, upper_triangular_r_matrix, zero_rrb,
+)
 
 COMMANDS = {
     "validate": ("validate",),
@@ -796,6 +809,64 @@ def test_rejected_output_is_unchanged(key, rejected_dir):
         (*REJECTED[key], None)
 
 
+def r_matrix_fixtures():
+    """name -> (algebra, the rows of the r-matrix's tensor as strings)."""
+    r = upper_triangular_r_matrix(random_invertible(Random(2), 3))
+    return {
+        "solution": (r.over, format_matrix(r.matrix)),
+        "one-one": (dual_numbers(), [["1", "0"], ["0", "0"]]),
+        "dense": (truncated_cubic(),
+                  [["1", "2", "0"], ["-1", "1/2", "3"], ["0", "1", "-2"]]),
+    }
+
+
+def write_r_matrix(alg, rows, path):
+    doc = ff.new_document()
+    an, _ = ff.declare_assoc_algebra(doc, "A", alg)
+    doc["declare"].append({"type": "r_matrix", "name": "r", "algebra": an,
+                           "tensor": rows})
+    ff.write_path(doc, path)
+
+
+def prepare_r_matrix_fixtures(work):
+    for name, (alg, rows) in r_matrix_fixtures().items():
+        write_r_matrix(alg, rows, work / f"{name}.json")
+    return work
+
+
+# (fixture, format) -> (exit code, sha256 of stdout of validate)
+AYBE = {
+    ('solution', 'text'):
+        (0, 'f038b77a7f96e55685921e191da64806a451504fb5423becb88379886111fa51'),
+    ('solution', 'json'):
+        (0, 'fe789fa1d9d6d77203eb1637321cb391a06d52a5e8cf71403d16d3640d73a3c7'),
+    ('one-one', 'text'):
+        (1, 'ee71ea084ae4933ee7e93593c31255c3581032740da4f930bbcc748126452229'),
+    ('one-one', 'json'):
+        (1, 'a10ba932e1632e65e3bf8c9b7189c1373d7957681abc8adedebe72472cf8da70'),
+    ('dense', 'text'):
+        (1, 'fdb510e0668568675b0a27b297cfd7853dc1f632ad1c3517fa459356c0cf063b'),
+    ('dense', 'json'):
+        (1, '6c1fa43ab1887863118c80d4232a95dfa62e39e5c874ec2c6e9840a44226422b'),
+}
+
+
+@pytest.fixture(scope="module")
+def r_matrix_dir(tmp_path_factory):
+    return prepare_r_matrix_fixtures(tmp_path_factory.mktemp("aybe"))
+
+
+def test_aybe_table_covers_every_fixture_and_format():
+    assert set(AYBE) == {(f, fmt) for f in r_matrix_fixtures()
+                         for fmt in FORMATS}
+
+
+@pytest.mark.parametrize("key", sorted(AYBE), ids="-".join)
+def test_aybe_output_is_unchanged(key, r_matrix_dir):
+    name, fmt = key
+    assert run("validate", fmt, r_matrix_dir / f"{name}.json") == AYBE[key]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         print("GOLDEN = {")
@@ -829,4 +900,11 @@ if __name__ == "__main__":
                 rc, out, _ = run_writer(REJECTS[command], fmt, rdir)
                 print(f"    ({command!r}, {fmt!r}):\n"
                       f"        ({rc}, {out!r}),")
+        print("}")
+        print("AYBE = {")
+        adir = prepare_r_matrix_fixtures(Path(work))
+        for name in r_matrix_fixtures():
+            for fmt in FORMATS:
+                rc, sha = run("validate", fmt, adir / f"{name}.json")
+                print(f"    ({name!r}, {fmt!r}):\n        ({rc}, {sha!r}),")
         print("}")

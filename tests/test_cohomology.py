@@ -8,7 +8,7 @@ import pytest
 from rotabaxter import cohomology, fileformat as ff, linalg
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
-    Report, ShapeError, StructuralError, StructureConstants,
+    Report, ShapeError, StructuralError,
     hochschild_cohomology_dims, hochschild_matrix,
 )
 from rotabaxter.cohomology import (
@@ -36,8 +36,8 @@ from rotabaxter.samples import (
 
 import helpers as ref
 from helpers import (
-    basis_vec, dual_numbers, field_adjoint_rrb, full_rank_dims,
-    gauss_jordan_rank, nilpotent_shift_rrb, one_sided_rrb,
+    basis_vec, dual_numbers, field_adjoint_rrb, from_nested, full_rank_dims,
+    gauss_jordan_rank, nested, nilpotent_shift_rrb, one_sided_rrb,
     reference_elimination, reference_inverse, zero_rrb,
 )
 
@@ -391,10 +391,10 @@ def test_block_products_match_the_assembled_differential():
 
 def bump_constants(sc, where):
     """Copy of structure constants with entry (i, j, k) raised by 1."""
-    data = [[list(row) for row in plane] for plane in sc.data]
+    data = [[list(row) for row in plane] for plane in nested(sc)]
     i, j, k = where
     data[i][j][k] += 1
-    return StructureConstants(sc.dim_left, sc.dim_right, sc.dim_out, data)
+    return from_nested(sc.dim_left, sc.dim_right, sc.dim_out, data)
 
 
 STRUCTURE_TENSORS = ("mu", "module.left", "module.right", "R", "base.left",
@@ -983,7 +983,7 @@ def test_derivation_check_flags_a_non_cocycle():
 
 
 def rb_pair_from_r_matrix():
-    r = RMatrix(dual_numbers(), ((0, 0), (0, 1)))
+    r = RMatrix(dual_numbers(), Matrix.from_rows([[0, 0], [0, 1]]))
     alg, rop = rb_from_r_matrix(r)
     mod = Bimodule.adjoint(alg)
     return RBBimodulePair(alg, rop, mod, rb_bimodule_from_r_matrix(r, mod))

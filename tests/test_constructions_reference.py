@@ -39,7 +39,7 @@ SEEDS = range(100)
 
 
 def tensor(t):
-    return (t.dim_left, t.dim_right, t.dim_out, t.data)
+    return (t.dim_left, t.dim_right, t.dim_out, ref.nested(t))
 
 
 def bimodule(m):
@@ -157,7 +157,7 @@ def test_constructions_match_basis_vector_reference():
         same(tensor, transport_bilinear, ref.ref_transport_bilinear,
              b.left_pair, f, g, h)
         t = random_matrix(rng, dA, dA)
-        r = RMatrix(x.algebra, [t.row(i) for i in range(dA)])
+        r = RMatrix(x.algebra, t)
         same(lambda out: out[1], rb_from_r_matrix,
              ref.ref_rb_from_r_matrix, r)
         for mod in (x.module, b.base, b.fiber):

@@ -14,7 +14,10 @@ from rotabaxter.classification import (
     triple_to_skeletal,
 )
 from rotabaxter.cohomology import RRBCochain
+from rotabaxter.linalg import Matrix
 from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
+
+from helpers import nested
 
 
 def rrb_document(seed=2, degree=2, cocycle_seed=0):
@@ -42,13 +45,13 @@ def test_rrb_pair_round_trip():
     text = ff.dump_document(doc)
     sf = ff.parse_text(text)
     x2, b2, c2 = (sf.by_name[n].obj for n in ("X", "B", "c"))
-    assert x2.algebra.mu.data == x.algebra.mu.data
-    assert x2.module.left.data == x.module.left.data
-    assert x2.module.right.data == x.module.right.data
+    assert nested(x2.algebra.mu) == nested(x.algebra.mu)
+    assert nested(x2.module.left) == nested(x.module.left)
+    assert nested(x2.module.right) == nested(x.module.right)
     assert x2.rop == x.rop
     assert b2.sop == b.sop
-    assert b2.left_pair.data == b.left_pair.data
-    assert b2.right_pair.data == b.right_pair.data
+    assert nested(b2.left_pair) == nested(b.left_pair)
+    assert nested(b2.right_pair) == nested(b.right_pair)
     assert c2 == c
     # re-serializing the parsed objects reproduces the bytes
     doc2 = ff.new_document()
@@ -114,7 +117,7 @@ def test_integer_scalars_accepted():
     doc["declare"].append({"type": "assoc_algebra", "name": "A",
                            "space": "V", "product": "mul"})
     sf = ff.parse_document(doc)
-    assert sf.by_name["A"].obj.mu.data[0][0] == (1,)
+    assert nested(sf.by_name["A"].obj.mu)[0][0] == (1,)
 
 
 # ------------------------------------------------------------ parse errors
@@ -295,10 +298,12 @@ def test_each_document_parses_its_strings_once_and_anew(monkeypatch):
 
 def test_reading_and_writing_build_no_fraction(tmp_path, monkeypatch):
     """A structure file is parsed into integers and rendered from them:
-    declaring sample 14 with its cocycles, writing the file and reading it
-    back make no Fraction."""
+    declaring sample 14 with its cocycles and an r-matrix over its
+    algebra, writing the file and reading it back make no Fraction."""
     x, b = random_rrb_pair(14)
     cocycles = [random_rrb_cocycle(14, x, b, k) for k in (2, 3)]
+    d = x.algebra.dim
+    tensor = [[f"{i - j}/{i + j + 2}" for j in range(d)] for i in range(d)]
     made, new = [], Fraction.__new__
 
     def counted(cls, *args, **kwargs):
@@ -315,6 +320,8 @@ def test_reading_and_writing_build_no_fraction(tmp_path, monkeypatch):
     for c in cocycles:
         ff.declare_cocycle(doc, f"C{c.degree}", c, xn, bn, asp, msp, bsp,
                            fsp)
+    doc["declare"].append({"type": "r_matrix", "name": "r",
+                           "algebra": "X.algebra", "tensor": tensor})
     path = tmp_path / "sample14.json"
     ff.write_path(doc, path)
     sf = ff.parse_path(path)
@@ -323,6 +330,7 @@ def test_reading_and_writing_build_no_fraction(tmp_path, monkeypatch):
     assert sf.by_name["X"].obj.rop == x.rop
     assert sf.by_name["B"].obj.left_pair == b.left_pair
     assert sf.by_name["C3"].obj == cocycles[1]
+    assert sf.by_name["r"].obj.matrix == Matrix.from_rows(tensor)
 
 
 def test_matrix_row_count():

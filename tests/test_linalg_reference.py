@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotabaxter.algebra import StructureConstants
 from rotabaxter.fileformat import parse_document
 from rotabaxter.linalg import (
     Matrix, OnColumns, Product, Q, assemble_terms, bilinear_on_columns,
@@ -23,11 +22,12 @@ from rotabaxter.linalg import (
     parse_ratio, parse_rational, paste, rank, ratio_matrix, signed_sum,
     solve, solve_columns,
 )
+from rotabaxter.rrb import RMatrix
 
 from helpers import (
-    dense_rows, gauss_jordan_rank, ref_apply, ref_assemble_terms, ref_kron,
-    ref_mul, ref_of, ref_paste, ref_signed_sum, ref_transpose,
-    reference_elimination,
+    dense_rows, dual_numbers, from_nested, gauss_jordan_rank, ref_apply,
+    ref_assemble_terms, ref_kron, ref_mul, ref_of, ref_paste,
+    ref_signed_sum, ref_transpose, reference_elimination,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -118,7 +118,7 @@ def test_parsed_files_store_what_the_rationals_would(data):
     assert sf.linear["f"] == want
     nested = [[[parse_rational(t) for t in texts[i * cols:(i + 1) * cols]]
                for i in range(rows)] for _ in range(dl)]
-    assert sf.bilinear["c"] == StructureConstants(dl, rows, cols, nested)
+    assert sf.bilinear["c"] == from_nested(dl, rows, cols, nested)
 
 
 def test_parse_ratio_keeps_the_pair_unreduced():
@@ -145,6 +145,8 @@ def test_format_matrix(data):
                   data.draw(st.integers(0, a.cols - 1)), data.draw(SCALARS))
     assert format_matrix(a) == [[format_rational(v) for v in a.row(i)]
                                 for i in range(a.rows)]
+    assert format_matrix(a, by_columns=True) == [
+        [format_rational(v) for v in a.column(j)] for j in range(a.cols)]
 
 
 @SETTINGS
@@ -286,8 +288,10 @@ def test_equal_values_compare_equal():
     lambda v: Matrix(2, 2).add(0, 1, v),
     lambda v: Matrix.identity(2).apply((v, 1)),
     lambda v: solve(Matrix.identity(2), (1, v)),
+    lambda v: RMatrix(dual_numbers(), Matrix.from_rows([[v, 0], [0, 1]])),
     format_rational,
-], ids=["Matrix", "from_rows", "add", "apply", "solve", "format_rational"])
+], ids=["Matrix", "from_rows", "add", "apply", "solve", "RMatrix",
+        "format_rational"])
 def test_inexact_scalars_are_refused(entry_point, value):
     # a float is not an exact rational: 0.1 would be stored as
     # 3602879701896397/36028797018963968

@@ -2,10 +2,14 @@
 them.  No other module of the package or of the tests reads a matrix's
 row dicts (_data) or its denominator (_den), or wraps rows with
 Matrix._of: everything else goes through the Q-valued reads and the
-public constructors, so the storage can change in one file."""
+public constructors, so the storage can change in one file.  Every tensor
+is held as a Matrix and nothing else."""
 
 import ast
 import pathlib
+
+from rotabaxter.algebra import StructureConstants
+from rotabaxter.rrb import RMatrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PRIVATE = ("_data", "_den", "_of")
@@ -41,3 +45,11 @@ def test_only_linalg_sees_the_storage():
                      for line, what in storage_uses(tree))
     assert len(paths) > 20
     assert not found, f"matrix storage used outside linalg: {', '.join(found)}"
+
+
+def test_tensors_hold_only_their_matrix():
+    """A bilinear map and an r-matrix keep their constants in one Matrix,
+    with no nested copy beside it."""
+    assert StructureConstants.__slots__ == (
+        "dim_left", "dim_right", "dim_out", "matrix")
+    assert RMatrix.__slots__ == ("over", "matrix")

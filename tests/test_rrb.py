@@ -115,13 +115,13 @@ class TestInducedDendriform:
 
 class TestAYBE:
     def test_zero_r_matrix(self):
-        r = RMatrix(dual_numbers(), [[0, 0], [0, 0]])
+        r = RMatrix(dual_numbers(), Matrix.zero(2, 2))
         assert aybe_check(r).ok
         _, rop = rb_from_r_matrix(r)
         assert rop.is_zero()
 
     def test_x_tensor_x_passes(self):
-        r = RMatrix(dual_numbers(), [[0, 0], [0, 1]])  # x (x) x
+        r = RMatrix(dual_numbers(), linmap([[0, 0], [0, 1]]))  # x (x) x
         assert aybe_check(r).ok
         alg, rop = rb_from_r_matrix(r)
         assert rop.is_zero()  # x.a.x always hits x^2 = 0
@@ -131,7 +131,7 @@ class TestAYBE:
         assert check_rb_bimodule(RBBimodulePair(alg, rop, mod, rm)).ok
 
     def test_one_tensor_one_fails_at_coordinate(self):
-        r = RMatrix(dual_numbers(), [[1, 0], [0, 0]])  # 1 (x) 1
+        r = RMatrix(dual_numbers(), linmap([[1, 0], [0, 0]]))  # 1 (x) 1
         rep = aybe_check(r)
         assert not rep.ok
         v = rep.violations[0]

@@ -23,7 +23,7 @@ from rotabaxter.samples import random_rrb_pair
 
 from helpers import (
     basis_vec, field_adjoint_rrb, field_algebra, linmap, nilpotent_shift_rrb,
-    one_sided_rrb, ref_build, sc, sub_vec, zero_rrb,
+    nested, one_sided_rrb, ref_build, sc, sub_vec, zero_rrb,
 )
 
 
@@ -127,13 +127,13 @@ def test_coadjoint_matches_dual_of_adjoint_and_transposed_pairings():
     # actions: l*(m, f)(a) = f(a.m) and r*(f, m)(a) = f(m.a)
     assert co.sop == -x.rop.transpose()
     dM, dA = x.module.dim, x.algebra.dim
+    lp, rp = nested(co.left_pair), nested(co.right_pair)
+    left, right = nested(x.module.left), nested(x.module.right)
     for u in range(dM):
         for v in range(dM):
             for w in range(dA):
-                assert co.left_pair.data[u][v][w] == \
-                    x.module.left.data[w][u][v]
-                assert co.right_pair.data[v][u][w] == \
-                    x.module.right.data[u][w][v]
+                assert lp[u][v][w] == left[w][u][v]
+                assert rp[v][u][w] == right[u][w][v]
 
 
 def test_double_dual_restores_every_tensor():
@@ -426,9 +426,9 @@ def test_dendriform_embeds_into_the_lifted_rota_baxter_algebra():
         for j in range(n):
             for tensor, big_tensor in ((d.prec, den_big.prec),
                                        (d.succ, den_big.succ)):
-                got = big_tensor.data[n + i][n + j]
+                got = nested(big_tensor)[n + i][n + j]
                 assert got[:n] == (Q(0),) * n
-                assert got[n:] == tensor.data[i][j]
+                assert got[n:] == nested(tensor)[i][j]
 
 
 # -------------------------------------------------------- differential pairs
