@@ -33,7 +33,7 @@ from .cohomology import (
     RRBCochain, cocycle_report, rrb_differential, rrb_differential_matrix,
     summand_inclusions,
 )
-from .linalg import Matrix, kron, paste, rank, solve, solve_columns
+from .linalg import Matrix, kron, paste, rank, solve_columns, stacked
 from .rrb import (
     RelativeRBAlgebra, RRBMorphism, TwoTermComplex, check_morphism,
     check_relative_rb,
@@ -117,10 +117,10 @@ class Section:
 
 def _right_inverse(p):
     # columns solved with all free coordinates zero, hence deterministic
-    cols = solve_columns(p, Matrix.identity(p.rows))
-    if None in cols:
+    x, bad = solve_columns(p, Matrix.identity(p.rows))
+    if bad:
         raise StructuralError("projection is not surjective")
-    return Matrix.from_columns(p.cols, cols)
+    return x
 
 
 def canonical_section(e):
@@ -136,10 +136,10 @@ def canonical_section(e):
 def _fiber_coords(incl, values, what):
     """The matrix of coordinates of the columns of values inside the image
     of an embedding; the first column outside it raises."""
-    cols = solve_columns(incl, values)
-    if None in cols:
+    x, bad = solve_columns(incl, values)
+    if bad:
         raise StructuralError(what + " does not land in the fiber")
-    return Matrix.from_columns(incl.cols, cols)
+    return x
 
 
 def _fiber_rrb(fiber):
@@ -265,26 +265,24 @@ def extract_cocycle(e, sec):
         "product defect")
     # both action defects are read before either raises, so that the
     # first reported is the first in the loop over (u, i), right first
-    beta1 = solve_columns(e.mod_incl,
-                          tot.module.right.on_columns(sbar, s)
-                          - sbar * base.module.right.matrix)
-    beta2 = solve_columns(e.mod_incl,
-                          tot.module.left.on_columns(s, sbar)
-                          - sbar * base.module.left.matrix)
+    beta1, bad1 = solve_columns(e.mod_incl,
+                                tot.module.right.on_columns(sbar, s)
+                                - sbar * base.module.right.matrix)
+    beta2, bad2 = solve_columns(e.mod_incl,
+                                tot.module.left.on_columns(s, sbar)
+                                - sbar * base.module.left.matrix)
     for u in range(dM):
         for i in range(dA):
-            if beta1[u * dA + i] is None:
+            if u * dA + i in bad1:
                 raise StructuralError(
                     "right action defect does not land in the fiber")
-            if beta2[i * dM + u] is None:
+            if i * dM + u in bad2:
                 raise StructuralError(
                     "left action defect does not land in the fiber")
     gamma = _fiber_coords(e.alg_incl,
                           tot.rop * sbar - s * base.rop,
                           "operator defect")
-    dN = e.fiber.dim1
-    return RRBCochain(2, alpha, tuple(Matrix.from_columns(dN, cols)
-                                      for cols in (beta1, beta2)), gamma)
+    return RRBCochain(2, alpha, (beta1, beta2), gamma)
 
 
 def induced_fiber_bimodule(e, sec):
@@ -331,15 +329,18 @@ def cobounding_cochain(x, b, c1, c2):
 
     Decides whether two cocycles of equal degree are cohomologous; the
     witness returned has one degree less and all free coordinates zero.
+    Both cochains are validated against (x, b) first, so one of another
+    pair raises ShapeError.
     """
     if c1.degree != c2.degree or c1.degree < 2:
         raise ShapeError("cobounding needs two cochains of equal degree >= 2")
-    mat = rrb_differential_matrix(x, b, c1.degree - 1)
-    diff = tuple(p - q for p, q in zip(c1.vector(), c2.vector()))
-    sol = solve(mat, diff)
-    if sol is None:
+    diff = stacked(c1.validate(x, b).blocks()) - \
+        stacked(c2.validate(x, b).blocks())
+    sol, bad = solve_columns(rrb_differential_matrix(x, b, c1.degree - 1),
+                             diff)
+    if bad:
         return None
-    return RRBCochain.from_vector(x, b, c1.degree - 1, sol)
+    return RRBCochain.from_vector(x, b, c1.degree - 1, sol.column(0))
 
 
 def _same_bimodule(b1, b2):

@@ -363,8 +363,9 @@ def check_derivation(x, b, alpha, beta):
 
 def derivation_basis(x, b):
     """Basis of the degree-1 cocycles as (alpha, beta) cochains."""
-    mat = rrb_differential_matrix(x, b, 1)
-    return [RRBCochain.from_vector(x, b, 1, v) for v in kernel_basis(mat)]
+    basis = kernel_basis(rrb_differential_matrix(x, b, 1))
+    return [RRBCochain.from_vector(x, b, 1, basis.column(j))
+            for j in range(basis.cols)]
 
 
 # ---------------------------------------------------------------------------

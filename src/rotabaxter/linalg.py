@@ -10,18 +10,18 @@ linear maps on lists of matrix blocks given as terms (Product, OnColumns),
 whose signed entries assemble_terms writes, term by term, straight into
 the rows of one matrix (write is each term's one definition), multi-index
 flattening for tensor powers, the workhorses rank / kernel_basis /
-solve_columns (with its cases solve and inverse), and homology_dims, which
-sweeps a whole cochain complex.
+solve_columns (with its case inverse), which return numbers and matrices,
+and homology_dims, which sweeps a whole cochain complex.
 
 A Matrix stores integers over one denominator, so the product, kron,
-bilinear_on_columns, signed_sum, stacked, paste, the term writes and the
-transpose compute in integers and build no rational; only the reads (at,
-row, column, entries, nonzero_items, row_dicts, apply, and the vectors
-kernel_basis and solve_columns return) make Q values.  Structure files are
-parsed into integers and rendered from them: parse_ratio reads a scalar
-as an unreduced integer pair, ratio_matrix stores a matrix of such pairs
-over their lcm, and format_matrix writes each entry from its integer and
-the denominator; parse_rational and format_rational read and write one Q.
+bilinear_on_columns, signed_sum, stacked, paste, the term writes, the
+transpose and the eliminations compute in integers and build no rational;
+only the reads (at, row, column, entries, nonzero_items, row_dicts and
+apply) make Q values.  Structure files are parsed into integers and
+rendered from them: parse_ratio reads a scalar as an unreduced integer
+pair, ratio_matrix stores a matrix of such pairs over their lcm, and
+format_matrix writes each entry from its integer and the denominator;
+parse_rational and format_rational read and write one Q.
 
 rank, kernel_basis, solve_columns and homology_dims run one elimination
 kernel, _echelon, on integer rows, with a column index of the live rows
@@ -739,11 +739,12 @@ def rank(m):
     return len(_echelon(m._data, m.cols, _sparsest_first)[0])
 
 
-def _back_substitute(pivots, pivot_cols, free_col, free_value, ncols):
+def _back_substitute(pivots, pivot_cols, free_col, free_value):
     """Complete a kernel vector from the integer free_value at the
     non-pivot column free_col, 0 at the others.  The vector is kept as
     integers over one denominator, which grows by the part of each pivot
-    its column's value does not cancel."""
+    its column's value does not cancel; returns (col -> int dict of the
+    nonzeros, den)."""
     vec, den = {free_col: free_value}, 1
     for row, pc in zip(reversed(pivots), reversed(pivot_cols)):
         s = 0
@@ -760,28 +761,40 @@ def _back_substitute(pivots, pivot_cols, free_col, free_value, ncols):
                     vec[c] *= f
                 den *= f
             vec[pc] = -s // g
-    return tuple(Q(vec[c], den) if c in vec else ZERO for c in range(ncols))
+    return vec, den
+
+
+def _columns(rows, vectors):
+    """The rows x len(vectors) Matrix whose column j is vectors[j], a
+    (col -> int dict, den) pair, over the lcm of the dens; coordinates
+    from rows on are dropped."""
+    den = lcm(*(d for _, d in vectors))
+    data = [{} for _ in range(rows)]
+    for j, (vec, d) in enumerate(vectors):
+        f = den // d
+        for i, v in vec.items():
+            if i < rows:
+                data[i][j] = f * v
+    return Matrix._of(rows, len(vectors), data, _lowest(data, den))
 
 
 def kernel_basis(m):
-    """Exact basis of the right null space, in deterministic order.
+    """Exact basis of the right null space, in deterministic order: the
+    columns of an m.cols x nullity Matrix.
 
     One basis vector per non-pivot column, ascending; the vector carries 1 at
     its free column and 0 at the other free columns.
     """
     pivots, pivot_cols = _echelon(m._data, m.cols, _column_order)
     pivot_set = set(pivot_cols)
-    basis = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        basis.append(_back_substitute(pivots, pivot_cols, j, 1, m.cols))
-    return basis
+    return _columns(m.cols, [_back_substitute(pivots, pivot_cols, j, 1)
+                             for j in range(m.cols) if j not in pivot_set])
 
 
 def solve_columns(m, b):
-    """For each column of b, any exact solution x of m x = (that column),
-    or None where m x cannot equal it.
+    """(x, bad): x is an m.cols x b.cols Matrix whose column j is an exact
+    solution of m x_j = (column j of b), and bad the set of the columns
+    of b that m x cannot equal, where x has a zero column.
 
     [m | b] is eliminated once in column order, so all of m's columns
     come first: the rows it leaves read 0 = (a combination of b), and a
@@ -800,30 +813,20 @@ def solve_columns(m, b):
         rows.append(out)
     pivots, pivot_cols = _echelon(rows, width, _column_order)
     r = sum(c < n for c in pivot_cols)
-    inconsistent = {c for row in pivots[r:] for c in row}
+    bad = {c - n for row in pivots[r:] for c in row}
     pivots, pivot_cols = pivots[:r], pivot_cols[:r]
     # -1 at the column of b moves it to the other side of m x = b
-    return [None if n + j in inconsistent else
-            _back_substitute(pivots, pivot_cols, n + j, -1, width)[:n]
-            for j in range(b.cols)]
-
-
-def solve(m, rhs):
-    """Any exact solution x of m x = rhs, or None when inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    if len(rhs) != m.rows:
-        raise ValueError(f"rhs length {len(rhs)} != rows {m.rows}")
-    return solve_columns(m, Matrix(m.rows, 1, rhs))[0]
+    return _columns(n, [({}, 1) if j in bad else
+                        _back_substitute(pivots, pivot_cols, n + j, -1)
+                        for j in range(b.cols)]), bad
 
 
 def inverse(m):
     """Exact inverse of a square matrix, or None when singular."""
     if m.rows != m.cols:
         raise ValueError(f"inverse needs a square matrix, got {m.rows}x{m.cols}")
-    cols = solve_columns(m, Matrix.identity(m.rows))
-    return None if None in cols else Matrix.from_columns(m.rows, cols)
+    x, bad = solve_columns(m, Matrix.identity(m.rows))
+    return None if bad else x
 
 
 def _transpose_off(m, skip):

@@ -17,7 +17,10 @@ from .algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, Report, ShapeError,
     StructuralError, StructureConstants, semidirect_algebra, total_algebra,
 )
-from .linalg import Matrix, Q, kernel_basis, paste, solve_columns
+from .linalg import (
+    Matrix, Product, assemble_terms, bilinear_on_columns, kernel_basis, kron,
+    padded, paste, solve_columns, stacked,
+)
 
 
 class RelativeRBAlgebra:
@@ -259,6 +262,12 @@ def check_rb_bimodule(pair):
     return rep
 
 
+def _product_tensor(a, b, c):
+    """The matrix of (X, Y) -> X Y on a x b matrices X and b x c matrices
+    Y, in row-major coordinates: kron(I_a, vec(I_b)^T, I_c)."""
+    return padded(a, stacked([Matrix.identity(b)]).transpose(), c)
+
+
 def endomorphism_rrb(cx):
     """The relative Rota-Baxter algebra of a 2-term complex A_1 -> A_0.
 
@@ -271,78 +280,52 @@ def endomorphism_rrb(cx):
     k_s (x) e_j^* over the kernel basis (k_s) of d, ordered (s, j).
     """
     d0, d1 = cx.dim0, cx.dim1
-    dmat = cx.d  # d0 x d1
+    d = cx.d  # d0 x d1
     nvars = d0 * d0 + d1 * d1
-    cond = []
-    for i in range(d0):
-        for q in range(d1):
-            row = [Q(0)] * nvars
-            for j in range(d0):
-                row[i * d0 + j] += dmat.at(j, q)
-            for p in range(d1):
-                row[d0 * d0 + p * d1 + q] -= dmat.at(i, p)
-            cond.append(row)
-    cond_m = Matrix.from_rows(cond) if cond else Matrix.zero(0, nvars)
-    end_basis = kernel_basis(cond_m)
-    n = len(end_basis)
-    kmat = Matrix.from_columns(nvars, end_basis)
+    # the chain-map condition f_0 d - d f_1 = 0
+    kmat = kernel_basis(assemble_terms(
+        [(1, 0, 0, Product(None, d)),
+         (-1, 1, 0, Product(d, Matrix.identity(d1)))],
+        [(d0, d0), (d1, d1)], [(d0, d1)]))
+    n = kmat.cols
+    # column i: f_0 and f_1 of basis vector i, row-major
+    f0s = paste(Matrix(d0 * d0, nvars), Matrix.identity(d0 * d0)) * kmat
+    f1s = paste(Matrix(d1 * d1, nvars), Matrix.identity(d1 * d1),
+                0, d0 * d0) * kmat
 
-    def coords(basis, vectors, what):
-        """The coordinates of each vector in the columns of basis, from one
-        elimination."""
-        cols = solve_columns(basis, Matrix.from_columns(basis.rows, vectors))
-        if None in cols:
+    def coords(basis, values, what):
+        """The coordinates of each column of values in the columns of
+        basis, from one elimination."""
+        x, bad = solve_columns(basis, values)
+        if bad:
             raise StructuralError(what)
-        return cols
+        return x
 
-    def split(vec):
-        f0 = Matrix(d0, d0, vec[:d0 * d0])
-        f1 = Matrix(d1, d1, vec[d0 * d0:])
-        return f0, f1
+    # column (a, b): the composite of basis vectors a and b
+    products = paste(
+        paste(Matrix(nvars, n * n),
+              bilinear_on_columns(_product_tensor(d0, d0, d0), f0s, f0s)),
+        bilinear_on_columns(_product_tensor(d1, d1, d1), f1s, f1s), d0 * d0)
+    alg = AssocAlgebra(n, StructureConstants(
+        n, n, coords(kmat, products, "vector is not a chain map")))
 
-    ends = [split(v) for v in end_basis]
-    mu = Matrix.from_columns(n, coords(
-        kmat, [(a0 * b0).entries + (a1 * b1).entries
-               for a0, a1 in ends for b0, b1 in ends],
-        "vector is not a chain map"))
-    alg = AssocAlgebra(n, StructureConstants(n, n, mu))
-
-    kd = kernel_basis(dmat)
-    rM = len(kd)
-    dM = rM * d0
+    kd = kernel_basis(d)
+    rM = kd.cols
     # the f_1 kd[s] in ker d, in the basis kd, by (i, s)
-    imgs = coords(Matrix.from_columns(d1, kd),
-                  [f1.apply(k) for _, f1 in ends for k in kd],
-                  "vector is not in ker d")
+    imgs = coords(
+        kd, bilinear_on_columns(_product_tensor(d1, d1, 1), f1s, kd),
+        "vector is not in ker d")
+    # column (j0, i): row j0 of f_0 of basis vector i
+    rows_f0 = bilinear_on_columns(_product_tensor(1, d0, d0),
+                                  Matrix.identity(d0), f0s)
+    mod = Bimodule(alg, rM * d0,
+                   StructureConstants(n, rM * d0,
+                                      kron(imgs, Matrix.identity(d0))),
+                   StructureConstants(rM * d0, n,
+                                      kron(Matrix.identity(rM), rows_f0)))
 
-    def left_act(i, su):
-        s, j = divmod(su, d0)
-        img = imgs[i * rM + s]
-        out = [Q(0)] * dM
-        for t in range(rM):
-            out[t * d0 + j] = img[t]
-        return out
-
-    def right_act(su, i):
-        s, j0 = divmod(su, d0)
-        f0, _ = ends[i]
-        out = [Q(0)] * dM
-        for j in range(d0):
-            out[s * d0 + j] = f0.at(j0, j)
-        return out
-
-    left = Matrix.from_columns(
-        dM, [left_act(i, su) for i in range(n) for su in range(dM)])
-    right = Matrix.from_columns(
-        dM, [right_act(su, i) for su in range(dM) for i in range(n)])
-    mod = Bimodule(alg, dM, StructureConstants(n, dM, left),
-                   StructureConstants(dM, n, right))
-
-    rop_vecs = []
-    for su in range(dM):
-        s, j = divmod(su, d0)
-        rop_vecs.append((Q(0),) * (d0 * d0) + tuple(
-            dmat.at(j, q) * kd[s][p] for p in range(d1) for q in range(d1)))
-    rop = Matrix.from_columns(
-        n, coords(kmat, rop_vecs, "vector is not a chain map"))
+    # R(k_s (x) e_j^*) = (0, k_s (x) (row j of d))
+    rop = coords(kmat, paste(Matrix(nvars, rM * d0), kron(kd, d.transpose()),
+                             d0 * d0),
+                 "vector is not a chain map")
     return RelativeRBAlgebra(alg, mod, rop)

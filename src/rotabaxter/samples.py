@@ -329,10 +329,9 @@ def random_rrb_cocycle(seed, x, b, k):
     """Random kernel element of the degree-k differential, or None."""
     rng = _rng(seed)
     basis = kernel_basis(rrb_differential_matrix(x, b, k))
-    if not basis:
+    if not basis.cols:
         return None
-    coeffs = [random_rational(rng, 3) for _ in basis]
+    coeffs = [random_rational(rng, 3) for _ in range(basis.cols)]
     if not any(coeffs):
         coeffs[rng.randrange(len(coeffs))] = ONE
-    vec = Matrix.from_columns(len(basis[0]), basis).apply(coeffs)
-    return RRBCochain.from_vector(x, b, k, vec)
+    return RRBCochain.from_vector(x, b, k, basis.apply(coeffs))

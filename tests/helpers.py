@@ -1,5 +1,6 @@
 """Small hand-built structures, the nested c[i][j][k] form of structure
-constants (nested, from_nested), a reference Gauss-Jordan elimination,
+constants (nested, from_nested), a count of the Fractions made
+(fractions_made), a reference Gauss-Jordan elimination,
 reference per-tuple axiom checks, reference index-loop assemblers of the
 cochain maps and reference basis-vector constructions, shared across test
 modules."""
@@ -15,7 +16,7 @@ from rotabaxter.cohomology import (
     RRBCochain, cochain_space_dims, semidirect_complex,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, TensorIndex, inverse, kron, paste, rank, signed_sum, solve,
+    Matrix, Q, TensorIndex, inverse, kron, paste, rank, signed_sum,
 )
 from rotabaxter.rrb import RMatrix, RelativeRBAlgebra, induced_dendriform
 from rotabaxter.rrb_modules import (
@@ -65,6 +66,22 @@ def sc(dim_left, dim_right, dim_out, entries):
     for (i, j, k), v in entries.items():
         data[i][j][k] = Q(v)
     return from_nested(dim_left, dim_right, dim_out, data)
+
+
+def fractions_made(monkeypatch):
+    """Count every Fraction made from here on: Fraction.__new__ is patched
+    to append its arguments to the list returned."""
+    made, new = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    Fraction(1, 2)
+    assert len(made) == 1  # the count sees every Fraction made
+    made.clear()
+    return made
 
 
 def basis_vec(n, i):
@@ -212,6 +229,16 @@ def reference_elimination(m, rhs):
             solution[pc] = row[-1]
         solution = tuple(solution)
     return basis, solution, pivots, pivot_rows
+
+
+def reference_solve_columns(m, b):
+    """reference_elimination on each column of b, as solve_columns returns
+    it: (the m.cols x b.cols Matrix of the solutions, with a zero column
+    where there is none, and the set of those columns)."""
+    sols = [reference_elimination(m, b.column(j))[1] for j in range(b.cols)]
+    return (Matrix.from_columns(m.cols, [(0,) * m.cols if x is None else x
+                                         for x in sols]),
+            {j for j, x in enumerate(sols) if x is None})
 
 
 def reference_inverse(m):
@@ -1328,9 +1355,10 @@ def ref_dendriform_differential_matrix(d, e, k):
 # Reference constructions: the structures made from others, built one
 # basis vector at a time through ref_build (StructureConstants.build) as
 # they were before they became matrix expressions, kept verbatim.  They
-# share with rotabaxter only the structure types, solve and the sample
-# cochain type, so the matrix forms are checked against an independent
-# evaluation of the same formulas.
+# share with rotabaxter only the structure types and the sample cochain
+# type, and solve through the Gauss-Jordan reference above, so the matrix
+# forms are checked against an independent evaluation of the same
+# formulas.
 
 
 def ref_build(dim_left, dim_right, dim_out, fn):
@@ -1457,6 +1485,94 @@ def ref_rb_bimodule_from_r_matrix(r, mod):
     return m
 
 
+def ref_endomorphism_rrb(cx):
+    """The relative Rota-Baxter algebra of a 2-term complex A_1 -> A_0.
+
+    A = End(complex) = {(f_0, f_1) : f_0 d = d f_1} with composition;
+    M = Hom(A_0, ker d) with (f_0, f_1) . phi = f_1 phi and
+    phi . (f_0, f_1) = phi f_0; R(phi) = (0, phi d).
+
+    The basis of A is the deterministic kernel basis of the chain-map
+    condition (f_0 coordinates row-major, then f_1); the basis of M is
+    k_s (x) e_j^* over the kernel basis (k_s) of d, ordered (s, j).
+    """
+    d0, d1 = cx.dim0, cx.dim1
+    dmat = cx.d  # d0 x d1
+    nvars = d0 * d0 + d1 * d1
+    cond = []
+    for i in range(d0):
+        for q in range(d1):
+            row = [Q(0)] * nvars
+            for j in range(d0):
+                row[i * d0 + j] += dmat.at(j, q)
+            for p in range(d1):
+                row[d0 * d0 + p * d1 + q] -= dmat.at(i, p)
+            cond.append(row)
+    cond_m = Matrix.from_rows(cond) if cond else Matrix.zero(0, nvars)
+    end_basis = reference_elimination(cond_m, [0] * cond_m.rows)[0]
+    n = len(end_basis)
+    kmat = Matrix.from_columns(nvars, end_basis)
+
+    def coords(basis, vectors, what):
+        """The coordinates of each vector in the columns of basis."""
+        cols = [reference_elimination(basis, v)[1] for v in vectors]
+        if None in cols:
+            raise StructuralError(what)
+        return cols
+
+    def split(vec):
+        f0 = Matrix(d0, d0, vec[:d0 * d0])
+        f1 = Matrix(d1, d1, vec[d0 * d0:])
+        return f0, f1
+
+    ends = [split(v) for v in end_basis]
+    mu = Matrix.from_columns(n, coords(
+        kmat, [(a0 * b0).entries + (a1 * b1).entries
+               for a0, a1 in ends for b0, b1 in ends],
+        "vector is not a chain map"))
+    alg = AssocAlgebra(n, StructureConstants(n, n, mu))
+
+    kd = reference_elimination(dmat, [0] * dmat.rows)[0]
+    rM = len(kd)
+    dM = rM * d0
+    # the f_1 kd[s] in ker d, in the basis kd, by (i, s)
+    imgs = coords(Matrix.from_columns(d1, kd),
+                  [f1.apply(k) for _, f1 in ends for k in kd],
+                  "vector is not in ker d")
+
+    def left_act(i, su):
+        s, j = divmod(su, d0)
+        img = imgs[i * rM + s]
+        out = [Q(0)] * dM
+        for t in range(rM):
+            out[t * d0 + j] = img[t]
+        return out
+
+    def right_act(su, i):
+        s, j0 = divmod(su, d0)
+        f0, _ = ends[i]
+        out = [Q(0)] * dM
+        for j in range(d0):
+            out[s * d0 + j] = f0.at(j0, j)
+        return out
+
+    left = Matrix.from_columns(
+        dM, [left_act(i, su) for i in range(n) for su in range(dM)])
+    right = Matrix.from_columns(
+        dM, [right_act(su, i) for su in range(dM) for i in range(n)])
+    mod = Bimodule(alg, dM, StructureConstants(n, dM, left),
+                   StructureConstants(dM, n, right))
+
+    rop_vecs = []
+    for su in range(dM):
+        s, j = divmod(su, d0)
+        rop_vecs.append((Q(0),) * (d0 * d0) + tuple(
+            dmat.at(j, q) * kd[s][p] for p in range(d1) for q in range(d1)))
+    rop = Matrix.from_columns(
+        n, coords(kmat, rop_vecs, "vector is not a chain map"))
+    return RelativeRBAlgebra(alg, mod, rop)
+
+
 def _ref_map_from_columns(cols, dom, cod):
     entries = tuple(cols[j][i] for i in range(cod) for j in range(dom))
     return Matrix(cod, dom, entries)
@@ -1464,7 +1580,7 @@ def _ref_map_from_columns(cols, dom, cod):
 
 def _ref_fiber_coords(incl, vec, what):
     """Coordinates of a vector inside the image of an embedding."""
-    sol = solve(incl, tuple(vec))
+    sol = reference_elimination(incl, tuple(vec))[1]
     if sol is None:
         raise StructuralError(what + " does not land in the fiber")
     return sol

@@ -14,8 +14,12 @@ from rotabaxter.classification import (
     extension_iso_from_cobounding, extract_cocycle, induced_fiber_bimodule,
     skeletal_to_triple, triple_to_skeletal,
 )
-from rotabaxter.cohomology import RRBCochain, rrb_differential
-from rotabaxter.linalg import Matrix, Q, inverse, kernel_basis
+from rotabaxter.cohomology import (
+    RRBCochain, rrb_differential, rrb_differential_matrix,
+)
+from rotabaxter.linalg import (
+    Matrix, Q, inverse, kernel_basis, paste, solve_columns,
+)
 from rotabaxter.rrb import RRBMorphism, RelativeRBAlgebra, check_relative_rb
 from rotabaxter.rrb_modules import (
     RRBBimodule, check_rrb_bimodule, semidirect_rrb,
@@ -27,7 +31,9 @@ from rotabaxter.samples import (
 
 import random
 
-from helpers import basis_vec, dual_numbers, linmap, nested, ref_build
+from helpers import (
+    basis_vec, dual_numbers, fractions_made, linmap, nested, ref_build,
+)
 
 
 def seeded_cocycle(seed, x, b, k):
@@ -241,6 +247,43 @@ def test_cobounding_cochain_none_when_not_cohomologous():
         cobounding_cochain(x, b, c, RRBCochain.zero(x, b, 3))
 
 
+def test_elimination_and_extraction_build_no_fraction(monkeypatch):
+    """kernel_basis, solve_columns and inverse return matrices built in
+    integers, and so does reading the cocycle of sample 14's extension
+    back through its canonical section."""
+    x, b = random_rrb_pair(14)
+    c = seeded_cocycle(14, x, b, 2)
+    e = build_extension(x, b, c)
+    d = rrb_differential_matrix(x, b, 1)
+    p = random_invertible(random.Random(14), 6)
+    # the columns of d, all in its image, then the unit vectors, not all
+    rhs = paste(paste(Matrix(d.rows, d.cols + d.rows), d),
+                Matrix.identity(d.rows), 0, d.cols)
+    made = fractions_made(monkeypatch)
+    basis = kernel_basis(d)
+    sol, bad = solve_columns(d, rhs)
+    inv = inverse(p)
+    got = extract_cocycle(e, canonical_section(e))
+    assert made == []
+    monkeypatch.undo()
+    assert basis.cols and (d * basis).is_zero()
+    assert bad and min(bad) >= d.cols
+    assert d * sol == paste(Matrix(d.rows, d.cols + d.rows), d)
+    assert inv * p == Matrix.identity(6)
+    assert got == c
+
+
+def test_cobounding_cochain_refuses_a_cochain_of_another_pair():
+    # validated against (x, b) before the solve, on either side: not
+    # zipped with the other cochain and cut short
+    x, b = random_rrb_pair(14)
+    c = seeded_cocycle(14, x, b, 2)
+    other = RRBCochain.zero(*random_rrb_pair(0), 2)
+    for c1, c2 in ((c, other), (other, c)):
+        with pytest.raises(ShapeError, match="alpha must map"):
+            cobounding_cochain(x, b, c1, c2)
+
+
 # --------------------------------------------------------- isomorphisms
 
 
@@ -445,8 +488,8 @@ def hochschild_two_term(idx=0):
     alg = dual_numbers()
     mod = Bimodule.adjoint(alg)
     basis = kernel_basis(hochschild_matrix(mod, 3))
-    assert basis
-    vec = basis[idx % len(basis)]
+    assert basis.cols
+    vec = basis.column(idx % basis.cols)
     mu3 = Matrix(mod.dim, alg.dim ** 3, vec)
     return TwoTermAInfty(alg.dim, mod.dim, Matrix.zero(alg.dim, mod.dim),
                          (alg.mu, mod.left, mod.right), mu3)

@@ -21,9 +21,10 @@ from rotabaxter.classification import (
     AbelianExtension, Section, _shear, build_extension, canonical_section,
     extract_cocycle, induced_fiber_bimodule,
 )
+from rotabaxter.linalg import Matrix, rank
 from rotabaxter.rrb import (
-    RMatrix, RRBMorphism, RelativeRBAlgebra, rb_bimodule_from_r_matrix,
-    rb_from_r_matrix,
+    RMatrix, RRBMorphism, RelativeRBAlgebra, TwoTermComplex,
+    endomorphism_rrb, rb_bimodule_from_r_matrix, rb_from_r_matrix,
 )
 from rotabaxter.rrb_modules import (
     dual_rrb_bimodule, morphism_induced_bimodule,
@@ -49,6 +50,11 @@ def bimodule(m):
 def rrb_bimodule(b):
     return (bimodule(b.base), bimodule(b.fiber), b.sop,
             tensor(b.left_pair), tensor(b.right_pair))
+
+
+def rrb_algebra(x):
+    return (tensor(x.algebra.mu), tensor(x.module.left),
+            tensor(x.module.right), x.rop)
 
 
 def cochain(c):
@@ -195,3 +201,24 @@ def test_constructions_match_basis_vector_reference():
                  "left action defect", "operator defect", "induced product",
                  "induced action"):
         assert landed.get(what + " does not land in the fiber"), what
+
+
+def test_endomorphism_rrb_matches_dense_reference():
+    """On every pair of dimensions 0-3, with d zero, of full rank and
+    random: equal algebra, module and operator matrices."""
+    rng = Random(25)
+    full = 0
+    for d0 in range(4):
+        for d1 in range(4):
+            unit = Matrix(d0, d1, [int(i == j) for i in range(d0)
+                                   for j in range(d1)])
+            for d in (Matrix.zero(d0, d1),
+                      random_invertible(rng, d0) * unit
+                      * random_invertible(rng, d1),
+                      random_matrix(rng, d0, d1, 0.3),
+                      random_matrix(rng, d0, d1)):
+                full += d0 * d1 > 0 and rank(d) == min(d0, d1)
+                assert same(rrb_algebra, endomorphism_rrb,
+                            ref.ref_endomorphism_rrb,
+                            TwoTermComplex(d0, d1, d))[0] == "ok"
+    assert full > 9

@@ -1,7 +1,6 @@
 """Structure files: round trips, strict parsing, and error reporting."""
 
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +16,7 @@ from rotabaxter.cohomology import RRBCochain
 from rotabaxter.linalg import Matrix
 from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
 
-from helpers import nested
+from helpers import fractions_made, nested
 
 
 def rrb_document(seed=2, degree=2, cocycle_seed=0):
@@ -304,16 +303,7 @@ def test_reading_and_writing_build_no_fraction(tmp_path, monkeypatch):
     cocycles = [random_rrb_cocycle(14, x, b, k) for k in (2, 3)]
     d = x.algebra.dim
     tensor = [[f"{i - j}/{i + j + 2}" for j in range(d)] for i in range(d)]
-    made, new = [], Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    Fraction(1, 2)
-    assert len(made) == 1  # the count sees every Fraction made
-    made.clear()
+    made = fractions_made(monkeypatch)
     doc = ff.new_document()
     xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
     bn, bsp, fsp = ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)

@@ -9,12 +9,12 @@ from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
     Matrix, OnColumns, Product, Q, TensorIndex, assemble_terms,
     format_rational, homology_dims, inverse, kernel_basis, kron,
-    parse_rational, paste, rank, signed_sum, solve, solve_columns,
+    parse_rational, paste, rank, signed_sum, solve_columns,
 )
 
 from helpers import (
     full_rank_dims, gauss_jordan_rank, ref_on_columns_matrix,
-    reference_elimination, reference_inverse,
+    reference_elimination, reference_inverse, reference_solve_columns,
 )
 
 
@@ -50,34 +50,44 @@ class TestRank:
         assert rank(mat([[1, 2], [2, 4]])) == 1
 
 
+def column(*values):
+    return Matrix(len(values), 1, values)
+
+
 class TestKernelBasis:
     def test_injective(self):
-        assert kernel_basis(Matrix.identity(2)) == []
+        assert kernel_basis(Matrix.identity(2)) == Matrix.zero(2, 0)
 
     def test_zero_map(self):
-        basis = kernel_basis(Matrix.zero(1, 2))
-        assert len(basis) == 2
+        assert kernel_basis(Matrix.zero(1, 2)) == Matrix.identity(2)
 
     def test_dependent_rows(self):
-        (v,) = kernel_basis(mat([[1, 2], [2, 4]]))
+        basis = kernel_basis(mat([[1, 2], [2, 4]]))
+        assert (basis.rows, basis.cols) == (2, 1)
+        v = basis.column(0)
         # proportional to (2, -1)
         assert v[0] * Q(-1) == v[1] * Q(2)
         assert any(x != 0 for x in v)
 
 
 class TestSolve:
+    """solve_columns on one right-hand side."""
+
     def test_identity(self):
-        assert solve(Matrix.identity(2), (3, 5)) == (3, 5)
+        assert solve_columns(Matrix.identity(2), column(3, 5)) == \
+            (column(3, 5), set())
 
     def test_inconsistent(self):
-        assert solve(Matrix.zero(2, 2), (1, 0)) is None
+        assert solve_columns(Matrix.zero(2, 2), column(1, 0)) == \
+            (Matrix.zero(2, 1), {0})
 
     def test_diagonal(self):
-        assert solve(mat([[2, 0], [0, 4]]), (1, 1)) == (Q(1, 2), Q(1, 4))
+        assert solve_columns(mat([[2, 0], [0, 4]]), column(1, 1)) == \
+            (column(Q(1, 2), Q(1, 4)), set())
 
     def test_rhs_length_checked(self):
         with pytest.raises(ValueError):
-            solve(Matrix.identity(2), (1, 2, 3))
+            solve_columns(Matrix.identity(2), column(1, 2, 3))
 
 
 class TestHomologyDim:
@@ -215,10 +225,10 @@ def test_constructors_keep_q_values():
 def test_solve_takes_q_and_other_rhs_entries_alike():
     # Q entries are used as they are, others go through Q()
     m = mat([[1, 2], [0, 3]])
-    want = (Q(-1, 9), Q(1, 9))
+    want = column(Q(-1, 9), Q(1, 9))
     for rhs in ((Q(1, 9), Q(1, 3)), ("1/9", "1/3"), (Q(1, 9), "1/3")):
-        assert solve(m, rhs) == want
-    assert solve(m, (0, Q(0))) == (0, 0)
+        assert solve_columns(m, column(*rhs)) == (want, set())
+    assert solve_columns(m, column(0, Q(0))) == (Matrix.zero(2, 1), set())
 
 
 def test_column_is_dense():
@@ -396,22 +406,19 @@ class TestRandomizedInvariants:
         for _ in range(40):
             m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             basis = kernel_basis(m)
-            assert rank(m) + len(basis) == m.cols
-            for v in basis:
-                assert all(x == 0 for x in m.apply(v))
-            if basis:
-                stacked = Matrix.from_rows([list(v) for v in basis])
-                assert rank(stacked) == len(basis)
+            assert rank(m) + basis.cols == m.cols
+            assert (m * basis).is_zero()
+            assert rank(basis) == basis.cols
 
     def test_solve_consistency(self):
         rng = random.Random(99)
         for _ in range(40):
             m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             x0 = [Q(rng.randint(-3, 3)) for _ in range(m.cols)]
-            rhs = m.apply(x0)
-            x = solve(m, rhs)
-            assert x is not None
-            assert m.apply(x) == rhs
+            rhs = m * column(*x0)
+            x, bad = solve_columns(m, rhs)
+            assert not bad
+            assert m * x == rhs
 
     def test_solve_reports_inconsistency_via_rank(self):
         rng = random.Random(7)
@@ -419,14 +426,15 @@ class TestRandomizedInvariants:
         for _ in range(60):
             m = random_matrix(rng, rng.randint(2, 5), rng.randint(1, 4))
             rhs = tuple(Q(rng.randint(-3, 3)) for _ in range(m.rows))
-            x = solve(m, rhs)
+            x, bad = solve_columns(m, column(*rhs))
             aug = Matrix.from_rows(
                 [list(m.row(i)) + [rhs[i]] for i in range(m.rows)])
-            if x is None:
+            if bad:
                 hits += 1
+                assert bad == {0} and x.is_zero()
                 assert rank(aug) > rank(m)
             else:
-                assert m.apply(x) == rhs
+                assert m * x == column(*rhs)
                 assert rank(aug) == rank(m)
         assert hits > 0  # the sampler must hit some inconsistent systems
 
@@ -501,9 +509,10 @@ class TestInverse:
 
 
 def test_random_matrices_match_reference_gauss_jordan():
-    """rank, kernel_basis, solve and inverse agree exactly with the textbook
-    dense Gauss-Jordan of tests/helpers.py on random matrices with mixed
-    denominators, some with a row that is a combination of two others."""
+    """rank, kernel_basis, solve_columns and inverse agree exactly with the
+    textbook dense Gauss-Jordan of tests/helpers.py on random matrices with
+    mixed denominators, some with a row that is a combination of two
+    others."""
     rng = random.Random(2718)
     inconsistent = singular = 0
     for _ in range(150):
@@ -518,8 +527,10 @@ def test_random_matrices_match_reference_gauss_jordan():
                     for _ in range(m.rows))
         basis, sol, pivots, _ = reference_elimination(m, rhs)
         assert rank(m) == len(pivots)
-        assert kernel_basis(m) == basis
-        assert solve(m, rhs) == sol
+        assert kernel_basis(m) == Matrix.from_columns(m.cols, basis)
+        assert solve_columns(m, column(*rhs)) == \
+            ((Matrix.zero(m.cols, 1), {0}) if sol is None
+             else (column(*sol), set()))
         inconsistent += sol is None
         n = min(m.rows, m.cols)
         square = Matrix.from_rows([list(m.row(i)[:n]) for i in range(n)])
@@ -549,12 +560,13 @@ def test_solve_columns_matches_reference_column_by_column():
             else:
                 cols.append(tuple(Q(rng.randint(-3, 3), rng.choice((1, 2)))
                                   for _ in range(m.rows)))
-        got = solve_columns(m, Matrix.from_columns(m.rows, cols))
-        want = [reference_elimination(m, col)[1] for col in cols]
-        assert got == want
-        consistent += sum(x is not None for x in got)
-        inconsistent += got.count(None)
-        mixed += None in got and got.count(None) < len(got)
+        b = Matrix.from_columns(m.rows, cols)
+        got = solve_columns(m, b)
+        assert got == reference_solve_columns(m, b)
+        bad = got[1]
+        consistent += len(cols) - len(bad)
+        inconsistent += len(bad)
+        mixed += 0 < len(bad) < len(cols)
     assert consistent > 500 and inconsistent > 200 and mixed > 80, \
         (consistent, inconsistent, mixed)
 
@@ -569,9 +581,8 @@ def random_complex(rng, dims):
     for rows in dims[2:]:
         left = kernel_basis(d.transpose())
         combos = [[Q(rng.choice((0, 0, 1, -1, 2)), rng.choice((1, 2, 3)))
-                   for _ in left] for _ in range(rows)]
-        d = Matrix.from_rows([[sum((c * v[j] for c, v in zip(cs, left)), Q(0))
-                               for j in range(d.rows)] for cs in combos])
+                   for _ in range(left.cols)] for _ in range(rows)]
+        d = Matrix.from_rows(combos) * left.transpose()
         maps.append(d)
     return maps
 
