@@ -340,7 +340,7 @@ def cobounding_cochain(x, b, c1, c2):
                              diff)
     if bad:
         return None
-    return RRBCochain.from_vector(x, b, c1.degree - 1, sol.column(0))
+    return RRBCochain.of_column(x, b, c1.degree - 1, sol)
 
 
 def _same_bimodule(b1, b2):
@@ -385,8 +385,8 @@ def extension_iso_from_cobounding(e1, e2, theta, vartheta):
     c1 = extract_cocycle(e1, sec1)
     c2 = extract_cocycle(e2, sec2)
     bound = rrb_differential(x, coeff, 1, RRBCochain(1, theta, (vartheta,)))
-    diff = tuple(p - q for p, q in zip(c1.vector(), c2.vector()))
-    if tuple(bound.vector()) != diff:
+    if stacked(bound.blocks()) != \
+            stacked(c1.blocks()) - stacked(c2.blocks()):
         raise StructuralError("the cochain does not cobound the difference "
                               "of the extracted cocycles")
     phi = _shear(sec1.s, sec2.s, theta, e1.alg_incl, e2.alg_incl,

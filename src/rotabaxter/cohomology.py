@@ -22,11 +22,17 @@ of X and of a fixed matrix.  rrb_differential_matrix assembles the terms
 into the whole map, which gives the cohomology dimensions, derivation
 bases and random cocycles, and rrb_differential, its image of one
 cochain.  The comparison map psi_matrix and the inclusion into the
-semidirect complex are assembled from terms the same way.
+semidirect complex are assembled from terms the same way.  A cochain's
+coordinates are one column, linalg.stacked of its blocks, and a cochain
+is cut back out of a column of any matrix (RRBCochain.of_column, with
+linalg.unstacked), so images, kernel bases and solutions become cochains
+with no rational built.
 
 The same file carries the two sibling complexes that interact with this
 one: the labelled dendriform complex and the restricted complex of a
-Rota-Baxter pair, together with the comparison maps between them.  A
+Rota-Baxter pair, together with the comparison maps between them.  The
+restricted differential is the matrix P d E of the full one between an
+embedding E and a projection P (rb_differential_matrix).  A
 labelled k-cochain on dendriform data (D, E) has the coordinates of the
 slot maps of a degree-k cochain on dendriform_to_rrb(D, E), so the
 labelled differential is assembled from the slot-map terms of the same
@@ -50,8 +56,8 @@ from .algebra import (
     hochschild_terms,
 )
 from .linalg import (
-    Matrix, OnColumns, Product, Q, assemble_terms, homology_dims,
-    kernel_basis, kron, padded, paste, signed_sum, stacked,
+    Matrix, OnColumns, Product, assemble_terms, homology_dims,
+    kernel_basis, kron, padded, paste, signed_sum, stacked, unstacked,
 )
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
@@ -59,11 +65,8 @@ from .rrb_modules import (
     semidirect_rrb,
 )
 
-ZERO = Q(0)
-
-
 # ---------------------------------------------------------------------------
-# cochain containers
+# cochains
 
 
 class RRBCochain:
@@ -128,46 +131,18 @@ class RRBCochain:
         return tuple(v for m in self.blocks() for v in m.entries)
 
     @staticmethod
-    def from_vector(x, b, k, vec):
+    def of_column(x, b, k, m, j=0):
+        """The degree-k cochain whose coordinates are column j of m."""
         shapes = _block_shapes(x, b, k)
-        vec = tuple(vec)
         size = sum(rows * cols for rows, cols in shapes)
-        if len(vec) != size:
-            raise ShapeError(f"vector length {len(vec)}, expected {size}")
-        maps, pos = [], 0
-        for rows, cols in shapes:
-            maps.append(Matrix(rows, cols, vec[pos:pos + rows * cols]))
-            pos += rows * cols
-        return RRBCochain.of_blocks(k, maps)
+        if m.rows != size:
+            raise ShapeError(f"column length {m.rows}, expected {size}")
+        return RRBCochain.of_blocks(k, unstacked(m, j, shapes))
 
     def __eq__(self, other):
         return (isinstance(other, RRBCochain) and
                 self.degree == other.degree and self.alpha == other.alpha and
                 self.beta == other.beta and self.gamma == other.gamma)
-
-
-class RBCochain:
-    """Degree-k cochain of the restricted (non-relative) complex.
-
-    Degree 1 is a single map A -> M; degree k >= 2 is a pair
-    (beta: A^(x)k -> M, gamma: A^(x)(k-1) -> M).
-    """
-
-    __slots__ = ("degree", "beta", "gamma")
-
-    def __init__(self, degree, beta, gamma=None):
-        if degree < 1:
-            raise ShapeError("cochain degree must be >= 1")
-        if (gamma is None) != (degree == 1):
-            raise ShapeError("gamma is present exactly when the degree is >= 2")
-        self.degree = degree
-        self.beta = beta
-        self.gamma = gamma
-
-    def __eq__(self, other):
-        return (isinstance(other, RBCochain) and
-                self.degree == other.degree and self.beta == other.beta and
-                self.gamma == other.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +250,7 @@ def rrb_differential(x, b, k, c):
     """Apply the degree-k differential to a cochain."""
     if c.degree != k:
         raise ShapeError(f"cochain degree {c.degree} != {k}")
-    return RRBCochain.from_vector(x, b, k + 1, _image(x, b, c).column(0))
+    return RRBCochain.of_column(x, b, k + 1, _image(x, b, c))
 
 
 def rrb_differential_matrix(x, b, k):
@@ -300,19 +275,15 @@ def cocycle_report(x, b, c, strict=False):
     rep = Report("cocycle")
     if image.is_zero():
         return rep
-    img = RRBCochain.from_vector(x, b, c.degree + 1, image.column(0))
-    blocks = [("alpha", "alpha", img.alpha)]
-    blocks.extend((f"beta {s}", f"beta[slot {s}]", m)
-                  for s, m in enumerate(img.beta, 1))
-    if img.gamma is not None:
-        blocks.append(("gamma", "gamma", img.gamma))
-    bad = []
-    for law, name, m in blocks:
-        vals = m.entries
-        if any(vals):
-            bad.append(name)
-        rep.require(f"differential_vanishes[{law}]", (), vals,
-                    (ZERO,) * len(vals))
+    k = c.degree + 1
+    names = [("alpha", "alpha")]
+    names.extend((f"beta {s}", f"beta[slot {s}]") for s in range(1, k + 1))
+    names.append(("gamma", "gamma"))
+    blocks = RRBCochain.of_column(x, b, k, image).blocks()
+    for (law, _), m in zip(names, blocks):
+        rep.require_equal(f"differential_vanishes[{law}]", m,
+                          Matrix(m.rows, m.cols))
+    bad = [name for (_, name), m in zip(names, blocks) if not m.is_zero()]
     if strict and bad:
         raise StructuralError(
             "not a cocycle: the differential is nonzero in " + ", ".join(bad))
@@ -364,7 +335,7 @@ def check_derivation(x, b, alpha, beta):
 def derivation_basis(x, b):
     """Basis of the degree-1 cocycles as (alpha, beta) cochains."""
     basis = kernel_basis(rrb_differential_matrix(x, b, 1))
-    return [RRBCochain.from_vector(x, b, 1, basis.column(j))
+    return [RRBCochain.of_column(x, b, 1, basis, j)
             for j in range(basis.cols)]
 
 
@@ -372,34 +343,41 @@ def derivation_basis(x, b):
 # the restricted complex of a Rota-Baxter pair
 
 
-def rb_restrict(pair, k, c):
-    """Differential of the restricted complex of (A, R) with (M, R_M).
+def _embedding(x, b, k):
+    """E_k: the restricted k-cochains (beta[, gamma]) inside the k-cochains
+    on (x, b), as alpha = beta_1 = .. = beta_k = beta, gamma kept."""
+    n, _, g = cochain_space_dims(x, b, k)
+    e = paste(Matrix((k + 1) * n + g, n + g),
+              kron(Matrix(k + 1, 1, [1] * (k + 1)), Matrix.identity(n)))
+    return paste(e, Matrix.identity(g), (k + 1) * n, n)
+
+
+def rb_differential_matrix(pair, k):
+    """Matrix of the degree-k differential of the restricted complex of
+    (A, R) with (M, R_M), k >= 1: P_{k+1} d_k E_k.
 
     The pair is read as the relative structure A -> A with coefficients
-    M -> M; a degree-k input embeds with every slot map equal to its
-    tensor component, the full differential is applied, and the image is
-    checked to have all slot maps equal to the new tensor component before
-    the duplicates are dropped.  A disagreement would mean the restricted
-    complex is not closed under the differential, which signals a bug, so
-    it raises instead of returning.
+    M -> M, whose differential is d_k.  A restricted k-cochain is beta:
+    A^(x)k -> M, with gamma: A^(x)(k-1) -> M from degree 2 on; E_k embeds
+    it (_embedding) and P_{k+1} keeps the alpha and gamma blocks of the
+    image.  The complex is closed under the differential when
+    E_{k+1} P_{k+1} d_k E_k == d_k E_k, on all cochains at once.  A
+    failure would signal a bug, so it raises instead of returning.
     """
     alg = pair.algebra
     x = RelativeRBAlgebra(alg, Bimodule.adjoint(alg), pair.rop)
-    coeff = RRBBimodule(x, pair.module, pair.module, pair.mop,
-                        pair.module.left, pair.module.right)
-    if c.degree != k:
-        raise ShapeError(f"cochain degree {c.degree} != {k}")
-    if k == 1:
-        emb = RRBCochain(1, c.beta, (c.beta,))
-    else:
-        emb = RRBCochain(k, c.beta, (c.beta,) * k, c.gamma)
-    img = rrb_differential(x, coeff, k, emb)
-    for bs in img.beta:
-        if bs != img.alpha:
-            raise StructuralError(
-                "restricted image has a slot map disagreeing with its "
-                "tensor component")
-    return RBCochain(k + 1, img.alpha, img.gamma)
+    b = RRBBimodule(x, pair.module, pair.module, pair.mop,
+                    pair.module.left, pair.module.right)
+    image = rrb_differential_matrix(x, b, k) * _embedding(x, b, k)
+    n, _, g = cochain_space_dims(x, b, k + 1)
+    keep = paste(paste(Matrix(n + g, image.rows), Matrix.identity(n)),
+                 Matrix.identity(g), n, image.rows - g)
+    restricted = keep * image
+    if _embedding(x, b, k + 1) * restricted != image:
+        raise StructuralError(
+            "restricted image has a slot map disagreeing with its tensor "
+            "component")
+    return restricted
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ solve_columns (with its case inverse), which return numbers and matrices,
 and homology_dims, which sweeps a whole cochain complex.
 
 A Matrix stores integers over one denominator, so the product, kron,
-bilinear_on_columns, signed_sum, stacked, paste, the term writes, the
-transpose and the eliminations compute in integers and build no rational;
-only the reads (at, row, column, entries, nonzero_items, row_dicts and
-apply) make Q values.  Structure files are parsed into integers and
-rendered from them: parse_ratio reads a scalar as an unreduced integer
-pair, ratio_matrix stores a matrix of such pairs over their lcm, and
-format_matrix writes each entry from its integer and the denominator;
-parse_rational and format_rational read and write one Q.
+bilinear_on_columns, signed_sum, stacked and its inverse unstacked, paste,
+the term writes, the transpose and the eliminations compute in integers
+and build no rational; only the reads (at, row, column, entries,
+nonzero_items, row_dicts and apply) make Q values.  Structure files are
+parsed into integers and rendered from them: parse_ratio reads a scalar
+as an unreduced integer pair, ratio_matrix stores a matrix of such pairs
+over their lcm, format_matrix writes each entry from its integer and the
+denominator, and parse_rational and format_rational read and write one Q.
 
 rank, kernel_basis, solve_columns and homology_dims run one elimination
 kernel, _echelon, on integer rows, with a column index of the live rows
@@ -420,6 +420,21 @@ def stacked(blocks):
             out.extend({0: f * row[j]} if j in row else {}
                        for j in range(m.cols))
     return Matrix._of(len(out), 1, out, _lowest(out, den))
+
+
+def unstacked(m, j, shapes):
+    """The inverse of stacked: column j of m cut into matrices of the given
+    (rows, cols) shapes, each filled row-major and in lowest terms."""
+    if m.rows != sum(r * c for r, c in shapes):
+        raise ValueError("column length must equal the blocks' total size")
+    column, out, pos = [row.get(j) for row in m._data], [], 0
+    for rows, cols in shapes:
+        data = [{c: v for c, v in
+                 enumerate(column[pos + i * cols:pos + (i + 1) * cols]) if v}
+                for i in range(rows)]
+        out.append(Matrix._of(rows, cols, data, _lowest(data, m._den)))
+        pos += rows * cols
+    return out
 
 
 def paste(dst, src, row_off=0, col_off=0):

@@ -322,7 +322,7 @@ def random_rrb_cochain(seed, x, b, k, density=0.7, span=3):
     total = sum(cochain_space_dims(x, b, k))
     vec = tuple(random_rational(rng, span) if rng.random() < density else ZERO
                 for _ in range(total))
-    return RRBCochain.from_vector(x, b, k, vec)
+    return RRBCochain.of_column(x, b, k, Matrix(total, 1, vec))
 
 
 def random_rrb_cocycle(seed, x, b, k):
@@ -334,4 +334,5 @@ def random_rrb_cocycle(seed, x, b, k):
     coeffs = [random_rational(rng, 3) for _ in range(basis.cols)]
     if not any(coeffs):
         coeffs[rng.randrange(len(coeffs))] = ONE
-    return RRBCochain.from_vector(x, b, k, basis.apply(coeffs))
+    return RRBCochain.of_column(x, b, k,
+                                basis * Matrix(basis.cols, 1, coeffs))

@@ -2,8 +2,8 @@
 constants (nested, from_nested), a count of the Fractions made
 (fractions_made), a reference Gauss-Jordan elimination,
 reference per-tuple axiom checks, reference index-loop assemblers of the
-cochain maps and reference basis-vector constructions, shared across test
-modules."""
+cochain maps, the restricted differential applied cochain by cochain and
+reference basis-vector constructions, shared across test modules."""
 
 from fractions import Fraction
 from itertools import product
@@ -13,7 +13,7 @@ from rotabaxter.algebra import (
     StructureConstants, _square_zero_dendriform, hochschild_matrix,
 )
 from rotabaxter.cohomology import (
-    RRBCochain, cochain_space_dims, semidirect_complex,
+    RRBCochain, cochain_space_dims, rrb_differential, semidirect_complex,
 )
 from rotabaxter.linalg import (
     Matrix, Q, TensorIndex, inverse, kron, paste, rank, signed_sum,
@@ -1693,3 +1693,27 @@ def ref_shear(e1, e2, sec1, sec2, corr, incl1, incl2, proj):
         cols.append(add_vec(sec2.apply(a),
                             incl2.apply(add_vec(y, corr.apply(a)))))
     return _ref_map_from_columns(cols, n, cod)
+
+
+def ref_rb_restrict(pair, k, beta, gamma=None):
+    """Differential of the restricted complex of (A, R) with (M, R_M) on
+    one cochain (beta[, gamma]), gamma present from degree 2 on.
+
+    The pair is read as the relative structure A -> A with coefficients
+    M -> M; the input embeds with every slot map equal to beta, the full
+    differential is applied, and the image is checked to have all slot
+    maps equal to its alpha before they are dropped.  Returns the image's
+    (alpha, gamma).
+    """
+    alg = pair.algebra
+    x = RelativeRBAlgebra(alg, Bimodule.adjoint(alg), pair.rop)
+    coeff = RRBBimodule(x, pair.module, pair.module, pair.mop,
+                        pair.module.left, pair.module.right)
+    emb = RRBCochain(k, beta, (beta,) * k, gamma)
+    img = rrb_differential(x, coeff, k, emb)
+    for bs in img.beta:
+        if bs != img.alpha:
+            raise StructuralError(
+                "restricted image has a slot map disagreeing with its "
+                "tensor component")
+    return img.alpha, img.gamma

@@ -26,7 +26,7 @@ from rotabaxter.cohomology import (
     derivation_basis, psi_matrix, rrb_differential, rrb_differential_matrix,
     semidirect_complex, semidirect_inclusion_matrix,
 )
-from rotabaxter.linalg import Matrix, Q, rank
+from rotabaxter.linalg import Matrix, Q, rank, stacked
 from rotabaxter.rrb import (
     RBBimodulePair, RMatrix, RelativeRBAlgebra, aybe_check,
     check_rb_bimodule, check_relative_rb, check_rota_baxter,
@@ -42,7 +42,7 @@ from rotabaxter.samples import (
     random_rrb_cocycle, random_rrb_pair,
 )
 
-from helpers import from_nested, nested, sub_vec
+from helpers import from_nested, nested
 
 
 # ------------------------------------------------------------------ helpers
@@ -225,8 +225,8 @@ def test_08_extension_classification():
     for n, (x, b, c1, e1) in enumerate(built):
         theta, vartheta = random_degree_one(x, b, 500 + n)
         shift = rrb_differential(x, b, 1, RRBCochain(1, theta, (vartheta,)))
-        c2 = RRBCochain.from_vector(
-            x, b, 2, sub_vec(c1.vector(), shift.vector()))
+        c2 = RRBCochain.of_column(
+            x, b, 2, stacked(c1.blocks()) - stacked(shift.blocks()))
         e2 = build_extension(x, b, c2)
         mor = extension_iso_from_cobounding(e1, e2, theta, vartheta)
         assert check_extension_morphism(e1, e2, mor).ok, n

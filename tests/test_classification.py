@@ -15,10 +15,11 @@ from rotabaxter.classification import (
     skeletal_to_triple, triple_to_skeletal,
 )
 from rotabaxter.cohomology import (
-    RRBCochain, rrb_differential, rrb_differential_matrix,
+    RRBCochain, cocycle_report, derivation_basis, rrb_differential,
+    rrb_differential_matrix,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, inverse, kernel_basis, paste, solve_columns,
+    Matrix, Q, inverse, kernel_basis, paste, solve_columns, stacked,
 )
 from rotabaxter.rrb import RRBMorphism, RelativeRBAlgebra, check_relative_rb
 from rotabaxter.rrb_modules import (
@@ -26,7 +27,7 @@ from rotabaxter.rrb_modules import (
 )
 from rotabaxter.samples import (
     bump_constants, bump_map, random_invertible, random_matrix,
-    random_rrb_cocycle, random_rrb_pair,
+    random_rrb_cochain, random_rrb_cocycle, random_rrb_pair,
 )
 
 import random
@@ -226,13 +227,12 @@ def test_cobounding_cochain_finds_witness():
         theta = random_matrix(rng, b.base.dim, x.algebra.dim)
         varth = random_matrix(rng, b.fiber.dim, x.module.dim)
         shift = rrb_differential(x, b, 1, RRBCochain(1, theta, (varth,)))
-        c2 = RRBCochain.from_vector(
-            x, b, 2, tuple(p + q for p, q in zip(c.vector(),
-                                                 shift.vector())))
+        c2 = RRBCochain.of_column(
+            x, b, 2, stacked(c.blocks()) + stacked(shift.blocks()))
         w = cobounding_cochain(x, b, c2, c)
         assert w is not None
         back = rrb_differential(x, b, 1, w)
-        assert tuple(back.vector()) == tuple(shift.vector())
+        assert back == shift
 
 
 def test_cobounding_cochain_none_when_not_cohomologous():
@@ -250,7 +250,10 @@ def test_cobounding_cochain_none_when_not_cohomologous():
 def test_elimination_and_extraction_build_no_fraction(monkeypatch):
     """kernel_basis, solve_columns and inverse return matrices built in
     integers, and so does reading the cocycle of sample 14's extension
-    back through its canonical section."""
+    back through its canonical section.  Cochains are cut from columns in
+    integers too: the differential of a non-cocycle, the derivation basis,
+    a cobounding cochain and the report on a cocycle make no Fraction,
+    and a random cocycle makes one per coefficient it draws."""
     x, b = random_rrb_pair(14)
     c = seeded_cocycle(14, x, b, 2)
     e = build_extension(x, b, c)
@@ -259,18 +262,34 @@ def test_elimination_and_extraction_build_no_fraction(monkeypatch):
     # the columns of d, all in its image, then the unit vectors, not all
     rhs = paste(paste(Matrix(d.rows, d.cols + d.rows), d),
                 Matrix.identity(d.rows), 0, d.cols)
+    free = random_rrb_cochain(14, x, b, 2)
+    shift = rrb_differential(x, b, 1, random_rrb_cochain(15, x, b, 1))
+    c2 = RRBCochain.of_column(
+        x, b, 2, stacked(c.blocks()) + stacked(shift.blocks()))
+    drawn = kernel_basis(rrb_differential_matrix(x, b, 2)).cols
     made = fractions_made(monkeypatch)
     basis = kernel_basis(d)
     sol, bad = solve_columns(d, rhs)
     inv = inverse(p)
     got = extract_cocycle(e, canonical_section(e))
+    image = rrb_differential(x, b, 2, free)
+    derivations = derivation_basis(x, b)
+    w = cobounding_cochain(x, b, c2, c)
+    report = cocycle_report(x, b, c)
     assert made == []
+    z = random_rrb_cocycle(16, x, b, 2)
+    assert len(made) == drawn
     monkeypatch.undo()
     assert basis.cols and (d * basis).is_zero()
     assert bad and min(bad) >= d.cols
     assert d * sol == paste(Matrix(d.rows, d.cols + d.rows), d)
     assert inv * p == Matrix.identity(6)
     assert got == c
+    assert image != RRBCochain.zero(x, b, 3)
+    assert len(derivations) == basis.cols
+    assert shift != RRBCochain.zero(x, b, 2)
+    assert rrb_differential(x, b, 1, w) == shift
+    assert report.ok and cocycle_report(x, b, z).ok
 
 
 def test_cobounding_cochain_refuses_a_cochain_of_another_pair():
@@ -304,9 +323,8 @@ def test_extension_iso_is_a_shear_in_glued_coordinates():
         theta = random_matrix(rng, b.base.dim, x.algebra.dim)
         varth = random_matrix(rng, b.fiber.dim, x.module.dim)
         shift = rrb_differential(x, b, 1, RRBCochain(1, theta, (varth,)))
-        c2 = RRBCochain.from_vector(
-            x, b, 2, tuple(p + q for p, q in zip(c.vector(),
-                                                 shift.vector())))
+        c2 = RRBCochain.of_column(
+            x, b, 2, stacked(c.blocks()) + stacked(shift.blocks()))
         e1 = build_extension(x, b, c2)
         e2 = build_extension(x, b, c)
         mor = extension_iso_from_cobounding(e1, e2, theta, varth)

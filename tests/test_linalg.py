@@ -8,8 +8,9 @@ from rotabaxter import linalg
 from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
     Matrix, OnColumns, Product, Q, TensorIndex, assemble_terms,
-    format_rational, homology_dims, inverse, kernel_basis, kron,
-    parse_rational, paste, rank, signed_sum, solve_columns,
+    format_matrix, format_rational, homology_dims, inverse, kernel_basis,
+    kron, parse_rational, paste, rank, signed_sum, solve_columns, stacked,
+    unstacked,
 )
 
 from helpers import (
@@ -194,10 +195,11 @@ class TestTensorIndex:
     lambda: Matrix(2, 2).add(0, -1, 1),
     lambda: paste(Matrix(2, 2), Matrix(1, 1), 2),  # a zero block too
     lambda: solve_columns(Matrix(2, 2), Matrix(3, 1)),
+    lambda: unstacked(Matrix(5, 1), 0, [(2, 2)]),
 ], ids=["entry-count", "ragged", "add", "sub", "mul", "apply",
         "negative-dim", "index-range", "index-length", "flat-range",
         "sparse-compose", "sparse-apply", "entry-row", "entry-col",
-        "paste-fit", "solve-columns-rows"])
+        "paste-fit", "solve-columns-rows", "unstacked-length"])
 def test_validation_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
@@ -235,6 +237,32 @@ def test_column_is_dense():
     m = Matrix(2, 3, [0, Q(1, 2), 0, 4, 0, 0])
     assert [m.column(j) for j in range(3)] == [(0, 4), (Q(1, 2), 0), (0, 0)]
     assert all(type(v) is Q for j in range(3) for v in m.column(j))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_unstacked_inverts_stacked(seed):
+    """Blocks of random shapes, 0 included, with mixed denominators: each
+    block cut from column j of a matrix is the matrix of its entries there,
+    in lowest terms on its own, whatever the other blocks' denominators."""
+    rng = random.Random(seed)
+    shapes = [(rng.randint(0, 3), rng.randint(0, 3))
+              for _ in range(rng.randint(1, 4))]
+    blocks = [Matrix(r, c, [Q(rng.choice((0, 0, 1, -3, 4)),
+                              rng.choice((1, 1, 2, 3, 7)))
+                            for _ in range(r * c)]) for r, c in shapes]
+    column = stacked(blocks)
+    assert column.column(0) == tuple(v for m in blocks for v in m.entries)
+    assert unstacked(column, 0, shapes) == blocks
+    width = rng.randint(1, 3)
+    j = rng.randrange(width)
+    wide = paste(Matrix(column.rows, width), column, 0, j)
+    cut = unstacked(wide, j, shapes)
+    assert cut == blocks
+    assert [format_matrix(m) for m in cut] == \
+        [[[format_rational(v) for v in m.row(i)] for i in range(m.rows)]
+         for m in blocks]
+    assert all(m.is_zero() for j2 in range(width) if j2 != j
+               for m in unstacked(wide, j2, shapes))
 
 
 @pytest.mark.parametrize("seed", range(40))
