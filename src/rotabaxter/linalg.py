@@ -25,23 +25,32 @@ denominator, and parse_rational and format_rational read and write one Q.
 
 rank, kernel_basis, solve_columns and homology_dims run one elimination
 kernel, _echelon, on integer rows, with a column index of the live rows
-that have a nonzero in each column.  An update costs the pivot's length,
-not the target row's: the sign of the pivot entry goes into the
-multiplier, so a target row is scaled only when the pivot entry does not
-divide its own, and a row is divided by its content only when it becomes
-a pivot (so pivot rows are primitive) and after such a scaling.  Only the
-pivot key differs between callers: rank takes the sparsest column first,
-which limits fill-in; kernel_basis and solve_columns take the smallest
-column first, because their documented output is fixed by the set of
-pivot columns, and elimination in column order always finds the same
-set.
+that have a nonzero in each column.  It owns the rows it is given and
+changes them in place, so each caller passes rows built for it: rank and
+kernel_basis copy the matrix's, solve_columns builds [m | b] and
+homology_dims the transpose.  It yields each (pivot column, pivot row)
+pair as it finds it and keeps no reference to the row: rank and
+homology_dims read only the columns and so hold no pivot row, while
+kernel_basis and solve_columns collect the pairs for back substitution.
+An update costs the pivot's length, not the target row's: the sign of the
+pivot entry goes into the multiplier, so a target row is scaled only when
+the pivot entry does not divide its own, and a row is divided by its
+content only when it becomes a pivot with rows to update and after such
+a scaling.  A lone pivot, the only live row in its column, updates no row
+and is taken as it is.  Only the pivot key differs between callers: rank
+takes the sparsest column first, which limits fill-in; kernel_basis and
+solve_columns take the smallest column first, because their documented
+output is fixed by the set of pivot columns, and elimination in column
+order always finds the same set.
 
 homology_dims ranks each d_k off the image of d_{k-1}, on its transpose.
 With R the rows of d_{k-1} found as pivots one step before (a row basis of
 it), C^k = im d_{k-1} (+) W, W spanned by the unit vectors off R, and the
 pivot columns of the transposed elimination on W are the next R.  This
 rests on d_k . d_{k-1} == 0, which homology_dims checks first, on the
-columns of d_{k-1} off the R before it, which span its image.
+columns of d_{k-1} off the R before it, which span its image: each row of
+d_k is multiplied out in full into one integer accumulator that serves
+every row, since a row that passes leaves it all 0.
 
 Conventions fixed here and relied on by every other module:
 
@@ -544,7 +553,19 @@ class Product:
         for a, i, u in _int_items(p):
             base, col = row_off + a * width, col_off + i * cols
             for r, c, v in scaled_q:
-                _add_entry(out[base + c], col + r, v if u == 1 else u * v)
+                # _add_entry inline: a call per entry slows assembly
+                row, j = out[base + c], col + r
+                if u != 1:
+                    v *= u
+                old = row.get(j)
+                if old is None:
+                    row[j] = v
+                else:
+                    nv = old + v
+                    if nv:
+                        row[j] = nv
+                    else:
+                        del row[j]
 
 
 class OnColumns:
@@ -588,7 +609,17 @@ class OnColumns:
                 base, step = row_off + (w * n + a) * cols, 1
             col, v = col_off + r * cols, factor * v
             for c in range(cols):
-                _add_entry(out[base + c * step], col + c, v)
+                # _add_entry inline: a call per entry slows assembly
+                row, j = out[base + c * step], col + c
+                old = row.get(j)
+                if old is None:
+                    row[j] = v
+                else:
+                    nv = old + v
+                    if nv:
+                        row[j] = nv
+                    else:
+                        del row[j]
 
 
 def assemble_terms(terms, in_shapes, out_shapes):
@@ -687,40 +718,48 @@ def _sparsest_first(index, ncols):
 
 
 def _echelon(rows, ncols, order):
-    """Forward elimination on integer rows.
+    """Forward elimination on integer rows, yielding (pivot col, pivot row)
+    pairs as it finds them.
 
-    rows are col -> integer dicts; they are not modified.  Each nonempty
-    row is copied as it is.  A column index keeps, for every column, the
-    set of live rows that have a nonzero there, so a pivot step touches
-    only the rows it changes.  order(index, ncols) yields the pivot
+    rows are col -> integer dicts that the elimination owns: it changes
+    them in place, so a caller passes rows built for it (rank and
+    kernel_basis copy the matrix's).  A column index keeps, for every
+    column, the set of live rows that have a nonzero there, so a pivot step
+    touches only the rows it changes.  order(index, ncols) yields the pivot
     columns, reading the index as elimination goes; only columns below
-    ncols are pivots.  The pivot row is the shortest live row in its
-    column (ties: first given), divided by its content when it is chosen.
-    With a its entry and b a target row's, g = gcd(a, b) takes the sign of
-    a, so the target row becomes (a/g) row - (b/g) pivot with a/g > 0: it
-    is scaled only when a does not divide b, never by -1, and only then
-    divided by its content, so an update with a | b costs the pivot's
-    length.  Every live row is a nonzero multiple of the primitive row of
-    its span with the same support, so the pivots chosen do not depend on
-    where content is taken.
+    ncols are pivots.  The pivot row is the shortest live row in its column
+    (ties: first given).  A lone pivot, the only live row in its column,
+    changes no other row and is taken as it is; a pivot with targets is
+    divided by its content first.  With a its entry and b a target row's,
+    g = gcd(a, b) takes the sign of a, so the target row becomes
+    (a/g) row - (b/g) pivot with a/g > 0: it is scaled only when a does not
+    divide b, never by -1, and only then divided by its content, so an
+    update with a | b costs the pivot's length.  Every live row is a
+    nonzero multiple of the primitive row of its span with the same
+    support, so the pivots chosen do not depend on where content is taken.
 
-    Returns (pivot rows, pivot cols): primitive integer rows, each with its
-    pivot at the matching entry of pivot cols.
+    A pivot row leaves the elimination when it is yielded: a caller that
+    reads only the pivot columns holds no pivot row.
     """
-    rows = [dict(r) for r in rows if r]
+    rows = [r for r in rows if r]
     index = [set() for _ in range(max((max(r) for r in rows), default=-1)
                                   + 1)]
     for i, r in enumerate(rows):
         for c in r:
             index[c].add(i)
-    pivots, pivot_cols = [], []
     for col in order(index, ncols):
         targets = index[col]
-        p = min(targets, key=lambda i: (len(rows[i]), i))
-        pivot = rows[p]
+        if len(targets) > 1:
+            p = min(targets, key=lambda i: (len(rows[i]), i))
+        else:
+            (p,) = targets
+        pivot, rows[p] = rows[p], None
         for c in pivot:
             index[c].discard(p)
         index[col] = set()
+        if not targets:
+            yield col, pivot
+            continue
         a = _primitive(pivot)[col]
         rest = [(c, v) for c, v in pivot.items() if c != col]
         for i in targets:
@@ -744,24 +783,23 @@ def _echelon(rows, ncols, order):
                     index[c].add(i)
             if fa != 1 and r:
                 _primitive(r)
-        pivots.append(pivot)
-        pivot_cols.append(col)
-    return pivots, pivot_cols
+        yield col, pivot
 
 
 def rank(m):
     """Exact row rank over the rationals; pivots sparsest column first."""
-    return len(_echelon(m._data, m.cols, _sparsest_first)[0])
+    return sum(1 for _ in _echelon([dict(r) for r in m._data], m.cols,
+                                   _sparsest_first))
 
 
-def _back_substitute(pivots, pivot_cols, free_col, free_value):
+def _back_substitute(pivots, free_col, free_value):
     """Complete a kernel vector from the integer free_value at the
-    non-pivot column free_col, 0 at the others.  The vector is kept as
-    integers over one denominator, which grows by the part of each pivot
-    its column's value does not cancel; returns (col -> int dict of the
-    nonzeros, den)."""
+    non-pivot column free_col, 0 at the others, given the (pivot col,
+    pivot row) pairs of _echelon.  The vector is kept as integers over one
+    denominator, which grows by the part of each pivot its column's value
+    does not cancel; returns (col -> int dict of the nonzeros, den)."""
     vec, den = {free_col: free_value}, 1
-    for row, pc in zip(reversed(pivots), reversed(pivot_cols)):
+    for pc, row in reversed(pivots):
         s = 0
         for c, v in row.items():  # vec has no value at pc yet
             x = vec.get(c)
@@ -800,9 +838,10 @@ def kernel_basis(m):
     One basis vector per non-pivot column, ascending; the vector carries 1 at
     its free column and 0 at the other free columns.
     """
-    pivots, pivot_cols = _echelon(m._data, m.cols, _column_order)
-    pivot_set = set(pivot_cols)
-    return _columns(m.cols, [_back_substitute(pivots, pivot_cols, j, 1)
+    pivots = list(_echelon([dict(r) for r in m._data], m.cols,
+                           _column_order))
+    pivot_set = {c for c, _ in pivots}
+    return _columns(m.cols, [_back_substitute(pivots, j, 1)
                              for j in range(m.cols) if j not in pivot_set])
 
 
@@ -826,13 +865,13 @@ def solve_columns(m, b):
         for j, v in extra.items():
             out[n + j] = m._den * v
         rows.append(out)
-    pivots, pivot_cols = _echelon(rows, width, _column_order)
-    r = sum(c < n for c in pivot_cols)
-    bad = {c - n for row in pivots[r:] for c in row}
-    pivots, pivot_cols = pivots[:r], pivot_cols[:r]
+    pivots = list(_echelon(rows, width, _column_order))
+    r = sum(c < n for c, _ in pivots)
+    bad = {c - n for _, row in pivots[r:] for c in row}
+    del pivots[r:]
     # -1 at the column of b moves it to the other side of m x = b
     return _columns(n, [({}, 1) if j in bad else
-                        _back_substitute(pivots, pivot_cols, n + j, -1)
+                        _back_substitute(pivots, n + j, -1)
                         for j in range(b.cols)]), bad
 
 
@@ -846,8 +885,9 @@ def inverse(m):
 
 def _transpose_off(m, skip):
     """The rows of m's transpose, built in one pass from m's row dicts,
-    with those in skip left empty, which _echelon skips.  Passed straight
-    to _echelon, they are freed once it has made its copies."""
+    with those in skip left empty, which _echelon skips.  They are fresh,
+    so _echelon takes them over: each is freed when it is yielded as a
+    pivot or when the elimination ends."""
     out = [{} for _ in range(m.cols)]
     for i, row in enumerate(m._data):
         for j, v in row.items():
@@ -858,16 +898,23 @@ def _transpose_off(m, skip):
 
 def _kills(d, inner, skip):
     """Whether d . inner is zero on the columns of inner off skip; in
-    integers, a row at a time, stopping at the first nonzero row."""
-    kept = [{j: v for j, v in row.items() if j not in skip}
-            for row in inner._data] if skip else inner._data
+    integers, a row at a time, stopping at the first nonzero row.
+
+    The rows of inner are filtered once, as (j, v) lists.  One accumulator
+    serves every row of d: each row's product is summed into it in full,
+    then the entries it touched are read, and a row that passes leaves
+    them all 0, so the next row starts from zero with no reset."""
+    kept = [[(j, v) for j, v in row.items() if j not in skip]
+            for row in inner._data]
+    acc = [0] * inner.cols
     for row in d._data:
-        acc = {}
         for k, v in row.items():
-            for j, w in kept[k].items():
-                acc[j] = acc.get(j, 0) + v * w
-        if any(acc.values()):
-            return False
+            for j, w in kept[k]:
+                acc[j] += v * w
+        for k in row:
+            for j, _ in kept[k]:
+                if acc[j]:
+                    return False
     return True
 
 
@@ -877,7 +924,9 @@ def homology_dims(differentials):
     differentials is any iterable of matrices; the map into the domain of
     d_0 is zero.  Each map is checked against the one before it for
     cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0, then ranked once,
-    and dropped after its successor.
+    and dropped once its successor is checked, before that is ranked.  The
+    elimination holds no pivot row: only its pivot columns are kept, as
+    the next R.
 
     The rank is taken off the image of d_{k-1}.  A set R of rows of d_{k-1}
     that is a row basis of it projects im d_{k-1} one to one onto the
@@ -904,9 +953,10 @@ def homology_dims(differentials):
                     f"d_{k - 1} has {inner.rows} rows")
             if not _kills(d, inner, inner_skip):
                 raise ValueError(f"d_{k} . d_{k - 1} != 0: not a complex")
-        pivots, pivot_cols = _echelon(_transpose_off(d, row_basis), d.rows,
-                                      _sparsest_first)
-        dims.append(d.cols - len(pivots) - inner_rank)
-        inner, inner_rank = d, len(pivots)
-        inner_skip, row_basis = row_basis, set(pivot_cols)
+        inner = d
+        pivot_cols = {c for c, _ in _echelon(_transpose_off(d, row_basis),
+                                             d.rows, _sparsest_first)}
+        dims.append(d.cols - len(pivot_cols) - inner_rank)
+        inner_rank, inner_skip, row_basis = (len(pivot_cols), row_basis,
+                                             pivot_cols)
     return dims

@@ -904,6 +904,28 @@ def test_restricted_ranks_to_degree_five_match_full_rank(seed):
     assert homology_dims(maps) == full_rank_dims(maps)[0] == [3, 3, 4, 5, 6]
 
 
+@pytest.mark.parametrize("seed", ALL_THREE)
+def test_complex_check_sees_a_defect_in_the_first_and_last_row(seed):
+    """d_3 with one entry bumped, in its first row and, separately, in its
+    last, after every other row has been checked: the check of d_3 . d_2
+    must fail both times.  The bump sits at the first column k whose row
+    of d_2 is nonzero, so row i of the product moves by that row.  The
+    check reads d_2 only off the row basis R of d_1 it was ranked off; a
+    nonzero row of d_2 is nonzero there too, since its entries in R are
+    combinations of those off R."""
+    x, b = random_rrb_pair(seed)
+    d_1, d_2, d_3 = (rrb_differential_matrix(x, b, k) for k in (1, 2, 3))
+    assert homology_dims([d_1, d_2, d_3]) == [3, 3, 4]
+    k = next(k for k in range(d_2.rows) if any(d_2.row(k)))
+    for i in (0, d_3.rows - 1):
+        bump = Matrix.zero(d_3.rows, d_3.cols)
+        bump.add(i, k, 1)
+        bumped = d_3 + bump
+        assert not (bumped * d_2).is_zero()
+        with pytest.raises(ValueError, match="not a complex"):
+            homology_dims([d_1, d_2, bumped])
+
+
 def test_cohomology_is_invariant_under_transport():
     for seed in range(100):
         x, b = random_rrb_pair(seed)
@@ -913,11 +935,12 @@ def test_cohomology_is_invariant_under_transport():
 
 
 def test_cohomology_in_degrees_four_and_five():
-    """Pinned from the rational elimination the integer kernel replaced,
-    and in degree 6 from the integer kernel.  Sample 14's d_6 is
-    54675x16038 and sample 65's d_4 is 4617x1296."""
-    assert rrb_cohomology_dims(*random_rrb_pair(14), 6) == \
-        [3, 3, 4, 5, 6, 7]
+    """Pins H^1..H^7 of sample 14 and H^1..H^4 of sample 65: degrees 4
+    and 5 from the rational elimination the integer kernel replaced,
+    degrees 6 and 7 from the integer kernel.  Sample 14's d_7 is
+    183708x54675 and sample 65's d_4 is 4617x1296."""
+    assert rrb_cohomology_dims(*random_rrb_pair(14), 7) == \
+        [3, 3, 4, 5, 6, 7, 7]
     assert rrb_cohomology_dims(*random_rrb_pair(65), 4) == [3, 3, 4, 5]
 
 

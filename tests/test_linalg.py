@@ -536,13 +536,11 @@ class TestInverse:
         assert invertible > 10
 
 
-def test_random_matrices_match_reference_gauss_jordan():
-    """rank, kernel_basis, solve_columns and inverse agree exactly with the
-    textbook dense Gauss-Jordan of tests/helpers.py on random matrices with
-    mixed denominators, some with a row that is a combination of two
-    others."""
+def gauss_jordan_cases():
+    """150 random matrices, each with a right-hand side and its leading
+    square block: mixed denominators, some with a row that is a
+    combination of two others."""
     rng = random.Random(2718)
-    inconsistent = singular = 0
     for _ in range(150):
         m = mixed_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
                          rng.choice((0.3, 0.6, 0.9)))
@@ -553,6 +551,16 @@ def test_random_matrices_match_reference_gauss_jordan():
                                      in zip(m.row(0), m.row(1))]])
         rhs = tuple(Q(rng.randint(-3, 3), rng.choice((1, 2, 9)))
                     for _ in range(m.rows))
+        n = min(m.rows, m.cols)
+        yield m, rhs, Matrix.from_rows([list(m.row(i)[:n])
+                                        for i in range(n)])
+
+
+def test_random_matrices_match_reference_gauss_jordan():
+    """rank, kernel_basis, solve_columns and inverse agree exactly with the
+    textbook dense Gauss-Jordan of tests/helpers.py on gauss_jordan_cases."""
+    inconsistent = singular = 0
+    for m, rhs, square in gauss_jordan_cases():
         basis, sol, pivots, _ = reference_elimination(m, rhs)
         assert rank(m) == len(pivots)
         assert kernel_basis(m) == Matrix.from_columns(m.cols, basis)
@@ -560,14 +568,26 @@ def test_random_matrices_match_reference_gauss_jordan():
             ((Matrix.zero(m.cols, 1), {0}) if sol is None
              else (column(*sol), set()))
         inconsistent += sol is None
-        n = min(m.rows, m.cols)
-        square = Matrix.from_rows([list(m.row(i)[:n]) for i in range(n)])
         want = reference_inverse(square)
         singular += want is None
         if want is not None:
             want = Matrix.from_rows(want)
         assert inverse(square) == want
     assert inconsistent > 10 and singular > 10
+
+
+def test_eliminations_leave_their_inputs_alone():
+    """The elimination changes the rows it is given in place, so rank,
+    kernel_basis, solve_columns and inverse hand it rows of their own: on
+    gauss_jordan_cases, each leaves its arguments equal to copies taken
+    before the call."""
+    for m, rhs, square in gauss_jordan_cases():
+        for call, args in ((rank, (m,)), (kernel_basis, (m,)),
+                           (solve_columns, (m, column(*rhs))),
+                           (inverse, (square,))):
+            before = [Matrix(a.rows, a.cols, a.entries) for a in args]
+            call(*args)
+            assert list(args) == before, call.__name__
 
 
 def test_solve_columns_matches_reference_column_by_column():
