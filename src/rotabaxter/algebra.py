@@ -35,8 +35,8 @@ from itertools import accumulate
 
 from .linalg import (
     Matrix, OnColumns, Product, TensorIndex, ZERO, assemble_terms,
-    bilinear_on_columns, format_rational, homology_dims, padded, paste,
-    signed_sum,
+    bilinear_on_columns, format_rational, padded, paste, signed_sum,
+    transposed_homology_dims,
 )
 
 
@@ -396,9 +396,9 @@ def hochschild_terms(mod, k):
     return terms
 
 
-def hochschild_matrix(mod, k):
-    """Matrix of the Hochschild differential C^k(A, M) -> C^{k+1}(A, M),
-    assembled from hochschild_terms.
+def hochschild_matrix(mod, k, transposed=False):
+    """Matrix of the Hochschild differential C^k(A, M) -> C^{k+1}(A, M), or
+    its transpose when transposed, assembled from hochschild_terms.
 
     Cochain coordinates are row-major matrix entries: index = w * dimA^k + t
     for target coordinate w and flattened input tuple t.
@@ -407,7 +407,7 @@ def hochschild_matrix(mod, k):
         raise ShapeError(f"cochain degree must be >= 0, got {k}")
     dA, dM = mod.over.dim, mod.dim
     return assemble_terms([(s, 0, 0, t) for s, t in hochschild_terms(mod, k)],
-                          [(dM, dA ** k)], [(dM, dA ** (k + 1))])
+                          [(dM, dA ** k)], [(dM, dA ** (k + 1))], transposed)
 
 
 def hochschild_cohomology_dims(mod, max_degree):
@@ -416,8 +416,9 @@ def hochschild_cohomology_dims(mod, max_degree):
     if max_degree < 0:
         raise ShapeError(
             f"Hochschild cohomology starts in degree 0, got {max_degree}")
-    return homology_dims(hochschild_matrix(mod, k)
-                         for k in range(max_degree + 1))
+    return transposed_homology_dims(
+        hochschild_matrix(mod, k, transposed=True)
+        for k in range(max_degree + 1))
 
 
 class DendriformAlgebra:

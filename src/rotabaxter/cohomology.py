@@ -56,8 +56,8 @@ from .algebra import (
     hochschild_terms,
 )
 from .linalg import (
-    Matrix, OnColumns, Product, assemble_terms, homology_dims,
-    kernel_basis, kron, padded, paste, signed_sum, stacked, unstacked,
+    Matrix, OnColumns, Product, assemble_terms, kernel_basis, kron, padded,
+    paste, signed_sum, stacked, transposed_homology_dims, unstacked,
 )
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
@@ -253,13 +253,13 @@ def rrb_differential(x, b, k, c):
     return RRBCochain.of_column(x, b, k + 1, _image(x, b, c))
 
 
-def rrb_differential_matrix(x, b, k):
-    """Matrix of the full degree-k differential, k >= 1, assembled from
-    rrb_terms."""
+def rrb_differential_matrix(x, b, k, transposed=False):
+    """Matrix of the full degree-k differential, k >= 1, or its transpose
+    when transposed, assembled from rrb_terms."""
     if k < 1:
         raise ShapeError("the differential starts in degree 1")
     return assemble_terms(rrb_terms(x, b, k), _block_shapes(x, b, k),
-                          _block_shapes(x, b, k + 1))
+                          _block_shapes(x, b, k + 1), transposed)
 
 
 def cocycle_report(x, b, c, strict=False):
@@ -295,8 +295,9 @@ def rrb_cohomology_dims(x, b, max_degree):
     degree 1 is the zero map."""
     if max_degree < 1:
         raise ShapeError(f"RRB cohomology starts in degree 1, got {max_degree}")
-    return homology_dims(rrb_differential_matrix(x, b, k)
-                         for k in range(1, max_degree + 1))
+    return transposed_homology_dims(
+        rrb_differential_matrix(x, b, k, transposed=True)
+        for k in range(1, max_degree + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ adding many in one copy), the Kronecker product kron, bilinear_on_columns
 (a bilinear map's matrix times a Kronecker product, with none built),
 linear maps on lists of matrix blocks given as terms (Product, OnColumns),
 whose signed entries assemble_terms writes, term by term, straight into
-the rows of one matrix (write is each term's one definition), multi-index
-flattening for tensor powers, the workhorses rank / kernel_basis /
-solve_columns (with its case inverse), which return numbers and matrices,
-and homology_dims, which sweeps a whole cochain complex.
+the rows of one matrix or of its transpose (write is each term's one
+definition), multi-index flattening for tensor powers, the workhorses
+rank / kernel_basis / solve_columns (with its case inverse), which return
+numbers and matrices, and homology_dims, which sweeps a whole cochain
+complex (transposed_homology_dims, given the maps' transposes).
 
 A Matrix stores integers over one denominator, so the product, kron,
 bilinear_on_columns, signed_sum, stacked and its inverse unstacked, paste,
@@ -27,10 +28,10 @@ rank, kernel_basis, solve_columns and homology_dims run one elimination
 kernel, _echelon, on integer rows, with a column index of the live rows
 that have a nonzero in each column.  It owns the rows it is given and
 changes them in place, so each caller passes rows built for it: rank and
-kernel_basis copy the matrix's, solve_columns builds [m | b] and
-homology_dims the transpose.  It yields each (pivot column, pivot row)
-pair as it finds it and keeps no reference to the row: rank and
-homology_dims read only the columns and so hold no pivot row, while
+kernel_basis copy the matrix's, solve_columns builds [m | b] and the sweep
+hands over the transposes it owns.  It yields each (pivot column, pivot
+row) pair as it finds it and keeps no reference to the row: rank and the
+sweep read only the columns and so hold no pivot row, while
 kernel_basis and solve_columns collect the pairs for back substitution.
 An update costs the pivot's length, not the target row's: the sign of the
 pivot entry goes into the multiplier, so a target row is scaled only when
@@ -43,14 +44,18 @@ solve_columns take the smallest column first, because their documented
 output is fixed by the set of pivot columns, and elimination in column
 order always finds the same set.
 
-homology_dims ranks each d_k off the image of d_{k-1}, on its transpose.
-With R the rows of d_{k-1} found as pivots one step before (a row basis of
-it), C^k = im d_{k-1} (+) W, W spanned by the unit vectors off R, and the
-pivot columns of the transposed elimination on W are the next R.  This
-rests on d_k . d_{k-1} == 0, which homology_dims checks first, on the
-columns of d_{k-1} off the R before it, which span its image: each row of
-d_k is multiplied out in full into one integer accumulator that serves
-every row, since a row that passes leaves it all 0.
+The sweep runs on the transposes T_k = d_k^T, which the cohomology
+modules assemble as such and homology_dims takes from its matrices.  It
+ranks each d_k off the image of d_{k-1}, as T_k: with R the rows of
+d_{k-1} found as pivots one step before (a row basis of it), C^k =
+im d_{k-1} (+) W, W spanned by the unit vectors off R, so T_k's rows in R
+are emptied, and the pivot columns of the elimination of the rest are
+the next R.  This rests on d_k . d_{k-1} == 0, which the sweep checks
+first, as T_{k-1} . T_k == 0 on the rows of T_{k-1} off the R before it,
+which span im d_{k-1}: T_{k-1} is kept as it was built until T_k is, and
+each of its rows is multiplied out in full into one integer accumulator
+of length rows(d_k) that serves every row, since a row that passes leaves
+it all 0.  Only then is T_{k-1} eliminated, in the rows it was built in.
 
 Conventions fixed here and relied on by every other module:
 
@@ -70,7 +75,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 
 ZERO = Q(0)
@@ -282,8 +287,11 @@ class Matrix:
 
     def transpose(self):
         self._settle()
-        return Matrix._of(self.cols, self.rows, _transpose_off(self, ()),
-                          self._den)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, v in row.items():
+                out[j][i] = v
+        return Matrix._of(self.cols, self.rows, out, self._den)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -542,19 +550,29 @@ class Product:
         """The denominator over which write adds the matrix's integers."""
         return self.q._den * (1 if self.p is None else self.p._den)
 
-    def write(self, out, factor, row_off, col_off, rows, cols):
+    def write(self, out, keys, factor, row_off, col_off, rows, cols,
+              transposed):
         """Add factor times den times the term's matrix on rows x cols
-        matrices X (integers) to the integer row dicts out, with its corner
-        at (row_off, col_off).  p[a, i] q[r, c] takes X[i, r] to image
-        entry (a, c); p None is I_rows."""
-        p = Matrix.identity(rows) if self.p is None else self.p
-        scaled_q = [(r, c, factor * v) for r, c, v in _int_items(self.q)]
+        matrices X (integers), or its transpose when transposed, to the
+        integer row dicts out, with its corner at (row_off, col_off) of the
+        matrix; column j of out is keyed by keys[j].  p[a, i] q[r, c] takes
+        X[i, r] to image entry (a, c); p None is I_rows."""
+        # (a, i, p[a, i]) in integers: I_rows has (a, a, 1)
+        p_items = (zip(range(rows), range(rows), repeat(1)) if self.p is None
+                   else _int_items(self.p))
+        # each entry's place in its (a, i) block: (row of out, key in it)
+        if transposed:
+            scaled_q = [(r, c, factor * v) for r, c, v in _int_items(self.q)]
+        else:
+            scaled_q = [(c, r, factor * v) for r, c, v in _int_items(self.q)]
         width = self.q.cols
-        for a, i, u in _int_items(p):
+        for a, i, u in p_items:
             base, col = row_off + a * width, col_off + i * cols
-            for r, c, v in scaled_q:
+            if transposed:
+                base, col = col, base
+            for s, t, v in scaled_q:
                 # _add_entry inline: a call per entry slows assembly
-                row, j = out[base + c], col + r
+                row, j = out[base + s], keys[col + t]
                 if u != 1:
                     v *= u
                 old = row.get(j)
@@ -592,25 +610,33 @@ class OnColumns:
         """The denominator over which write adds the matrix's integers."""
         return self.t._den
 
-    def write(self, out, factor, row_off, col_off, rows, cols):
+    def write(self, out, keys, factor, row_off, col_off, rows, cols,
+              transposed):
         """Add factor times den times the term's matrix on rows x cols
-        matrices X (integers) to the integer row dicts out, with its corner
-        at (row_off, col_off).  Entry t[w, j] pairs basis vector a with row
-        r of X (j = a rows + r, or r n + a when x_first).  For each column
-        c of X it takes X[r, c] to image entry (w, a cols + c), or
-        (w, c n + a) when x_first."""
-        n = self.n
+        matrices X (integers), or its transpose when transposed, to the
+        integer row dicts out, with its corner at (row_off, col_off) of the
+        matrix; column j of out is keyed by keys[j].  Entry t[w, j] pairs
+        basis vector a with row r of X (j = a rows + r, or r n + a when
+        x_first).  For each column c of X it takes X[r, c] to image entry
+        (w, a cols + c), or (w, c n + a) when x_first."""
+        n, x_first = self.n, self.x_first
+        # column c of X puts its entry c step rows and c columns on from
+        # column 0's: in the transpose, c rows and c step columns
+        step = n if x_first else 1
+        row_step, key_step = (1, step) if transposed else (step, 1)
         for w, j, v in _int_items(self.t):
-            if self.x_first:
+            if x_first:
                 r, a = divmod(j, n)
-                base, step = row_off + w * cols * n + a, n
+                base = row_off + w * cols * n + a
             else:
                 a, r = divmod(j, rows)
-                base, step = row_off + (w * n + a) * cols, 1
+                base = row_off + (w * n + a) * cols
             col, v = col_off + r * cols, factor * v
+            if transposed:
+                base, col = col, base
             for c in range(cols):
                 # _add_entry inline: a call per entry slows assembly
-                row, j = out[base + c * step], col + c
+                row, j = out[base + c * row_step], keys[col + c * key_step]
                 old = row.get(j)
                 if old is None:
                     row[j] = v
@@ -622,21 +648,29 @@ class OnColumns:
                         del row[j]
 
 
-def assemble_terms(terms, in_shapes, out_shapes):
+def assemble_terms(terms, in_shapes, out_shapes, transposed=False):
     """The matrix of the map on lists of matrix blocks whose out-block o
     is the sum of sign * term(in-block i) over its (sign, i, o, term)
     terms: the blocks read row-major and concatenated in order.  Each term
     adds its signed integer entries straight into the rows, at its block's
-    offsets, scaled to the lcm of the terms' denominators."""
+    offsets, scaled to the lcm of the terms' denominators.  When transposed
+    it is the transpose, written as directly: each term puts entry (i, j)
+    at (j, i).  Every row keys column j by one shared int object, as a
+    transpose pass would: an elimination's key comparisons then find the
+    same object, and a nonzero costs no int of its own."""
     terms = list(terms)
     row_off = [0, *accumulate(r * c for r, c in out_shapes)]
     col_off = [0, *accumulate(r * c for r, c in in_shapes)]
     den = lcm(*(term.den for _, _, _, term in terms))
-    out = [{} for _ in range(row_off[-1])]
+    shape = row_off[-1], col_off[-1]
+    if transposed:
+        shape = shape[::-1]
+    out = [{} for _ in range(shape[0])]
+    keys = list(range(shape[1]))
     for sign, i, o, term in terms:
-        term.write(out, sign * (den // term.den), row_off[o], col_off[i],
-                   *in_shapes[i])
-    return Matrix._of(row_off[-1], col_off[-1], out, _lowest(out, den))
+        term.write(out, keys, sign * (den // term.den), row_off[o],
+                   col_off[i], *in_shapes[i], transposed)
+    return Matrix._of(*shape, out, _lowest(out, den))
 
 
 class TensorIndex:
@@ -883,36 +917,20 @@ def inverse(m):
     return None if bad else x
 
 
-def _transpose_off(m, skip):
-    """The rows of m's transpose, built in one pass from m's row dicts,
-    with those in skip left empty, which _echelon skips.  They are fresh,
-    so _echelon takes them over: each is freed when it is yielded as a
-    pivot or when the elimination ends."""
-    out = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m._data):
-        for j, v in row.items():
-            if j not in skip:
-                out[j][i] = v
-    return out
-
-
-def _kills(d, inner, skip):
-    """Whether d . inner is zero on the columns of inner off skip; in
-    integers, a row at a time, stopping at the first nonzero row.
-
-    The rows of inner are filtered once, as (j, v) lists.  One accumulator
-    serves every row of d: each row's product is summed into it in full,
-    then the entries it touched are read, and a row that passes leaves
-    them all 0, so the next row starts from zero with no reset."""
-    kept = [[(j, v) for j, v in row.items() if j not in skip]
-            for row in inner._data]
-    acc = [0] * inner.cols
-    for row in d._data:
+def _kills(outer, inner, width):
+    """Whether the product of two lists of integer rows is zero, the rows
+    of inner width long; a row of outer at a time, stopping at the first
+    nonzero row.  One accumulator serves every row: each row's product is
+    summed into it in full, then the entries it touched are read, and a
+    row that passes leaves them all 0, so the next row starts from zero
+    with no reset."""
+    acc = [0] * width
+    for row in outer:
         for k, v in row.items():
-            for j, w in kept[k]:
+            for j, w in inner[k].items():
                 acc[j] += v * w
         for k in row:
-            for j, _ in kept[k]:
+            for j in inner[k]:
                 if acc[j]:
                     return False
     return True
@@ -923,40 +941,62 @@ def homology_dims(differentials):
 
     differentials is any iterable of matrices; the map into the domain of
     d_0 is zero.  Each map is checked against the one before it for
-    cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0, then ranked once,
-    and dropped once its successor is checked, before that is ranked.  The
-    elimination holds no pivot row: only its pivot columns are kept, as
-    the next R.
+    cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0 before that one is
+    ranked.  The sweep, transposed_homology_dims, runs on d.transpose() of
+    each map, so the matrices given are never changed.
+    """
+    return transposed_homology_dims(d.transpose() for d in differentials)
+
+
+def transposed_homology_dims(transposes):
+    """homology_dims of the complex whose maps' transposes T_k = d_k^T are
+    given, in order.  Each is a fresh matrix that the sweep owns: it
+    changes it in place and drops it once it is ranked.
+
+    T_{k-1} is kept as it is until T_k arrives.  Then T_k is checked
+    against it for cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0,
+    T_{k-1} is ranked and dropped, and the next T is awaited; the last map
+    is ranked after the loop.  The elimination holds no pivot row: only its
+    pivot columns are kept, as the next R.
 
     The rank is taken off the image of d_{k-1}.  A set R of rows of d_{k-1}
     that is a row basis of it projects im d_{k-1} one to one onto the
     coordinates in R, so C^k = im d_{k-1} (+) W, W spanned by the unit
     vectors off R.  d_k kills the image (the check above, made first, is
-    what makes this exact), so rank d_k is the rank of d_k on W: of its
-    transpose with the rows in R left out.  The pivot columns of that
-    elimination are rank d_k rows of d_k, independent on W and so in d_k:
-    the next R.  The first map starts with R empty.
+    what makes this exact), so rank d_k is the rank of d_k on W: of T_k
+    with its rows in R emptied, which they are as soon as R is found.  The
+    pivot columns of that elimination are rank d_k rows of d_k, independent
+    on W and so in d_k: the next R.  The first map starts with R empty.
 
     The same splitting makes the check cheaper.  With R' the rows of
     d_{k-2} that d_{k-1} was ranked off, C^{k-1} = im d_{k-2} (+) W', and
     d_{k-1} kills im d_{k-2} (checked the step before), so im d_{k-1} is
     spanned by the columns of d_{k-1} off R': d_k . d_{k-1} == 0 exactly
-    when d_k kills those columns.
+    when T_{k-1} . T_k, the transposed product, is zero on the rows of
+    T_{k-1} off R', the rows that are not yet emptied.
     """
-    dims = []
-    inner, inner_rank, inner_skip, row_basis = None, 0, set(), set()
-    for k, d in enumerate(differentials):
-        if inner is not None:
-            if d.cols != inner.rows:
-                raise ValueError(
-                    f"not composable: d_{k} has {d.cols} cols, "
-                    f"d_{k - 1} has {inner.rows} rows")
-            if not _kills(d, inner, inner_skip):
-                raise ValueError(f"d_{k} . d_{k - 1} != 0: not a complex")
-        inner = d
-        pivot_cols = {c for c, _ in _echelon(_transpose_off(d, row_basis),
-                                             d.rows, _sparsest_first)}
-        dims.append(d.cols - len(pivot_cols) - inner_rank)
-        inner_rank, inner_skip, row_basis = (len(pivot_cols), row_basis,
-                                             pivot_cols)
+    dims, held, held_rank = [], None, 0
+    # a None after the last map ranks it in the loop, and leaves the loop
+    # variable holding no matrix while it is ranked
+    for k, t in enumerate(chain(transposes, [None])):
+        if held is not None:
+            if t is not None:
+                if t.rows != held.cols:
+                    raise ValueError(
+                        f"not composable: d_{k} has {t.rows} cols, "
+                        f"d_{k - 1} has {held.cols} rows")
+                if not _kills(held._data, t._data, t.cols):
+                    raise ValueError(
+                        f"d_{k} . d_{k - 1} != 0: not a complex")
+            # the elimination takes held's rows over and frees each as it
+            # goes: held is dropped before it starts
+            steps = _echelon(held._data, held.cols, _sparsest_first)
+            size, held = held.rows, None
+            row_basis = {c for c, _ in steps}
+            dims.append(size - len(row_basis) - held_rank)
+            held_rank = len(row_basis)
+            if t is not None:
+                for j in row_basis:
+                    t._data[j] = {}
+        held = t
     return dims

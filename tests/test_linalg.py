@@ -132,7 +132,8 @@ class TestHomologyDim:
             homology_dims([d_in, d_out])
 
     def test_checks_before_it_ranks(self, monkeypatch):
-        # d_1 . d_0 != 0 raises once d_0 is ranked and before d_1 is
+        # d_k . d_{k-1} != 0 raises before d_{k-1} is ranked: d_1 . d_0
+        # before any map is, and d_2 . d_1 once d_0 is and before d_1 is
         ranked = []
 
         def counting(rows, ncols, order):
@@ -145,7 +146,30 @@ class TestHomologyDim:
         d_1 = mat([[1, 0], [0, 0], [0, 0]])
         with pytest.raises(ValueError, match="not a complex"):
             homology_dims([d_0, d_1])
+        assert ranked == []
+        d_1 = mat([[0, 1], [0, 0], [0, 0]])
+        d_2 = mat([[1, 0, 0]])
+        with pytest.raises(ValueError, match="not a complex"):
+            homology_dims([d_0, d_1, d_2])
         assert ranked == [d_0.rows]
+
+    def test_empty_complex(self):
+        assert homology_dims([]) == []
+
+    def test_single_map_gives_its_nullity(self):
+        d = mat([[1, 2, 0], [2, 4, 0]])
+        assert homology_dims([d]) == [d.cols - rank(d)] == [2]
+
+    def test_defect_in_the_last_map_is_seen(self):
+        # the check of the last map runs before the map before it is
+        # ranked, and no later map comes to trigger it
+        d_0, d_1 = mat([[1], [-1], [0]]), mat([[1, 1, 0], [0, 0, 1]])
+        assert homology_dims([d_0, d_1]) == [0, 0]
+        for i, j in ((0, 0), (1, 1)):
+            bumped = Matrix(d_1.rows, d_1.cols, d_1.entries)
+            bumped.add(i, j, 1)
+            with pytest.raises(ValueError, match="not a complex"):
+                homology_dims([d_0, bumped])
 
     def test_ranks_off_the_pivot_rows(self):
         # The first rank-many rows of d_0 (row 0) and of d_1 (row 0) are
@@ -300,8 +324,13 @@ def test_kron_columns_join_the_tuples():
 
 def term_matrix(term, in_shape, out_shape):
     """The term's matrix from in_shape to out_shape matrices, read through
-    a one-term assemble_terms."""
-    return assemble_terms([(1, 0, 0, term)], [in_shape], [out_shape])
+    a one-term assemble_terms, whose transposed write gives its
+    transpose."""
+    terms = [(1, 0, 0, term)]
+    m = assemble_terms(terms, [in_shape], [out_shape])
+    assert assemble_terms(terms, [in_shape], [out_shape],
+                          transposed=True) == m.transpose()
+    return m
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -578,9 +607,10 @@ def test_random_matrices_match_reference_gauss_jordan():
 
 def test_eliminations_leave_their_inputs_alone():
     """The elimination changes the rows it is given in place, so rank,
-    kernel_basis, solve_columns and inverse hand it rows of their own: on
-    gauss_jordan_cases, each leaves its arguments equal to copies taken
-    before the call."""
+    kernel_basis, solve_columns, inverse and homology_dims hand it rows of
+    their own: on gauss_jordan_cases, each leaves its arguments equal to
+    copies taken before the call.  homology_dims gets the complex of m's
+    kernel basis and m."""
     for m, rhs, square in gauss_jordan_cases():
         for call, args in ((rank, (m,)), (kernel_basis, (m,)),
                            (solve_columns, (m, column(*rhs))),
@@ -588,6 +618,10 @@ def test_eliminations_leave_their_inputs_alone():
             before = [Matrix(a.rows, a.cols, a.entries) for a in args]
             call(*args)
             assert list(args) == before, call.__name__
+        maps = [kernel_basis(m), m]
+        before = [Matrix(a.rows, a.cols, a.entries) for a in maps]
+        homology_dims(maps)
+        assert maps == before
 
 
 def test_solve_columns_matches_reference_column_by_column():

@@ -256,8 +256,10 @@ def test_assemble_terms(case, cancel):
     terms, in_shapes, out_shapes = case
     if cancel:  # every term once more with the other sign: the zero map
         terms = terms + [(-s, i, o, t) for s, i, o, t in terms]
-    agrees(assemble_terms(terms, in_shapes, out_shapes),
-           ref_assemble_terms(terms, in_shapes, out_shapes))
+    m = assemble_terms(terms, in_shapes, out_shapes)
+    agrees(m, ref_assemble_terms(terms, in_shapes, out_shapes))
+    assert assemble_terms(terms, in_shapes, out_shapes, transposed=True) \
+        == m.transpose()
 
 
 def test_equal_values_compare_equal():
