@@ -203,11 +203,12 @@ class StructureConstants:
         """The constants c'[j][k][i] = c[i][j][k] of V (x) W -> U, read
         off the nonzeros; dual structures are rotations."""
         dl, dr, do = self.dim_left, self.dim_right, self.dim_out
-        m = Matrix(dl, dr * do)
+        entries = {}
         for k, t, v in self.matrix.nonzero_items():
             i, j = divmod(t, dr)
-            m.add(i, j * do + k, v)
-        return StructureConstants(dr, do, m)
+            entries[i, j * do + k] = v
+        return StructureConstants(dr, do,
+                                  Matrix.from_entries(dl, dr * do, entries))
 
     def is_zero(self):
         return self.matrix.is_zero()
@@ -251,8 +252,8 @@ def block_constants(left, right, out, blocks):
             raise ShapeError(
                 f"block {(p, q, r)} is {t.dim_left}x{t.dim_right}x"
                 f"{t.dim_out}, its summands are {left[p]}x{right[q]}x{out[r]}")
-        paste(m, t.on_columns(_projection(left, lo, p),
-                              _projection(right, ro, q)), oo[r])
+        m = paste(m, t.on_columns(_projection(left, lo, p),
+                                  _projection(right, ro, q)), oo[r])
     return StructureConstants(lo[-1], ro[-1], m)
 
 

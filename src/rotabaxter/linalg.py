@@ -2,9 +2,10 @@
 
 Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
-type, the one matrix type (row-sparse, built from dense entries or entry by
-entry, with paste placing one matrix as a block of another and signed_sum
-adding many in one copy), the Kronecker product kron, bilinear_on_columns
+type, the one matrix type (row-sparse, built whole from dense entries or
+from a dict of its nonzeros and never changed after, with paste giving a
+matrix plus a block placed in it and signed_sum adding many in one copy),
+the Kronecker product kron, bilinear_on_columns
 (a bilinear map's matrix times a Kronecker product, with none built),
 linear maps on lists of matrix blocks given as terms (Product, OnColumns),
 whose signed entries assemble_terms writes, term by term, straight into
@@ -165,21 +166,22 @@ class Matrix:
     for every integer matrix), so equal matrices store equal data.
     Values are read out as Q.
 
-    Built from dense row-major entries, or empty (Matrix(rows, cols)) and then
-    filled entry by entry with add.  Read-only once built.  add may leave a
-    common factor of _den and the entries (_loose); == and the copies that
-    keep _den divide it out first (_settle), so it is found once, not once
-    per entry added.
+    Built whole: from dense row-major entries (Matrix(rows, cols, entries);
+    no entries is the zero matrix), from the dict of its nonzeros
+    (from_entries), or as the result of an operation.  Never changed once
+    built, so matrices may share row dicts (paste keeps the rows its block
+    leaves alone), except by the sweep, which owns what it is handed.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_den", "_loose")
+    __slots__ = ("rows", "cols", "_data", "_den")
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
         self.cols = cols
-        self._den, self._loose = 1, False
+        self._den = 1
         if entries is None:
-            self._data = [{} for _ in range(rows)]
+            # no row is changed once built: one empty dict serves them all
+            self._data = [{}] * rows
             return
         entries = tuple(entries)
         if len(entries) != rows * cols:
@@ -189,35 +191,19 @@ class Matrix:
                        enumerate(nums[i * cols:(i + 1) * cols]) if v}
                       for i in range(rows)]
 
-    def add(self, i, j, val):
-        """Add val to entry (i, j); used while building."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise ValueError(
-                f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
-        (n,), den = _integers((val,))
-        if n:
-            self._over(den)
-            row = self._data[i]
-            _add_entry(row, j, n * (self._den // den))
-            # an entry prime to _den leaves no common factor; one that
-            # shares a factor with it, or cancelled to 0, may
-            self._loose = gcd(self._den, row.get(j, 0)) != 1
-
-    def _settle(self):
-        """Divide out the common factor add may have left; returns self."""
-        if self._loose:
-            self._den, self._loose = _lowest(self._data, self._den), False
-        return self
-
-    def _over(self, den):
-        """Rescale the entries, in place, so that _den is a multiple of
-        den."""
-        f = den // gcd(self._den, den)
-        if f != 1:
-            for row in self._data:
-                for c in row:
-                    row[c] *= f
-            self._den *= f
+    @staticmethod
+    def from_entries(rows, cols, entries):
+        """The rows x cols matrix whose entry (i, j) is entries[i, j], for a
+        {(i, j): scalar} dict, and 0 off its keys.  A key outside the
+        matrix raises ValueError, an inexact scalar TypeError."""
+        nums, den = _integers(entries.values())
+        data = [{} for _ in range(rows)]
+        for (i, j), v in zip(entries, nums):
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i}, {j}) outside {rows}x{cols}")
+            if v:
+                data[i][j] = v
+        return Matrix._of(rows, cols, data, _lowest(data, den))
 
     @staticmethod
     def _of(rows, cols, data, den=1):
@@ -225,7 +211,6 @@ class Matrix:
         gcd(den, every entry) == 1."""
         m = Matrix.__new__(Matrix)
         m.rows, m.cols, m._data, m._den = rows, cols, data, den
-        m._loose = False
         return m
 
     @staticmethod
@@ -286,7 +271,6 @@ class Matrix:
         return not any(self._data)
 
     def transpose(self):
-        self._settle()
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self._data):
             for j, v in row.items():
@@ -296,7 +280,7 @@ class Matrix:
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols
-                and self._settle()._den == other._settle()._den
+                and self._den == other._den
                 and self._data == other._data)
 
     def __add__(self, other):
@@ -306,7 +290,6 @@ class Matrix:
         return signed_sum(((1, self), (-1, other)))
 
     def __neg__(self):
-        self._settle()
         return Matrix._of(self.rows, self.cols,
                           [{j: -v for j, v in row.items()}
                            for row in self._data], self._den)
@@ -383,20 +366,6 @@ def _int_items(m):
             yield i, j, v
 
 
-def _add_entry(row, j, v):
-    """Add the nonzero v to entry j of a row dict, deleting the entry if
-    the sum is 0: a row dict holds nonzeros only, which == relies on."""
-    old = row.get(j)
-    if old is None:
-        row[j] = v
-    else:
-        nv = old + v
-        if nv:
-            row[j] = nv
-        else:
-            del row[j]
-
-
 def signed_sum(terms):
     """The sum of sign * m over (sign, m) pairs, each sign +1 or -1; all
     the matrices have one shape, and there is at least one.  Each term is
@@ -412,7 +381,8 @@ def signed_sum(terms):
     for sign, m in rest:
         f = sign * (den // m._den)
         for row, theirs in zip(out, m._data):
-            # _add_entry inline: a call per entry slows the axiom checks
+            # a sum of 0 is deleted: a row dict holds nonzeros only, which
+            # == relies on; inline, since a call per entry slows the checks
             for j, v in theirs.items():
                 old = row.get(j)
                 if old is None:
@@ -455,20 +425,48 @@ def unstacked(m, j, shapes):
 
 
 def paste(dst, src, row_off=0, col_off=0):
-    """Add the block src into dst with its corner at (row_off, col_off);
-    returns dst.  The block must fit inside dst."""
+    """dst plus the block src with its corner at (row_off, col_off), as a
+    new matrix; dst is not changed.  The block must fit inside dst.  Only
+    the rows src adds to are copied, and the nonzero rows of dst when its
+    denominator must grow: the others are dst's own row dicts."""
     if row_off + src.rows > dst.rows or col_off + src.cols > dst.cols:
         raise ValueError(
             f"{src.rows}x{src.cols} block at ({row_off}, {col_off}) does not "
             f"fit in {dst.rows}x{dst.cols}")
-    dst._over(src._den)
-    f = dst._den // src._den
-    for i, row in enumerate(src._data, row_off):
-        out = dst._data[i]
-        for j, v in row.items():
-            _add_entry(out, j + col_off, f * v)
-    dst._den, dst._loose = _lowest(dst._data, dst._den), False
-    return dst
+    den, out = dst._den, dst._data.copy()
+    if den % src._den:
+        f = src._den // gcd(den, src._den)
+        den *= f
+        for i, row in enumerate(out):
+            if row:
+                out[i] = {j: f * v for j, v in row.items()}
+    f = den // src._den
+    for i, theirs in enumerate(src._data, row_off):
+        if theirs:
+            row = out[i]
+            row = out[i] = row.copy() if row else {}
+            for j, v in theirs.items():
+                # added as in signed_sum
+                j += col_off
+                old = row.get(j)
+                if old is None:
+                    row[j] = f * v
+                else:
+                    nv = old + f * v
+                    if nv:
+                        row[j] = nv
+                    else:
+                        del row[j]
+    # _lowest, but dividing copies, since some rows may be dst's
+    g = den
+    for row in out:
+        if g == 1:
+            break
+        if row:
+            g = gcd(g, *row.values())
+    if g != 1:
+        out = [{j: v // g for j, v in row.items()} for row in out]
+    return Matrix._of(dst.rows, dst.cols, out, den // g)
 
 
 def kron(a, b):
@@ -571,7 +569,8 @@ class Product:
             if transposed:
                 base, col = col, base
             for s, t, v in scaled_q:
-                # _add_entry inline: a call per entry slows assembly
+                # added as in signed_sum, inline: a call per entry slows
+                # assembly
                 row, j = out[base + s], keys[col + t]
                 if u != 1:
                     v *= u
@@ -635,7 +634,8 @@ class OnColumns:
             if transposed:
                 base, col = col, base
             for c in range(cols):
-                # _add_entry inline: a call per entry slows assembly
+                # added as in signed_sum, inline: a call per entry slows
+                # assembly
                 row, j = out[base + c * row_step], keys[col + c * key_step]
                 old = row.get(j)
                 if old is None:
@@ -950,8 +950,9 @@ def homology_dims(differentials):
 
 def transposed_homology_dims(transposes):
     """homology_dims of the complex whose maps' transposes T_k = d_k^T are
-    given, in order.  Each is a fresh matrix that the sweep owns: it
-    changes it in place and drops it once it is ranked.
+    given, in order.  Each is a fresh matrix, sharing no row with another,
+    that the sweep owns: it changes it in place and drops it once it is
+    ranked.
 
     T_{k-1} is kept as it is until T_k arrives.  Then T_k is checked
     against it for cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0,

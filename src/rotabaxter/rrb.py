@@ -184,16 +184,18 @@ def aybe_check(r):
     """
     mu, d, t = r.over.mu, r.over.dim, r.matrix
     tt, dd = t.transpose(), d * d
-    total = Matrix(1, d * dd)
+    total = {}
     for sign, x_side, y_side, (ws, wx, wy) in (
             (1, t, t, (dd, 1, d)),      # r13 r12 at (s, y, x)
             (-1, tt, t, (d, dd, 1)),    # r12 r23 at (x, s, y)
             (1, tt, tt, (1, d, dd))):   # r23 r13 at (y, x, s)
         for s, col, v in mu.on_columns(x_side, y_side).nonzero_items():
             x, y = divmod(col, d)
-            total.add(0, s * ws + x * wx + y * wy, sign * v)
+            key = 0, s * ws + x * wx + y * wy
+            total[key] = total.get(key, 0) + sign * v
     rep = Report("aybe")
-    rep.require_laws([("aybe_coordinate", (d, d, d), total,
+    rep.require_laws([("aybe_coordinate", (d, d, d),
+                       Matrix.from_entries(1, d * dd, total),
                        Matrix(1, d * dd), None)])
     return rep
 
@@ -203,11 +205,9 @@ def _sandwich_weights(r, n):
     r[i][j] at row (i * n + v) * d + j, column v, for v among n basis
     vectors and d = dim A."""
     d = r.over.dim
-    w = Matrix(d * n * d, n)
-    for i, j, rij in r.matrix.nonzero_items():
-        for v in range(n):
-            w.add((i * n + v) * d + j, v, rij)
-    return w
+    return Matrix.from_entries(d * n * d, n, {
+        ((i * n + v) * d + j, v): rij
+        for i, j, rij in r.matrix.nonzero_items() for v in range(n)})
 
 
 def rb_from_r_matrix(r):

@@ -224,9 +224,8 @@ def semidirect_rrb(b):
             (0, 0, 0): x.module.right, (0, 1, 1): b.left_pair,
             (1, 0, 1): b.fiber.right}),
         x.module.basis_names + b.fiber.basis_names)
-    rop = Matrix(big_alg.dim, big_mod.dim)
-    paste(rop, x.rop)
-    paste(rop, b.sop, x.algebra.dim, x.module.dim)
+    rop = paste(paste(Matrix(big_alg.dim, big_mod.dim), x.rop),
+                b.sop, x.algebra.dim, x.module.dim)
     return RelativeRBAlgebra(big_alg, big_mod, rop)
 
 

@@ -37,10 +37,9 @@ def _rng(seed):
 
 
 def _sc(dim_left, dim_right, dim_out, entries):
-    m = Matrix(dim_out, dim_left * dim_right)
-    for (i, j, k), val in entries.items():
-        m.add(k, i * dim_right + j, val)
-    return StructureConstants(dim_left, dim_right, m)
+    return StructureConstants(dim_left, dim_right, Matrix.from_entries(
+        dim_out, dim_left * dim_right,
+        {(k, i * dim_right + j): val for (i, j, k), val in entries.items()}))
 
 
 def random_rational(rng, span=4):
@@ -62,13 +61,14 @@ def random_matrix(rng, rows, cols, density=0.6, span=4):
 
 
 def random_constants(rng, dim_left, dim_right, dim_out, density=0.5, span=3):
-    m = Matrix(dim_out, dim_left * dim_right)
+    entries = {}
     # draws run i, then j, then k: every sample built on these depends on it
     for t in range(dim_left * dim_right):
         for k in range(dim_out):
             if rng.random() < density:
-                m.add(k, t, random_rational(rng, span))
-    return StructureConstants(dim_left, dim_right, m)
+                entries[k, t] = random_rational(rng, span)
+    return StructureConstants(dim_left, dim_right, Matrix.from_entries(
+        dim_out, dim_left * dim_right, entries))
 
 
 def random_invertible(rng, n, steps=None):
@@ -304,16 +304,13 @@ def operator_break_pair(seed=0):
 def bump_constants(c, where, delta=ONE):
     """Copy of structure constants with entry (i, j, k) shifted by delta."""
     i, j, k = where
-    bump = Matrix(c.dim_out, c.dim_left * c.dim_right)
-    bump.add(k, i * c.dim_right + j, Q(delta))
-    return StructureConstants(c.dim_left, c.dim_right, c.matrix + bump)
+    return StructureConstants(c.dim_left, c.dim_right, bump_map(
+        c.matrix, (k, i * c.dim_right + j), delta))
 
 
 def bump_map(m, where, delta=ONE):
     """Copy of a linear map with entry (row, col) shifted by delta."""
-    bump = Matrix(m.rows, m.cols)
-    bump.add(*where, Q(delta))
-    return m + bump
+    return m + Matrix.from_entries(m.rows, m.cols, {tuple(where): Q(delta)})
 
 
 def random_rrb_cochain(seed, x, b, k, density=0.7, span=3):

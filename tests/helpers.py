@@ -953,14 +953,15 @@ def ref_check_homotopy_rrb_operator(a, m, r):
 # Reference assemblers: the index loops that built the differential, the
 # Hochschild differential, the comparison map and the semidirect inclusion
 # entry by entry before they were assembled from term lists, kept verbatim
-# (the differential reads ref_hochschild_matrix), and the unit-vector
-# products that built the matrix of an OnColumns term.  They share with
-# rotabaxter only Matrix, TensorIndex, paste, the structure types, the
-# cochain dimensions and the M_Tot action, so the term lists are checked
-# against an independent indexing of the same formulas.  The labelled
-# differential read through the hat and unhat of the doubled Hochschild
-# complex, as it was before it became the slot-map part of the
-# differential, is kept verbatim too.
+# but for summing their entries into a dict that Matrix.from_entries
+# builds once (the differential reads ref_hochschild_matrix), and the
+# unit-vector products that built the matrix of an OnColumns term.  They
+# share with rotabaxter only Matrix, TensorIndex, paste, the structure
+# types, the cochain dimensions and the M_Tot action, so the term lists are
+# checked against an independent indexing of the same formulas.  The
+# labelled differential read through the hat and unhat of the doubled
+# Hochschild complex, as it was before it became the slot-map part of the
+# differential, is kept too.
 
 ONE = Q(1)
 
@@ -999,14 +1000,15 @@ def ref_hochschild_matrix(mod, k):
     left, right, mu = nested(mod.left), nested(mod.right), nested(alg.mu)
     dom = dA ** k
     cod = dA ** (k + 1)
-    out = Matrix(dM * cod, dM * dom)
+    out = {}
     if k == 0:
         # (delta m)(a) = a.m - m.a
         for a in range(dA):
             for w in range(dM):
                 for v in range(dM):
-                    out.add(w * dA + a, v, left[a][v][w] - right[v][a][w])
-        return out
+                    _ref_add(out, (w * dA + a, v),
+                             left[a][v][w] - right[v][a][w])
+        return Matrix.from_entries(dM * cod, dM * dom, out)
     ti_out = TensorIndex((dA,) * (k + 1))
     ti_in = TensorIndex((dA,) * k)
     for t_out in range(cod):
@@ -1016,7 +1018,7 @@ def ref_hochschild_matrix(mod, k):
         for w in range(dM):
             row = w * cod + t_out
             for v in range(dM):
-                out.add(row, v * dom + t_in, left[tup[0]][v][w])
+                _ref_add(out, (row, v * dom + t_in), left[tup[0]][v][w])
         # middle terms: (-1)^i f(..., a_i a_{i+1}, ...)
         sign = Q(1)
         for i in range(k):
@@ -1027,16 +1029,17 @@ def ref_hochschild_matrix(mod, k):
                     continue
                 t_in = ti_in.flatten(tup[:i] + (p,) + tup[i + 2:])
                 for w in range(dM):
-                    out.add(w * cod + t_out, w * dom + t_in, sign * c)
+                    _ref_add(out, (w * cod + t_out, w * dom + t_in),
+                             sign * c)
         # last term: (-1)^{k+1} f(a_1 ... a_k) . a_{k+1}
         sign = -sign
         t_in = ti_in.flatten(tup[:k])
         for w in range(dM):
             row = w * cod + t_out
             for v in range(dM):
-                out.add(row, v * dom + t_in,
-                        sign * right[v][tup[k]][w])
-    return out
+                _ref_add(out, (row, v * dom + t_in),
+                         sign * right[v][tup[k]][w])
+    return Matrix.from_entries(dM * cod, dM * dom, out)
 
 
 class MixedTensorSpace:
@@ -1072,7 +1075,8 @@ class MixedTensorSpace:
 
 
 def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
-    """Rows of the fiber-valued output block.
+    """Rows of the fiber-valued output block, added into the
+    {(i, j): value} entries out.
 
     For each output slot t the three terms are: the leading argument
     consumed from the left (through the left pairing when t = 1, through
@@ -1107,7 +1111,7 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
                     col = alpha_off + vb * da_in + t_in
                     for w, c in enumerate(plane[vb]):
                         if c:
-                            out.add(rows[w], col, c)
+                            _ref_add(out, (rows[w], col), c)
             else:
                 f_in = mix_in.indexer(t - 1).flatten(tup[1:])
                 col_base = beta_off + dN * mix_in.offset(t - 1)
@@ -1116,7 +1120,7 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
                     col = col_base + v * slot_in + f_in
                     for w, c in enumerate(plane[v]):
                         if c:
-                            out.add(rows[w], col, c)
+                            _ref_add(out, (rows[w], col), c)
             # neighbour merges
             sign = ONE
             for i in range(1, k + 1):
@@ -1137,8 +1141,9 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
                         continue
                     f_in = idx.flatten(head + (p,) + tail)
                     for w in range(dN):
-                        out.add(rows[w], col_base + w * slot_in + f_in,
-                                sign * c)
+                        _ref_add(out,
+                                 (rows[w], col_base + w * slot_in + f_in),
+                                 sign * c)
             # trailing term
             if t == k + 1:
                 t_in = ti_a_in.flatten(tup[:k])
@@ -1146,7 +1151,7 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
                     col = alpha_off + vb * da_in + t_in
                     for w, c in enumerate(rp[vb][tup[k]]):
                         if c:
-                            out.add(rows[w], col, last_sign * c)
+                            _ref_add(out, (rows[w], col), last_sign * c)
             else:
                 f_in = mix_in.indexer(t).flatten(tup[:k])
                 col_base = beta_off + dN * mix_in.offset(t)
@@ -1154,7 +1159,7 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
                     col = col_base + v * slot_in + f_in
                     for w, c in enumerate(rn[v][tup[k]]):
                         if c:
-                            out.add(rows[w], col, last_sign * c)
+                            _ref_add(out, (rows[w], col), last_sign * c)
 
 
 def _weighted_tuples(choices):
@@ -1169,7 +1174,8 @@ def _weighted_tuples(choices):
 
 
 def _operator_block(out, x, b, k, row_off, alpha_off, beta_off):
-    """Rows of the base-valued output block fed by R and S.
+    """Rows of the base-valued output block fed by R and S, added into
+    the {(i, j): value} entries out.
 
     (-1)^k { alpha(R m_1, ..., R m_k)
              - sum_i S . beta_i(R m_1, ..., m_i, ..., R m_k) }.
@@ -1192,7 +1198,7 @@ def _operator_block(out, x, b, k, row_off, alpha_off, beta_off):
             t_in = ti_a.flatten(atup)
             val = sign * coeff
             for w in range(dB):
-                out.add(rows[w], alpha_off + w * da_in + t_in, val)
+                _ref_add(out, (rows[w], alpha_off + w * da_in + t_in), val)
         for i in range(1, k + 1):
             idx = mix_in.indexer(i)
             col_base = beta_off + dN * mix_in.offset(i)
@@ -1204,7 +1210,7 @@ def _operator_block(out, x, b, k, row_off, alpha_off, beta_off):
                     for w in range(dB):
                         sv = smat.at(w, v)
                         if sv:
-                            out.add(rows[w], col, -sign * coeff * sv)
+                            _ref_add(out, (rows[w], col), -sign * coeff * sv)
 
 
 def ref_rrb_differential_matrix(x, b, k):
@@ -1213,14 +1219,16 @@ def ref_rrb_differential_matrix(x, b, k):
         raise ShapeError("the differential starts in degree 1")
     a_in, bt_in, g_in = cochain_space_dims(x, b, k)
     a_out, bt_out, g_out = cochain_space_dims(x, b, k + 1)
-    out = Matrix(a_out + bt_out + g_out, a_in + bt_in + g_in)
-    paste(out, ref_hochschild_matrix(b.base, k))
-    _twisted_block(out, x, b, k, a_out, 0, a_in)
-    _operator_block(out, x, b, k, a_out + bt_out, 0, a_in)
+    entries = {}
+    _twisted_block(entries, x, b, k, a_out, 0, a_in)
+    _operator_block(entries, x, b, k, a_out + bt_out, 0, a_in)
+    out = paste(Matrix.from_entries(a_out + bt_out + g_out,
+                                    a_in + bt_in + g_in, entries),
+                ref_hochschild_matrix(b.base, k))
     if k >= 2:
-        paste(out,
-              ref_hochschild_matrix(mtot_action_bimodule(b).actions, k - 1),
-              a_out + bt_out, a_in + bt_in)
+        out = paste(
+            out, ref_hochschild_matrix(mtot_action_bimodule(b).actions, k - 1),
+            a_out + bt_out, a_in + bt_in)
     return out
 
 
@@ -1240,7 +1248,7 @@ def ref_psi_matrix(x, b, k):
     last = k * dN * size                        # start of label k+1
     sign = ONE if k % 2 else -ONE               # (-1)^(k+1)
     lpair, rpair = nested(b.left_pair), nested(b.right_pair)
-    out = Matrix((k + 1) * dN * size, dB * size_in)
+    out = {}
     for flat in range(size):
         mt = ti_out.unflatten(flat)
         lead = ti_in.flatten(mt[1:])
@@ -1248,11 +1256,13 @@ def ref_psi_matrix(x, b, k):
         for vb in range(dB):
             for w, c in enumerate(lpair[mt[0]][vb]):
                 if c:
-                    out.add(w * size + flat, vb * size_in + lead, sign * c)
+                    _ref_add(out, (w * size + flat, vb * size_in + lead),
+                             sign * c)
             for w, c in enumerate(rpair[vb][mt[k]]):
                 if c:
-                    out.add(last + w * size + flat, vb * size_in + trail, c)
-    return out
+                    _ref_add(out, (last + w * size + flat,
+                                   vb * size_in + trail), c)
+    return Matrix.from_entries((k + 1) * dN * size, dB * size_in, out)
 
 
 def ref_semidirect_inclusion_matrix(x, b, k):
@@ -1271,13 +1281,13 @@ def ref_semidirect_inclusion_matrix(x, b, k):
     a_in, bt_in, g_in = cochain_space_dims(x, b, k)
     big, bigb = semidirect_complex(b)
     A_in, BT_in, G_in = cochain_space_dims(big, bigb, k)
-    out = Matrix(A_in + BT_in + G_in, a_in + bt_in + g_in)
+    out = {}
     ti_a, ti_big_a = TensorIndex((dA,) * k), TensorIndex((big_a,) * k)
     for flat in range(ti_a.size):
         big_flat = ti_big_a.flatten(ti_a.unflatten(flat))
         for w in range(dB):
-            out.add((dA + w) * ti_big_a.size + big_flat,
-                    w * ti_a.size + flat, ONE)
+            _ref_add(out, ((dA + w) * ti_big_a.size + big_flat,
+                           w * ti_a.size + flat), ONE)
     mix = MixedTensorSpace(k, dA, dM)
     big_mix = MixedTensorSpace(k, big_a, big_m)
     for s in range(1, k + 1):
@@ -1287,17 +1297,18 @@ def ref_semidirect_inclusion_matrix(x, b, k):
         for flat in range(idx.size):
             big_flat = big_idx.flatten(idx.unflatten(flat))
             for w in range(dN):
-                out.add(row_base + (dM + w) * big_idx.size + big_flat,
-                        col_base + w * idx.size + flat, ONE)
+                _ref_add(out, (row_base + (dM + w) * big_idx.size + big_flat,
+                               col_base + w * idx.size + flat), ONE)
     if k >= 2:
         ti_m = TensorIndex((dM,) * (k - 1))
         ti_big_m = TensorIndex((big_m,) * (k - 1))
         for flat in range(ti_m.size):
             big_flat = ti_big_m.flatten(ti_m.unflatten(flat))
             for w in range(dB):
-                out.add(A_in + BT_in + (dA + w) * ti_big_m.size + big_flat,
-                        a_in + bt_in + w * ti_m.size + flat, ONE)
-    return out
+                _ref_add(out, (A_in + BT_in + (dA + w) * ti_big_m.size
+                               + big_flat,
+                               a_in + bt_in + w * ti_m.size + flat), ONE)
+    return Matrix.from_entries(A_in + BT_in + G_in, a_in + bt_in + g_in, out)
 
 
 def ref_dendriform_embedding(k, dim_d, dim_e):
@@ -1317,8 +1328,7 @@ def ref_dendriform_embedding(k, dim_d, dim_e):
         raise ShapeError("labelled cochains start in degree 1")
     ti_d, ti_host = TensorIndex((dim_d,) * k), TensorIndex((2 * dim_d,) * k)
     size, host = ti_d.size, ti_host.size
-    hat = Matrix(2 * dim_e * host, k * dim_e * size)
-    unhat = Matrix(k * dim_e * size, 2 * dim_e * host)
+    hat, unhat = {}, {}
     for t in range(size):
         first = ti_host.flatten(ti_d.unflatten(t))
         for i in range(k):
@@ -1326,10 +1336,11 @@ def ref_dendriform_embedding(k, dim_d, dim_e):
                       dim_d * (2 * dim_d) ** (k - 1 - i))
             for w in range(dim_e):
                 col = (i * dim_e + w) * size + t
-                hat.add(w * host + first, col, ONE)
-                hat.add(second + w * host, col, ONE)
-                unhat.add(col, second + w * host, ONE)
-    return hat, unhat
+                _ref_add(hat, (w * host + first, col), ONE)
+                _ref_add(hat, (second + w * host, col), ONE)
+                _ref_add(unhat, (col, second + w * host), ONE)
+    return (Matrix.from_entries(2 * dim_e * host, k * dim_e * size, hat),
+            Matrix.from_entries(k * dim_e * size, 2 * dim_e * host, unhat))
 
 
 def ref_dendriform_differential_matrix(d, e, k):

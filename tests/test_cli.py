@@ -239,9 +239,9 @@ def test_chainmap_check_fails_on_a_sign_error(tmp_path, capsys, monkeypatch):
     def label_one_negated(x, b, k):
         m = psi(x, b, k)
         if k == 1:
-            for i, j, v in list(m.nonzero_items()):
-                if i < b.fiber.dim * x.module.dim ** 2:
-                    m.add(i, j, -2 * v)
+            m = Matrix.from_entries(m.rows, m.cols, {
+                (i, j): -v if i < b.fiber.dim * x.module.dim ** 2 else v
+                for i, j, v in m.nonzero_items()})
         return m
 
     monkeypatch.setattr(cli, "psi_matrix", label_one_negated)

@@ -122,13 +122,13 @@ def differential_blocks(x, b, k):
     d = rrb_differential_matrix(x, b, k)
     rows = block_ranges(cochain_space_dims(x, b, k + 1))
     cols = block_ranges(cochain_space_dims(x, b, k))
-    out = {(r, c): Matrix(len(rows[r]), len(cols[c]))
-           for r in BLOCKS for c in BLOCKS}
+    entries = {(r, c): {} for r in BLOCKS for c in BLOCKS}
     for i, j, v in d.nonzero_items():
         r = next(n for n in BLOCKS if i in rows[n])
         c = next(n for n in BLOCKS if j in cols[n])
-        out[(r, c)].add(i - rows[r].start, j - cols[c].start, v)
-    return out
+        entries[(r, c)][i - rows[r].start, j - cols[c].start] = v
+    return {(r, c): Matrix.from_entries(len(rows[r]), len(cols[c]), e)
+            for (r, c), e in entries.items()}
 
 
 def zeros(m):
@@ -167,10 +167,8 @@ def quotient_differential(blocks):
     aa, ba, bb = (blocks[pair] for pair in (("alpha", "alpha"),
                                             ("beta", "alpha"),
                                             ("beta", "beta")))
-    out = Matrix(aa.rows + bb.rows, aa.cols + bb.cols)
-    paste(out, aa)
-    paste(out, ba, aa.rows)
-    return paste(out, bb, aa.rows, aa.cols)
+    out = paste(Matrix(aa.rows + bb.rows, aa.cols + bb.cols), aa)
+    return paste(paste(out, ba, aa.rows), bb, aa.rows, aa.cols)
 
 
 def test_filtration_long_exact_sequence_bounds():
@@ -818,9 +816,8 @@ def test_kernels_satisfy_exactness_oracles():
 
 def test_sparse_kernels_match_dense():
     """rank, kernel_basis and solve_columns give the same answer on a
-    differential
-    built entry by entry with add and on the Matrix rebuilt from its dense
-    entries."""
+    differential as assembled, term by term, and on the Matrix rebuilt
+    from its dense entries."""
     for seed in range(100):
         x, b = random_rrb_pair(seed)
         for k in (1, 2):
@@ -858,8 +855,7 @@ def test_kernels_match_reference_gauss_jordan():
                 (Matrix(d.cols, 1, sol), set()), where
             # rows span the row space, so no x has d x = e_i for another i
             for i in sorted(set(range(d.rows)) - set(rows))[:1]:
-                unit = Matrix(d.rows, 1)
-                unit.add(i, 0, 1)
+                unit = Matrix.from_entries(d.rows, 1, {(i, 0): 1})
                 assert solve_columns(d, image + unit) == \
                     (Matrix(d.cols, 1), {0}), where
                 inconsistent += 1
@@ -935,9 +931,7 @@ def test_complex_check_sees_a_defect_in_the_first_and_last_row(seed):
     assert homology_dims([d_1, d_2, d_3]) == [3, 3, 4]
     k = next(k for k in range(d_2.rows) if any(d_2.row(k)))
     for i in (0, d_3.rows - 1):
-        bump = Matrix.zero(d_3.rows, d_3.cols)
-        bump.add(i, k, 1)
-        bumped = d_3 + bump
+        bumped = d_3 + Matrix.from_entries(d_3.rows, d_3.cols, {(i, k): 1})
         assert not (bumped * d_2).is_zero()
         with pytest.raises(ValueError, match="not a complex"):
             homology_dims([d_1, d_2, bumped])
@@ -1209,12 +1203,10 @@ def test_labelled_differential_raises_off_the_embedding(monkeypatch):
     dD = den.dim
 
     def off_embedding(mod, k):
-        out = Matrix(mod.dim * mod.over.dim ** (k + 1),
-                     mod.dim * mod.over.dim ** k)
+        cols = mod.dim * mod.over.dim ** k
         row = flat_index([2 * dD] * (k + 1), (dD,) * (k + 1))
-        for j in range(out.cols):
-            out.add(row, j, Q(1))
-        return out
+        return Matrix.from_entries(mod.dim * mod.over.dim ** (k + 1), cols,
+                                   {(row, j): Q(1) for j in range(cols)})
 
     monkeypatch.setattr(ref, "hochschild_matrix", off_embedding)
     with pytest.raises(StructuralError):

@@ -8,9 +8,9 @@ from rotabaxter import linalg
 from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
     Matrix, OnColumns, Product, Q, TensorIndex, assemble_terms,
-    format_matrix, format_rational, homology_dims, inverse, kernel_basis,
-    kron, parse_rational, paste, rank, signed_sum, solve_columns, stacked,
-    unstacked,
+    bilinear_on_columns, format_matrix, format_rational, homology_dims,
+    inverse, kernel_basis, kron, parse_rational, paste, rank, signed_sum,
+    solve_columns, stacked, unstacked,
 )
 
 from helpers import (
@@ -113,14 +113,12 @@ class TestHomologyDim:
             homology_dims([Matrix.zero(3, 1), Matrix.zero(1, 2)])
 
     def test_rejects_sparse_noncomplex(self):
-        d_out, d_in = Matrix(1, 2), Matrix(2, 1)
-        d_out.add(0, 0, 1)
-        d_out.add(0, 1, 1)
-        d_in.add(0, 0, 1)
-        d_in.add(1, 0, 2)
+        d_out = Matrix.from_entries(1, 2, {(0, 0): 1, (0, 1): 1})
+        d_in = Matrix.from_entries(2, 1, {(0, 0): 1, (1, 0): 2})
         with pytest.raises(ValueError, match="not a complex"):
             homology_dims(iter([d_in, d_out]))
-        d_in.add(1, 0, -3)  # now d_in = (1, -1)^T and d_out . d_in = 0
+        # now d_in = (1, -1)^T and d_out . d_in = 0
+        d_in = d_in + Matrix.from_entries(2, 1, {(1, 0): -3})
         assert homology_dims(iter([d_in, d_out])) == [0, 0]
 
     def test_rejects_small_rational_defect(self):
@@ -166,8 +164,8 @@ class TestHomologyDim:
         d_0, d_1 = mat([[1], [-1], [0]]), mat([[1, 1, 0], [0, 0, 1]])
         assert homology_dims([d_0, d_1]) == [0, 0]
         for i, j in ((0, 0), (1, 1)):
-            bumped = Matrix(d_1.rows, d_1.cols, d_1.entries)
-            bumped.add(i, j, 1)
+            bumped = d_1 + Matrix.from_entries(d_1.rows, d_1.cols,
+                                               {(i, j): 1})
             with pytest.raises(ValueError, match="not a complex"):
                 homology_dims([d_0, bumped])
 
@@ -215,8 +213,8 @@ class TestTensorIndex:
     lambda: TensorIndex((2,)).unflatten(2),
     lambda: Matrix(2, 2) * Matrix(3, 1),
     lambda: Matrix(2, 2).apply([1]),
-    lambda: Matrix(2, 2).add(2, 0, 1),
-    lambda: Matrix(2, 2).add(0, -1, 1),
+    lambda: Matrix.from_entries(2, 2, {(2, 0): 1}),
+    lambda: Matrix.from_entries(2, 2, {(0, -1): 1}),
     lambda: paste(Matrix(2, 2), Matrix(1, 1), 2),  # a zero block too
     lambda: solve_columns(Matrix(2, 2), Matrix(3, 1)),
     lambda: unstacked(Matrix(5, 1), 0, [(2, 2)]),
@@ -230,9 +228,16 @@ def test_validation_raises_value_error(call):
 
 
 def test_paste_adds_a_block_at_its_corner():
-    out = paste(Matrix(2, 3, [1, 0, 0, 0, 0, 0]),
-                Matrix(2, 2, [1, 2, 0, 3]), 0, 1)
+    dst = Matrix(2, 3, [1, 0, 0, 0, 0, 0])
+    out = paste(dst, Matrix(2, 2, [1, 2, 0, 3]), 0, 1)
     assert out.entries == (1, 1, 2, 0, 0, 3)
+    assert dst.entries == (1, 0, 0, 0, 0, 0)
+    # the sum has the common factor 2 with the denominator 2, and row 1,
+    # which the block leaves alone, is dst's: it is divided in a copy
+    dst = Matrix(2, 2, [Q(1, 2), 0, 0, 1])
+    out = paste(dst, Matrix(1, 1, [Q(1, 2)]))
+    assert out == Matrix.identity(2)
+    assert dst == Matrix(2, 2, [Q(1, 2), 0, 0, 1])
 
 
 def test_product_needs_a_matrix():
@@ -418,12 +423,10 @@ def test_cancelling_adds_store_no_zero():
         Matrix(8, 6)
     sums = [assemble_terms([(1, 0, 0, term), (-1, 0, 0, term)],
                            [(3, 2)], [(2, 4)]),
-            signed_sum([(1, a), (-1, a)]), paste(paste(Matrix(3, 4), a), -a)]
-    added = Matrix(3, 4)
-    for i, j, v in a.nonzero_items():
-        added.add(i, j, v)
-        added.add(i, j, -v)
-    for m in (*sums, added):
+            signed_sum([(1, a), (-1, a)]), paste(paste(Matrix(3, 4), a), -a),
+            Matrix.from_entries(3, 4, {(i, j): v - v
+                                       for i, j, v in a.nonzero_items()})]
+    for m in sums:
         assert m == Matrix(m.rows, m.cols) and m.is_zero()
 
 
@@ -433,8 +436,8 @@ def test_kron_needs_matrices():
 
 
 def test_matrix_is_not_hashable():
-    # a Matrix is filled in place by add, so it must not serve as a key,
-    # nor may the structure constants that hold one as their matrix
+    # a Matrix compares by value and defines no hash, so it is no key,
+    # nor are the structure constants that hold one as their matrix
     with pytest.raises(TypeError):
         hash(Matrix.identity(2))
     with pytest.raises(TypeError):
@@ -500,12 +503,10 @@ class TestRandomizedInvariants:
         for _ in range(20):
             a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 0.5)
             b = random_matrix(rng, a.cols, rng.randint(1, 5), 0.5)
-            sa = Matrix(a.rows, a.cols)
-            for i in range(a.rows):
-                for j in range(a.cols):
-                    # two adds per entry, so cancellation to zero is hit too
-                    sa.add(i, j, a.at(i, j) + 1)
-                    sa.add(i, j, Q(-1))
+            # every entry given, the zeros too
+            sa = Matrix.from_entries(a.rows, a.cols, {
+                (i, j): a.at(i, j)
+                for i in range(a.rows) for j in range(a.cols)})
             assert sa == a and sa.entries == a.entries
             prod = sa * b
             assert (prod.rows, prod.cols) == (a.rows, b.cols)
@@ -606,22 +607,56 @@ def test_random_matrices_match_reference_gauss_jordan():
 
 
 def test_eliminations_leave_their_inputs_alone():
-    """The elimination changes the rows it is given in place, so rank,
-    kernel_basis, solve_columns, inverse and homology_dims hand it rows of
-    their own: on gauss_jordan_cases, each leaves its arguments equal to
-    copies taken before the call.  homology_dims gets the complex of m's
-    kernel basis and m."""
+    """No operation changes its operands.  The elimination changes the
+    rows it is given in place, so rank, kernel_basis, solve_columns,
+    inverse and homology_dims hand it rows of their own, and paste, which
+    shares the rows its block leaves alone, copies the rows it adds to: on
+    gauss_jordan_cases, each operation leaves its operands equal to copies
+    taken before the call.  homology_dims gets the complex of m's kernel
+    basis and m; pasted shares rows with m, so the calls on it check that
+    m's rows are not changed through it."""
+    third = Matrix(1, 1, [Q(1, 3)])
     for m, rhs, square in gauss_jordan_cases():
-        for call, args in ((rank, (m,)), (kernel_basis, (m,)),
-                           (solve_columns, (m, column(*rhs))),
-                           (inverse, (square,))):
+        b, n, t = column(*rhs), square.rows, m.transpose()
+        pasted = paste(m, square, m.rows - n, m.cols - n)
+        blocks = [(m.rows, m.cols), (n, n)]
+        in_shapes, out_shapes = [(m.cols, n), (m.rows, 1)], [(m.rows, n),
+                                                             (m.cols, 1)]
+        terms = [(1, 0, 0, Product(m, square)),
+                 (-1, 0, 0, OnColumns(m, 1, x_first=True)),
+                 (1, 1, 1, Product(t, third)), (-1, 1, 1, OnColumns(t, 1))]
+        for name, call, args in (
+                ("rank", rank, (m,)),
+                ("kernel_basis", kernel_basis, (m,)),
+                ("solve_columns", solve_columns, (m, b)),
+                ("inverse", inverse, (square,)),
+                ("homology_dims", lambda *maps: homology_dims(maps),
+                 (kernel_basis(m), m)),
+                ("paste", lambda a, s: paste(a, s, m.rows - n, m.cols - n),
+                 (m, square)),
+                ("paste over pasted", lambda a, s: paste(a, -s), (pasted, m)),
+                ("signed_sum",
+                 lambda a, s: signed_sum([(1, a), (-1, s), (1, a)]),
+                 (m, pasted)),
+                ("+", lambda a, s: a + s, (m, pasted)),
+                ("-", lambda a, s: a - s, (pasted, m)),
+                ("unary -", lambda a: -a, (pasted,)),
+                ("*", lambda a, s: a * s, (t, pasted)),
+                ("transpose", Matrix.transpose, (pasted,)),
+                ("kron", kron, (square, b)),
+                ("bilinear_on_columns", bilinear_on_columns, (m, t, third)),
+                ("stacked", lambda *ms: stacked(list(ms)),
+                 (pasted, square, b)),
+                ("unstacked", lambda c: unstacked(c, 0, blocks),
+                 (stacked([m, square]),)),
+                ("assemble_terms",
+                 lambda *_: (assemble_terms(terms, in_shapes, out_shapes),
+                             assemble_terms(terms, in_shapes, out_shapes,
+                                            transposed=True)),
+                 (m, square, t, third))):
             before = [Matrix(a.rows, a.cols, a.entries) for a in args]
             call(*args)
-            assert list(args) == before, call.__name__
-        maps = [kernel_basis(m), m]
-        before = [Matrix(a.rows, a.cols, a.entries) for a in maps]
-        homology_dims(maps)
-        assert maps == before
+            assert list(args) == before, name
 
 
 def test_solve_columns_matches_reference_column_by_column():
@@ -699,9 +734,9 @@ def test_restricted_check_raises_exactly_when_the_product_is_nonzero():
     for maps in random_complexes():
         k = rng.randint(1, len(maps) - 1)
         d = maps[k]
-        changed = Matrix(d.rows, d.cols, d.entries)
-        changed.add(rng.randrange(d.rows), rng.randrange(d.cols),
-                    Q(rng.choice((1, -1, 2)), rng.choice((1, 3))))
+        i, j = rng.randrange(d.rows), rng.randrange(d.cols)
+        changed = d + Matrix.from_entries(d.rows, d.cols, {
+            (i, j): Q(rng.choice((1, -1, 2)), rng.choice((1, 3)))})
         nonzero = not (changed * maps[k - 1]).is_zero()
         try:
             homology_dims(maps[:k] + [changed])
