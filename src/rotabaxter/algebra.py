@@ -35,8 +35,7 @@ from itertools import accumulate
 
 from .linalg import (
     Matrix, OnColumns, Product, TensorIndex, ZERO, assemble_terms,
-    bilinear_on_columns, format_rational, padded, paste, signed_sum,
-    transposed_homology_dims,
+    bilinear_on_columns, format_rational, padded, transposed_homology_dims,
 )
 
 
@@ -242,26 +241,28 @@ def block_constants(left, right, out, blocks):
     of the output; each sum takes its first summand's basis first.  blocks
     maps (p, q, r) to the constants of summand p (x) summand q -> summand
     r, placed at those summands' offsets; every other block is zero.  A
-    block is itself on the projections to its two input summands, pasted
-    at its output summand's rows, all in integers.
+    block is itself on the projections to its two input summands, placed
+    at its output summand's rows, and the blocks are summed in one
+    Matrix.from_blocks, all in integers.
     """
     lo, ro, oo = ([0, *accumulate(dims)] for dims in (left, right, out))
-    m = Matrix(oo[-1], lo[-1] * ro[-1])
+    placed = []
     for (p, q, r), t in blocks.items():
         if (t.dim_left, t.dim_right, t.dim_out) != (left[p], right[q], out[r]):
             raise ShapeError(
                 f"block {(p, q, r)} is {t.dim_left}x{t.dim_right}x"
                 f"{t.dim_out}, its summands are {left[p]}x{right[q]}x{out[r]}")
-        m = paste(m, t.on_columns(_projection(left, lo, p),
-                                  _projection(right, ro, q)), oo[r])
-    return StructureConstants(lo[-1], ro[-1], m)
+        placed.append((1, t.on_columns(_projection(left, lo, p),
+                                       _projection(right, ro, q)), oo[r], 0))
+    return StructureConstants(lo[-1], ro[-1], Matrix.from_blocks(
+        oo[-1], lo[-1] * ro[-1], placed))
 
 
 def _projection(dims, offsets, p):
     """The projection of the direct sum with summands dims (at offsets)
     onto summand p."""
-    return paste(Matrix(dims[p], offsets[-1]), Matrix.identity(dims[p]),
-                 0, offsets[p])
+    return Matrix.from_blocks(dims[p], offsets[-1],
+                              [(1, Matrix.identity(dims[p]), 0, offsets[p])])
 
 
 def default_names(prefix, dim):
@@ -388,9 +389,9 @@ def hochschild_terms(mod, k):
     dA, mu = mod.over.dim, mod.over.mu.matrix
     terms = [(1, OnColumns(mod.left.matrix, dA))]
     if k:
-        faces = signed_sum(
-            ((-1) ** i, padded(dA ** (i - 1), mu, dA ** (k - i)))
-            for i in range(1, k + 1))
+        faces = Matrix.from_blocks(dA ** k, dA ** (k + 1), (
+            ((-1) ** i, padded(dA ** (i - 1), mu, dA ** (k - i)), 0, 0)
+            for i in range(1, k + 1)))
         terms.append((1, Product(None, faces)))
     terms.append(((-1) ** (k + 1),
                   OnColumns(mod.right.matrix, dA, x_first=True)))

@@ -33,7 +33,7 @@ from .cohomology import (
     RRBCochain, cocycle_report, rrb_differential, rrb_differential_matrix,
     summand_inclusions,
 )
-from .linalg import Matrix, kron, paste, rank, solve_columns, stacked
+from .linalg import Matrix, kron, rank, solve_columns, stacked
 from .rrb import (
     RelativeRBAlgebra, RRBMorphism, TwoTermComplex, check_morphism,
     check_relative_rb,
@@ -228,7 +228,8 @@ def build_extension(x, b, c):
             mod_dims, alg_dims, mod_dims,
             {(0, 0, 1): StructureConstants(dM, dA, beta1)}),
         split.module.basis_names)
-    rop = split.rop + paste(Matrix(dA + dB, dM + dN), gamma, dA)
+    rop = Matrix.from_blocks(dA + dB, dM + dN,
+                             ((1, split.rop, 0, 0), (1, gamma, dA, 0)))
     total = RelativeRBAlgebra(big_alg, big_mod, rop)
     for bad in (check_associativity(big_alg), check_bimodule(big_mod),
                 check_relative_rb(total)):

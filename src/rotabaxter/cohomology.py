@@ -57,7 +57,7 @@ from .algebra import (
 )
 from .linalg import (
     Matrix, OnColumns, Product, assemble_terms, kernel_basis, kron, padded,
-    paste, signed_sum, stacked, transposed_homology_dims, unstacked,
+    stacked, transposed_homology_dims, unstacked,
 )
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
@@ -188,8 +188,10 @@ def _slot_merges(x, k, t):
         p = (x.module.right if t == i else
              x.module.left if t == i + 1 else x.algebra.mu)
         op = padded(prod(dims[:i - 1]), p.matrix, prod(dims[i + 1:]))
-        terms.setdefault(t if t <= i else t - 1, []).append(((-1) ** i, op))
-    return {s: signed_sum(ops) for s, ops in terms.items()}
+        terms.setdefault(t if t <= i else t - 1, []).append(
+            ((-1) ** i, op, 0, 0))
+    return {s: Matrix.from_blocks(ops[0][1].rows, ops[0][1].cols, ops)
+            for s, ops in terms.items()}
 
 
 def _slot_terms(x, b, k):
@@ -348,9 +350,9 @@ def _embedding(x, b, k):
     """E_k: the restricted k-cochains (beta[, gamma]) inside the k-cochains
     on (x, b), as alpha = beta_1 = .. = beta_k = beta, gamma kept."""
     n, _, g = cochain_space_dims(x, b, k)
-    e = paste(Matrix((k + 1) * n + g, n + g),
-              kron(Matrix(k + 1, 1, [1] * (k + 1)), Matrix.identity(n)))
-    return paste(e, Matrix.identity(g), (k + 1) * n, n)
+    return Matrix.from_blocks((k + 1) * n + g, n + g, (
+        (1, kron(Matrix(k + 1, 1, [1] * (k + 1)), Matrix.identity(n)), 0, 0),
+        (1, Matrix.identity(g), (k + 1) * n, n)))
 
 
 def rb_differential_matrix(pair, k):
@@ -371,8 +373,9 @@ def rb_differential_matrix(pair, k):
                     pair.module.left, pair.module.right)
     image = rrb_differential_matrix(x, b, k) * _embedding(x, b, k)
     n, _, g = cochain_space_dims(x, b, k + 1)
-    keep = paste(paste(Matrix(n + g, image.rows), Matrix.identity(n)),
-                 Matrix.identity(g), n, image.rows - g)
+    keep = Matrix.from_blocks(n + g, image.rows, (
+        (1, Matrix.identity(n), 0, 0),
+        (1, Matrix.identity(g), n, image.rows - g)))
     restricted = keep * image
     if _embedding(x, b, k + 1) * restricted != image:
         raise StructuralError(
@@ -433,8 +436,9 @@ def semidirect_complex(b):
 def summand_inclusions(d1, d2):
     """The inclusions of the two summands into a direct sum of dimensions
     d1 and d2; their transposes are the projections onto them."""
-    return (paste(Matrix(d1 + d2, d1), Matrix.identity(d1)),
-            paste(Matrix(d1 + d2, d2), Matrix.identity(d2), d1))
+    return (Matrix.from_blocks(d1 + d2, d1, [(1, Matrix.identity(d1), 0, 0)]),
+            Matrix.from_blocks(d1 + d2, d2,
+                               [(1, Matrix.identity(d2), d1, 0)]))
 
 
 def semidirect_inclusion_matrix(x, b, k):

@@ -2,10 +2,9 @@
 
 Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
-type, the one matrix type (row-sparse, built whole from dense entries or
-from a dict of its nonzeros and never changed after, with paste giving a
-matrix plus a block placed in it and signed_sum adding many in one copy),
-the Kronecker product kron, bilinear_on_columns
+type, the one matrix type (row-sparse, built whole from dense entries,
+from a dict of its nonzeros or as a signed sum of placed blocks, and
+never changed after), the Kronecker product kron, bilinear_on_columns
 (a bilinear map's matrix times a Kronecker product, with none built),
 linear maps on lists of matrix blocks given as terms (Product, OnColumns),
 whose signed entries assemble_terms writes, term by term, straight into
@@ -16,7 +15,7 @@ numbers and matrices, and homology_dims, which sweeps a whole cochain
 complex (transposed_homology_dims, given the maps' transposes).
 
 A Matrix stores integers over one denominator, so the product, kron,
-bilinear_on_columns, signed_sum, stacked and its inverse unstacked, paste,
+bilinear_on_columns, from_blocks, stacked and its inverse unstacked,
 the term writes, the transpose and the eliminations compute in integers
 and build no rational; only the reads (at, row, column, entries,
 nonzero_items, row_dicts and apply) make Q values.  Structure files are
@@ -168,9 +167,9 @@ class Matrix:
 
     Built whole: from dense row-major entries (Matrix(rows, cols, entries);
     no entries is the zero matrix), from the dict of its nonzeros
-    (from_entries), or as the result of an operation.  Never changed once
-    built, so matrices may share row dicts (paste keeps the rows its block
-    leaves alone), except by the sweep, which owns what it is handed.
+    (from_entries), as a signed sum of placed blocks (from_blocks), or as
+    the result of an operation, in rows of its own.  Never changed once
+    built, except by the sweep, which owns what it is handed.
     """
 
     __slots__ = ("rows", "cols", "_data", "_den")
@@ -204,6 +203,51 @@ class Matrix:
             if v:
                 data[i][j] = v
         return Matrix._of(rows, cols, data, _lowest(data, den))
+
+    @staticmethod
+    def from_blocks(rows, cols, blocks):
+        """The rows x cols sum of sign * m over (sign, m, row_off, col_off)
+        blocks, each sign +1 or -1 and each m placed with its corner at
+        (row_off, col_off); a block that does not fit, a negative offset
+        included, raises ValueError, and no blocks give the zero matrix.
+        Each block is scaled to the lcm of their denominators in one pass:
+        the first is copied and the rest are added into its rows."""
+        blocks = tuple(blocks)
+        for _, m, r, c in blocks:
+            if r < 0 or c < 0 or r + m.rows > rows or c + m.cols > cols:
+                raise ValueError(
+                    f"{m.rows}x{m.cols} block at ({r}, {c}) does not fit "
+                    f"in {rows}x{cols}")
+        if not blocks:
+            return Matrix(rows, cols)
+        den = lcm(*(m._den for _, m, _, _ in blocks))
+        (sign, m, r, c), rest = blocks[0], blocks[1:]
+        f = sign * (den // m._den)
+        out = [{} for _ in range(r)]
+        # a plain copy of a block at column 0 that needs no scaling, the
+        # common case of +, is much the cheapest
+        out += ([row.copy() for row in m._data] if f == 1 and not c else
+                [{j + c: f * v for j, v in row.items()} for row in m._data])
+        out += [{} for _ in range(rows - len(out))]
+        for sign, m, r, c in rest:
+            f = sign * (den // m._den)
+            for i, theirs in enumerate(m._data, r):
+                row = out[i]
+                for j, v in theirs.items():
+                    # a sum of 0 is deleted: a row dict holds nonzeros
+                    # only, which == relies on; inline, since a call per
+                    # entry slows the checks
+                    j += c
+                    old = row.get(j)
+                    if old is None:
+                        row[j] = f * v
+                    else:
+                        nv = old + f * v
+                        if nv:
+                            row[j] = nv
+                        else:
+                            del row[j]
+        return Matrix._of(rows, cols, out, _lowest(out, den))
 
     @staticmethod
     def _of(rows, cols, data, den=1):
@@ -251,6 +295,7 @@ class Matrix:
 
     def column(self, j):
         """Column j as a dense tuple."""
+        _check_column(self, j)
         den = self._den
         return tuple(Q(row[j], den) if j in row else ZERO
                      for row in self._data)
@@ -284,10 +329,16 @@ class Matrix:
                 and self._data == other._data)
 
     def __add__(self, other):
-        return signed_sum(((1, self), (1, other)))
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        return signed_sum(((1, self), (-1, other)))
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shapes must agree")
+        return Matrix.from_blocks(self.rows, self.cols,
+                                  ((1, self, 0, 0), (sign, other, 0, 0)))
 
     def __neg__(self):
         return Matrix._of(self.rows, self.cols,
@@ -358,42 +409,17 @@ def _lowest(data, den):
     return den // g
 
 
+def _check_column(m, j):
+    if not 0 <= j < m.cols:
+        raise ValueError(f"column {j} outside {m.rows}x{m.cols}")
+
+
 def _int_items(m):
     """(i, j, integer entry) for every nonzero of m, row by row: m times
     its denominator."""
     for i, row in enumerate(m._data):
         for j, v in row.items():
             yield i, j, v
-
-
-def signed_sum(terms):
-    """The sum of sign * m over (sign, m) pairs, each sign +1 or -1; all
-    the matrices have one shape, and there is at least one.  Each term is
-    scaled to the lcm of the denominators, and the rows are copied once,
-    not once per term."""
-    terms = list(terms)
-    (sign, first), rest = terms[0], terms[1:]
-    if any((m.rows, m.cols) != (first.rows, first.cols) for _, m in rest):
-        raise ValueError("shapes must agree")
-    den = lcm(*(m._den for _, m in terms))
-    f = sign * (den // first._den)
-    out = [{j: f * v for j, v in row.items()} for row in first._data]
-    for sign, m in rest:
-        f = sign * (den // m._den)
-        for row, theirs in zip(out, m._data):
-            # a sum of 0 is deleted: a row dict holds nonzeros only, which
-            # == relies on; inline, since a call per entry slows the checks
-            for j, v in theirs.items():
-                old = row.get(j)
-                if old is None:
-                    row[j] = f * v
-                else:
-                    nv = old + f * v
-                    if nv:
-                        row[j] = nv
-                    else:
-                        del row[j]
-    return Matrix._of(first.rows, first.cols, out, _lowest(out, den))
 
 
 def stacked(blocks):
@@ -412,6 +438,7 @@ def stacked(blocks):
 def unstacked(m, j, shapes):
     """The inverse of stacked: column j of m cut into matrices of the given
     (rows, cols) shapes, each filled row-major and in lowest terms."""
+    _check_column(m, j)
     if m.rows != sum(r * c for r, c in shapes):
         raise ValueError("column length must equal the blocks' total size")
     column, out, pos = [row.get(j) for row in m._data], [], 0
@@ -422,51 +449,6 @@ def unstacked(m, j, shapes):
         out.append(Matrix._of(rows, cols, data, _lowest(data, m._den)))
         pos += rows * cols
     return out
-
-
-def paste(dst, src, row_off=0, col_off=0):
-    """dst plus the block src with its corner at (row_off, col_off), as a
-    new matrix; dst is not changed.  The block must fit inside dst.  Only
-    the rows src adds to are copied, and the nonzero rows of dst when its
-    denominator must grow: the others are dst's own row dicts."""
-    if row_off + src.rows > dst.rows or col_off + src.cols > dst.cols:
-        raise ValueError(
-            f"{src.rows}x{src.cols} block at ({row_off}, {col_off}) does not "
-            f"fit in {dst.rows}x{dst.cols}")
-    den, out = dst._den, dst._data.copy()
-    if den % src._den:
-        f = src._den // gcd(den, src._den)
-        den *= f
-        for i, row in enumerate(out):
-            if row:
-                out[i] = {j: f * v for j, v in row.items()}
-    f = den // src._den
-    for i, theirs in enumerate(src._data, row_off):
-        if theirs:
-            row = out[i]
-            row = out[i] = row.copy() if row else {}
-            for j, v in theirs.items():
-                # added as in signed_sum
-                j += col_off
-                old = row.get(j)
-                if old is None:
-                    row[j] = f * v
-                else:
-                    nv = old + f * v
-                    if nv:
-                        row[j] = nv
-                    else:
-                        del row[j]
-    # _lowest, but dividing copies, since some rows may be dst's
-    g = den
-    for row in out:
-        if g == 1:
-            break
-        if row:
-            g = gcd(g, *row.values())
-    if g != 1:
-        out = [{j: v // g for j, v in row.items()} for row in out]
-    return Matrix._of(dst.rows, dst.cols, out, den // g)
 
 
 def kron(a, b):
@@ -569,8 +551,8 @@ class Product:
             if transposed:
                 base, col = col, base
             for s, t, v in scaled_q:
-                # added as in signed_sum, inline: a call per entry slows
-                # assembly
+                # added as in Matrix.from_blocks, inline: a call per
+                # entry slows assembly
                 row, j = out[base + s], keys[col + t]
                 if u != 1:
                     v *= u
@@ -634,8 +616,8 @@ class OnColumns:
             if transposed:
                 base, col = col, base
             for c in range(cols):
-                # added as in signed_sum, inline: a call per entry slows
-                # assembly
+                # added as in Matrix.from_blocks, inline: a call per
+                # entry slows assembly
                 row, j = out[base + c * row_step], keys[col + c * key_step]
                 old = row.get(j)
                 if old is None:
@@ -950,9 +932,9 @@ def homology_dims(differentials):
 
 def transposed_homology_dims(transposes):
     """homology_dims of the complex whose maps' transposes T_k = d_k^T are
-    given, in order.  Each is a fresh matrix, sharing no row with another,
-    that the sweep owns: it changes it in place and drops it once it is
-    ranked.
+    given, in order.  Each is a fresh matrix that the sweep owns, and, as
+    every matrix, shares no row with another: the sweep changes it in
+    place and drops it once it is ranked.
 
     T_{k-1} is kept as it is until T_k arrives.  Then T_k is checked
     against it for cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0,

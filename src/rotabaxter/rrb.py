@@ -19,7 +19,7 @@ from .algebra import (
 )
 from .linalg import (
     Matrix, Product, assemble_terms, bilinear_on_columns, kernel_basis, kron,
-    padded, paste, solve_columns, stacked,
+    padded, solve_columns, stacked,
 )
 
 
@@ -140,7 +140,7 @@ def lift_to_rb(x):
     """
     total = semidirect_algebra(x.module)
     n = total.dim
-    return total, paste(Matrix(n, n), x.rop, 0, x.algebra.dim)
+    return total, Matrix.from_blocks(n, n, [(1, x.rop, 0, x.algebra.dim)])
 
 
 def induced_dendriform_algebra(x):
@@ -289,9 +289,10 @@ def endomorphism_rrb(cx):
         [(d0, d0), (d1, d1)], [(d0, d1)]))
     n = kmat.cols
     # column i: f_0 and f_1 of basis vector i, row-major
-    f0s = paste(Matrix(d0 * d0, nvars), Matrix.identity(d0 * d0)) * kmat
-    f1s = paste(Matrix(d1 * d1, nvars), Matrix.identity(d1 * d1),
-                0, d0 * d0) * kmat
+    f0s = Matrix.from_blocks(
+        d0 * d0, nvars, [(1, Matrix.identity(d0 * d0), 0, 0)]) * kmat
+    f1s = Matrix.from_blocks(
+        d1 * d1, nvars, [(1, Matrix.identity(d1 * d1), 0, d0 * d0)]) * kmat
 
     def coords(basis, values, what):
         """The coordinates of each column of values in the columns of
@@ -302,10 +303,10 @@ def endomorphism_rrb(cx):
         return x
 
     # column (a, b): the composite of basis vectors a and b
-    products = paste(
-        paste(Matrix(nvars, n * n),
-              bilinear_on_columns(_product_tensor(d0, d0, d0), f0s, f0s)),
-        bilinear_on_columns(_product_tensor(d1, d1, d1), f1s, f1s), d0 * d0)
+    products = Matrix.from_blocks(nvars, n * n, (
+        (1, bilinear_on_columns(_product_tensor(d0, d0, d0), f0s, f0s), 0, 0),
+        (1, bilinear_on_columns(_product_tensor(d1, d1, d1), f1s, f1s),
+         d0 * d0, 0)))
     alg = AssocAlgebra(n, StructureConstants(
         n, n, coords(kmat, products, "vector is not a chain map")))
 
@@ -325,7 +326,7 @@ def endomorphism_rrb(cx):
                                       kron(Matrix.identity(rM), rows_f0)))
 
     # R(k_s (x) e_j^*) = (0, k_s (x) (row j of d))
-    rop = coords(kmat, paste(Matrix(nvars, rM * d0), kron(kd, d.transpose()),
-                             d0 * d0),
+    rop = coords(kmat, Matrix.from_blocks(
+        nvars, rM * d0, [(1, kron(kd, d.transpose()), d0 * d0, 0)]),
                  "vector is not a chain map")
     return RelativeRBAlgebra(alg, mod, rop)

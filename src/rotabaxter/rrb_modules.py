@@ -26,7 +26,7 @@ from .algebra import (
     StructuralError, StructureConstants, block_constants, dual_bimodule,
     semidirect_algebra, total_algebra,
 )
-from .linalg import Matrix, inverse, paste
+from .linalg import Matrix, inverse
 # Rota-Baxter bimodule pairs are re-exported here so they live next to the
 # rest of the bimodule machinery.
 from .rrb import (
@@ -224,8 +224,8 @@ def semidirect_rrb(b):
             (0, 0, 0): x.module.right, (0, 1, 1): b.left_pair,
             (1, 0, 1): b.fiber.right}),
         x.module.basis_names + b.fiber.basis_names)
-    rop = paste(paste(Matrix(big_alg.dim, big_mod.dim), x.rop),
-                b.sop, x.algebra.dim, x.module.dim)
+    rop = Matrix.from_blocks(big_alg.dim, big_mod.dim, (
+        (1, x.rop, 0, 0), (1, b.sop, x.algebra.dim, x.module.dim)))
     return RelativeRBAlgebra(big_alg, big_mod, rop)
 
 
@@ -257,7 +257,7 @@ def lift_bimodule(b):
             (1, 0, 1): b.fiber.right}),
         b.base.basis_names + b.fiber.basis_names)
     n = lifted.dim
-    return lifted, paste(Matrix(n, n), b.sop, 0, b.base.dim)
+    return lifted, Matrix.from_blocks(n, n, [(1, b.sop, 0, b.base.dim)])
 
 
 def mtot_action_bimodule(b):

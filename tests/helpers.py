@@ -16,7 +16,7 @@ from rotabaxter.cohomology import (
     RRBCochain, cochain_space_dims, rrb_differential, semidirect_complex,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, TensorIndex, inverse, kron, paste, rank, signed_sum,
+    Matrix, Q, TensorIndex, inverse, kron, rank,
 )
 from rotabaxter.rrb import RMatrix, RelativeRBAlgebra, induced_dendriform
 from rotabaxter.rrb_modules import (
@@ -307,21 +307,14 @@ def ref_transpose(a):
     return cols, rows, {(j, i): v for (i, j), v in entries.items()}
 
 
-def ref_signed_sum(terms):
-    """The sum of sign * a over (sign, reference matrix) pairs."""
+def ref_from_blocks(rows, cols, blocks):
+    """The rows x cols sum of sign * a over (sign, reference matrix,
+    row_off, col_off) blocks, each a placed with its corner at (row_off,
+    col_off)."""
     out = {}
-    for sign, (_, _, entries) in terms:
-        for ij, v in entries.items():
-            _ref_add(out, ij, sign * v)
-    rows, cols, _ = terms[0][1]
-    return _ref(rows, cols, out)
-
-
-def ref_paste(dst, src, row_off, col_off):
-    rows, cols, entries = dst
-    out = dict(entries)
-    for (i, j), v in src[2].items():
-        _ref_add(out, (i + row_off, j + col_off), v)
+    for sign, (_, _, entries), row_off, col_off in blocks:
+        for (i, j), v in entries.items():
+            _ref_add(out, (i + row_off, j + col_off), sign * v)
     return _ref(rows, cols, out)
 
 
@@ -363,13 +356,9 @@ def ref_assemble_terms(terms, in_shapes, out_shapes):
                for o in range(len(out_shapes) + 1)]
     col_off = [sum(r * c for r, c in in_shapes[:i])
                for i in range(len(in_shapes) + 1)]
-    out = (row_off[-1], col_off[-1], {})
-    for sign, i, o, term in terms:
-        rows, cols, entries = ref_term(term, *in_shapes[i])
-        out = ref_paste(out, (rows, cols, {ij: sign * v for ij, v
-                                           in entries.items()}),
-                        row_off[o], col_off[i])
-    return out
+    return ref_from_blocks(row_off[-1], col_off[-1], [
+        (sign, ref_term(term, *in_shapes[i]), row_off[o], col_off[i])
+        for sign, i, o, term in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +945,7 @@ def ref_check_homotopy_rrb_operator(a, m, r):
 # but for summing their entries into a dict that Matrix.from_entries
 # builds once (the differential reads ref_hochschild_matrix), and the
 # unit-vector products that built the matrix of an OnColumns term.  They
-# share with rotabaxter only Matrix, TensorIndex, paste, the structure
+# share with rotabaxter only Matrix, TensorIndex, the structure
 # types, the cochain dimensions and the M_Tot action, so the term lists are
 # checked against an independent indexing of the same formulas.  The
 # labelled differential read through the hat and unhat of the doubled
@@ -977,14 +966,14 @@ def ref_on_columns_matrix(t, y, x_first, rows, cols):
     products P_j X Q_j: the Kronecker products and sum that
     linalg.OnColumns.write avoids by reading t's nonzeros directly."""
     ix, iq, n = Matrix.identity(rows), Matrix.identity(cols), y.cols
-    parts = [(1, Matrix(t.rows * n * cols, rows * cols))]
+    parts = []
     for j in range(n):
         e = _unit(n, j)
         yj = y * e
         parts.append((1, kron(t * kron(ix, yj), kron(iq, e))
                       if x_first else
-                      kron(t * kron(yj, ix), kron(e, iq))))
-    return signed_sum(parts)
+                      kron(t * kron(yj, ix), kron(e, iq)), 0, 0))
+    return Matrix.from_blocks(t.rows * n * cols, rows * cols, parts)
 
 
 def ref_hochschild_matrix(mod, k):
@@ -1222,14 +1211,14 @@ def ref_rrb_differential_matrix(x, b, k):
     entries = {}
     _twisted_block(entries, x, b, k, a_out, 0, a_in)
     _operator_block(entries, x, b, k, a_out + bt_out, 0, a_in)
-    out = paste(Matrix.from_entries(a_out + bt_out + g_out,
-                                    a_in + bt_in + g_in, entries),
-                ref_hochschild_matrix(b.base, k))
+    rows, cols = a_out + bt_out + g_out, a_in + bt_in + g_in
+    blocks = [(1, Matrix.from_entries(rows, cols, entries), 0, 0),
+              (1, ref_hochschild_matrix(b.base, k), 0, 0)]
     if k >= 2:
-        out = paste(
-            out, ref_hochschild_matrix(mtot_action_bimodule(b).actions, k - 1),
-            a_out + bt_out, a_in + bt_in)
-    return out
+        blocks.append((
+            1, ref_hochschild_matrix(mtot_action_bimodule(b).actions, k - 1),
+            a_out + bt_out, a_in + bt_in))
+    return Matrix.from_blocks(rows, cols, blocks)
 
 
 def ref_psi_matrix(x, b, k):

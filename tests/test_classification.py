@@ -19,7 +19,7 @@ from rotabaxter.cohomology import (
     rrb_differential_matrix,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, inverse, kernel_basis, paste, solve_columns, stacked,
+    Matrix, Q, inverse, kernel_basis, solve_columns, stacked,
 )
 from rotabaxter.rrb import RRBMorphism, RelativeRBAlgebra, check_relative_rb
 from rotabaxter.rrb_modules import (
@@ -260,8 +260,8 @@ def test_elimination_and_extraction_build_no_fraction(monkeypatch):
     d = rrb_differential_matrix(x, b, 1)
     p = random_invertible(random.Random(14), 6)
     # the columns of d, all in its image, then the unit vectors, not all
-    rhs = paste(paste(Matrix(d.rows, d.cols + d.rows), d),
-                Matrix.identity(d.rows), 0, d.cols)
+    rhs = Matrix.from_blocks(d.rows, d.cols + d.rows, (
+        (1, d, 0, 0), (1, Matrix.identity(d.rows), 0, d.cols)))
     free = random_rrb_cochain(14, x, b, 2)
     shift = rrb_differential(x, b, 1, random_rrb_cochain(15, x, b, 1))
     c2 = RRBCochain.of_column(
@@ -282,7 +282,8 @@ def test_elimination_and_extraction_build_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert basis.cols and (d * basis).is_zero()
     assert bad and min(bad) >= d.cols
-    assert d * sol == paste(Matrix(d.rows, d.cols + d.rows), d)
+    assert d * sol == Matrix.from_blocks(d.rows, d.cols + d.rows,
+                                         [(1, d, 0, 0)])
     assert inv * p == Matrix.identity(6)
     assert got == c
     assert image != RRBCochain.zero(x, b, 3)

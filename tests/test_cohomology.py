@@ -18,8 +18,8 @@ from rotabaxter.cohomology import (
     rrb_differential_matrix, semidirect_complex, semidirect_inclusion_matrix,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, homology_dims, inverse, kernel_basis, paste, rank,
-    solve_columns, stacked,
+    Matrix, Q, homology_dims, inverse, kernel_basis, rank, solve_columns,
+    stacked,
 )
 from rotabaxter.rrb import (
     RBBimodulePair, RMatrix, RelativeRBAlgebra, check_rb_bimodule,
@@ -167,8 +167,8 @@ def quotient_differential(blocks):
     aa, ba, bb = (blocks[pair] for pair in (("alpha", "alpha"),
                                             ("beta", "alpha"),
                                             ("beta", "beta")))
-    out = paste(Matrix(aa.rows + bb.rows, aa.cols + bb.cols), aa)
-    return paste(paste(out, ba, aa.rows), bb, aa.rows, aa.cols)
+    return Matrix.from_blocks(aa.rows + bb.rows, aa.cols + bb.cols, (
+        (1, aa, 0, 0), (1, ba, aa.rows, 0), (1, bb, aa.rows, aa.cols)))
 
 
 def test_filtration_long_exact_sequence_bounds():
@@ -503,7 +503,7 @@ def test_assemblers_match_index_loop_reference():
 
 def test_assembly_builds_no_term_matrix(monkeypatch):
     # each term writes its signed entries straight into the rows: no term
-    # is built as a Kronecker product, summed or pasted
+    # is built as a Kronecker product or summed as blocks
     x, b = random_rrb_pair(14)
     terms = list(cohomology.rrb_terms(x, b, 3))
     shapes = [cohomology._block_shapes(x, b, k) for k in (3, 4)]
@@ -512,8 +512,8 @@ def test_assembly_builds_no_term_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("a term matrix was built")
 
-    for name in ("kron", "signed_sum", "paste"):
-        monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(linalg, "kron", refuse)
+    monkeypatch.setattr(linalg.Matrix, "from_blocks", staticmethod(refuse))
     assert linalg.assemble_terms(terms, *shapes) == want
 
 
@@ -579,6 +579,9 @@ def test_of_column_rejects_both_wrong_lengths(pair, k):
     for wrong in (size - 1, size + 1):
         with pytest.raises(ShapeError, match=f"expected {size}"):
             RRBCochain.of_column(x, b, k, Matrix(wrong, 1))
+    # a column outside the matrix is refused, not read as the zero cochain
+    with pytest.raises(ValueError, match="column 5"):
+        RRBCochain.of_column(x, b, k, Matrix(size, 2), 5)
 
 
 # ------------------------------------------- independent adjoint evaluator

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: frozen examples plus randomized invariants."""
 
+import gc
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
     Matrix, OnColumns, Product, Q, TensorIndex, assemble_terms,
     bilinear_on_columns, format_matrix, format_rational, homology_dims,
-    inverse, kernel_basis, kron, parse_rational, paste, rank, signed_sum,
-    solve_columns, stacked, unstacked,
+    inverse, kernel_basis, kron, parse_rational, rank, solve_columns,
+    stacked, unstacked,
 )
 
 from helpers import (
@@ -215,29 +216,46 @@ class TestTensorIndex:
     lambda: Matrix(2, 2).apply([1]),
     lambda: Matrix.from_entries(2, 2, {(2, 0): 1}),
     lambda: Matrix.from_entries(2, 2, {(0, -1): 1}),
-    lambda: paste(Matrix(2, 2), Matrix(1, 1), 2),  # a zero block too
+    lambda: Matrix.from_blocks(2, 2, [(1, Matrix(1, 1), 2, 0)]),  # zero too
+    # a negative offset is no Python index from the end
+    lambda: Matrix.from_blocks(3, 3, [(1, Matrix.identity(1), -1, 0)]),
+    lambda: Matrix.from_blocks(3, 3, [(1, Matrix.identity(1), 0, -1)]),
     lambda: solve_columns(Matrix(2, 2), Matrix(3, 1)),
     lambda: unstacked(Matrix(5, 1), 0, [(2, 2)]),
+    # a column outside the matrix is refused, not read as zeros
+    lambda: unstacked(Matrix(2, 2, [1, 2, 3, 4]), 9, [(1, 2)]),
+    lambda: Matrix(2, 2, [1, 2, 3, 4]).column(5),
+    lambda: Matrix(2, 2, [1, 2, 3, 4]).column(-1),
+    lambda: StructureConstants(2, 1, Matrix(1, 2, [1, 2])).on_basis(2, 0),
 ], ids=["entry-count", "ragged", "add", "sub", "mul", "apply",
         "negative-dim", "index-range", "index-length", "flat-range",
         "sparse-compose", "sparse-apply", "entry-row", "entry-col",
-        "paste-fit", "solve-columns-rows", "unstacked-length"])
+        "from-blocks-fit", "from-blocks-row", "from-blocks-col",
+        "solve-columns-rows", "unstacked-length", "unstacked-column",
+        "column-past", "column-negative", "on-basis-past"])
 def test_validation_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
 
 
-def test_paste_adds_a_block_at_its_corner():
-    dst = Matrix(2, 3, [1, 0, 0, 0, 0, 0])
-    out = paste(dst, Matrix(2, 2, [1, 2, 0, 3]), 0, 1)
+def test_from_blocks_adds_each_block_at_its_corner():
+    first = Matrix(2, 3, [1, 0, 0, 0, 0, 0])
+    block = Matrix(2, 2, [1, 2, 0, 3])
+    out = Matrix.from_blocks(2, 3, [(1, first, 0, 0), (1, block, 0, 1)])
     assert out.entries == (1, 1, 2, 0, 0, 3)
-    assert dst.entries == (1, 0, 0, 0, 0, 0)
+    assert first.entries == (1, 0, 0, 0, 0, 0)
+    # signs, and a first block off the corner with rows above and below it
+    out = Matrix.from_blocks(4, 3, [(-1, block, 1, 1), (1, first, 2, 0)])
+    assert out.entries == (0, 0, 0, 0, -1, -2, 1, 0, -3, 0, 0, 0)
     # the sum has the common factor 2 with the denominator 2, and row 1,
-    # which the block leaves alone, is dst's: it is divided in a copy
-    dst = Matrix(2, 2, [Q(1, 2), 0, 0, 1])
-    out = paste(dst, Matrix(1, 1, [Q(1, 2)]))
+    # which the second block leaves alone, is divided by it too
+    half = Matrix(2, 2, [Q(1, 2), 0, 0, 1])
+    out = Matrix.from_blocks(2, 2, [(1, half, 0, 0),
+                                    (1, Matrix(1, 1, [Q(1, 2)]), 0, 0)])
     assert out == Matrix.identity(2)
-    assert dst == Matrix(2, 2, [Q(1, 2), 0, 0, 1])
+    assert half == Matrix(2, 2, [Q(1, 2), 0, 0, 1])
+    # no blocks is the zero matrix
+    assert Matrix.from_blocks(2, 3, []) == Matrix(2, 3)
 
 
 def test_product_needs_a_matrix():
@@ -284,7 +302,7 @@ def test_unstacked_inverts_stacked(seed):
     assert unstacked(column, 0, shapes) == blocks
     width = rng.randint(1, 3)
     j = rng.randrange(width)
-    wide = paste(Matrix(column.rows, width), column, 0, j)
+    wide = Matrix.from_blocks(column.rows, width, [(1, column, 0, j)])
     cut = unstacked(wide, j, shapes)
     assert cut == blocks
     assert [format_matrix(m) for m in cut] == \
@@ -402,9 +420,9 @@ def test_term_writes_at_its_block_offsets(kind):
     in_shapes = [(2, 3), (2, 2)]
     out_shapes = [(3, 3), (2, second_ref.rows // 2)]
     m = assemble_terms(terms, in_shapes, out_shapes)
-    want = paste(Matrix(9 + second_ref.rows, 6 + 4),
-                 kron(first.p, first.q.transpose()))
-    assert m == paste(want, -second_ref, 9, 6)
+    assert m == Matrix.from_blocks(9 + second_ref.rows, 6 + 4, (
+        (1, kron(first.p, first.q.transpose()), 0, 0),
+        (-1, second_ref, 9, 6)))
     x, y = (random_matrix(rng, *shape) for shape in in_shapes)
     images = (first.p * x * first.q,
               -(p * y * q if kind == "product" else
@@ -423,7 +441,7 @@ def test_cancelling_adds_store_no_zero():
         Matrix(8, 6)
     sums = [assemble_terms([(1, 0, 0, term), (-1, 0, 0, term)],
                            [(3, 2)], [(2, 4)]),
-            signed_sum([(1, a), (-1, a)]), paste(paste(Matrix(3, 4), a), -a),
+            a - a, Matrix.from_blocks(3, 4, [(1, a, 0, 0), (1, -a, 0, 0)]),
             Matrix.from_entries(3, 4, {(i, j): v - v
                                        for i, j, v in a.nonzero_items()})]
     for m in sums:
@@ -606,19 +624,38 @@ def test_random_matrices_match_reference_gauss_jordan():
     assert inconsistent > 10 and singular > 10
 
 
+def _mutable_parts(obj):
+    """The ids of the nonempty dicts, lists and sets reachable from obj
+    through matrices and containers: the state a result could share with
+    an operand, however a Matrix stores it."""
+    seen, stack = set(), [obj]
+    while stack:
+        for part in gc.get_referents(stack.pop()):
+            if isinstance(part, (Matrix, tuple)):
+                stack.append(part)
+            elif (isinstance(part, (dict, list, set)) and part
+                    and id(part) not in seen):
+                seen.add(id(part))
+                stack.append(part)
+    return seen
+
+
 def test_eliminations_leave_their_inputs_alone():
-    """No operation changes its operands.  The elimination changes the
-    rows it is given in place, so rank, kernel_basis, solve_columns,
-    inverse and homology_dims hand it rows of their own, and paste, which
-    shares the rows its block leaves alone, copies the rows it adds to: on
+    """No operation changes its operands, and every matrix it returns
+    holds rows of its own.  The elimination changes the rows it is given
+    in place, so rank, kernel_basis, solve_columns, inverse and
+    homology_dims hand it rows of their own, and Matrix.from_blocks copies
+    its first block and adds the rest into that copy: on
     gauss_jordan_cases, each operation leaves its operands equal to copies
-    taken before the call.  homology_dims gets the complex of m's kernel
-    basis and m; pasted shares rows with m, so the calls on it check that
-    m's rows are not changed through it."""
+    taken before the call, and what it returns shares no nonempty dict,
+    list or set with an operand, so no row.  homology_dims gets the
+    complex of m's kernel basis and m; placed, m plus square at its lower
+    right corner, is a block sum taken as an operand in turn."""
     third = Matrix(1, 1, [Q(1, 3)])
     for m, rhs, square in gauss_jordan_cases():
         b, n, t = column(*rhs), square.rows, m.transpose()
-        pasted = paste(m, square, m.rows - n, m.cols - n)
+        placed = Matrix.from_blocks(m.rows, m.cols, (
+            (1, m, 0, 0), (1, square, m.rows - n, m.cols - n)))
         blocks = [(m.rows, m.cols), (n, n)]
         in_shapes, out_shapes = [(m.cols, n), (m.rows, 1)], [(m.rows, n),
                                                              (m.cols, 1)]
@@ -632,21 +669,27 @@ def test_eliminations_leave_their_inputs_alone():
                 ("inverse", inverse, (square,)),
                 ("homology_dims", lambda *maps: homology_dims(maps),
                  (kernel_basis(m), m)),
-                ("paste", lambda a, s: paste(a, s, m.rows - n, m.cols - n),
+                ("from_blocks",
+                 lambda a, s: Matrix.from_blocks(m.rows, m.cols, (
+                     (1, a, 0, 0), (1, s, m.rows - n, m.cols - n))),
                  (m, square)),
-                ("paste over pasted", lambda a, s: paste(a, -s), (pasted, m)),
-                ("signed_sum",
-                 lambda a, s: signed_sum([(1, a), (-1, s), (1, a)]),
-                 (m, pasted)),
-                ("+", lambda a, s: a + s, (m, pasted)),
-                ("-", lambda a, s: a - s, (pasted, m)),
-                ("unary -", lambda a: -a, (pasted,)),
-                ("*", lambda a, s: a * s, (t, pasted)),
-                ("transpose", Matrix.transpose, (pasted,)),
+                ("from_blocks, one block",
+                 lambda a: Matrix.from_blocks(m.rows, m.cols,
+                                              [(1, a, 0, 0)]),
+                 (placed,)),
+                ("from_blocks, signed",
+                 lambda a, s: Matrix.from_blocks(m.rows, m.cols, (
+                     (1, a, 0, 0), (-1, s, 0, 0), (1, a, 0, 0))),
+                 (m, placed)),
+                ("+", lambda a, s: a + s, (m, placed)),
+                ("-", lambda a, s: a - s, (placed, m)),
+                ("unary -", lambda a: -a, (placed,)),
+                ("*", lambda a, s: a * s, (t, placed)),
+                ("transpose", Matrix.transpose, (placed,)),
                 ("kron", kron, (square, b)),
                 ("bilinear_on_columns", bilinear_on_columns, (m, t, third)),
                 ("stacked", lambda *ms: stacked(list(ms)),
-                 (pasted, square, b)),
+                 (placed, square, b)),
                 ("unstacked", lambda c: unstacked(c, 0, blocks),
                  (stacked([m, square]),)),
                 ("assemble_terms",
@@ -655,8 +698,9 @@ def test_eliminations_leave_their_inputs_alone():
                                             transposed=True)),
                  (m, square, t, third))):
             before = [Matrix(a.rows, a.cols, a.entries) for a in args]
-            call(*args)
+            got = call(*args)
             assert list(args) == before, name
+            assert not _mutable_parts(got) & _mutable_parts(args), name
 
 
 def test_solve_columns_matches_reference_column_by_column():

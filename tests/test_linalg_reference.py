@@ -19,16 +19,14 @@ from rotabaxter.fileformat import parse_document
 from rotabaxter.linalg import (
     Matrix, OnColumns, Product, Q, assemble_terms, bilinear_on_columns,
     format_matrix, format_rational, homology_dims, kernel_basis, kron,
-    parse_ratio, parse_rational, paste, rank, ratio_matrix, signed_sum,
-    solve_columns,
+    parse_ratio, parse_rational, rank, ratio_matrix, solve_columns,
 )
 from rotabaxter.rrb import RMatrix
 
 from helpers import (
     dense_rows, dual_numbers, from_nested, gauss_jordan_rank, ref_apply,
-    ref_assemble_terms, ref_kron, ref_mul, ref_of, ref_paste,
-    ref_signed_sum, ref_transpose, reference_elimination,
-    reference_solve_columns,
+    ref_assemble_terms, ref_from_blocks, ref_kron, ref_mul, ref_of,
+    ref_transpose, reference_elimination, reference_solve_columns,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -147,31 +145,31 @@ def test_format_matrix(data):
 
 @SETTINGS
 @given(st.data())
-def test_signed_sum(data):
-    first = data.draw(matrices())
-    shape = matrices(first.rows, first.cols)
-    terms = [(1, first)] + [(data.draw(st.sampled_from((1, -1))),
-                             data.draw(shape))
-                            for _ in range(data.draw(st.integers(0, 3)))]
-    if data.draw(st.booleans()):  # the first term cancels out
-        terms.append((-1, first))
-    agrees(signed_sum(terms),
-           ref_signed_sum([(s, ref_of(m)) for s, m in terms]))
+def test_from_blocks(data):
+    """1-4 blocks with signs +1 and -1, each placed anywhere it fits, so
+    blocks overlap or not, or all of the matrix's shape at (0, 0); with
+    mixed denominators, and half the time the first block again with the
+    other sign, so its sum cancels."""
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    whole = data.draw(st.booleans())
+    blocks = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        m = data.draw(matrices(rows, cols) if whole else matrices(
+            data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))))
+        blocks.append((data.draw(st.sampled_from((1, -1))), m,
+                       data.draw(st.integers(0, rows - m.rows)),
+                       data.draw(st.integers(0, cols - m.cols))))
+    if data.draw(st.booleans()):
+        sign, m, r, c = blocks[0]
+        blocks.append((-sign, m, r, c))
+    before = [ref_of(m) for _, m, _, _ in blocks]
+    agrees(Matrix.from_blocks(rows, cols, blocks),
+           ref_from_blocks(rows, cols, [(s, ref_of(m), r, c)
+                                        for s, m, r, c in blocks]))
+    assert [ref_of(m) for _, m, _, _ in blocks] == before  # unchanged
+    # + and - are the blocks of one shape at the corner
+    first = blocks[0][1]
     agrees(first + first - first, ref_of(first))
-
-
-@SETTINGS
-@given(st.data())
-def test_paste(data):
-    dst = data.draw(matrices())
-    src = data.draw(matrices(data.draw(st.integers(0, dst.rows)),
-                             data.draw(st.integers(0, dst.cols))))
-    row_off = data.draw(st.integers(0, dst.rows - src.rows))
-    col_off = data.draw(st.integers(0, dst.cols - src.cols))
-    before = ref_of(dst)
-    agrees(paste(dst, src, row_off, col_off),
-           ref_paste(before, ref_of(src), row_off, col_off))
-    agrees(dst, before)  # unchanged
 
 
 @SETTINGS
@@ -256,13 +254,15 @@ def test_equal_values_compare_equal():
     # 1/2 + 1/2 is the integer 1 however it was reached
     half = Matrix(1, 1, [Q(1, 2)])
     for one in (half + half, Matrix.from_entries(1, 1, {(0, 0): "2/2"}),
-                Matrix(1, 1, ["2/2"]), paste(half, half),
+                Matrix(1, 1, ["2/2"]),
+                Matrix.from_blocks(1, 1, [(1, half, 0, 0), (1, half, 0, 0)]),
                 kron(half, Matrix(1, 1, [2])), half * Matrix(1, 1, [2])):
         assert one == Matrix.identity(1)
-    cancelled = paste(Matrix(2, 2, [Q(1, 3), 0, 0, 5]),
-                      Matrix(1, 1, [Q(-1, 3)]))
+    third, five = Matrix(1, 1, [Q(1, 3)]), Matrix(1, 1, [5])
+    blocks = [(1, Matrix(2, 2, [Q(1, 3), 0, 0, 5]), 0, 0), (-1, third, 0, 0)]
+    cancelled = Matrix.from_blocks(2, 2, blocks)
     assert cancelled == Matrix(2, 2, [0, 0, 0, 5])
-    cancelled = paste(cancelled, Matrix(1, 1, [-5]), 1, 1)
+    cancelled = Matrix.from_blocks(2, 2, blocks + [(-1, five, 1, 1)])
     assert cancelled == Matrix.zero(2, 2) and cancelled.is_zero()
 
 
