@@ -7,7 +7,8 @@ their matrix on the flattened U (x) V, entry (k, i * dim_V + j) =
 c[i][j][k]; the file layout keeps the nested c[i][j][k], which the file
 parser reads straight into that matrix.  Every structure made from others
 (duals, pullbacks, induced and transported structures) is a matrix
-expression in these matrices.
+expression in these matrices; a dual rotates the tensor factors, which
+only moves the matrix's integers (Matrix.reindexed).
 Axioms are multilinear, so checking them on basis tuples is equivalent to
 the full statement.  Every check evaluates a law on all its basis tuples
 at once: each variable is an identity matrix, a bilinear map c is applied
@@ -25,7 +26,8 @@ assembles.
 Every structure on a direct sum (semidirect products, square-zero
 extensions, lifted and glued structures elsewhere) is assembled by
 block_constants: the first summand's basis comes first, and each block's
-nonzeros sit at its summands' offsets.  A linear map is its linalg.Matrix;
+integers are moved to its summands' offsets by Matrix.reindexed, with no
+product and no Q built.  A linear map is its linalg.Matrix;
 one on a flattened U (x) V is the matrix of a bilinear map.
 """
 
@@ -173,9 +175,6 @@ class StructureConstants:
         return StructureConstants(dim_left, dim_right,
                                   Matrix(dim_out, dim_left * dim_right))
 
-    def on_basis(self, i, j):
-        return self.matrix.column(i * self.dim_right + j)
-
     def __call__(self, x, y):
         if len(x) != self.dim_left or len(y) != self.dim_right:
             raise ShapeError(
@@ -199,15 +198,12 @@ class StructureConstants:
         return bilinear_on_columns(self.matrix, x, y)
 
     def rotated(self):
-        """The constants c'[j][k][i] = c[i][j][k] of V (x) W -> U, read
-        off the nonzeros; dual structures are rotations."""
+        """The constants c'[j][k][i] = c[i][j][k] of V (x) W -> U: entry
+        (k, i dr + j) of the matrix moves to (i, j do + k), as the same
+        integers; dual structures are rotations."""
         dl, dr, do = self.dim_left, self.dim_right, self.dim_out
-        entries = {}
-        for k, t, v in self.matrix.nonzero_items():
-            i, j = divmod(t, dr)
-            entries[i, j * do + k] = v
-        return StructureConstants(dr, do,
-                                  Matrix.from_entries(dl, dr * do, entries))
+        return StructureConstants(dr, do, self.matrix.reindexed(
+            dl, dr * do, lambda k, t: (t // dr, t % dr * do + k)))
 
     def is_zero(self):
         return self.matrix.is_zero()
@@ -240,29 +236,26 @@ def block_constants(left, right, out, blocks):
     left, right and out list the summand dimensions of the two inputs and
     of the output; each sum takes its first summand's basis first.  blocks
     maps (p, q, r) to the constants of summand p (x) summand q -> summand
-    r, placed at those summands' offsets; every other block is zero.  A
-    block is itself on the projections to its two input summands, placed
-    at its output summand's rows, and the blocks are summed in one
-    Matrix.from_blocks, all in integers.
+    r, placed at those summands' offsets; every other block is zero.
+    Matrix.reindexed moves each block's entry at input pair (i, j) to the
+    column of the pair (i + the offset of summand p, j + the offset of
+    summand q), and one Matrix.from_blocks sums the moved blocks at their
+    output summands' rows, all in integers.
     """
     lo, ro, oo = ([0, *accumulate(dims)] for dims in (left, right, out))
+    width = ro[-1]
     placed = []
     for (p, q, r), t in blocks.items():
         if (t.dim_left, t.dim_right, t.dim_out) != (left[p], right[q], out[r]):
             raise ShapeError(
                 f"block {(p, q, r)} is {t.dim_left}x{t.dim_right}x"
                 f"{t.dim_out}, its summands are {left[p]}x{right[q]}x{out[r]}")
-        placed.append((1, t.on_columns(_projection(left, lo, p),
-                                       _projection(right, ro, q)), oo[r], 0))
-    return StructureConstants(lo[-1], ro[-1], Matrix.from_blocks(
-        oo[-1], lo[-1] * ro[-1], placed))
-
-
-def _projection(dims, offsets, p):
-    """The projection of the direct sum with summands dims (at offsets)
-    onto summand p."""
-    return Matrix.from_blocks(dims[p], offsets[-1],
-                              [(1, Matrix.identity(dims[p]), 0, offsets[p])])
+        dr, i0, j0 = right[q], lo[p], ro[q]
+        placed.append((1, t.matrix.reindexed(
+            out[r], lo[-1] * width,
+            lambda k, c: (k, (i0 + c // dr) * width + j0 + c % dr)), oo[r], 0))
+    return StructureConstants(lo[-1], width, Matrix.from_blocks(
+        oo[-1], lo[-1] * width, placed))
 
 
 def default_names(prefix, dim):

@@ -4,27 +4,30 @@ Everything in this package reduces to finite-dimensional linear algebra over the
 rationals, done exactly: no floats anywhere.  This module provides the scalar
 type, the one matrix type (row-sparse, built whole from dense entries,
 from a dict of its nonzeros or as a signed sum of placed blocks, and
-never changed after), the Kronecker product kron, bilinear_on_columns
+never changed after; reindexed moves its entries to new places, the one
+rule behind every rotation of a tensor and every block placed at its
+summands' offsets), the Kronecker product kron, bilinear_on_columns
 (a bilinear map's matrix times a Kronecker product, with none built),
 linear maps on lists of matrix blocks given as terms (Product, OnColumns),
 whose signed entries assemble_terms writes, term by term, straight into
 the rows of one matrix or of its transpose (write is each term's one
 definition), multi-index flattening for tensor powers, the workhorses
 rank / kernel_basis / solve_columns (with its case inverse), which return
-numbers and matrices, and homology_dims, which sweeps a whole cochain
-complex (transposed_homology_dims, given the maps' transposes).
+numbers and matrices, and transposed_homology_dims, which sweeps a whole
+cochain complex, given the transposes of its maps.
 
 A Matrix stores integers over one denominator, so the product, kron,
-bilinear_on_columns, from_blocks, stacked and its inverse unstacked,
-the term writes, the transpose and the eliminations compute in integers
-and build no rational; only the reads (at, row, column, entries,
-nonzero_items, row_dicts and apply) make Q values.  Structure files are
-parsed into integers and rendered from them: parse_ratio reads a scalar
-as an unreduced integer pair, ratio_matrix stores a matrix of such pairs
-over their lcm, format_matrix writes each entry from its integer and the
-denominator, and parse_rational and format_rational read and write one Q.
+bilinear_on_columns, from_blocks, reindexed, stacked and its inverse
+unstacked, the term writes, the transpose and the eliminations compute in
+integers and build no rational; only the reads (row, column, entries,
+nonzero_items and apply) make Q values, at the boundary, and row and
+column refuse an index outside the matrix.  Structure files are parsed into
+integers and rendered from them: parse_ratio reads a scalar as an
+unreduced integer pair, ratio_matrix stores a matrix of such pairs over
+their lcm, format_matrix writes each entry from its integer and the
+denominator, and format_rational writes one Q.
 
-rank, kernel_basis, solve_columns and homology_dims run one elimination
+rank, kernel_basis, solve_columns and the sweep run one elimination
 kernel, _echelon, on integer rows, with a column index of the live rows
 that have a nonzero in each column.  It owns the rows it is given and
 changes them in place, so each caller passes rows built for it: rank and
@@ -45,7 +48,7 @@ output is fixed by the set of pivot columns, and elimination in column
 order always finds the same set.
 
 The sweep runs on the transposes T_k = d_k^T, which the cohomology
-modules assemble as such and homology_dims takes from its matrices.  It
+and Hochschild modules assemble as such.  It
 ranks each d_k off the image of d_{k-1}, as T_k: with R the rows of
 d_{k-1} found as pivots one step before (a row basis of it), C^k =
 im d_{k-1} (+) W, W spanned by the unit vectors off R, so T_k's rows in R
@@ -100,14 +103,9 @@ def parse_ratio(text):
     return (-n, -d) if d < 0 else (n, d)
 
 
-def parse_rational(text):
-    """parse_ratio as a Q."""
-    return Q(*parse_ratio(text))
-
-
 def format_rational(q):
-    """Serialize a Q or an int as 'p' or 'p/q'.  Inverse of
-    parse_rational; a float or complex raises TypeError."""
+    """Serialize a Q or an int as 'p' or 'p/q', which parse_ratio reads
+    back; a float or complex raises TypeError."""
     if type(q) is not Q:
         q = _rational(q)
     if q.denominator == 1:
@@ -163,13 +161,14 @@ class Matrix:
     denominator: per row, a col -> int dict of its nonzeros, and _den > 0
     with gcd(_den, every entry) == 1 (so _den is 1 for the zero matrix and
     for every integer matrix), so equal matrices store equal data.
-    Values are read out as Q.
 
     Built whole: from dense row-major entries (Matrix(rows, cols, entries);
     no entries is the zero matrix), from the dict of its nonzeros
-    (from_entries), as a signed sum of placed blocks (from_blocks), or as
-    the result of an operation, in rows of its own.  Never changed once
-    built, except by the sweep, which owns what it is handed.
+    (from_entries), as a signed sum of placed blocks (from_blocks), as
+    another's entries moved to new places (reindexed), or as the result of
+    an operation, in rows of its own.  Never changed once built, except by
+    the sweep, which owns what it is handed.  Values are read out as Q
+    (row, column, entries, nonzero_items, apply).
     """
 
     __slots__ = ("rows", "cols", "_data", "_den")
@@ -266,12 +265,6 @@ class Matrix:
         return Matrix(rows, cols, [v for r in rows_list for v in r])
 
     @staticmethod
-    def from_columns(rows, columns):
-        """The rows x len(columns) matrix with the given dense columns."""
-        return Matrix(len(columns), rows,
-                      [v for col in columns for v in col]).transpose()
-
-    @staticmethod
     def zero(rows, cols):
         return Matrix(rows, cols)
 
@@ -284,11 +277,10 @@ class Matrix:
         """The dense row-major tuple of all rows*cols entries."""
         return tuple(v for i in range(self.rows) for v in self.row(i))
 
-    def at(self, i, j):
-        return Q(self._data[i].get(j, 0), self._den)
-
     def row(self, i):
         """Row i as a dense tuple."""
+        if not 0 <= i < self.rows:
+            raise ValueError(f"row {i} outside {self.rows}x{self.cols}")
         row, den = self._data[i], self._den
         return tuple(Q(row[j], den) if j in row else ZERO
                      for j in range(self.cols))
@@ -300,11 +292,6 @@ class Matrix:
         return tuple(Q(row[j], den) if j in row else ZERO
                      for row in self._data)
 
-    def row_dicts(self):
-        """Fresh col -> value dicts of the nonzeros, one per row."""
-        den = self._den
-        return [{j: Q(v, den) for j, v in row.items()} for row in self._data]
-
     def nonzero_items(self):
         """(i, j, value) for every nonzero, row by row."""
         den = self._den
@@ -314,6 +301,21 @@ class Matrix:
 
     def is_zero(self):
         return not any(self._data)
+
+    def reindexed(self, rows, cols, place):
+        """The rows x cols matrix whose entry place(i, j) is this matrix's
+        entry (i, j), for every nonzero: the same integers over the same
+        denominator, so no rational is built.  A place outside the matrix,
+        or one that two nonzeros share, raises ValueError."""
+        data = [{} for _ in range(rows)]
+        for i, row in enumerate(self._data):
+            for j, v in row.items():
+                a, b = place(i, j)
+                if not (0 <= a < rows and 0 <= b < cols) or b in data[a]:
+                    raise ValueError(f"entry ({i}, {j}) placed at ({a}, {b}) "
+                                     f"of {rows}x{cols}, outside or taken")
+                data[a][b] = v
+        return Matrix._of(rows, cols, data, self._den)
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]
@@ -424,15 +426,13 @@ def _int_items(m):
 
 def stacked(blocks):
     """The column of the entries of a list of matrices, each read
-    row-major, one after another: the coordinates of a list of blocks."""
-    den = lcm(*(m._den for m in blocks))
-    out = []
-    for m in blocks:
-        f = den // m._den
-        for row in m._data:
-            out.extend({0: f * row[j]} if j in row else {}
-                       for j in range(m.cols))
-    return Matrix._of(len(out), 1, out, _lowest(out, den))
+    row-major, one after another: the coordinates of a list of blocks.
+    Each block is reindexed to its column and placed at its offset."""
+    sizes = [m.rows * m.cols for m in blocks]
+    return Matrix.from_blocks(sum(sizes), 1, (
+        (1, m.reindexed(size, 1, lambda i, j: (i * m.cols + j, 0)),
+         pos, 0)
+        for m, size, pos in zip(blocks, sizes, accumulate([0, *sizes]))))
 
 
 def unstacked(m, j, shapes):
@@ -659,8 +659,8 @@ class TensorIndex:
     """Big-endian mixed-radix flattening of a multi-index.
 
     factor_dims lists the dimension of each tensor factor; the first factor
-    varies slowest.  flatten and unflatten are mutually inverse on the full
-    range.  An empty factor list describes the base field (size 1, index ()).
+    varies slowest.  unflatten reads a flat index as its multi-index.  An
+    empty factor list describes the base field (size 1, index ()).
     """
 
     __slots__ = ("factor_dims", "size")
@@ -677,16 +677,6 @@ class TensorIndex:
 
     def __setattr__(self, *a):
         raise AttributeError("TensorIndex is immutable")
-
-    def flatten(self, multi):
-        if len(multi) != len(self.factor_dims):
-            raise ValueError("multi-index length must equal factor count")
-        flat = 0
-        for i, d in zip(multi, self.factor_dims):
-            if not 0 <= i < d:
-                raise ValueError("index out of range")
-            flat = flat * d + i
-        return flat
 
     def unflatten(self, flat):
         if not 0 <= flat < self.size:
@@ -918,23 +908,12 @@ def _kills(outer, inner, width):
     return True
 
 
-def homology_dims(differentials):
-    """dim ker d_k - rank d_{k-1} for each map of the complex d_0, d_1, ...
-
-    differentials is any iterable of matrices; the map into the domain of
-    d_0 is zero.  Each map is checked against the one before it for
-    cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0 before that one is
-    ranked.  The sweep, transposed_homology_dims, runs on d.transpose() of
-    each map, so the matrices given are never changed.
-    """
-    return transposed_homology_dims(d.transpose() for d in differentials)
-
-
 def transposed_homology_dims(transposes):
-    """homology_dims of the complex whose maps' transposes T_k = d_k^T are
-    given, in order.  Each is a fresh matrix that the sweep owns, and, as
-    every matrix, shares no row with another: the sweep changes it in
-    place and drops it once it is ranked.
+    """dim ker d_k - rank d_{k-1} for each map of the complex d_0, d_1,
+    ... whose maps' transposes T_k = d_k^T are given, in order; the map
+    into the domain of d_0 is zero.  Each T is a fresh matrix that the
+    sweep owns, and, as every matrix, shares no row with another: the
+    sweep changes it in place and drops it once it is ranked.
 
     T_{k-1} is kept as it is until T_k arrives.  Then T_k is checked
     against it for cols(d_k) == rows(d_{k-1}) and d_k . d_{k-1} == 0,

@@ -178,24 +178,24 @@ def aybe_check(r):
     and the equation is r13 r12 - r12 r23 + r23 r13 = 0.  With t the
     matrix of r, each term is one product mu.on_columns(X, Y), X and Y
     each t or its transpose: its entry (s, x d + y) is the term's
-    coordinate whose index weighs s, x and y by the strides below.  Their
-    sum is checked as one law whose d^3 columns are the coordinates
-    (a, b, c), against 0.
+    coordinate whose index weighs s, x and y by the strides below, to
+    which Matrix.reindexed moves it.  The three moved terms are summed in
+    one Matrix.from_blocks and checked as one law whose d^3 columns are
+    the coordinates (a, b, c), against 0.
     """
     mu, d, t = r.over.mu, r.over.dim, r.matrix
     tt, dd = t.transpose(), d * d
-    total = {}
+    terms = []
     for sign, x_side, y_side, (ws, wx, wy) in (
             (1, t, t, (dd, 1, d)),      # r13 r12 at (s, y, x)
             (-1, tt, t, (d, dd, 1)),    # r12 r23 at (x, s, y)
             (1, tt, tt, (1, d, dd))):   # r23 r13 at (y, x, s)
-        for s, col, v in mu.on_columns(x_side, y_side).nonzero_items():
-            x, y = divmod(col, d)
-            key = 0, s * ws + x * wx + y * wy
-            total[key] = total.get(key, 0) + sign * v
+        terms.append((sign, mu.on_columns(x_side, y_side).reindexed(
+            1, d * dd,
+            lambda s, col: (0, s * ws + col // d * wx + col % d * wy)), 0, 0))
     rep = Report("aybe")
     rep.require_laws([("aybe_coordinate", (d, d, d),
-                       Matrix.from_entries(1, d * dd, total),
+                       Matrix.from_blocks(1, d * dd, terms),
                        Matrix(1, d * dd), None)])
     return rep
 
@@ -203,11 +203,11 @@ def aybe_check(r):
 def _sandwich_weights(r, n):
     """The weights that sum e_i . v . e_j into sum r[i][j] e_i . v . e_j:
     r[i][j] at row (i * n + v) * d + j, column v, for v among n basis
-    vectors and d = dim A."""
+    vectors and d = dim A.  They are the entries of kron(r, I_n), entry
+    (i n + v, j n + v) moved there."""
     d = r.over.dim
-    return Matrix.from_entries(d * n * d, n, {
-        ((i * n + v) * d + j, v): rij
-        for i, j, rij in r.matrix.nonzero_items() for v in range(n)})
+    return kron(r.matrix, Matrix.identity(n)).reindexed(
+        d * n * d, n, lambda a, b: (a * d + b // n, b % n))
 
 
 def rb_from_r_matrix(r):

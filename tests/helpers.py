@@ -1,6 +1,8 @@
 """Small hand-built structures, the nested c[i][j][k] form of structure
 constants (nested, from_nested), a count of the Fractions made
-(fractions_made), a reference Gauss-Jordan elimination,
+(fractions_made), readers built from the public API that only tests need
+(at, row_dicts, from_columns, parse_rational, homology_dims, flatten,
+on_basis), a reference Gauss-Jordan elimination,
 reference per-tuple axiom checks, reference index-loop assemblers of the
 cochain maps, the restricted differential applied cochain by cochain and
 reference basis-vector constructions, shared across test modules."""
@@ -16,7 +18,8 @@ from rotabaxter.cohomology import (
     RRBCochain, cochain_space_dims, rrb_differential, semidirect_complex,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, TensorIndex, inverse, kron, rank,
+    Matrix, Q, TensorIndex, inverse, kron, parse_ratio, rank,
+    transposed_homology_dims,
 )
 from rotabaxter.rrb import RMatrix, RelativeRBAlgebra, induced_dendriform
 from rotabaxter.rrb_modules import (
@@ -82,6 +85,61 @@ def fractions_made(monkeypatch):
     assert len(made) == 1  # the count sees every Fraction made
     made.clear()
     return made
+
+
+def at(m, i, j):
+    """Entry (i, j) of the Matrix m, as a Q."""
+    if not (0 <= i < m.rows and 0 <= j < m.cols):
+        raise ValueError(f"entry ({i}, {j}) outside {m.rows}x{m.cols}")
+    return m.row(i)[j]
+
+
+def row_dicts(m):
+    """Fresh col -> value dicts of the nonzeros of m, one per row."""
+    rows = [{} for _ in range(m.rows)]
+    for i, j, v in m.nonzero_items():
+        rows[i][j] = v
+    return rows
+
+
+def from_columns(rows, columns):
+    """The rows x len(columns) Matrix with the given dense columns."""
+    return Matrix(len(columns), rows,
+                  [v for col in columns for v in col]).transpose()
+
+
+def parse_rational(text):
+    """parse_ratio as a Q."""
+    return Q(*parse_ratio(text))
+
+
+def homology_dims(differentials):
+    """dim ker d_k - rank d_{k-1} for each map of the complex d_0, d_1, ...
+    (the map into the domain of d_0 is zero), swept on the transposes,
+    so the matrices given are never changed."""
+    return transposed_homology_dims(d.transpose() for d in differentials)
+
+
+def flatten(index, multi):
+    """The flat index of the multi-index multi under the TensorIndex
+    index, big-endian: the inverse of index.unflatten."""
+    if len(multi) != len(index.factor_dims):
+        raise ValueError("multi-index length must equal factor count")
+    flat = 0
+    for i, d in zip(multi, index.factor_dims):
+        if not 0 <= i < d:
+            raise ValueError("index out of range")
+        flat = flat * d + i
+    return flat
+
+
+def on_basis(t, i, j):
+    """The bilinear map t on the basis pair (i, j): a column of its
+    matrix."""
+    if not (0 <= i < t.dim_left and 0 <= j < t.dim_right):
+        raise ValueError(f"basis pair ({i}, {j}) outside "
+                         f"{t.dim_left}x{t.dim_right}")
+    return t.matrix.column(i * t.dim_right + j)
 
 
 def basis_vec(n, i):
@@ -236,7 +294,7 @@ def reference_solve_columns(m, b):
     it: (the m.cols x b.cols Matrix of the solutions, with a zero column
     where there is none, and the set of those columns)."""
     sols = [reference_elimination(m, b.column(j))[1] for j in range(b.cols)]
-    return (Matrix.from_columns(m.cols, [(0,) * m.cols if x is None else x
+    return (from_columns(m.cols, [(0,) * m.cols if x is None else x
                                          for x in sols]),
             {j for j, x in enumerate(sols) if x is None})
 
@@ -375,10 +433,10 @@ def ref_check_associativity(alg):
     mu = alg.mu
     for i in range(alg.dim):
         for j in range(alg.dim):
-            ij = mu.on_basis(i, j)
+            ij = on_basis(mu, i, j)
             for k in range(alg.dim):
                 lhs = mu(ij, basis_vec(alg.dim, k))
-                rhs = mu(basis_vec(alg.dim, i), mu.on_basis(j, k))
+                rhs = mu(basis_vec(alg.dim, i), on_basis(mu, j, k))
                 rep.require("assoc", (i, j, k), lhs, rhs)
     return rep
 
@@ -390,7 +448,7 @@ def ref_check_bimodule(mod):
     dA, dM = alg.dim, mod.dim
     for i in range(dA):
         for j in range(dA):
-            ij = alg.mu.on_basis(i, j)
+            ij = on_basis(alg.mu, i, j)
             for w in range(dM):
                 m = basis_vec(dM, w)
                 a = basis_vec(dA, i)
@@ -491,15 +549,15 @@ def ref_check_morphism(mor):
     for i in range(dA):
         for j in range(dA):
             rep.require("algebra_morphism", (i, j),
-                        phi.apply(src.algebra.mu.on_basis(i, j)),
+                        phi.apply(on_basis(src.algebra.mu, i, j)),
                         tgt.algebra.mu(fa[i], fa[j]))
     for i in range(dA):
         for u in range(dM):
             rep.require("left_action_intertwine", (i, u),
-                        psi.apply(src.module.left.on_basis(i, u)),
+                        psi.apply(on_basis(src.module.left, i, u)),
                         tgt.module.left(fa[i], fm[u]))
             rep.require("right_action_intertwine", (u, i),
-                        psi.apply(src.module.right.on_basis(u, i)),
+                        psi.apply(on_basis(src.module.right, u, i)),
                         tgt.module.right(fm[u], fa[i]))
     for u in range(dM):
         rep.require("operator_intertwine", (u,),
@@ -518,7 +576,7 @@ def ref_induced_dendriform_report(x):
     for u in range(dM):
         for w in range(dM):
             rep.require("R_multiplicative", (u, w),
-                        rop.apply(mtot.mu.on_basis(u, w)),
+                        rop.apply(on_basis(mtot.mu, u, w)),
                         alg.mu(rm[u], rm[w]))
     return rep
 
@@ -611,23 +669,23 @@ def ref_check_pairing_identities(module, base, fiber, left_pair, right_pair):
             for w in range(dB):
                 b = basis_vec(dB, w)
                 rep.require("pair_l_left", (i, u, w),
-                            left_pair(module.left.on_basis(i, u), b),
-                            fiber.left(a, left_pair.on_basis(u, w)))
+                            left_pair(on_basis(module.left, i, u), b),
+                            fiber.left(a, on_basis(left_pair, u, w)))
                 rep.require("pair_l_middle", (u, i, w),
-                            left_pair(module.right.on_basis(u, i), b),
-                            left_pair(m, base.left.on_basis(i, w)))
+                            left_pair(on_basis(module.right, u, i), b),
+                            left_pair(m, on_basis(base.left, i, w)))
                 rep.require("pair_l_right", (u, w, i),
-                            left_pair(m, base.right.on_basis(w, i)),
-                            fiber.right(left_pair.on_basis(u, w), a))
+                            left_pair(m, on_basis(base.right, w, i)),
+                            fiber.right(on_basis(left_pair, u, w), a))
                 rep.require("pair_r_left", (i, w, u),
-                            right_pair(base.left.on_basis(i, w), m),
-                            fiber.left(a, right_pair.on_basis(w, u)))
+                            right_pair(on_basis(base.left, i, w), m),
+                            fiber.left(a, on_basis(right_pair, w, u)))
                 rep.require("pair_r_middle", (w, i, u),
-                            right_pair(base.right.on_basis(w, i), m),
-                            right_pair(b, module.left.on_basis(i, u)))
+                            right_pair(on_basis(base.right, w, i), m),
+                            right_pair(b, on_basis(module.left, i, u)))
                 rep.require("pair_r_right", (w, u, i),
-                            right_pair(b, module.right.on_basis(u, i)),
-                            fiber.right(right_pair.on_basis(w, u), a))
+                            right_pair(b, on_basis(module.right, u, i)),
+                            fiber.right(on_basis(right_pair, w, u), a))
     return rep
 
 
@@ -663,7 +721,7 @@ def ref_check_differential_pair(p):
         a = basis_vec(dA, i)
         for j in range(dA):
             rep.require("derivation", (i, j),
-                        p.d.apply(alg.mu.on_basis(i, j)),
+                        p.d.apply(on_basis(alg.mu, i, j)),
                         add_vec(p.module.left(a, da[j]),
                                 p.module.right(da[i], basis_vec(dA, j))))
     rep.merge(ref_check_pairing_identities(
@@ -673,11 +731,11 @@ def ref_check_differential_pair(p):
         for w in range(dB):
             b = basis_vec(dB, w)
             rep.require("delta_left", (i, w),
-                        p.delta.apply(p.base.left.on_basis(i, w)),
+                        p.delta.apply(on_basis(p.base.left, i, w)),
                         add_vec(p.fiber.left(a, p.delta.apply(b)),
                                 p.left_pair(da[i], b)))
             rep.require("delta_right", (w, i),
-                        p.delta.apply(p.base.right.on_basis(w, i)),
+                        p.delta.apply(on_basis(p.base.right, w, i)),
                         add_vec(p.right_pair(b, da[i]),
                                 p.fiber.right(p.delta.apply(b), a)))
     return rep
@@ -700,18 +758,18 @@ def ref_check_derivation(x, b, alpha, beta):
         ei = basis_vec(dA, i)
         for j in range(dA):
             rep.require(
-                "leibniz", (i, j), alpha.apply(alg.mu.on_basis(i, j)),
+                "leibniz", (i, j), alpha.apply(on_basis(alg.mu, i, j)),
                 tuple(p + q for p, q in
                       zip(b.base.right(av[i], basis_vec(dA, j)),
                           b.base.left(ei, av[j]))))
         for u in range(dM):
             eu = basis_vec(dM, u)
             rep.require(
-                "left_action", (i, u), beta.apply(mod.left.on_basis(i, u)),
+                "left_action", (i, u), beta.apply(on_basis(mod.left, i, u)),
                 tuple(p + q for p, q in
                       zip(b.right_pair(av[i], eu), b.fiber.left(ei, bv[u]))))
             rep.require(
-                "right_action", (u, i), beta.apply(mod.right.on_basis(u, i)),
+                "right_action", (u, i), beta.apply(on_basis(mod.right, u, i)),
                 tuple(p + q for p, q in
                       zip(b.fiber.right(bv[u], ei),
                           b.left_pair(eu, av[i]))))
@@ -894,7 +952,7 @@ def ref_check_homotopy_rrb_operator(a, m, r):
             inner = add_vec(m.left00(r0m[u], ew), m.right00(eu, r0m[w]))
             rep.require("baxter_boundary", (u, w),
                         sub_vec(r.r0.apply(inner), a.mu00(r0m[u], r0m[w])),
-                        a.d.apply(r.r2.on_basis(u, w)))
+                        a.d.apply(on_basis(r.r2, u, w)))
     # the degree-1 defects are corrector values on boundaries
     for u in range(d0):
         eu = basis_vec(d0, u)
@@ -914,11 +972,11 @@ def ref_check_homotopy_rrb_operator(a, m, r):
         eu = basis_vec(d0, u)
         for w in range(d0):
             ew = basis_vec(d0, w)
-            r2uw = r.r2.on_basis(u, w)
+            r2uw = on_basis(r.r2, u, w)
             circ_uw = add_vec(m.left00(r0m[u], ew), m.right00(eu, r0m[w]))
             for z in range(d0):
                 ez = basis_vec(d0, z)
-                r2wz = r.r2.on_basis(w, z)
+                r2wz = on_basis(r.r2, w, z)
                 circ_wz = add_vec(m.left00(r0m[w], ez),
                                   m.right00(ew, r0m[z]))
                 acc = a.mu01(r0m[u], r2wz)
@@ -1003,7 +1061,7 @@ def ref_hochschild_matrix(mod, k):
     for t_out in range(cod):
         tup = ti_out.unflatten(t_out)
         # first term: a_1 . f(a_2 ... a_{k+1})
-        t_in = ti_in.flatten(tup[1:])
+        t_in = flatten(ti_in, tup[1:])
         for w in range(dM):
             row = w * cod + t_out
             for v in range(dM):
@@ -1016,13 +1074,13 @@ def ref_hochschild_matrix(mod, k):
             for p, c in enumerate(prod):
                 if not c:
                     continue
-                t_in = ti_in.flatten(tup[:i] + (p,) + tup[i + 2:])
+                t_in = flatten(ti_in, tup[:i] + (p,) + tup[i + 2:])
                 for w in range(dM):
                     _ref_add(out, (w * cod + t_out, w * dom + t_in),
                              sign * c)
         # last term: (-1)^{k+1} f(a_1 ... a_k) . a_{k+1}
         sign = -sign
-        t_in = ti_in.flatten(tup[:k])
+        t_in = flatten(ti_in, tup[:k])
         for w in range(dM):
             row = w * cod + t_out
             for v in range(dM):
@@ -1094,7 +1152,7 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
             rows = [row_base + w * slot_out + flat_out for w in range(dN)]
             # leading term
             if t == 1:
-                t_in = ti_a_in.flatten(tup[1:])
+                t_in = flatten(ti_a_in, tup[1:])
                 plane = lp[tup[0]]
                 for vb in range(dB):
                     col = alpha_off + vb * da_in + t_in
@@ -1102,7 +1160,7 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
                         if c:
                             _ref_add(out, (rows[w], col), c)
             else:
-                f_in = mix_in.indexer(t - 1).flatten(tup[1:])
+                f_in = flatten(mix_in.indexer(t - 1), tup[1:])
                 col_base = beta_off + dN * mix_in.offset(t - 1)
                 plane = ln[tup[0]]
                 for v in range(dN):
@@ -1128,21 +1186,21 @@ def _twisted_block(out, x, b, k, row_off, alpha_off, beta_off):
                 for p, c in enumerate(prods):
                     if not c:
                         continue
-                    f_in = idx.flatten(head + (p,) + tail)
+                    f_in = flatten(idx, head + (p,) + tail)
                     for w in range(dN):
                         _ref_add(out,
                                  (rows[w], col_base + w * slot_in + f_in),
                                  sign * c)
             # trailing term
             if t == k + 1:
-                t_in = ti_a_in.flatten(tup[:k])
+                t_in = flatten(ti_a_in, tup[:k])
                 for vb in range(dB):
                     col = alpha_off + vb * da_in + t_in
                     for w, c in enumerate(rp[vb][tup[k]]):
                         if c:
                             _ref_add(out, (rows[w], col), last_sign * c)
             else:
-                f_in = mix_in.indexer(t).flatten(tup[:k])
+                f_in = flatten(mix_in.indexer(t), tup[:k])
                 col_base = beta_off + dN * mix_in.offset(t)
                 for v in range(dN):
                     col = col_base + v * slot_in + f_in
@@ -1177,14 +1235,14 @@ def _operator_block(out, x, b, k, row_off, alpha_off, beta_off):
     da_in, slot_in = ti_a.size, mix_in.slot_dim
     rmat, smat = x.rop, b.sop
     sign = -ONE if k % 2 else ONE               # (-1)^k
-    r_cols = [tuple((a, rmat.at(a, u)) for a in range(dA) if rmat.at(a, u))
+    r_cols = [tuple((a, at(rmat, a, u)) for a in range(dA) if at(rmat, a, u))
               for u in range(dM)]
     for flat_out in range(ti_m.size):
         mm = ti_m.unflatten(flat_out)
         rows = [row_off + w * ti_m.size + flat_out for w in range(dB)]
         picked = [r_cols[u] for u in mm]
         for atup, coeff in _weighted_tuples(picked):
-            t_in = ti_a.flatten(atup)
+            t_in = flatten(ti_a, atup)
             val = sign * coeff
             for w in range(dB):
                 _ref_add(out, (rows[w], alpha_off + w * da_in + t_in), val)
@@ -1193,11 +1251,11 @@ def _operator_block(out, x, b, k, row_off, alpha_off, beta_off):
             col_base = beta_off + dN * mix_in.offset(i)
             mixed = picked[:i - 1] + [((mm[i - 1], ONE),)] + picked[i:]
             for tup, coeff in _weighted_tuples(mixed):
-                f_in = idx.flatten(tup)
+                f_in = flatten(idx, tup)
                 for v in range(dN):
                     col = col_base + v * slot_in + f_in
                     for w in range(dB):
-                        sv = smat.at(w, v)
+                        sv = at(smat, w, v)
                         if sv:
                             _ref_add(out, (rows[w], col), -sign * coeff * sv)
 
@@ -1240,8 +1298,8 @@ def ref_psi_matrix(x, b, k):
     out = {}
     for flat in range(size):
         mt = ti_out.unflatten(flat)
-        lead = ti_in.flatten(mt[1:])
-        trail = ti_in.flatten(mt[:k])
+        lead = flatten(ti_in, mt[1:])
+        trail = flatten(ti_in, mt[:k])
         for vb in range(dB):
             for w, c in enumerate(lpair[mt[0]][vb]):
                 if c:
@@ -1273,7 +1331,7 @@ def ref_semidirect_inclusion_matrix(x, b, k):
     out = {}
     ti_a, ti_big_a = TensorIndex((dA,) * k), TensorIndex((big_a,) * k)
     for flat in range(ti_a.size):
-        big_flat = ti_big_a.flatten(ti_a.unflatten(flat))
+        big_flat = flatten(ti_big_a, ti_a.unflatten(flat))
         for w in range(dB):
             _ref_add(out, ((dA + w) * ti_big_a.size + big_flat,
                            w * ti_a.size + flat), ONE)
@@ -1284,7 +1342,7 @@ def ref_semidirect_inclusion_matrix(x, b, k):
         col_base = a_in + dN * mix.offset(s)
         row_base = A_in + big_m * big_mix.offset(s)
         for flat in range(idx.size):
-            big_flat = big_idx.flatten(idx.unflatten(flat))
+            big_flat = flatten(big_idx, idx.unflatten(flat))
             for w in range(dN):
                 _ref_add(out, (row_base + (dM + w) * big_idx.size + big_flat,
                                col_base + w * idx.size + flat), ONE)
@@ -1292,7 +1350,7 @@ def ref_semidirect_inclusion_matrix(x, b, k):
         ti_m = TensorIndex((dM,) * (k - 1))
         ti_big_m = TensorIndex((big_m,) * (k - 1))
         for flat in range(ti_m.size):
-            big_flat = ti_big_m.flatten(ti_m.unflatten(flat))
+            big_flat = flatten(ti_big_m, ti_m.unflatten(flat))
             for w in range(dB):
                 _ref_add(out, (A_in + BT_in + (dA + w) * ti_big_m.size
                                + big_flat,
@@ -1319,7 +1377,7 @@ def ref_dendriform_embedding(k, dim_d, dim_e):
     size, host = ti_d.size, ti_host.size
     hat, unhat = {}, {}
     for t in range(size):
-        first = ti_host.flatten(ti_d.unflatten(t))
+        first = flatten(ti_host, ti_d.unflatten(t))
         for i in range(k):
             second = (dim_e * host + first +
                       dim_d * (2 * dim_d) ** (k - 1 - i))
@@ -1457,7 +1515,7 @@ def ref_rb_from_r_matrix(r):
         for i in range(d):
             for j in range(d):
                 if t[i][j]:
-                    w = alg.mu(alg.mu.on_basis(i, a), basis_vec(d, j))
+                    w = alg.mu(on_basis(alg.mu, i, a), basis_vec(d, j))
                     v = add_vec(v, tuple(t[i][j] * x for x in w))
         cols.append(v)
     m = Matrix.from_rows([[cols[a][i] for a in range(d)] for i in range(d)])
@@ -1477,7 +1535,7 @@ def ref_rb_bimodule_from_r_matrix(r, mod):
         for i in range(d):
             for j in range(d):
                 if t[i][j]:
-                    w = mod.right(mod.left.on_basis(i, u), basis_vec(d, j))
+                    w = mod.right(on_basis(mod.left, i, u), basis_vec(d, j))
                     v = add_vec(v, tuple(t[i][j] * x for x in w))
         cols.append(v)
     m = Matrix.from_rows([[cols[u][p] for u in range(dM)]
@@ -1504,14 +1562,14 @@ def ref_endomorphism_rrb(cx):
         for q in range(d1):
             row = [Q(0)] * nvars
             for j in range(d0):
-                row[i * d0 + j] += dmat.at(j, q)
+                row[i * d0 + j] += at(dmat, j, q)
             for p in range(d1):
-                row[d0 * d0 + p * d1 + q] -= dmat.at(i, p)
+                row[d0 * d0 + p * d1 + q] -= at(dmat, i, p)
             cond.append(row)
     cond_m = Matrix.from_rows(cond) if cond else Matrix.zero(0, nvars)
     end_basis = reference_elimination(cond_m, [0] * cond_m.rows)[0]
     n = len(end_basis)
-    kmat = Matrix.from_columns(nvars, end_basis)
+    kmat = from_columns(nvars, end_basis)
 
     def coords(basis, vectors, what):
         """The coordinates of each vector in the columns of basis."""
@@ -1526,7 +1584,7 @@ def ref_endomorphism_rrb(cx):
         return f0, f1
 
     ends = [split(v) for v in end_basis]
-    mu = Matrix.from_columns(n, coords(
+    mu = from_columns(n, coords(
         kmat, [(a0 * b0).entries + (a1 * b1).entries
                for a0, a1 in ends for b0, b1 in ends],
         "vector is not a chain map"))
@@ -1536,7 +1594,7 @@ def ref_endomorphism_rrb(cx):
     rM = len(kd)
     dM = rM * d0
     # the f_1 kd[s] in ker d, in the basis kd, by (i, s)
-    imgs = coords(Matrix.from_columns(d1, kd),
+    imgs = coords(from_columns(d1, kd),
                   [f1.apply(k) for _, f1 in ends for k in kd],
                   "vector is not in ker d")
 
@@ -1553,12 +1611,12 @@ def ref_endomorphism_rrb(cx):
         f0, _ = ends[i]
         out = [Q(0)] * dM
         for j in range(d0):
-            out[s * d0 + j] = f0.at(j0, j)
+            out[s * d0 + j] = at(f0, j0, j)
         return out
 
-    left = Matrix.from_columns(
+    left = from_columns(
         dM, [left_act(i, su) for i in range(n) for su in range(dM)])
-    right = Matrix.from_columns(
+    right = from_columns(
         dM, [right_act(su, i) for su in range(dM) for i in range(n)])
     mod = Bimodule(alg, dM, StructureConstants(n, dM, left),
                    StructureConstants(dM, n, right))
@@ -1567,8 +1625,8 @@ def ref_endomorphism_rrb(cx):
     for su in range(dM):
         s, j = divmod(su, d0)
         rop_vecs.append((Q(0),) * (d0 * d0) + tuple(
-            dmat.at(j, q) * kd[s][p] for p in range(d1) for q in range(d1)))
-    rop = Matrix.from_columns(
+            at(dmat, j, q) * kd[s][p] for p in range(d1) for q in range(d1)))
+    rop = from_columns(
         n, coords(kmat, rop_vecs, "vector is not a chain map"))
     return RelativeRBAlgebra(alg, mod, rop)
 
@@ -1608,17 +1666,17 @@ def ref_extract_cocycle(e, sec):
     for i in range(dA):
         for j in range(dA):
             defect = sub_vec(tot.algebra.mu(sa[i], sa[j]),
-                             sec.s.apply(base.algebra.mu.on_basis(i, j)))
+                             sec.s.apply(on_basis(base.algebra.mu, i, j)))
             alpha_cols[i * dA + j] = _ref_fiber_coords(
                 e.alg_incl, defect, "product defect")
     for u in range(dM):
         for i in range(dA):
             defect = sub_vec(tot.module.right(sm[u], sa[i]),
-                             sec.sbar.apply(base.module.right.on_basis(u, i)))
+                             sec.sbar.apply(on_basis(base.module.right, u, i)))
             beta1_cols[u * dA + i] = _ref_fiber_coords(
                 e.mod_incl, defect, "right action defect")
             defect = sub_vec(tot.module.left(sa[i], sm[u]),
-                             sec.sbar.apply(base.module.left.on_basis(i, u)))
+                             sec.sbar.apply(on_basis(base.module.left, i, u)))
             beta2_cols[i * dM + u] = _ref_fiber_coords(
                 e.mod_incl, defect, "left action defect")
     for u in range(dM):

@@ -14,7 +14,7 @@ from rotabaxter.algebra import (
 )
 from rotabaxter.linalg import Matrix, Q, TensorIndex
 
-from helpers import basis_vec, from_nested, nested
+from helpers import basis_vec, from_nested, nested, on_basis
 
 
 def sc(dim_left, dim_right, dim_out, entries):
@@ -112,7 +112,7 @@ class TestSemidirect:
         assert check_associativity(total).ok
         for i in (2, 3):
             for j in (2, 3):
-                assert total.mu.on_basis(i, j) == (0,) * 4
+                assert on_basis(total.mu, i, j) == (0,) * 4
 
 
 def random_constants(rng, dl, dr, do):
@@ -190,7 +190,7 @@ def test_constants_matrix_and_columns_match_the_definition(seed):
     index = TensorIndex((dl, dr))
     for t in range(dl * dr):
         i, j = index.unflatten(t)
-        assert m.column(t) == c.on_basis(i, j)
+        assert m.column(t) == on_basis(c, i, j)
     assert c.matrix is m  # built once
     x, y = (Matrix(d, n, [Q(rng.randint(-2, 2), rng.choice((1, 3)))
                           for _ in range(d * n)])

@@ -21,9 +21,12 @@ from rotabaxter.cohomology import (
 from rotabaxter.linalg import (
     Matrix, Q, inverse, kernel_basis, solve_columns, stacked,
 )
-from rotabaxter.rrb import RRBMorphism, RelativeRBAlgebra, check_relative_rb
+from rotabaxter.rrb import (
+    RRBMorphism, RelativeRBAlgebra, aybe_check, check_relative_rb,
+    rb_bimodule_from_r_matrix, rb_from_r_matrix,
+)
 from rotabaxter.rrb_modules import (
-    RRBBimodule, check_rrb_bimodule, semidirect_rrb,
+    RRBBimodule, check_rrb_bimodule, dual_rrb_bimodule, semidirect_rrb,
 )
 from rotabaxter.samples import (
     bump_constants, bump_map, random_invertible, random_matrix,
@@ -33,7 +36,9 @@ from rotabaxter.samples import (
 import random
 
 from helpers import (
-    basis_vec, dual_numbers, fractions_made, linmap, nested, ref_build,
+    at, basis_vec, dual_numbers, fractions_made, linmap, nested, ref_build,
+    ref_rb_bimodule_from_r_matrix, ref_rb_from_r_matrix,
+    upper_triangular_r_matrix,
 )
 
 
@@ -293,6 +298,31 @@ def test_elimination_and_extraction_build_no_fraction(monkeypatch):
     assert report.ok and cocycle_report(x, b, z).ok
 
 
+def test_constructions_build_no_fraction(monkeypatch):
+    """The constructions that move structure constants move integers: the
+    dual of sample 14's bimodule, the semidirect structure of that dual,
+    the extension along a cocycle, the AYBE check and the two operators
+    of an r-matrix with fractional entries make no Fraction."""
+    x, b = random_rrb_pair(14)
+    c = seeded_cocycle(14, x, b, 2)
+    r = upper_triangular_r_matrix(random_invertible(random.Random(14), 3))
+    mod = Bimodule.adjoint(r.over)
+    made = fractions_made(monkeypatch)
+    dual = dual_rrb_bimodule(b)
+    big = semidirect_rrb(dual)
+    e = build_extension(x, b, c)
+    aybe = aybe_check(r)
+    _, rop = rb_from_r_matrix(r)
+    mop = rb_bimodule_from_r_matrix(r, mod)
+    assert made == []
+    monkeypatch.undo()
+    assert check_rrb_bimodule(dual).ok and check_relative_rb(big).ok
+    assert check_abelian_extension(e).ok
+    assert aybe.ok
+    assert (r.over, rop) == ref_rb_from_r_matrix(r)
+    assert mop == ref_rb_bimodule_from_r_matrix(r, mod)
+
+
 def test_cobounding_cochain_refuses_a_cochain_of_another_pair():
     # validated against (x, b) before the solve, on either side: not
     # zipped with the other cochain and cut short
@@ -334,7 +364,7 @@ def test_extension_iso_is_a_shear_in_glued_coordinates():
         dA, dB = x.algebra.dim, b.base.dim
         for w in range(dB):
             for i in range(dA):
-                assert mor.phi.at(dA + w, i) == theta.at(w, i)
+                assert at(mor.phi, dA + w, i) == at(theta, w, i)
         if dB:
             # embedded fiber vectors are fixed
             assert mor.phi.column(dA) == basis_vec(dA + dB, dA)

@@ -18,8 +18,7 @@ from rotabaxter.cohomology import (
     rrb_differential_matrix, semidirect_complex, semidirect_inclusion_matrix,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, homology_dims, inverse, kernel_basis, rank, solve_columns,
-    stacked,
+    Matrix, Q, inverse, kernel_basis, rank, solve_columns, stacked,
 )
 from rotabaxter.rrb import (
     RBBimodulePair, RMatrix, RelativeRBAlgebra, check_rb_bimodule,
@@ -37,9 +36,10 @@ from rotabaxter.samples import (
 
 import helpers as ref
 from helpers import (
-    basis_vec, dual_numbers, field_adjoint_rrb, from_nested, full_rank_dims,
-    gauss_jordan_rank, nested, nilpotent_shift_rrb, one_sided_rrb,
-    reference_elimination, reference_inverse, zero_rrb,
+    at, basis_vec, dual_numbers, field_adjoint_rrb, from_columns,
+    from_nested, full_rank_dims, gauss_jordan_rank, homology_dims, nested,
+    nilpotent_shift_rrb, on_basis, one_sided_rrb, reference_elimination,
+    reference_inverse, row_dicts, zero_rrb,
 )
 
 
@@ -612,7 +612,7 @@ def direct_adjoint_image(x, k, c):
         vecs = [basis_vec(dA, i) for i in tup]
         total = list(mu(vecs[0], aval(vecs[1:])))
         for i in range(1, kk):
-            merged = mu.on_basis(tup[i - 1], tup[i])
+            merged = on_basis(mu, tup[i - 1], tup[i])
             args = vecs[:i - 1] + [merged] + vecs[i + 1:]
             sgn = -1 if i % 2 else 1
             for w, val in enumerate(aval(args)):
@@ -635,11 +635,11 @@ def direct_adjoint_image(x, k, c):
                 total = list(lact(vecs[0], bval(t - 1, vecs[1:])))
             for i in range(1, kk):
                 if t == i:
-                    merged, s_new = ract.on_basis(tup[i - 1], tup[i]), i
+                    merged, s_new = on_basis(ract, tup[i - 1], tup[i]), i
                 elif t == i + 1:
-                    merged, s_new = lact.on_basis(tup[i - 1], tup[i]), i
+                    merged, s_new = on_basis(lact, tup[i - 1], tup[i]), i
                 else:
-                    merged = mu.on_basis(tup[i - 1], tup[i])
+                    merged = on_basis(mu, tup[i - 1], tup[i])
                     s_new = t if t < i else t - 1
                 args = vecs[:i - 1] + [merged] + vecs[i + 1:]
                 sgn = -1 if i % 2 else 1
@@ -827,7 +827,7 @@ def test_sparse_kernels_match_dense():
             d = rrb_differential_matrix(x, b, k)
             dense = Matrix(d.rows, d.cols, d.entries)
             assert d == dense, (seed, k)
-            assert d.row_dicts() == dense.row_dicts(), (seed, k)
+            assert row_dicts(d) == row_dicts(dense), (seed, k)
             assert rank(d) == rank(dense), (seed, k)
             assert kernel_basis(d) == kernel_basis(dense), (seed, k)
             rhs = d * x0_column(d)
@@ -852,7 +852,7 @@ def test_kernels_match_reference_gauss_jordan():
             basis, sol, cols, rows = reference_elimination(
                 d, image.column(0))
             assert rank(d) == len(cols), where
-            assert kernel_basis(d) == Matrix.from_columns(d.cols, basis), \
+            assert kernel_basis(d) == from_columns(d.cols, basis), \
                 where
             assert solve_columns(d, image) == \
                 (Matrix(d.cols, 1, sol), set()), where
@@ -863,7 +863,7 @@ def test_kernels_match_reference_gauss_jordan():
                     (Matrix(d.cols, 1), {0}), where
                 inconsistent += 1
             # independent rows by independent columns: an invertible block
-            block = Matrix.from_rows([[d.at(i, j) for j in cols]
+            block = Matrix.from_rows([[at(d, i, j) for j in cols]
                                       for i in rows])
             inv = inverse(block)
             assert inv is not None, where
@@ -1135,7 +1135,7 @@ def test_unhat_inverts_hat():
         hat, unhat = ref.ref_dendriform_embedding(k, dD, dE)
         assert unhat * hat == Matrix.identity(hat.cols), k
         host = (2 * dD) ** k
-        cols, rows = hat.transpose().row_dicts(), unhat.row_dicts()
+        cols, rows = row_dicts(hat.transpose()), row_dicts(unhat)
         for i in range(k):
             for tup in product(range(dD), repeat=k):
                 shifted = tuple(v + dD if p == i else v
@@ -1226,7 +1226,7 @@ def test_pairing_map_of_zero_is_zero():
         psi = psi_matrix(x, b, k)
         assert not any(psi.apply((Q(0),) * psi.cols))
         label = b.fiber.dim * x.module.dim ** (k + 1)
-        rows = psi.row_dicts()
+        rows = row_dicts(psi)
         assert psi.rows == (k + 1) * label
         assert any(rows[:label]) and any(rows[k * label:])
         assert not any(rows[label:k * label])

@@ -9,14 +9,15 @@ from rotabaxter import linalg
 from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
     Matrix, OnColumns, Product, Q, TensorIndex, assemble_terms,
-    bilinear_on_columns, format_matrix, format_rational, homology_dims,
-    inverse, kernel_basis, kron, parse_rational, rank, solve_columns,
-    stacked, unstacked,
+    bilinear_on_columns, format_matrix, format_rational, inverse,
+    kernel_basis, kron, rank, solve_columns, stacked, unstacked,
 )
 
 from helpers import (
-    full_rank_dims, gauss_jordan_rank, ref_on_columns_matrix,
+    at, flatten, from_columns, full_rank_dims, gauss_jordan_rank,
+    homology_dims, on_basis, parse_rational, ref_on_columns_matrix,
     reference_elimination, reference_inverse, reference_solve_columns,
+    row_dicts,
 )
 
 
@@ -185,18 +186,18 @@ class TestHomologyDim:
 class TestTensorIndex:
     def test_big_endian_order(self):
         ti = TensorIndex((2, 3))
-        assert ti.flatten((1, 2)) == 5
-        assert ti.flatten((1, 0)) == 3  # first factor varies slowest
+        assert flatten(ti, (1, 2)) == 5
+        assert flatten(ti, (1, 0)) == 3  # first factor varies slowest
 
     def test_flatten_unflatten_inverse(self):
         ti = TensorIndex((2, 3, 4))
         for flat in range(ti.size):
-            assert ti.flatten(ti.unflatten(flat)) == flat
+            assert flatten(ti, ti.unflatten(flat)) == flat
 
     def test_empty_factor_list_is_base_field(self):
         ti = TensorIndex(())
         assert ti.size == 1
-        assert ti.flatten(()) == 0
+        assert flatten(ti, ()) == 0
 
 
 # Each of these would pass malformed data on if the check were an assert
@@ -209,8 +210,8 @@ class TestTensorIndex:
     lambda: Matrix.identity(2) * Matrix.identity(3),
     lambda: Matrix.identity(2).apply([1]),
     lambda: TensorIndex((2, -1)),
-    lambda: TensorIndex((2,)).flatten((2,)),
-    lambda: TensorIndex((2,)).flatten((0, 0)),
+    lambda: flatten(TensorIndex((2,)), (2,)),
+    lambda: flatten(TensorIndex((2,)), (0, 0)),
     lambda: TensorIndex((2,)).unflatten(2),
     lambda: Matrix(2, 2) * Matrix(3, 1),
     lambda: Matrix(2, 2).apply([1]),
@@ -226,13 +227,29 @@ class TestTensorIndex:
     lambda: unstacked(Matrix(2, 2, [1, 2, 3, 4]), 9, [(1, 2)]),
     lambda: Matrix(2, 2, [1, 2, 3, 4]).column(5),
     lambda: Matrix(2, 2, [1, 2, 3, 4]).column(-1),
-    lambda: StructureConstants(2, 1, Matrix(1, 2, [1, 2])).on_basis(2, 0),
+    lambda: on_basis(StructureConstants(2, 1, Matrix(1, 2, [1, 2])), 2, 0),
+    # a row or an entry outside the matrix is refused: not read from the
+    # end, and not read as 0
+    lambda: Matrix(2, 2, [1, 2, 3, 4]).row(-1),
+    lambda: Matrix(2, 2, [1, 2, 3, 4]).row(2),
+    lambda: at(Matrix(2, 2, [1, 2, 3, 4]), -1, 0),
+    lambda: at(Matrix(2, 2, [1, 2, 3, 4]), 0, 5),
+    lambda: at(Matrix(2, 2, [1, 2, 3, 4]), 0, -1),
+    # (0, 2) is no pair of a 2 x 2 tensor, though 0 * 2 + 2 is a column
+    lambda: on_basis(StructureConstants(2, 2, Matrix(1, 4, [1, 2, 3, 4])),
+                     0, 2),
+    lambda: Matrix.identity(2).reindexed(2, 1, lambda i, j: (i, j)),
+    lambda: Matrix.identity(2).reindexed(2, 2, lambda i, j: (i - 1, j)),
+    lambda: Matrix(1, 2, [1, 2]).reindexed(1, 2, lambda i, j: (0, 0)),
 ], ids=["entry-count", "ragged", "add", "sub", "mul", "apply",
         "negative-dim", "index-range", "index-length", "flat-range",
         "sparse-compose", "sparse-apply", "entry-row", "entry-col",
         "from-blocks-fit", "from-blocks-row", "from-blocks-col",
         "solve-columns-rows", "unstacked-length", "unstacked-column",
-        "column-past", "column-negative", "on-basis-past"])
+        "column-past", "column-negative", "on-basis-past",
+        "row-negative", "row-past", "at-row-negative", "at-col-past",
+        "at-col-negative", "on-basis-right-past", "reindexed-past",
+        "reindexed-negative", "reindexed-shared"])
 def test_validation_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
@@ -258,6 +275,23 @@ def test_from_blocks_adds_each_block_at_its_corner():
     assert Matrix.from_blocks(2, 3, []) == Matrix(2, 3)
 
 
+def test_reindexed_moves_the_entries():
+    """reindexed puts entry (i, j) at place(i, j) with no rational built:
+    the transpose's placement gives the transpose, over the same
+    denominator, and a rotation of the factors of a flattened pair is
+    undone by its inverse."""
+    rng = random.Random(5)
+    for rows, cols in ((0, 3), (1, 1), (3, 4), (4, 2)):
+        m = random_matrix(rng, rows, cols)
+        assert m.reindexed(cols, rows, lambda i, j: (j, i)) == m.transpose()
+        flat = m.reindexed(1, rows * cols, lambda i, j: (0, i * cols + j))
+        assert flat.entries == m.entries
+        back = flat.reindexed(rows, cols, lambda _, t: divmod(t, cols))
+        assert back == m
+    assert Matrix(2, 2, [Q(1, 2), 0, 0, Q(3, 4)]).reindexed(
+        1, 4, lambda i, j: (0, 3 * i)).entries == (Q(1, 2), 0, 0, Q(3, 4))
+
+
 def test_product_needs_a_matrix():
     with pytest.raises(TypeError):
         Matrix.identity(2) * 2
@@ -267,8 +301,8 @@ def test_constructors_keep_q_values():
     # entries are stored as integers over one denominator and read out as Q
     q = Q(1, 3)
     for m in (Matrix(1, 2, [q, 2]), Matrix.from_rows([[q, 2]])):
-        assert m.at(0, 0) == q and type(m.at(0, 0)) is Q
-        assert type(m.at(0, 1)) is Q and m.at(0, 1) == 2
+        assert at(m, 0, 0) == q and type(at(m, 0, 0)) is Q
+        assert type(at(m, 0, 1)) is Q and at(m, 0, 1) == 2
 
 
 def test_solve_takes_q_and_other_rhs_entries_alike():
@@ -328,7 +362,7 @@ def test_kron_matches_its_definition(seed):
         i, k = rows.unflatten(r)
         for c in range(out.cols):
             j, l = cols.unflatten(c)
-            assert out.at(r, c) == a.at(i, j) * b.at(k, l)
+            assert at(out, r, c) == at(a, i, j) * at(b, k, l)
     assert all(v for _, _, v in out.nonzero_items())
 
 
@@ -341,7 +375,7 @@ def test_kron_columns_join_the_tuples():
     for t in range(out.cols):
         i, j, k = index.unflatten(t)
         assert out.column(t) == tuple(
-            left.at(0, TensorIndex((2, 3)).flatten((i, j))) * ident.at(r, k)
+            at(left, 0, flatten(TensorIndex((2, 3)), (i, j))) * at(ident, r, k)
             for r in range(2))
 
 
@@ -523,34 +557,34 @@ class TestRandomizedInvariants:
             b = random_matrix(rng, a.cols, rng.randint(1, 5), 0.5)
             # every entry given, the zeros too
             sa = Matrix.from_entries(a.rows, a.cols, {
-                (i, j): a.at(i, j)
+                (i, j): at(a, i, j)
                 for i in range(a.rows) for j in range(a.cols)})
             assert sa == a and sa.entries == a.entries
             prod = sa * b
             assert (prod.rows, prod.cols) == (a.rows, b.cols)
             for i in range(a.rows):
                 for j in range(b.cols):
-                    assert prod.at(i, j) == sum(
-                        (a.at(i, k) * b.at(k, j) for k in range(a.cols)),
+                    assert at(prod, i, j) == sum(
+                        (at(a, i, k) * at(b, k, j) for k in range(a.cols)),
                         Q(0))
             vec = [Q(rng.randint(-3, 3)) for _ in range(b.cols)]
             assert b.apply(vec) == tuple(
-                sum((b.at(i, j) * vec[j] for j in range(b.cols)), Q(0))
+                sum((at(b, i, j) * vec[j] for j in range(b.cols)), Q(0))
                 for i in range(b.rows))
         # distinct denominators on both sides, and a product that cancels
         # to exactly 0 in entry (0, 0): 1/2 * 2/3 + 1/3 * (-1) = 0
         a = mat([["1/2", "1/3", 0], ["1/5", "-1/7", "3/11"]])
         b = mat([["2/3", "1/4"], [-1, "3/8"], ["5/6", "-1/9"]])
         assert a * b == mat([[0, "1/4"], ["1163/2310", "-313/9240"]])
-        assert 0 not in (a * b).row_dicts()[0]
+        assert 0 not in row_dicts(a * b)[0]
         for _ in range(20):
             a = mixed_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             b = mixed_matrix(rng, a.cols, rng.randint(1, 5))
             prod = a * b
             assert prod == Matrix(a.rows, b.cols, [
-                sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), Q(0))
+                sum((at(a, i, k) * at(b, k, j) for k in range(a.cols)), Q(0))
                 for i in range(a.rows) for j in range(b.cols)])
-            assert all(v for row in prod.row_dicts() for v in row.values())
+            assert all(v for row in row_dicts(prod) for v in row.values())
 
 
 class TestInverse:
@@ -611,7 +645,7 @@ def test_random_matrices_match_reference_gauss_jordan():
     for m, rhs, square in gauss_jordan_cases():
         basis, sol, pivots, _ = reference_elimination(m, rhs)
         assert rank(m) == len(pivots)
-        assert kernel_basis(m) == Matrix.from_columns(m.cols, basis)
+        assert kernel_basis(m) == from_columns(m.cols, basis)
         assert solve_columns(m, column(*rhs)) == \
             ((Matrix.zero(m.cols, 1), {0}) if sol is None
              else (column(*sol), set()))
@@ -686,6 +720,9 @@ def test_eliminations_leave_their_inputs_alone():
                 ("unary -", lambda a: -a, (placed,)),
                 ("*", lambda a, s: a * s, (t, placed)),
                 ("transpose", Matrix.transpose, (placed,)),
+                ("reindexed",
+                 lambda a: a.reindexed(a.cols, a.rows, lambda i, j: (j, i)),
+                 (placed,)),
                 ("kron", kron, (square, b)),
                 ("bilinear_on_columns", bilinear_on_columns, (m, t, third)),
                 ("stacked", lambda *ms: stacked(list(ms)),
@@ -721,7 +758,7 @@ def test_solve_columns_matches_reference_column_by_column():
             else:
                 cols.append(tuple(Q(rng.randint(-3, 3), rng.choice((1, 2)))
                                   for _ in range(m.rows)))
-        b = Matrix.from_columns(m.rows, cols)
+        b = from_columns(m.rows, cols)
         got = solve_columns(m, b)
         assert got == reference_solve_columns(m, b)
         bad = got[1]

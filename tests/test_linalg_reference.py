@@ -18,13 +18,14 @@ from hypothesis import given, settings, strategies as st
 from rotabaxter.fileformat import parse_document
 from rotabaxter.linalg import (
     Matrix, OnColumns, Product, Q, assemble_terms, bilinear_on_columns,
-    format_matrix, format_rational, homology_dims, kernel_basis, kron,
-    parse_ratio, parse_rational, rank, ratio_matrix, solve_columns,
+    format_matrix, format_rational, kernel_basis, kron, parse_ratio, rank,
+    ratio_matrix, solve_columns,
 )
 from rotabaxter.rrb import RMatrix
 
 from helpers import (
-    dense_rows, dual_numbers, from_nested, gauss_jordan_rank, ref_apply,
+    at, dense_rows, dual_numbers, from_columns, from_nested,
+    gauss_jordan_rank, homology_dims, parse_rational, ref_apply,
     ref_assemble_terms, ref_from_blocks, ref_kron, ref_mul, ref_of,
     ref_transpose, reference_elimination, reference_solve_columns,
 )
@@ -310,7 +311,7 @@ def rescaled(m, row_factors, col_factors=None):
     """diag(row_factors) m diag(col_factors)^-1; with col_factors left out,
     m with row i multiplied by row_factors[i]."""
     col_factors = col_factors or [1] * m.cols
-    return Matrix(m.rows, m.cols, [Q(row_factors[i]) * m.at(i, j)
+    return Matrix(m.rows, m.cols, [Q(row_factors[i]) * at(m, i, j)
                                    / col_factors[j]
                                    for i in range(m.rows)
                                    for j in range(m.cols)])
@@ -331,7 +332,7 @@ def kernels(m, b):
 
 def reference_kernels(m, b):
     basis, _, pivots, _ = reference_elimination(m, [0] * m.rows)
-    return (len(pivots), Matrix.from_columns(m.cols, basis),
+    return (len(pivots), from_columns(m.cols, basis),
             reference_solve_columns(m, b))
 
 
@@ -366,7 +367,7 @@ def test_elimination_ignores_row_scaling(data):
     b = data.draw(matrices(rows=m.rows, cols=data.draw(st.integers(1, 3))))
     # half the columns of b are images m x, so both answers occur
     x = data.draw(matrices(rows=m.cols, cols=b.cols))
-    b = Matrix.from_columns(m.rows, [m.apply(x.column(j)) if j % 2
+    b = from_columns(m.rows, [m.apply(x.column(j)) if j % 2
                                      else b.column(j) for j in range(b.cols)])
     factors = data.draw(st.lists(MULTIPLIERS, min_size=max(m.rows, m.cols),
                                  max_size=max(m.rows, m.cols)))
@@ -387,7 +388,7 @@ def test_unit_negative_pivots_under_long_rows():
     assert all(all(row) for row in full)
     m = Matrix.from_rows(full + short)
     x = [Q(j % 4 - 1, 2) for j in range(n + 3)]
-    b = Matrix.from_columns(m.rows, [m.apply(x), [1] + [0] * (m.rows - 1)])
+    b = from_columns(m.rows, [m.apply(x), [1] + [0] * (m.rows - 1)])
     r, _, (_, bad) = kernels(m, b)
     assert r == n and bad == {1}
     check_scaling_invariance(m, b, [-1] * m.rows)

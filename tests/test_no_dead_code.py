@@ -1,7 +1,10 @@
 """Every function, class and method defined in src is used: its name is
 referenced somewhere in src or tests (dunders are called by the language).
-Every local a src function assigns, and every parameter of a module-level
-src function, is read, in the function or in one nested in it (names
+A test is not a caller the library needs: every definition is referenced
+in src or perfbench, or is one of the PUBLIC library constructions, so
+that a reader only tests use lives in tests/helpers.py.  Every local a
+src function assigns, and every parameter of a module-level src
+function, is read, in the function or in one nested in it (names
 starting with _ are exempt).  Methods may ignore a parameter: a class
 shares its method signatures with its siblings."""
 
@@ -10,6 +13,16 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rotabaxter"
+
+# The paper's constructions and checks that the library offers and that
+# neither the package itself nor the benchmark calls.
+PUBLIC = (
+    "DifferentialPair", "check_derivation", "check_extension_morphism",
+    "check_rota_baxter", "cobounding_cochain", "extension_iso_from_cobounding",
+    "invert_differential_pair", "morphism_induced_bimodule",
+    "rb_bimodule_from_r_matrix", "rb_differential_matrix",
+    "semidirect_inclusion_matrix",
+)
 
 
 def referenced_names(tree):
@@ -23,22 +36,47 @@ def referenced_names(tree):
                 yield alias.name.split(".")[-1]
 
 
-def test_every_definition_is_referenced():
+def definitions(path, tree):
+    """(name, where) for each function, class and method that is not a
+    dunder."""
+    return [(node.name, f"{path.name}:{node.lineno}")
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def uses(dirs):
+    """The definitions of the src files and the names the files of dirs
+    reference."""
     defined, used = [], set()
-    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    for path in files:
+    for path in (p for d in dirs for p in sorted(d.glob("*.py"))):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         used.update(referenced_names(tree))
         if path.parent == SRC:
-            defined.extend(
-                (node.name, f"{path.name}:{node.lineno}")
-                for node in ast.walk(tree)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef))
-                and not (node.name.startswith("__")
-                         and node.name.endswith("__")))
+            defined.extend(definitions(path, tree))
+    return defined, used
+
+
+def test_every_definition_is_referenced():
+    defined, used = uses([SRC, ROOT / "tests"])
     dead = [f"{where} {name}" for name, where in defined if name not in used]
     assert not dead, f"defined but never referenced: {', '.join(dead)}"
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """Each definition with no reference in src or perfbench is named in
+    PUBLIC, and each name there is such a definition; samples.py, the
+    fixture module, is exempt."""
+    defined, used = uses([SRC, ROOT / "perfbench"])
+    uncalled = {name: where for name, where in defined
+                if name not in used and not where.startswith("samples.py:")}
+    only_tests = [f"{where} {name}" for name, where in uncalled.items()
+                  if name not in PUBLIC]
+    assert not only_tests, (
+        f"called only by tests, so a test helper: {', '.join(only_tests)}")
+    stale = sorted(set(PUBLIC) - set(uncalled))
+    assert not stale, f"PUBLIC names a called or missing one: {stale}"
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)

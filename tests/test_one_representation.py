@@ -1,9 +1,11 @@
 """A Matrix stores integers over one denominator, and only linalg.py sees
 them.  No other module of the package or of the tests reads a matrix's
 row dicts (_data) or its denominator (_den), or wraps rows with
-Matrix._of: everything else goes through the Q-valued reads and the
-public constructors, so the storage can change in one file.  Every tensor
-is held as a Matrix and nothing else."""
+Matrix._of: everything else goes through the public constructors and
+operations, which move the integers (Matrix.reindexed places entries,
+Matrix.from_blocks sums placed blocks), and through the Q-valued reads
+at the boundary, so the storage can change in one file.  Every tensor is
+held as a Matrix and nothing else."""
 
 import ast
 import pathlib

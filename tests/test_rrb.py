@@ -16,7 +16,8 @@ from rotabaxter.rrb import (
     rb_bimodule_from_r_matrix, rb_from_r_matrix,
 )
 from helpers import (
-    dual_numbers, field_adjoint_rrb, field_algebra, linmap, sc, zero_rrb,
+    at, dual_numbers, field_adjoint_rrb, field_algebra, linmap, sc,
+    zero_rrb,
 )
 
 
@@ -73,9 +74,9 @@ class TestLift:
                               linmap([[5]]))
         total, rhat = lift_to_rb(x)
         # R(m) sits in the algebra-row, module-column block
-        assert rhat.at(0, 1) == 5
-        assert rhat.at(0, 0) == 0
-        assert rhat.at(1, 0) == 0 and rhat.at(1, 1) == 0
+        assert at(rhat, 0, 1) == 5
+        assert at(rhat, 0, 0) == 0
+        assert at(rhat, 1, 0) == 0 and at(rhat, 1, 1) == 0
 
     def test_broken_operator_breaks_lift(self):
         x = RelativeRBAlgebra(field_algebra(),
