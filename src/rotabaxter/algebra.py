@@ -37,7 +37,7 @@ from itertools import accumulate
 
 from .linalg import (
     Matrix, OnColumns, Product, TensorIndex, ZERO, assemble_terms,
-    bilinear_on_columns, format_rational, padded, transposed_homology_dims,
+    bilinear_on_columns, format_rational, transposed_homology_dims,
 )
 
 
@@ -378,14 +378,14 @@ def hochschild_terms(mod, k):
     """The Hochschild differential C^k(A, M) -> C^{k+1}(A, M), k >= 0, as
     (sign, term) pairs on a cochain f, the dim M x dim A^k matrix of a map
     A^(x)k -> M: a_1 . f(...), sum_i (-1)^i f(..., a_i a_{i+1}, ...) and
-    (-1)^(k+1) f(...) . a_{k+1}."""
+    (-1)^(k+1) f(...) . a_{k+1}.  Face i is its own term, f -> f (I (x) mu
+    (x) I) given by its three Kronecker factors, so no face's matrix is
+    built."""
     dA, mu = mod.over.dim, mod.over.mu.matrix
     terms = [(1, OnColumns(mod.left.matrix, dA))]
-    if k:
-        faces = Matrix.from_blocks(dA ** k, dA ** (k + 1), (
-            ((-1) ** i, padded(dA ** (i - 1), mu, dA ** (k - i)), 0, 0)
-            for i in range(1, k + 1)))
-        terms.append((1, Product(None, faces)))
+    terms.extend(((-1) ** i, Product(None, (
+        Matrix.identity(dA ** (i - 1)), mu, Matrix.identity(dA ** (k - i)))))
+        for i in range(1, k + 1))
     terms.append(((-1) ** (k + 1),
                   OnColumns(mod.right.matrix, dA, x_first=True)))
     return terms

@@ -16,9 +16,11 @@ acting on B for the gamma block, and an operator term h feeding
 
 The formulas are written once, in rrb_terms: one list per degree of
 (sign, in-block, out-block, term), where a term is a product P X Q of a
-cochain block X with structure constants (each tensor read as a matrix and
-padded with identities by linalg.kron) or a tensor applied to the columns
-of X and of a fixed matrix.  rrb_differential_matrix assembles the terms
+cochain block X with structure constants, Q given as its Kronecker
+factors (a tensor read as a matrix between identities, or R and I_M), or a
+tensor applied to the columns of X and of a fixed matrix.  Each merge,
+face and operator term is a term of its own, so no operator's matrix is
+built, padded or summed.  rrb_differential_matrix assembles the terms
 into the whole map, which gives the cohomology dimensions, derivation
 bases and random cocycles, and rrb_differential, its image of one
 cochain.  The comparison map psi_matrix and the inclusion into the
@@ -56,8 +58,8 @@ from .algebra import (
     hochschild_terms,
 )
 from .linalg import (
-    Matrix, OnColumns, Product, assemble_terms, kernel_basis, kron, padded,
-    stacked, transposed_homology_dims, unstacked,
+    Matrix, OnColumns, Product, assemble_terms, kernel_basis, kron, stacked,
+    transposed_homology_dims, unstacked,
 )
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
@@ -168,30 +170,20 @@ def _block_shapes(x, b, k):
     return shapes if k == 1 else shapes + [(dB, dM ** (k - 1))]
 
 
-def _powers(m, n):
-    """The Kronecker powers m^(x)0 .. m^(x)n, the first the 1x1 identity."""
-    out = [Matrix.identity(1)]
-    for _ in range(n):
-        out.append(kron(out[-1], m))
-    return out
-
-
 def _slot_merges(x, k, t):
     """The neighbour merges into output slot t of the degree-(k+1) slot
-    maps, as {input slot: summed operator}: merging factors i and i+1 is
-    the right action when M sits at i, the left action when it sits at
-    i+1 and the product of A otherwise, with sign (-1)^i."""
+    maps, one (sign, input slot, term) per merge: merging factors i and
+    i+1 is X -> X (I (x) p (x) I), given by its three Kronecker factors,
+    with p the right action when M sits at i, the left action when it sits
+    at i+1 and the product of A otherwise, and sign (-1)^i."""
     dA, dM = x.algebra.dim, x.module.dim
     dims = (dA,) * (t - 1) + (dM,) + (dA,) * (k + 1 - t)
-    terms = {}
     for i in range(1, k + 1):
         p = (x.module.right if t == i else
              x.module.left if t == i + 1 else x.algebra.mu)
-        op = padded(prod(dims[:i - 1]), p.matrix, prod(dims[i + 1:]))
-        terms.setdefault(t if t <= i else t - 1, []).append(
-            ((-1) ** i, op, 0, 0))
-    return {s: Matrix.from_blocks(ops[0][1].rows, ops[0][1].cols, ops)
-            for s, ops in terms.items()}
+        yield ((-1) ** i, t if t <= i else t - 1, Product(None, (
+            Matrix.identity(prod(dims[:i - 1])), p.matrix,
+            Matrix.identity(prod(dims[i + 1:])))))
 
 
 def _slot_terms(x, b, k):
@@ -206,8 +198,8 @@ def _slot_terms(x, b, k):
     for t in range(1, k + 2):
         terms.append((1, 0, t, OnColumns(b.left_pair.matrix, dM)) if t == 1
                      else (1, t - 1, t, OnColumns(b.fiber.left.matrix, dA)))
-        terms.extend((1, s, t, Product(None, op))
-                     for s, op in _slot_merges(x, k, t).items())
+        terms.extend((sign, s, t, term)
+                     for sign, s, term in _slot_merges(x, k, t))
         terms.append(
             (last, 0, t, OnColumns(b.right_pair.matrix, dM, x_first=True))
             if t == k + 1 else
@@ -226,13 +218,12 @@ def rrb_terms(x, b, k):
     degree 2 on the Hochschild differential of M_Tot on the base applied to
     gamma.
     """
-    im, gamma = Matrix.identity(x.module.dim), k + 2
+    im, r, gamma = Matrix.identity(x.module.dim), x.rop, k + 2
     terms = [(s, 0, 0, t) for s, t in hochschild_terms(b.base, k)]
     terms.extend(_slot_terms(x, b, k))
-    r = _powers(x.rop, k)
-    terms.append(((-1) ** k, 0, gamma, Product(None, r[k])))
+    terms.append(((-1) ** k, 0, gamma, Product(None, (r,) * k)))
     terms.extend((-(-1) ** k, i, gamma,
-                  Product(b.sop, kron(kron(r[i - 1], im), r[k - i])))
+                  Product(b.sop, (r,) * (i - 1) + (im,) + (r,) * (k - i)))
                  for i in range(1, k + 1))
     if k >= 2:
         terms.extend(
@@ -449,21 +440,19 @@ def semidirect_inclusion_matrix(x, b, k):
     summands; gamma sees only M-arguments and is valued in B.  Each is
     X -> inc X proj for the inclusion inc of its value summand and the
     Kronecker product proj of the projections onto its argument summands,
-    so its matrix is a Kronecker product of summand inclusions.  The blocks
-    of the full differential commute with this inclusion.
+    given as its factors, so its matrix is a Kronecker product of summand
+    inclusions.  The blocks of the full differential commute with it.
     """
     if k < 1:
         raise ShapeError("the inclusion starts in degree 1")
     inc_a, inc_b = summand_inclusions(x.algebra.dim, b.base.dim)
     inc_m, inc_n = summand_inclusions(x.module.dim, b.fiber.dim)
     proj_a, proj_m = inc_a.transpose(), inc_m.transpose()
-    pa = _powers(proj_a, k)
-    terms = [(1, 0, 0, Product(inc_b, pa[k]))]
-    terms.extend((1, s, s, Product(inc_n, kron(kron(pa[s - 1], proj_m),
-                                                   pa[k - s])))
+    terms = [(1, 0, 0, Product(inc_b, (proj_a,) * k))]
+    terms.extend((1, s, s, Product(inc_n, (proj_a,) * (s - 1) + (proj_m,) +
+                                   (proj_a,) * (k - s)))
                  for s in range(1, k + 1))
     if k >= 2:
-        terms.append((1, k + 1, k + 1,
-                      Product(inc_b, _powers(proj_m, k - 1)[-1])))
+        terms.append((1, k + 1, k + 1, Product(inc_b, (proj_m,) * (k - 1))))
     return assemble_terms(terms, _block_shapes(x, b, k),
                           _block_shapes(*semidirect_complex(b), k))

@@ -8,10 +8,12 @@ never changed after; reindexed moves its entries to new places, the one
 rule behind every rotation of a tensor and every block placed at its
 summands' offsets), the Kronecker product kron, bilinear_on_columns
 (a bilinear map's matrix times a Kronecker product, with none built),
-linear maps on lists of matrix blocks given as terms (Product, OnColumns),
-whose signed entries assemble_terms writes, term by term, straight into
-the rows of one matrix or of its transpose (write is each term's one
-definition), multi-index flattening for tensor powers, the workhorses
+linear maps on lists of matrix blocks given as terms (Product, whose right
+factor is the tuple of its Kronecker factors, and OnColumns), whose signed
+entries assemble_terms writes, term by term, straight into the rows of one
+matrix or of its transpose, with no term's matrix and no Kronecker product
+built (write is each term's one definition), multi-index flattening for
+tensor powers, the workhorses
 rank / kernel_basis / solve_columns (with its case inverse), which return
 numbers and matrices, and transposed_homology_dims, which sweeps a whole
 cochain complex, given the transposes of its maps.
@@ -504,31 +506,28 @@ def bilinear_on_columns(m, x, y):
                       _lowest(out, m._den * x._den * y._den))
 
 
-def padded(pre, p, post):
-    """kron(I_pre, p, I_post): p acting on the factors between a block of
-    dimension pre and one of dimension post."""
-    if pre != 1:
-        p = kron(Matrix.identity(pre), p)
-    return p if post == 1 else kron(p, Matrix.identity(post))
-
-
 class Product:
-    """The term X -> p X q of a linear map on matrices (p None: X -> X q).
+    """The term X -> p X q of a linear map on matrices (p None: X -> X q),
+    q = q_1 (x) ... (x) q_m given as the tuple qs of its Kronecker factors,
+    each a Matrix.
 
     On row-major coordinates, X[i, j] at i * X.cols + j, its matrix is
-    kron(p, q^T).
+    kron(p, q^T); write builds neither it nor q.
     """
 
-    __slots__ = ("p", "q")
+    __slots__ = ("p", "qs")
 
-    def __init__(self, p, q):
+    def __init__(self, p, qs):
         self.p = p
-        self.q = q
+        self.qs = qs
 
     @property
     def den(self):
         """The denominator over which write adds the matrix's integers."""
-        return self.q._den * (1 if self.p is None else self.p._den)
+        den = 1 if self.p is None else self.p._den
+        for q in self.qs:
+            den *= q._den
+        return den
 
     def write(self, out, keys, factor, row_off, col_off, rows, cols,
               transposed):
@@ -540,12 +539,23 @@ class Product:
         # (a, i, p[a, i]) in integers: I_rows has (a, a, 1)
         p_items = (zip(range(rows), range(rows), repeat(1)) if self.p is None
                    else _int_items(self.p))
-        # each entry's place in its (a, i) block: (row of out, key in it)
-        if transposed:
-            scaled_q = [(r, c, factor * v) for r, c, v in _int_items(self.q)]
-        else:
-            scaled_q = [(c, r, factor * v) for r, c, v in _int_items(self.q)]
-        width = self.q.cols
+        # the entries of factor q^T (of factor q when transposed), each at
+        # (its row's place, its key's place) in an (a, i) block: from
+        # factor itself at (0, 0), each list is the one before times the
+        # next Kronecker factor's integers, big-endian as kron
+        scaled_q, width = [(0, 0, factor)], 1
+        for q in self.qs:
+            width *= q.cols
+            if transposed:
+                n, m = q.rows, q.cols
+                items = [(r, c, w) for r, row in enumerate(q._data)
+                         for c, w in row.items()]
+            else:
+                n, m = q.cols, q.rows
+                items = [(c, r, w) for r, row in enumerate(q._data)
+                         for c, w in row.items()]
+            scaled_q = [(s * n + s2, t * m + t2, v * w)
+                        for s, t, v in scaled_q for s2, t2, w in items]
         for a, i, u in p_items:
             base, col = row_off + a * width, col_off + i * cols
             if transposed:
@@ -643,15 +653,16 @@ def assemble_terms(terms, in_shapes, out_shapes, transposed=False):
     terms = list(terms)
     row_off = [0, *accumulate(r * c for r, c in out_shapes)]
     col_off = [0, *accumulate(r * c for r, c in in_shapes)]
-    den = lcm(*(term.den for _, _, _, term in terms))
+    dens = [term.den for _, _, _, term in terms]
+    den = lcm(*dens)
     shape = row_off[-1], col_off[-1]
     if transposed:
         shape = shape[::-1]
     out = [{} for _ in range(shape[0])]
     keys = list(range(shape[1]))
-    for sign, i, o, term in terms:
-        term.write(out, keys, sign * (den // term.den), row_off[o],
-                   col_off[i], *in_shapes[i], transposed)
+    for (sign, i, o, term), d in zip(terms, dens):
+        term.write(out, keys, sign * (den // d), row_off[o], col_off[i],
+                   *in_shapes[i], transposed)
     return Matrix._of(*shape, out, _lowest(out, den))
 
 

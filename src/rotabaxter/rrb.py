@@ -19,7 +19,7 @@ from .algebra import (
 )
 from .linalg import (
     Matrix, Product, assemble_terms, bilinear_on_columns, kernel_basis, kron,
-    padded, solve_columns, stacked,
+    solve_columns, stacked,
 )
 
 
@@ -265,7 +265,8 @@ def check_rb_bimodule(pair):
 def _product_tensor(a, b, c):
     """The matrix of (X, Y) -> X Y on a x b matrices X and b x c matrices
     Y, in row-major coordinates: kron(I_a, vec(I_b)^T, I_c)."""
-    return padded(a, stacked([Matrix.identity(b)]).transpose(), c)
+    ident = Matrix.identity
+    return kron(kron(ident(a), stacked([ident(b)]).transpose()), ident(c))
 
 
 def endomorphism_rrb(cx):
@@ -284,8 +285,8 @@ def endomorphism_rrb(cx):
     nvars = d0 * d0 + d1 * d1
     # the chain-map condition f_0 d - d f_1 = 0
     kmat = kernel_basis(assemble_terms(
-        [(1, 0, 0, Product(None, d)),
-         (-1, 1, 0, Product(d, Matrix.identity(d1)))],
+        [(1, 0, 0, Product(None, (d,))),
+         (-1, 1, 0, Product(d, (Matrix.identity(d1),)))],
         [(d0, d0), (d1, d1)], [(d0, d1)]))
     n = kmat.cols
     # column i: f_0 and f_1 of basis vector i, row-major

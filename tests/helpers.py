@@ -2,12 +2,13 @@
 constants (nested, from_nested), a count of the Fractions made
 (fractions_made), readers built from the public API that only tests need
 (at, row_dicts, from_columns, parse_rational, homology_dims, flatten,
-on_basis), a reference Gauss-Jordan elimination,
+on_basis, kron_chain), a reference Gauss-Jordan elimination,
 reference per-tuple axiom checks, reference index-loop assemblers of the
 cochain maps, the restricted differential applied cochain by cochain and
 reference basis-vector constructions, shared across test modules."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 from rotabaxter.algebra import (
@@ -384,16 +385,27 @@ def ref_apply(a, vec):
     return tuple(out)
 
 
+def kron_chain(factors):
+    """The Kronecker product of a tuple of matrices, the 1x1 identity for
+    none: the right factor of a Product, built."""
+    return reduce(kron, factors, Matrix.identity(1))
+
+
+def _ref_identity(n):
+    return n, n, {(i, i): Fraction(1) for i in range(n)}
+
+
 def ref_term(term, rows, cols):
     """The matrix of a Product or OnColumns term on rows x cols matrices X
-    read row-major.  Product(p, q) is kron(p or I_rows, q^T).  OnColumns
-    takes X to t kron(I_n, X), whose entry (w, a cols + c) is the sum over
-    r of t[w, a rows + r] X[r, c], or to t kron(X, I_n), whose entry
+    read row-major.  Product(p, (q_1, .., q_m)) is kron(p or I_rows, q^T)
+    for q the chain of Kronecker products of the q_i.  OnColumns takes X to
+    t kron(I_n, X), whose entry (w, a cols + c) is the sum over r of
+    t[w, a rows + r] X[r, c], or to t kron(X, I_n), whose entry
     (w, c n + a) is the sum over r of t[w, r n + a] X[r, c]."""
-    if hasattr(term, "q"):
-        p = (rows, rows, {(i, i): Fraction(1) for i in range(rows)}) \
-            if term.p is None else ref_of(term.p)
-        return ref_kron(p, ref_transpose(ref_of(term.q)))
+    if hasattr(term, "qs"):
+        p = _ref_identity(rows) if term.p is None else ref_of(term.p)
+        q = reduce(ref_kron, map(ref_of, term.qs), _ref_identity(1))
+        return ref_kron(p, ref_transpose(q))
     n, (out_rows, _, t) = term.n, ref_of(term.t)
     width = n * cols
     entries = {}

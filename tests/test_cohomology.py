@@ -9,7 +9,7 @@ from rotabaxter import cohomology, fileformat as ff, linalg
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
     Report, ShapeError, StructuralError,
-    hochschild_cohomology_dims, hochschild_matrix,
+    hochschild_cohomology_dims, hochschild_matrix, hochschild_terms,
 )
 from rotabaxter.cohomology import (
     RRBCochain, check_derivation, cochain_space_dims,
@@ -502,19 +502,29 @@ def test_assemblers_match_index_loop_reference():
 
 
 def test_assembly_builds_no_term_matrix(monkeypatch):
-    # each term writes its signed entries straight into the rows: no term
-    # is built as a Kronecker product or summed as blocks
+    # each term is given by its Kronecker factors and writes its signed
+    # entries straight into the rows: building the terms of the
+    # differential in degrees 1-4 and of the Hochschild differential on the
+    # base in degrees 0-3 makes no Kronecker product, and assembling them
+    # none and no block sum either
     x, b = random_rrb_pair(14)
-    terms = list(cohomology.rrb_terms(x, b, 3))
-    shapes = [cohomology._block_shapes(x, b, k) for k in (3, 4)]
-    want = rrb_differential_matrix(x, b, 3)
+    dA, dB = x.algebra.dim, b.base.dim
+    wants = [rrb_differential_matrix(x, b, k) for k in (1, 2, 3, 4)]
+    wants += [hochschild_matrix(b.base, k) for k in range(4)]
 
     def refuse(*args):
         raise AssertionError("a term matrix was built")
 
-    monkeypatch.setattr(linalg, "kron", refuse)
+    for module in (linalg, cohomology):
+        monkeypatch.setattr(module, "kron", refuse)
+    cases = [(cohomology.rrb_terms(x, b, k),
+              [cohomology._block_shapes(x, b, j) for j in (k, k + 1)])
+             for k in (1, 2, 3, 4)]
+    cases += [([(s, 0, 0, t) for s, t in hochschild_terms(b.base, k)],
+               [[(dB, dA ** k)], [(dB, dA ** (k + 1))]]) for k in range(4)]
     monkeypatch.setattr(linalg.Matrix, "from_blocks", staticmethod(refuse))
-    assert linalg.assemble_terms(terms, *shapes) == want
+    for (terms, shapes), want in zip(cases, wants):
+        assert linalg.assemble_terms(terms, *shapes) == want
 
 
 def test_transposed_assembly_is_the_transpose():

@@ -15,9 +15,9 @@ from rotabaxter.linalg import (
 
 from helpers import (
     at, flatten, from_columns, full_rank_dims, gauss_jordan_rank,
-    homology_dims, on_basis, parse_rational, ref_on_columns_matrix,
-    reference_elimination, reference_inverse, reference_solve_columns,
-    row_dicts,
+    homology_dims, kron_chain, on_basis, parse_rational,
+    ref_on_columns_matrix, reference_elimination, reference_inverse,
+    reference_solve_columns, row_dicts,
 )
 
 
@@ -418,16 +418,20 @@ def test_on_columns_matrix_matches_reference(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_product_matrix_matches_kron(seed):
-    # X -> X q and X -> p X q on rows x cols matrices, 0 included: the
-    # matrix is kron(p or I_rows, q^T) and, times X read row-major, equals
-    # X q or p X q
+    # X -> X q and X -> p X q on rows x cols matrices, 0 included, with q
+    # given as 1-3 Kronecker factors of 0-2 rows and columns: the matrix
+    # is kron(p or I_rows, q^T) and, times X read row-major, equals X q or
+    # p X q
     rng = random.Random(seed)
-    rows, cols, out, wide = (rng.randint(0, 3) for _ in range(4))
-    q = random_matrix(rng, cols, wide, 0.5)
+    rows, out = rng.randint(0, 3), rng.randint(0, 3)
+    qs = tuple(random_matrix(rng, rng.randint(0, 2), rng.randint(0, 2), 0.5)
+               for _ in range(rng.randint(1, 3)))
+    q = kron_chain(qs)
+    cols, wide = q.rows, q.cols
     x = random_matrix(rng, rows, cols)
     for p in (None, random_matrix(rng, out, rows, 0.5)):
         image = x * q if p is None else p * x * q
-        m = term_matrix(Product(p, q), (rows, cols),
+        m = term_matrix(Product(p, qs), (rows, cols),
                         (rows if p is None else out, wide))
         want = kron(Matrix.identity(rows) if p is None else p, q.transpose())
         assert m == want, (rows, cols, wide)
@@ -442,10 +446,12 @@ def test_term_writes_at_its_block_offsets(kind):
     # columns of the first block, and the matrix takes the blocks (X, Y)
     # to the first term's image of X and minus the second's of Y
     rng = random.Random(kind)
-    first = Product(random_matrix(rng, 3, 2), random_matrix(rng, 3, 3))
+    first = Product(random_matrix(rng, 3, 2), (random_matrix(rng, 3, 3),))
     if kind == "product":
-        p, q = random_matrix(rng, 2, 2), random_matrix(rng, 2, 3)
-        second, second_ref = Product(p, q), kron(p, q.transpose())
+        p = random_matrix(rng, 2, 2)
+        qs = random_matrix(rng, 2, 1), random_matrix(rng, 1, 3)
+        q = kron_chain(qs)
+        second, second_ref = Product(p, qs), kron(p, q.transpose())
     else:
         t = random_matrix(rng, 2, 4)
         second = OnColumns(t, 2)
@@ -455,10 +461,10 @@ def test_term_writes_at_its_block_offsets(kind):
     out_shapes = [(3, 3), (2, second_ref.rows // 2)]
     m = assemble_terms(terms, in_shapes, out_shapes)
     assert m == Matrix.from_blocks(9 + second_ref.rows, 6 + 4, (
-        (1, kron(first.p, first.q.transpose()), 0, 0),
+        (1, kron(first.p, kron_chain(first.qs).transpose()), 0, 0),
         (-1, second_ref, 9, 6)))
     x, y = (random_matrix(rng, *shape) for shape in in_shapes)
-    images = (first.p * x * first.q,
+    images = (first.p * x * kron_chain(first.qs),
               -(p * y * q if kind == "product" else
                 t * kron(Matrix.identity(2), y)))
     assert m.apply(x.entries + y.entries) == \
@@ -693,9 +699,10 @@ def test_eliminations_leave_their_inputs_alone():
         blocks = [(m.rows, m.cols), (n, n)]
         in_shapes, out_shapes = [(m.cols, n), (m.rows, 1)], [(m.rows, n),
                                                              (m.cols, 1)]
-        terms = [(1, 0, 0, Product(m, square)),
+        terms = [(1, 0, 0, Product(m, (square,))),
                  (-1, 0, 0, OnColumns(m, 1, x_first=True)),
-                 (1, 1, 1, Product(t, third)), (-1, 1, 1, OnColumns(t, 1))]
+                 (1, 1, 1, Product(t, (third,))),
+                 (-1, 1, 1, OnColumns(t, 1))]
         for name, call, args in (
                 ("rank", rank, (m,)),
                 ("kernel_basis", kernel_basis, (m,)),

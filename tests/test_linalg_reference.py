@@ -213,9 +213,38 @@ def test_apply(data):
 
 
 @st.composite
+def dims_of_product(draw, total, m):
+    """m dimensions whose product is total: for a nonzero total, 1 or 2
+    while they divide what is left, then the rest; for 0, each 0-2 with
+    at least one 0."""
+    dims, rest = [], total
+    for _ in range(m - 1):
+        dims.append(draw(st.sampled_from(
+            [d for d in (1, 2) if rest % d == 0] if total else (0, 1, 2))))
+        rest //= dims[-1] or 1
+    if total:
+        return dims + [rest]
+    return dims + [draw(st.integers(0, 2)) if 0 in dims else 0]
+
+
+@st.composite
+def kron_factors(draw, rows, cols):
+    """1-3 Kronecker factors whose product is rows x cols: 0-row and
+    0-column ones, identities and any denominator among them."""
+    m = draw(st.integers(1, 3))
+    factors = []
+    for r, c in zip(draw(dims_of_product(rows, m)),
+                    draw(dims_of_product(cols, m))):
+        factors.append(Matrix.identity(r) if r == c and draw(st.booleans())
+                       else draw(matrices(r, c)))
+    return tuple(factors)
+
+
+@st.composite
 def term_lists(draw):
     """Terms on two in-blocks with cols columns into two out-blocks with
-    n cols columns, as assemble_terms takes them."""
+    n cols columns, as assemble_terms takes them; a Product's right factor
+    is cols x n cols, the product of its factors."""
     n, cols = draw(st.integers(1, 2)), draw(st.integers(0, 2))
     in_shapes = [(draw(st.integers(0, 2)), cols) for _ in range(2)]
     out_shapes = [(draw(st.integers(0, 2)), n * cols) for _ in range(2)]
@@ -227,11 +256,11 @@ def term_lists(draw):
         kind = draw(st.sampled_from(("p q", "q", "t", "t x_first")))
         if kind == "q" and rows != out_rows:
             kind = "p q"
-        q = draw(matrices(cols, n * cols))
+        qs = draw(kron_factors(cols, n * cols))
         if kind == "p q":
-            term = Product(draw(matrices(out_rows, rows)), q)
+            term = Product(draw(matrices(out_rows, rows)), qs)
         elif kind == "q":
-            term = Product(None, q)
+            term = Product(None, qs)
         else:
             term = OnColumns(draw(matrices(out_rows, n * rows)), n,
                              x_first=kind == "t x_first")
