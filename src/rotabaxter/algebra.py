@@ -16,9 +16,10 @@ as c.matrix * kron(X, Y) (on_columns, which builds no Kronecker product),
 and the two sides become matrices whose columns are the tuples
 (Report.require_laws).
 
-Hochschild cochains of degree k are linear maps A^{(x) k} -> M, flattened with
-the big-endian convention of linalg.TensorIndex.  Degree 0 cochains are
-elements of M, i.e. maps from the empty tensor product (the base field).
+Hochschild cochains of degree k are linear maps A^{(x) k} -> M, flattened
+big-endian, as linalg.kron flattens: the first factor varies slowest.
+Degree 0 cochains are elements of M, i.e. maps from the empty tensor
+product (the base field).
 The Hochschild differential is a list of terms (hochschild_terms), which
 the cohomology module applies to one cochain and hochschild_matrix
 assembles.
@@ -36,8 +37,9 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .linalg import (
-    Matrix, OnColumns, Product, TensorIndex, ZERO, assemble_terms,
-    bilinear_on_columns, format_rational, transposed_homology_dims,
+    Matrix, OnColumns, Product, assemble_terms, bilinear_on_columns,
+    between_identities, format_rational, solve_columns,
+    transposed_homology_dims,
 )
 
 
@@ -102,20 +104,26 @@ class Report:
 
         A law is (name, dims, lhs, rhs, loop).  dims are the dimensions of
         its variables, in the order of its args; both sides are matrices
-        whose column t holds the value at the basis tuple
-        TensorIndex(dims).unflatten(t).  Dense sides are built only for the
-        columns that differ.  The violations of all the laws are appended
-        sorted by loop(*args) (args itself when loop is None), then by the
-        law's place in the list: this is the order of a loop over basis
-        tuples that checks the laws one after another at every tuple.
+        whose column t holds the value at the basis tuple that flattens to
+        t, big-endian (the first variable varies slowest).  Dense sides are
+        built only for the columns that differ.  The violations of all the
+        laws are appended sorted by loop(*args) (args itself when loop is
+        None), then by the law's place in the list: this is the order of a
+        loop over basis tuples that checks the laws one after another at
+        every tuple.
         """
         found = []
         for n, (law, dims, lhs, rhs, loop) in enumerate(laws):
             if lhs == rhs:
                 continue
-            index = TensorIndex(dims)
             for t in sorted({j for _, j, _ in (lhs - rhs).nonzero_items()}):
-                args = index.unflatten(t)
+                # t unflattened, big-endian: the last variable's index
+                # is t's remainder by its dimension
+                args, rest = [], t
+                for d in reversed(dims):
+                    rest, i = divmod(rest, d)
+                    args.append(i)
+                args = tuple(reversed(args))
                 found.append(((args if loop is None else loop(*args), n),
                               Violation(law, args, lhs.column(t),
                                         rhs.column(t))))
@@ -154,6 +162,15 @@ class StructuralError(RuntimeError):
     """An internal mathematical invariant failed: implementation bug signal."""
 
 
+def solve_or_raise(m, b, message):
+    """The solution x of m x = b that solve_columns gives; a column of b
+    that m x cannot equal raises StructuralError(message)."""
+    x, bad = solve_columns(m, b)
+    if bad:
+        raise StructuralError(message)
+    return x
+
+
 class StructureConstants:
     """Bilinear map U (x) V -> W, stored as its matrix on the flattened
     U (x) V: dim_out x (dim_left * dim_right), entry (k, i * dim_right + j)
@@ -174,19 +191,6 @@ class StructureConstants:
     def zero(dim_left, dim_right, dim_out):
         return StructureConstants(dim_left, dim_right,
                                   Matrix(dim_out, dim_left * dim_right))
-
-    def __call__(self, x, y):
-        if len(x) != self.dim_left or len(y) != self.dim_right:
-            raise ShapeError(
-                f"arguments of length {len(x)}, {len(y)}, tensor needs "
-                f"{self.dim_left}, {self.dim_right}")
-        flat = [ZERO] * (self.dim_left * self.dim_right)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y, i * self.dim_right):
-                    if b:
-                        flat[j] = a * b
-        return self.matrix.apply(flat)
 
     def on_columns(self, x, y):
         """The map on every pair of a column of x and a column of y.
@@ -379,13 +383,11 @@ def hochschild_terms(mod, k):
     (sign, term) pairs on a cochain f, the dim M x dim A^k matrix of a map
     A^(x)k -> M: a_1 . f(...), sum_i (-1)^i f(..., a_i a_{i+1}, ...) and
     (-1)^(k+1) f(...) . a_{k+1}.  Face i is its own term, f -> f (I (x) mu
-    (x) I) given by its three Kronecker factors, so no face's matrix is
-    built."""
+    (x) I) given by its Kronecker factors, so no face's matrix is built."""
     dA, mu = mod.over.dim, mod.over.mu.matrix
     terms = [(1, OnColumns(mod.left.matrix, dA))]
-    terms.extend(((-1) ** i, Product(None, (
-        Matrix.identity(dA ** (i - 1)), mu, Matrix.identity(dA ** (k - i)))))
-        for i in range(1, k + 1))
+    terms.extend(((-1) ** i, Product(None, between_identities(
+        dA ** (i - 1), mu, dA ** (k - i)))) for i in range(1, k + 1))
     terms.append(((-1) ** (k + 1),
                   OnColumns(mod.right.matrix, dA, x_first=True)))
     return terms
@@ -429,11 +431,6 @@ class DendriformAlgebra:
         self.prec = prec
         self.succ = succ
         self.basis_names = tuple(basis_names or default_names("x", dim))
-
-    @staticmethod
-    def zero(dim):
-        z = StructureConstants.zero(dim, dim, dim)
-        return DendriformAlgebra(dim, z, z)
 
 
 def check_dendriform(den):
@@ -489,15 +486,6 @@ class DendriformRepresentation:
         self.right_prec = right_prec
         self.right_succ = right_succ
         self.basis_names = tuple(basis_names or default_names("v", dim))
-
-    @staticmethod
-    def zero(over, dim):
-        return DendriformRepresentation(
-            over, dim,
-            StructureConstants.zero(over.dim, dim, dim),
-            StructureConstants.zero(over.dim, dim, dim),
-            StructureConstants.zero(dim, over.dim, dim),
-            StructureConstants.zero(dim, over.dim, dim))
 
     @staticmethod
     def adjoint(over):

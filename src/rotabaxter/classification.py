@@ -27,7 +27,7 @@ from __future__ import annotations
 from .algebra import (
     AssocAlgebra, Bimodule, Report, ShapeError, StructuralError,
     StructureConstants, Violation, block_constants,
-    check_associativity, check_bimodule,
+    check_associativity, check_bimodule, solve_or_raise,
 )
 from .cohomology import (
     RRBCochain, cocycle_report, rrb_differential, rrb_differential_matrix,
@@ -115,31 +115,18 @@ class Section:
         return self
 
 
-def _right_inverse(p):
-    # columns solved with all free coordinates zero, hence deterministic
-    x, bad = solve_columns(p, Matrix.identity(p.rows))
-    if bad:
-        raise StructuralError("projection is not surjective")
-    return x
-
-
 def canonical_section(e):
     """The deterministic section with all free fiber coordinates zero.
 
     On an extension produced by build_extension (coordinates ordered
     base then fiber) this is a |-> (a, 0) and m |-> (m, 0).
     """
-    return Section(_right_inverse(e.alg_proj),
-                   _right_inverse(e.mod_proj)).validate(e)
-
-
-def _fiber_coords(incl, values, what):
-    """The matrix of coordinates of the columns of values inside the image
-    of an embedding; the first column outside it raises."""
-    x, bad = solve_columns(incl, values)
-    if bad:
-        raise StructuralError(what + " does not land in the fiber")
-    return x
+    # right inverses solved with all free coordinates zero, hence
+    # deterministic
+    s, sbar = (solve_or_raise(p, Matrix.identity(p.rows),
+                              "projection is not surjective")
+               for p in (e.alg_proj, e.mod_proj))
+    return Section(s, sbar).validate(e)
 
 
 def _fiber_rrb(fiber):
@@ -260,10 +247,10 @@ def extract_cocycle(e, sec):
     base, tot = e.base, e.total
     dA, dM = base.algebra.dim, base.module.dim
     s, sbar = sec.s, sec.sbar
-    alpha = _fiber_coords(
+    alpha = solve_or_raise(
         e.alg_incl,
         tot.algebra.mu.on_columns(s, s) - s * base.algebra.mu.matrix,
-        "product defect")
+        "product defect does not land in the fiber")
     # both action defects are read before either raises, so that the
     # first reported is the first in the loop over (u, i), right first
     beta1, bad1 = solve_columns(e.mod_incl,
@@ -280,9 +267,8 @@ def extract_cocycle(e, sec):
             if i * dM + u in bad2:
                 raise StructuralError(
                     "left action defect does not land in the fiber")
-    gamma = _fiber_coords(e.alg_incl,
-                          tot.rop * sbar - s * base.rop,
-                          "operator defect")
+    gamma = solve_or_raise(e.alg_incl, tot.rop * sbar - s * base.rop,
+                           "operator defect does not land in the fiber")
     return RRBCochain(2, alpha, (beta1, beta2), gamma)
 
 
@@ -306,7 +292,8 @@ def induced_fiber_bimodule(e, sec):
     mu, left, right = tot.algebra.mu, tot.module.left, tot.module.right
 
     def induced(dl, dr, values, incl, what):
-        return StructureConstants(dl, dr, _fiber_coords(incl, values, what))
+        return StructureConstants(dl, dr, solve_or_raise(
+            incl, values, what + " does not land in the fiber"))
 
     base = Bimodule(
         e.base.algebra, dB,
@@ -356,8 +343,9 @@ def _same_bimodule(b1, b2):
 
 def _shear(sec1, sec2, corr, incl1, incl2, proj):
     # v |-> s2(p(v)) + i2( i1-coords(v - s1(p(v))) + corr(p(v)) )
-    complement = _fiber_coords(
-        incl1, Matrix.identity(proj.cols) - sec1 * proj, "section complement")
+    complement = solve_or_raise(
+        incl1, Matrix.identity(proj.cols) - sec1 * proj,
+        "section complement does not land in the fiber")
     return sec2 * proj + incl2 * (complement + corr * proj)
 
 
@@ -467,15 +455,6 @@ class TwoTermAInfty:
         self.mu10 = mu10
         self.mu3 = mu3
 
-    @staticmethod
-    def zero(dim0, dim1):
-        return TwoTermAInfty(
-            dim0, dim1, Matrix.zero(dim0, dim1),
-            (StructureConstants.zero(dim0, dim0, dim0),
-             StructureConstants.zero(dim0, dim1, dim1),
-             StructureConstants.zero(dim1, dim0, dim1)),
-            Matrix.zero(dim1, dim0 ** 3))
-
     @property
     def skeletal(self):
         return self.d.is_zero()
@@ -535,19 +514,6 @@ class AInftyBimodule:
         self.mu3m = mu3m
 
     @staticmethod
-    def zero(over, dim0, dim1):
-        d0, d1 = over.dim0, over.dim1
-        return AInftyBimodule(
-            over, dim0, dim1, Matrix.zero(dim0, dim1),
-            (StructureConstants.zero(d0, dim0, dim0),
-             StructureConstants.zero(d0, dim1, dim1),
-             StructureConstants.zero(d1, dim0, dim1)),
-            (StructureConstants.zero(dim0, d0, dim0),
-             StructureConstants.zero(dim0, d1, dim1),
-             StructureConstants.zero(dim1, d0, dim1)),
-            tuple(Matrix.zero(dim1, d0 * d0 * dim0) for _ in range(3)))
-
-    @staticmethod
     def adjoint(over):
         """The algebra as a bimodule over itself, layer by layer."""
         return AInftyBimodule(
@@ -581,13 +547,6 @@ class HomotopyRRBOperator:
         self.r0 = r0
         self.r1 = r1
         self.r2 = r2
-
-    @staticmethod
-    def zero(a, m):
-        return HomotopyRRBOperator(
-            Matrix.zero(a.dim0, m.dim0),
-            Matrix.zero(a.dim1, m.dim1),
-            StructureConstants.zero(m.dim0, m.dim0, a.dim1))
 
 
 class _Graded:

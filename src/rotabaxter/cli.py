@@ -348,7 +348,7 @@ def cmd_dendriform(args):
                       check_dendriform_representation(
                           induced_dendriform_representation(b))))
         pairs.append(("total product bimodule",
-                      check_bimodule(mtot_action_bimodule(b).actions)))
+                      check_bimodule(mtot_action_bimodule(b))))
     return _checks(pairs)
 
 
@@ -473,7 +473,7 @@ def cmd_chainmap_check(args):
     dend = dendriform_differential_matrix(
         den, induced_dendriform_representation(b), k + 1)
     diff = dend * psi_matrix(x, b, k) - psi_matrix(x, b, k + 1) * \
-        hochschild_matrix(mtot_action_bimodule(b).actions, k)
+        hochschild_matrix(mtot_action_bimodule(b), k)
     # the rows are k + 2 labels of fiber (x) module^(k+2) coordinates
     size = b.fiber.dim * x.module.dim ** (k + 2)
     labels = sorted({i // size + 1 for i, _, _ in diff.nonzero_items()})

@@ -58,8 +58,8 @@ from .algebra import (
     hochschild_terms,
 )
 from .linalg import (
-    Matrix, OnColumns, Product, assemble_terms, kernel_basis, kron, stacked,
-    transposed_homology_dims, unstacked,
+    Matrix, OnColumns, Product, assemble_terms, between_identities,
+    kernel_basis, kron, stacked, transposed_homology_dims, unstacked,
 )
 from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
@@ -124,11 +124,6 @@ class RRBCochain:
         return RRBCochain(k, maps[0], maps[1:k + 1],
                           None if k == 1 else maps[k + 1])
 
-    @staticmethod
-    def zero(x, b, k):
-        return RRBCochain.of_blocks(k, [Matrix(rows, cols) for
-                                        rows, cols in _block_shapes(x, b, k)])
-
     def vector(self):
         return tuple(v for m in self.blocks() for v in m.entries)
 
@@ -173,7 +168,7 @@ def _block_shapes(x, b, k):
 def _slot_merges(x, k, t):
     """The neighbour merges into output slot t of the degree-(k+1) slot
     maps, one (sign, input slot, term) per merge: merging factors i and
-    i+1 is X -> X (I (x) p (x) I), given by its three Kronecker factors,
+    i+1 is X -> X (I (x) p (x) I), given by its Kronecker factors,
     with p the right action when M sits at i, the left action when it sits
     at i+1 and the product of A otherwise, and sign (-1)^i."""
     dA, dM = x.algebra.dim, x.module.dim
@@ -181,9 +176,9 @@ def _slot_merges(x, k, t):
     for i in range(1, k + 1):
         p = (x.module.right if t == i else
              x.module.left if t == i + 1 else x.algebra.mu)
-        yield ((-1) ** i, t if t <= i else t - 1, Product(None, (
-            Matrix.identity(prod(dims[:i - 1])), p.matrix,
-            Matrix.identity(prod(dims[i + 1:])))))
+        yield ((-1) ** i, t if t <= i else t - 1, Product(
+            None, between_identities(prod(dims[:i - 1]), p.matrix,
+                                     prod(dims[i + 1:]))))
 
 
 def _slot_terms(x, b, k):
@@ -218,17 +213,18 @@ def rrb_terms(x, b, k):
     degree 2 on the Hochschild differential of M_Tot on the base applied to
     gamma.
     """
-    im, r, gamma = Matrix.identity(x.module.dim), x.rop, k + 2
+    dM, r, gamma = x.module.dim, x.rop, k + 2
+    # I_M as a Kronecker factor, none when it is 1 x 1
+    im = () if dM == 1 else (Matrix.identity(dM),)
     terms = [(s, 0, 0, t) for s, t in hochschild_terms(b.base, k)]
     terms.extend(_slot_terms(x, b, k))
     terms.append(((-1) ** k, 0, gamma, Product(None, (r,) * k)))
     terms.extend((-(-1) ** k, i, gamma,
-                  Product(b.sop, (r,) * (i - 1) + (im,) + (r,) * (k - i)))
+                  Product(b.sop, (r,) * (i - 1) + im + (r,) * (k - i)))
                  for i in range(1, k + 1))
     if k >= 2:
-        terms.extend(
-            (s, k + 1, gamma, t) for s, t in
-            hochschild_terms(mtot_action_bimodule(b).actions, k - 1))
+        terms.extend((s, k + 1, gamma, t) for s, t in
+                     hochschild_terms(mtot_action_bimodule(b), k - 1))
     return terms
 
 

@@ -49,13 +49,6 @@ class ParseError(ValueError):
     """Structure file rejected; the message names the offending key."""
 
 
-DECLARATION_KINDS = (
-    "assoc_algebra", "bimodule", "rrb_algebra", "rrb_bimodule",
-    "dendriform", "dendriform_rep", "r_matrix", "two_term_ainfty",
-    "ainfty_bimodule", "homotopy_rrb", "extension", "cocycle",
-)
-
-
 class Declaration:
     """One resolved entry of the declare list."""
 
@@ -276,7 +269,7 @@ def _build_declaration(entry, idx, rs):
     if not isinstance(entry, dict) or "type" not in entry:
         raise ParseError(f"declare[{idx}]: needs a 'type' field")
     kind = entry["type"]
-    if kind not in DECLARATION_KINDS:
+    if not isinstance(kind, str) or kind not in _BUILDERS:
         raise ParseError(f"declare[{idx}]: unknown type '{kind}'")
     if "name" not in entry or not isinstance(entry["name"], str):
         raise ParseError(f"declare[{idx}]: needs a string 'name'")

@@ -9,11 +9,12 @@ rule behind every rotation of a tensor and every block placed at its
 summands' offsets), the Kronecker product kron, bilinear_on_columns
 (a bilinear map's matrix times a Kronecker product, with none built),
 linear maps on lists of matrix blocks given as terms (Product, whose right
-factor is the tuple of its Kronecker factors, and OnColumns), whose signed
-entries assemble_terms writes, term by term, straight into the rows of one
-matrix or of its transpose, with no term's matrix and no Kronecker product
-built (write is each term's one definition), multi-index flattening for
-tensor powers, the workhorses
+factor is the tuple of its Kronecker factors, with no 1 x 1 identity
+among them (between_identities), and OnColumns), whose signed entries
+assemble_terms writes, term by term, straight into the rows of one matrix
+or of its transpose, with no term's matrix and no Kronecker product built
+(write is each term's one definition, and a term that does not fit its
+blocks is refused before any is written), the workhorses
 rank / kernel_basis / solve_columns (with its case inverse), which return
 numbers and matrices, and transposed_homology_dims, which sweeps a whole
 cochain complex, given the transposes of its maps.
@@ -21,9 +22,9 @@ cochain complex, given the transposes of its maps.
 A Matrix stores integers over one denominator, so the product, kron,
 bilinear_on_columns, from_blocks, reindexed, stacked and its inverse
 unstacked, the term writes, the transpose and the eliminations compute in
-integers and build no rational; only the reads (row, column, entries,
-nonzero_items and apply) make Q values, at the boundary, and row and
-column refuse an index outside the matrix.  Structure files are parsed into
+integers and build no rational; only the reads (row, column, entries and
+nonzero_items) make Q values, at the boundary, and row and column refuse
+an index outside the matrix.  Structure files are parsed into
 integers and rendered from them: parse_ratio reads a scalar as an
 unreduced integer pair, ratio_matrix stores a matrix of such pairs over
 their lcm, format_matrix writes each entry from its integer and the
@@ -69,8 +70,7 @@ Conventions fixed here and relied on by every other module:
   every value read out, and every value taken in, which may also be an int
   or a 'p/q' string but never a float;
 * a linear map is its Matrix: codomain-dim rows and domain-dim columns,
-  acting on column vectors (apply), composed by the product (f * g is f
-  after g);
+  acting on column vectors, composed by the product (f * g is f after g);
 * tensor products flatten big-endian: the FIRST factor varies slowest.  So for
   factor dims (d1, d2) the pair (i1, i2) flattens to i1*d2 + i2.
 """
@@ -170,7 +170,7 @@ class Matrix:
     another's entries moved to new places (reindexed), or as the result of
     an operation, in rows of its own.  Never changed once built, except by
     the sweep, which owns what it is handed.  Values are read out as Q
-    (row, column, entries, nonzero_items, apply).
+    (row, column, entries, nonzero_items).
     """
 
     __slots__ = ("rows", "cols", "_data", "_den")
@@ -366,15 +366,6 @@ class Matrix:
         return Matrix._of(self.rows, other.cols, out,
                           _lowest(out, self._den * other._den))
 
-    def apply(self, vec):
-        """Apply to a column vector (any sequence of scalars)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length must equal cols")
-        nums, den = _integers(vec)
-        den *= self._den
-        return tuple(Q(sum(v * nums[j] for j, v in row.items()), den)
-                     for row in self._data)
-
     def __repr__(self):
         body = "; ".join(" ".join(row) for row in format_matrix(self))
         return f"Matrix({self.rows}x{self.cols}: {body})"
@@ -456,8 +447,8 @@ def unstacked(m, j, shapes):
 def kron(a, b):
     """Kronecker product: entry ((i, k), (j, l)) is a[i, j] * b[k, l].
 
-    Row and column pairs flatten big-endian, as TensorIndex does: the index
-    of a varies slowest.  So if a's columns are values at the tuples of one
+    Row and column pairs flatten big-endian: the index of a varies
+    slowest.  So if a's columns are values at the tuples of one
     set of variables and b's at those of another, the product's columns are
     the values of a (x) b at the joined tuples.
     """
@@ -506,6 +497,14 @@ def bilinear_on_columns(m, x, y):
                       _lowest(out, m._den * x._den * y._den))
 
 
+def between_identities(left, q, right):
+    """The Kronecker factors of I_left (x) q (x) I_right, with no 1 x 1
+    identity among them: Product.write makes a pass over every entry
+    folded before each factor."""
+    return ((Matrix.identity(left),) if left != 1 else ()) + (q,) + \
+        ((Matrix.identity(right),) if right != 1 else ())
+
+
 class Product:
     """The term X -> p X q of a linear map on matrices (p None: X -> X q),
     q = q_1 (x) ... (x) q_m given as the tuple qs of its Kronecker factors,
@@ -528,6 +527,16 @@ class Product:
         for q in self.qs:
             den *= q._den
         return den
+
+    def image_shape(self, rows, cols):
+        """The shape of p X q for a rows x cols X, or None when p or q does
+        not fit X."""
+        q_rows = q_cols = 1
+        for q in self.qs:
+            q_rows, q_cols = q_rows * q.rows, q_cols * q.cols
+        p = self.p
+        p_rows, p_cols = (rows, rows) if p is None else (p.rows, p.cols)
+        return (p_rows, q_cols) if (p_cols, q_rows) == (rows, cols) else None
 
     def write(self, out, keys, factor, row_off, col_off, rows, cols,
               transposed):
@@ -601,6 +610,13 @@ class OnColumns:
         """The denominator over which write adds the matrix's integers."""
         return self.t._den
 
+    def image_shape(self, rows, cols):
+        """The shape of the image of a rows x cols X, or None when t does
+        not take n times its rows."""
+        if self.t.cols != self.n * rows:
+            return None
+        return self.t.rows, self.n * cols
+
     def write(self, out, keys, factor, row_off, col_off, rows, cols,
               transposed):
         """Add factor times den times the term's matrix on rows x cols
@@ -649,8 +665,15 @@ def assemble_terms(terms, in_shapes, out_shapes, transposed=False):
     it is the transpose, written as directly: each term puts entry (i, j)
     at (j, i).  Every row keys column j by one shared int object, as a
     transpose pass would: an elimination's key comparisons then find the
-    same object, and a nonzero costs no int of its own."""
+    same object, and a nonzero costs no int of its own.  A term that does
+    not map its in-block's shape to its out-block's raises ValueError,
+    before any term is written."""
     terms = list(terms)
+    for _, i, o, term in terms:
+        if term.image_shape(*in_shapes[i]) != tuple(out_shapes[o]):
+            raise ValueError(
+                f"{type(term).__name__} term does not map in-block {i} "
+                f"{in_shapes[i]} to out-block {o} {out_shapes[o]}")
     row_off = [0, *accumulate(r * c for r, c in out_shapes)]
     col_off = [0, *accumulate(r * c for r, c in in_shapes)]
     dens = [term.den for _, _, _, term in terms]
@@ -664,39 +687,6 @@ def assemble_terms(terms, in_shapes, out_shapes, transposed=False):
         term.write(out, keys, sign * (den // d), row_off[o], col_off[i],
                    *in_shapes[i], transposed)
     return Matrix._of(*shape, out, _lowest(out, den))
-
-
-class TensorIndex:
-    """Big-endian mixed-radix flattening of a multi-index.
-
-    factor_dims lists the dimension of each tensor factor; the first factor
-    varies slowest.  unflatten reads a flat index as its multi-index.  An
-    empty factor list describes the base field (size 1, index ()).
-    """
-
-    __slots__ = ("factor_dims", "size")
-
-    def __init__(self, factor_dims):
-        factor_dims = tuple(int(d) for d in factor_dims)
-        if any(d < 0 for d in factor_dims):
-            raise ValueError("factor dimensions must be >= 0")
-        object.__setattr__(self, "factor_dims", factor_dims)
-        n = 1
-        for d in factor_dims:
-            n *= d
-        object.__setattr__(self, "size", n)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TensorIndex is immutable")
-
-    def unflatten(self, flat):
-        if not 0 <= flat < self.size:
-            raise ValueError("flat index out of range")
-        multi = []
-        for d in reversed(self.factor_dims):
-            multi.append(flat % d)
-            flat //= d
-        return tuple(reversed(multi))
 
 
 def _primitive(row):

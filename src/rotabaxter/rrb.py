@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from .algebra import (
     AssocAlgebra, Bimodule, DendriformAlgebra, Report, ShapeError,
-    StructuralError, StructureConstants, semidirect_algebra, total_algebra,
+    StructureConstants, semidirect_algebra, solve_or_raise, total_algebra,
 )
 from .linalg import (
     Matrix, Product, assemble_terms, bilinear_on_columns, kernel_basis, kron,
-    solve_columns, stacked,
+    stacked,
 )
 
 
@@ -59,11 +59,6 @@ class RRBMorphism:
         self.target = target
         self.phi = phi
         self.psi = psi
-
-    @staticmethod
-    def identity(x):
-        return RRBMorphism(x, x, Matrix.identity(x.algebra.dim),
-                           Matrix.identity(x.module.dim))
 
 
 class RMatrix:
@@ -295,26 +290,18 @@ def endomorphism_rrb(cx):
     f1s = Matrix.from_blocks(
         d1 * d1, nvars, [(1, Matrix.identity(d1 * d1), 0, d0 * d0)]) * kmat
 
-    def coords(basis, values, what):
-        """The coordinates of each column of values in the columns of
-        basis, from one elimination."""
-        x, bad = solve_columns(basis, values)
-        if bad:
-            raise StructuralError(what)
-        return x
-
     # column (a, b): the composite of basis vectors a and b
     products = Matrix.from_blocks(nvars, n * n, (
         (1, bilinear_on_columns(_product_tensor(d0, d0, d0), f0s, f0s), 0, 0),
         (1, bilinear_on_columns(_product_tensor(d1, d1, d1), f1s, f1s),
          d0 * d0, 0)))
     alg = AssocAlgebra(n, StructureConstants(
-        n, n, coords(kmat, products, "vector is not a chain map")))
+        n, n, solve_or_raise(kmat, products, "vector is not a chain map")))
 
     kd = kernel_basis(d)
     rM = kd.cols
     # the f_1 kd[s] in ker d, in the basis kd, by (i, s)
-    imgs = coords(
+    imgs = solve_or_raise(
         kd, bilinear_on_columns(_product_tensor(d1, d1, 1), f1s, kd),
         "vector is not in ker d")
     # column (j0, i): row j0 of f_0 of basis vector i
@@ -327,7 +314,7 @@ def endomorphism_rrb(cx):
                                       kron(Matrix.identity(rM), rows_f0)))
 
     # R(k_s (x) e_j^*) = (0, k_s (x) (row j of d))
-    rop = coords(kmat, Matrix.from_blocks(
+    rop = solve_or_raise(kmat, Matrix.from_blocks(
         nvars, rM * d0, [(1, kron(kd, d.transpose()), d0 * d0, 0)]),
-                 "vector is not a chain map")
+        "vector is not a chain map")
     return RelativeRBAlgebra(alg, mod, rop)

@@ -80,21 +80,6 @@ class RRBBimodule:
             StructureConstants.zero(dim_base, over.module.dim, dim_fiber))
 
 
-class MTotActionBimodule:
-    """The base space B as a bimodule over the total algebra M_Tot.
-
-    Actions: m |> b = R(m).b - S(l(m, b)) and b <| m = b.R(m) - S(r(b, m)).
-    """
-
-    __slots__ = ("total", "actions")
-
-    def __init__(self, total, actions):
-        if actions.over is not total:
-            raise ShapeError("actions must be a bimodule over the total algebra")
-        self.total = total
-        self.actions = actions
-
-
 def check_pairing_identities(module, base, fiber, left_pair, right_pair):
     """The six identities tying the pairings to the three A-bimodules.
 
@@ -261,22 +246,20 @@ def lift_bimodule(b):
 
 
 def mtot_action_bimodule(b):
-    """B as a bimodule over the total algebra M_Tot of the induced products.
+    """B as a Bimodule over the total algebra M_Tot of the induced products,
+    which is its over.
 
     m |> b = R(m).b - S(l(m, b)) and b <| m = b.R(m) - S(r(b, m)).
     """
     x = b.over
-    mtot = total_algebra(induced_dendriform_algebra(x))
     dM, dB = x.module.dim, b.base.dim
     r, s, ib = x.rop, b.sop, Matrix.identity(dB)
     left = b.base.left.on_columns(r, ib) - s * b.left_pair.matrix
     right = b.base.right.on_columns(ib, r) - s * b.right_pair.matrix
-    actions = Bimodule(
-        mtot, dB,
-        StructureConstants(dM, dB, left),
-        StructureConstants(dB, dM, right),
+    return Bimodule(
+        total_algebra(induced_dendriform_algebra(x)), dB,
+        StructureConstants(dM, dB, left), StructureConstants(dB, dM, right),
         b.base.basis_names)
-    return MTotActionBimodule(mtot, actions)
 
 
 def induced_dendriform_representation(b):

@@ -1,8 +1,12 @@
-"""Small hand-built structures, the nested c[i][j][k] form of structure
-constants (nested, from_nested), a count of the Fractions made
-(fractions_made), readers built from the public API that only tests need
-(at, row_dicts, from_columns, parse_rational, homology_dims, flatten,
-on_basis, kron_chain), a reference Gauss-Jordan elimination,
+"""Small hand-built structures, the zero structures and the identity
+morphism (zero_cochain, identity_morphism, zero_dendriform,
+zero_dendriform_rep, zero_two_term, zero_ainfty_bimodule,
+zero_homotopy_rrb), the nested c[i][j][k] form of structure constants
+(nested, from_nested), a count of the Fractions made (fractions_made),
+readers built from the public API that only tests need (at, row_dicts,
+from_columns, parse_rational, homology_dims, TensorIndex, flatten,
+on_basis, bilinear, apply, kron_chain), a reference Gauss-Jordan
+elimination,
 reference per-tuple axiom checks, reference index-loop assemblers of the
 cochain maps, the restricted differential applied cochain by cochain and
 reference basis-vector constructions, shared across test modules."""
@@ -12,17 +16,23 @@ from functools import reduce
 from itertools import product
 
 from rotabaxter.algebra import (
-    AssocAlgebra, Bimodule, Report, ShapeError, StructuralError,
-    StructureConstants, _square_zero_dendriform, hochschild_matrix,
+    AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
+    Report, ShapeError, StructuralError, StructureConstants,
+    _square_zero_dendriform, hochschild_matrix,
+)
+from rotabaxter.classification import (
+    AInftyBimodule, HomotopyRRBOperator, TwoTermAInfty,
 )
 from rotabaxter.cohomology import (
-    RRBCochain, cochain_space_dims, rrb_differential, semidirect_complex,
+    RRBCochain, _block_shapes, cochain_space_dims, rrb_differential,
+    semidirect_complex,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, TensorIndex, inverse, kron, parse_ratio, rank,
-    transposed_homology_dims,
+    Matrix, Q, inverse, kron, parse_ratio, rank, transposed_homology_dims,
 )
-from rotabaxter.rrb import RMatrix, RelativeRBAlgebra, induced_dendriform
+from rotabaxter.rrb import (
+    RMatrix, RRBMorphism, RelativeRBAlgebra, induced_dendriform,
+)
 from rotabaxter.rrb_modules import (
     RRBBimodule, dendriform_to_rrb, lift_bimodule, mtot_action_bimodule,
 )
@@ -38,7 +48,7 @@ def sub_vec(u, v):
 
 def star(den, x, y):
     """x * y = x < y + x > y in a dendriform algebra, on vectors."""
-    return add_vec(den.prec(x, y), den.succ(x, y))
+    return add_vec(bilinear(den.prec, x, y), bilinear(den.succ, x, y))
 
 
 def nested(t):
@@ -121,6 +131,39 @@ def homology_dims(differentials):
     return transposed_homology_dims(d.transpose() for d in differentials)
 
 
+class TensorIndex:
+    """Big-endian mixed-radix flattening of a multi-index.
+
+    factor_dims lists the dimension of each tensor factor; the first factor
+    varies slowest.  unflatten reads a flat index as its multi-index.  An
+    empty factor list describes the base field (size 1, index ()).
+    """
+
+    __slots__ = ("factor_dims", "size")
+
+    def __init__(self, factor_dims):
+        factor_dims = tuple(int(d) for d in factor_dims)
+        if any(d < 0 for d in factor_dims):
+            raise ValueError("factor dimensions must be >= 0")
+        object.__setattr__(self, "factor_dims", factor_dims)
+        n = 1
+        for d in factor_dims:
+            n *= d
+        object.__setattr__(self, "size", n)
+
+    def __setattr__(self, *a):
+        raise AttributeError("TensorIndex is immutable")
+
+    def unflatten(self, flat):
+        if not 0 <= flat < self.size:
+            raise ValueError("flat index out of range")
+        multi = []
+        for d in reversed(self.factor_dims):
+            multi.append(flat % d)
+            flat //= d
+        return tuple(reversed(multi))
+
+
 def flatten(index, multi):
     """The flat index of the multi-index multi under the TensorIndex
     index, big-endian: the inverse of index.unflatten."""
@@ -141,6 +184,78 @@ def on_basis(t, i, j):
         raise ValueError(f"basis pair ({i}, {j}) outside "
                          f"{t.dim_left}x{t.dim_right}")
     return t.matrix.column(i * t.dim_right + j)
+
+
+def bilinear(t, x, y):
+    """The bilinear map t on the vectors x and y, as a tuple of Q."""
+    if len(x) != t.dim_left or len(y) != t.dim_right:
+        raise ShapeError(
+            f"arguments of length {len(x)}, {len(y)}, tensor needs "
+            f"{t.dim_left}, {t.dim_right}")
+    return apply(t.matrix, [a * b for a in x for b in y])
+
+
+def apply(m, vec):
+    """The Matrix m applied to a column vector (any sequence of scalars),
+    as a tuple of Q."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length must equal cols")
+    return (m * Matrix(m.cols, 1, vec)).column(0)
+
+
+def zero_cochain(x, b, k):
+    """The zero degree-k cochain on (x, b)."""
+    return RRBCochain.of_blocks(k, [Matrix(rows, cols) for
+                                    rows, cols in _block_shapes(x, b, k)])
+
+
+def identity_morphism(x):
+    """The identity of a relative Rota-Baxter algebra."""
+    return RRBMorphism(x, x, Matrix.identity(x.algebra.dim),
+                       Matrix.identity(x.module.dim))
+
+
+def zero_dendriform(dim):
+    z = StructureConstants.zero(dim, dim, dim)
+    return DendriformAlgebra(dim, z, z)
+
+
+def zero_dendriform_rep(over, dim):
+    return DendriformRepresentation(
+        over, dim,
+        StructureConstants.zero(over.dim, dim, dim),
+        StructureConstants.zero(over.dim, dim, dim),
+        StructureConstants.zero(dim, over.dim, dim),
+        StructureConstants.zero(dim, over.dim, dim))
+
+
+def zero_two_term(dim0, dim1):
+    return TwoTermAInfty(
+        dim0, dim1, Matrix.zero(dim0, dim1),
+        (StructureConstants.zero(dim0, dim0, dim0),
+         StructureConstants.zero(dim0, dim1, dim1),
+         StructureConstants.zero(dim1, dim0, dim1)),
+        Matrix.zero(dim1, dim0 ** 3))
+
+
+def zero_ainfty_bimodule(over, dim0, dim1):
+    d0, d1 = over.dim0, over.dim1
+    return AInftyBimodule(
+        over, dim0, dim1, Matrix.zero(dim0, dim1),
+        (StructureConstants.zero(d0, dim0, dim0),
+         StructureConstants.zero(d0, dim1, dim1),
+         StructureConstants.zero(d1, dim0, dim1)),
+        (StructureConstants.zero(dim0, d0, dim0),
+         StructureConstants.zero(dim0, d1, dim1),
+         StructureConstants.zero(dim1, d0, dim1)),
+        tuple(Matrix.zero(dim1, d0 * d0 * dim0) for _ in range(3)))
+
+
+def zero_homotopy_rrb(a, m):
+    return HomotopyRRBOperator(
+        Matrix.zero(a.dim0, m.dim0),
+        Matrix.zero(a.dim1, m.dim1),
+        StructureConstants.zero(m.dim0, m.dim0, a.dim1))
 
 
 def basis_vec(n, i):
@@ -447,8 +562,8 @@ def ref_check_associativity(alg):
         for j in range(alg.dim):
             ij = on_basis(mu, i, j)
             for k in range(alg.dim):
-                lhs = mu(ij, basis_vec(alg.dim, k))
-                rhs = mu(basis_vec(alg.dim, i), on_basis(mu, j, k))
+                lhs = bilinear(mu, ij, basis_vec(alg.dim, k))
+                rhs = bilinear(mu, basis_vec(alg.dim, i), on_basis(mu, j, k))
                 rep.require("assoc", (i, j, k), lhs, rhs)
     return rep
 
@@ -467,14 +582,16 @@ def ref_check_bimodule(mod):
                 b = basis_vec(dA, j)
                 # (a a') . m = a . (a' . m)
                 rep.require("left_assoc", (i, j, w),
-                            mod.left(ij, m), mod.left(a, mod.left(b, m)))
+                            bilinear(mod.left, ij, m),
+                            bilinear(mod.left, a, bilinear(mod.left, b, m)))
                 # (a . m) . a' = a . (m . a')
                 rep.require("middle_assoc", (i, w, j),
-                            mod.right(mod.left(a, m), b),
-                            mod.left(a, mod.right(m, b)))
+                            bilinear(mod.right, bilinear(mod.left, a, m), b),
+                            bilinear(mod.left, a, bilinear(mod.right, m, b)))
                 # (m . a) . a' = m . (a a')
                 rep.require("right_assoc", (w, i, j),
-                            mod.right(mod.right(m, a), b), mod.right(m, ij))
+                            bilinear(mod.right, bilinear(mod.right, m, a), b),
+                            bilinear(mod.right, m, ij))
     return rep
 
 
@@ -491,17 +608,20 @@ def ref_check_dendriform(den):
         x = basis_vec(d, i)
         for j in range(d):
             y = basis_vec(d, j)
-            xy_prec = den.prec(x, y)
-            xy_succ = den.succ(x, y)
+            xy_prec = bilinear(den.prec, x, y)
+            xy_succ = bilinear(den.succ, x, y)
             xy_star = add_vec(xy_prec, xy_succ)
             for k in range(d):
                 z = basis_vec(d, k)
                 rep.require("axiom1", (i, j, k),
-                            den.prec(xy_prec, z), den.prec(x, star(den, y, z)))
+                            bilinear(den.prec, xy_prec, z),
+                            bilinear(den.prec, x, star(den, y, z)))
                 rep.require("axiom2", (i, j, k),
-                            den.prec(xy_succ, z), den.succ(x, den.prec(y, z)))
+                            bilinear(den.prec, xy_succ, z),
+                            bilinear(den.succ, x, bilinear(den.prec, y, z)))
                 rep.require("axiom3", (i, j, k),
-                            den.succ(xy_star, z), den.succ(x, den.succ(y, z)))
+                            bilinear(den.succ, xy_star, z),
+                            bilinear(den.succ, x, bilinear(den.succ, y, z)))
     return rep
 
 
@@ -515,8 +635,8 @@ def ref_check_dendriform_representation(rep):
         x = basis_vec(n, i)
         for j in range(n):
             y = basis_vec(n, j)
-            xy_prec = big.prec(x, y)
-            xy_succ = big.succ(x, y)
+            xy_prec = bilinear(big.prec, x, y)
+            xy_succ = bilinear(big.succ, x, y)
             for k in range(n):
                 # exactly one of the three slots in the E block
                 if (i >= dD) + (j >= dD) + (k >= dD) != 1:
@@ -524,14 +644,14 @@ def ref_check_dendriform_representation(rep):
                 z = basis_vec(n, k)
                 slot = "E@" + str([i >= dD, j >= dD, k >= dD].index(True) + 1)
                 out.require(f"axiom1[{slot}]", (i, j, k),
-                            big.prec(xy_prec, z),
-                            big.prec(x, star(big, y, z)))
+                            bilinear(big.prec, xy_prec, z),
+                            bilinear(big.prec, x, star(big, y, z)))
                 out.require(f"axiom2[{slot}]", (i, j, k),
-                            big.prec(xy_succ, z),
-                            big.succ(x, big.prec(y, z)))
+                            bilinear(big.prec, xy_succ, z),
+                            bilinear(big.succ, x, bilinear(big.prec, y, z)))
                 out.require(f"axiom3[{slot}]", (i, j, k),
-                            big.succ(add_vec(xy_prec, xy_succ), z),
-                            big.succ(x, big.succ(y, z)))
+                            bilinear(big.succ, add_vec(xy_prec, xy_succ), z),
+                            bilinear(big.succ, x, bilinear(big.succ, y, z)))
     return out
 
 
@@ -540,13 +660,13 @@ def ref_check_relative_rb(x):
     rep = Report("relative_rota_baxter")
     alg, mod, rop = x.algebra, x.module, x.rop
     dM = mod.dim
-    rm = [rop.apply(basis_vec(dM, u)) for u in range(dM)]
+    rm = [apply(rop, basis_vec(dM, u)) for u in range(dM)]
     for u in range(dM):
         for w in range(dM):
-            lhs = alg.mu(rm[u], rm[w])
-            inner = add_vec(mod.left(rm[u], basis_vec(dM, w)),
-                            mod.right(basis_vec(dM, u), rm[w]))
-            rep.require("rrb_identity", (u, w), lhs, rop.apply(inner))
+            lhs = bilinear(alg.mu, rm[u], rm[w])
+            inner = add_vec(bilinear(mod.left, rm[u], basis_vec(dM, w)),
+                            bilinear(mod.right, basis_vec(dM, u), rm[w]))
+            rep.require("rrb_identity", (u, w), lhs, apply(rop, inner))
     return rep
 
 
@@ -556,25 +676,25 @@ def ref_check_morphism(mor):
     src, tgt = mor.source, mor.target
     phi, psi = mor.phi, mor.psi
     dA, dM = src.algebra.dim, src.module.dim
-    fa = [phi.apply(basis_vec(dA, i)) for i in range(dA)]
-    fm = [psi.apply(basis_vec(dM, u)) for u in range(dM)]
+    fa = [apply(phi, basis_vec(dA, i)) for i in range(dA)]
+    fm = [apply(psi, basis_vec(dM, u)) for u in range(dM)]
     for i in range(dA):
         for j in range(dA):
             rep.require("algebra_morphism", (i, j),
-                        phi.apply(on_basis(src.algebra.mu, i, j)),
-                        tgt.algebra.mu(fa[i], fa[j]))
+                        apply(phi, on_basis(src.algebra.mu, i, j)),
+                        bilinear(tgt.algebra.mu, fa[i], fa[j]))
     for i in range(dA):
         for u in range(dM):
             rep.require("left_action_intertwine", (i, u),
-                        psi.apply(on_basis(src.module.left, i, u)),
-                        tgt.module.left(fa[i], fm[u]))
+                        apply(psi, on_basis(src.module.left, i, u)),
+                        bilinear(tgt.module.left, fa[i], fm[u]))
             rep.require("right_action_intertwine", (u, i),
-                        psi.apply(on_basis(src.module.right, u, i)),
-                        tgt.module.right(fm[u], fa[i]))
+                        apply(psi, on_basis(src.module.right, u, i)),
+                        bilinear(tgt.module.right, fm[u], fa[i]))
     for u in range(dM):
         rep.require("operator_intertwine", (u,),
-                    phi.apply(src.rop.apply(basis_vec(dM, u))),
-                    tgt.rop.apply(fm[u]))
+                    apply(phi, apply(src.rop, basis_vec(dM, u))),
+                    apply(tgt.rop, fm[u]))
     return rep
 
 
@@ -583,13 +703,13 @@ def ref_induced_dendriform_report(x):
     alg, rop = x.algebra, x.rop
     dM = x.module.dim
     _, mtot, _ = induced_dendriform(x)
-    rm = [rop.apply(basis_vec(dM, u)) for u in range(dM)]
+    rm = [apply(rop, basis_vec(dM, u)) for u in range(dM)]
     rep = Report("total_operator_is_algebra_morphism")
     for u in range(dM):
         for w in range(dM):
             rep.require("R_multiplicative", (u, w),
-                        rop.apply(on_basis(mtot.mu, u, w)),
-                        alg.mu(rm[u], rm[w]))
+                        apply(rop, on_basis(mtot.mu, u, w)),
+                        bilinear(alg.mu, rm[u], rm[w]))
     return rep
 
 
@@ -602,22 +722,22 @@ def ref_check_rb_bimodule(pair):
     rep = Report("rb_bimodule")
     alg, mod = pair.algebra, pair.module
     dA, dM = alg.dim, mod.dim
-    ra = [pair.rop.apply(basis_vec(dA, i)) for i in range(dA)]
-    rm = [pair.mop.apply(basis_vec(dM, u)) for u in range(dM)]
+    ra = [apply(pair.rop, basis_vec(dA, i)) for i in range(dA)]
+    rm = [apply(pair.mop, basis_vec(dM, u)) for u in range(dM)]
     for i in range(dA):
         a = basis_vec(dA, i)
         for u in range(dM):
             m = basis_vec(dM, u)
             rep.require(
                 "rb_bimodule_left", (i, u),
-                mod.left(ra[i], rm[u]),
-                pair.mop.apply(add_vec(mod.left(ra[i], m),
-                                       mod.left(a, rm[u]))))
+                bilinear(mod.left, ra[i], rm[u]),
+                apply(pair.mop, add_vec(bilinear(mod.left, ra[i], m),
+                                        bilinear(mod.left, a, rm[u]))))
             rep.require(
                 "rb_bimodule_right", (u, i),
-                mod.right(rm[u], ra[i]),
-                pair.mop.apply(add_vec(mod.right(rm[u], a),
-                                       mod.right(m, ra[i]))))
+                bilinear(mod.right, rm[u], ra[i]),
+                apply(pair.mop, add_vec(bilinear(mod.right, rm[u], a),
+                                        bilinear(mod.right, m, ra[i]))))
     return rep
 
 
@@ -680,24 +800,30 @@ def ref_check_pairing_identities(module, base, fiber, left_pair, right_pair):
             m = basis_vec(dM, u)
             for w in range(dB):
                 b = basis_vec(dB, w)
-                rep.require("pair_l_left", (i, u, w),
-                            left_pair(on_basis(module.left, i, u), b),
-                            fiber.left(a, on_basis(left_pair, u, w)))
-                rep.require("pair_l_middle", (u, i, w),
-                            left_pair(on_basis(module.right, u, i), b),
-                            left_pair(m, on_basis(base.left, i, w)))
-                rep.require("pair_l_right", (u, w, i),
-                            left_pair(m, on_basis(base.right, w, i)),
-                            fiber.right(on_basis(left_pair, u, w), a))
-                rep.require("pair_r_left", (i, w, u),
-                            right_pair(on_basis(base.left, i, w), m),
-                            fiber.left(a, on_basis(right_pair, w, u)))
-                rep.require("pair_r_middle", (w, i, u),
-                            right_pair(on_basis(base.right, w, i), m),
-                            right_pair(b, on_basis(module.left, i, u)))
-                rep.require("pair_r_right", (w, u, i),
-                            right_pair(b, on_basis(module.right, u, i)),
-                            fiber.right(on_basis(right_pair, w, u), a))
+                rep.require(
+                    "pair_l_left", (i, u, w),
+                    bilinear(left_pair, on_basis(module.left, i, u), b),
+                    bilinear(fiber.left, a, on_basis(left_pair, u, w)))
+                rep.require(
+                    "pair_l_middle", (u, i, w),
+                    bilinear(left_pair, on_basis(module.right, u, i), b),
+                    bilinear(left_pair, m, on_basis(base.left, i, w)))
+                rep.require(
+                    "pair_l_right", (u, w, i),
+                    bilinear(left_pair, m, on_basis(base.right, w, i)),
+                    bilinear(fiber.right, on_basis(left_pair, u, w), a))
+                rep.require(
+                    "pair_r_left", (i, w, u),
+                    bilinear(right_pair, on_basis(base.left, i, w), m),
+                    bilinear(fiber.left, a, on_basis(right_pair, w, u)))
+                rep.require(
+                    "pair_r_middle", (w, i, u),
+                    bilinear(right_pair, on_basis(base.right, w, i), m),
+                    bilinear(right_pair, b, on_basis(module.left, i, u)))
+                rep.require(
+                    "pair_r_right", (w, u, i),
+                    bilinear(right_pair, b, on_basis(module.right, u, i)),
+                    bilinear(fiber.right, on_basis(right_pair, w, u), a))
     return rep
 
 
@@ -706,20 +832,22 @@ def ref_check_operator_identities(b):
     rep = Report("operator_identities")
     x = b.over
     dM, dN = x.module.dim, b.fiber.dim
-    rm = [x.rop.apply(basis_vec(dM, u)) for u in range(dM)]
-    sn = [b.sop.apply(basis_vec(dN, v)) for v in range(dN)]
+    rm = [apply(x.rop, basis_vec(dM, u)) for u in range(dM)]
+    sn = [apply(b.sop, basis_vec(dN, v)) for v in range(dN)]
     for u in range(dM):
         m = basis_vec(dM, u)
         for v in range(dN):
             n = basis_vec(dN, v)
-            rep.require("operator_left", (u, v),
-                        b.base.left(rm[u], sn[v]),
-                        b.sop.apply(add_vec(b.fiber.left(rm[u], n),
-                                            b.left_pair(m, sn[v]))))
-            rep.require("operator_right", (v, u),
-                        b.base.right(sn[v], rm[u]),
-                        b.sop.apply(add_vec(b.right_pair(sn[v], m),
-                                            b.fiber.right(n, rm[u]))))
+            rep.require(
+                "operator_left", (u, v),
+                bilinear(b.base.left, rm[u], sn[v]),
+                apply(b.sop, add_vec(bilinear(b.fiber.left, rm[u], n),
+                                     bilinear(b.left_pair, m, sn[v]))))
+            rep.require(
+                "operator_right", (v, u),
+                bilinear(b.base.right, sn[v], rm[u]),
+                apply(b.sop, add_vec(bilinear(b.right_pair, sn[v], m),
+                                     bilinear(b.fiber.right, n, rm[u]))))
     return rep
 
 
@@ -728,14 +856,15 @@ def ref_check_differential_pair(p):
     rep = Report("differential_pair")
     alg = p.algebra
     dA, dB = alg.dim, p.base.dim
-    da = [p.d.apply(basis_vec(dA, i)) for i in range(dA)]
+    da = [apply(p.d, basis_vec(dA, i)) for i in range(dA)]
     for i in range(dA):
         a = basis_vec(dA, i)
         for j in range(dA):
-            rep.require("derivation", (i, j),
-                        p.d.apply(on_basis(alg.mu, i, j)),
-                        add_vec(p.module.left(a, da[j]),
-                                p.module.right(da[i], basis_vec(dA, j))))
+            rep.require(
+                "derivation", (i, j),
+                apply(p.d, on_basis(alg.mu, i, j)),
+                add_vec(bilinear(p.module.left, a, da[j]),
+                        bilinear(p.module.right, da[i], basis_vec(dA, j))))
     rep.merge(ref_check_pairing_identities(
         p.module, p.base, p.fiber, p.left_pair, p.right_pair))
     for i in range(dA):
@@ -743,13 +872,13 @@ def ref_check_differential_pair(p):
         for w in range(dB):
             b = basis_vec(dB, w)
             rep.require("delta_left", (i, w),
-                        p.delta.apply(on_basis(p.base.left, i, w)),
-                        add_vec(p.fiber.left(a, p.delta.apply(b)),
-                                p.left_pair(da[i], b)))
+                        apply(p.delta, on_basis(p.base.left, i, w)),
+                        add_vec(bilinear(p.fiber.left, a, apply(p.delta, b)),
+                                bilinear(p.left_pair, da[i], b)))
             rep.require("delta_right", (w, i),
-                        p.delta.apply(on_basis(p.base.right, w, i)),
-                        add_vec(p.right_pair(b, da[i]),
-                                p.fiber.right(p.delta.apply(b), a)))
+                        apply(p.delta, on_basis(p.base.right, w, i)),
+                        add_vec(bilinear(p.right_pair, b, da[i]),
+                                bilinear(p.fiber.right, apply(p.delta, b), a)))
     return rep
 
 
@@ -764,31 +893,32 @@ def ref_check_derivation(x, b, alpha, beta):
     alg, mod = x.algebra, x.module
     dA, dM = alg.dim, mod.dim
     rep = Report("derivation_pair")
-    av = [alpha.apply(basis_vec(dA, i)) for i in range(dA)]
-    bv = [beta.apply(basis_vec(dM, u)) for u in range(dM)]
+    av = [apply(alpha, basis_vec(dA, i)) for i in range(dA)]
+    bv = [apply(beta, basis_vec(dM, u)) for u in range(dM)]
     for i in range(dA):
         ei = basis_vec(dA, i)
         for j in range(dA):
             rep.require(
-                "leibniz", (i, j), alpha.apply(on_basis(alg.mu, i, j)),
+                "leibniz", (i, j), apply(alpha, on_basis(alg.mu, i, j)),
                 tuple(p + q for p, q in
-                      zip(b.base.right(av[i], basis_vec(dA, j)),
-                          b.base.left(ei, av[j]))))
+                      zip(bilinear(b.base.right, av[i], basis_vec(dA, j)),
+                          bilinear(b.base.left, ei, av[j]))))
         for u in range(dM):
             eu = basis_vec(dM, u)
             rep.require(
-                "left_action", (i, u), beta.apply(on_basis(mod.left, i, u)),
+                "left_action", (i, u), apply(beta, on_basis(mod.left, i, u)),
                 tuple(p + q for p, q in
-                      zip(b.right_pair(av[i], eu), b.fiber.left(ei, bv[u]))))
+                      zip(bilinear(b.right_pair, av[i], eu),
+                          bilinear(b.fiber.left, ei, bv[u]))))
             rep.require(
-                "right_action", (u, i), beta.apply(on_basis(mod.right, u, i)),
+                "right_action", (u, i), apply(beta, on_basis(mod.right, u, i)),
                 tuple(p + q for p, q in
-                      zip(b.fiber.right(bv[u], ei),
-                          b.left_pair(eu, av[i]))))
+                      zip(bilinear(b.fiber.right, bv[u], ei),
+                          bilinear(b.left_pair, eu, av[i]))))
     for u in range(dM):
         rep.require("intertwine", (u,),
-                    alpha.apply(x.rop.apply(basis_vec(dM, u))),
-                    b.sop.apply(bv[u]))
+                    apply(alpha, apply(x.rop, basis_vec(dM, u))),
+                    apply(b.sop, bv[u]))
     return rep
 
 
@@ -848,19 +978,19 @@ class _TwoTermEnv:
 
     def d(self, x):
         lin = self.alg.d if x.space == "a" else self.mod.dm
-        return _Graded(x.space, 0, lin.apply(x.vec))
+        return _Graded(x.space, 0, apply(lin, x.vec))
 
     def mu2(self, x, y):
         block = self.blocks[(x.space, x.deg, y.space, y.deg)]
         space = "m" if "m" in (x.space, y.space) else "a"
-        return _Graded(space, x.deg + y.deg, block(x.vec, y.vec))
+        return _Graded(space, x.deg + y.deg, bilinear(block, x.vec, y.vec))
 
     def mu3(self, x, y, z):
         spaces = (x.space, y.space, z.space)
         flat = _kron3(x.vec, y.vec, z.vec)
         if spaces == ("a", "a", "a"):
-            return _Graded("a", 1, self.alg.mu3.apply(flat))
-        return _Graded("m", 1, self.mod.mu3m[spaces.index("m")].apply(flat))
+            return _Graded("a", 1, apply(self.alg.mu3, flat))
+        return _Graded("m", 1, apply(self.mod.mu3m[spaces.index("m")], flat))
 
 
 # each law: name, input degrees, and both sides as expressions over the
@@ -949,62 +1079,69 @@ def ref_check_homotopy_rrb_operator(a, m, r):
                          "the algebra complex")
     rep = Report("homotopy_rrb_operator")
     d0, d1 = m.dim0, m.dim1
-    r0m = [r.r0.apply(basis_vec(d0, u)) for u in range(d0)]
-    r1n = [r.r1.apply(basis_vec(d1, v)) for v in range(d1)]
+    r0m = [apply(r.r0, basis_vec(d0, u)) for u in range(d0)]
+    r1n = [apply(r.r1, basis_vec(d1, v)) for v in range(d1)]
     # the operator intertwines the two complexes
     for v in range(d1):
         rep.require("chain_map", (v,),
-                    a.d.apply(r1n[v]),
-                    r.r0.apply(m.dm.apply(basis_vec(d1, v))))
+                    apply(a.d, r1n[v]),
+                    apply(r.r0, apply(m.dm, basis_vec(d1, v))))
     # the degree-0 defect is the boundary of the corrector
     for u in range(d0):
         eu = basis_vec(d0, u)
         for w in range(d0):
             ew = basis_vec(d0, w)
-            inner = add_vec(m.left00(r0m[u], ew), m.right00(eu, r0m[w]))
-            rep.require("baxter_boundary", (u, w),
-                        sub_vec(r.r0.apply(inner), a.mu00(r0m[u], r0m[w])),
-                        a.d.apply(on_basis(r.r2, u, w)))
+            inner = add_vec(bilinear(m.left00, r0m[u], ew),
+                            bilinear(m.right00, eu, r0m[w]))
+            rep.require(
+                "baxter_boundary", (u, w),
+                sub_vec(apply(r.r0, inner), bilinear(a.mu00, r0m[u], r0m[w])),
+                apply(a.d, on_basis(r.r2, u, w)))
     # the degree-1 defects are corrector values on boundaries
     for u in range(d0):
         eu = basis_vec(d0, u)
         for v in range(d1):
             nv = basis_vec(d1, v)
-            dn = m.dm.apply(nv)
-            inner = add_vec(m.left01(r0m[u], nv), m.right01(eu, r1n[v]))
-            rep.require("baxter_right", (u, v),
-                        sub_vec(r.r1.apply(inner), a.mu01(r0m[u], r1n[v])),
-                        r.r2(eu, dn))
-            inner = add_vec(m.left10(r1n[v], eu), m.right10(nv, r0m[u]))
-            rep.require("baxter_left", (v, u),
-                        sub_vec(r.r1.apply(inner), a.mu10(r1n[v], r0m[u])),
-                        r.r2(dn, eu))
+            dn = apply(m.dm, nv)
+            inner = add_vec(bilinear(m.left01, r0m[u], nv),
+                            bilinear(m.right01, eu, r1n[v]))
+            rep.require(
+                "baxter_right", (u, v),
+                sub_vec(apply(r.r1, inner), bilinear(a.mu01, r0m[u], r1n[v])),
+                bilinear(r.r2, eu, dn))
+            inner = add_vec(bilinear(m.left10, r1n[v], eu),
+                            bilinear(m.right10, nv, r0m[u]))
+            rep.require(
+                "baxter_left", (v, u),
+                sub_vec(apply(r.r1, inner), bilinear(a.mu10, r1n[v], r0m[u])),
+                bilinear(r.r2, dn, eu))
     # the two correctors are compatible
     for u in range(d0):
         eu = basis_vec(d0, u)
         for w in range(d0):
             ew = basis_vec(d0, w)
             r2uw = on_basis(r.r2, u, w)
-            circ_uw = add_vec(m.left00(r0m[u], ew), m.right00(eu, r0m[w]))
+            circ_uw = add_vec(bilinear(m.left00, r0m[u], ew),
+                              bilinear(m.right00, eu, r0m[w]))
             for z in range(d0):
                 ez = basis_vec(d0, z)
                 r2wz = on_basis(r.r2, w, z)
-                circ_wz = add_vec(m.left00(r0m[w], ez),
-                                  m.right00(ew, r0m[z]))
-                acc = a.mu01(r0m[u], r2wz)
-                acc = sub_vec(acc, r.r1.apply(m.right01(eu, r2wz)))
-                acc = sub_vec(acc, r.r2(circ_uw, ez))
-                acc = add_vec(acc, r.r2(eu, circ_wz))
-                acc = sub_vec(acc, a.mu10(r2uw, r0m[z]))
-                acc = add_vec(acc, r.r1.apply(m.left10(r2uw, ez)))
-                acc = add_vec(acc, r.r1.apply(m.mu3m[0].apply(
+                circ_wz = add_vec(bilinear(m.left00, r0m[w], ez),
+                                  bilinear(m.right00, ew, r0m[z]))
+                acc = bilinear(a.mu01, r0m[u], r2wz)
+                acc = sub_vec(acc, apply(r.r1, bilinear(m.right01, eu, r2wz)))
+                acc = sub_vec(acc, bilinear(r.r2, circ_uw, ez))
+                acc = add_vec(acc, bilinear(r.r2, eu, circ_wz))
+                acc = sub_vec(acc, bilinear(a.mu10, r2uw, r0m[z]))
+                acc = add_vec(acc, apply(r.r1, bilinear(m.left10, r2uw, ez)))
+                acc = add_vec(acc, apply(r.r1, apply(m.mu3m[0],
                     _kron3(eu, r0m[w], r0m[z]))))
-                acc = add_vec(acc, r.r1.apply(m.mu3m[1].apply(
+                acc = add_vec(acc, apply(r.r1, apply(m.mu3m[1],
                     _kron3(r0m[u], ew, r0m[z]))))
-                acc = add_vec(acc, r.r1.apply(m.mu3m[2].apply(
+                acc = add_vec(acc, apply(r.r1, apply(m.mu3m[2],
                     _kron3(r0m[u], r0m[w], ez))))
                 rep.require("baxter_corrector", (u, w, z), acc,
-                            a.mu3.apply(_kron3(r0m[u], r0m[w], r0m[z])))
+                            apply(a.mu3, _kron3(r0m[u], r0m[w], r0m[z])))
     return rep
 
 
@@ -1015,8 +1152,8 @@ def ref_check_homotopy_rrb_operator(a, m, r):
 # but for summing their entries into a dict that Matrix.from_entries
 # builds once (the differential reads ref_hochschild_matrix), and the
 # unit-vector products that built the matrix of an OnColumns term.  They
-# share with rotabaxter only Matrix, TensorIndex, the structure
-# types, the cochain dimensions and the M_Tot action, so the term lists are
+# share with rotabaxter only Matrix, the structure types, the cochain
+# dimensions and the M_Tot action, so the term lists are
 # checked against an independent indexing of the same formulas.  The
 # labelled differential read through the hat and unhat of the doubled
 # Hochschild complex, as it was before it became the slot-map part of the
@@ -1286,7 +1423,7 @@ def ref_rrb_differential_matrix(x, b, k):
               (1, ref_hochschild_matrix(b.base, k), 0, 0)]
     if k >= 2:
         blocks.append((
-            1, ref_hochschild_matrix(mtot_action_bimodule(b).actions, k - 1),
+            1, ref_hochschild_matrix(mtot_action_bimodule(b), k - 1),
             a_out + bt_out, a_in + bt_in))
     return Matrix.from_blocks(rows, cols, blocks)
 
@@ -1484,28 +1621,32 @@ def ref_morphism_induced_bimodule(mor):
     alg = src.algebra
     dA, dM = alg.dim, src.module.dim
     dB, dN = tgt.algebra.dim, tgt.module.dim
-    fa = [mor.phi.apply(basis_vec(dA, i)) for i in range(dA)]
-    fm = [mor.psi.apply(basis_vec(dM, u)) for u in range(dM)]
+    fa = [apply(mor.phi, basis_vec(dA, i)) for i in range(dA)]
+    fm = [apply(mor.psi, basis_vec(dM, u)) for u in range(dM)]
     base = Bimodule(
         alg, dB,
         ref_build(
-            dA, dB, dB, lambda i, w: tgt.algebra.mu(fa[i], basis_vec(dB, w))),
+            dA, dB, dB,
+            lambda i, w: bilinear(tgt.algebra.mu, fa[i], basis_vec(dB, w))),
         ref_build(
-            dB, dA, dB, lambda w, i: tgt.algebra.mu(basis_vec(dB, w), fa[i])),
+            dB, dA, dB,
+            lambda w, i: bilinear(tgt.algebra.mu, basis_vec(dB, w), fa[i])),
         tgt.algebra.basis_names)
     fiber = Bimodule(
         alg, dN,
         ref_build(
             dA, dN, dN,
-            lambda i, v: tgt.module.left(fa[i], basis_vec(dN, v))),
+            lambda i, v: bilinear(tgt.module.left, fa[i], basis_vec(dN, v))),
         ref_build(
             dN, dA, dN,
-            lambda v, i: tgt.module.right(basis_vec(dN, v), fa[i])),
+            lambda v, i: bilinear(tgt.module.right, basis_vec(dN, v), fa[i])),
         tgt.module.basis_names)
     left_pair = ref_build(
-        dM, dB, dN, lambda u, w: tgt.module.right(fm[u], basis_vec(dB, w)))
+        dM, dB, dN,
+        lambda u, w: bilinear(tgt.module.right, fm[u], basis_vec(dB, w)))
     right_pair = ref_build(
-        dB, dM, dN, lambda w, u: tgt.module.left(basis_vec(dB, w), fm[u]))
+        dB, dM, dN,
+        lambda w, u: bilinear(tgt.module.left, basis_vec(dB, w), fm[u]))
     return RRBBimodule(src, base, fiber, tgt.rop, left_pair, right_pair)
 
 
@@ -1513,8 +1654,9 @@ def ref_transport_bilinear(c, f, g, h_inv):
     """Constants of h^-1 . c . (f (x) g) on the new bases."""
     return ref_build(
         f.cols, g.cols, h_inv.rows,
-        lambda i, j: h_inv.apply(c(f.apply(basis_vec(f.cols, i)),
-                                   g.apply(basis_vec(g.cols, j)))))
+        lambda i, j: apply(h_inv, bilinear(
+            c, apply(f, basis_vec(f.cols, i)),
+            apply(g, basis_vec(g.cols, j)))))
 
 
 def ref_rb_from_r_matrix(r):
@@ -1527,7 +1669,8 @@ def ref_rb_from_r_matrix(r):
         for i in range(d):
             for j in range(d):
                 if t[i][j]:
-                    w = alg.mu(on_basis(alg.mu, i, a), basis_vec(d, j))
+                    w = bilinear(alg.mu, on_basis(alg.mu, i, a),
+                                 basis_vec(d, j))
                     v = add_vec(v, tuple(t[i][j] * x for x in w))
         cols.append(v)
     m = Matrix.from_rows([[cols[a][i] for a in range(d)] for i in range(d)])
@@ -1547,7 +1690,8 @@ def ref_rb_bimodule_from_r_matrix(r, mod):
         for i in range(d):
             for j in range(d):
                 if t[i][j]:
-                    w = mod.right(on_basis(mod.left, i, u), basis_vec(d, j))
+                    w = bilinear(mod.right, on_basis(mod.left, i, u),
+                                 basis_vec(d, j))
                     v = add_vec(v, tuple(t[i][j] * x for x in w))
         cols.append(v)
     m = Matrix.from_rows([[cols[u][p] for u in range(dM)]
@@ -1607,7 +1751,7 @@ def ref_endomorphism_rrb(cx):
     dM = rM * d0
     # the f_1 kd[s] in ker d, in the basis kd, by (i, s)
     imgs = coords(from_columns(d1, kd),
-                  [f1.apply(k) for _, f1 in ends for k in kd],
+                  [apply(f1, k) for _, f1 in ends for k in kd],
                   "vector is not in ker d")
 
     def left_act(i, su):
@@ -1672,28 +1816,29 @@ def ref_extract_cocycle(e, sec):
     sec.validate(e)
     base, tot = e.base, e.total
     dA, dM = base.algebra.dim, base.module.dim
-    sa = [sec.s.apply(basis_vec(dA, i)) for i in range(dA)]
-    sm = [sec.sbar.apply(basis_vec(dM, u)) for u in range(dM)]
+    sa = [apply(sec.s, basis_vec(dA, i)) for i in range(dA)]
+    sm = [apply(sec.sbar, basis_vec(dM, u)) for u in range(dM)]
     alpha_cols, beta1_cols, beta2_cols, gamma_cols = {}, {}, {}, {}
     for i in range(dA):
         for j in range(dA):
-            defect = sub_vec(tot.algebra.mu(sa[i], sa[j]),
-                             sec.s.apply(on_basis(base.algebra.mu, i, j)))
+            defect = sub_vec(bilinear(tot.algebra.mu, sa[i], sa[j]),
+                             apply(sec.s, on_basis(base.algebra.mu, i, j)))
             alpha_cols[i * dA + j] = _ref_fiber_coords(
                 e.alg_incl, defect, "product defect")
     for u in range(dM):
         for i in range(dA):
-            defect = sub_vec(tot.module.right(sm[u], sa[i]),
-                             sec.sbar.apply(on_basis(base.module.right, u, i)))
+            defect = sub_vec(
+                bilinear(tot.module.right, sm[u], sa[i]),
+                apply(sec.sbar, on_basis(base.module.right, u, i)))
             beta1_cols[u * dA + i] = _ref_fiber_coords(
                 e.mod_incl, defect, "right action defect")
-            defect = sub_vec(tot.module.left(sa[i], sm[u]),
-                             sec.sbar.apply(on_basis(base.module.left, i, u)))
+            defect = sub_vec(bilinear(tot.module.left, sa[i], sm[u]),
+                             apply(sec.sbar, on_basis(base.module.left, i, u)))
             beta2_cols[i * dM + u] = _ref_fiber_coords(
                 e.mod_incl, defect, "left action defect")
     for u in range(dM):
-        defect = sub_vec(tot.rop.apply(sm[u]),
-                         sec.s.apply(base.rop.apply(basis_vec(dM, u))))
+        defect = sub_vec(apply(tot.rop, sm[u]),
+                         apply(sec.s, apply(base.rop, basis_vec(dM, u))))
         gamma_cols[u] = _ref_fiber_coords(e.alg_incl, defect,
                                           "operator defect")
     dB, dN = e.fiber.dim0, e.fiber.dim1
@@ -1720,10 +1865,10 @@ def ref_induced_fiber_bimodule(e, sec):
     tot = e.total
     dA, dM = e.base.algebra.dim, e.base.module.dim
     dB, dN = e.fiber.dim0, e.fiber.dim1
-    sa = [sec.s.apply(basis_vec(dA, i)) for i in range(dA)]
-    sm = [sec.sbar.apply(basis_vec(dM, u)) for u in range(dM)]
-    ib = [e.alg_incl.apply(basis_vec(dB, w)) for w in range(dB)]
-    im = [e.mod_incl.apply(basis_vec(dN, v)) for v in range(dN)]
+    sa = [apply(sec.s, basis_vec(dA, i)) for i in range(dA)]
+    sm = [apply(sec.sbar, basis_vec(dM, u)) for u in range(dM)]
+    ib = [apply(e.alg_incl, basis_vec(dB, w)) for w in range(dB)]
+    im = [apply(e.mod_incl, basis_vec(dN, v)) for v in range(dN)]
 
     def in_b(vec):
         return _ref_fiber_coords(e.alg_incl, vec, "induced product")
@@ -1734,19 +1879,24 @@ def ref_induced_fiber_bimodule(e, sec):
     base = Bimodule(
         e.base.algebra, dB,
         ref_build(
-            dA, dB, dB, lambda i, w: in_b(tot.algebra.mu(sa[i], ib[w]))),
+            dA, dB, dB,
+            lambda i, w: in_b(bilinear(tot.algebra.mu, sa[i], ib[w]))),
         ref_build(
-            dB, dA, dB, lambda w, i: in_b(tot.algebra.mu(ib[w], sa[i]))))
+            dB, dA, dB,
+            lambda w, i: in_b(bilinear(tot.algebra.mu, ib[w], sa[i]))))
     fiber = Bimodule(
         e.base.algebra, dN,
         ref_build(
-            dA, dN, dN, lambda i, v: in_n(tot.module.left(sa[i], im[v]))),
+            dA, dN, dN,
+            lambda i, v: in_n(bilinear(tot.module.left, sa[i], im[v]))),
         ref_build(
-            dN, dA, dN, lambda v, i: in_n(tot.module.right(im[v], sa[i]))))
+            dN, dA, dN,
+            lambda v, i: in_n(bilinear(tot.module.right, im[v], sa[i]))))
     left_pair = ref_build(
-        dM, dB, dN, lambda u, w: in_n(tot.module.right(sm[u], ib[w])))
+        dM, dB, dN,
+        lambda u, w: in_n(bilinear(tot.module.right, sm[u], ib[w])))
     right_pair = ref_build(
-        dB, dM, dN, lambda w, u: in_n(tot.module.left(ib[w], sm[u])))
+        dB, dM, dN, lambda w, u: in_n(bilinear(tot.module.left, ib[w], sm[u])))
     return RRBBimodule(e.base, base, fiber, e.fiber.d, left_pair, right_pair)
 
 
@@ -1757,11 +1907,11 @@ def ref_shear(e1, e2, sec1, sec2, corr, incl1, incl2, proj):
     cols = []
     for j in range(n):
         v = basis_vec(n, j)
-        a = proj.apply(v)
-        y = _ref_fiber_coords(incl1, sub_vec(v, sec1.apply(a)),
+        a = apply(proj, v)
+        y = _ref_fiber_coords(incl1, sub_vec(v, apply(sec1, a)),
                               "section complement")
-        cols.append(add_vec(sec2.apply(a),
-                            incl2.apply(add_vec(y, corr.apply(a)))))
+        cols.append(add_vec(apply(sec2, a),
+                            apply(incl2, add_vec(y, apply(corr, a)))))
     return _ref_map_from_columns(cols, n, cod)
 
 

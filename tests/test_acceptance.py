@@ -42,7 +42,7 @@ from rotabaxter.samples import (
     random_rrb_cocycle, random_rrb_pair,
 )
 
-from helpers import from_nested, nested
+from helpers import from_nested, nested, zero_cochain
 
 
 # ------------------------------------------------------------------ helpers
@@ -183,7 +183,7 @@ def test_06_induced_dendriform_structures():
         assert morph.ok, seed
         rep = induced_dendriform_representation(b)
         assert check_dendriform_representation(rep).ok, seed
-        assert check_bimodule(mtot_action_bimodule(b).actions).ok, seed
+        assert check_bimodule(mtot_action_bimodule(b)).ok, seed
     print("criterion 06 (dendriform structures, representation, and "
           "total-product bimodule): PASS")
 
@@ -195,7 +195,7 @@ def test_07_comparison_chain_map():
         x, b = random_rrb_pair(seed)
         den, _, _ = induced_dendriform(x)
         rep = induced_dendriform_representation(b)
-        acts = mtot_action_bimodule(b).actions
+        acts = mtot_action_bimodule(b)
         for k in (1, 2):
             dend = dendriform_differential_matrix(den, rep, k + 1)
             lhs = dend * psi_matrix(x, b, k)
@@ -242,7 +242,7 @@ def _skeletal_passes(a, m, r):
 def _triple_passes(x, b, c):
     if not (check_relative_rb(x).ok and check_rrb_bimodule(b).ok):
         return False
-    return rrb_differential(x, b, 3, c) == RRBCochain.zero(x, b, 4)
+    return rrb_differential(x, b, 3, c) == zero_cochain(x, b, 4)
 
 
 def _mutants(x, b, c, kind):

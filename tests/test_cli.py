@@ -10,12 +10,11 @@ from rotabaxter import cli, fileformat as ff
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, StructuralError, StructureConstants,
 )
-from rotabaxter.classification import (
-    AInftyBimodule, HomotopyRRBOperator, TwoTermAInfty,
-)
 from rotabaxter.linalg import Matrix
 from rotabaxter.rrb import RelativeRBAlgebra
 from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
+
+from helpers import zero_ainfty_bimodule, zero_homotopy_rrb, zero_two_term
 
 
 def write_zero_fixture(path):
@@ -395,13 +394,13 @@ def test_malformed_rational_is_input_error(tmp_path, capsys):
 def test_homotopy_operator_over_a_misfit_module_is_input_error(tmp_path,
                                                                 capsys):
     # the operator's module is a bimodule over another, larger algebra
-    small, big = TwoTermAInfty.zero(1, 1), TwoTermAInfty.zero(2, 1)
-    m = AInftyBimodule.zero(big, 1, 1)
+    small, big = zero_two_term(1, 1), zero_two_term(2, 1)
+    m = zero_ainfty_bimodule(big, 1, 1)
     doc = ff.new_document()
     a_name, a0, a1 = ff.declare_two_term(doc, "small", small)
     big_name, b0, b1 = ff.declare_two_term(doc, "big", big)
     m_name, m0, m1 = ff.declare_ainfty_bimodule(doc, "m", m, big_name, b0, b1)
-    ff.declare_homotopy_rrb(doc, "r", HomotopyRRBOperator.zero(small, m),
+    ff.declare_homotopy_rrb(doc, "r", zero_homotopy_rrb(small, m),
                             a_name, m_name, a0, a1, m0, m1)
     path = tmp_path / "misfit.json"
     ff.write_path(doc, path)

@@ -81,7 +81,7 @@ def morphisms(rng, x, seed):
     p = random_invertible(rng, x.algebra.dim)
     q = random_invertible(rng, x.module.dim)
     y, _ = random_rrb_pair(seed + 100)
-    return (RRBMorphism.identity(x),
+    return (ref.identity_morphism(x),
             RRBMorphism(transport_rrb(x, p, q), x, p, q),
             RRBMorphism(y, x,
                         random_matrix(rng, x.algebra.dim, y.algebra.dim),

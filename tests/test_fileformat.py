@@ -12,11 +12,10 @@ from rotabaxter.classification import (
     check_two_term_ainfty, extract_cocycle, skeletal_to_triple,
     triple_to_skeletal,
 )
-from rotabaxter.cohomology import RRBCochain
 from rotabaxter.linalg import Matrix
 from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
 
-from helpers import fractions_made, nested
+from helpers import fractions_made, nested, zero_cochain
 
 
 def rrb_document(seed=2, degree=2, cocycle_seed=0):
@@ -192,7 +191,7 @@ def test_bool_degree_rejected(tmp_path, capsys):
     doc = ff.new_document()
     xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
     bn, bsp, fsp = ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
-    ff.declare_cocycle(doc, "c", RRBCochain.zero(x, b, 1), xn, bn, asp, msp,
+    ff.declare_cocycle(doc, "c", zero_cochain(x, b, 1), xn, bn, asp, msp,
                        bsp, fsp)
     doc = json.loads(ff.dump_document(doc))
     doc["declare"][-1]["degree"] = True

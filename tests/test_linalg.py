@@ -8,14 +8,14 @@ import pytest
 from rotabaxter import linalg
 from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
-    Matrix, OnColumns, Product, Q, TensorIndex, assemble_terms,
+    Matrix, OnColumns, Product, Q, assemble_terms,
     bilinear_on_columns, format_matrix, format_rational, inverse,
     kernel_basis, kron, rank, solve_columns, stacked, unstacked,
 )
 
 from helpers import (
-    at, flatten, from_columns, full_rank_dims, gauss_jordan_rank,
-    homology_dims, kron_chain, on_basis, parse_rational,
+    TensorIndex, apply, at, flatten, from_columns, full_rank_dims,
+    gauss_jordan_rank, homology_dims, kron_chain, on_basis, parse_rational,
     ref_on_columns_matrix, reference_elimination, reference_inverse,
     reference_solve_columns, row_dicts,
 )
@@ -208,13 +208,13 @@ class TestTensorIndex:
     lambda: Matrix.identity(2) + Matrix.identity(3),
     lambda: Matrix.identity(2) - Matrix.identity(3),
     lambda: Matrix.identity(2) * Matrix.identity(3),
-    lambda: Matrix.identity(2).apply([1]),
+    lambda: apply(Matrix.identity(2), [1]),
     lambda: TensorIndex((2, -1)),
     lambda: flatten(TensorIndex((2,)), (2,)),
     lambda: flatten(TensorIndex((2,)), (0, 0)),
     lambda: TensorIndex((2,)).unflatten(2),
     lambda: Matrix(2, 2) * Matrix(3, 1),
-    lambda: Matrix(2, 2).apply([1]),
+    lambda: apply(Matrix(2, 2), [1]),
     lambda: Matrix.from_entries(2, 2, {(2, 0): 1}),
     lambda: Matrix.from_entries(2, 2, {(0, -1): 1}),
     lambda: Matrix.from_blocks(2, 2, [(1, Matrix(1, 1), 2, 0)]),  # zero too
@@ -241,6 +241,14 @@ class TestTensorIndex:
     lambda: Matrix.identity(2).reindexed(2, 1, lambda i, j: (i, j)),
     lambda: Matrix.identity(2).reindexed(2, 2, lambda i, j: (i - 1, j)),
     lambda: Matrix(1, 2, [1, 2]).reindexed(1, 2, lambda i, j: (0, 0)),
+    # a term that does not fit its blocks is refused, not written past them
+    lambda: assemble_terms([(1, 0, 0, Product(None, (Matrix.identity(3),)))],
+                           [(3, 2), (1, 2)], [(3, 3)]),
+    lambda: assemble_terms([(1, 0, 0, Product(Matrix.identity(2),
+                                              (Matrix.identity(2),)))],
+                           [(3, 2)], [(2, 2)]),
+    lambda: assemble_terms([(1, 0, 0, OnColumns(Matrix.identity(4), 2))],
+                           [(3, 1)], [(4, 2)]),
 ], ids=["entry-count", "ragged", "add", "sub", "mul", "apply",
         "negative-dim", "index-range", "index-length", "flat-range",
         "sparse-compose", "sparse-apply", "entry-row", "entry-col",
@@ -249,7 +257,8 @@ class TestTensorIndex:
         "column-past", "column-negative", "on-basis-past",
         "row-negative", "row-past", "at-row-negative", "at-col-past",
         "at-col-negative", "on-basis-right-past", "reindexed-past",
-        "reindexed-negative", "reindexed-shared"])
+        "reindexed-negative", "reindexed-shared", "term-in-cols",
+        "term-in-rows", "on-columns-rows"])
 def test_validation_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
@@ -467,7 +476,7 @@ def test_term_writes_at_its_block_offsets(kind):
     images = (first.p * x * kron_chain(first.qs),
               -(p * y * q if kind == "product" else
                 t * kron(Matrix.identity(2), y)))
-    assert m.apply(x.entries + y.entries) == \
+    assert apply(m, x.entries + y.entries) == \
         tuple(v for image in images for v in image.entries)
 
 
@@ -574,7 +583,7 @@ class TestRandomizedInvariants:
                         (at(a, i, k) * at(b, k, j) for k in range(a.cols)),
                         Q(0))
             vec = [Q(rng.randint(-3, 3)) for _ in range(b.cols)]
-            assert b.apply(vec) == tuple(
+            assert apply(b, vec) == tuple(
                 sum((at(b, i, j) * vec[j] for j in range(b.cols)), Q(0))
                 for i in range(b.rows))
         # distinct denominators on both sides, and a product that cancels
@@ -761,7 +770,7 @@ def test_solve_columns_matches_reference_column_by_column():
         for _ in range(rng.randint(1, 4)):
             if rng.random() < 0.5:
                 x = [Q(rng.randint(-3, 3)) for _ in range(m.cols)]
-                cols.append(m.apply(x))
+                cols.append(apply(m, x))
             else:
                 cols.append(tuple(Q(rng.randint(-3, 3), rng.choice((1, 2)))
                                   for _ in range(m.rows)))

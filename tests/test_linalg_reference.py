@@ -24,7 +24,7 @@ from rotabaxter.linalg import (
 from rotabaxter.rrb import RMatrix
 
 from helpers import (
-    at, dense_rows, dual_numbers, from_columns, from_nested,
+    apply, at, dense_rows, dual_numbers, from_columns, from_nested,
     gauss_jordan_rank, homology_dims, parse_rational, ref_apply,
     ref_assemble_terms, ref_from_blocks, ref_kron, ref_mul, ref_of,
     ref_transpose, reference_elimination, reference_solve_columns,
@@ -207,7 +207,7 @@ def test_apply(data):
     a = data.draw(matrices())
     vec = data.draw(st.lists(st.one_of(SCALARS, st.integers(-3, 3)),
                              min_size=a.cols, max_size=a.cols))
-    out = a.apply(vec)
+    out = apply(a, vec)
     assert out == ref_apply(ref_of(a), vec)
     assert all(type(v) is Q for v in out)
 
@@ -301,7 +301,7 @@ def test_equal_values_compare_equal():
     lambda v: Matrix(1, 2, [1, v]),
     lambda v: Matrix.from_rows([[v, 1]]),
     lambda v: Matrix.from_entries(2, 2, {(0, 1): v}),
-    lambda v: Matrix.identity(2).apply((v, 1)),
+    lambda v: apply(Matrix.identity(2), (v, 1)),
     lambda v: solve_columns(Matrix.identity(2), Matrix(2, 1, (1, v))),
     lambda v: RMatrix(dual_numbers(), Matrix.from_rows([[v, 0], [0, 1]])),
     format_rational,
@@ -396,7 +396,7 @@ def test_elimination_ignores_row_scaling(data):
     b = data.draw(matrices(rows=m.rows, cols=data.draw(st.integers(1, 3))))
     # half the columns of b are images m x, so both answers occur
     x = data.draw(matrices(rows=m.cols, cols=b.cols))
-    b = from_columns(m.rows, [m.apply(x.column(j)) if j % 2
+    b = from_columns(m.rows, [apply(m, x.column(j)) if j % 2
                                      else b.column(j) for j in range(b.cols)])
     factors = data.draw(st.lists(MULTIPLIERS, min_size=max(m.rows, m.cols),
                                  max_size=max(m.rows, m.cols)))
@@ -417,7 +417,7 @@ def test_unit_negative_pivots_under_long_rows():
     assert all(all(row) for row in full)
     m = Matrix.from_rows(full + short)
     x = [Q(j % 4 - 1, 2) for j in range(n + 3)]
-    b = from_columns(m.rows, [m.apply(x), [1] + [0] * (m.rows - 1)])
+    b = from_columns(m.rows, [apply(m, x), [1] + [0] * (m.rows - 1)])
     r, _, (_, bad) = kernels(m, b)
     assert r == n and bad == {1}
     check_scaling_invariance(m, b, [-1] * m.rows)

@@ -1,5 +1,8 @@
 """Every function, class and method defined in src is used: its name is
 referenced somewhere in src or tests (dunders are called by the language).
+A static or class method of class C counts as referenced only as C.name,
+C a name or the last attribute of a dotted chain, so a method that shares
+its name with another class's is not seen as called through it.
 A test is not a caller the library needs: every definition is referenced
 in src or perfbench, or is one of the PUBLIC library constructions, so
 that a reader only tests use lives in tests/helpers.py.  Every local a
@@ -17,6 +20,7 @@ SRC = ROOT / "src" / "rotabaxter"
 # The paper's constructions and checks that the library offers and that
 # neither the package itself nor the benchmark calls.
 PUBLIC = (
+    "AInftyBimodule.adjoint", "DendriformRepresentation.adjoint",
     "DifferentialPair", "check_derivation", "check_extension_morphism",
     "check_rota_baxter", "cobounding_cochain", "extension_iso_from_cobounding",
     "invert_differential_pair", "morphism_induced_bimodule",
@@ -26,11 +30,18 @@ PUBLIC = (
 
 
 def referenced_names(tree):
+    """Each name, and C.name for each attribute read off C, a name or a
+    dotted chain that ends in C."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
+            owner = node.value
+            if isinstance(owner, ast.Name):
+                yield f"{owner.id}.{node.attr}"
+            elif isinstance(owner, ast.Attribute):
+                yield f"{owner.attr}.{node.attr}"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 yield alias.name.split(".")[-1]
@@ -38,8 +49,15 @@ def referenced_names(tree):
 
 def definitions(path, tree):
     """(name, where) for each function, class and method that is not a
-    dunder."""
-    return [(node.name, f"{path.name}:{node.lineno}")
+    dunder; a static or class method of class C is named C.name."""
+    owners = {id(node): cls.name for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.FunctionDef) and any(
+                  isinstance(d, ast.Name)
+                  and d.id in ("staticmethod", "classmethod")
+                  for d in node.decorator_list)}
+    return [(f"{owners[id(node)]}.{node.name}" if id(node) in owners
+             else node.name, f"{path.name}:{node.lineno}")
             for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
@@ -62,6 +80,26 @@ def test_every_definition_is_referenced():
     defined, used = uses([SRC, ROOT / "tests"])
     dead = [f"{where} {name}" for name, where in defined if name not in used]
     assert not dead, f"defined but never referenced: {', '.join(dead)}"
+
+
+def test_static_methods_are_matched_by_their_class():
+    src = ast.parse(
+        "class A:\n"
+        "    @staticmethod\n"
+        "    def zero():\n"
+        "        return A()\n"
+        "class B:\n"
+        "    @classmethod\n"
+        "    def zero(cls):\n"
+        "        return cls()\n"
+        "    def adjoint(self):\n"
+        "        return self\n")
+    # A.zero is called through a dotted chain, B.zero not at all, though
+    # a zero is; a plain method is matched by its name
+    caller = ast.parse("pkg.mod.A.zero()\nB().adjoint()\n")
+    used = set(referenced_names(caller))
+    assert {name for name, _ in definitions(pathlib.Path("m.py"), src)
+            if name not in used} == {"B.zero"}
 
 
 def test_every_definition_has_a_caller_outside_the_tests():

@@ -22,9 +22,10 @@ from rotabaxter.rrb_modules import (
 from rotabaxter.samples import random_rrb_pair
 
 from helpers import (
-    at, basis_vec, field_adjoint_rrb, field_algebra, linmap, nested,
-    nilpotent_shift_rrb, on_basis, one_sided_rrb, ref_build, sc, sub_vec,
-    zero_rrb,
+    apply, at, basis_vec, bilinear, field_adjoint_rrb, field_algebra,
+    identity_morphism, linmap, nested, nilpotent_shift_rrb, on_basis,
+    one_sided_rrb, ref_build, sc, sub_vec, zero_dendriform,
+    zero_dendriform_rep, zero_rrb,
 )
 
 
@@ -149,7 +150,7 @@ def test_double_dual_restores_every_tensor():
 
 def test_identity_morphism_induces_the_adjoint_bimodule():
     x = nilpotent_shift_rrb()
-    b = morphism_induced_bimodule(RRBMorphism.identity(x))
+    b = morphism_induced_bimodule(identity_morphism(x))
     assert bimodule_tensors(b) == bimodule_tensors(adjoint_bimodule(x))
 
 
@@ -273,7 +274,7 @@ def test_lift_rejects_broken_pairing_identities():
 
 def test_mtot_action_is_zero_when_operators_vanish():
     out = mtot_action_bimodule(adjoint_bimodule(field_adjoint_rrb()))
-    assert out.actions.left.is_zero() and out.actions.right.is_zero()
+    assert out.left.is_zero() and out.right.is_zero()
 
 
 def test_mtot_action_bimodule_passes_for_passing_inputs():
@@ -281,7 +282,7 @@ def test_mtot_action_bimodule_passes_for_passing_inputs():
         for b in (adjoint_bimodule(x),
                   dual_rrb_bimodule(adjoint_bimodule(x))):
             out = mtot_action_bimodule(b)
-            rep = check_bimodule(out.actions)
+            rep = check_bimodule(out)
             assert rep.ok, rep.describe()
 
 
@@ -289,8 +290,8 @@ def test_mtot_action_matches_the_defining_formula():
     x = one_sided_rrb()
     out = mtot_action_bimodule(adjoint_bimodule(x))
     # m |> b = R(m).b - S(m.b) = e - e = 0, b <| m = b.R(m) - S(b.m) = e
-    assert on_basis(out.actions.left, 0, 0) == (0,)
-    assert on_basis(out.actions.right, 0, 0) == (1,)
+    assert on_basis(out.left, 0, 0) == (0,)
+    assert on_basis(out.right, 0, 0) == (1,)
 
 
 def test_induced_structures_match_their_formulas_on_basis_vectors():
@@ -308,34 +309,38 @@ def test_induced_structures_match_their_formulas_on_basis_vectors():
 
         den, mtot, _ = induced_dendriform(x)
         assert den.prec == ref_build(
-            dM, dM, dM, lambda u, w: x.module.right(em(u), r[w])), seed
+            dM, dM, dM,
+            lambda u, w: bilinear(x.module.right, em(u), r[w])), seed
         assert den.succ == ref_build(
-            dM, dM, dM, lambda u, w: x.module.left(r[u], em(w))), seed
+            dM, dM, dM,
+            lambda u, w: bilinear(x.module.left, r[u], em(w))), seed
         assert den.basis_names == mtot.basis_names == x.module.basis_names
 
-        acts = mtot_action_bimodule(b).actions
+        acts = mtot_action_bimodule(b)
         assert acts.left == ref_build(
             dM, dB, dB, lambda u, w: sub_vec(
-                b.base.left(r[u], basis_vec(dB, w)),
-                b.sop.apply(on_basis(b.left_pair, u, w)))), seed
+                bilinear(b.base.left, r[u], basis_vec(dB, w)),
+                apply(b.sop, on_basis(b.left_pair, u, w)))), seed
         assert acts.right == ref_build(
             dB, dM, dB, lambda w, u: sub_vec(
-                b.base.right(basis_vec(dB, w), r[u]),
-                b.sop.apply(on_basis(b.right_pair, w, u)))), seed
+                bilinear(b.base.right, basis_vec(dB, w), r[u]),
+                apply(b.sop, on_basis(b.right_pair, w, u)))), seed
         assert acts.basis_names == b.base.basis_names
 
         rep = induced_dendriform_representation(b)
         en = [basis_vec(dN, v) for v in range(dN)]
         assert (rep.left_prec, rep.left_succ) == (
             ref_build(
-                dM, dN, dN, lambda u, v: b.left_pair(em(u), s[v])),
+                dM, dN, dN, lambda u, v: bilinear(b.left_pair, em(u), s[v])),
             ref_build(
-                dM, dN, dN, lambda u, v: b.fiber.left(r[u], en[v]))), seed
+                dM, dN, dN,
+                lambda u, v: bilinear(b.fiber.left, r[u], en[v]))), seed
         assert (rep.right_prec, rep.right_succ) == (
             ref_build(
-                dN, dM, dN, lambda v, u: b.fiber.right(en[v], r[u])),
+                dN, dM, dN, lambda v, u: bilinear(b.fiber.right, en[v], r[u])),
             ref_build(
-                dN, dM, dN, lambda v, u: b.right_pair(s[v], em(u)))), seed
+                dN, dM, dN,
+                lambda v, u: bilinear(b.right_pair, s[v], em(u)))), seed
         assert rep.basis_names == b.fiber.basis_names
 
 
@@ -408,8 +413,8 @@ def test_dendriform_to_rrb_round_trip_two_dim():
 
 
 def test_zero_dendriform_round_trips_to_zero():
-    d = DendriformAlgebra.zero(2)
-    x, bim = dendriform_to_rrb(d, DendriformRepresentation.zero(d, 1))
+    d = zero_dendriform(2)
+    x, bim = dendriform_to_rrb(d, zero_dendriform_rep(d, 1))
     assert x.algebra.mu.is_zero()
     assert check_rrb_bimodule(bim).ok
     back, _, _ = induced_dendriform(x)
