@@ -78,9 +78,9 @@ def _side_json(side):
 class Report:
     """Outcome of an axiom check: pass, or every violated basis tuple."""
 
-    def __init__(self, subject, violations=()):
+    def __init__(self, subject):
         self.subject = subject
-        self.violations = list(violations)
+        self.violations = []
 
     @property
     def ok(self):
@@ -282,9 +282,8 @@ class AssocAlgebra:
                 f"{len(self.basis_names)} basis names for dim {dim}")
 
     @staticmethod
-    def zero(dim, basis_names=None):
-        return AssocAlgebra(dim, StructureConstants.zero(dim, dim, dim),
-                            basis_names)
+    def zero(dim):
+        return AssocAlgebra(dim, StructureConstants.zero(dim, dim, dim))
 
 
 class Bimodule:
@@ -309,17 +308,15 @@ class Bimodule:
                 f"{len(self.basis_names)} basis names for dim {dim}")
 
     @staticmethod
-    def zero_actions(over, dim, basis_names=None):
+    def zero_actions(over, dim):
         return Bimodule(over, dim,
                         StructureConstants.zero(over.dim, dim, dim),
-                        StructureConstants.zero(dim, over.dim, dim),
-                        basis_names)
+                        StructureConstants.zero(dim, over.dim, dim))
 
     @staticmethod
-    def adjoint(over, basis_names=None):
+    def adjoint(over):
         """The algebra acting on itself by its own multiplication."""
-        return Bimodule(over, over.dim, over.mu, over.mu,
-                        basis_names or over.basis_names)
+        return Bimodule(over, over.dim, over.mu, over.mu, over.basis_names)
 
 
 def check_associativity(alg):

@@ -35,8 +35,7 @@ from .cohomology import (
 )
 from .linalg import Matrix, kron, rank, solve_columns, stacked
 from .rrb import (
-    RelativeRBAlgebra, RRBMorphism, TwoTermComplex, check_morphism,
-    check_relative_rb,
+    RelativeRBAlgebra, RRBMorphism, check_morphism, check_relative_rb,
 )
 from .rrb_modules import RRBBimodule, check_rrb_bimodule, semidirect_rrb
 
@@ -48,9 +47,9 @@ from .rrb_modules import RRBBimodule, check_rrb_bimodule, semidirect_rrb
 class AbelianExtension:
     """A total structure exhibiting a base and a two-term fiber complex.
 
-    `fiber` is a TwoTermComplex read as S: N -> B, with dim1 the module
-    fiber N and dim0 the algebra fiber B.  The four maps embed the fiber
-    into the total structure and project the total onto the base:
+    `sop` is the fiber complex S: N -> B, so its columns count the module
+    fiber N and its rows the algebra fiber B.  The four maps embed the
+    fiber into the total structure and project the total onto the base:
 
         alg_incl: B -> A-hat      alg_proj: A-hat -> A
         mod_incl: N -> M-hat      mod_proj: M-hat -> M
@@ -60,13 +59,13 @@ class AbelianExtension:
     meeting the fiber are the job of check_abelian_extension.
     """
 
-    __slots__ = ("base", "fiber", "total", "alg_incl", "mod_incl",
+    __slots__ = ("base", "sop", "total", "alg_incl", "mod_incl",
                  "alg_proj", "mod_proj")
 
-    def __init__(self, base, fiber, total, alg_incl, mod_incl,
+    def __init__(self, base, sop, total, alg_incl, mod_incl,
                  alg_proj, mod_proj):
         dA, dM = base.algebra.dim, base.module.dim
-        dB, dN = fiber.dim0, fiber.dim1
+        dB, dN = sop.rows, sop.cols
         if total.algebra.dim != dA + dB or total.module.dim != dM + dN:
             raise ShapeError("total dimensions must be base plus fiber")
         if (alg_incl.cols, alg_incl.rows) != (dB, total.algebra.dim):
@@ -82,7 +81,7 @@ class AbelianExtension:
             raise ShapeError("module projection must send the total onto "
                              "the base")
         self.base = base
-        self.fiber = fiber
+        self.sop = sop
         self.total = total
         self.alg_incl = alg_incl
         self.mod_incl = mod_incl
@@ -129,11 +128,10 @@ def canonical_section(e):
     return Section(s, sbar).validate(e)
 
 
-def _fiber_rrb(fiber):
+def _fiber_rrb(sop):
     # the complex alone, with zero products and zero actions
-    alg = AssocAlgebra.zero(fiber.dim0)
-    return RelativeRBAlgebra(alg, Bimodule.zero_actions(alg, fiber.dim1),
-                             fiber.d)
+    alg = AssocAlgebra.zero(sop.rows)
+    return RelativeRBAlgebra(alg, Bimodule.zero_actions(alg, sop.cols), sop)
 
 
 def _merge_prefixed(rep, sub, prefix):
@@ -151,7 +149,7 @@ def check_abelian_extension(e):
     """
     rep = Report("abelian_extension")
     dA, dM = e.base.algebra.dim, e.base.module.dim
-    dB, dN = e.fiber.dim0, e.fiber.dim1
+    dB, dN = e.sop.rows, e.sop.cols
     rep.require("alg_embedding_injective", (),
                 (rank(e.alg_incl),), (dB,))
     rep.require("mod_embedding_injective", (),
@@ -167,7 +165,7 @@ def check_abelian_extension(e):
     rep.require_equal("mod_row_exact", e.mod_proj * e.mod_incl,
                       Matrix.zero(dM, dN))
     _merge_prefixed(rep, check_morphism(
-        RRBMorphism(_fiber_rrb(e.fiber), e.total, e.alg_incl, e.mod_incl)),
+        RRBMorphism(_fiber_rrb(e.sop), e.total, e.alg_incl, e.mod_incl)),
         "fiber_embedding")
     _merge_prefixed(rep, check_morphism(
         RRBMorphism(e.total, e.base, e.alg_proj, e.mod_proj)),
@@ -226,7 +224,7 @@ def build_extension(x, b, c):
                 "is not valid:\n" + bad.describe())
     inc_a, inc_b = summand_inclusions(dA, dB)
     inc_m, inc_n = summand_inclusions(dM, dN)
-    return AbelianExtension(x, TwoTermComplex(dB, dN, b.sop), total,
+    return AbelianExtension(x, b.sop, total,
                             inc_b, inc_n, inc_a.transpose(), inc_m.transpose())
 
 
@@ -286,7 +284,7 @@ def induced_fiber_bimodule(e, sec):
     sec.validate(e)
     tot = e.total
     dA, dM = e.base.algebra.dim, e.base.module.dim
-    dB, dN = e.fiber.dim0, e.fiber.dim1
+    dB, dN = e.sop.rows, e.sop.cols
     s, sbar = sec.s, sec.sbar
     ib, i_n = e.alg_incl, e.mod_incl
     mu, left, right = tot.algebra.mu, tot.module.left, tot.module.right
@@ -309,7 +307,7 @@ def induced_fiber_bimodule(e, sec):
                         "induced action")
     right_pair = induced(dB, dM, left.on_columns(ib, sbar), e.mod_incl,
                          "induced action")
-    return RRBBimodule(e.base, base, fiber, e.fiber.d, left_pair, right_pair)
+    return RRBBimodule(e.base, base, fiber, e.sop, left_pair, right_pair)
 
 
 def cobounding_cochain(x, b, c1, c2):
@@ -361,7 +359,7 @@ def extension_iso_from_cobounding(e1, e2, theta, vartheta):
     """
     x = e1.base
     dA, dM = x.algebra.dim, x.module.dim
-    dB, dN = e1.fiber.dim0, e1.fiber.dim1
+    dB, dN = e1.sop.rows, e1.sop.cols
     if (theta.cols, theta.rows) != (dA, dB):
         raise ShapeError("theta must map the base algebra into the fiber")
     if (vartheta.cols, vartheta.rows) != (dM, dN):

@@ -40,13 +40,12 @@ from .cohomology import (
 from .fileformat import ParseError
 from .linalg import format_matrix
 from .rrb import (
-    RBBimodulePair, RelativeRBAlgebra, aybe_check, check_rb_bimodule,
-    check_relative_rb, induced_dendriform, lift_to_rb,
+    aybe_check, check_relative_rb, induced_dendriform, lift_to_rb,
 )
 from .rrb_modules import (
-    RRBBimodule, adjoint_bimodule, check_rrb_bimodule, dual_rrb_bimodule,
-    induced_dendriform_representation, lift_bimodule, mtot_action_bimodule,
-    semidirect_rrb,
+    adjoint_bimodule, check_operator_identities, check_rrb_bimodule,
+    dual_rrb_bimodule, induced_dendriform_representation, lift_bimodule,
+    mtot_action_bimodule, semidirect_rrb,
 )
 
 
@@ -309,27 +308,20 @@ def cmd_dual(args):
 def cmd_lift(args):
     sf = ff.parse_path(args.file)
     x_d, b_d = _checked_algebra(sf, "lift")
-    total, rhat = lift_to_rb(x_d.obj)
-    xhat = RelativeRBAlgebra(total, Bimodule.adjoint(total), rhat)
+    xhat = lift_to_rb(x_d.obj)
     pairs = [("lifted Rota-Baxter identity", check_relative_rb(xhat))]
     doc = ff.new_document()
     xhat_name = f"{x_d.name}.lift"
     _, asp, msp = ff.declare_rrb_algebra(doc, xhat_name, xhat)
-    lines = [f"lifted algebra dimension {total.dim}"]
-    fields = {"algebra_dim": total.dim}
+    lines = [f"lifted algebra dimension {xhat.algebra.dim}"]
+    fields = {"algebra_dim": xhat.algebra.dim}
     if b_d is not None:
-        lifted, shat = _construct(lift_bimodule, b_d.obj)
-        hosted = Bimodule(total, lifted.dim, lifted.left, lifted.right,
-                          lifted.basis_names)
-        pairs.append(("lifted module pair",
-                      check_rb_bimodule(RBBimodulePair(total, rhat, hosted,
-                                                       shat))))
-        bhat = RRBBimodule(xhat, hosted, hosted, shat, hosted.left,
-                           hosted.right)
+        bhat = _construct(lift_bimodule, b_d.obj)
+        pairs.append(("lifted module pair", check_operator_identities(bhat)))
         ff.declare_rrb_bimodule(doc, f"{b_d.name}.lift", bhat, xhat_name,
                                 asp, msp)
-        lines.append(f"lifted module dimension {lifted.dim}")
-        fields["module_dim"] = lifted.dim
+        lines.append(f"lifted module dimension {bhat.base.dim}")
+        fields["module_dim"] = bhat.base.dim
     _require(pairs)
     lines.extend(f"{label}: pass" for label, _ in pairs)
     return _wrote(args, doc, fields, lines)

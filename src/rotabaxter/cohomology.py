@@ -32,9 +32,10 @@ with no rational built.
 
 The same file carries the two sibling complexes that interact with this
 one: the labelled dendriform complex and the restricted complex of a
-Rota-Baxter pair, together with the comparison maps between them.  The
-restricted differential is the matrix P d E of the full one between an
-embedding E and a projection P (rb_differential_matrix).  A
+Rota-Baxter bimodule (the bimodule S = R_M: M -> M over (A, A, R)),
+together with the comparison maps between them.  The restricted
+differential is the matrix P d E of the full one between an embedding E
+and a projection P (rb_differential_matrix).  A
 labelled k-cochain on dendriform data (D, E) has the coordinates of the
 slot maps of a degree-k cochain on dendriform_to_rrb(D, E), so the
 labelled differential is assembled from the slot-map terms of the same
@@ -53,17 +54,13 @@ from __future__ import annotations
 
 from math import prod
 
-from .algebra import (
-    Bimodule, Report, ShapeError, StructuralError,
-    hochschild_terms,
-)
+from .algebra import Report, ShapeError, StructuralError, hochschild_terms
 from .linalg import (
     Matrix, OnColumns, Product, assemble_terms, between_identities,
     kernel_basis, kron, stacked, transposed_homology_dims, unstacked,
 )
-from .rrb import RelativeRBAlgebra
 from .rrb_modules import (
-    RRBBimodule, adjoint_bimodule, dendriform_to_rrb, mtot_action_bimodule,
+    adjoint_bimodule, dendriform_to_rrb, mtot_action_bimodule,
     semidirect_rrb,
 )
 
@@ -135,11 +132,6 @@ class RRBCochain:
         if m.rows != size:
             raise ShapeError(f"column length {m.rows}, expected {size}")
         return RRBCochain.of_blocks(k, unstacked(m, j, shapes))
-
-    def __eq__(self, other):
-        return (isinstance(other, RRBCochain) and
-                self.degree == other.degree and self.alpha == other.alpha and
-                self.beta == other.beta and self.gamma == other.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +322,7 @@ def derivation_basis(x, b):
 
 
 # ---------------------------------------------------------------------------
-# the restricted complex of a Rota-Baxter pair
+# the restricted complex of a Rota-Baxter bimodule
 
 
 def _embedding(x, b, k):
@@ -342,22 +334,24 @@ def _embedding(x, b, k):
         (1, Matrix.identity(g), (k + 1) * n, n)))
 
 
-def rb_differential_matrix(pair, k):
-    """Matrix of the degree-k differential of the restricted complex of
-    (A, R) with (M, R_M), k >= 1: P_{k+1} d_k E_k.
+def rb_differential_matrix(b, k):
+    """Matrix of the degree-k differential of the restricted complex of a
+    Rota-Baxter bimodule b, k >= 1: P_{k+1} d_k E_k.
 
-    The pair is read as the relative structure A -> A with coefficients
-    M -> M, whose differential is d_k.  A restricted k-cochain is beta:
-    A^(x)k -> M, with gamma: A^(x)(k-1) -> M from degree 2 on; E_k embeds
-    it (_embedding) and P_{k+1} keeps the alpha and gamma blocks of the
-    image.  The complex is closed under the differential when
+    b is (M, R_M) over (A, R), read as the relative structure A -> A with
+    coefficients M -> M (rrb_modules.rb_bimodule_from_r_matrix builds
+    one), whose differential is d_k; it needs dim M = dim A and
+    dim B = dim N.  A restricted k-cochain is beta: A^(x)k -> M, with
+    gamma: A^(x)(k-1) -> M from degree 2 on; E_k embeds it (_embedding)
+    and P_{k+1} keeps the alpha and gamma blocks of the image.  The
+    complex is closed under the differential when
     E_{k+1} P_{k+1} d_k E_k == d_k E_k, on all cochains at once.  A
     failure would signal a bug, so it raises instead of returning.
     """
-    alg = pair.algebra
-    x = RelativeRBAlgebra(alg, Bimodule.adjoint(alg), pair.rop)
-    b = RRBBimodule(x, pair.module, pair.module, pair.mop,
-                    pair.module.left, pair.module.right)
+    x = b.over
+    if x.module.dim != x.algebra.dim or b.base.dim != b.fiber.dim:
+        raise ShapeError("the restricted complex needs dim M = dim A and "
+                         "dim B = dim N")
     image = rrb_differential_matrix(x, b, k) * _embedding(x, b, k)
     n, _, g = cochain_space_dims(x, b, k + 1)
     keep = Matrix.from_blocks(n + g, image.rows, (

@@ -41,7 +41,7 @@ from .classification import (
 )
 from .cohomology import RRBCochain
 from .linalg import format_matrix, parse_ratio, ratio_matrix
-from .rrb import RelativeRBAlgebra, RMatrix, TwoTermComplex
+from .rrb import RelativeRBAlgebra, RMatrix
 from .rrb_modules import RRBBimodule
 
 
@@ -54,11 +54,11 @@ class Declaration:
 
     __slots__ = ("kind", "name", "obj", "refs")
 
-    def __init__(self, kind, name, obj, refs=None):
+    def __init__(self, kind, name, obj, refs):
         self.kind = kind
         self.name = name
         self.obj = obj
-        self.refs = refs or {}
+        self.refs = refs
 
 
 class StructureFile:
@@ -73,10 +73,10 @@ class StructureFile:
         self.declarations = declarations
         self.by_name = {d.name: d for d in declarations}
 
-    def find(self, kind, name=None):
-        """First declaration of the kind (by name when given), or None."""
+    def find(self, kind):
+        """First declaration of the kind, or None."""
         for d in self.declarations:
-            if d.kind == kind and (name is None or d.name == name):
+            if d.kind == kind:
                 return d
         return None
 
@@ -424,13 +424,16 @@ def _build_extension(entry, key, rs):
                                   "operator"))
     dB = rs.space(fib, "algebra_space", f"{key}.fiber")["dim"]
     dN = rs.space(fib, "module_space", f"{key}.fiber")["dim"]
-    fiber = TwoTermComplex(dB, dN, rs.lin(fib["operator"], f"{key}.fiber"))
+    sop = rs.lin(fib["operator"], f"{key}.fiber")
+    if (sop.rows, sop.cols) != (dB, dN):
+        raise ShapeError("fiber operator must map the module space into the "
+                         "algebra space")
     maps = entry["maps"]
     if not isinstance(maps, dict):
         raise ParseError(f"{key}.maps: must be an object")
     _fields(maps, f"{key}.maps", ("alg_incl", "mod_incl", "alg_proj",
                                   "mod_proj"))
-    e = AbelianExtension(base, fiber, total,
+    e = AbelianExtension(base, sop, total,
                          rs.lin(maps["alg_incl"], f"{key}.maps"),
                          rs.lin(maps["mod_incl"], f"{key}.maps"),
                          rs.lin(maps["alg_proj"], f"{key}.maps"),
@@ -647,9 +650,9 @@ def declare_extension(doc, name, e, sections=None):
         doc, name + ".base", e.base)
     total_name, tot_alg_sp, tot_mod_sp = declare_rrb_algebra(
         doc, name + ".total", e.total)
-    fib_alg = add_space(doc, name + ".fiber_algebra", e.fiber.dim0)
-    fib_mod = add_space(doc, name + ".fiber_module", e.fiber.dim1)
-    sop = add_linear(doc, name + ".S", fib_mod, fib_alg, e.fiber.d)
+    fib_alg = add_space(doc, name + ".fiber_algebra", e.sop.rows)
+    fib_mod = add_space(doc, name + ".fiber_module", e.sop.cols)
+    sop = add_linear(doc, name + ".S", fib_mod, fib_alg, e.sop)
     maps = {
         "alg_incl": add_linear(doc, name + ".i", fib_alg, tot_alg_sp,
                                e.alg_incl),

@@ -5,10 +5,12 @@ A, an A-bimodule M, and a linear operator R: M -> A satisfying
 
     R(m) . R(m') = R( R(m) . m' + m . R(m') )
 
-(weight zero).  This module provides the axiom checks, the lift of R to a
-Rota-Baxter operator on the semidirect product A (+) M, the induced dendriform
-structure on M, the r-matrix (associative Yang-Baxter) constructions, and the
-endomorphism example built from a 2-term chain complex.
+(weight zero).  A Rota-Baxter algebra (A, R) is the relative one (A, A, R)
+over the adjoint bimodule; no other representation of it is kept.  This
+module provides the axiom checks, the lift of R to a Rota-Baxter operator on
+the semidirect product A (+) M, the induced dendriform structure on M, the
+r-matrix (associative Yang-Baxter) constructions, and the endomorphism
+example built from a 2-term chain complex, given as its differential.
 """
 
 from __future__ import annotations
@@ -74,19 +76,6 @@ class RMatrix:
         self.matrix = matrix
 
 
-class TwoTermComplex:
-    """A 2-term chain complex A_1 -> A_0 (no condition beyond shapes)."""
-
-    __slots__ = ("dim0", "dim1", "d")
-
-    def __init__(self, dim0, dim1, d):
-        if d.cols != dim1 or d.rows != dim0:
-            raise ShapeError("differential must map degree 1 to degree 0")
-        self.dim0 = dim0
-        self.dim1 = dim1
-        self.d = d
-
-
 def check_relative_rb(x):
     """The relative Rota-Baxter identity on all basis pairs of M."""
     rep = Report("relative_rota_baxter")
@@ -97,14 +86,6 @@ def check_relative_rb(x):
                        r * (mod.left.on_columns(r, ident) +
                             mod.right.on_columns(ident, r)), None)])
     return rep
-
-
-def check_rota_baxter(alg, rop):
-    """The (plain) Rota-Baxter identity of an operator A -> A."""
-    if rop.cols != alg.dim or rop.rows != alg.dim:
-        raise ShapeError("Rota-Baxter operator must be an endomorphism")
-    return check_relative_rb(
-        RelativeRBAlgebra(alg, Bimodule.adjoint(alg), rop))
 
 
 def check_morphism(mor):
@@ -127,15 +108,17 @@ def check_morphism(mor):
 
 
 def lift_to_rb(x):
-    """Lift R to the operator (a, m) -> (R(m), 0) on A (+) M.
+    """The Rota-Baxter algebra (A (+) M, R-hat), R-hat(a, m) = (R(m), 0),
+    as the relative one over the adjoint bimodule of A (+) M.
 
-    Returns the semidirect product algebra and the lifted operator; the
-    operator satisfies the Rota-Baxter identity exactly when x passes
+    R-hat satisfies the Rota-Baxter identity exactly when x passes
     check_relative_rb.
     """
     total = semidirect_algebra(x.module)
     n = total.dim
-    return total, Matrix.from_blocks(n, n, [(1, x.rop, 0, x.algebra.dim)])
+    return RelativeRBAlgebra(total, Bimodule.adjoint(total),
+                             Matrix.from_blocks(
+                                 n, n, [(1, x.rop, 0, x.algebra.dim)]))
 
 
 def induced_dendriform_algebra(x):
@@ -195,66 +178,26 @@ def aybe_check(r):
     return rep
 
 
-def _sandwich_weights(r, n):
-    """The weights that sum e_i . v . e_j into sum r[i][j] e_i . v . e_j:
-    r[i][j] at row (i * n + v) * d + j, column v, for v among n basis
-    vectors and d = dim A.  They are the entries of kron(r, I_n), entry
-    (i n + v, j n + v) moved there."""
-    d = r.over.dim
-    return kron(r.matrix, Matrix.identity(n)).reindexed(
+def r_matrix_operator(r, mod):
+    """The operator m -> sum r[i][j] e_i . m . e_j on an A-bimodule.
+
+    With d = dim A and n = dim M, the sandwiches e_i . e_v . e_j are summed
+    by the weight r[i][j] at row (i * n + v) * d + j, column v: the entries
+    of kron(r, I_n), entry (i n + v, j n + v) moved there.
+    """
+    if mod.over.mu != r.over.mu:
+        raise ShapeError("bimodule must be over the r-matrix algebra")
+    d, n = r.over.dim, mod.dim
+    sandwiches = mod.right.on_columns(mod.left.matrix, Matrix.identity(d))
+    return sandwiches * kron(r.matrix, Matrix.identity(n)).reindexed(
         d * n * d, n, lambda a, b: (a * d + b // n, b % n))
 
 
 def rb_from_r_matrix(r):
-    """The Rota-Baxter operator R(a) = sum r[i][j] e_i . a . e_j."""
-    alg, d = r.over, r.over.dim
-    sandwiches = alg.mu.on_columns(alg.mu.matrix, Matrix.identity(d))
-    return alg, sandwiches * _sandwich_weights(r, d)
-
-
-def rb_bimodule_from_r_matrix(r, mod):
-    """The induced operator R_M(m) = sum r[i][j] e_i . m . e_j on a bimodule."""
-    if mod.over.mu != r.over.mu:
-        raise ShapeError("bimodule must be over the r-matrix algebra")
-    sandwiches = mod.right.on_columns(mod.left.matrix,
-                                      Matrix.identity(r.over.dim))
-    return sandwiches * _sandwich_weights(r, mod.dim)
-
-
-class RBBimodulePair:
-    """(M, R_M) over a Rota-Baxter algebra (A, R)."""
-
-    __slots__ = ("algebra", "rop", "module", "mop")
-
-    def __init__(self, algebra, rop, module, mop):
-        if mop.cols != module.dim or mop.rows != module.dim:
-            raise ShapeError("module operator must be an endomorphism of M")
-        if rop.cols != algebra.dim or rop.rows != algebra.dim:
-            raise ShapeError("algebra operator must be an endomorphism of A")
-        self.algebra = algebra
-        self.rop = rop
-        self.module = module
-        self.mop = mop
-
-
-def check_rb_bimodule(pair):
-    """The two Rota-Baxter bimodule identities on basis pairs:
-
-      R(a) . R_M(m) = R_M( R(a) . m + a . R_M(m) )
-      R_M(m) . R(a) = R_M( R_M(m) . a + m . R(a) )
-    """
-    rep = Report("rb_bimodule")
-    left, right = pair.module.left, pair.module.right
-    ra, rm = pair.rop, pair.mop
-    dA, dM = pair.algebra.dim, pair.module.dim
-    ia, im = Matrix.identity(dA), Matrix.identity(dM)
-    rep.require_laws([
-        ("rb_bimodule_left", (dA, dM), left.on_columns(ra, rm),
-         rm * (left.on_columns(ra, im) + left.on_columns(ia, rm)), None),
-        ("rb_bimodule_right", (dM, dA), right.on_columns(rm, ra),
-         rm * (right.on_columns(rm, ia) + right.on_columns(im, ra)),
-         lambda u, i: (i, u))])
-    return rep
+    """The Rota-Baxter algebra (A, R), R(a) = sum r[i][j] e_i . a . e_j,
+    as the relative one over the adjoint bimodule."""
+    adjoint = Bimodule.adjoint(r.over)
+    return RelativeRBAlgebra(r.over, adjoint, r_matrix_operator(r, adjoint))
 
 
 def _product_tensor(a, b, c):
@@ -264,8 +207,8 @@ def _product_tensor(a, b, c):
     return kron(kron(ident(a), stacked([ident(b)]).transpose()), ident(c))
 
 
-def endomorphism_rrb(cx):
-    """The relative Rota-Baxter algebra of a 2-term complex A_1 -> A_0.
+def endomorphism_rrb(d):
+    """The relative Rota-Baxter algebra of a 2-term complex d: A_1 -> A_0.
 
     A = End(complex) = {(f_0, f_1) : f_0 d = d f_1} with composition;
     M = Hom(A_0, ker d) with (f_0, f_1) . phi = f_1 phi and
@@ -275,8 +218,7 @@ def endomorphism_rrb(cx):
     condition (f_0 coordinates row-major, then f_1); the basis of M is
     k_s (x) e_j^* over the kernel basis (k_s) of d, ordered (s, j).
     """
-    d0, d1 = cx.dim0, cx.dim1
-    d = cx.d  # d0 x d1
+    d0, d1 = d.rows, d.cols
     nvars = d0 * d0 + d1 * d1
     # the chain-map condition f_0 d - d f_1 = 0
     kmat = kernel_basis(assemble_terms(

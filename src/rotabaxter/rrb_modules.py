@@ -11,12 +11,17 @@ identities coupling R with S:
     R(m) . S(n) = S( R(m) . n + l(m, S(n)) )
     S(n) . R(m) = S( r(S(n), m) + n . R(m) )
 
+A Rota-Baxter bimodule (M, R_M) over a Rota-Baxter algebra (A, R), which
+is the relative one over the adjoint bimodule, is the bimodule with
+B = N = M, S = R_M and the two actions of M as l and r: its two operator
+identities are the Rota-Baxter bimodule identities.
+
 This module provides the axiom check plus the standard constructions:
 adjoint, dual, coadjoint, pullback along a morphism, semidirect product,
-the lift to a Rota-Baxter bimodule over A (+) M, the bimodule structure of
-the total algebra M_Tot on B, the induced dendriform representation, and
-the two inverse routes (from dendriform data, and from invertible
-derivation pairs).
+the lift to a Rota-Baxter bimodule over A (+) M, the Rota-Baxter bimodule
+of an r-matrix, the bimodule structure of the total algebra M_Tot on B, the
+induced dendriform representation, and the two inverse routes (from
+dendriform data, and from invertible derivation pairs).
 """
 
 from __future__ import annotations
@@ -27,11 +32,9 @@ from .algebra import (
     semidirect_algebra, total_algebra,
 )
 from .linalg import Matrix, inverse
-# Rota-Baxter bimodule pairs are re-exported here so they live next to the
-# rest of the bimodule machinery.
 from .rrb import (
-    RBBimodulePair, RelativeRBAlgebra, check_rb_bimodule,
-    induced_dendriform_algebra,
+    RelativeRBAlgebra, induced_dendriform_algebra, lift_to_rb,
+    r_matrix_operator, rb_from_r_matrix,
 )
 
 
@@ -215,14 +218,16 @@ def semidirect_rrb(b):
 
 
 def lift_bimodule(b):
-    """Lift to an (A (+) M)-bimodule on B (+) N with the shifted map S-hat.
+    """The Rota-Baxter bimodule (B (+) N, S-hat) over lift_to_rb(b.over).
 
-    Actions:  (a, m).(b, n) = (a.b, a.n + l(m, b))
+    B (+) N is the (A (+) M)-bimodule L with the actions
+              (a, m).(b, n) = (a.b, a.n + l(m, b))
               (b, n).(a, m) = (b.a, r(b, m) + n.a)
-    and S-hat(b, n) = (S(n), 0).  Requires only the six pairing identities;
-    the pair (B (+) N, S-hat) then satisfies the two Rota-Baxter bimodule
-    identities over (A (+) M, R-hat) exactly when the two operator
-    identities hold.
+    and S-hat(b, n) = (S(n), 0); it is returned as the bimodule with
+    base and fiber L, complex map S-hat and pairings the actions of L.
+    Requires only the six pairing identities; its two operator
+    identities, the Rota-Baxter bimodule identities, then hold exactly
+    when those of b hold.
     """
     pairing = check_pairing_identities(
         b.over.module, b.base, b.fiber, b.left_pair, b.right_pair)
@@ -230,10 +235,11 @@ def lift_bimodule(b):
         raise StructuralError("pairing identities fail:\n" +
                               pairing.describe())
     x = b.over
+    xhat = lift_to_rb(x)
     alg_dims = (x.algebra.dim, x.module.dim)
     mod_dims = (b.base.dim, b.fiber.dim)
     lifted = Bimodule(
-        semidirect_algebra(x.module), sum(mod_dims),
+        xhat.algebra, sum(mod_dims),
         block_constants(alg_dims, mod_dims, mod_dims, {
             (0, 0, 0): b.base.left, (0, 1, 1): b.fiber.left,
             (1, 0, 1): b.left_pair}),
@@ -242,7 +248,17 @@ def lift_bimodule(b):
             (1, 0, 1): b.fiber.right}),
         b.base.basis_names + b.fiber.basis_names)
     n = lifted.dim
-    return lifted, Matrix.from_blocks(n, n, [(1, b.sop, 0, b.base.dim)])
+    return RRBBimodule(xhat, lifted, lifted,
+                       Matrix.from_blocks(n, n, [(1, b.sop, 0, b.base.dim)]),
+                       lifted.left, lifted.right)
+
+
+def rb_bimodule_from_r_matrix(r, mod):
+    """The Rota-Baxter bimodule (M, R_M) over rb_from_r_matrix(r), with
+    R_M(m) = sum r[i][j] e_i . m . e_j: base and fiber M, complex map
+    R_M and pairings the actions of M."""
+    return RRBBimodule(rb_from_r_matrix(r), mod, mod,
+                       r_matrix_operator(r, mod), mod.left, mod.right)
 
 
 def mtot_action_bimodule(b):

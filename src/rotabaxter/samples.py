@@ -21,8 +21,7 @@ from .algebra import AssocAlgebra, Bimodule, StructureConstants
 from .cohomology import RRBCochain, cochain_space_dims, rrb_differential_matrix
 from .linalg import Matrix, Q, inverse, kernel_basis
 from .rrb import (
-    RMatrix, RelativeRBAlgebra, TwoTermComplex, endomorphism_rrb,
-    rb_from_r_matrix,
+    RMatrix, RelativeRBAlgebra, endomorphism_rrb, rb_from_r_matrix,
 )
 from .rrb_modules import (
     RRBBimodule, adjoint_bimodule, coadjoint_bimodule, semidirect_rrb,
@@ -211,18 +210,16 @@ def catalog_rrb(rng):
 
     # operator coming from the tensor t (x) t, a solution of the
     # associative Yang-Baxter equation over the square-zero extension
-    alg, rop = rb_from_r_matrix(
-        RMatrix(_square_zero_ext(), Matrix(2, 2, (0, 0, 0, 1))))
-    out.append(RelativeRBAlgebra(alg, Bimodule.adjoint(alg), rop))
+    out.append(rb_from_r_matrix(
+        RMatrix(_square_zero_ext(), Matrix(2, 2, (0, 0, 0, 1)))))
 
     # semidirect sum collapses a bimodule into a new passing structure
     out.append(semidirect_rrb(adjoint_bimodule(one_sided)))
 
     # endomorphisms of a random 2-term complex of lines; an invertible
     # differential leaves the module zero-dimensional, a welcome edge case
-    cx = TwoTermComplex(1, 1, random_matrix(rng, 1, 1, density=0.5,
-                                            span=2))
-    out.append(endomorphism_rrb(cx))
+    out.append(endomorphism_rrb(random_matrix(rng, 1, 1, density=0.5,
+                                              span=2)))
 
     return out
 

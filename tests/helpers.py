@@ -28,7 +28,8 @@ from rotabaxter.cohomology import (
     semidirect_complex,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, inverse, kron, parse_ratio, rank, transposed_homology_dims,
+    Matrix, Q, inverse, kron, parse_ratio, rank, stacked,
+    transposed_homology_dims,
 )
 from rotabaxter.rrb import (
     RMatrix, RRBMorphism, RelativeRBAlgebra, induced_dendriform,
@@ -201,6 +202,12 @@ def apply(m, vec):
     if len(vec) != m.cols:
         raise ValueError("vector length must equal cols")
     return (m * Matrix(m.cols, 1, vec)).column(0)
+
+
+def coords(c):
+    """A cochain's coordinates, the column stacked from its blocks:
+    cochains are compared through it, as the library compares them."""
+    return stacked(c.blocks())
 
 
 def zero_cochain(x, b, k):
@@ -710,34 +717,6 @@ def ref_induced_dendriform_report(x):
             rep.require("R_multiplicative", (u, w),
                         apply(rop, on_basis(mtot.mu, u, w)),
                         bilinear(alg.mu, rm[u], rm[w]))
-    return rep
-
-
-def ref_check_rb_bimodule(pair):
-    """The two Rota-Baxter bimodule identities on basis pairs:
-
-      R(a) . R_M(m) = R_M( R(a) . m + a . R_M(m) )
-      R_M(m) . R(a) = R_M( R_M(m) . a + m . R(a) )
-    """
-    rep = Report("rb_bimodule")
-    alg, mod = pair.algebra, pair.module
-    dA, dM = alg.dim, mod.dim
-    ra = [apply(pair.rop, basis_vec(dA, i)) for i in range(dA)]
-    rm = [apply(pair.mop, basis_vec(dM, u)) for u in range(dM)]
-    for i in range(dA):
-        a = basis_vec(dA, i)
-        for u in range(dM):
-            m = basis_vec(dM, u)
-            rep.require(
-                "rb_bimodule_left", (i, u),
-                bilinear(mod.left, ra[i], rm[u]),
-                apply(pair.mop, add_vec(bilinear(mod.left, ra[i], m),
-                                        bilinear(mod.left, a, rm[u]))))
-            rep.require(
-                "rb_bimodule_right", (u, i),
-                bilinear(mod.right, rm[u], ra[i]),
-                apply(pair.mop, add_vec(bilinear(mod.right, rm[u], a),
-                                        bilinear(mod.right, m, ra[i]))))
     return rep
 
 
@@ -1547,7 +1526,7 @@ def ref_dendriform_differential_matrix(d, e, k):
     bug, so it raises.
     """
     _, bim = dendriform_to_rrb(d, e)
-    host, _ = lift_bimodule(bim)
+    host = lift_bimodule(bim).base
     hat, _ = ref_dendriform_embedding(k, d.dim, e.dim)
     hat_next, unhat_next = ref_dendriform_embedding(k + 1, d.dim, e.dim)
     image = hochschild_matrix(host, k) * hat
@@ -1660,7 +1639,8 @@ def ref_transport_bilinear(c, f, g, h_inv):
 
 
 def ref_rb_from_r_matrix(r):
-    """The Rota-Baxter operator R(a) = sum r[i][j] e_i . a . e_j."""
+    """The Rota-Baxter algebra (A, R) over the adjoint bimodule, with
+    R(a) = sum r[i][j] e_i . a . e_j."""
     alg, d = r.over, r.over.dim
     t = [r.matrix.row(i) for i in range(d)]
     cols = []
@@ -1674,11 +1654,12 @@ def ref_rb_from_r_matrix(r):
                     v = add_vec(v, tuple(t[i][j] * x for x in w))
         cols.append(v)
     m = Matrix.from_rows([[cols[a][i] for a in range(d)] for i in range(d)])
-    return alg, m
+    return RelativeRBAlgebra(alg, Bimodule.adjoint(alg), m)
 
 
 def ref_rb_bimodule_from_r_matrix(r, mod):
-    """The induced operator R_M(m) = sum r[i][j] e_i . m . e_j on a bimodule."""
+    """The Rota-Baxter bimodule (M, R_M) over ref_rb_from_r_matrix(r), with
+    R_M(m) = sum r[i][j] e_i . m . e_j."""
     alg = r.over
     if mod.over.mu != alg.mu:
         raise ShapeError("bimodule must be over the r-matrix algebra")
@@ -1696,11 +1677,12 @@ def ref_rb_bimodule_from_r_matrix(r, mod):
         cols.append(v)
     m = Matrix.from_rows([[cols[u][p] for u in range(dM)]
                           for p in range(dM)])
-    return m
+    return RRBBimodule(ref_rb_from_r_matrix(r), mod, mod, m, mod.left,
+                       mod.right)
 
 
-def ref_endomorphism_rrb(cx):
-    """The relative Rota-Baxter algebra of a 2-term complex A_1 -> A_0.
+def ref_endomorphism_rrb(dmat):
+    """The relative Rota-Baxter algebra of a 2-term complex d: A_1 -> A_0.
 
     A = End(complex) = {(f_0, f_1) : f_0 d = d f_1} with composition;
     M = Hom(A_0, ker d) with (f_0, f_1) . phi = f_1 phi and
@@ -1710,8 +1692,7 @@ def ref_endomorphism_rrb(cx):
     condition (f_0 coordinates row-major, then f_1); the basis of M is
     k_s (x) e_j^* over the kernel basis (k_s) of d, ordered (s, j).
     """
-    d0, d1 = cx.dim0, cx.dim1
-    dmat = cx.d  # d0 x d1
+    d0, d1 = dmat.rows, dmat.cols
     nvars = d0 * d0 + d1 * d1
     cond = []
     for i in range(d0):
@@ -1841,7 +1822,7 @@ def ref_extract_cocycle(e, sec):
                          apply(sec.s, apply(base.rop, basis_vec(dM, u))))
         gamma_cols[u] = _ref_fiber_coords(e.alg_incl, defect,
                                           "operator defect")
-    dB, dN = e.fiber.dim0, e.fiber.dim1
+    dB, dN = e.sop.rows, e.sop.cols
     return RRBCochain(
         2,
         _ref_map_from_columns(alpha_cols, dA * dA, dB),
@@ -1864,7 +1845,7 @@ def ref_induced_fiber_bimodule(e, sec):
     sec.validate(e)
     tot = e.total
     dA, dM = e.base.algebra.dim, e.base.module.dim
-    dB, dN = e.fiber.dim0, e.fiber.dim1
+    dB, dN = e.sop.rows, e.sop.cols
     sa = [apply(sec.s, basis_vec(dA, i)) for i in range(dA)]
     sm = [apply(sec.sbar, basis_vec(dM, u)) for u in range(dM)]
     ib = [apply(e.alg_incl, basis_vec(dB, w)) for w in range(dB)]
@@ -1897,7 +1878,7 @@ def ref_induced_fiber_bimodule(e, sec):
         lambda u, w: in_n(bilinear(tot.module.right, sm[u], ib[w])))
     right_pair = ref_build(
         dB, dM, dN, lambda w, u: in_n(bilinear(tot.module.left, ib[w], sm[u])))
-    return RRBBimodule(e.base, base, fiber, e.fiber.d, left_pair, right_pair)
+    return RRBBimodule(e.base, base, fiber, e.sop, left_pair, right_pair)
 
 
 def ref_shear(e1, e2, sec1, sec2, corr, incl1, incl2, proj):
@@ -1915,22 +1896,18 @@ def ref_shear(e1, e2, sec1, sec2, corr, incl1, incl2, proj):
     return _ref_map_from_columns(cols, n, cod)
 
 
-def ref_rb_restrict(pair, k, beta, gamma=None):
-    """Differential of the restricted complex of (A, R) with (M, R_M) on
-    one cochain (beta[, gamma]), gamma present from degree 2 on.
+def ref_rb_restrict(b, k, beta, gamma=None):
+    """Differential of the restricted complex of a Rota-Baxter bimodule
+    (M, R_M) over (A, R) on one cochain (beta[, gamma]), gamma present
+    from degree 2 on.
 
-    The pair is read as the relative structure A -> A with coefficients
-    M -> M; the input embeds with every slot map equal to beta, the full
-    differential is applied, and the image is checked to have all slot
-    maps equal to its alpha before they are dropped.  Returns the image's
-    (alpha, gamma).
+    b is the relative structure A -> A with coefficients M -> M; the input
+    embeds with every slot map equal to beta, the full differential is
+    applied, and the image is checked to have all slot maps equal to its
+    alpha before they are dropped.  Returns the image's (alpha, gamma).
     """
-    alg = pair.algebra
-    x = RelativeRBAlgebra(alg, Bimodule.adjoint(alg), pair.rop)
-    coeff = RRBBimodule(x, pair.module, pair.module, pair.mop,
-                        pair.module.left, pair.module.right)
     emb = RRBCochain(k, beta, (beta,) * k, gamma)
-    img = rrb_differential(x, coeff, k, emb)
+    img = rrb_differential(b.over, b, k, emb)
     for bs in img.beta:
         if bs != img.alpha:
             raise StructuralError(

@@ -359,8 +359,9 @@ class TestLinearMap:
     lambda: bilinear(StructureConstants.zero(1, 1, 1), (Q(1), Q(1)), (Q(1),)),
     lambda: (StructureConstants.zero(1, 1, 1)
              + StructureConstants.zero(2, 1, 1)),
-    lambda: AssocAlgebra.zero(2, ("e0",)),
-    lambda: Bimodule.zero_actions(field_algebra(), 2, ("m0",)),
+    lambda: AssocAlgebra(2, StructureConstants.zero(2, 2, 2), ("e0",)),
+    lambda: Bimodule(field_algebra(), 2, StructureConstants.zero(1, 2, 2),
+                     StructureConstants.zero(2, 1, 2), ("m0",)),
     lambda: hochschild_matrix(Bimodule.adjoint(field_algebra()), -1),
 ], ids=["call-length", "add-shape", "algebra-names",
         "bimodule-names", "negative-degree"])

@@ -23,10 +23,11 @@ from rotabaxter.linalg import (
 )
 from rotabaxter.rrb import (
     RRBMorphism, RelativeRBAlgebra, aybe_check, check_relative_rb,
-    rb_bimodule_from_r_matrix, rb_from_r_matrix,
+    rb_from_r_matrix,
 )
 from rotabaxter.rrb_modules import (
-    RRBBimodule, check_rrb_bimodule, dual_rrb_bimodule, semidirect_rrb,
+    RRBBimodule, check_rrb_bimodule, dual_rrb_bimodule,
+    rb_bimodule_from_r_matrix, semidirect_rrb,
 )
 from rotabaxter.samples import (
     bump_constants, bump_map, random_invertible, random_matrix,
@@ -36,7 +37,7 @@ from rotabaxter.samples import (
 import random
 
 from helpers import (
-    apply, at, basis_vec, bilinear, dual_numbers, fractions_made,
+    apply, at, basis_vec, bilinear, coords, dual_numbers, fractions_made,
     identity_morphism, linmap, nested, ref_build,
     ref_rb_bimodule_from_r_matrix, ref_rb_from_r_matrix,
     upper_triangular_r_matrix, zero_ainfty_bimodule, zero_cochain,
@@ -65,10 +66,10 @@ def perturbed_section(e, theta, vartheta):
     dA, dM = e.base.algebra.dim, e.base.module.dim
     s_rows = [[Q(1) if j == i else Q(0) for j in range(dA)]
               for i in range(dA)]
-    s_rows += [list(theta.row(w)) for w in range(e.fiber.dim0)]
+    s_rows += [list(theta.row(w)) for w in range(e.sop.rows)]
     sb_rows = [[Q(1) if j == i else Q(0) for j in range(dM)]
                for i in range(dM)]
-    sb_rows += [list(vartheta.row(v)) for v in range(e.fiber.dim1)]
+    sb_rows += [list(vartheta.row(v)) for v in range(e.sop.cols)]
     return Section(Matrix.from_rows(s_rows),
                    Matrix.from_rows(sb_rows)).validate(e)
 
@@ -123,7 +124,7 @@ def test_build_rejects_non_cocycle_naming_block():
             continue
         bad = RRBCochain(2, bump_map(c.alpha, (0, 0)), c.beta, c.gamma)
         image = rrb_differential(x, b, 2, bad)
-        if image == zero_cochain(x, b, 3):
+        if coords(image).is_zero():
             continue
         hit = True
         with pytest.raises(StructuralError) as err:
@@ -150,7 +151,7 @@ def test_extract_canonical_round_trip():
     for seed in range(12):
         x, b, c = extension_fixture(seed)
         e = build_extension(x, b, c)
-        assert extract_cocycle(e, canonical_section(e)) == c
+        assert coords(extract_cocycle(e, canonical_section(e))) == coords(c)
 
 
 def test_canonical_section_is_block_injection_on_built():
@@ -239,7 +240,7 @@ def test_cobounding_cochain_finds_witness():
         w = cobounding_cochain(x, b, c2, c)
         assert w is not None
         back = rrb_differential(x, b, 1, w)
-        assert back == shift
+        assert coords(back) == coords(shift)
 
 
 def test_cobounding_cochain_none_when_not_cohomologous():
@@ -292,11 +293,11 @@ def test_elimination_and_extraction_build_no_fraction(monkeypatch):
     assert d * sol == Matrix.from_blocks(d.rows, d.cols + d.rows,
                                          [(1, d, 0, 0)])
     assert inv * p == Matrix.identity(6)
-    assert got == c
-    assert image != zero_cochain(x, b, 3)
+    assert coords(got) == coords(c)
+    assert not coords(image).is_zero()
     assert len(derivations) == basis.cols
-    assert shift != zero_cochain(x, b, 2)
-    assert rrb_differential(x, b, 1, w) == shift
+    assert not coords(shift).is_zero()
+    assert coords(rrb_differential(x, b, 1, w)) == coords(shift)
     assert report.ok and cocycle_report(x, b, z).ok
 
 
@@ -314,15 +315,15 @@ def test_constructions_build_no_fraction(monkeypatch):
     big = semidirect_rrb(dual)
     e = build_extension(x, b, c)
     aybe = aybe_check(r)
-    _, rop = rb_from_r_matrix(r)
-    mop = rb_bimodule_from_r_matrix(r, mod)
+    rop = rb_from_r_matrix(r).rop
+    mop = rb_bimodule_from_r_matrix(r, mod).sop
     assert made == []
     monkeypatch.undo()
     assert check_rrb_bimodule(dual).ok and check_relative_rb(big).ok
     assert check_abelian_extension(e).ok
     assert aybe.ok
-    assert (r.over, rop) == ref_rb_from_r_matrix(r)
-    assert mop == ref_rb_bimodule_from_r_matrix(r, mod)
+    assert rop == ref_rb_from_r_matrix(r).rop
+    assert mop == ref_rb_bimodule_from_r_matrix(r, mod).sop
 
 
 def test_cobounding_cochain_refuses_a_cochain_of_another_pair():
@@ -424,7 +425,7 @@ def test_failing_row_and_commutation_reports_are_unchanged():
     x, b, c = extension_fixture(0)
     e = build_extension(x, b, c)
     dA, dM = x.algebra.dim, x.module.dim
-    bent = AbelianExtension(e.base, e.fiber, e.total, e.alg_incl, e.mod_incl,
+    bent = AbelianExtension(e.base, e.sop, e.total, e.alg_incl, e.mod_incl,
                             bump_map(e.alg_proj, (0, dA)),
                             bump_map(e.mod_proj, (0, dM)))
     lines = check_abelian_extension(bent).describe().split("\n")
@@ -472,7 +473,7 @@ def test_check_abelian_extension_detects_fiber_products():
     alg = AssocAlgebra(2, mu)
     mod = Bimodule(alg, 2, e.total.module.left, e.total.module.right)
     broken = AbelianExtension(
-        e.base, e.fiber, RelativeRBAlgebra(alg, mod, e.total.rop),
+        e.base, e.sop, RelativeRBAlgebra(alg, mod, e.total.rop),
         e.alg_incl, e.mod_incl, e.alg_proj, e.mod_proj)
     rep = check_abelian_extension(broken)
     assert not rep.ok
@@ -483,7 +484,7 @@ def test_check_abelian_extension_detects_broken_row():
     x, b, c = extension_fixture(0)
     e = build_extension(x, b, c)
     broken = AbelianExtension(
-        e.base, e.fiber, e.total, e.alg_incl, e.mod_incl,
+        e.base, e.sop, e.total, e.alg_incl, e.mod_incl,
         Matrix.zero(x.algebra.dim, e.total.algebra.dim), e.mod_proj)
     rep = check_abelian_extension(broken)
     laws = {v.law for v in rep.violations}
@@ -519,7 +520,7 @@ def test_transported_extension_extracts_cohomologous_cocycle():
                 lambda u, i: apply(Qm, bilinear(tot.module.right, Qi.column(u),
                                                 Pi.column(i)))))
         moved = AbelianExtension(
-            e.base, e.fiber,
+            e.base, e.sop,
             RelativeRBAlgebra(alg2, mod2, P * tot.rop * Qi),
             P * e.alg_incl, Qm * e.mod_incl, e.alg_proj * Pi, e.mod_proj * Qi)
         rep = check_abelian_extension(moved)
@@ -656,7 +657,7 @@ def test_skeletal_round_trips_are_tensor_identical():
         assert nested(x2.module.right) == nested(x.module.right)
         assert x2.rop == x.rop
         assert coefficient_tensors(b2) == coefficient_tensors(b)
-        assert c2 == c
+        assert coords(c2) == coords(c)
         a3, m3, r3 = triple_to_skeletal(x2, b2, c2)
         assert nested(a3.mu00) == nested(a.mu00)
         assert nested(a3.mu01) == nested(a.mu01)
@@ -698,7 +699,7 @@ def test_conversion_passes_iff_input_passes():
         if not check_rrb_bimodule(b).ok:
             return False
         image = rrb_differential(x, b, 3, c)
-        return image == zero_cochain(x, b, 4)
+        return coords(image).is_zero()
 
     def output_ok(x, b, c):
         a, m, r = triple_to_skeletal(x, b, c, verify=False)
@@ -765,7 +766,7 @@ def test_conversion_verify_flag():
     c = seeded_cocycle(306, x, b, 3)
     bad = RRBCochain(3, c.alpha, c.beta, bump_map(c.gamma, (0, 0)))
     image = rrb_differential(x, b, 3, bad)
-    assert image != zero_cochain(x, b, 4)
+    assert not coords(image).is_zero()
     with pytest.raises(StructuralError):
         triple_to_skeletal(x, b, bad)
     a, m, r = triple_to_skeletal(x, b, bad, verify=False)

@@ -23,11 +23,11 @@ from rotabaxter.classification import (
 )
 from rotabaxter.linalg import Matrix, rank
 from rotabaxter.rrb import (
-    RMatrix, RRBMorphism, RelativeRBAlgebra, TwoTermComplex,
-    endomorphism_rrb, rb_bimodule_from_r_matrix, rb_from_r_matrix,
+    RMatrix, RRBMorphism, RelativeRBAlgebra, endomorphism_rrb,
+    rb_from_r_matrix,
 )
 from rotabaxter.rrb_modules import (
-    dual_rrb_bimodule, morphism_induced_bimodule,
+    dual_rrb_bimodule, morphism_induced_bimodule, rb_bimodule_from_r_matrix,
 )
 from rotabaxter.samples import (
     bump_constants, bump_map, random_invertible, random_matrix,
@@ -92,8 +92,8 @@ def shifted_section(rng, e):
     """The canonical section moved by random fiber values."""
     sec = canonical_section(e)
     dA, dM = e.base.algebra.dim, e.base.module.dim
-    theta = random_matrix(rng, e.fiber.dim0, dA)
-    vartheta = random_matrix(rng, e.fiber.dim1, dM)
+    theta = random_matrix(rng, e.sop.rows, dA)
+    vartheta = random_matrix(rng, e.sop.cols, dM)
     return Section(
         sec.s + e.alg_incl * theta, sec.sbar + e.mod_incl * vartheta)
 
@@ -105,7 +105,7 @@ def with_total(e, mu=None, left=None, right=None, rop=None):
     mod = Bimodule(alg, tot.module.dim, left or tot.module.left,
                    right or tot.module.right, tot.module.basis_names)
     return AbelianExtension(
-        e.base, e.fiber, RelativeRBAlgebra(alg, mod, rop or tot.rop),
+        e.base, e.sop, RelativeRBAlgebra(alg, mod, rop or tot.rop),
         e.alg_incl, e.mod_incl, e.alg_proj, e.mod_proj)
 
 
@@ -164,10 +164,9 @@ def test_constructions_match_basis_vector_reference():
              b.left_pair, f, g, h)
         t = random_matrix(rng, dA, dA)
         r = RMatrix(x.algebra, t)
-        same(lambda out: out[1], rb_from_r_matrix,
-             ref.ref_rb_from_r_matrix, r)
+        same(rrb_algebra, rb_from_r_matrix, ref.ref_rb_from_r_matrix, r)
         for mod in (x.module, b.base, b.fiber):
-            same(lambda out: out, rb_bimodule_from_r_matrix,
+            same(rrb_bimodule, rb_bimodule_from_r_matrix,
                  ref.ref_rb_bimodule_from_r_matrix, r, mod)
 
         c = random_rrb_cocycle(seed, x, b, 2)
@@ -220,5 +219,5 @@ def test_endomorphism_rrb_matches_dense_reference():
                 full += d0 * d1 > 0 and rank(d) == min(d0, d1)
                 assert same(rrb_algebra, endomorphism_rrb,
                             ref.ref_endomorphism_rrb,
-                            TwoTermComplex(d0, d1, d))[0] == "ok"
+                            d)[0] == "ok"
     assert full > 9

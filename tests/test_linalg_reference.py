@@ -24,7 +24,7 @@ from rotabaxter.linalg import (
 from rotabaxter.rrb import RMatrix
 
 from helpers import (
-    apply, at, dense_rows, dual_numbers, from_columns, from_nested,
+    apply, at, dual_numbers, from_columns, from_nested,
     gauss_jordan_rank, homology_dims, parse_rational, ref_apply,
     ref_assemble_terms, ref_from_blocks, ref_kron, ref_mul, ref_of,
     ref_transpose, reference_elimination, reference_solve_columns,

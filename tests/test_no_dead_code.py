@@ -9,7 +9,8 @@ that a reader only tests use lives in tests/helpers.py.  Every local a
 src function assigns, and every parameter of a module-level src
 function, is read, in the function or in one nested in it (names
 starting with _ are exempt).  Methods may ignore a parameter: a class
-shares its method signatures with its siblings."""
+shares its method signatures with its siblings.  Every name a module of
+src or tests imports at module level is read in that module."""
 
 import ast
 import pathlib
@@ -22,7 +23,7 @@ SRC = ROOT / "src" / "rotabaxter"
 PUBLIC = (
     "AInftyBimodule.adjoint", "DendriformRepresentation.adjoint",
     "DifferentialPair", "check_derivation", "check_extension_morphism",
-    "check_rota_baxter", "cobounding_cochain", "extension_iso_from_cobounding",
+    "cobounding_cochain", "extension_iso_from_cobounding",
     "invert_differential_pair", "morphism_induced_bimodule",
     "rb_bimodule_from_r_matrix", "rb_differential_matrix",
     "semidirect_inclusion_matrix",
@@ -206,3 +207,41 @@ def test_every_parameter_is_read():
               for func, name, line in unused_parameters(
                   ast.parse(path.read_text(encoding="utf-8"), str(path)))]
     assert not unused, f"parameter never read: {', '.join(unused)}"
+
+
+def unused_imports(tree):
+    """(name, line) for each name a module-level import binds and the
+    module never reads; `from __future__` imports bind no name."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                yield name, node.lineno
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from m import (a, b as c,\n"
+        "               d)\n"
+        "def f():\n"
+        "    import sys\n"
+        "    return a, os.path.join, c\n")
+    assert set(unused_imports(tree)) == {("js", 3), ("d", 4)}
+
+
+def test_every_import_is_read():
+    unused = [f"{path.parent.name}/{path.name}:{line} {name}"
+              for path in sorted([*SRC.glob("*.py"),
+                                  *(ROOT / "tests").glob("*.py")])
+              for name, line in unused_imports(
+                  ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert not unused, f"imported but never read: {', '.join(unused)}"

@@ -2,22 +2,22 @@
 
 import random
 
-import pytest
-
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, check_associativity, check_bimodule,
     check_dendriform,
 )
 from rotabaxter.linalg import Matrix, Q
 from rotabaxter.rrb import (
-    RBBimodulePair, RelativeRBAlgebra, RMatrix, RRBMorphism, TwoTermComplex,
-    aybe_check, check_morphism, check_rb_bimodule, check_relative_rb,
-    check_rota_baxter, endomorphism_rrb, induced_dendriform, lift_to_rb,
-    rb_bimodule_from_r_matrix, rb_from_r_matrix,
+    RelativeRBAlgebra, RMatrix, RRBMorphism, aybe_check, check_morphism,
+    check_relative_rb, endomorphism_rrb, induced_dendriform, lift_to_rb,
+    rb_from_r_matrix,
+)
+from rotabaxter.rrb_modules import (
+    check_operator_identities, rb_bimodule_from_r_matrix,
 )
 from helpers import (
     at, dual_numbers, field_adjoint_rrb, field_algebra, identity_morphism,
-    linmap, sc, zero_rrb,
+    linmap, zero_rrb,
 )
 
 
@@ -64,15 +64,15 @@ class TestMorphism:
 
 class TestLift:
     def test_zero_operator_lifts_to_zero(self):
-        total, rhat = lift_to_rb(field_adjoint_rrb())
-        assert rhat.is_zero()
-        assert check_rota_baxter(total, rhat).ok
+        xhat = lift_to_rb(field_adjoint_rrb())
+        assert xhat.rop.is_zero()
+        assert check_relative_rb(xhat).ok
 
     def test_lifted_block_pattern(self):
         x = RelativeRBAlgebra(field_algebra(),
                               Bimodule.adjoint(field_algebra()),
                               linmap([[5]]))
-        total, rhat = lift_to_rb(x)
+        rhat = lift_to_rb(x).rop
         # R(m) sits in the algebra-row, module-column block
         assert at(rhat, 0, 1) == 5
         assert at(rhat, 0, 0) == 0
@@ -83,15 +83,13 @@ class TestLift:
                               Bimodule.adjoint(field_algebra()),
                               Matrix.identity(1))
         assert not check_relative_rb(x).ok
-        total, rhat = lift_to_rb(x)
-        assert not check_rota_baxter(total, rhat).ok
+        assert not check_relative_rb(lift_to_rb(x)).ok
 
     def test_iff_both_directions(self):
         passing = [field_adjoint_rrb(), zero_rrb(2, 2)]
         for x in passing:
-            total, rhat = lift_to_rb(x)
             assert check_relative_rb(x).ok
-            assert check_rota_baxter(total, rhat).ok
+            assert check_relative_rb(lift_to_rb(x)).ok
 
 
 class TestInducedDendriform:
@@ -106,7 +104,7 @@ class TestInducedDendriform:
         assert den.prec.is_zero() and den.succ.is_zero() and rep.ok
 
     def test_axioms_and_morphism_on_endomorphism_fixture(self):
-        x = endomorphism_rrb(TwoTermComplex(1, 2, linmap([[1, 0]])))
+        x = endomorphism_rrb(linmap([[1, 0]]))
         assert check_relative_rb(x).ok
         den, mtot, rep = induced_dendriform(x)
         assert check_dendriform(den).ok
@@ -118,18 +116,16 @@ class TestAYBE:
     def test_zero_r_matrix(self):
         r = RMatrix(dual_numbers(), Matrix.zero(2, 2))
         assert aybe_check(r).ok
-        _, rop = rb_from_r_matrix(r)
-        assert rop.is_zero()
+        assert rb_from_r_matrix(r).rop.is_zero()
 
     def test_x_tensor_x_passes(self):
         r = RMatrix(dual_numbers(), linmap([[0, 0], [0, 1]]))  # x (x) x
         assert aybe_check(r).ok
-        alg, rop = rb_from_r_matrix(r)
-        assert rop.is_zero()  # x.a.x always hits x^2 = 0
-        assert check_rota_baxter(alg, rop).ok
-        mod = Bimodule.adjoint(alg)
-        rm = rb_bimodule_from_r_matrix(r, mod)
-        assert check_rb_bimodule(RBBimodulePair(alg, rop, mod, rm)).ok
+        x = rb_from_r_matrix(r)
+        assert x.rop.is_zero()  # x.a.x always hits x^2 = 0
+        assert check_relative_rb(x).ok
+        b = rb_bimodule_from_r_matrix(r, Bimodule.adjoint(x.algebra))
+        assert check_operator_identities(b).ok
 
     def test_one_tensor_one_fails_at_coordinate(self):
         r = RMatrix(dual_numbers(), linmap([[1, 0], [0, 0]]))  # 1 (x) 1
@@ -142,26 +138,26 @@ class TestAYBE:
 
 class TestEndomorphismRRB:
     def test_zero_differential_dims_1_1(self):
-        x = endomorphism_rrb(TwoTermComplex(1, 1, Matrix.zero(1, 1)))
+        x = endomorphism_rrb(Matrix.zero(1, 1))
         assert x.algebra.dim == 2  # all pairs (f0, f1)
         assert x.module.dim == 1   # Hom(A0, ker d) = Hom(k, k)
         assert x.rop.is_zero()
         assert check_relative_rb(x).ok
 
     def test_identity_differential_dims_1_1(self):
-        x = endomorphism_rrb(TwoTermComplex(1, 1, Matrix.identity(1)))
+        x = endomorphism_rrb(Matrix.identity(1))
         assert x.algebra.dim == 1  # f0 = f1
         assert x.module.dim == 0   # ker d = 0
         assert check_relative_rb(x).ok
 
     def test_injective_differential_dims_2_1(self):
-        x = endomorphism_rrb(TwoTermComplex(2, 1, linmap([[1], [0]])))
+        x = endomorphism_rrb(linmap([[1], [0]]))
         assert x.algebra.dim == 3
         assert x.module.dim == 0
         assert check_relative_rb(x).ok
 
     def test_surjective_differential_has_nonzero_operator(self):
-        x = endomorphism_rrb(TwoTermComplex(1, 2, linmap([[1, 0]])))
+        x = endomorphism_rrb(linmap([[1, 0]]))
         assert x.algebra.dim == 3
         assert x.module.dim == 1
         assert not x.rop.is_zero()
@@ -176,7 +172,7 @@ class TestEndomorphismRRB:
             d1 = rng.randint(1, 3)
             d = Matrix(d0, d1,
                        [Q(rng.randint(-2, 2)) for _ in range(d0 * d1)])
-            x = endomorphism_rrb(TwoTermComplex(d0, d1, d))
+            x = endomorphism_rrb(d)
             assert check_associativity(x.algebra).ok
             assert check_bimodule(x.module).ok
             assert check_relative_rb(x).ok

@@ -9,12 +9,13 @@ from rotabaxter.algebra import (
 )
 from rotabaxter.linalg import Matrix, Q
 from rotabaxter.rrb import (
-    RBBimodulePair, RRBMorphism, RelativeRBAlgebra, check_morphism,
-    check_rb_bimodule, check_relative_rb, induced_dendriform, lift_to_rb,
+    RRBMorphism, RelativeRBAlgebra, check_morphism, check_relative_rb,
+    induced_dendriform, lift_to_rb,
 )
 from rotabaxter.rrb_modules import (
     DifferentialPair, RRBBimodule, adjoint_bimodule, check_differential_pair,
-    check_pairing_identities, check_rrb_bimodule, coadjoint_bimodule,
+    check_operator_identities, check_pairing_identities, check_rrb_bimodule,
+    coadjoint_bimodule,
     dendriform_to_rrb, dual_rrb_bimodule, induced_dendriform_representation,
     invert_differential_pair, lift_bimodule, morphism_induced_bimodule,
     mtot_action_bimodule, semidirect_rrb,
@@ -229,17 +230,15 @@ def test_semidirect_operator_is_block_diagonal():
 
 def test_lift_of_passing_bimodule_is_a_rota_baxter_bimodule():
     for x in passing_fixtures():
-        b = adjoint_bimodule(x)
-        host, rhat = lift_to_rb(x)
-        lifted, shat = lift_bimodule(b)
-        assert lifted.over.mu == host.mu
-        rep = check_rb_bimodule(RBBimodulePair(host, rhat, lifted, shat))
+        bhat = lift_bimodule(adjoint_bimodule(x))
+        assert bhat.over.algebra.mu == lift_to_rb(x).algebra.mu
+        rep = check_operator_identities(bhat)
         assert rep.ok, rep.describe()
 
 
 def test_lifted_operator_has_the_shift_block_shape():
     b = adjoint_bimodule(nilpotent_shift_rrb())
-    _, shat = lift_bimodule(b)
+    shat = lift_bimodule(b).sop
     dB, dN = b.base.dim, b.fiber.dim
     for w in range(dB + dN):
         for v in range(dB + dN):
@@ -248,13 +247,12 @@ def test_lifted_operator_has_the_shift_block_shape():
 
 
 def test_lift_iff_broken_operator_identity_breaks_the_lift():
-    for kw, law in (({"left_val": 1}, "rb_bimodule_left"),
-                    ({"right_val": 1}, "rb_bimodule_right")):
+    for kw, law in (({"left_val": 1}, "operator_left"),
+                    ({"right_val": 1}, "operator_right")):
         b = zero_action_pair_substrate(**kw)
         assert not check_rrb_bimodule(b).ok
-        host, rhat = lift_to_rb(b.over)
-        lifted, shat = lift_bimodule(b)  # pairing identities still hold
-        rep = check_rb_bimodule(RBBimodulePair(host, rhat, lifted, shat))
+        # the pairing identities still hold
+        rep = check_operator_identities(lift_bimodule(b))
         assert not rep.ok
         assert {v.law for v in rep.violations} == {law}
 
@@ -424,9 +422,7 @@ def test_zero_dendriform_round_trips_to_zero():
 def test_dendriform_embeds_into_the_lifted_rota_baxter_algebra():
     d, _, _ = induced_dendriform(nilpotent_shift_rrb())
     x, _ = dendriform_to_rrb(d, DendriformRepresentation.adjoint(d))
-    host, rhat = lift_to_rb(x)
-    big = RelativeRBAlgebra(host, Bimodule.adjoint(host), rhat)
-    den_big, _, _ = induced_dendriform(big)
+    den_big, _, _ = induced_dendriform(lift_to_rb(x))
     n = d.dim
     for i in range(n):
         for j in range(n):
