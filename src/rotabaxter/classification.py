@@ -672,9 +672,16 @@ def check_two_term_ainfty(a):
     return rep
 
 
-def _require_fit(a, m):
+def _require_fit(a, m, r=None):
+    """Raise ShapeError unless m is over a's layers and, when r is given,
+    its operator layers map m's layers into a's."""
     if (m.left00.dim_left, m.left10.dim_left) != (a.dim0, a.dim1):
         raise ShapeError("bimodule blocks do not fit the algebra dimensions")
+    if r is not None and (
+            (r.r0.cols, r.r0.rows) != (m.dim0, a.dim0) or
+            (r.r1.cols, r.r1.rows) != (m.dim1, a.dim1)):
+        raise ShapeError("operator layers must map the module complex into "
+                         "the algebra complex")
 
 
 def check_ainfty_bimodule(a, m):
@@ -697,11 +704,7 @@ def check_homotopy_rrb_operator(a, m, r):
     In the final condition the three mixed-corrector terms are composed
     with r1 so that every term lands in the degree-1 algebra layer.
     """
-    _require_fit(a, m)
-    if (r.r0.cols, r.r0.rows) != (m.dim0, a.dim0) or \
-            (r.r1.cols, r.r1.rows) != (m.dim1, a.dim1):
-        raise ShapeError("operator layers must map the module complex into "
-                         "the algebra complex")
+    _require_fit(a, m, r)
     rep = Report("homotopy_rrb_operator")
     d0, d1 = m.dim0, m.dim1
     i0, i1 = Matrix.identity(d0), Matrix.identity(d1)
@@ -741,6 +744,17 @@ def check_homotopy_rrb_operator(a, m, r):
 # the skeletal correspondence
 
 
+def triple_reports(x, b):
+    """The laws of a structure triple's algebra x and coefficients b, as
+    two reports: the relative Rota-Baxter identity with the associativity
+    of A and the bimodule laws of M, and the eight identities of b with
+    the bimodule laws of B and N."""
+    return (check_relative_rb(x).merge(check_associativity(x.algebra))
+            .merge(check_bimodule(x.module)),
+            check_rrb_bimodule(b).merge(check_bimodule(b.base))
+            .merge(check_bimodule(b.fiber)))
+
+
 def skeletal_to_triple(a, m, r, verify=True):
     """Read a skeletal pair plus operator triple as a structure triple.
 
@@ -753,9 +767,13 @@ def skeletal_to_triple(a, m, r, verify=True):
         r1, pairings l = right01 and r = left10;
         cochain (mu3, mu3m, r2).
 
-    With verify on, the assembled triple must pass its three checks;
-    a failure signals inconsistent input and raises.
+    Layers that do not fit raise ShapeError, before anything else.  With
+    verify on, the assembled triple must pass triple_reports and be a
+    cocycle; a failure signals inconsistent input and raises.  On
+    skeletal data this is the verdict of the three skeletal checks, whose
+    laws, with both differentials zero, are these read on the layers.
     """
+    _require_fit(a, m, r)
     if not (a.skeletal and m.skeletal):
         raise StructuralError("both differentials must vanish")
     alg = AssocAlgebra(a.dim0, a.mu00)
@@ -768,7 +786,7 @@ def skeletal_to_triple(a, m, r, verify=True):
         r.r1, m.right01, m.left10)
     c = RRBCochain(3, a.mu3, m.mu3m, r.r2.matrix)
     if verify:
-        for bad in (check_relative_rb(x), check_rrb_bimodule(coeff)):
+        for bad in triple_reports(x, coeff):
             if not bad:
                 raise StructuralError("skeletal data does not flatten to a "
                                       "valid triple:\n" + bad.describe())

@@ -31,7 +31,7 @@ from .classification import (
     build_extension, canonical_section, check_abelian_extension,
     check_ainfty_bimodule, check_homotopy_rrb_operator,
     check_two_term_ainfty, extract_cocycle, induced_fiber_bimodule,
-    skeletal_to_triple, triple_to_skeletal,
+    skeletal_to_triple, triple_reports, triple_to_skeletal,
 )
 from .cohomology import (
     cocycle_report, dendriform_differential_matrix, derivation_basis,
@@ -91,6 +91,18 @@ def _construct(build, *inputs, prefix=""):
     except StructuralError as err:
         message = prefix + str(err)
         raise _Rejected({"error": message}, [message]) from None
+
+
+def _sweep(dims, *inputs):
+    """dims(*inputs), the cohomology dimensions.  Inputs that pass the
+    command's checks can still give maps that do not compose to zero (a
+    product that is not associative): the sweep's ValueError for them
+    becomes an input error."""
+    try:
+        return dims(*inputs)
+    except ValueError as err:
+        raise ParseError(f"the differentials do not form a complex: {err}") \
+            from None
 
 
 def _wrote(args, doc, fields, lines):
@@ -153,11 +165,13 @@ def _checked_bimodule(sf, what):
 
 def _cocycle_coefficients(sf, c_d, *checks):
     """The algebra and coefficients cocycle declaration c_d refers to, once
-    both pass with every extra (label, check) pair, check(x, b) a Report."""
+    both pass triple_reports with every extra (label, check) pair,
+    check(x, b) a Report."""
     over, coefficients = c_d.refs["over"], c_d.refs["coefficients"]
     x, b = sf.by_name[over].obj, sf.by_name[coefficients].obj
-    _require([(f"{over} (rrb_algebra)", check_relative_rb(x)),
-              (f"{coefficients} (rrb_bimodule)", check_rrb_bimodule(b)),
+    algebra, coeff = triple_reports(x, b)
+    _require([(f"{over} (rrb_algebra)", algebra),
+              (f"{coefficients} (rrb_bimodule)", coeff),
               *((label, check(x, b)) for label, check in checks)])
     return x, b
 
@@ -233,7 +247,7 @@ def cmd_cohomology(args):
         raise ParseError("--max-degree must be at least 1 for cohomology")
     sf = ff.parse_path(args.file)
     xname, x, bname, b = _coefficients(sf, "cohomology")
-    dims = rrb_cohomology_dims(x, b, args.max_degree)
+    dims = _sweep(rrb_cohomology_dims, x, b, args.max_degree)
     lines = [f"cohomology of {xname} with coefficients in {bname}"]
     lines.extend(f"H^{k} = {h}" for k, h in enumerate(dims, 1))
     return True, {"over": xname, "coefficients": bname,
@@ -254,7 +268,7 @@ def cmd_hochschild(args):
     lines, table = [], {}
     for name, mod in mods:
         lines.append(f"Hochschild cohomology with coefficients in {name}")
-        dims = hochschild_cohomology_dims(mod, args.max_degree)
+        dims = _sweep(hochschild_cohomology_dims, mod, args.max_degree)
         lines.extend(f"H^{k} = {h}" for k, h in enumerate(dims))
         table[name] = {str(k): h for k, h in enumerate(dims)}
     return True, {"modules": table}, lines
@@ -308,7 +322,12 @@ def cmd_dual(args):
 def cmd_lift(args):
     sf = ff.parse_path(args.file)
     x_d, b_d = _checked_algebra(sf, "lift")
-    xhat = lift_to_rb(x_d.obj)
+    # the lifted bimodule is over the lifted algebra: build that once
+    if b_d is not None:
+        bhat = _construct(lift_bimodule, b_d.obj)
+        xhat = bhat.over
+    else:
+        xhat = lift_to_rb(x_d.obj)
     pairs = [("lifted Rota-Baxter identity", check_relative_rb(xhat))]
     doc = ff.new_document()
     xhat_name = f"{x_d.name}.lift"
@@ -316,7 +335,6 @@ def cmd_lift(args):
     lines = [f"lifted algebra dimension {xhat.algebra.dim}"]
     fields = {"algebra_dim": xhat.algebra.dim}
     if b_d is not None:
-        bhat = _construct(lift_bimodule, b_d.obj)
         pairs.append(("lifted module pair", check_operator_identities(bhat)))
         ff.declare_rrb_bimodule(doc, f"{b_d.name}.lift", bhat, xhat_name,
                                 asp, msp)
@@ -405,12 +423,19 @@ def cmd_skeletal_to_triple(args):
     a = sf.by_name[r_d.refs["algebra"]].obj
     m = sf.by_name[r_d.refs["module"]].obj
     r = r_d.obj
-    _require([
-        (f"{r_d.refs['algebra']} (two_term_ainfty)", check_two_term_ainfty(a)),
-        (f"{r_d.refs['module']} (ainfty_bimodule)",
-         check_ainfty_bimodule(a, m)),
-        (f"{r_d.name} (homotopy_rrb)", check_homotopy_rrb_operator(a, m, r))])
-    x, b, c = _construct(skeletal_to_triple, a, m, r)
+    # the flattening's check decides; only a failure reads the skeletal
+    # laws, to report it in their terms
+    try:
+        x, b, c = skeletal_to_triple(a, m, r)
+    except StructuralError:
+        _require([
+            (f"{r_d.refs['algebra']} (two_term_ainfty)",
+             check_two_term_ainfty(a)),
+            (f"{r_d.refs['module']} (ainfty_bimodule)",
+             check_ainfty_bimodule(a, m)),
+            (f"{r_d.name} (homotopy_rrb)",
+             check_homotopy_rrb_operator(a, m, r))])
+        x, b, c = _construct(skeletal_to_triple, a, m, r)
     doc = ff.new_document()
     xname, asp, msp = ff.declare_rrb_algebra(doc, "triple", x)
     bname, bsp, fsp = ff.declare_rrb_bimodule(doc, "triple.coefficients", b,

@@ -284,6 +284,18 @@ def dual_numbers():
                                         (1, 0, 1): 1}))
 
 
+def nonskeletal_two_term():
+    """A1 = A0 = k[x]/(x^2) with d the identity and no corrector.
+
+    Every defining identity reduces to associativity, so the data passes
+    while having a nonzero differential.
+    """
+    alg = dual_numbers()
+    return TwoTermAInfty(alg.dim, alg.dim, Matrix.identity(alg.dim),
+                         (alg.mu, alg.mu, alg.mu),
+                         Matrix.zero(alg.dim, alg.dim ** 3))
+
+
 def truncated_cubic():
     """k[x]/(x^3), basis (1, x, x^2)."""
     e = {}

@@ -16,8 +16,8 @@ from functools import lru_cache
 from random import Random
 
 from rotabaxter.algebra import (
-    StructureConstants, check_associativity, check_bimodule,
-    check_dendriform, check_dendriform_representation,
+    StructuralError, StructureConstants, check_associativity,
+    check_bimodule, check_dendriform, check_dendriform_representation,
 )
 from rotabaxter.classification import (
     AInftyBimodule, HomotopyRRBOperator, TwoTermAInfty,
@@ -206,6 +206,31 @@ def test_two_term_checks_match_per_tuple_reference():
     names, failed = compare(two_term_pairs, 1,
                             [s for s in range(100) if s not in heavy])
     assert len(names) == 3 and names == failed
+
+
+def test_flattening_check_gives_the_skeletal_verdict():
+    # skeletal-to-triple decides with skeletal_to_triple's own check and
+    # reads the three skeletal checks only to report a failure, so on
+    # every skeletal input both must pass or fail together; a check of
+    # the flattening that left out associativity and the bimodule laws
+    # passed inputs whose associator laws fail
+    verdicts = Counter()
+    for seed in range(40):
+        for where, f in variants(seed, len(FIELDS)):
+            a, m, r = assemble(f)
+            if not (a.skeletal and m.skeletal):
+                continue
+            skeletal = (check_two_term_ainfty(a).ok and
+                        check_ainfty_bimodule(a, m).ok and
+                        check_homotopy_rrb_operator(a, m, r).ok)
+            try:
+                skeletal_to_triple(a, m, r)
+                flattened = True
+            except StructuralError:
+                flattened = False
+            assert skeletal == flattened, (seed, where)
+            verdicts[skeletal] += 1
+    assert verdicts == {True: 73, False: 573}
 
 
 def test_aybe_matches_the_coordinate_loops():

@@ -38,7 +38,7 @@ import random
 
 from helpers import (
     apply, at, basis_vec, bilinear, coords, dual_numbers, fractions_made,
-    identity_morphism, linmap, nested, ref_build,
+    identity_morphism, linmap, nested, nonskeletal_two_term, ref_build,
     ref_rb_bimodule_from_r_matrix, ref_rb_from_r_matrix,
     upper_triangular_r_matrix, zero_ainfty_bimodule, zero_cochain,
     zero_homotopy_rrb, zero_two_term,
@@ -546,18 +546,6 @@ def hochschild_two_term(idx=0):
     mu3 = Matrix(mod.dim, alg.dim ** 3, vec)
     return TwoTermAInfty(alg.dim, mod.dim, Matrix.zero(alg.dim, mod.dim),
                          (alg.mu, mod.left, mod.right), mu3)
-
-
-def nonskeletal_two_term():
-    """A1 = A0 = k[x]/(x^2) with d the identity and no corrector.
-
-    Every defining identity reduces to associativity, so the data passes
-    while having a nonzero differential.
-    """
-    alg = dual_numbers()
-    return TwoTermAInfty(alg.dim, alg.dim, Matrix.identity(alg.dim),
-                         (alg.mu, alg.mu, alg.mu),
-                         Matrix.zero(alg.dim, alg.dim ** 3))
 
 
 def test_zero_two_term_data_passes():

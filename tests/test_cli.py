@@ -6,15 +6,21 @@ import sys
 
 import pytest
 
-from rotabaxter import cli, fileformat as ff
+from rotabaxter import cli, fileformat as ff, rrb
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, StructuralError, StructureConstants,
 )
+from rotabaxter.classification import AInftyBimodule
 from rotabaxter.linalg import Matrix
 from rotabaxter.rrb import RelativeRBAlgebra
-from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
+from rotabaxter.samples import (
+    bump_constants, random_rrb_cocycle, random_rrb_pair,
+)
 
-from helpers import zero_ainfty_bimodule, zero_homotopy_rrb, zero_two_term
+from helpers import (
+    nonskeletal_two_term, zero_ainfty_bimodule, zero_cochain,
+    zero_homotopy_rrb, zero_two_term,
+)
 
 
 def write_zero_fixture(path):
@@ -38,6 +44,27 @@ def write_pair_fixture(path, seed=2, cocycle_seed=0, degree=2,
     ff.declare_cocycle(doc, cocycle_name, c, xn, bn, asp, msp, bsp, fsp)
     ff.write_path(doc, path)
     return x, b, c
+
+
+def write_nonassociative_triple(path):
+    """random_rrb_pair(8) with entry (0, 0, 0) of the product lowered by 1
+    and the zero degree-3 cocycle: the relative Rota-Baxter identity and
+    the eight bimodule identities still hold, associativity and the
+    bimodule laws of M, B and N do not."""
+    x, b = random_rrb_pair(seed=8)
+    alg = AssocAlgebra(x.algebra.dim,
+                       bump_constants(x.algebra.mu, (0, 0, 0), -1),
+                       x.algebra.basis_names)
+    mod = x.module
+    bent = RelativeRBAlgebra(
+        alg, Bimodule(alg, mod.dim, mod.left, mod.right, mod.basis_names),
+        x.rop)
+    doc = ff.new_document()
+    xn, asp, msp = ff.declare_rrb_algebra(doc, "X", bent)
+    bn, bsp, fsp = ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
+    ff.declare_cocycle(doc, "C", zero_cochain(x, b, 3), xn, bn, asp, msp,
+                       bsp, fsp)
+    ff.write_path(doc, path)
 
 
 def run(capsys, *argv):
@@ -224,6 +251,57 @@ def test_extend_rejects_non_cocycle_naming_component(tmp_path, capsys):
     assert rc == 1
     assert "not a cocycle: the differential is nonzero in" in out
     assert not (tmp_path / "never.json").exists()
+
+
+def test_triple_to_skeletal_rejects_a_nonassociative_algebra(tmp_path,
+                                                            capsys):
+    # the skeletal data it would write fails validate's associator laws
+    src, out = tmp_path / "bent.json", tmp_path / "skel.json"
+    write_nonassociative_triple(src)
+    rc, text = run(capsys, "triple-to-skeletal", str(src), "-o", str(out))
+    assert rc == 1 and not out.exists()
+    lines = text.splitlines()
+    assert lines[0] == "X (rrb_algebra): FAIL (6 violations)"
+    assert lines[1].startswith("  assoc at (0, 0, 1): ")
+    assert "B (rrb_bimodule): FAIL (8 violations)" in lines
+    assert "C (cocycle): pass" in lines
+
+
+def test_skeletal_to_triple_rejects_nonzero_differentials(tmp_path,
+                                                          capsys):
+    # the data passes every skeletal law; only the flattening refuses it
+    a = nonskeletal_two_term()
+    m = AInftyBimodule.adjoint(a)
+    doc = ff.new_document()
+    an, a0, a1 = ff.declare_two_term(doc, "A", a)
+    mn, m0, m1 = ff.declare_ainfty_bimodule(doc, "M", m, an, a0, a1)
+    ff.declare_homotopy_rrb(doc, "R", zero_homotopy_rrb(a, m), an, mn,
+                            a0, a1, m0, m1)
+    src, out = tmp_path / "nonskeletal.json", tmp_path / "triple.json"
+    ff.write_path(doc, src)
+    rc, text = run(capsys, "skeletal-to-triple", str(src), "-o", str(out))
+    assert (rc, text) == (1, "both differentials must vanish\n")
+    rc, text = run(capsys, "skeletal-to-triple", str(src), "-o", str(out),
+                   "--format", "json")
+    assert (rc, text) == (1, '{\n  "command": "skeletal-to-triple",\n'
+                             '  "error": "both differentials must vanish",\n'
+                             '  "ok": false\n}\n')
+    assert not out.exists()
+
+
+def test_lift_builds_the_semidirect_algebra_once(tmp_path, capsys,
+                                                 monkeypatch):
+    src = tmp_path / "pair.json"
+    write_pair_fixture(src, seed=14)
+    calls, build = [], rrb.semidirect_algebra
+
+    def counted(mod):
+        calls.append(mod.dim)
+        return build(mod)
+
+    monkeypatch.setattr(rrb, "semidirect_algebra", counted)
+    rc, _ = run(capsys, "lift", str(src), "-o", str(tmp_path / "out.json"))
+    assert rc == 0 and calls == [3]
 
 
 def test_chainmap_check_fails_on_a_sign_error(tmp_path, capsys, monkeypatch):
@@ -467,6 +545,38 @@ def test_cohomology_max_degree_zero(tmp_path, capsys):
     assert rc == 0
     assert out == "Hochschild cohomology with coefficients in adjoint(A)\n" \
                   "H^0 = 1\n"
+
+
+def write_nonassociative_bimodule(path):
+    """The product e0.e0 = e1, e1.e0 = e0 on k^2, not associative, with
+    the one-dimensional bimodule whose actions are zero, which passes
+    the bimodule laws."""
+    alg = AssocAlgebra(2, StructureConstants(2, 2, Matrix.from_entries(
+        2, 4, {(1, 0): 1, (0, 2): 1})))
+    doc = ff.new_document()
+    name, space = ff.declare_assoc_algebra(doc, "A", alg)
+    ff.declare_bimodule(doc, "M", Bimodule(
+        alg, 1, StructureConstants.zero(2, 1, 1),
+        StructureConstants.zero(1, 2, 1)), name, space)
+    ff.write_path(doc, path)
+
+
+@pytest.mark.parametrize("command, write, maps", [
+    ("cohomology", write_nonassociative_triple, "d_1 . d_0"),
+    ("hochschild", write_nonassociative_bimodule, "d_2 . d_1")],
+    ids=["cohomology", "hochschild"])
+def test_sweep_of_a_noncomplex_is_input_error(tmp_path, capsys, command,
+                                              write, maps):
+    # the product is not associative, which the checks these commands
+    # make on their input do not read: the sweep finds d . d != 0
+    path = tmp_path / "bent.json"
+    write(path)
+    rc = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.splitlines()[:-1] == [
+        f"error: the differentials do not form a complex: {maps} != 0: "
+        "not a complex"]
 
 
 def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):

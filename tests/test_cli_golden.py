@@ -631,6 +631,24 @@ def test_written_output_is_unchanged(key, writer_dirs):
         WRITTEN[key]
 
 
+@pytest.mark.parametrize("key", sorted(k for k in WRITTEN
+                                     if k[1] == "skeletal-to-triple"),
+                         ids="-".join)
+def test_skeletal_to_triple_passes_without_the_skeletal_checks(
+        key, writer_dirs, monkeypatch):
+    # a passing input is decided by the check of the triple it flattens
+    # to: the skeletal law checks run only to report a failure
+    def refused(*_):
+        raise AssertionError("a skeletal law check ran")
+
+    for name in ("check_two_term_ainfty", "check_ainfty_bimodule",
+                 "check_homotopy_rrb_operator"):
+        monkeypatch.setattr(cli, name, refused)
+    name, command, fmt = key
+    assert run_writer(WRITERS[command], fmt, writer_dirs[name]) == \
+        WRITTEN[key]
+
+
 def test_serialized_pairs_are_unchanged():
     assert {s: pair_digest(s) for s in range(100)} == PAIRS
 
