@@ -98,13 +98,18 @@ class Section:
         self.s = s
         self.sbar = sbar
 
+    def fit(self, base, total):
+        """Raise ShapeError unless s and sbar map base into total."""
+        if (self.s.cols, self.s.rows) != (base.algebra.dim, total.algebra.dim):
+            raise ShapeError("s must map the base algebra into the total")
+        if (self.sbar.cols, self.sbar.rows) != (base.module.dim,
+                                                total.module.dim):
+            raise ShapeError("sbar must map the base module into the total")
+
     def validate(self, e):
         """Shapes plus proj o s = id on both rows; returns self."""
+        self.fit(e.base, e.total)
         dA, dM = e.base.algebra.dim, e.base.module.dim
-        if (self.s.cols, self.s.rows) != (dA, e.total.algebra.dim):
-            raise ShapeError("s must map the base algebra into the total")
-        if (self.sbar.cols, self.sbar.rows) != (dM, e.total.module.dim):
-            raise ShapeError("sbar must map the base module into the total")
         if e.alg_proj * self.s != Matrix.identity(dA):
             raise StructuralError("s is not a right inverse of the algebra "
                                   "projection")
@@ -672,7 +677,7 @@ def check_two_term_ainfty(a):
     return rep
 
 
-def _require_fit(a, m, r=None):
+def require_fit(a, m, r=None):
     """Raise ShapeError unless m is over a's layers and, when r is given,
     its operator layers map m's layers into a's."""
     if (m.left00.dim_left, m.left10.dim_left) != (a.dim0, a.dim1):
@@ -686,7 +691,7 @@ def _require_fit(a, m, r=None):
 
 def check_ainfty_bimodule(a, m):
     """Every defining identity with exactly one input in the module layer."""
-    _require_fit(a, m)
+    require_fit(a, m)
     rep = Report("ainfty_bimodule")
     env = _TwoTermEnv(a, m)
     for law, degs, lhs, rhs in _TWO_TERM_LAWS:
@@ -704,7 +709,7 @@ def check_homotopy_rrb_operator(a, m, r):
     In the final condition the three mixed-corrector terms are composed
     with r1 so that every term lands in the degree-1 algebra layer.
     """
-    _require_fit(a, m, r)
+    require_fit(a, m, r)
     rep = Report("homotopy_rrb_operator")
     d0, d1 = m.dim0, m.dim1
     i0, i1 = Matrix.identity(d0), Matrix.identity(d1)
@@ -773,7 +778,7 @@ def skeletal_to_triple(a, m, r, verify=True):
     skeletal data this is the verdict of the three skeletal checks, whose
     laws, with both differentials zero, are these read on the layers.
     """
-    _require_fit(a, m, r)
+    require_fit(a, m, r)
     if not (a.skeletal and m.skeletal):
         raise StructuralError("both differentials must vanish")
     alg = AssocAlgebra(a.dim0, a.mu00)

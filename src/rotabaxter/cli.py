@@ -376,8 +376,8 @@ def cmd_extend(args):
     e = _construct(build_extension, x, b, c)
     _require([("built extension", check_abelian_extension(e))])
     doc = ff.new_document()
-    ff.declare_extension(doc, f"{args.cocycle}.extension", e,
-                         sections={"canonical": canonical_section(e)})
+    ff.declare(doc, "extension", f"{args.cocycle}.extension", e,
+               sections={"canonical": canonical_section(e)})
     return _wrote(args, doc,
                   {"total_algebra_dim": e.total.algebra.dim,
                    "total_module_dim": e.total.module.dim},
@@ -467,11 +467,11 @@ def cmd_triple_to_skeletal(args):
     a, m, r = _construct(functools.partial(triple_to_skeletal, verify=False),
                          x, b, c_d.obj)
     doc = ff.new_document()
-    aname, a0, a1 = ff.declare_two_term(doc, "skeletal.algebra", a)
-    mname, m0, m1 = ff.declare_ainfty_bimodule(doc, "skeletal.module", m,
-                                               aname, a0, a1)
-    ff.declare_homotopy_rrb(doc, "skeletal.operator", r, aname, mname,
-                            a0, a1, m0, m1)
+    ff.declare(doc, "two_term_ainfty", "skeletal.algebra", a)
+    ff.declare(doc, "ainfty_bimodule", "skeletal.module", m,
+               over="skeletal.algebra")
+    ff.declare(doc, "homotopy_rrb", "skeletal.operator", r,
+               algebra="skeletal.algebra", module="skeletal.module")
     return _wrote(args, doc,
                   {"algebra_dims": [a.dim0, a.dim1],
                    "module_dims": [m.dim0, m.dim1]},

@@ -19,7 +19,17 @@ list.  Parsing is strict: unresolved names, wrong shapes, malformed
 rationals, and unknown fields all raise ParseError naming the offending
 key.  Checking the declared structures against their axioms is the
 caller's job (the command line front end does it); parsing checks shapes
-only.  Each document parses each distinct scalar string once.
+and the cross-checks in KINDS.  Each distinct scalar string of a document
+is parsed once.
+
+KINDS describes each declaration kind once: its constructor, and the
+fields of its entry (spaces, maps, lists of them, references to earlier
+declarations, a scalar table, a degree, nested objects) in order, with
+its cross-checks after the fields they read.  parse_document walks the
+fields to read an entry, and declare to write one: a field names the
+suffix of what it writes (".space", ".mul", ".R", ".beta1", ...), the
+object's attribute, and a map's spaces as dotted paths through the entry
+and the declarations it names ("over.module.space").
 
 dump_document writes with render_json, the package's one JSON renderer,
 which the command line's JSON reports use too: the bytes of
@@ -29,6 +39,9 @@ json.dumps(obj, indent=2, sort_keys=True), in one pass.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from functools import partial
+from math import prod
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (
@@ -37,7 +50,7 @@ from .algebra import (
 )
 from .classification import (
     AbelianExtension, AInftyBimodule, HomotopyRRBOperator, Section,
-    TwoTermAInfty,
+    TwoTermAInfty, require_fit,
 )
 from .cohomology import RRBCochain
 from .linalg import format_matrix, parse_ratio, ratio_matrix
@@ -49,16 +62,8 @@ class ParseError(ValueError):
     """Structure file rejected; the message names the offending key."""
 
 
-class Declaration:
-    """One resolved entry of the declare list."""
-
-    __slots__ = ("kind", "name", "obj", "refs")
-
-    def __init__(self, kind, name, obj, refs):
-        self.kind = kind
-        self.name = name
-        self.obj = obj
-        self.refs = refs
+# one resolved entry of the declare list
+Declaration = namedtuple("Declaration", "kind name obj refs")
 
 
 class StructureFile:
@@ -67,9 +72,7 @@ class StructureFile:
     __slots__ = ("spaces", "bilinear", "linear", "declarations", "by_name")
 
     def __init__(self, spaces, bilinear, linear, declarations):
-        self.spaces = spaces
-        self.bilinear = bilinear
-        self.linear = linear
+        self.spaces, self.bilinear, self.linear = spaces, bilinear, linear
         self.declarations = declarations
         self.by_name = {d.name: d for d in declarations}
 
@@ -87,59 +90,77 @@ class StructureFile:
 # ---------------------------------------------------------------- parsing
 
 
-class _Scalars:
-    """parse_ratio over the scalars of one document.  A file repeats most
-    of its strings ("0", "1", "-1", ...), so each distinct string is parsed
-    once and then looked up.  Only strings are kept: True == 1, and a bool
-    must still be refused."""
+def _scalar_rows():
+    """entries(rows, key, tail, width): the entries of rows (lists) of one
+    file as pairs (p, q), each distinct string parsed once.  An error names
+    row n key+tail[n], or key+tail[i][j] for (i, j) = divmod(n, width).
+    Only strings are kept: True == 1, and a bool must still be refused."""
+    memo = {}
 
-    __slots__ = ("memo",)
-
-    def __init__(self):
-        self.memo = {}
-
-    def _read(self, v):
+    def read(v):
         if not isinstance(v, str):
             return parse_ratio(v)
-        pq = self.memo.get(v)
+        pq = memo.get(v)
         if pq is None:
-            pq = self.memo[v] = parse_ratio(v)
+            pq = memo[v] = parse_ratio(v)
         return pq
 
-    def row(self, row, key, *index):
-        """The entries of a row (a list) as pairs (p, q).  The row's key,
-        key[i][j]..., is formatted only when an entry is rejected."""
+    def entries(rows, key, tail, width=None):
         try:
-            return [self.memo[v] for v in row]
+            return [memo[v] for row in rows for v in row]
         except (KeyError, TypeError):  # a string not seen yet, or no string
             pass
-        try:
-            return [self._read(v) for v in row]
-        except ValueError as err:
-            where = key + "".join(f"[{n}]" for n in index)
-            raise ParseError(f"{where}: {err}") from None
+        out = []
+        for n, row in enumerate(rows):
+            try:
+                out += [read(v) for v in row]
+            except ValueError as err:
+                index = (n,) if width is None else divmod(n, width)
+                raise ParseError(key + tail + "".join(f"[{i}]" for i in index)
+                                 + f": {err}") from None
+        return out
+    return entries
 
 
-def _fields(entry, key, required, optional=()):
-    unknown = set(entry) - set(required) - set(optional) - {"type"}
-    if unknown:
-        raise ParseError(f"{key}: unknown fields {sorted(unknown)}")
-    for f in required:
-        if f not in entry:
-            raise ParseError(f"{key}: missing field '{f}'")
+def _keys(required, optional=()):
+    """The fields an entry must have, in order and as a set, and those it
+    may have ("type" in any entry)."""
+    return (tuple(required), frozenset(required),
+            frozenset((*required, *optional, "type")))
 
 
-def _name(value, key):
-    """A reference to a space, a map or a declaration: a string."""
+def _check_keys(entry, key, keys):
+    order, required, allowed = keys
+    if not isinstance(entry, dict):
+        raise ParseError(f"{key}: must be an object")
+    present = entry.keys()
+    if not present <= allowed:
+        raise ParseError(f"{key}: unknown fields {sorted(present - allowed)}")
+    if not present >= required:
+        missing = next(f for f in order if f not in entry)
+        raise ParseError(f"{key}: missing field '{missing}'")
+
+
+_SPACE_KEYS = _keys(("dim",), ("basis_names",))
+_MAP_KEYS = {"bilinear": _keys(("from", "to", "tensor")),
+             "linear": _keys(("from", "to", "matrix"))}
+
+
+def _resolve(rs, table, value, key, tail=""):
+    """The entry of rs[table] (the word errors use) that a name refers to;
+    errors name key + tail."""
     if not isinstance(value, str):
-        raise ParseError(
-            f"{key}: names must be strings, got {type(value).__name__}")
-    return value
+        raise ParseError(f"{key}{tail}: names must be strings, got "
+                         f"{type(value).__name__}")
+    try:
+        return rs[table][value]
+    except KeyError:
+        raise ParseError(f"{key}{tail}: unresolved {table} '{value}'") \
+            from None
 
 
 def _table(value, key, kind):
-    """A table of entries (dict) or a declare list; absent or null reads
-    as empty."""
+    """A table (dict) or the declare list; absent or null reads as empty."""
     if value is None:
         return kind()
     if not isinstance(value, kind):
@@ -148,19 +169,11 @@ def _table(value, key, kind):
     return value
 
 
-def _space_dim(spaces, name, key):
-    if _name(name, key) not in spaces:
-        raise ParseError(f"{key}: unresolved space '{name}'")
-    return spaces[name]["dim"]
-
-
 def _parse_spaces(raw):
     spaces = {}
     for name, entry in raw.items():
         key = f"spaces.{name}"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{key}: must be an object")
-        _fields(entry, key, ("dim",), ("basis_names",))
+        _check_keys(entry, key, _SPACE_KEYS)
         dim = entry["dim"]
         if type(dim) is not int or dim < 0:  # bool is an int subclass
             raise ParseError(f"{key}.dim: must be a nonnegative integer")
@@ -174,321 +187,415 @@ def _parse_spaces(raw):
     return spaces
 
 
-def _parse_bilinear(raw, spaces, scalars):
-    out = {}
+def _parse_maps(raw, rs, table):
+    """The bilinear table (maps from two spaces, a tensor of planes of
+    rows) or the linear one (from a space or a list, a matrix of rows)."""
+    out, row_of = {}, rs["scalars"]
     for name, entry in raw.items():
-        key = f"bilinear.{name}"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{key}: must be an object")
-        _fields(entry, key, ("from", "to", "tensor"))
+        key = f"{table}.{name}"
+        _check_keys(entry, key, _MAP_KEYS[table])
         frm = entry["from"]
-        if not isinstance(frm, list) or len(frm) != 2:
+        if table == "bilinear" and (not isinstance(frm, list) or
+                                    len(frm) != 2):
             raise ParseError(f"{key}.from: needs exactly two space names")
-        dl = _space_dim(spaces, frm[0], f"{key}.from")
-        dr = _space_dim(spaces, frm[1], f"{key}.from")
-        do = _space_dim(spaces, entry["to"], f"{key}.to")
-        tensor, where = entry["tensor"], f"{key}.tensor"
+        dims = []
+        for s in (frm if isinstance(frm, list) else [frm]):
+            dims.append(_resolve(rs, "space", s, key, ".from")["dim"])
+        cod = _resolve(rs, "space", entry["to"], key, ".to")["dim"]
+        if table == "linear":
+            rows, dom = entry["matrix"], prod(dims)
+            if not isinstance(rows, list) or len(rows) != cod:
+                raise ParseError(f"{key}.matrix: needs {cod} rows")
+            for i, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != dom:
+                    raise ParseError(f"{key}.matrix[{i}]: needs {dom} entries")
+            out[name] = ratio_matrix(cod, dom, row_of(rows, key, ".matrix"))
+            continue
+        (dl, dr), tensor = dims, entry["tensor"]
         if not isinstance(tensor, list) or len(tensor) != dl:
-            raise ParseError(f"{where}: needs {dl} planes")
-        ratios = []
+            raise ParseError(f"{key}.tensor: needs {dl} planes")
         for i, plane in enumerate(tensor):
             if not isinstance(plane, list) or len(plane) != dr:
-                raise ParseError(f"{where}[{i}]: needs {dr} rows")
+                raise ParseError(f"{key}.tensor[{i}]: needs {dr} rows")
             for j, row in enumerate(plane):
-                if not isinstance(row, list) or len(row) != do:
-                    raise ParseError(f"{where}[{i}][{j}]: needs {do} entries")
-                ratios += scalars.row(row, where, i, j)
+                if not isinstance(row, list) or len(row) != cod:
+                    raise ParseError(
+                        f"{key}.tensor[{i}][{j}]: needs {cod} entries")
         # the rows of the file, c[i][j], are the columns of the matrix
+        ratios = row_of([r for p in tensor for r in p], key, ".tensor", dr)
         out[name] = StructureConstants(
-            dl, dr, ratio_matrix(do, dl * dr, ratios, by_columns=True))
+            dl, dr, ratio_matrix(cod, dl * dr, ratios, by_columns=True))
     return out
 
 
-def _parse_linear(raw, spaces, scalars):
-    out = {}
-    for name, entry in raw.items():
-        key = f"linear.{name}"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{key}: must be an object")
-        _fields(entry, key, ("from", "to", "matrix"))
-        frm = entry["from"]
-        factors = frm if isinstance(frm, list) else [frm]
-        dom = 1
-        for s in factors:
-            dom *= _space_dim(spaces, s, f"{key}.from")
-        cod = _space_dim(spaces, entry["to"], f"{key}.to")
-        rows, where = entry["matrix"], f"{key}.matrix"
-        if not isinstance(rows, list) or len(rows) != cod:
-            raise ParseError(f"{where}: needs {cod} rows")
-        ratios = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != dom:
-                raise ParseError(f"{where}[{i}]: needs {dom} entries")
-            ratios += scalars.row(row, where, i)
-        out[name] = ratio_matrix(cod, dom, ratios)
-    return out
+# ------------------------------------------------------ the kinds' fields
+# A field's read(value, key, rs, vals) gives its value from the entry's
+# (vals: the fields before it; _ABSENT: a missing optional field), and
+# write(w, prefix, obj) what the entry holds for obj (None: nothing),
+# writing what it names under prefix and a suffix.  Declaration.refs keep
+# the "name" in the entry or the "value" read of a field with kept.  A
+# check (entry, key, vals) follows the fields it reads.
+
+_ABSENT = object()
+_Field = namedtuple("_Field", "name read write optional kept",
+                    defaults=(False, None))
 
 
-class _Resolver:
-    """Name resolution against the three tables and prior declarations."""
+def _space(name="space", suffix=".space", dim="dim"):
+    """A space of the object's dimension dim, with its basis names if any."""
+    def read(value, key, rs, vals):
+        return _resolve(rs, "space", value, key, "." + name)
 
-    def __init__(self, spaces, bilinear, linear, scalars):
-        self.spaces = spaces
-        self.bilinear = bilinear
-        self.linear = linear
-        self.scalars = scalars
-        self.declared = {}
+    def write(w, prefix, obj):
+        return add_space(w.doc, prefix + suffix,
+                         dim(obj) if callable(dim) else getattr(obj, dim),
+                         getattr(obj, "basis_names", None))
+    return _Field(name, read, write)
 
-    def space(self, entry, field, key):
-        name = _name(entry[field], f"{key}.{field}")
-        if name not in self.spaces:
-            raise ParseError(f"{key}.{field}: unresolved space '{name}'")
-        return self.spaces[name]
 
-    def bilin(self, name, key):
-        if _name(name, key) not in self.bilinear:
-            raise ParseError(f"{key}: unresolved bilinear '{name}'")
-        return self.bilinear[name]
+def _map(table, name, suffix, spaces, attr=None, optional=False):
+    """A map of the table, the object's attribute attr (None: not written);
+    spaces is "from ... > to", paths (one from path written as a name), or
+    a function of the object giving (from paths, written as a list, to)."""
+    def read(value, key, rs, vals):
+        return None if value is _ABSENT else _resolve(rs, table, value, key)
 
-    def lin(self, name, key):
-        if _name(name, key) not in self.linear:
-            raise ParseError(f"{key}: unresolved linear '{name}'")
-        return self.linear[name]
+    def write(w, prefix, obj):
+        m = getattr(obj, attr or name)
+        if m is None:
+            return None
+        if callable(spaces):
+            paths, to = spaces(obj)
+            frm = [w.at(p) for p in paths]
+        else:
+            paths, to = spaces.split(" > ")
+            frm = [w.at(p) for p in paths.split()]
+            frm = frm if len(frm) > 1 else frm[0]
+        return _add_map(w.doc, table, prefix + suffix, frm, w.at(to), m)
+    return _Field(name, read, write, optional)
 
-    def decl(self, name, kinds, key):
-        if _name(name, key) not in self.declared:
-            raise ParseError(f"{key}: unresolved declaration '{name}'")
-        d = self.declared[name]
+
+_bilinear, _linear = partial(_map, "bilinear"), partial(_map, "linear")
+
+
+def _ref(name, kinds, suffix=None, refs=None):
+    """An earlier declaration of the kinds: given by the caller, or a part,
+    the attribute name, first written under the suffix with the refs."""
+    def read(value, key, rs, vals):
+        d = _resolve(rs, "declaration", value, key)
         if d.kind not in kinds:
-            raise ParseError(f"{key}: '{name}' is a {d.kind}, expected "
+            raise ParseError(f"{key}: '{value}' is a {d.kind}, expected "
                              + " or ".join(kinds))
-        return d
+        return d.obj
+
+    def write(w, prefix, obj):
+        if suffix is None:
+            return w.given[name]
+        _Writer(w.doc, w.index, kinds[0], prefix + suffix, getattr(obj, name),
+                {f: w.at(path) for f, path in refs.items()})
+        return prefix + suffix
+    return _Field(name, read, write, kept="name")
 
 
-def _build_declaration(entry, idx, rs):
+def _list(name, need, items):
+    """The fields items as a list; need words its length in errors."""
+    def read(value, key, rs, vals):
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ParseError(f"{key}.{name}: needs {need}")
+        return [f.read(v, key, rs, vals) for f, v in zip(items, value)]
+    return _Field(name, read, lambda w, prefix, obj: [
+        f.write(w, prefix, obj) for f in items])
+
+
+def _slots(name, need, suffix, *paths, count, attr=None):
+    """count linear maps (count: a number or a field); with paths (base,
+    slot, to), map s goes from base^k with its s-th factor slot, to to."""
+    def read(value, key, rs, vals):
+        n = vals[count] if isinstance(count, str) else count
+        if not isinstance(value, list) or len(value) != n:
+            raise ParseError(f"{key}.{name}: needs " + need.format(n))
+        return [_resolve(rs, "linear", v, key) for v in value]
+
+    def write(w, prefix, obj):
+        maps, (b, sl, t) = getattr(obj, attr or name), map(w.at, paths)
+        return [_add_map(w.doc, "linear", prefix + suffix.format(s + 1),
+                         [sl if u == s else b for u in range(len(maps))], t, m)
+                for s, m in enumerate(maps)]
+    return _Field(name, read, write)
+
+
+def _square(name, over, attr):
+    """A square table of scalars as wide as the object of the field over."""
+    def read(rows, key, rs, vals):
+        d = vals[over].dim
+        if not isinstance(rows, list) or len(rows) != d or \
+                any(not isinstance(r, list) or len(r) != d for r in rows):
+            raise ParseError(f"{key}.{name}: needs {d} x {d} entries")
+        return ratio_matrix(d, d, rs["scalars"](rows, key, "." + name))
+    return _Field(name, read, lambda w, prefix, obj: format_matrix(
+        getattr(obj, attr)))
+
+
+def _degree(name):
+    """A positive integer, the object's attribute name."""
+    def read(value, key, rs, vals):
+        if type(value) is not int or value < 1:  # bool is an int subclass
+            raise ParseError(f"{key}.{name}: must be a positive integer")
+        return value
+    return _Field(name, read, lambda w, prefix, obj: getattr(obj, name))
+
+
+def _object(name, fields, build=None, sections=False):
+    """A nested object of the fields, read as their dict or build(*values);
+    with sections, a table of them by name that the caller gives."""
+    keys, plan = _keys([f.name for f in fields]), _plan(fields)
+
+    def read_at(value, key, rs):
+        _check_keys(value, key, keys)
+        sub = _walk(plan, value, key, rs)
+        return sub if build is None else build(*sub.values())
+
+    def read(value, key, rs, vals):
+        key = f"{key}.{name}"
+        if not sections:
+            return read_at(value, key, rs)
+        table = _table(None if value is _ABSENT else value, key, dict)
+        return {sname: read_at(sentry, f"{key}.{sname}", rs)
+                for sname, sentry in table.items()}
+
+    def write(w, prefix, obj):
+        if sections:
+            return {sname: {f.name: f.write(w, f"{prefix}.{sname}", sec)
+                            for f in fields}
+                    for sname, sec in w.given.get(name, {}).items()} or None
+        sub = w.entry[name] = {}  # its fields' paths reach into it
+        for f in fields:
+            sub[f.name] = f.write(w, prefix, obj)
+        return sub
+    return _Field(name, read, write, sections, "value" if sections else None)
+
+
+def _plan(steps):
+    """(name, read) of each field and (None, check) of each check."""
+    return [(s.name, s.read) if isinstance(s, _Field) else (None, s)
+            for s in steps]
+
+
+def _walk(plan, entry, key, rs):
+    """The values of the fields of an entry whose keys are checked."""
+    vals = {}
+    for name, read in plan:
+        if name is None:
+            read(entry, key, vals)
+        else:
+            vals[name] = read(entry.get(name, _ABSENT), key, rs, vals)
+    return vals
+
+
+def _over(field, of, via=None):
+    """Check: the object of field is over that of field of, or its via."""
+    def check(entry, key, vals):
+        if vals[field].over is not (vals[of] if via is None
+                                    else getattr(vals[of], via)):
+            raise ParseError(
+                f"{key}: {field} '{entry[field]}' is not over "
+                + (f"the {via} of" if via else "algebra") + f" '{entry[of]}'")
+    return check
+
+
+def _operator_layers(_entry, key, vals):
+    a, m, r0, r1 = (vals[f] for f in ("algebra", "module", "r0", "r1"))
+    if (r0.cols, r0.rows) != (m.dim0, a.dim0) or \
+            (r1.cols, r1.rows) != (m.dim1, a.dim1):
+        raise ParseError(f"{key}: operator layers do not map the module "
+                         "complex into the algebra complex")
+
+
+def _fiber_operator(_entry, _key, vals):
+    fiber = vals["fiber"]
+    if (fiber["operator"].rows, fiber["operator"].cols) != \
+            (fiber["algebra_space"]["dim"], fiber["module_space"]["dim"]):
+        raise ShapeError("fiber operator must map the module space into the "
+                         "algebra space")
+
+
+def _sections_fit(_entry, key, vals):
+    for sname, sec in vals["sections"].items():
+        try:
+            sec.fit(vals["base"], vals["total"])
+        except ShapeError as err:
+            raise ParseError(
+                f"{key}.sections.{sname}: shape mismatch: {err}") from None
+
+
+def _gamma_rule(entry, key, vals):
+    if vals["degree"] >= 2 and "gamma" not in entry:
+        raise ParseError(f"{key}: degree >= 2 needs a gamma map")
+    if vals["degree"] == 1 and "gamma" in entry:
+        raise ParseError(f"{key}: degree 1 has no gamma map")
+
+
+class _Kind:
+    """A kind: build(*field values) gives its object; steps are its fields
+    and checks."""
+
+    def __init__(self, build, *steps):
+        self.plan, self.build = _plan(steps), build
+        self.fields = [s for s in steps if isinstance(s, _Field)]
+        self.keys = _keys(
+            ["name", *(f.name for f in self.fields if not f.optional)],
+            [f.name for f in self.fields if f.optional])
+        self.kept = [(f.name, f.kept == "name") for f in self.fields if f.kept]
+
+    def read(self, entry, key, rs):
+        """(object, refs) of an entry."""
+        _check_keys(entry, key, self.keys)
+        vals = _walk(self.plan, entry, key, rs)
+        return self.build(*vals.values()), {
+            f: (entry if by_name else vals)[f] for f, by_name in self.kept}
+
+
+_LAYERS = _list("spaces", "[degree0, degree1]", [
+    _space("spaces", f".deg{i}", f"dim{i}") for i in (0, 1)])
+
+
+def _blocks(name, spaces, block=None):
+    """The blocks (block or name)ij, i, j = 00, 01, 10, from the spaces
+    spaces(i, j) to the layer of degree i + j."""
+    return _list(name, "three bilinear names", [
+        _bilinear(None, f".{block or name}{i}{j}",
+                  f"{spaces(i, j)} > spaces.{i + j}", f"{block or name}{i}{j}")
+        for i, j in ((0, 0), (0, 1), (1, 0))])
+
+
+KINDS = {
+    "assoc_algebra": _Kind(
+        lambda sp, mu: AssocAlgebra(sp["dim"], mu, sp["basis_names"]),
+        _space(), _bilinear("product", ".mul", "space space > space", "mu")),
+    "bimodule": _Kind(
+        lambda alg, sp, left, right: Bimodule(alg, sp["dim"], left, right,
+                                              sp["basis_names"]),
+        _ref("algebra", ("assoc_algebra",)), _space(),
+        _bilinear("left", ".left", "algebra.space space > space"),
+        _bilinear("right", ".right", "space algebra.space > space")),
+    "rrb_algebra": _Kind(
+        RelativeRBAlgebra,
+        _ref("algebra", ("assoc_algebra",), ".algebra", {}),
+        _ref("module", ("bimodule",), ".module", {"algebra": "algebra"}),
+        _over("module", "algebra"),
+        _linear("operator", ".R", "module.space > algebra.space", "rop")),
+    "rrb_bimodule": _Kind(
+        RRBBimodule, _ref("over", ("rrb_algebra",)),
+        _ref("base", ("bimodule",), ".base", {"algebra": "over.algebra"}),
+        _ref("fiber", ("bimodule",), ".fiber", {"algebra": "over.algebra"}),
+        _over("base", "over", "algebra"), _over("fiber", "over", "algebra"),
+        _linear("operator", ".S", "fiber.space > base.space", "sop"),
+        _bilinear("left_pair", ".l",
+                  "over.module.space base.space > fiber.space"),
+        _bilinear("right_pair", ".r",
+                  "base.space over.module.space > fiber.space")),
+    "dendriform": _Kind(
+        lambda sp, prec, succ: DendriformAlgebra(sp["dim"], prec, succ,
+                                                 sp["basis_names"]),
+        _space(), *(_bilinear(p, f".{p}", "space space > space")
+                    for p in ("prec", "succ"))),
+    "dendriform_rep": _Kind(
+        lambda den, sp, *actions: DendriformRepresentation(
+            den, sp["dim"], *actions, sp["basis_names"]),
+        _ref("over", ("dendriform",)), _space(),
+        *(_bilinear(f"{side}_{p}", f".{side}_{p}", spaces)
+          for side, spaces in (("left", "over.space space > space"),
+                               ("right", "space over.space > space"))
+          for p in ("prec", "succ"))),
+    "r_matrix": _Kind(
+        RMatrix, _ref("algebra", ("assoc_algebra",)),
+        _square("tensor", "algebra", "matrix")),
+    "two_term_ainfty": _Kind(
+        lambda sp, d, mu2, mu3: TwoTermAInfty(sp[0]["dim"], sp[1]["dim"], d,
+                                              mu2, mu3),
+        _LAYERS, _linear("d", ".d", "spaces.1 > spaces.0"),
+        _blocks("mu2", lambda i, j: f"spaces.{i} spaces.{j}", "mu"),
+        _linear("mu3", ".mu3", "spaces.0 spaces.0 spaces.0 > spaces.1")),
+    "ainfty_bimodule": _Kind(
+        lambda a, sp, *maps: AInftyBimodule(a, sp[0]["dim"], sp[1]["dim"],
+                                            *maps),
+        _ref("over", ("two_term_ainfty",)), _LAYERS,
+        _linear("d", ".d", "spaces.1 > spaces.0", "dm"),
+        _blocks("left", lambda i, j: f"over.spaces.{i} spaces.{j}"),
+        _blocks("right", lambda i, j: f"spaces.{i} over.spaces.{j}"),
+        _slots("mu3", "three linear names", ".mu3m{}", "over.spaces.0",
+               "spaces.0", "spaces.1", count=3, attr="mu3m")),
+    "homotopy_rrb": _Kind(
+        lambda _a, _m, *layers: HomotopyRRBOperator(*layers),
+        _ref("algebra", ("two_term_ainfty",)),
+        _ref("module", ("ainfty_bimodule",)),
+        lambda _entry, _key, v: require_fit(v["algebra"], v["module"]),
+        _over("module", "algebra"),
+        _linear("r0", ".r0", "module.spaces.0 > algebra.spaces.0"),
+        _linear("r1", ".r1", "module.spaces.1 > algebra.spaces.1"),
+        _operator_layers,
+        _bilinear("r2", ".r2",
+                  "module.spaces.0 module.spaces.0 > algebra.spaces.1")),
+    "extension": _Kind(
+        lambda base, total, fiber, maps, _sections: AbelianExtension(
+            base, fiber["operator"], total, *maps.values()),
+        _ref("base", ("rrb_algebra",), ".base", {}),
+        _ref("total", ("rrb_algebra",), ".total", {}),
+        _object("fiber", [
+            _space("algebra_space", ".fiber_algebra", lambda e: e.sop.rows),
+            _space("module_space", ".fiber_module", lambda e: e.sop.cols),
+            _linear("operator", ".S",
+                    "fiber.module_space > fiber.algebra_space", "sop")]),
+        _fiber_operator,
+        _object("maps", [
+            _linear("alg_incl", ".i",
+                    "fiber.algebra_space > total.algebra.space"),
+            _linear("mod_incl", ".ibar",
+                    "fiber.module_space > total.module.space"),
+            _linear("alg_proj", ".p",
+                    "total.algebra.space > base.algebra.space"),
+            _linear("mod_proj", ".pbar",
+                    "total.module.space > base.module.space")]),
+        _object("sections", [
+            _linear("s", ".s", "base.algebra.space > total.algebra.space"),
+            _linear("sbar", ".sbar",
+                    "base.module.space > total.module.space")],
+            Section, sections=True),
+        _sections_fit),
+    "cocycle": _Kind(
+        lambda x, b, *maps: RRBCochain(*maps).validate(x, b),
+        _ref("over", ("rrb_algebra",)),
+        _ref("coefficients", ("rrb_bimodule",)),
+        _over("coefficients", "over"), _degree("degree"),
+        _linear("alpha", ".alpha", lambda c: (
+            ["over.algebra.space"] * c.degree, "coefficients.base.space")),
+        _slots("beta", "{} linear names", ".beta{}", "over.algebra.space",
+               "over.module.space", "coefficients.fiber.space",
+               count="degree"),
+        _gamma_rule,
+        _map("linear", "gamma", ".gamma", lambda c: (
+            ["over.module.space"] * (c.degree - 1), "coefficients.base.space"),
+             optional=True)),
+}
+
+
+def _declaration(entry, idx, rs):
     if not isinstance(entry, dict) or "type" not in entry:
         raise ParseError(f"declare[{idx}]: needs a 'type' field")
     kind = entry["type"]
-    if not isinstance(kind, str) or kind not in _BUILDERS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ParseError(f"declare[{idx}]: unknown type '{kind}'")
     if "name" not in entry or not isinstance(entry["name"], str):
         raise ParseError(f"declare[{idx}]: needs a string 'name'")
     name = entry["name"]
     key = f"declare.{name}"
-    if name in rs.declared:
+    if name in rs["declaration"]:
         raise ParseError(f"{key}: duplicate declaration name")
     try:
-        obj, refs = _BUILDERS[kind](entry, key, rs)
+        obj, refs = KINDS[kind].read(entry, key, rs)
     except ShapeError as err:
         raise ParseError(f"{key}: shape mismatch: {err}") from None
     return Declaration(kind, name, obj, refs)
-
-
-def _build_assoc_algebra(entry, key, rs):
-    _fields(entry, key, ("name", "space", "product"))
-    sp = rs.space(entry, "space", key)
-    alg = AssocAlgebra(sp["dim"], rs.bilin(entry["product"], key),
-                       sp["basis_names"])
-    return alg, {}
-
-
-def _build_bimodule(entry, key, rs):
-    _fields(entry, key, ("name", "algebra", "space", "left", "right"))
-    alg = rs.decl(entry["algebra"], ("assoc_algebra",), key).obj
-    sp = rs.space(entry, "space", key)
-    mod = Bimodule(alg, sp["dim"], rs.bilin(entry["left"], key),
-                   rs.bilin(entry["right"], key), sp["basis_names"])
-    return mod, {"algebra": entry["algebra"]}
-
-
-def _build_rrb_algebra(entry, key, rs):
-    _fields(entry, key, ("name", "algebra", "module", "operator"))
-    alg = rs.decl(entry["algebra"], ("assoc_algebra",), key).obj
-    mod = rs.decl(entry["module"], ("bimodule",), key).obj
-    if mod.over is not alg:
-        raise ParseError(f"{key}: module '{entry['module']}' is not over "
-                         f"algebra '{entry['algebra']}'")
-    x = RelativeRBAlgebra(alg, mod, rs.lin(entry["operator"], key))
-    return x, {"algebra": entry["algebra"], "module": entry["module"]}
-
-
-def _build_rrb_bimodule(entry, key, rs):
-    _fields(entry, key, ("name", "over", "base", "fiber", "operator",
-                         "left_pair", "right_pair"))
-    x = rs.decl(entry["over"], ("rrb_algebra",), key).obj
-    base = rs.decl(entry["base"], ("bimodule",), key).obj
-    fiber = rs.decl(entry["fiber"], ("bimodule",), key).obj
-    for part, label in ((base, "base"), (fiber, "fiber")):
-        if part.over is not x.algebra:
-            raise ParseError(f"{key}: {label} '{entry[label]}' is not over "
-                             f"the algebra of '{entry['over']}'")
-    b = RRBBimodule(x, base, fiber, rs.lin(entry["operator"], key),
-                    rs.bilin(entry["left_pair"], key),
-                    rs.bilin(entry["right_pair"], key))
-    return b, {"over": entry["over"]}
-
-
-def _build_dendriform(entry, key, rs):
-    _fields(entry, key, ("name", "space", "prec", "succ"))
-    sp = rs.space(entry, "space", key)
-    den = DendriformAlgebra(sp["dim"], rs.bilin(entry["prec"], key),
-                            rs.bilin(entry["succ"], key), sp["basis_names"])
-    return den, {}
-
-
-def _build_dendriform_rep(entry, key, rs):
-    _fields(entry, key, ("name", "over", "space", "left_prec", "left_succ",
-                         "right_prec", "right_succ"))
-    den = rs.decl(entry["over"], ("dendriform",), key).obj
-    sp = rs.space(entry, "space", key)
-    rep = DendriformRepresentation(
-        den, sp["dim"], rs.bilin(entry["left_prec"], key),
-        rs.bilin(entry["left_succ"], key), rs.bilin(entry["right_prec"], key),
-        rs.bilin(entry["right_succ"], key), sp["basis_names"])
-    return rep, {"over": entry["over"]}
-
-
-def _build_r_matrix(entry, key, rs):
-    _fields(entry, key, ("name", "algebra", "tensor"))
-    alg = rs.decl(entry["algebra"], ("assoc_algebra",), key).obj
-    rows, where = entry["tensor"], f"{key}.tensor"
-    if not isinstance(rows, list) or len(rows) != alg.dim or \
-            any(not isinstance(r, list) or len(r) != alg.dim for r in rows):
-        raise ParseError(f"{where}: needs {alg.dim} x {alg.dim} entries")
-    ratios = [pq for i, row in enumerate(rows)
-              for pq in rs.scalars.row(row, where, i)]
-    return (RMatrix(alg, ratio_matrix(alg.dim, alg.dim, ratios)),
-            {"algebra": entry["algebra"]})
-
-
-def _build_two_term(entry, key, rs):
-    _fields(entry, key, ("name", "spaces", "d", "mu2", "mu3"))
-    names = entry["spaces"]
-    if not isinstance(names, list) or len(names) != 2:
-        raise ParseError(f"{key}.spaces: needs [degree0, degree1]")
-    d0 = _space_dim(rs.spaces, names[0], f"{key}.spaces")
-    d1 = _space_dim(rs.spaces, names[1], f"{key}.spaces")
-    mu2 = entry["mu2"]
-    if not isinstance(mu2, list) or len(mu2) != 3:
-        raise ParseError(f"{key}.mu2: needs three bilinear names")
-    a = TwoTermAInfty(d0, d1, rs.lin(entry["d"], key),
-                      tuple(rs.bilin(n, key) for n in mu2),
-                      rs.lin(entry["mu3"], key))
-    return a, {}
-
-
-def _build_ainfty_bimodule(entry, key, rs):
-    _fields(entry, key, ("name", "over", "spaces", "d", "left", "right",
-                         "mu3"))
-    a = rs.decl(entry["over"], ("two_term_ainfty",), key).obj
-    names = entry["spaces"]
-    if not isinstance(names, list) or len(names) != 2:
-        raise ParseError(f"{key}.spaces: needs [degree0, degree1]")
-    d0 = _space_dim(rs.spaces, names[0], f"{key}.spaces")
-    d1 = _space_dim(rs.spaces, names[1], f"{key}.spaces")
-    for side in ("left", "right"):
-        if not isinstance(entry[side], list) or len(entry[side]) != 3:
-            raise ParseError(f"{key}.{side}: needs three bilinear names")
-    if not isinstance(entry["mu3"], list) or len(entry["mu3"]) != 3:
-        raise ParseError(f"{key}.mu3: needs three linear names")
-    m = AInftyBimodule(a, d0, d1, rs.lin(entry["d"], key),
-                       tuple(rs.bilin(n, key) for n in entry["left"]),
-                       tuple(rs.bilin(n, key) for n in entry["right"]),
-                       tuple(rs.lin(n, key) for n in entry["mu3"]))
-    return m, {"over": entry["over"]}
-
-
-def _build_homotopy_rrb(entry, key, rs):
-    _fields(entry, key, ("name", "algebra", "module", "r0", "r1", "r2"))
-    a = rs.decl(entry["algebra"], ("two_term_ainfty",), key).obj
-    m = rs.decl(entry["module"], ("ainfty_bimodule",), key).obj
-    r0 = rs.lin(entry["r0"], key)
-    r1 = rs.lin(entry["r1"], key)
-    if (r0.cols, r0.rows) != (m.dim0, a.dim0) or \
-            (r1.cols, r1.rows) != (m.dim1, a.dim1):
-        raise ParseError(f"{key}: operator layers do not map the module "
-                         "complex into the algebra complex")
-    r = HomotopyRRBOperator(r0, r1, rs.bilin(entry["r2"], key))
-    return r, {"algebra": entry["algebra"], "module": entry["module"]}
-
-
-def _build_extension(entry, key, rs):
-    _fields(entry, key, ("name", "base", "total", "fiber", "maps"),
-            ("sections",))
-    base = rs.decl(entry["base"], ("rrb_algebra",), key).obj
-    total = rs.decl(entry["total"], ("rrb_algebra",), key).obj
-    fib = entry["fiber"]
-    if not isinstance(fib, dict):
-        raise ParseError(f"{key}.fiber: must be an object")
-    _fields(fib, f"{key}.fiber", ("algebra_space", "module_space",
-                                  "operator"))
-    dB = rs.space(fib, "algebra_space", f"{key}.fiber")["dim"]
-    dN = rs.space(fib, "module_space", f"{key}.fiber")["dim"]
-    sop = rs.lin(fib["operator"], f"{key}.fiber")
-    if (sop.rows, sop.cols) != (dB, dN):
-        raise ShapeError("fiber operator must map the module space into the "
-                         "algebra space")
-    maps = entry["maps"]
-    if not isinstance(maps, dict):
-        raise ParseError(f"{key}.maps: must be an object")
-    _fields(maps, f"{key}.maps", ("alg_incl", "mod_incl", "alg_proj",
-                                  "mod_proj"))
-    e = AbelianExtension(base, sop, total,
-                         rs.lin(maps["alg_incl"], f"{key}.maps"),
-                         rs.lin(maps["mod_incl"], f"{key}.maps"),
-                         rs.lin(maps["alg_proj"], f"{key}.maps"),
-                         rs.lin(maps["mod_proj"], f"{key}.maps"))
-    sections = {}
-    table = _table(entry.get("sections"), f"{key}.sections", dict)
-    for sname, sentry in table.items():
-        skey = f"{key}.sections.{sname}"
-        if not isinstance(sentry, dict):
-            raise ParseError(f"{skey}: must be an object")
-        _fields(sentry, skey, ("s", "sbar"))
-        sections[sname] = Section(rs.lin(sentry["s"], skey),
-                                  rs.lin(sentry["sbar"], skey))
-    return e, {"base": entry["base"], "total": entry["total"],
-               "sections": sections}
-
-
-def _build_cocycle(entry, key, rs):
-    _fields(entry, key, ("name", "over", "coefficients", "degree", "alpha",
-                         "beta"), ("gamma",))
-    x = rs.decl(entry["over"], ("rrb_algebra",), key).obj
-    b = rs.decl(entry["coefficients"], ("rrb_bimodule",), key).obj
-    degree = entry["degree"]
-    if type(degree) is not int or degree < 1:
-        raise ParseError(f"{key}.degree: must be a positive integer")
-    beta = entry["beta"]
-    if not isinstance(beta, list) or len(beta) != degree:
-        raise ParseError(f"{key}.beta: needs {degree} linear names")
-    gamma = None
-    if degree >= 2:
-        if "gamma" not in entry:
-            raise ParseError(f"{key}: degree >= 2 needs a gamma map")
-        gamma = rs.lin(entry["gamma"], key)
-    elif "gamma" in entry:
-        raise ParseError(f"{key}: degree 1 has no gamma map")
-    c = RRBCochain(degree, rs.lin(entry["alpha"], key),
-                   tuple(rs.lin(n, key) for n in beta), gamma)
-    c.validate(x, b)
-    return c, {"over": entry["over"], "coefficients": entry["coefficients"]}
-
-
-_BUILDERS = {
-    "assoc_algebra": _build_assoc_algebra,
-    "bimodule": _build_bimodule,
-    "rrb_algebra": _build_rrb_algebra,
-    "rrb_bimodule": _build_rrb_bimodule,
-    "dendriform": _build_dendriform,
-    "dendriform_rep": _build_dendriform_rep,
-    "r_matrix": _build_r_matrix,
-    "two_term_ainfty": _build_two_term,
-    "ainfty_bimodule": _build_ainfty_bimodule,
-    "homotopy_rrb": _build_homotopy_rrb,
-    "extension": _build_extension,
-    "cocycle": _build_cocycle,
-}
 
 
 def parse_document(doc):
@@ -500,18 +607,18 @@ def parse_document(doc):
         raise ParseError(f"top level: unknown keys {sorted(unknown)}")
     if doc.get("field") != "Q":
         raise ParseError('field: must be "Q"')
-    spaces, bilinear, linear = (_table(doc.get(key), key, dict) for key in
-                                ("spaces", "bilinear", "linear"))
-    spaces, scalars = _parse_spaces(spaces), _Scalars()
-    bilinear = _parse_bilinear(bilinear, spaces, scalars)
-    linear = _parse_linear(linear, spaces, scalars)
-    rs = _Resolver(spaces, bilinear, linear, scalars)
-    declarations = []
+    raw = {key: _table(doc.get(key), key, dict)
+           for key in ("spaces", "bilinear", "linear")}
+    # the tables names resolve in, by the word errors use, and the scalars
+    rs = {"space": _parse_spaces(raw["spaces"]), "scalars": _scalar_rows(),
+          "declaration": {}}
+    for table in ("bilinear", "linear"):
+        rs[table] = _parse_maps(raw[table], rs, table)
     for idx, entry in enumerate(_table(doc.get("declare"), "declare", list)):
-        d = _build_declaration(entry, idx, rs)
-        rs.declared[d.name] = d
-        declarations.append(d)
-    return StructureFile(spaces, bilinear, linear, declarations)
+        d = _declaration(entry, idx, rs)
+        rs["declaration"][d.name] = d
+    return StructureFile(rs["space"], rs["bilinear"], rs["linear"],
+                         list(rs["declaration"].values()))
 
 
 def parse_text(text):
@@ -538,8 +645,7 @@ def parse_path(path):
 
 
 def _sc_json(sc):
-    """The nested c[i][j][k] as strings: the columns of the matrix, cut
-    into dim_left planes."""
+    """The nested c[i][j][k]: the matrix's columns, cut into planes."""
     cols, dr = format_matrix(sc.matrix, by_columns=True), sc.dim_right
     return [cols[i * dr:(i + 1) * dr] for i in range(sc.dim_left)]
 
@@ -557,175 +663,63 @@ def add_space(doc, name, dim, basis_names=None):
     return name
 
 
-def add_bilinear(doc, name, frm, to, sc):
-    doc["bilinear"][name] = {"from": list(frm), "to": to,
-                             "tensor": _sc_json(sc)}
+def _add_map(doc, table, name, frm, to, m):
+    """Add the bilinear or linear map m, from the space or spaces frm."""
+    doc[table][name] = {"from": frm, "to": to, **(
+        {"tensor": _sc_json(m)} if table == "bilinear" else
+        {"matrix": format_matrix(m)})}
     return name
 
 
-def add_linear(doc, name, frm, to, lin):
-    doc["linear"][name] = {"from": frm if isinstance(frm, str) else list(frm),
-                           "to": to, "matrix": format_matrix(lin)}
-    return name
+class _Writer:
+    """Writes obj into doc as the declaration of the kind named name."""
+
+    def __init__(self, doc, index, kind, name, obj, given):
+        self.doc, self.index, self.given = doc, index, given
+        self.entry = {"type": kind, "name": name}
+        for f in KINDS[kind].fields:
+            value = f.write(self, name, obj)
+            if value is not None:
+                self.entry[f.name] = value
+        doc["declare"].append(self.entry)
+        index[name] = self.entry
+
+    def at(self, path):
+        """The name at a dotted path through the entry and what it names."""
+        value = self.entry
+        for step in path.split("."):
+            if isinstance(value, str):
+                value = self.index[value]
+            value = value[int(step)] if isinstance(value, list) \
+                else value[step]
+        return value
 
 
-def declare_assoc_algebra(doc, name, alg):
-    """Returns (declaration name, space name)."""
-    sp = add_space(doc, name + ".space", alg.dim, alg.basis_names)
-    mul = add_bilinear(doc, name + ".mul", (sp, sp), sp, alg.mu)
-    doc["declare"].append({"type": "assoc_algebra", "name": name,
-                           "space": sp, "product": mul})
-    return name, sp
-
-
-def declare_bimodule(doc, name, mod, algebra_name, algebra_space):
-    """Returns (declaration name, space name)."""
-    sp = add_space(doc, name + ".space", mod.dim, mod.basis_names)
-    left = add_bilinear(doc, name + ".left", (algebra_space, sp), sp,
-                        mod.left)
-    right = add_bilinear(doc, name + ".right", (sp, algebra_space), sp,
-                         mod.right)
-    doc["declare"].append({"type": "bimodule", "name": name,
-                           "algebra": algebra_name, "space": sp,
-                           "left": left, "right": right})
-    return name, sp
+def declare(doc, kind, name, obj, paths=(), **given):
+    """Append obj to doc as the declaration of the kind named name, after
+    what it names.  given: the names its references give (over=...), and
+    an extension's sections.  Returns (name, *the names at the paths)."""
+    w = _Writer(doc, {d["name"]: d for d in doc["declare"]}, kind, name, obj,
+                given)
+    return (name, *map(w.at, paths))
 
 
 def declare_rrb_algebra(doc, name, x):
     """Returns (declaration name, algebra space, module space)."""
-    alg_name, alg_sp = declare_assoc_algebra(doc, name + ".algebra",
-                                             x.algebra)
-    mod_name, mod_sp = declare_bimodule(doc, name + ".module", x.module,
-                                        alg_name, alg_sp)
-    rop = add_linear(doc, name + ".R", mod_sp, alg_sp, x.rop)
-    doc["declare"].append({"type": "rrb_algebra", "name": name,
-                           "algebra": alg_name, "module": mod_name,
-                           "operator": rop})
-    return name, alg_sp, mod_sp
+    return declare(doc, "rrb_algebra", name, x,
+                   ("algebra.space", "module.space"))
 
 
-def declare_rrb_bimodule(doc, name, b, over_name, alg_space, mod_space):
+def declare_rrb_bimodule(doc, name, b, over_name, _alg_space, _mod_space):
     """Returns (declaration name, base space, fiber space)."""
-    alg_name = over_name + ".algebra"
-    base_name, base_sp = declare_bimodule(doc, name + ".base", b.base,
-                                          alg_name, alg_space)
-    fiber_name, fiber_sp = declare_bimodule(doc, name + ".fiber", b.fiber,
-                                            alg_name, alg_space)
-    sop = add_linear(doc, name + ".S", fiber_sp, base_sp, b.sop)
-    lp = add_bilinear(doc, name + ".l", (mod_space, base_sp), fiber_sp,
-                      b.left_pair)
-    rp = add_bilinear(doc, name + ".r", (base_sp, mod_space), fiber_sp,
-                      b.right_pair)
-    doc["declare"].append({"type": "rrb_bimodule", "name": name,
-                           "over": over_name, "base": base_name,
-                           "fiber": fiber_name, "operator": sop,
-                           "left_pair": lp, "right_pair": rp})
-    return name, base_sp, fiber_sp
+    return declare(doc, "rrb_bimodule", name, b,
+                   ("base.space", "fiber.space"), over=over_name)
 
 
-def declare_cocycle(doc, name, c, over_name, coeff_name, alg_space,
-                    mod_space, base_space, fiber_space):
-    k = c.degree
-    alpha = add_linear(doc, name + ".alpha", [alg_space] * k, base_space,
-                       c.alpha)
-    beta = []
-    for s, slot in enumerate(c.beta):
-        frm = [alg_space] * k
-        frm[s] = mod_space
-        beta.append(add_linear(doc, f"{name}.beta{s + 1}", frm, fiber_space,
-                               slot))
-    entry = {"type": "cocycle", "name": name, "over": over_name,
-             "coefficients": coeff_name, "degree": k, "alpha": alpha,
-             "beta": beta}
-    if c.gamma is not None:
-        entry["gamma"] = add_linear(doc, name + ".gamma",
-                                    [mod_space] * (k - 1), base_space,
-                                    c.gamma)
-    doc["declare"].append(entry)
-    return name
-
-
-def declare_extension(doc, name, e, sections=None):
-    base_name, base_alg_sp, base_mod_sp = declare_rrb_algebra(
-        doc, name + ".base", e.base)
-    total_name, tot_alg_sp, tot_mod_sp = declare_rrb_algebra(
-        doc, name + ".total", e.total)
-    fib_alg = add_space(doc, name + ".fiber_algebra", e.sop.rows)
-    fib_mod = add_space(doc, name + ".fiber_module", e.sop.cols)
-    sop = add_linear(doc, name + ".S", fib_mod, fib_alg, e.sop)
-    maps = {
-        "alg_incl": add_linear(doc, name + ".i", fib_alg, tot_alg_sp,
-                               e.alg_incl),
-        "mod_incl": add_linear(doc, name + ".ibar", fib_mod, tot_mod_sp,
-                               e.mod_incl),
-        "alg_proj": add_linear(doc, name + ".p", tot_alg_sp, base_alg_sp,
-                               e.alg_proj),
-        "mod_proj": add_linear(doc, name + ".pbar", tot_mod_sp, base_mod_sp,
-                               e.mod_proj),
-    }
-    entry = {"type": "extension", "name": name, "base": base_name,
-             "total": total_name,
-             "fiber": {"algebra_space": fib_alg, "module_space": fib_mod,
-                       "operator": sop},
-             "maps": maps}
-    if sections:
-        table = {}
-        for sname, sec in sections.items():
-            table[sname] = {
-                "s": add_linear(doc, f"{name}.{sname}.s", base_alg_sp,
-                                tot_alg_sp, sec.s),
-                "sbar": add_linear(doc, f"{name}.{sname}.sbar", base_mod_sp,
-                                   tot_mod_sp, sec.sbar),
-            }
-        entry["sections"] = table
-    doc["declare"].append(entry)
-    return name
-
-
-def declare_two_term(doc, name, a):
-    """Returns (declaration name, degree-0 space, degree-1 space)."""
-    s0 = add_space(doc, name + ".deg0", a.dim0)
-    s1 = add_space(doc, name + ".deg1", a.dim1)
-    d = add_linear(doc, name + ".d", s1, s0, a.d)
-    mu2 = [add_bilinear(doc, name + ".mu00", (s0, s0), s0, a.mu00),
-           add_bilinear(doc, name + ".mu01", (s0, s1), s1, a.mu01),
-           add_bilinear(doc, name + ".mu10", (s1, s0), s1, a.mu10)]
-    mu3 = add_linear(doc, name + ".mu3", [s0, s0, s0], s1, a.mu3)
-    doc["declare"].append({"type": "two_term_ainfty", "name": name,
-                           "spaces": [s0, s1], "d": d, "mu2": mu2,
-                           "mu3": mu3})
-    return name, s0, s1
-
-
-def declare_ainfty_bimodule(doc, name, m, over_name, a0, a1):
-    s0 = add_space(doc, name + ".deg0", m.dim0)
-    s1 = add_space(doc, name + ".deg1", m.dim1)
-    d = add_linear(doc, name + ".d", s1, s0, m.dm)
-    left = [add_bilinear(doc, name + ".left00", (a0, s0), s0, m.left00),
-            add_bilinear(doc, name + ".left01", (a0, s1), s1, m.left01),
-            add_bilinear(doc, name + ".left10", (a1, s0), s1, m.left10)]
-    right = [add_bilinear(doc, name + ".right00", (s0, a0), s0, m.right00),
-             add_bilinear(doc, name + ".right01", (s0, a1), s1, m.right01),
-             add_bilinear(doc, name + ".right10", (s1, a0), s1, m.right10)]
-    mu3 = []
-    for s, slot in enumerate(m.mu3m):
-        frm = [a0, a0, a0]
-        frm[s] = s0
-        mu3.append(add_linear(doc, f"{name}.mu3m{s + 1}", frm, s1, slot))
-    doc["declare"].append({"type": "ainfty_bimodule", "name": name,
-                           "over": over_name, "spaces": [s0, s1], "d": d,
-                           "left": left, "right": right, "mu3": mu3})
-    return name, s0, s1
-
-
-def declare_homotopy_rrb(doc, name, r, alg_name, mod_name, a0, a1, m0, m1):
-    r0 = add_linear(doc, name + ".r0", m0, a0, r.r0)
-    r1 = add_linear(doc, name + ".r1", m1, a1, r.r1)
-    r2 = add_bilinear(doc, name + ".r2", (m0, m0), a1, r.r2)
-    doc["declare"].append({"type": "homotopy_rrb", "name": name,
-                           "algebra": alg_name, "module": mod_name,
-                           "r0": r0, "r1": r1, "r2": r2})
-    return name
+def declare_cocycle(doc, name, c, over_name, coeff_name, _alg_space,
+                    _mod_space, _base_space, _fiber_space):
+    return declare(doc, "cocycle", name, c, over=over_name,
+                   coefficients=coeff_name)[0]
 
 
 def render_json(obj):

@@ -174,7 +174,7 @@ def test_extract_cocycle_with_named_section(tmp_path, capsys):
 def test_hochschild_adjoint_fallback(tmp_path, capsys):
     alg = AssocAlgebra(1, StructureConstants.zero(1, 1, 1))
     doc = ff.new_document()
-    ff.declare_assoc_algebra(doc, "A", alg)
+    ff.declare(doc, "assoc_algebra", "A", alg)
     path = tmp_path / "alg.json"
     ff.write_path(doc, path)
     rc, out = run(capsys, "hochschild", str(path), "--max-degree", "1")
@@ -273,10 +273,10 @@ def test_skeletal_to_triple_rejects_nonzero_differentials(tmp_path,
     a = nonskeletal_two_term()
     m = AInftyBimodule.adjoint(a)
     doc = ff.new_document()
-    an, a0, a1 = ff.declare_two_term(doc, "A", a)
-    mn, m0, m1 = ff.declare_ainfty_bimodule(doc, "M", m, an, a0, a1)
-    ff.declare_homotopy_rrb(doc, "R", zero_homotopy_rrb(a, m), an, mn,
-                            a0, a1, m0, m1)
+    ff.declare(doc, "two_term_ainfty", "A", a)
+    ff.declare(doc, "ainfty_bimodule", "M", m, over="A")
+    ff.declare(doc, "homotopy_rrb", "R", zero_homotopy_rrb(a, m),
+               algebra="A", module="M")
     src, out = tmp_path / "nonskeletal.json", tmp_path / "triple.json"
     ff.write_path(doc, src)
     rc, text = run(capsys, "skeletal-to-triple", str(src), "-o", str(out))
@@ -475,11 +475,11 @@ def test_homotopy_operator_over_a_misfit_module_is_input_error(tmp_path,
     small, big = zero_two_term(1, 1), zero_two_term(2, 1)
     m = zero_ainfty_bimodule(big, 1, 1)
     doc = ff.new_document()
-    a_name, a0, a1 = ff.declare_two_term(doc, "small", small)
-    big_name, b0, b1 = ff.declare_two_term(doc, "big", big)
-    m_name, m0, m1 = ff.declare_ainfty_bimodule(doc, "m", m, big_name, b0, b1)
-    ff.declare_homotopy_rrb(doc, "r", zero_homotopy_rrb(small, m),
-                            a_name, m_name, a0, a1, m0, m1)
+    ff.declare(doc, "two_term_ainfty", "small", small)
+    ff.declare(doc, "two_term_ainfty", "big", big)
+    ff.declare(doc, "ainfty_bimodule", "m", m, over="big")
+    ff.declare(doc, "homotopy_rrb", "r", zero_homotopy_rrb(small, m),
+               algebra="small", module="m")
     path = tmp_path / "misfit.json"
     ff.write_path(doc, path)
     rc = cli.main(["validate", str(path)])
@@ -507,7 +507,7 @@ def test_unknown_section_name(tmp_path, capsys):
 def test_missing_required_declaration(tmp_path, capsys):
     alg = AssocAlgebra(1, StructureConstants.zero(1, 1, 1))
     doc = ff.new_document()
-    ff.declare_assoc_algebra(doc, "A", alg)
+    ff.declare(doc, "assoc_algebra", "A", alg)
     path = tmp_path / "alg.json"
     ff.write_path(doc, path)
     rc, _ = run(capsys, "cohomology", str(path))
@@ -539,7 +539,7 @@ def test_cohomology_max_degree_zero(tmp_path, capsys):
     assert "--max-degree must be at least 1 for cohomology" in captured.err
     # Hochschild cohomology starts in degree 0, so K = 0 is a full report
     doc = ff.new_document()
-    ff.declare_assoc_algebra(doc, "A", AssocAlgebra.zero(1))
+    ff.declare(doc, "assoc_algebra", "A", AssocAlgebra.zero(1))
     ff.write_path(doc, path)
     rc, out = run(capsys, "hochschild", str(path), "--max-degree", "0")
     assert rc == 0
@@ -554,10 +554,10 @@ def write_nonassociative_bimodule(path):
     alg = AssocAlgebra(2, StructureConstants(2, 2, Matrix.from_entries(
         2, 4, {(1, 0): 1, (0, 2): 1})))
     doc = ff.new_document()
-    name, space = ff.declare_assoc_algebra(doc, "A", alg)
-    ff.declare_bimodule(doc, "M", Bimodule(
+    ff.declare(doc, "assoc_algebra", "A", alg)
+    ff.declare(doc, "bimodule", "M", Bimodule(
         alg, 1, StructureConstants.zero(2, 1, 1),
-        StructureConstants.zero(1, 2, 1)), name, space)
+        StructureConstants.zero(1, 2, 1)), algebra="A")
     ff.write_path(doc, path)
 
 

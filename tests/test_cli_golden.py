@@ -66,7 +66,7 @@ from rotabaxter.classification import (
 )
 from rotabaxter.cohomology import RRBCochain
 from rotabaxter.linalg import Matrix, format_matrix
-from rotabaxter.rrb import RelativeRBAlgebra
+from rotabaxter.rrb import RelativeRBAlgebra, RMatrix
 from rotabaxter.rrb_modules import RRBBimodule
 from rotabaxter.samples import (
     bump_map, random_invertible, random_rrb_cocycle, random_rrb_pair,
@@ -752,16 +752,17 @@ def prepare_rejected_fixtures(work):
     e = build_extension(x, b, c2)
     sec = canonical_section(e)
     doc = ff.new_document()
-    ff.declare_extension(doc, "E", e, sections={
+    ff.declare(doc, "extension", "E", e, sections={
         "canonical": Section(Matrix(sec.s.rows, sec.s.cols), sec.sbar)})
     ff.write_path(doc, work / "unsplit.json")
     a, m, r = triple_to_skeletal(x, b, c3)
     doc = ff.new_document()
-    an, a0, a1 = ff.declare_two_term(doc, "A", a)
-    mn, m0, m1 = ff.declare_ainfty_bimodule(doc, "M", m, an, a0, a1)
-    ff.declare_homotopy_rrb(
-        doc, "R", HomotopyRRBOperator(bump_map(r.r0, (0, 0)), r.r1, r.r2),
-        an, mn, a0, a1, m0, m1)
+    ff.declare(doc, "two_term_ainfty", "A", a)
+    ff.declare(doc, "ainfty_bimodule", "M", m, over="A")
+    ff.declare(
+        doc, "homotopy_rrb", "R",
+        HomotopyRRBOperator(bump_map(r.r0, (0, 0)), r.r1, r.r2),
+        algebra="A", module="M")
     ff.write_path(doc, work / "bent-skeletal.json")
     return work
 
@@ -840,9 +841,9 @@ def r_matrix_fixtures():
 
 def write_r_matrix(alg, rows, path):
     doc = ff.new_document()
-    an, _ = ff.declare_assoc_algebra(doc, "A", alg)
-    doc["declare"].append({"type": "r_matrix", "name": "r", "algebra": an,
-                           "tensor": rows})
+    ff.declare(doc, "assoc_algebra", "A", alg)
+    ff.declare(doc, "r_matrix", "r", RMatrix(alg, Matrix.from_rows(rows)),
+               algebra="A")
     ff.write_path(doc, path)
 
 

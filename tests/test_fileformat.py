@@ -1,21 +1,39 @@
 """Structure files: round trips, strict parsing, and error reporting."""
 
 import json
+import pathlib
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotabaxter import cli, fileformat as ff
-from rotabaxter.classification import (
-    build_extension, canonical_section, check_abelian_extension,
-    check_ainfty_bimodule, check_homotopy_rrb_operator,
-    check_two_term_ainfty, extract_cocycle, skeletal_to_triple,
-    triple_to_skeletal,
+from rotabaxter.algebra import (
+    AssocAlgebra, Bimodule, DendriformAlgebra, DendriformRepresentation,
+    StructureConstants,
 )
+from rotabaxter.classification import (
+    AbelianExtension, AInftyBimodule, HomotopyRRBOperator, Section,
+    TwoTermAInfty, build_extension, canonical_section,
+    check_abelian_extension, check_ainfty_bimodule,
+    check_homotopy_rrb_operator, check_two_term_ainfty, extract_cocycle,
+    skeletal_to_triple, triple_to_skeletal,
+)
+from rotabaxter.cohomology import RRBCochain
 from rotabaxter.linalg import Matrix
-from rotabaxter.samples import random_rrb_cocycle, random_rrb_pair
+from rotabaxter.rrb import RelativeRBAlgebra, RMatrix
+from rotabaxter.rrb_modules import (
+    RRBBimodule, induced_dendriform_representation,
+)
+from rotabaxter.samples import (
+    random_invertible, random_rrb_cocycle, random_rrb_pair,
+)
 
-from helpers import coords, fractions_made, nested, zero_cochain
+from helpers import (
+    coords, fractions_made, nested, upper_triangular_r_matrix, zero_cochain,
+)
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def rrb_document(seed=2, degree=2, cocycle_seed=0):
@@ -66,7 +84,7 @@ def test_extension_round_trip_with_section():
     e = build_extension(x, b, c)
     sec = canonical_section(e)
     out = ff.new_document()
-    ff.declare_extension(out, "E", e, sections={"split": sec})
+    ff.declare(out, "extension", "E", e, sections={"split": sec})
     sf = ff.parse_text(ff.dump_document(out))
     d = sf.by_name["E"]
     assert check_abelian_extension(d.obj).ok
@@ -80,9 +98,9 @@ def test_skeletal_round_trip():
     assert c is not None
     a, m, r = triple_to_skeletal(x, b, c)
     doc = ff.new_document()
-    an, a0, a1 = ff.declare_two_term(doc, "A2", a)
-    mn, m0, m1 = ff.declare_ainfty_bimodule(doc, "M2", m, an, a0, a1)
-    ff.declare_homotopy_rrb(doc, "T", r, an, mn, a0, a1, m0, m1)
+    ff.declare(doc, "two_term_ainfty", "A2", a)
+    ff.declare(doc, "ainfty_bimodule", "M2", m, over="A2")
+    ff.declare(doc, "homotopy_rrb", "T", r, algebra="A2", module="M2")
     sf = ff.parse_text(ff.dump_document(doc))
     a2, m2, r2 = (sf.by_name[n].obj for n in ("A2", "M2", "T"))
     assert check_two_term_ainfty(a2).ok
@@ -302,6 +320,7 @@ def test_reading_and_writing_build_no_fraction(tmp_path, monkeypatch):
     cocycles = [random_rrb_cocycle(14, x, b, k) for k in (2, 3)]
     d = x.algebra.dim
     tensor = [[f"{i - j}/{i + j + 2}" for j in range(d)] for i in range(d)]
+    r = RMatrix(x.algebra, Matrix.from_rows(tensor))
     made = fractions_made(monkeypatch)
     doc = ff.new_document()
     xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
@@ -309,8 +328,7 @@ def test_reading_and_writing_build_no_fraction(tmp_path, monkeypatch):
     for c in cocycles:
         ff.declare_cocycle(doc, f"C{c.degree}", c, xn, bn, asp, msp, bsp,
                            fsp)
-    doc["declare"].append({"type": "r_matrix", "name": "r",
-                           "algebra": "X.algebra", "tensor": tensor})
+    ff.declare(doc, "r_matrix", "r", r, algebra="X.algebra")
     path = tmp_path / "sample14.json"
     ff.write_path(doc, path)
     sf = ff.parse_path(path)
@@ -421,7 +439,7 @@ def test_bimodule_over_wrong_algebra():
 def test_extension_fiber_operator_must_fit_its_spaces():
     doc, x, b, c = rrb_document()
     out = ff.new_document()
-    ff.declare_extension(out, "E", build_extension(x, b, c))
+    ff.declare(out, "extension", "E", build_extension(x, b, c))
     out = json.loads(ff.dump_document(out))
     # the total algebra is wider than the algebra fiber, so the operator
     # S: N -> B no longer maps into the declared algebra space; every
@@ -436,9 +454,9 @@ def test_homotopy_layer_mismatch():
     c = random_rrb_cocycle(1, x, b, 3)
     a, m, r = triple_to_skeletal(x, b, c)
     doc = ff.new_document()
-    an, a0, a1 = ff.declare_two_term(doc, "A2", a)
-    mn, m0, m1 = ff.declare_ainfty_bimodule(doc, "M2", m, an, a0, a1)
-    ff.declare_homotopy_rrb(doc, "T", r, an, mn, a0, a1, m0, m1)
+    ff.declare(doc, "two_term_ainfty", "A2", a)
+    ff.declare(doc, "ainfty_bimodule", "M2", m, over="A2")
+    ff.declare(doc, "homotopy_rrb", "T", r, algebra="A2", module="M2")
     doc = json.loads(ff.dump_document(doc))
     doc["declare"][-1]["r0"] = "T.r1"
     reject(doc, "operator layers")
@@ -451,17 +469,251 @@ def skeletal_document():
     x, b = random_rrb_pair(seed=2)
     a, m, r = triple_to_skeletal(x, b, random_rrb_cocycle(1, x, b, 3))
     doc = ff.new_document()
-    an, a0, a1 = ff.declare_two_term(doc, "A2", a)
-    mn, m0, m1 = ff.declare_ainfty_bimodule(doc, "M2", m, an, a0, a1)
-    ff.declare_homotopy_rrb(doc, "T", r, an, mn, a0, a1, m0, m1)
+    ff.declare(doc, "two_term_ainfty", "A2", a)
+    ff.declare(doc, "ainfty_bimodule", "M2", m, over="A2")
+    ff.declare(doc, "homotopy_rrb", "T", r, algebra="A2", module="M2")
     return doc
 
 
 def extension_document():
     doc, x, b, c = rrb_document()
     e = build_extension(x, b, c)
-    ff.declare_extension(doc, "E", e, {"canonical": canonical_section(e)})
+    ff.declare(doc, "extension", "E", e,
+               sections={"canonical": canonical_section(e)})
     return doc
+
+
+# ------------------------------------------------- every kind, written
+
+
+def every_kind_document():
+    """A document declaring each of the twelve kinds through the writer,
+    and name -> the object declared under it (the sections of E under
+    "E.sections")."""
+    x, b = random_rrb_pair(seed=2)
+    # sample 2 has no nonzero degree-1 cocycle
+    cocycles = {1: zero_cochain(x, b, 1), 2: random_rrb_cocycle(0, x, b, 2),
+                3: random_rrb_cocycle(1, x, b, 3)}
+    e = build_extension(x, b, cocycles[2])
+    a, m, r = triple_to_skeletal(x, b, cocycles[3])
+    rep = induced_dendriform_representation(b)
+    aybe = upper_triangular_r_matrix(random_invertible(Random(2), 3))
+    doc, objs = ff.new_document(), {}
+
+    def put(kind, name, obj, **given):
+        ff.declare(doc, kind, name, obj, **given)
+        objs[name] = obj
+
+    put("assoc_algebra", "A", aybe.over)
+    put("bimodule", "M", Bimodule.adjoint(aybe.over), algebra="A")
+    put("r_matrix", "r", aybe, algebra="A")
+    put("rrb_algebra", "X", x)
+    put("rrb_bimodule", "B", b, over="X")
+    for k, c in cocycles.items():
+        put("cocycle", f"C{k}", c, over="X", coefficients="B")
+    put("dendriform", "D", rep.over)
+    put("dendriform_rep", "N", rep, over="D")
+    put("two_term_ainfty", "T", a)
+    put("ainfty_bimodule", "TM", m, over="T")
+    put("homotopy_rrb", "TR", r, algebra="T", module="TM")
+    sections = {"canonical": canonical_section(e)}
+    put("extension", "E", e, sections=sections)
+    objs["E.sections"] = sections
+    return doc, objs
+
+
+def same(p, q):
+    """p and q are equal: equal matrices, scalars and strings, and
+    objects of one class with the same slots, item by item."""
+    if isinstance(p, Matrix):
+        return p == q
+    if isinstance(p, (tuple, list)):
+        return isinstance(q, (tuple, list)) and len(p) == len(q) and \
+            all(map(same, p, q))
+    if isinstance(p, dict):
+        return isinstance(q, dict) and p.keys() == q.keys() and \
+            all(same(p[k], q[k]) for k in p)
+    if hasattr(type(p), "__slots__"):
+        return type(p) is type(q) and all(
+            same(getattr(p, s), getattr(q, s)) for s in type(p).__slots__)
+    return p == q
+
+
+def read_back(doc):
+    sf = ff.parse_text(ff.dump_document(doc))
+    return {**{d.name: d.obj for d in sf.declarations},
+            **{f"{d.name}.sections": d.refs["sections"]
+               for d in sf.find_all("extension")}}
+
+
+def test_every_kind_reads_back_as_written():
+    doc, objs = every_kind_document()
+    assert {d["type"] for d in doc["declare"]} == set(ff.KINDS)
+    back = read_back(doc)
+    for name, obj in objs.items():
+        assert same(back[name], obj), name
+    # the parts an rrb_algebra, rrb_bimodule and extension write
+    assert same(back["X.module"], objs["X"].module)
+    assert same(back["B.fiber"], objs["B"].fiber)
+    assert same(back["E.total"], objs["E"].total)
+
+
+SCALAR = st.fractions(-5, 5, max_denominator=6)
+
+
+def random_matrix(draw, rows, cols):
+    return Matrix.from_rows([[draw(SCALAR) for _ in range(cols)]
+                             for _ in range(rows)]) if rows else \
+        Matrix(0, cols)
+
+
+def random_bilinear(draw, left, right, out):
+    return StructureConstants(left, right,
+                              random_matrix(draw, out, left * right))
+
+
+def random_bimodule(draw, alg, dim):
+    return Bimodule(alg, dim, random_bilinear(draw, alg.dim, dim, dim),
+                    random_bilinear(draw, dim, alg.dim, dim))
+
+
+def random_rrb(draw, dim_a, dim_m):
+    alg = AssocAlgebra(dim_a, random_bilinear(draw, dim_a, dim_a, dim_a))
+    return RelativeRBAlgebra(alg, random_bimodule(draw, alg, dim_m),
+                             random_matrix(draw, dim_a, dim_m))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.data())
+def test_random_structures_of_every_field_type_read_back(data):
+    """Constructors check shapes only, so random data of random small
+    dimensions builds every kind: spaces with and without basis names,
+    maps, lists and slots of maps, references and parts, a scalar table,
+    a degree and the nested objects of an extension."""
+    draw = data.draw
+    dim = st.integers(0, 2)
+    a, m, bb, n = (draw(dim) for _ in range(4))
+    x = random_rrb(draw, a, m)
+    b = RRBBimodule(x, random_bimodule(draw, x.algebra, bb),
+                    random_bimodule(draw, x.algebra, n),
+                    random_matrix(draw, bb, n),
+                    random_bilinear(draw, m, bb, n),
+                    random_bilinear(draw, bb, m, n))
+    k = draw(st.integers(1, 3))
+    c = RRBCochain(k, random_matrix(draw, bb, a ** k),
+                   [random_matrix(draw, n, a ** (k - 1) * m)
+                    for _ in range(k)],
+                   random_matrix(draw, bb, m ** (k - 1)) if k > 1 else None)
+    den = DendriformAlgebra(a, random_bilinear(draw, a, a, a),
+                            random_bilinear(draw, a, a, a),
+                            [f"d{i}" for i in range(a)])
+    rep = DendriformRepresentation(
+        den, m, *(random_bilinear(draw, *dims) for dims in
+                  [(a, m, m)] * 2 + [(m, a, m)] * 2))
+    d0, d1, e0, e1 = (draw(dim) for _ in range(4))
+    two = TwoTermAInfty(d0, d1, random_matrix(draw, d0, d1), [
+        random_bilinear(draw, d0, d0, d0), random_bilinear(draw, d0, d1, d1),
+        random_bilinear(draw, d1, d0, d1)], random_matrix(draw, d1, d0 ** 3))
+    mod = AInftyBimodule(
+        two, e0, e1, random_matrix(draw, e0, e1),
+        [random_bilinear(draw, *dims)
+         for dims in ((d0, e0, e0), (d0, e1, e1), (d1, e0, e1))],
+        [random_bilinear(draw, *dims)
+         for dims in ((e0, d0, e0), (e0, d1, e1), (e1, d0, e1))],
+        [random_matrix(draw, e1, d0 * d0 * e0) for _ in range(3)])
+    op = HomotopyRRBOperator(random_matrix(draw, d0, e0),
+                             random_matrix(draw, d1, e1),
+                             random_bilinear(draw, e0, e0, d1))
+    total = random_rrb(draw, a + bb, m + n)
+    ext = AbelianExtension(
+        x, random_matrix(draw, bb, n), total,
+        random_matrix(draw, a + bb, bb), random_matrix(draw, m + n, n),
+        random_matrix(draw, a, a + bb), random_matrix(draw, m, m + n))
+    sections = {f"s{i}": Section(random_matrix(draw, a + bb, a),
+                                 random_matrix(draw, m + n, m))
+                for i in range(draw(st.integers(0, 2)))}
+    doc = ff.new_document()
+    ff.declare(doc, "rrb_algebra", "X", x)
+    ff.declare(doc, "rrb_bimodule", "B", b, over="X")
+    ff.declare(doc, "cocycle", "c", c, over="X", coefficients="B")
+    ff.declare(doc, "r_matrix", "r", RMatrix(x.algebra, random_matrix(
+        draw, a, a)), algebra="X.algebra")
+    ff.declare(doc, "dendriform", "D", den)
+    ff.declare(doc, "dendriform_rep", "N", rep, over="D")
+    ff.declare(doc, "two_term_ainfty", "T", two)
+    ff.declare(doc, "ainfty_bimodule", "M", mod, over="T")
+    ff.declare(doc, "homotopy_rrb", "R", op, algebra="T", module="M")
+    ff.declare(doc, "extension", "E", ext, sections=sections)
+    back = read_back(doc)
+    for name, obj in (("X", x), ("B", b), ("c", c), ("D", den), ("N", rep),
+                      ("T", two), ("M", mod), ("R", op), ("E", ext),
+                      ("E.sections", sections)):
+        assert same(back[name], obj), name
+
+
+# --------------------------------------------------------- cross-checks
+
+
+def test_cocycle_coefficients_over_another_algebra(tmp_path, capsys):
+    x, _ = random_rrb_pair(6)
+    y, b = random_rrb_pair(7)
+    doc = ff.new_document()
+    ff.declare(doc, "rrb_algebra", "X", x)
+    ff.declare(doc, "rrb_algebra", "Y", y)
+    ff.declare(doc, "rrb_bimodule", "B", b, over="Y")
+    ff.declare(doc, "cocycle", "c", zero_cochain(x, b, 2), over="X",
+               coefficients="B")
+    message = "declare.c: coefficients 'B' is not over algebra 'X'"
+    reject(doc, message)
+    path = tmp_path / "coefficients.json"
+    ff.write_path(doc, path)
+    assert cli.main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_homotopy_module_over_another_algebra(tmp_path, capsys):
+    x, b = random_rrb_pair(seed=2)
+    a, m, r = triple_to_skeletal(x, b, random_rrb_cocycle(1, x, b, 3))
+    doc = ff.new_document()
+    ff.declare(doc, "two_term_ainfty", "A", a)
+    ff.declare(doc, "two_term_ainfty", "A2", a)
+    ff.declare(doc, "ainfty_bimodule", "M", m, over="A")
+    ff.declare(doc, "homotopy_rrb", "R", r, algebra="A2", module="M")
+    message = "declare.R: module 'M' is not over algebra 'A2'"
+    reject(doc, message)
+    path = tmp_path / "homotopy.json"
+    ff.write_path(doc, path)
+    for argv in (["validate", str(path)],
+                 ["skeletal-to-triple", str(path), "-o",
+                  str(tmp_path / "out.json")]):
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_extension_section_shape_names_the_section(tmp_path, capsys):
+    doc = json.loads(ff.dump_document(extension_document()))
+    entry = next(d for d in doc["declare"] if d["name"] == "E")
+    entry["sections"]["bad"] = dict(entry["sections"]["canonical"], s="E.S")
+    message = ("declare.E.sections.bad: shape mismatch: s must map the "
+               "base algebra into the total")
+    reject(doc, message)
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["extract-cocycle", str(path)]):
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_readme_example_parses_and_validates(tmp_path, capsys):
+    text = README.read_text(encoding="utf-8")
+    example = text.split("### Structure files", 1)[1] \
+        .split("```json\n", 1)[1].split("```", 1)[0]
+    assert [d.kind for d in ff.parse_text(example).declarations] == \
+        ["assoc_algebra"]
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    assert cli.main(["validate", str(path)]) == 0
+    assert "validate: pass" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------- renderer
@@ -495,20 +747,23 @@ def test_render_json_takes_what_json_dumps_takes_without_floats():
             ff.render_json(bad)
 
 
-# valid documents covering every declaration kind but the dendriform ones
-# and r_matrix, which the hand-made entries below add
+def pair_document_with_r_matrix_and_dendriform():
+    """rrb_document with an r-matrix of ones over its algebra, then the
+    induced dendriform representation on B's fiber and its algebra."""
+    doc, x, b, _ = rrb_document()
+    n = x.algebra.dim
+    ones = RMatrix(x.algebra, Matrix.from_rows([[1] * n] * n))
+    rep = induced_dendriform_representation(b)
+    ff.declare(doc, "r_matrix", "r", ones, algebra="X.algebra")
+    ff.declare(doc, "dendriform", "D", rep.over)
+    ff.declare(doc, "dendriform_rep", "N", rep, over="D")
+    return doc
+
+
+# valid documents, all written by the writer, covering every kind
 FUZZ_SEEDS = [json.loads(ff.dump_document(doc)) for doc in (
-    rrb_document()[0], skeletal_document(), extension_document())]
-_n = FUZZ_SEEDS[0]["spaces"]["X.algebra.space"]["dim"]
-FUZZ_SEEDS[0]["declare"].extend([
-    {"type": "r_matrix", "name": "r", "algebra": "X.algebra",
-     "tensor": [["1"] * _n] * _n},
-    {"type": "dendriform", "name": "D", "space": "X.algebra.space",
-     "prec": "X.algebra.mul", "succ": "X.algebra.mul"},
-    {"type": "dendriform_rep", "name": "E", "over": "D",
-     "space": "X.algebra.space", "left_prec": "X.algebra.mul",
-     "left_succ": "X.algebra.mul", "right_prec": "X.algebra.mul",
-     "right_succ": "X.algebra.mul"}])
+    pair_document_with_r_matrix_and_dendriform(), skeletal_document(),
+    extension_document(), every_kind_document()[0])]
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.floats(0, 1)
