@@ -26,18 +26,15 @@ from __future__ import annotations
 
 from .algebra import (
     AssocAlgebra, Bimodule, Report, ShapeError, StructuralError,
-    StructureConstants, Violation, block_constants,
-    check_associativity, check_bimodule, solve_or_raise,
+    StructureConstants, Violation, block_constants, solve_or_raise,
 )
 from .cohomology import (
     RRBCochain, cocycle_report, rrb_differential, rrb_differential_matrix,
     summand_inclusions,
 )
 from .linalg import Matrix, kron, rank, solve_columns, stacked
-from .rrb import (
-    RelativeRBAlgebra, RRBMorphism, check_morphism, check_relative_rb,
-)
-from .rrb_modules import RRBBimodule, check_rrb_bimodule, semidirect_rrb
+from .rrb import RelativeRBAlgebra, RRBMorphism, check_morphism
+from .rrb_modules import RRBBimodule, check_laws, semidirect_rrb
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +172,7 @@ def check_abelian_extension(e):
     _merge_prefixed(rep, check_morphism(
         RRBMorphism(e.total, e.base, e.alg_proj, e.mod_proj)),
         "base_projection")
-    _merge_prefixed(rep, check_relative_rb(e.total), "total")
-    _merge_prefixed(rep, check_associativity(e.total.algebra), "total")
-    _merge_prefixed(rep, check_bimodule(e.total.module), "total")
+    _merge_prefixed(rep, check_laws(e.total), "total")
     return rep
 
 
@@ -221,12 +216,11 @@ def build_extension(x, b, c):
     rop = Matrix.from_blocks(dA + dB, dM + dN,
                              ((1, split.rop, 0, 0), (1, gamma, dA, 0)))
     total = RelativeRBAlgebra(big_alg, big_mod, rop)
-    for bad in (check_associativity(big_alg), check_bimodule(big_mod),
-                check_relative_rb(total)):
-        if not bad:
-            raise StructuralError(
-                "glued total fails its axioms, so the coefficient bimodule "
-                "is not valid:\n" + bad.describe())
+    bad = check_laws(total)
+    if not bad:
+        raise StructuralError("glued total fails its axioms, so the "
+                              "coefficient bimodule is not valid:\n"
+                              + bad.describe())
     inc_a, inc_b = summand_inclusions(dA, dB)
     inc_m, inc_n = summand_inclusions(dM, dN)
     return AbelianExtension(x, b.sop, total,
@@ -749,17 +743,6 @@ def check_homotopy_rrb_operator(a, m, r):
 # the skeletal correspondence
 
 
-def triple_reports(x, b):
-    """The laws of a structure triple's algebra x and coefficients b, as
-    two reports: the relative Rota-Baxter identity with the associativity
-    of A and the bimodule laws of M, and the eight identities of b with
-    the bimodule laws of B and N."""
-    return (check_relative_rb(x).merge(check_associativity(x.algebra))
-            .merge(check_bimodule(x.module)),
-            check_rrb_bimodule(b).merge(check_bimodule(b.base))
-            .merge(check_bimodule(b.fiber)))
-
-
 def skeletal_to_triple(a, m, r, verify=True):
     """Read a skeletal pair plus operator triple as a structure triple.
 
@@ -773,10 +756,11 @@ def skeletal_to_triple(a, m, r, verify=True):
         cochain (mu3, mu3m, r2).
 
     Layers that do not fit raise ShapeError, before anything else.  With
-    verify on, the assembled triple must pass triple_reports and be a
-    cocycle; a failure signals inconsistent input and raises.  On
-    skeletal data this is the verdict of the three skeletal checks, whose
-    laws, with both differentials zero, are these read on the layers.
+    verify on, every law of the assembled triple (check_laws) must hold
+    and c must be a cocycle; a failure signals inconsistent input and
+    raises.  On skeletal data this is the verdict of the three skeletal
+    checks, whose laws, with both differentials zero, are these read on
+    the layers.
     """
     require_fit(a, m, r)
     if not (a.skeletal and m.skeletal):
@@ -791,7 +775,7 @@ def skeletal_to_triple(a, m, r, verify=True):
         r.r1, m.right01, m.left10)
     c = RRBCochain(3, a.mu3, m.mu3m, r.r2.matrix)
     if verify:
-        for bad in triple_reports(x, coeff):
+        for bad in (check_laws(x), check_laws(coeff)):
             if not bad:
                 raise StructuralError("skeletal data does not flatten to a "
                                       "valid triple:\n" + bad.describe())

@@ -22,7 +22,7 @@ import time
 
 from . import fileformat as ff
 from .algebra import (
-    Bimodule, ShapeError, StructuralError, Violation,
+    Bimodule, Report, ShapeError, StructuralError, Violation,
     check_associativity, check_bimodule, check_dendriform,
     check_dendriform_representation, hochschild_cohomology_dims,
     hochschild_matrix,
@@ -31,7 +31,7 @@ from .classification import (
     build_extension, canonical_section, check_abelian_extension,
     check_ainfty_bimodule, check_homotopy_rrb_operator,
     check_two_term_ainfty, extract_cocycle, induced_fiber_bimodule,
-    skeletal_to_triple, triple_reports, triple_to_skeletal,
+    skeletal_to_triple, triple_to_skeletal,
 )
 from .cohomology import (
     cocycle_report, dendriform_differential_matrix, derivation_basis,
@@ -43,9 +43,9 @@ from .rrb import (
     aybe_check, check_relative_rb, induced_dendriform, lift_to_rb,
 )
 from .rrb_modules import (
-    adjoint_bimodule, check_operator_identities, check_rrb_bimodule,
-    dual_rrb_bimodule, induced_dendriform_representation, lift_bimodule,
-    mtot_action_bimodule, semidirect_rrb,
+    adjoint_bimodule, check_laws, check_operator_identities,
+    check_rrb_bimodule, dual_rrb_bimodule, induced_dendriform_representation,
+    lift_bimodule, mtot_action_bimodule, semidirect_rrb,
 )
 
 
@@ -94,10 +94,9 @@ def _construct(build, *inputs, prefix=""):
 
 
 def _sweep(dims, *inputs):
-    """dims(*inputs), the cohomology dimensions.  Inputs that pass the
-    command's checks can still give maps that do not compose to zero (a
-    product that is not associative): the sweep's ValueError for them
-    becomes an input error."""
+    """dims(*inputs), the cohomology dimensions.  The sweep checks that its
+    maps compose to zero, which every law of its input implies; a
+    ValueError it raises all the same becomes an input error."""
     try:
         return dims(*inputs)
     except ValueError as err:
@@ -140,52 +139,30 @@ def _bimodule_over(sf, xname):
     return None
 
 
+def _laws(x_d, b_d=None, kind="rrb_bimodule"):
+    """The input check of the commands that read an rrb_algebra: a
+    (label, Report) pair of every law of its declaration x_d and, unless
+    b_d is None, of the rrb_bimodule declaration b_d over it, labelled as
+    a kind; check_laws reads each law once."""
+    pairs = [(f"{x_d.name} (rrb_algebra)", check_laws(x_d.obj))]
+    if b_d is not None:
+        pairs.append((f"{b_d.name} ({kind})", check_laws(b_d.obj)))
+    return pairs
+
+
 def _coefficients(sf, what):
     """First rrb_algebra plus its first declared rrb_bimodule, or the
-    adjoint coefficients when the file declares none, once both pass."""
+    adjoint coefficients when the file declares none, once every law of
+    both passes; the laws of the adjoint but its eight identities are
+    those of the algebra."""
     x_d = _need(sf, "rrb_algebra", what)
     b_d = _bimodule_over(sf, x_d.name)
     if b_d is not None:
-        bname, b = b_d.name, b_d.obj
-    else:
-        bname, b = "adjoint", adjoint_bimodule(x_d.obj)
-    _require([(f"{x_d.name} (rrb_algebra)", check_relative_rb(x_d.obj)),
-              (f"{bname} (coefficients)", check_rrb_bimodule(b))])
-    return x_d.name, x_d.obj, bname, b
-
-
-def _checked_bimodule(sf, what):
-    """The first rrb_bimodule declaration, once it and its algebra pass."""
-    b_d = _need(sf, "rrb_bimodule", what)
-    _require([(f"{b_d.refs['over']} (rrb_algebra)",
-               check_relative_rb(b_d.obj.over)),
-              (f"{b_d.name} (rrb_bimodule)", check_rrb_bimodule(b_d.obj))])
-    return b_d
-
-
-def _cocycle_coefficients(sf, c_d, *checks):
-    """The algebra and coefficients cocycle declaration c_d refers to, once
-    both pass triple_reports with every extra (label, check) pair,
-    check(x, b) a Report."""
-    over, coefficients = c_d.refs["over"], c_d.refs["coefficients"]
-    x, b = sf.by_name[over].obj, sf.by_name[coefficients].obj
-    algebra, coeff = triple_reports(x, b)
-    _require([(f"{over} (rrb_algebra)", algebra),
-              (f"{coefficients} (rrb_bimodule)", coeff),
-              *((label, check(x, b)) for label, check in checks)])
-    return x, b
-
-
-def _checked_algebra(sf, what):
-    """The first rrb_algebra declaration, once it passes, with the first
-    rrb_bimodule declared over it, once that passes, or None."""
-    x_d = _need(sf, "rrb_algebra", what)
-    _require([(f"{x_d.name} (rrb_algebra)", check_relative_rb(x_d.obj))])
-    b_d = _bimodule_over(sf, x_d.name)
-    if b_d is not None:
-        _require([(f"{b_d.name} (rrb_bimodule)",
-                   check_rrb_bimodule(b_d.obj))])
-    return x_d, b_d
+        _require(_laws(x_d, b_d, "coefficients"))
+        return x_d.name, x_d.obj, b_d.name, b_d.obj
+    b = adjoint_bimodule(x_d.obj)
+    _require([*_laws(x_d), ("adjoint (coefficients)", check_rrb_bimodule(b))])
+    return x_d.name, x_d.obj, "adjoint", b
 
 
 def _check_declaration(sf, d):
@@ -256,17 +233,24 @@ def cmd_cohomology(args):
 
 def cmd_hochschild(args):
     sf = ff.parse_path(args.file)
-    mods = [(d.name, d.obj) for d in sf.find_all("bimodule")]
+    mods = [(d.name, d.obj, check_bimodule(d.obj))
+            for d in sf.find_all("bimodule")]
     if not mods:
         algs = sf.find_all("assoc_algebra")
         if not algs:
             raise ParseError("no bimodule or assoc_algebra declared; "
                              "hochschild needs one")
-        mods = [(f"adjoint({d.name})", Bimodule.adjoint(d.obj))
-                for d in algs]
-    _require([(name, check_bimodule(mod)) for name, mod in mods])
+        # the bimodule laws of an algebra on itself are its associativity
+        mods = [(f"adjoint({d.name})", Bimodule.adjoint(d.obj),
+                 Report("bimodule")) for d in algs]
+    checked = set()
+    for _, mod, rep in mods:
+        if id(mod.over) not in checked:
+            checked.add(id(mod.over))
+            rep.merge(check_associativity(mod.over))
+    _require([(name, rep) for name, _, rep in mods])
     lines, table = [], {}
-    for name, mod in mods:
+    for name, mod, _ in mods:
         lines.append(f"Hochschild cohomology with coefficients in {name}")
         dims = _sweep(hochschild_cohomology_dims, mod, args.max_degree)
         lines.extend(f"H^{k} = {h}" for k, h in enumerate(dims))
@@ -293,7 +277,8 @@ def cmd_derivations(args):
 
 def cmd_semidirect(args):
     sf = ff.parse_path(args.file)
-    b_d = _checked_bimodule(sf, "semidirect")
+    b_d = _need(sf, "rrb_bimodule", "semidirect")
+    _require(_laws(sf.by_name[b_d.refs["over"]], b_d))
     y = semidirect_rrb(b_d.obj)
     _require([("semidirect product", check_relative_rb(y))])
     doc = ff.new_document()
@@ -306,7 +291,8 @@ def cmd_semidirect(args):
 
 def cmd_dual(args):
     sf = ff.parse_path(args.file)
-    b_d = _checked_bimodule(sf, "dual")
+    b_d = _need(sf, "rrb_bimodule", "dual")
+    _require(_laws(sf.by_name[b_d.refs["over"]], b_d))
     b, xname = b_d.obj, b_d.refs["over"]
     dual = dual_rrb_bimodule(b)
     _require([("dual bimodule", check_rrb_bimodule(dual))])
@@ -321,7 +307,9 @@ def cmd_dual(args):
 
 def cmd_lift(args):
     sf = ff.parse_path(args.file)
-    x_d, b_d = _checked_algebra(sf, "lift")
+    x_d = _need(sf, "rrb_algebra", "lift")
+    b_d = _bimodule_over(sf, x_d.name)
+    _require(_laws(x_d, b_d))
     # the lifted bimodule is over the lifted algebra: build that once
     if b_d is not None:
         bhat = _construct(lift_bimodule, b_d.obj)
@@ -347,7 +335,9 @@ def cmd_lift(args):
 
 def cmd_dendriform(args):
     sf = ff.parse_path(args.file)
-    x_d, b_d = _checked_algebra(sf, "dendriform")
+    x_d = _need(sf, "rrb_algebra", "dendriform")
+    b_d = _bimodule_over(sf, x_d.name)
+    _require(_laws(x_d, b_d))
     den, mtot, morph = induced_dendriform(x_d.obj)
     pairs = [("dendriform axioms", check_dendriform(den)),
              ("total product associativity", check_associativity(mtot)),
@@ -372,8 +362,9 @@ def cmd_extend(args):
         raise ParseError(
             f"extension building needs a degree-2 cochain, "
             f"'{args.cocycle}' has degree {c.degree}")
-    x, b = _cocycle_coefficients(sf, d)
-    e = _construct(build_extension, x, b, c)
+    x_d, b_d = (sf.by_name[d.refs[f]] for f in ("over", "coefficients"))
+    _require(_laws(x_d, b_d))
+    e = _construct(build_extension, x_d.obj, b_d.obj, c)
     _require([("built extension", check_abelian_extension(e))])
     doc = ff.new_document()
     ff.declare(doc, "extension", f"{args.cocycle}.extension", e,
@@ -461,9 +452,10 @@ def cmd_triple_to_skeletal(args):
     if c_d is None:
         raise ParseError("no degree-3 cocycle declared; "
                          "triple-to-skeletal needs one")
-    x, b = _cocycle_coefficients(
-        sf, c_d, (f"{c_d.name} (cocycle)",
-                  lambda x, b: cocycle_report(x, b, c_d.obj)))
+    x_d, b_d = (sf.by_name[c_d.refs[f]] for f in ("over", "coefficients"))
+    x, b = x_d.obj, b_d.obj
+    _require([*_laws(x_d, b_d),
+              (f"{c_d.name} (cocycle)", cocycle_report(x, b, c_d.obj))])
     a, m, r = _construct(functools.partial(triple_to_skeletal, verify=False),
                          x, b, c_d.obj)
     doc = ff.new_document()

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from .algebra import (
     Bimodule, DendriformRepresentation, Report, ShapeError,
-    StructuralError, StructureConstants, block_constants, dual_bimodule,
-    semidirect_algebra, total_algebra,
+    StructuralError, StructureConstants, block_constants, check_associativity,
+    check_bimodule, dual_bimodule, semidirect_algebra, total_algebra,
 )
 from .linalg import Matrix, inverse
 from .rrb import (
-    RelativeRBAlgebra, induced_dendriform_algebra, lift_to_rb,
-    r_matrix_operator, rb_from_r_matrix,
+    RelativeRBAlgebra, check_relative_rb, induced_dendriform_algebra,
+    lift_to_rb, r_matrix_operator, rb_from_r_matrix,
 )
 
 
@@ -47,7 +47,8 @@ class RRBBimodule:
     r: B (x) M -> N.
     """
 
-    __slots__ = ("over", "base", "fiber", "sop", "left_pair", "right_pair")
+    __slots__ = ("over", "base", "fiber", "sop", "left_pair", "right_pair",
+                 "_mtot")
 
     def __init__(self, over, base, fiber, sop, left_pair, right_pair):
         alg = over.algebra
@@ -69,6 +70,7 @@ class RRBBimodule:
         self.sop = sop
         self.left_pair = left_pair
         self.right_pair = right_pair
+        self._mtot = None
 
     @staticmethod
     def zero(over, dim_base, dim_fiber):
@@ -135,6 +137,19 @@ def check_rrb_bimodule(b):
         b.over.module, b.base, b.fiber, b.left_pair, b.right_pair))
     rep.merge(check_operator_identities(b))
     return rep
+
+
+def check_laws(s):
+    """Every law of s, a relative Rota-Baxter algebra or a bimodule over
+    one, each once: its own identities (check_relative_rb or
+    check_rrb_bimodule), then the laws of the parts it is built from, the
+    associativity of A and the bimodule laws of M, or the bimodule laws of
+    B and N.  The laws of the algebra a bimodule is over are not read."""
+    if isinstance(s, RRBBimodule):
+        return (check_rrb_bimodule(s).merge(check_bimodule(s.base))
+                .merge(check_bimodule(s.fiber)))
+    return (check_relative_rb(s).merge(check_associativity(s.algebra))
+            .merge(check_bimodule(s.module)))
 
 
 def adjoint_bimodule(x):
@@ -266,16 +281,19 @@ def mtot_action_bimodule(b):
     which is its over.
 
     m |> b = R(m).b - S(l(m, b)) and b <| m = b.R(m) - S(r(b, m)).
+    Built once per b: each degree of a sweep from 2 on reads it.
     """
-    x = b.over
-    dM, dB = x.module.dim, b.base.dim
-    r, s, ib = x.rop, b.sop, Matrix.identity(dB)
-    left = b.base.left.on_columns(r, ib) - s * b.left_pair.matrix
-    right = b.base.right.on_columns(ib, r) - s * b.right_pair.matrix
-    return Bimodule(
-        total_algebra(induced_dendriform_algebra(x)), dB,
-        StructureConstants(dM, dB, left), StructureConstants(dB, dM, right),
-        b.base.basis_names)
+    if b._mtot is None:
+        x = b.over
+        dM, dB = x.module.dim, b.base.dim
+        r, s, ib = x.rop, b.sop, Matrix.identity(dB)
+        left = b.base.left.on_columns(r, ib) - s * b.left_pair.matrix
+        right = b.base.right.on_columns(ib, r) - s * b.right_pair.matrix
+        b._mtot = Bimodule(
+            total_algebra(induced_dendriform_algebra(x)), dB,
+            StructureConstants(dM, dB, left),
+            StructureConstants(dB, dM, right), b.base.basis_names)
+    return b._mtot
 
 
 def induced_dendriform_representation(b):

@@ -842,6 +842,25 @@ def ref_check_operator_identities(b):
     return rep
 
 
+def ref_check_laws(s):
+    """check_laws from the per-tuple references, merged the same way: the
+    relative Rota-Baxter identity, the associativity of A and the bimodule
+    laws of M, or the eight identities and the bimodule laws of B and N."""
+    if isinstance(s, RRBBimodule):
+        rep = Report("rrb_bimodule")
+        parts = (ref_check_pairing_identities(s.over.module, s.base, s.fiber,
+                                              s.left_pair, s.right_pair),
+                 ref_check_operator_identities(s), ref_check_bimodule(s.base),
+                 ref_check_bimodule(s.fiber))
+    else:
+        rep = Report("relative_rota_baxter")
+        parts = (ref_check_relative_rb(s), ref_check_associativity(s.algebra),
+                 ref_check_bimodule(s.module))
+    for part in parts:
+        rep.merge(part)
+    return rep
+
+
 def ref_check_differential_pair(p):
     """Derivation law, pairing identities, and the two delta laws."""
     rep = Report("differential_pair")

@@ -31,9 +31,9 @@ from rotabaxter.rrb import (
     induced_dendriform,
 )
 from rotabaxter.rrb_modules import (
-    DifferentialPair, check_differential_pair, check_operator_identities,
-    check_pairing_identities, induced_dendriform_representation,
-    lift_bimodule,
+    DifferentialPair, check_differential_pair, check_laws,
+    check_operator_identities, check_pairing_identities,
+    induced_dendriform_representation, lift_bimodule, semidirect_rrb,
 )
 from rotabaxter.samples import (
     bump_constants, bump_map, random_invertible, random_matrix,
@@ -82,9 +82,9 @@ def assemble(f):
     return a, m, HomotopyRRBOperator(f["r0"], f["r1"], f["r2"])
 
 
-def mutate(value, rng):
+def mutate(value, rng, deltas=DELTAS):
     """value with one entry shifted, or None when it has no entries."""
-    delta = rng.choice(DELTAS)
+    delta = rng.choice(deltas)
     if isinstance(value, StructureConstants):
         dims = (value.dim_left, value.dim_right, value.dim_out)
         if 0 in dims:
@@ -135,6 +135,9 @@ def triple_pairs(f, base, seed):
     for part in (x.module, b.base, b.fiber):
         yield "bimodule", check_bimodule(part), ref.ref_check_bimodule(part)
     yield "relative_rb", check_relative_rb(x), ref.ref_check_relative_rb(x)
+    # check_laws, every law of x and of b: the reports above, merged
+    yield "laws of x", check_laws(x), ref.ref_check_laws(x)
+    yield "laws of b", check_laws(b), ref.ref_check_laws(b)
     for src, tgt in ((x, x0), (x0, x)):
         mor = RRBMorphism(src, tgt, Matrix.identity(x.algebra.dim),
                           Matrix.identity(x.module.dim))
@@ -191,7 +194,7 @@ def compare(pairs, count, seeds=range(100)):
 
 def test_triple_checks_match_per_tuple_reference():
     names, failed = compare(triple_pairs, 3)
-    assert len(names) == 12 and names == failed
+    assert len(names) == 14 and names == failed
 
 
 def test_two_term_checks_match_per_tuple_reference():
@@ -231,6 +234,35 @@ def test_flattening_check_gives_the_skeletal_verdict():
             assert skeletal == flattened, (seed, where)
             verdicts[skeletal] += 1
     assert verdicts == {True: 73, False: 573}
+
+
+# the eleven tensors of (x, b) among the skeletal fields
+PAIR = ("mu00", "left00", "right00", "mu01", "mu10", "left01", "right10",
+        "right01", "left10", "r0", "r1")
+
+
+def test_semidirect_laws_hold_exactly_when_those_of_the_pair_do():
+    # every law of (x, b) holds exactly when every law of the relative
+    # Rota-Baxter algebra semidirect_rrb(b) holds: on seeds 0-39, each
+    # tensor of the pair changed by +-1 or +-2 at a random entry, twice,
+    # and on their variants
+    verdicts = Counter()
+    for seed in range(40):
+        rng, base = Random(seed), skeletal_fields(seed)
+        inputs = [{**base, name: mutate(base[name], rng, (1, -1, 2, -2))}
+                  for name in PAIR for _ in range(2)]
+        inputs.extend(f for _, f in variants(seed, len(FIELDS)))
+        for f in inputs:
+            if None in f.values():
+                continue
+            a, m, r = assemble(f)
+            if not (a.skeletal and m.skeletal):
+                continue
+            x, b, _ = skeletal_to_triple(a, m, r, verify=False)
+            pair = check_laws(x).ok and check_laws(b).ok
+            assert pair == check_laws(semidirect_rrb(b)).ok, seed
+            verdicts[pair] += 1
+    assert verdicts == {True: 373, False: 1111}
 
 
 def test_aybe_matches_the_coordinate_loops():

@@ -1,10 +1,15 @@
 """Command line behavior: exit codes, reports, and output files."""
 
+import functools
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotabaxter import cli, fileformat as ff, rrb
 from rotabaxter.algebra import (
@@ -561,22 +566,150 @@ def write_nonassociative_bimodule(path):
     ff.write_path(doc, path)
 
 
-@pytest.mark.parametrize("command, write, maps", [
-    ("cohomology", write_nonassociative_triple, "d_1 . d_0"),
-    ("hochschild", write_nonassociative_bimodule, "d_2 . d_1")],
-    ids=["cohomology", "hochschild"])
-def test_sweep_of_a_noncomplex_is_input_error(tmp_path, capsys, command,
-                                              write, maps):
-    # the product is not associative, which the checks these commands
-    # make on their input do not read: the sweep finds d . d != 0
+@pytest.mark.parametrize("argv", [
+    ["cohomology"], ["hochschild"], ["derivations"], ["dendriform"],
+    ["chainmap-check"], ["semidirect", "-o", "out.json"],
+    ["dual", "-o", "out.json"], ["lift", "-o", "out.json"]],
+    ids=lambda argv: argv[0])
+def test_commands_reject_a_nonassociative_algebra(tmp_path, capsys, argv):
+    # the sweep of cohomology or hochschild would find d . d != 0; the
+    # input check reads the associativity of A first, in the report of X,
+    # or for hochschild in that of the first bimodule over A, here one
+    # that passes the bimodule laws
     path = tmp_path / "bent.json"
-    write(path)
+    if argv[0] == "hochschild":
+        write_nonassociative_bimodule(path)
+        report = "M: FAIL (4 violations)"
+    else:
+        write_nonassociative_triple(path)
+        report = "X (rrb_algebra): FAIL (6 violations)"
+    argv = [a.replace("out.json", str(tmp_path / "out.json")) for a in argv]
+    rc, out = run(capsys, argv[0], str(path), *argv[1:])
+    lines = out.splitlines()
+    assert (rc, lines[0]) == (1, report)
+    assert lines[1].startswith("  assoc at ")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command, dims", [
+    ("cohomology", "rrb_cohomology_dims"),
+    ("hochschild", "hochschild_cohomology_dims")],
+    ids=["cohomology", "hochschild"])
+def test_sweep_that_finds_a_noncomplex_is_input_error(
+        tmp_path, capsys, monkeypatch, command, dims):
+    # input that passes every law gives a complex; should a sweep find
+    # d . d != 0 all the same, the command exits 2 with one error line
+    path = tmp_path / "pair.json"
+    write_pair_fixture(path)
+
+    def noncomplex(*_):
+        raise ValueError("d_2 . d_1 != 0: not a complex")
+
+    monkeypatch.setattr(cli, dims, noncomplex)
     rc = cli.main([command, str(path)])
     captured = capsys.readouterr()
     assert (rc, captured.out) == (2, "")
     assert captured.err.splitlines()[:-1] == [
-        f"error: the differentials do not form a complex: {maps} != 0: "
+        "error: the differentials do not form a complex: d_2 . d_1 != 0: "
         "not a complex"]
+
+
+def test_validate_prints_each_violation_once(tmp_path, capsys):
+    # validate checks each declaration by its own laws: the associator
+    # violations of A are printed under A alone, and the bimodule laws
+    # once per bimodule, not again under X or B
+    path = tmp_path / "bent.json"
+    write_nonassociative_triple(path)
+    rc, out = run(capsys, "validate", str(path), "--format", "json")
+    laws = {c["name"]: sorted({v["law"] for v in c["violations"]})
+            for c in json.loads(out)["checks"]}
+    bimodule = ["left_assoc", "right_assoc"]
+    assert rc == 1 and laws == {
+        "X.algebra (assoc_algebra)": ["assoc"],
+        "X.module (bimodule)": bimodule, "X (rrb_algebra)": [],
+        "B.base (bimodule)": bimodule, "B.fiber (bimodule)": bimodule,
+        "B (rrb_bimodule)": [], "C (cocycle)": []}
+    rc, text = run(capsys, "validate", str(path))
+    assert text.count("  assoc at ") == 2
+
+
+# every command that reads a pair file, with the declarations it reads
+# and those they are built from; OUT stands for an output file
+PAIR = {"X.algebra", "X.module", "X", "B.base", "B.fiber", "B"}
+READS = [
+    (["cohomology", "--max-degree", "2"], PAIR),
+    (["hochschild", "--max-degree", "2"],
+     {"X.algebra", "X.module", "B.base", "B.fiber"}),
+    (["derivations"], PAIR), (["dendriform"], PAIR),
+    (["chainmap-check"], PAIR), (["semidirect", "-o", "OUT"], PAIR),
+    (["dual", "-o", "OUT"], PAIR), (["lift", "-o", "OUT"], PAIR),
+    (["extend", "--cocycle", "C2", "-o", "OUT"], PAIR | {"C2"}),
+    (["triple-to-skeletal", "-o", "OUT"], PAIR | {"C3"})]
+
+
+@functools.cache
+def mutation_fixture(seed):
+    """The structure file of sample seed with its degree-2 and degree-3
+    cocycles C2 and C3, as text, and the key path of each scalar of its
+    maps."""
+    x, b = random_rrb_pair(seed)
+    doc = ff.new_document()
+    xn, asp, msp = ff.declare_rrb_algebra(doc, "X", x)
+    bn, bsp, fsp = ff.declare_rrb_bimodule(doc, "B", b, xn, asp, msp)
+    for k in (2, 3):
+        ff.declare_cocycle(doc, f"C{k}", random_rrb_cocycle(seed, x, b, k),
+                           xn, bn, asp, msp, bsp, fsp)
+
+    def scalars(node, keys):
+        if isinstance(node, list):
+            for i, item in enumerate(node):
+                yield from scalars(item, (*keys, i))
+        else:
+            yield keys
+
+    return ff.render_json(doc), [
+        path for table in ("bilinear", "linear")
+        for name, entry in doc[table].items()
+        for field in ("tensor", "matrix") if field in entry
+        for path in scalars(entry[field], (table, name, field))]
+
+
+def quiet(argv):
+    """cli.main(argv), the exit code and stdout; any exception escapes."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_commands_accept_exactly_what_validate_passes(tmp_path_factory,
+                                                      data):
+    """A pair file of samples 2, 6, 10 or 20 with one scalar changed by
+    +-1: each command exits 0 exactly when validate passes every
+    declaration it reads (and 1 otherwise), and none raises.  Samples 2,
+    10 and 20 have zero pairings, so a product or an action that breaks
+    only the laws of a part of X or B leaves their own identities
+    holding."""
+    text, paths = mutation_fixture(data.draw(st.sampled_from((2, 6, 10,
+                                                              20))))
+    doc = json.loads(text)
+    *keys, last = data.draw(st.sampled_from(paths))
+    node = functools.reduce(lambda node, key: node[key], keys, doc)
+    node[last] = str(Fraction(node[last]) +
+                     data.draw(st.sampled_from((1, -1))))
+    work = tmp_path_factory.mktemp("mutated")
+    path = work / "pair.json"
+    path.write_text(json.dumps(doc))
+    rc, out = quiet(["validate", str(path), "--format", "json"])
+    failed = {c["name"].split(" (")[0] for c in json.loads(out)["checks"]
+              if not c["ok"]}
+    for argv, reads in READS:
+        argv = [argv[0], str(path)] + [
+            str(work / "out.json") if a == "OUT" else a for a in argv[1:]]
+        rc, _ = quiet(argv)
+        assert rc == (1 if failed & reads else 0), (argv, sorted(failed))
 
 
 def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):

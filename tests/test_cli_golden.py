@@ -778,13 +778,13 @@ REJECTED = {
     ('dual', 'json'):
         (1, '7b52ccc89ecf8f8218ff3471c7b20b23068245f4de0d3e0be004a45e77764454'),
     ('lift', 'text'):
-        (1, '5ae79f73a28542c8a6e1e2fa77732533956cf26fef807624ad47faf36f91ceef'),
+        (1, '072a1935997fa4170ac2b98b7aaedc2aa00df4dc4e72ef43ab00907f698bb006'),
     ('lift', 'json'):
-        (1, 'b53bf388904fb032f1ab318ae2407aa8ffc5e49ad86a34e0069b9b0750eb417c'),
+        (1, 'b1a4f3150eba6492c2eaf30ac8b9d8d2d6e9cabaa7422e5b60d491b4bc44696c'),
     ('dendriform', 'text'):
-        (1, '5ae79f73a28542c8a6e1e2fa77732533956cf26fef807624ad47faf36f91ceef'),
+        (1, '072a1935997fa4170ac2b98b7aaedc2aa00df4dc4e72ef43ab00907f698bb006'),
     ('dendriform', 'json'):
-        (1, 'cbd4ab450a70be89f3631cc52b2278f7a859fff1fcef77d5960f56ba12d51673'),
+        (1, 'e54cf19d1104671ff15f6b3f040fb7e20efc9c41079d4aab488fbf9fd8c1d443'),
     ('extend', 'text'):
         (1, 'c08f45d4631568bbe3daaf3d57149c7efa1eec5fa6ecbacefc3823202599aecc'),
     ('extend', 'json'):

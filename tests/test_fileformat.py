@@ -524,7 +524,9 @@ def every_kind_document():
 
 def same(p, q):
     """p and q are equal: equal matrices, scalars and strings, and
-    objects of one class with the same slots, item by item."""
+    objects of one class with the same slots, item by item; a slot whose
+    name starts with an underscore holds what is built from the others
+    on first use, and is not compared."""
     if isinstance(p, Matrix):
         return p == q
     if isinstance(p, (tuple, list)):
@@ -535,7 +537,8 @@ def same(p, q):
             all(same(p[k], q[k]) for k in p)
     if hasattr(type(p), "__slots__"):
         return type(p) is type(q) and all(
-            same(getattr(p, s), getattr(q, s)) for s in type(p).__slots__)
+            same(getattr(p, s), getattr(q, s)) for s in type(p).__slots__
+            if not s.startswith("_"))
     return p == q
 
 
