@@ -189,11 +189,18 @@ def build_extension(x, b, c):
     with beta_1, beta_2 the two slot maps of the cochain: the semidirect
     structure of b plus the cochain's four blocks, so the zero cocycle
     glues exactly the semidirect product.
+
+    Only an extension that passes check_abelian_extension is returned.
+    That check, which reads every law of the total once, decides: for a
+    valid x and b the glued total is a relative Rota-Baxter algebra
+    exactly when c is a cocycle.  Only when it fails is the cocycle
+    condition read, to say which of the two is at fault: a non-cocycle
+    raises StructuralError naming its nonzero blocks, and otherwise the
+    total's failing laws are reported.
     """
     if c.degree != 2:
         raise ShapeError("extensions are glued along degree-2 cochains")
     c.validate(x, b)
-    cocycle_report(x, b, c, strict=True)
     dA, dM = x.algebra.dim, x.module.dim
     dB, dN = b.base.dim, b.fiber.dim
     alg_dims, mod_dims = (dA, dB), (dM, dN)
@@ -216,15 +223,16 @@ def build_extension(x, b, c):
     rop = Matrix.from_blocks(dA + dB, dM + dN,
                              ((1, split.rop, 0, 0), (1, gamma, dA, 0)))
     total = RelativeRBAlgebra(big_alg, big_mod, rop)
-    bad = check_laws(total)
-    if not bad:
-        raise StructuralError("glued total fails its axioms, so the "
-                              "coefficient bimodule is not valid:\n"
-                              + bad.describe())
     inc_a, inc_b = summand_inclusions(dA, dB)
     inc_m, inc_n = summand_inclusions(dM, dN)
-    return AbelianExtension(x, b.sop, total,
-                            inc_b, inc_n, inc_a.transpose(), inc_m.transpose())
+    e = AbelianExtension(x, b.sop, total,
+                         inc_b, inc_n, inc_a.transpose(), inc_m.transpose())
+    if not check_abelian_extension(e):
+        cocycle_report(x, b, c, strict=True)
+        raise StructuralError("glued total fails its axioms, so the "
+                              "coefficient bimodule is not valid:\n"
+                              + check_laws(total).describe())
+    return e
 
 
 def extract_cocycle(e, sec):

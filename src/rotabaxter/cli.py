@@ -365,7 +365,6 @@ def cmd_extend(args):
     x_d, b_d = (sf.by_name[d.refs[f]] for f in ("over", "coefficients"))
     _require(_laws(x_d, b_d))
     e = _construct(build_extension, x_d.obj, b_d.obj, c)
-    _require([("built extension", check_abelian_extension(e))])
     doc = ff.new_document()
     ff.declare(doc, "extension", f"{args.cocycle}.extension", e,
                sections={"canonical": canonical_section(e)})

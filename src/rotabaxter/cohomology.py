@@ -22,9 +22,12 @@ tensor applied to the columns of X and of a fixed matrix.  Each merge,
 face and operator term is a term of its own, so no operator's matrix is
 built, padded or summed.  rrb_differential_matrix assembles the terms
 into the whole map, which gives the cohomology dimensions, derivation
-bases and random cocycles, and rrb_differential, its image of one
-cochain.  The comparison map psi_matrix and the inclusion into the
-semidirect complex are assembled from terms the same way.  A cochain's
+bases and random cocycles.  The image of one cochain (rrb_differential,
+cocycle_report) is its coordinate row times the transpose the sweep
+assembles: one row product, where the map times its column would sum
+once per row of the map.  The comparison map psi_matrix and the
+inclusion into the semidirect complex are assembled from terms the same
+way.  A cochain's
 coordinates are one column, linalg.stacked of its blocks, and a cochain
 is cut back out of a column of any matrix (RRBCochain.of_column, with
 linalg.unstacked), so images, kernel bases and solutions become cochains
@@ -221,17 +224,18 @@ def rrb_terms(x, b, k):
 
 
 def _image(x, b, c):
-    """The coordinate column of the differential of c: the matrix of the
-    differential in c's degree times c's coordinate column."""
-    return rrb_differential_matrix(x, b, c.degree) * \
-        stacked(c.validate(x, b).blocks())
+    """The coordinate row of the differential of c: c's coordinate row
+    times the transpose of the differential in c's degree, one row product
+    where the differential times c's column makes one sum per row."""
+    return stacked(c.validate(x, b).blocks()).transpose() * \
+        rrb_differential_matrix(x, b, c.degree, transposed=True)
 
 
 def rrb_differential(x, b, k, c):
     """Apply the degree-k differential to a cochain."""
     if c.degree != k:
         raise ShapeError(f"cochain degree {c.degree} != {k}")
-    return RRBCochain.of_column(x, b, k + 1, _image(x, b, c))
+    return RRBCochain.of_column(x, b, k + 1, _image(x, b, c).transpose())
 
 
 def rrb_differential_matrix(x, b, k, transposed=False):
@@ -248,9 +252,10 @@ def cocycle_report(x, b, c, strict=False):
 
     The laws are differential_vanishes[alpha], [beta s] for each slot s,
     and [gamma] from degree 2 on.  With strict set, a failure raises
-    StructuralError naming the nonzero blocks instead.  A zero image
-    passes with no block read out; only a nonzero one is split into the
-    blocks of a cochain.
+    StructuralError naming the nonzero blocks instead.  The image is c's
+    coordinate row times the transpose of the differential.  A zero image
+    passes with no block read out; only a nonzero one is turned into a
+    column and split into the blocks of a cochain.
     """
     image = _image(x, b, c)
     rep = Report("cocycle")
@@ -260,7 +265,7 @@ def cocycle_report(x, b, c, strict=False):
     names = [("alpha", "alpha")]
     names.extend((f"beta {s}", f"beta[slot {s}]") for s in range(1, k + 1))
     names.append(("gamma", "gamma"))
-    blocks = RRBCochain.of_column(x, b, k, image).blocks()
+    blocks = RRBCochain.of_column(x, b, k, image.transpose()).blocks()
     for (law, _), m in zip(names, blocks):
         rep.require_equal(f"differential_vanishes[{law}]", m,
                           Matrix(m.rows, m.cols))

@@ -26,7 +26,7 @@ from rotabaxter.rrb import (
     rb_from_r_matrix,
 )
 from rotabaxter.rrb_modules import (
-    RRBBimodule, check_rrb_bimodule, dual_rrb_bimodule,
+    RRBBimodule, check_laws, check_rrb_bimodule, dual_rrb_bimodule,
     rb_bimodule_from_r_matrix, semidirect_rrb,
 )
 from rotabaxter.samples import (
@@ -133,6 +133,60 @@ def test_build_rejects_non_cocycle_naming_block():
         assert "not a cocycle" in msg
         assert "alpha" in msg or "beta" in msg or "gamma" in msg
     assert hit
+
+
+def building_inputs(seed, x, b):
+    """Degree-2 cochains on (x, b): its seeded cocycle, four random
+    cochains with entries in {0, 1, -1, 2}, and the cocycle with one
+    coordinate moved by 1 or -1, at four random coordinates (none when
+    the cochains have no coordinate)."""
+    rng = random.Random(seed)
+    c = seeded_cocycle(seed + 1000, x, b, 2)
+    col = coords(c)
+    size = col.rows
+    out = [c]
+    for _ in range(4):
+        out.append(RRBCochain.of_column(x, b, 2, Matrix(
+            size, 1, [rng.choice((0, 1, -1, 2)) for _ in range(size)])))
+    for _ in range(4 if size else 0):
+        moved = bump_map(col, (rng.randrange(size), 0), rng.choice((1, -1)))
+        out.append(RRBCochain.of_column(x, b, 2, moved))
+    return out
+
+
+def test_build_decides_exactly_as_the_cocycle_condition():
+    """On a valid pair the glued total is a relative Rota-Baxter algebra
+    exactly when the cochain is a cocycle: build_extension raises "not a
+    cocycle" exactly when cocycle_report fails, and otherwise returns an
+    extension that passes check_abelian_extension."""
+    counts = [0, 0]
+    for seed in range(100):
+        x, b = random_rrb_pair(seed=seed)
+        if not (check_laws(x) and check_laws(b)):
+            continue
+        for c in building_inputs(seed, x, b):
+            cocycle = cocycle_report(x, b, c).ok
+            counts[cocycle] += 1
+            if cocycle:
+                assert check_abelian_extension(build_extension(x, b, c)).ok
+            else:
+                with pytest.raises(StructuralError, match="^not a cocycle"):
+                    build_extension(x, b, c)
+    assert min(counts) > 100, counts
+
+
+def test_build_names_an_invalid_bimodule_when_the_cochain_is_a_cocycle():
+    x, b = random_rrb_pair(seed=2)
+    bent = RRBBimodule(x, Bimodule(x.algebra, b.base.dim,
+                                   bump_constants(b.base.left, (0, 0, 0)),
+                                   b.base.right),
+                       b.fiber, b.sop, b.left_pair, b.right_pair)
+    assert not check_laws(bent)
+    with pytest.raises(StructuralError) as err:
+        build_extension(x, bent, zero_cochain(x, bent, 2))
+    assert str(err.value).split("\n")[0] == (
+        "glued total fails its axioms, so the coefficient bimodule is not "
+        "valid:")
 
 
 def test_build_rejects_wrong_degree():

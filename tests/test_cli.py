@@ -11,13 +11,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotabaxter import cli, fileformat as ff, rrb
+from rotabaxter import classification, cli, cohomology, fileformat as ff, rrb
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, StructuralError, StructureConstants,
 )
-from rotabaxter.classification import AInftyBimodule
+from rotabaxter.classification import AInftyBimodule, build_extension
 from rotabaxter.linalg import Matrix
 from rotabaxter.rrb import RelativeRBAlgebra
+from rotabaxter.rrb_modules import check_laws
 from rotabaxter.samples import (
     bump_constants, random_rrb_cocycle, random_rrb_pair,
 )
@@ -256,6 +257,36 @@ def test_extend_rejects_non_cocycle_naming_component(tmp_path, capsys):
     assert rc == 1
     assert "not a cocycle: the differential is nonzero in" in out
     assert not (tmp_path / "never.json").exists()
+
+
+def test_extend_checks_the_glued_total_once_and_builds_no_differential(
+        tmp_path, capsys, monkeypatch):
+    """A passing extend reads the laws of the total it glued once, in the
+    extension check that decides, and assembles no differential: the
+    cocycle condition is read only when that check fails."""
+    src = tmp_path / "pair.json"
+    write_pair_fixture(src)
+    read, built = [], []
+
+    def counted(s):
+        read.append(s)
+        return check_laws(s)
+
+    def kept(*inputs):
+        built.append(build_extension(*inputs))
+        return built[-1]
+
+    def refused(*_, **__):
+        raise AssertionError("a differential was assembled")
+
+    monkeypatch.setattr(classification, "check_laws", counted)
+    monkeypatch.setattr(cli, "build_extension", kept)
+    monkeypatch.setattr(cohomology, "rrb_differential_matrix", refused)
+    monkeypatch.setattr(classification, "rrb_differential_matrix", refused)
+    rc, _ = run(capsys, "extend", str(src), "--cocycle", "c",
+                "-o", str(tmp_path / "ext.json"))
+    assert rc == 0
+    assert [s is built[0].total for s in read] == [True]
 
 
 def test_triple_to_skeletal_rejects_a_nonassociative_algebra(tmp_path,
