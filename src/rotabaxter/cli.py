@@ -30,8 +30,8 @@ from .algebra import (
 from .classification import (
     build_extension, canonical_section, check_abelian_extension,
     check_ainfty_bimodule, check_homotopy_rrb_operator,
-    check_two_term_ainfty, extract_cocycle, induced_fiber_bimodule,
-    skeletal_to_triple, triple_to_skeletal,
+    check_two_term_ainfty, extract_cocycle, skeletal_to_triple,
+    triple_to_skeletal,
 )
 from .cohomology import (
     cocycle_report, dendriform_differential_matrix, derivation_basis,
@@ -83,12 +83,17 @@ def _require(pairs):
         raise _Rejected(fields, lines)
 
 
-def _construct(build, *inputs, prefix=""):
+def _construct(build, *inputs, prefix="", laws=None):
     """build(*inputs), with a StructuralError it raises turned into a
-    rejection that reports its message."""
+    rejection that reports its message.  Given laws, a function returning
+    (label, Report) pairs of the input's laws, the build's own check
+    decides and the laws are read only when it fails: any that fail are
+    reported in place of its message, in the terms of the input."""
     try:
         return build(*inputs)
     except StructuralError as err:
+        if laws is not None:
+            _require(laws())
         message = prefix + str(err)
         raise _Rejected({"error": message}, [message]) from None
 
@@ -363,8 +368,10 @@ def cmd_extend(args):
             f"extension building needs a degree-2 cochain, "
             f"'{args.cocycle}' has degree {c.degree}")
     x_d, b_d = (sf.by_name[d.refs[f]] for f in ("over", "coefficients"))
-    _require(_laws(x_d, b_d))
-    e = _construct(build_extension, x_d.obj, b_d.obj, c)
+    # the glued total is valid exactly when the algebra, the coefficients
+    # and the cocycle condition are: its check decides
+    e = _construct(build_extension, x_d.obj, b_d.obj, c,
+                   laws=lambda: _laws(x_d, b_d))
     doc = ff.new_document()
     ff.declare(doc, "extension", f"{args.cocycle}.extension", e,
                sections={"canonical": canonical_section(e)})
@@ -391,9 +398,9 @@ def cmd_extract_cocycle(args):
     else:
         sec = canonical_section(e)
         sec_name = "canonical"
+    # any section of a valid extension extracts a cocycle for the fiber
+    # bimodule it induces, so the extension check above decides
     c = extract_cocycle(e, sec)
-    _require([("extracted cochain",
-               cocycle_report(e.base, induced_fiber_bimodule(e, sec), c))])
     blob = {"degree": c.degree,
             "alpha": format_matrix(c.alpha),
             "beta": [format_matrix(s) for s in c.beta],
@@ -413,19 +420,14 @@ def cmd_skeletal_to_triple(args):
     a = sf.by_name[r_d.refs["algebra"]].obj
     m = sf.by_name[r_d.refs["module"]].obj
     r = r_d.obj
-    # the flattening's check decides; only a failure reads the skeletal
-    # laws, to report it in their terms
-    try:
-        x, b, c = skeletal_to_triple(a, m, r)
-    except StructuralError:
-        _require([
-            (f"{r_d.refs['algebra']} (two_term_ainfty)",
-             check_two_term_ainfty(a)),
-            (f"{r_d.refs['module']} (ainfty_bimodule)",
-             check_ainfty_bimodule(a, m)),
-            (f"{r_d.name} (homotopy_rrb)",
-             check_homotopy_rrb_operator(a, m, r))])
-        x, b, c = _construct(skeletal_to_triple, a, m, r)
+    # the flattening's check decides
+    x, b, c = _construct(skeletal_to_triple, a, m, r, laws=lambda: [
+        (f"{r_d.refs['algebra']} (two_term_ainfty)",
+         check_two_term_ainfty(a)),
+        (f"{r_d.refs['module']} (ainfty_bimodule)",
+         check_ainfty_bimodule(a, m)),
+        (f"{r_d.name} (homotopy_rrb)",
+         check_homotopy_rrb_operator(a, m, r))])
     doc = ff.new_document()
     xname, asp, msp = ff.declare_rrb_algebra(doc, "triple", x)
     bname, bsp, fsp = ff.declare_rrb_bimodule(doc, "triple.coefficients", b,

@@ -28,7 +28,8 @@ assembles: one row product, where the map times its column would sum
 once per row of the map.  The comparison map psi_matrix and the
 inclusion into the semidirect complex are assembled from terms the same
 way.  A cochain's
-coordinates are one column, linalg.stacked of its blocks, and a cochain
+coordinates are one column, linalg.stacked of its blocks (its row,
+linalg.stacked_row, is built as such, with no column), and a cochain
 is cut back out of a column of any matrix (RRBCochain.of_column, with
 linalg.unstacked), so images, kernel bases and solutions become cochains
 with no rational built.
@@ -60,7 +61,7 @@ from math import prod
 from .algebra import Report, ShapeError, StructuralError, hochschild_terms
 from .linalg import (
     Matrix, OnColumns, Product, assemble_terms, between_identities,
-    kernel_basis, kron, stacked, transposed_homology_dims, unstacked,
+    kernel_basis, kron, stacked_row, transposed_homology_dims, unstacked,
 )
 from .rrb_modules import (
     adjoint_bimodule, dendriform_to_rrb, mtot_action_bimodule,
@@ -227,7 +228,7 @@ def _image(x, b, c):
     """The coordinate row of the differential of c: c's coordinate row
     times the transpose of the differential in c's degree, one row product
     where the differential times c's column makes one sum per row."""
-    return stacked(c.validate(x, b).blocks()).transpose() * \
+    return stacked_row(c.validate(x, b).blocks()) * \
         rrb_differential_matrix(x, b, c.degree, transposed=True)
 
 

@@ -20,15 +20,16 @@ numbers and matrices, and transposed_homology_dims, which sweeps a whole
 cochain complex, given the transposes of its maps.
 
 A Matrix stores integers over one denominator, so the product, kron,
-bilinear_on_columns, from_blocks, reindexed, stacked and its inverse
-unstacked, the term writes, the transpose and the eliminations compute in
-integers and build no rational; only the reads (row, column, entries and
-nonzero_items) make Q values, at the boundary, and row and column refuse
-an index outside the matrix.  Structure files are parsed into
-integers and rendered from them: parse_ratio reads a scalar as an
-unreduced integer pair, ratio_matrix stores a matrix of such pairs over
-their lcm, format_matrix writes each entry from its integer and the
-denominator, and format_rational writes one Q.
+bilinear_on_columns, from_blocks, reindexed, stacked (and stacked_row,
+its transpose) and its inverse unstacked, the term writes, the transpose
+and the eliminations compute in integers and build no rational; only the
+reads (row, column, entries and nonzero_items) make Q values, at the
+boundary, and row and column refuse an index outside the matrix.
+Structure files are parsed into integers and rendered from them:
+parse_ratio reads a scalar as an unreduced integer pair, ratio_matrix
+stores a matrix of such pairs over their lcm, format_matrix writes each
+entry from its integer and the denominator, and format_rational writes
+one Q.
 
 rank, kernel_basis, solve_columns and the sweep run one elimination
 kernel, _echelon, on integer rows, with a column index of the live rows
@@ -426,6 +427,24 @@ def stacked(blocks):
         (1, m.reindexed(size, 1, lambda i, j: (i * m.cols + j, 0)),
          pos, 0)
         for m, size, pos in zip(blocks, sizes, accumulate([0, *sizes]))))
+
+
+def stacked_row(blocks):
+    """The transpose of stacked, built as one row: each block's integers
+    scaled to the lcm of the blocks' denominators and placed at their
+    offsets.  That row is already in lowest terms, because each block is:
+    for each prime power of the lcm, some block's denominator holds it
+    and that block has an entry the prime does not divide."""
+    den = lcm(*(m._den for m in blocks))
+    row, pos = {}, 0
+    for m in blocks:
+        f = den // m._den
+        for i, theirs in enumerate(m._data):
+            at = pos + i * m.cols
+            for j, v in theirs.items():
+                row[at + j] = f * v
+        pos += m.rows * m.cols
+    return Matrix._of(1, pos, [row], den)
 
 
 def unstacked(m, j, shapes):

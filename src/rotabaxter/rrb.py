@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .linalg import (
     Matrix, Product, assemble_terms, bilinear_on_columns, kernel_basis, kron,
-    stacked,
+    stacked_row,
 )
 
 
@@ -204,7 +204,7 @@ def _product_tensor(a, b, c):
     """The matrix of (X, Y) -> X Y on a x b matrices X and b x c matrices
     Y, in row-major coordinates: kron(I_a, vec(I_b)^T, I_c)."""
     ident = Matrix.identity
-    return kron(kron(ident(a), stacked([ident(b)]).transpose()), ident(c))
+    return kron(kron(ident(a), stacked_row([ident(b)])), ident(c))
 
 
 def endomorphism_rrb(d):

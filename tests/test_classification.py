@@ -1,10 +1,13 @@
 """Abelian extensions, two-term homotopy data, and the skeletal dictionary."""
 
+from collections import Counter
+
 import pytest
 
 from rotabaxter.algebra import (
     AssocAlgebra, Bimodule, ShapeError, StructuralError,
-    StructureConstants, hochschild_matrix,
+    StructureConstants, check_associativity, check_bimodule,
+    hochschild_matrix,
 )
 from rotabaxter.classification import (
     AbelianExtension, AInftyBimodule, HomotopyRRBOperator, Section,
@@ -22,8 +25,8 @@ from rotabaxter.linalg import (
     Matrix, Q, inverse, kernel_basis, solve_columns, stacked,
 )
 from rotabaxter.rrb import (
-    RRBMorphism, RelativeRBAlgebra, aybe_check, check_relative_rb,
-    rb_from_r_matrix,
+    RRBMorphism, RelativeRBAlgebra, aybe_check, check_morphism,
+    check_relative_rb, rb_from_r_matrix,
 )
 from rotabaxter.rrb_modules import (
     RRBBimodule, check_laws, check_rrb_bimodule, dual_rrb_bimodule,
@@ -31,7 +34,7 @@ from rotabaxter.rrb_modules import (
 )
 from rotabaxter.samples import (
     bump_constants, bump_map, random_invertible, random_matrix,
-    random_rrb_cochain, random_rrb_cocycle, random_rrb_pair,
+    random_rrb_cochain, random_rrb_cocycle, random_rrb_pair, transport_rrb,
 )
 
 import random
@@ -154,11 +157,60 @@ def building_inputs(seed, x, b):
     return out
 
 
+def rrb_matrices(x):
+    """The matrices a structure file stores for x: product, both actions
+    and the operator."""
+    return [x.algebra.mu.matrix, x.module.left.matrix, x.module.right.matrix,
+            x.rop]
+
+
+def rrb_of(dim_a, dim_m, mu, left, right, rop):
+    """The structure with the matrices rrb_matrices lists."""
+    alg = AssocAlgebra(dim_a, StructureConstants(dim_a, dim_a, mu))
+    return RelativeRBAlgebra(alg, Bimodule(
+        alg, dim_m, StructureConstants(dim_a, dim_m, left),
+        StructureConstants(dim_m, dim_a, right)), rop)
+
+
+def pair_matrices(x, b):
+    """The matrices a structure file stores for the pair (x, b)."""
+    return [*rrb_matrices(x), *(m.matrix for m in (
+        b.base.left, b.base.right, b.fiber.left, b.fiber.right)),
+        b.sop, b.left_pair.matrix, b.right_pair.matrix]
+
+
+def pair_of(x, b, ms):
+    """The pair of the shape of (x, b) with the matrices ms, read as a
+    structure file is: the coefficients over the algebra ms gives."""
+    dA, dM, dB, dN = x.algebra.dim, x.module.dim, b.base.dim, b.fiber.dim
+    y = rrb_of(dA, dM, *ms[:4])
+    alg, sc = y.algebra, StructureConstants
+    return y, RRBBimodule(
+        y, Bimodule(alg, dB, sc(dA, dB, ms[4]), sc(dB, dA, ms[5])),
+        Bimodule(alg, dN, sc(dA, dN, ms[6]), sc(dN, dA, ms[7])), ms[8],
+        sc(dM, dB, ms[9]), sc(dB, dM, ms[10]))
+
+
+def one_scalar_changes(ms):
+    """(k, the matrices ms with one entry of ms[k] moved by 1 or -1), for
+    every entry of every matrix and both signs."""
+    for k, m in enumerate(ms):
+        for i in range(m.rows):
+            for j in range(m.cols):
+                for delta in (1, -1):
+                    yield k, [*ms[:k], bump_map(m, (i, j), delta),
+                              *ms[k + 1:]]
+
+
 def test_build_decides_exactly_as_the_cocycle_condition():
-    """On a valid pair the glued total is a relative Rota-Baxter algebra
-    exactly when the cochain is a cocycle: build_extension raises "not a
-    cocycle" exactly when cocycle_report fails, and otherwise returns an
-    extension that passes check_abelian_extension."""
+    """The glued total is a relative Rota-Baxter algebra exactly when the
+    algebra, the coefficients and the cocycle condition all pass.  On a
+    valid pair build_extension raises "not a cocycle" exactly when
+    cocycle_report fails, and otherwise returns an extension that passes
+    check_abelian_extension.  On every change of one scalar of the algebra
+    or of the coefficients of samples 0-19 by 1 or -1, with their seeded
+    cocycle, it raises exactly when check_laws of either or cocycle_report
+    fails: the fact by which extend reads those laws only on a failure."""
     counts = [0, 0]
     for seed in range(100):
         x, b = random_rrb_pair(seed=seed)
@@ -173,6 +225,24 @@ def test_build_decides_exactly_as_the_cocycle_condition():
                 with pytest.raises(StructuralError, match="^not a cocycle"):
                     build_extension(x, b, c)
     assert min(counts) > 100, counts
+    # (algebra and cocycle condition, coefficients) -> inputs; the laws of
+    # the coefficients are read only where the other two pass
+    verdicts = Counter()
+    for seed in range(20):
+        x, b, c = extension_fixture(seed)
+        for _, ms in one_scalar_changes(pair_matrices(x, b)):
+            y, d = pair_of(x, b, ms)
+            rest = check_laws(y).ok and cocycle_report(y, d, c).ok
+            verdict = (rest, rest and check_laws(d).ok)
+            verdicts[verdict] += 1
+            if all(verdict):
+                assert check_abelian_extension(build_extension(y, d, c)).ok
+            else:
+                with pytest.raises(StructuralError):
+                    build_extension(y, d, c)
+    # 55 inputs fail in the coefficients alone
+    assert verdicts == {(False, False): 2333, (True, False): 55,
+                        (True, True): 46}, verdicts
 
 
 def test_build_names_an_invalid_bimodule_when_the_cochain_is_a_cocycle():
@@ -584,6 +654,128 @@ def test_transported_extension_extracts_cohomologous_cocycle():
         assert coefficient_tensors(ind) == coefficient_tensors(b)
         got = extract_cocycle(moved, sec)
         assert cobounding_cochain(x, b, got, c) is not None
+
+
+def extracts_a_cocycle(e, sec):
+    """Whether the cochain sec extracts from e is a cocycle for the fiber
+    bimodule sec induces."""
+    return cocycle_report(e.base, induced_fiber_bimodule(e, sec),
+                          extract_cocycle(e, sec)).ok
+
+
+def test_every_section_of_a_built_extension_extracts_a_cocycle():
+    """Any section of a valid abelian extension extracts a 2-cocycle for
+    the fiber bimodule it induces: the fact by which extract-cocycle
+    reads no cocycle condition once the extension check passes.  Checked
+    on the extensions build_extension glues for samples 0-99, read with
+    the canonical section and a perturbed one, and on some of them moved
+    to random bases, with the canonical section of the moved extension
+    and the moved perturbed section."""
+    moved = 0
+    for seed in range(100):
+        rng = random.Random(seed + 77)
+        x, b, c = extension_fixture(seed)
+        e = build_extension(x, b, c)
+        sec = perturbed_section(
+            e, random_matrix(rng, b.base.dim, x.algebra.dim),
+            random_matrix(rng, b.fiber.dim, x.module.dim))
+        assert extracts_a_cocycle(e, canonical_section(e))
+        assert extracts_a_cocycle(e, sec)
+        if seed % 10:
+            continue
+        p = random_invertible(rng, e.total.algebra.dim)
+        q = random_invertible(rng, e.total.module.dim)
+        p_inv, q_inv = inverse(p), inverse(q)
+        f = AbelianExtension(e.base, e.sop, transport_rrb(e.total, p, q),
+                             p_inv * e.alg_incl, q_inv * e.mod_incl,
+                             e.alg_proj * p, e.mod_proj * q)
+        assert check_abelian_extension(f).ok
+        assert extracts_a_cocycle(f, canonical_section(f))
+        assert extracts_a_cocycle(f, Section(p_inv * sec.s,
+                                             q_inv * sec.sbar).validate(f))
+        moved += 1
+    assert moved == 10
+
+
+def seed0_extension(seed):
+    """The extension the classify-roundtrip benchmark writes at seed 0 for
+    a sample, with its canonical section, or None where the sample has
+    no nonzero degree-2 cocycle."""
+    x, b = random_rrb_pair(seed)
+    c = random_rrb_cocycle(seed, x, b, 2)
+    if c is None or not any(c.vector()):
+        return None
+    e = build_extension(x, b, c)
+    return e, canonical_section(e)
+
+
+def extension_matrices(e, sec):
+    """The matrices an extension declaration stores: base, fiber complex,
+    total, the four structure maps and the section."""
+    return [*rrb_matrices(e.base), e.sop, *rrb_matrices(e.total),
+            e.alg_incl, e.mod_incl, e.alg_proj, e.mod_proj, sec.s, sec.sbar]
+
+
+def extension_of(e, ms):
+    """The extension and section of the shape of e with the matrices ms."""
+    base = rrb_of(e.base.algebra.dim, e.base.module.dim, *ms[:4])
+    total = rrb_of(e.total.algebra.dim, e.total.module.dim, *ms[5:9])
+    return (AbelianExtension(base, ms[4], total, *ms[9:13]),
+            Section(ms[13], ms[14]))
+
+
+def fiber_complex(sop):
+    """The fiber complex of an extension, with zero products and actions."""
+    alg = AssocAlgebra.zero(sop.rows)
+    return RelativeRBAlgebra(alg, Bimodule.zero_actions(alg, sop.cols), sop)
+
+
+def fails_a_part(e):
+    """Whether e fails a part of check_abelian_extension other than its
+    ranks: the parts are read cheapest first, up to the first that fails,
+    and each failure fails that check."""
+    tot = e.total
+    parts = (
+        lambda: ((e.alg_proj * e.alg_incl).is_zero()
+                 and (e.mod_proj * e.mod_incl).is_zero()),
+        lambda: check_morphism(RRBMorphism(tot, e.base, e.alg_proj,
+                                           e.mod_proj)),
+        lambda: check_morphism(RRBMorphism(fiber_complex(e.sop), tot,
+                                           e.alg_incl, e.mod_incl)),
+        lambda: check_relative_rb(tot),
+        lambda: check_associativity(tot.algebra),
+        lambda: check_bimodule(tot.module))
+    return not all(part() for part in parts)
+
+
+def test_changed_extension_files_that_pass_extract_a_cocycle():
+    """Every change of one scalar of the seed-0 extension files of samples
+    0-19 by 1 or -1 that still passes check_abelian_extension, and whose
+    section is still one, extracts a cocycle for the fiber bimodule its
+    section induces.  A change of the section alone keeps the extension,
+    which passes."""
+    kept = Counter()
+    for seed in range(20):
+        built = seed0_extension(seed)
+        if built is None:
+            continue
+        e, sec = built
+        for k, ms in one_scalar_changes(extension_matrices(e, sec)):
+            f, fsec = extension_of(e, ms)
+            if k < 13 and (fails_a_part(f)
+                           or not check_abelian_extension(f).ok):
+                continue
+            try:
+                fsec.validate(f)
+            except StructuralError:
+                kept["not a section"] += 1
+                continue
+            assert extracts_a_cocycle(f, fsec), (seed, k)
+            kept["section" if k >= 13 else "extension"] += 1
+    # a change the extension check passes whose section is no longer one
+    # is refused by extract-cocycle before it extracts
+    assert kept == {"extension": 155, "section": 230,
+                    "not a section": 239}, kept
 
 
 # ------------------------------------------------- two-term homotopy data

@@ -261,10 +261,13 @@ def test_extend_rejects_non_cocycle_naming_component(tmp_path, capsys):
 
 def test_extend_checks_the_glued_total_once_and_builds_no_differential(
         tmp_path, capsys, monkeypatch):
-    """A passing extend reads the laws of the total it glued once, in the
-    extension check that decides, and assembles no differential: the
-    cocycle condition is read only when that check fails."""
-    src = tmp_path / "pair.json"
+    """A passing extend reads laws once in all, those of the total it
+    glued, in the extension check that decides, and assembles no
+    differential: the cocycle condition and the laws of the algebra and
+    its coefficients are read only when that check fails.  A passing
+    extract-cocycle on what it wrote assembles no differential and builds
+    no induced bimodule: its extension check decides."""
+    src, ext = tmp_path / "pair.json", tmp_path / "ext.json"
     write_pair_fixture(src)
     read, built = [], []
 
@@ -277,16 +280,23 @@ def test_extend_checks_the_glued_total_once_and_builds_no_differential(
         return built[-1]
 
     def refused(*_, **__):
-        raise AssertionError("a differential was assembled")
+        raise AssertionError("a differential or induced bimodule was built")
 
-    monkeypatch.setattr(classification, "check_laws", counted)
+    for module in (cli, classification):
+        monkeypatch.setattr(module, "check_laws", counted)
     monkeypatch.setattr(cli, "build_extension", kept)
-    monkeypatch.setattr(cohomology, "rrb_differential_matrix", refused)
-    monkeypatch.setattr(classification, "rrb_differential_matrix", refused)
+    for module in (cli, classification, cohomology):
+        for name in ("rrb_differential_matrix", "induced_fiber_bimodule"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
     rc, _ = run(capsys, "extend", str(src), "--cocycle", "c",
-                "-o", str(tmp_path / "ext.json"))
+                "-o", str(ext))
     assert rc == 0
     assert [s is built[0].total for s in read] == [True]
+    for section in ([], ["--section", "canonical"]):
+        rc, out = run(capsys, "extract-cocycle", str(ext), *section)
+        assert rc == 0
+        assert out.endswith("cocycle condition: pass\n")
 
 
 def test_triple_to_skeletal_rejects_a_nonassociative_algebra(tmp_path,

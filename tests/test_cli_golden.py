@@ -28,8 +28,12 @@ REJECTED: the exit code and the sha256 of stdout, in text and JSON, of each
 command that takes -o or checks what it builds, on an input it rejects:
 semidirect, dual, lift and dendriform on the GUARDED input; extend and
 triple-to-skeletal on sample 6 with entry (0, 0) of alpha of its degree-2
-and degree-3 cocycles raised by 1; extract-cocycle --section canonical on
-the extension extend builds from sample 6 with the section's s zeroed;
+and degree-3 cocycles raised by 1; extend on sample 6 with its genuine
+degree-2 cocycle and entry (0, 0) of R, or entry (0, 0, 0) of the left
+pairing, raised by 1, where the glued total fails and the laws of the
+algebra or of its coefficients report why; extract-cocycle --section
+canonical on the extension extend builds from sample 6 with the section's
+s zeroed;
 skeletal-to-triple on the skeletal data triple-to-skeletal builds from
 sample 6 with entry (0, 0) of r0 raised by 1; and validate on the bent
 cocycles and on the unsplit extension, which pins the values printed by a
@@ -69,7 +73,8 @@ from rotabaxter.linalg import Matrix, format_matrix
 from rotabaxter.rrb import RelativeRBAlgebra, RMatrix
 from rotabaxter.rrb_modules import RRBBimodule
 from rotabaxter.samples import (
-    bump_map, random_invertible, random_rrb_cocycle, random_rrb_pair,
+    bump_constants, bump_map, random_invertible, random_rrb_cocycle,
+    random_rrb_pair,
 )
 
 from helpers import (
@@ -720,6 +725,10 @@ REJECTS = {
     "lift": ("lift", "bad.json", "-o", "out.json"),
     "dendriform": ("dendriform", "bad.json"),
     "extend": ("extend", "bent.json", "--cocycle", "C2", "-o", "out.json"),
+    "extend-bent-operator": ("extend", "bent-operator.json", "--cocycle",
+                             "C2", "-o", "out.json"),
+    "extend-bent-pairing": ("extend", "bent-pairing.json", "--cocycle", "C2",
+                            "-o", "out.json"),
     "triple-to-skeletal": ("triple-to-skeletal", "bent.json",
                            "-o", "out.json"),
     "extract-cocycle": ("extract-cocycle", "unsplit.json",
@@ -733,7 +742,9 @@ REJECTS = {
 
 def prepare_rejected_fixtures(work):
     """bad.json (the GUARDED input), and from sample 6: bent.json with
-    alpha (0, 0) of C2 and C3 raised by 1, unsplit.json with its extension
+    alpha (0, 0) of C2 and C3 raised by 1, bent-operator.json and
+    bent-pairing.json with its genuine C2 and R (0, 0) or the left pairing's
+    (0, 0, 0) raised by 1, unsplit.json with its extension
     and a zero s as section 'canonical', and bent-skeletal.json with its
     skeletal data and r0 (0, 0) raised by 1."""
     work.mkdir()
@@ -749,6 +760,16 @@ def prepare_rejected_fixtures(work):
         ff.declare_cocycle(doc, f"C{c.degree}", bent, xn, bn, asp, msp,
                            bsp, fsp)
     ff.write_path(doc, work / "bent.json")
+    bent_x = RelativeRBAlgebra(x.algebra, x.module, bump_map(x.rop, (0, 0)))
+    bent_b = RRBBimodule(x, b.base, b.fiber, b.sop,
+                         bump_constants(b.left_pair, (0, 0, 0)), b.right_pair)
+    for name, (xx, bb) in (("bent-operator", (bent_x, b)),
+                           ("bent-pairing", (x, bent_b))):
+        doc = ff.new_document()
+        xn, asp, msp = ff.declare_rrb_algebra(doc, "X", xx)
+        bn, bsp, fsp = ff.declare_rrb_bimodule(doc, "B", bb, xn, asp, msp)
+        ff.declare_cocycle(doc, "C2", c2, xn, bn, asp, msp, bsp, fsp)
+        ff.write_path(doc, work / f"{name}.json")
     e = build_extension(x, b, c2)
     sec = canonical_section(e)
     doc = ff.new_document()
@@ -789,6 +810,14 @@ REJECTED = {
         (1, 'c08f45d4631568bbe3daaf3d57149c7efa1eec5fa6ecbacefc3823202599aecc'),
     ('extend', 'json'):
         (1, '6c218dfcd1ddf481ac337bfb757de4261b0fe638317af3ced160c2808e34424a'),
+    ('extend-bent-operator', 'text'):
+        (1, 'ae2eab5af4042f67518c4c7c227aedcbe9226013de843853c23190659a129213'),
+    ('extend-bent-operator', 'json'):
+        (1, 'b572f92b6fd6c0083f2c24cacb896017a858441519c981cf285bc96ecaf5b3aa'),
+    ('extend-bent-pairing', 'text'):
+        (1, '0aa742f8080c3de0b8ae164f7d9cced5fbc61b6fe1a958a1437723619bcadd60'),
+    ('extend-bent-pairing', 'json'):
+        (1, 'd69a6a92f3e61534e41e17442297b4dd31918b9d0de8060cb47a1e9922042a24'),
     ('triple-to-skeletal', 'text'):
         (1, '08476653f2a29ef05a2ea64adc3085e3214e3b07d46dc434756358592debb823'),
     ('triple-to-skeletal', 'json'):

@@ -10,7 +10,8 @@ from rotabaxter.algebra import StructureConstants
 from rotabaxter.linalg import (
     Matrix, OnColumns, Product, Q, assemble_terms,
     bilinear_on_columns, format_matrix, format_rational, inverse,
-    kernel_basis, kron, rank, solve_columns, stacked, unstacked,
+    kernel_basis, kron, rank, solve_columns, stacked, stacked_row,
+    unstacked,
 )
 
 from helpers import (
@@ -333,7 +334,9 @@ def test_column_is_dense():
 def test_unstacked_inverts_stacked(seed):
     """Blocks of random shapes, 0 included, with mixed denominators: each
     block cut from column j of a matrix is the matrix of its entries there,
-    in lowest terms on its own, whatever the other blocks' denominators."""
+    in lowest terms on its own, whatever the other blocks' denominators.
+    stacked_row, built as a row, is the transpose of the column, integers
+    and denominator alike."""
     rng = random.Random(seed)
     shapes = [(rng.randint(0, 3), rng.randint(0, 3))
               for _ in range(rng.randint(1, 4))]
@@ -343,6 +346,7 @@ def test_unstacked_inverts_stacked(seed):
     column = stacked(blocks)
     assert column.column(0) == tuple(v for m in blocks for v in m.entries)
     assert unstacked(column, 0, shapes) == blocks
+    assert stacked_row(blocks) == column.transpose()
     width = rng.randint(1, 3)
     j = rng.randrange(width)
     wide = Matrix.from_blocks(column.rows, width, [(1, column, 0, j)])
@@ -742,6 +746,8 @@ def test_eliminations_leave_their_inputs_alone():
                 ("kron", kron, (square, b)),
                 ("bilinear_on_columns", bilinear_on_columns, (m, t, third)),
                 ("stacked", lambda *ms: stacked(list(ms)),
+                 (placed, square, b)),
+                ("stacked_row", lambda *ms: stacked_row(list(ms)),
                  (placed, square, b)),
                 ("unstacked", lambda c: unstacked(c, 0, blocks),
                  (stacked([m, square]),)),
