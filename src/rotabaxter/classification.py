@@ -191,12 +191,16 @@ def build_extension(x, b, c):
     glues exactly the semidirect product.
 
     Only an extension that passes check_abelian_extension is returned.
-    That check, which reads every law of the total once, decides: for a
-    valid x and b the glued total is a relative Rota-Baxter algebra
-    exactly when c is a cocycle.  Only when it fails is the cocycle
-    condition read, to say which of the two is at fault: a non-cocycle
-    raises StructuralError naming its nonzero blocks, and otherwise the
-    total's failing laws are reported.
+    That check, which reads every law of the total once, decides: the
+    glued total is a relative Rota-Baxter algebra exactly when x and b
+    pass check_laws and c is a cocycle.  So this raises StructuralError
+    unless all three pass, and callers may read the laws of x and b only
+    when it raises (cli's extend does);
+    test_build_decides_exactly_as_the_cocycle_condition pins this on
+    one-scalar changes of x and b.  Only on a failure is the cocycle
+    condition read, to say which is at fault: a non-cocycle raises naming
+    its nonzero blocks, and otherwise the total's failing laws are
+    reported.
     """
     if c.degree != 2:
         raise ShapeError("extensions are glued along degree-2 cochains")

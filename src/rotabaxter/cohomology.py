@@ -27,10 +27,9 @@ cocycle_report) is its coordinate row times the transpose the sweep
 assembles: one row product, where the map times its column would sum
 once per row of the map.  The comparison map psi_matrix and the
 inclusion into the semidirect complex are assembled from terms the same
-way.  A cochain's
-coordinates are one column, linalg.stacked of its blocks (its row,
-linalg.stacked_row, is built as such, with no column), and a cochain
-is cut back out of a column of any matrix (RRBCochain.of_column, with
+way.  A cochain's coordinates are one row, linalg.stacked_row of its
+blocks, or its transpose, the column linalg.stacked, and a cochain is
+cut back out of a column of any matrix (RRBCochain.of_column, with
 linalg.unstacked), so images, kernel bases and solutions become cochains
 with no rational built.
 

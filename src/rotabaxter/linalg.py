@@ -20,8 +20,8 @@ numbers and matrices, and transposed_homology_dims, which sweeps a whole
 cochain complex, given the transposes of its maps.
 
 A Matrix stores integers over one denominator, so the product, kron,
-bilinear_on_columns, from_blocks, reindexed, stacked (and stacked_row,
-its transpose) and its inverse unstacked, the term writes, the transpose
+bilinear_on_columns, from_blocks, reindexed, stacked_row, its transpose
+stacked and the inverse of that, unstacked, the term writes, the transpose
 and the eliminations compute in integers and build no rational; only the
 reads (row, column, entries and nonzero_items) make Q values, at the
 boundary, and row and column refuse an index outside the matrix.
@@ -418,23 +418,14 @@ def _int_items(m):
             yield i, j, v
 
 
-def stacked(blocks):
-    """The column of the entries of a list of matrices, each read
-    row-major, one after another: the coordinates of a list of blocks.
-    Each block is reindexed to its column and placed at its offset."""
-    sizes = [m.rows * m.cols for m in blocks]
-    return Matrix.from_blocks(sum(sizes), 1, (
-        (1, m.reindexed(size, 1, lambda i, j: (i * m.cols + j, 0)),
-         pos, 0)
-        for m, size, pos in zip(blocks, sizes, accumulate([0, *sizes]))))
-
-
 def stacked_row(blocks):
-    """The transpose of stacked, built as one row: each block's integers
-    scaled to the lcm of the blocks' denominators and placed at their
-    offsets.  That row is already in lowest terms, because each block is:
-    for each prime power of the lcm, some block's denominator holds it
-    and that block has an entry the prime does not divide."""
+    """The entries of a list of matrices, each read row-major, one after
+    another, as one row: the coordinates of a list of blocks.  Each
+    block's integers are scaled to the lcm of the blocks' denominators and
+    placed at their offsets.  That row is already in lowest terms, because
+    each block is: for each prime power of the lcm, some block's
+    denominator holds it and that block has an entry the prime does not
+    divide."""
     den = lcm(*(m._den for m in blocks))
     row, pos = {}, 0
     for m in blocks:
@@ -445,6 +436,12 @@ def stacked_row(blocks):
                 row[at + j] = f * v
         pos += m.rows * m.cols
     return Matrix._of(1, pos, [row], den)
+
+
+def stacked(blocks):
+    """The coordinates of a list of blocks as one column: the transpose of
+    stacked_row."""
+    return stacked_row(blocks).transpose()
 
 
 def unstacked(m, j, shapes):

@@ -335,18 +335,19 @@ def test_unstacked_inverts_stacked(seed):
     """Blocks of random shapes, 0 included, with mixed denominators: each
     block cut from column j of a matrix is the matrix of its entries there,
     in lowest terms on its own, whatever the other blocks' denominators.
-    stacked_row, built as a row, is the transpose of the column, integers
-    and denominator alike."""
+    stacked_row, built as a row, is the matrix of those entries, integers
+    and denominator alike, and stacked its transpose."""
     rng = random.Random(seed)
     shapes = [(rng.randint(0, 3), rng.randint(0, 3))
               for _ in range(rng.randint(1, 4))]
     blocks = [Matrix(r, c, [Q(rng.choice((0, 0, 1, -3, 4)),
                               rng.choice((1, 1, 2, 3, 7)))
                             for _ in range(r * c)]) for r, c in shapes]
+    entries = [v for m in blocks for v in m.entries]
+    assert stacked_row(blocks) == Matrix(1, len(entries), entries)
     column = stacked(blocks)
-    assert column.column(0) == tuple(v for m in blocks for v in m.entries)
+    assert column == Matrix(len(entries), 1, entries)
     assert unstacked(column, 0, shapes) == blocks
-    assert stacked_row(blocks) == column.transpose()
     width = rng.randint(1, 3)
     j = rng.randrange(width)
     wide = Matrix.from_blocks(column.rows, width, [(1, column, 0, j)])
