@@ -20,9 +20,9 @@ Hochschild cochains of degree k are linear maps A^{(x) k} -> M, flattened
 big-endian, as linalg.kron flattens: the first factor varies slowest.
 Degree 0 cochains are elements of M, i.e. maps from the empty tensor
 product (the base field).
-The Hochschild differential is a list of terms (hochschild_terms), which
-the cohomology module applies to one cochain and hochschild_matrix
-assembles.
+The Hochschild differential is a list of terms (hochschild_terms), with
+no term built whose factor is zero, which the cohomology module applies
+to one cochain and hochschild_matrix assembles.
 
 Every structure on a direct sum (semidirect products, square-zero
 extensions, lifted and glued structures elsewhere) is assembled by
@@ -380,13 +380,18 @@ def hochschild_terms(mod, k):
     (sign, term) pairs on a cochain f, the dim M x dim A^k matrix of a map
     A^(x)k -> M: a_1 . f(...), sum_i (-1)^i f(..., a_i a_{i+1}, ...) and
     (-1)^(k+1) f(...) . a_{k+1}.  Face i is its own term, f -> f (I (x) mu
-    (x) I) given by its Kronecker factors, so no face's matrix is built."""
+    (x) I) given by its Kronecker factors, so no face's matrix is built.
+    A term with a zero factor is not built: a zero action drops its term
+    and a zero mu every face."""
     dA, mu = mod.over.dim, mod.over.mu.matrix
-    terms = [(1, OnColumns(mod.left.matrix, dA))]
-    terms.extend(((-1) ** i, Product(None, between_identities(
-        dA ** (i - 1), mu, dA ** (k - i)))) for i in range(1, k + 1))
-    terms.append(((-1) ** (k + 1),
-                  OnColumns(mod.right.matrix, dA, x_first=True)))
+    terms = [] if mod.left.is_zero() else \
+        [(1, OnColumns(mod.left.matrix, dA))]
+    if not mu.is_zero():
+        terms.extend(((-1) ** i, Product(None, between_identities(
+            dA ** (i - 1), mu, dA ** (k - i)))) for i in range(1, k + 1))
+    if not mod.right.is_zero():
+        terms.append(((-1) ** (k + 1),
+                      OnColumns(mod.right.matrix, dA, x_first=True)))
     return terms
 
 

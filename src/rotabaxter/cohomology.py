@@ -17,21 +17,23 @@ acting on B for the gamma block, and an operator term h feeding
 The formulas are written once, in rrb_terms: one list per degree of
 (sign, in-block, out-block, term), where a term is a product P X Q of a
 cochain block X with structure constants, Q given as its Kronecker
-factors (a tensor read as a matrix between identities, or R and I_M), or a
-tensor applied to the columns of X and of a fixed matrix.  Each merge,
+factors (a tensor read as a matrix between identities, or R and I_M), or
+a tensor applied to the columns of X and of a fixed matrix.  Each merge,
 face and operator term is a term of its own, so no operator's matrix is
-built, padded or summed.  rrb_differential_matrix assembles the terms
-into the whole map, which gives the cohomology dimensions, derivation
-bases and random cocycles.  The image of one cochain (rrb_differential,
-cocycle_report) is its coordinate row times the transpose the sweep
-assembles: one row product, where the map times its column would sum
-once per row of the map.  The comparison map psi_matrix and the
-inclusion into the semidirect complex are assembled from terms the same
-way.  A cochain's coordinates are one row, linalg.stacked_row of its
-blocks, or its transpose, the column linalg.stacked, and a cochain is
-cut back out of a column of any matrix (RRBCochain.of_column, with
-linalg.unstacked), so images, kernel bases and solutions become cochains
-with no rational built.
+built, padded or summed, and a term with a zero factor (a zero tensor,
+or the identity of a zero-dimensional space) is not built at all: each
+list reads every structure tensor once, before it makes any term.
+rrb_differential_matrix assembles the terms into the whole map, which
+gives the cohomology dimensions, derivation bases and random cocycles.
+The image of one cochain (rrb_differential, cocycle_report) is its
+coordinate row times the transpose the sweep assembles: one row product,
+where the map times its column would sum once per row of the map.  The
+comparison map psi_matrix and the inclusion into the semidirect complex
+are assembled from terms the same way.  A cochain's coordinates are one
+row, linalg.stacked_row of its blocks, or its transpose, the column
+linalg.stacked, and a cochain is cut back out of a column of any matrix
+(RRBCochain.of_column, with linalg.unstacked), so images, kernel bases
+and solutions become cochains with no rational built.
 
 The same file carries the two sibling complexes that interact with this
 one: the labelled dendriform complex and the restricted complex of a
@@ -160,20 +162,23 @@ def _block_shapes(x, b, k):
     return shapes if k == 1 else shapes + [(dB, dM ** (k - 1))]
 
 
-def _slot_merges(x, k, t):
+def _slot_merges(x, k, t, mu, left, right):
     """The neighbour merges into output slot t of the degree-(k+1) slot
     maps, one (sign, input slot, term) per merge: merging factors i and
     i+1 is X -> X (I (x) p (x) I), given by its Kronecker factors,
     with p the right action when M sits at i, the left action when it sits
-    at i+1 and the product of A otherwise, and sign (-1)^i."""
+    at i+1 and the product of A otherwise, and sign (-1)^i.  mu, left and
+    right are those matrices, None where zero, and a merge with a zero
+    factor, one of them or the identity of a zero-dimensional space, is
+    not built."""
     dA, dM = x.algebra.dim, x.module.dim
     dims = (dA,) * (t - 1) + (dM,) + (dA,) * (k + 1 - t)
     for i in range(1, k + 1):
-        p = (x.module.right if t == i else
-             x.module.left if t == i + 1 else x.algebra.mu)
-        yield ((-1) ** i, t if t <= i else t - 1, Product(
-            None, between_identities(prod(dims[:i - 1]), p.matrix,
-                                     prod(dims[i + 1:]))))
+        p = right if t == i else left if t == i + 1 else mu
+        before, after = prod(dims[:i - 1]), prod(dims[i + 1:])
+        if p is not None and before and after:
+            yield ((-1) ** i, t if t <= i else t - 1,
+                   Product(None, between_identities(before, p, after)))
 
 
 def _slot_terms(x, b, k):
@@ -182,18 +187,23 @@ def _slot_terms(x, b, k):
     left (the left pairing on alpha when t = 1, the left fiber action on
     beta_{t-1} otherwise), the neighbour merges of beta_{t-1} and beta_t,
     and its trailing argument from the right (the right pairing on alpha
-    when t = k+1, the right fiber action on beta_t otherwise)."""
+    when t = k+1, the right fiber action on beta_t otherwise).  Each
+    tensor is read once, and a zero one builds none of its terms."""
     dA, dM = x.algebra.dim, x.module.dim
+    mu, left, right, lpair, rpair, fleft, fright = (
+        None if c.is_zero() else c.matrix for c in (
+            x.algebra.mu, x.module.left, x.module.right, b.left_pair,
+            b.right_pair, b.fiber.left, b.fiber.right))
     last, terms = (-1) ** (k + 1), []
     for t in range(1, k + 2):
-        terms.append((1, 0, t, OnColumns(b.left_pair.matrix, dM)) if t == 1
-                     else (1, t - 1, t, OnColumns(b.fiber.left.matrix, dA)))
-        terms.extend((sign, s, t, term)
-                     for sign, s, term in _slot_merges(x, k, t))
-        terms.append(
-            (last, 0, t, OnColumns(b.right_pair.matrix, dM, x_first=True))
-            if t == k + 1 else
-            (last, t, t, OnColumns(b.fiber.right.matrix, dA, x_first=True)))
+        s, p, n = (0, lpair, dM) if t == 1 else (t - 1, fleft, dA)
+        if p is not None:
+            terms.append((1, s, t, OnColumns(p, n)))
+        terms.extend((sign, s, t, term) for sign, s, term
+                     in _slot_merges(x, k, t, mu, left, right))
+        s, p, n = (0, rpair, dM) if t == k + 1 else (t, fright, dA)
+        if p is not None:
+            terms.append((last, s, t, OnColumns(p, n, x_first=True)))
     return terms
 
 
@@ -206,17 +216,22 @@ def rrb_terms(x, b, k):
     alpha, the slot maps are _slot_terms, and gamma' is
     (-1)^k (alpha R^(x)k - sum_i S beta_i (R .. I_M .. R)), plus from
     degree 2 on the Hochschild differential of M_Tot on the base applied to
-    gamma.
+    gamma.  A term with a zero factor is not built: a zero R drops
+    alpha R^(x)k, and from degree 2 on the S terms too, and a zero S or
+    dim M = 0 drops the S terms.
     """
     dM, r, gamma = x.module.dim, x.rop, k + 2
-    # I_M as a Kronecker factor, none when it is 1 x 1
-    im = () if dM == 1 else (Matrix.identity(dM),)
     terms = [(s, 0, 0, t) for s, t in hochschild_terms(b.base, k)]
     terms.extend(_slot_terms(x, b, k))
-    terms.append(((-1) ** k, 0, gamma, Product(None, (r,) * k)))
-    terms.extend((-(-1) ** k, i, gamma,
-                  Product(b.sop, (r,) * (i - 1) + im + (r,) * (k - i)))
-                 for i in range(1, k + 1))
+    r_zero = r.is_zero()
+    if not r_zero:
+        terms.append(((-1) ** k, 0, gamma, Product(None, (r,) * k)))
+    if dM and not b.sop.is_zero() and (k == 1 or not r_zero):
+        # I_M as a Kronecker factor, none when it is 1 x 1
+        im = () if dM == 1 else (Matrix.identity(dM),)
+        terms.extend((-(-1) ** k, i, gamma,
+                      Product(b.sop, (r,) * (i - 1) + im + (r,) * (k - i)))
+                     for i in range(1, k + 1))
     if k >= 2:
         terms.extend((s, k + 1, gamma, t) for s, t in
                      hochschild_terms(mtot_action_bimodule(b), k - 1))

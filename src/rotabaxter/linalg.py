@@ -24,7 +24,10 @@ bilinear_on_columns, from_blocks, reindexed, stacked_row, its transpose
 stacked and the inverse of that, unstacked, the term writes, the transpose
 and the eliminations compute in integers and build no rational; only the
 reads (row, column, entries and nonzero_items) make Q values, at the
-boundary, and row and column refuse an index outside the matrix.
+boundary, and row and column refuse an index outside the matrix.  A
+product, kron or bilinear_on_columns with a zero operand is the zero
+matrix, in rows of its own, returned after the shape checks with no loop
+run.
 Structure files are parsed into integers and rendered from them:
 parse_ratio reads a scalar as an unreduced integer pair, ratio_matrix
 stores a matrix of such pairs over their lcm, format_matrix writes each
@@ -357,6 +360,8 @@ class Matrix:
             raise TypeError("can only multiply a Matrix by a Matrix")
         if self.cols != other.rows:
             raise ValueError("inner dimensions must agree")
+        if self.is_zero() or other.is_zero():
+            return _zero(self.rows, other.cols)
         inner, out = other._data, []
         for row in self._data:
             acc = {}
@@ -403,6 +408,12 @@ def _lowest(data, den):
             for c in row:
                 row[c] //= g
     return den // g
+
+
+def _zero(rows, cols):
+    """The zero matrix, in rows of its own: what a product with a zero
+    operand returns, with no loop run."""
+    return Matrix._of(rows, cols, [{} for _ in range(rows)])
 
 
 def _check_column(m, j):
@@ -470,6 +481,8 @@ def kron(a, b):
     """
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise TypeError("kron needs two matrices")
+    if a.is_zero() or b.is_zero():
+        return _zero(a.rows * b.rows, a.cols * b.cols)
     n = b.cols
     out = []
     for ra in a._data:
@@ -495,6 +508,8 @@ def bilinear_on_columns(m, x, y):
     entry (w, s * y.cols + t)."""
     if x.rows * y.rows != m.cols:
         raise ValueError("inner dimensions must agree")
+    if m.is_zero() or x.is_zero() or y.is_zero():
+        return _zero(m.rows, x.cols * y.cols)
     n, width, xs, ys = y.rows, y.cols, x._data, y._data
     out = []
     for row in m._data:

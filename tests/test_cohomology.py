@@ -17,7 +17,8 @@ from rotabaxter.cohomology import (
     rrb_differential_matrix, semidirect_complex, semidirect_inclusion_matrix,
 )
 from rotabaxter.linalg import (
-    Matrix, Q, inverse, kernel_basis, rank, solve_columns, stacked,
+    Matrix, OnColumns, Q, inverse, kernel_basis, rank, solve_columns,
+    stacked,
 )
 from rotabaxter.rrb import (
     RMatrix, RelativeRBAlgebra, check_relative_rb, induced_dendriform,
@@ -524,6 +525,39 @@ def test_assembly_builds_no_term_matrix(monkeypatch):
     monkeypatch.setattr(linalg.Matrix, "from_blocks", staticmethod(refuse))
     for (terms, shapes), want in zip(cases, wants):
         assert linalg.assemble_terms(terms, *shapes) == want
+
+
+def has_zero_factor(term):
+    """Whether a Product or OnColumns term has a zero matrix among its
+    factors, the identity of a zero-dimensional space included."""
+    if isinstance(term, OnColumns):
+        return term.t.is_zero()
+    return (term.p is not None and term.p.is_zero()) or \
+        any(q.is_zero() for q in term.qs)
+
+
+def test_term_lists_build_no_term_with_a_zero_factor():
+    """On seeds 0-99, rrb_terms in degrees 1-3 and hochschild_terms on the
+    base and on M_Tot in degrees 0-3 build no term with a zero factor.
+    With every term built, degree k would give (k+2)^2 + 1 + k terms, k+1
+    more from degree 2 on, and a Hochschild list k+2: the terms left out
+    are counted, so the check is not vacuous, and the fixtures whose
+    dimensions are all 3 lose none.  The assembled matrices are pinned by
+    test_assemblers_match_index_loop_reference."""
+    dropped = {}
+    for seed in range(100):
+        x, b = random_rrb_pair(seed)
+        lists = [((k + 2) ** 2 + 1 + k + (k + 1 if k >= 2 else 0),
+                  [t for *_, t in cohomology.rrb_terms(x, b, k)])
+                 for k in (1, 2, 3)]
+        lists += [(k + 2, [t for _, t in hochschild_terms(mod, k)])
+                  for mod in (b.base, mtot_action_bimodule(b))
+                  for k in range(4)]
+        for full, terms in lists:
+            assert not any(has_zero_factor(t) for t in terms), seed
+        dropped[seed] = sum(full - len(terms) for full, terms in lists)
+    assert sum(dropped.values()) == 4408
+    assert not any(dropped[seed] for seed in DEEP_SAMPLES)
 
 
 def test_transposed_assembly_is_the_transpose():

@@ -507,6 +507,44 @@ def test_kron_needs_matrices():
         kron(Matrix.identity(2), 2)
 
 
+def test_products_with_a_zero_operand_keep_their_guards():
+    """A product with a zero operand is the zero matrix, returned after
+    the checks: a zero operand of a misfit shape still raises ValueError,
+    and a non-matrix TypeError.  On 0-row and 0-column
+    operands, some zero and some not, *, kron and bilinear_on_columns
+    equal their definitions entry by entry."""
+    with pytest.raises(ValueError):
+        Matrix(2, 3) * Matrix(2, 2)
+    with pytest.raises(ValueError):
+        Matrix.identity(2) * Matrix(3, 1)
+    with pytest.raises(TypeError):
+        Matrix(2, 2) * 2
+    for bad in ((Matrix(2, 5), Matrix.identity(2), Matrix.identity(2)),
+                (mat([[1, 2, 3, 4]]), Matrix(3, 2), Matrix.identity(1)),
+                (mat([[1, 2]]), Matrix.identity(2), Matrix(0, 2))):
+        with pytest.raises(ValueError):
+            bilinear_on_columns(*bad)
+    for bad in ((Matrix(2, 2), 2), (2, Matrix(0, 0)), (Matrix(0, 3), None)):
+        with pytest.raises(TypeError):
+            kron(*bad)
+    rng = random.Random(404)
+    for _ in range(200):
+        n, k, c, r2 = (rng.randint(0, 2) for _ in range(4))
+        a, b, y = (random_matrix(rng, rows, cols, rng.choice((0, 0.5)))
+                   for rows, cols in ((n, k), (k, c), (r2, rng.randint(0, 2))))
+        assert a * b == Matrix(n, c, [sum(at(a, i, t) * at(b, t, j)
+                                          for t in range(k))
+                                      for i in range(n) for j in range(c)])
+        want = Matrix(n * r2, k * y.cols, [
+            at(a, i, j) * at(y, i2, j2) for i in range(n) for i2 in range(r2)
+            for j in range(k) for j2 in range(y.cols)])
+        assert kron(a, y) == want
+        m = random_matrix(rng, c, n * r2, rng.choice((0, 0.5)))
+        assert bilinear_on_columns(m, a, y) == Matrix(c, k * y.cols, [
+            sum(at(m, w, t) * at(want, t, j) for t in range(n * r2))
+            for w in range(c) for j in range(k * y.cols)])
+
+
 def test_matrix_is_not_hashable():
     # a Matrix compares by value and defines no hash, so it is no key,
     # nor are the structure constants that hold one as their matrix
@@ -679,15 +717,17 @@ def test_random_matrices_match_reference_gauss_jordan():
 
 
 def _mutable_parts(obj):
-    """The ids of the nonempty dicts, lists and sets reachable from obj
-    through matrices and containers: the state a result could share with
-    an operand, however a Matrix stores it."""
+    """The ids of the dicts, and of the nonempty lists and sets, reachable
+    from obj through matrices and containers: the state a result could
+    share with an operand, however a Matrix stores it.  An empty dict
+    counts, since it may be a row that a zero result shares."""
     seen, stack = set(), [obj]
     while stack:
         for part in gc.get_referents(stack.pop()):
             if isinstance(part, (Matrix, tuple)):
                 stack.append(part)
-            elif (isinstance(part, (dict, list, set)) and part
+            elif (isinstance(part, (dict, list, set))
+                    and (part or isinstance(part, dict))
                     and id(part) not in seen):
                 seen.add(id(part))
                 stack.append(part)
@@ -701,11 +741,16 @@ def test_eliminations_leave_their_inputs_alone():
     homology_dims hand it rows of their own, and Matrix.from_blocks copies
     its first block and adds the rest into that copy: on
     gauss_jordan_cases, each operation leaves its operands equal to copies
-    taken before the call, and what it returns shares no nonempty dict,
-    list or set with an operand, so no row.  homology_dims gets the
-    complex of m's kernel basis and m; placed, m plus square at its lower
-    right corner, is a block sum taken as an operand in turn."""
+    taken before the call, and what it returns shares no dict, nonempty
+    list or set with an operand, so no row, not even an empty one; the
+    products run with zero operands too.  homology_dims gets the complex of m's kernel basis and m; placed, m
+    plus square at its lower right corner, is a block sum taken as an
+    operand in turn."""
     third = Matrix(1, 1, [Q(1, 3)])
+
+    def zero(a):
+        return Matrix(a.rows, a.cols)
+
     for m, rhs, square in gauss_jordan_cases():
         b, n, t = column(*rhs), square.rows, m.transpose()
         placed = Matrix.from_blocks(m.rows, m.cols, (
@@ -745,7 +790,14 @@ def test_eliminations_leave_their_inputs_alone():
                  lambda a: a.reindexed(a.cols, a.rows, lambda i, j: (j, i)),
                  (placed,)),
                 ("kron", kron, (square, b)),
+                ("kron, zero operand", kron, (zero(square), b)),
                 ("bilinear_on_columns", bilinear_on_columns, (m, t, third)),
+                ("bilinear_on_columns, zero operand", bilinear_on_columns,
+                 (m, zero(t), third)),
+                ("*, zero operands", lambda a, s: a * s,
+                 (zero(t), zero(placed))),
+                ("*, zero right operand", lambda a, s: a * s,
+                 (t, zero(placed))),
                 ("stacked", lambda *ms: stacked(list(ms)),
                  (placed, square, b)),
                 ("stacked_row", lambda *ms: stacked_row(list(ms)),
